@@ -5,13 +5,14 @@ Four subcommands.  `run` simulates one instance and prints a summary line;
 oracles against the constructions; `constants` reports every
 implementation-chosen constant and re-derives the radius factor.  Exit
 status 0 on success, 1 when a bound or oracle is violated, 2 on bad
-configuration.
+configuration, 141 when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections import Counter
@@ -51,6 +52,9 @@ from .sim import (
 from .world import ExplicitScheme, WorldError, make_world
 
 CONFIG_ERRORS = (SimError, WorldError, AgentError, RulingError, EngineError)
+
+# 128 + SIGPIPE, what a shell reports for a filter whose reader went away
+EXIT_BROKEN_PIPE = 141
 
 
 def _error_json(kind: str, detail: str) -> None:
@@ -479,7 +483,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args, argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early (``linemeet constants | head``); point stdout
+        # at /dev/null so the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except CONFIG_ERRORS as err:
         _error_json("config", str(err))
         return 2

@@ -331,7 +331,9 @@ def color_path_constant(sub: PowerSubgraph, palette: int | None = None,
     init, bound = _init_coloring(sub, palette, base)
     nA, nB = sub.pair
     colors, rounds = _three_color(sub.labels, nA, nB, init, bound)
-    assert rounds == three_color_rounds(bound)
+    if rounds != three_color_rounds(bound):
+        raise EngineError(f"3-coloring took {rounds} rounds, schedule says "
+                          f"{three_color_rounds(bound)}")
     return ColorAssignment(sub.members, colors, min(3, bound)), rounds
 
 
@@ -584,7 +586,9 @@ def _list_color_impl(sub: PowerSubgraph,
     sub.check_proper(final)
     top = int(final.max()) + 1
     expected = list_color_rounds(len(classes), palette)
-    assert rounds == expected, (rounds, expected)
+    if rounds != expected:
+        raise EngineError(f"list coloring took {rounds} rounds, schedule says "
+                          f"{expected}")
     return ColorAssignment(sub.members, final, top), rounds
 
 

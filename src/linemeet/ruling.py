@@ -236,14 +236,20 @@ def _greedy_extend(host: World, coords: np.ndarray, labels: np.ndarray,
     return s_mask
 
 
-def _assert_spacing(host: World, members: np.ndarray, spacing: int) -> None:
+def _check_spacing(host: World, members: np.ndarray, spacing: int) -> None:
     if members.size < 2:
         return
-    gaps = np.diff(members)
-    assert int(gaps.min()) >= spacing, (int(gaps.min()), spacing)
-    if host.topology == "cycle" and members.size >= 2:
-        seam = host.n - int(members[-1] - members[0])
-        assert seam >= spacing, (seam, spacing)
+    gap = int(np.diff(members).min())
+    if host.topology == "cycle":
+        gap = min(gap, host.n - int(members[-1] - members[0]))
+    if gap < spacing:
+        raise RulingError(f"members {gap} apart, need spacing {spacing}")
+
+
+def _check_covering(worst: int, bound: int, what: str) -> None:
+    if worst > bound:
+        raise RulingError(f"{what}: a node is {worst} from the set, "
+                          f"bound {bound}")
 
 
 # -- ruling set on one universe ------------------------------------------------
@@ -268,9 +274,9 @@ def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
     admitting candidates at distance >= R from the set that beat every
     nearby candidate on (distance, label).
 
-    With ``debug`` the stage invariants are asserted: spacing >= 2^i,
-    universe covering <= 2^(i+1) - i - 2 per doubling stage (3R-3 after the
-    last), and covering <= R-1 at the end.
+    With ``debug`` the stage invariants are checked, raising ``RulingError``
+    on a breach: spacing >= 2^i, universe covering <= 2^(i+1) - i - 2 per
+    doubling stage (3R-3 after the last), and covering <= R-1 at the end.
     """
     params = RulingParams(R=int(R))
     R = params.R
@@ -288,15 +294,15 @@ def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
         sub = PowerSubgraph(host, s, stage_reach)
         s = np.sort(np.fromiter(mis(sub, palette, base), dtype=np.int64))
         if debug:
-            _assert_spacing(host, s, 2**i if i < d else R)
+            _check_spacing(host, s, 2**i if i < d else R)
             worst = int(_nearest_distance(host, coords, s).max())
             bound = 2**(i + 1) - i - 2 if i < d else 3 * R - 3
-            assert worst <= bound, (i, worst, bound)
+            _check_covering(worst, bound, f"doubling stage {i}")
     mask = np.isin(coords, s)
     mask = _greedy_extend(host, coords, labels, mask, R, 6, cap=3 * R - 2)
     if debug:
         worst = int(_nearest_distance(host, coords, coords[mask]).max())
-        assert worst <= R - 1, (worst, R)
+        _check_covering(worst, R - 1, "greedy extension")
     return LimitedRulingSet(host, uni, frozenset(coords[mask].tolist()),
                             params)
 
@@ -377,7 +383,8 @@ class EsColState:
             self.in_set[np.searchsorted(self.coords, fresh)] = True
             if debug:
                 merged = _nearest_distance(host, vi, self.coords[self.in_set])
-                assert int(merged.max()) <= 2 * R - 2
+                _check_covering(int(merged.max()), 2 * R - 2,
+                                f"class {i} merge")
             labels_i = self.labels[sel]
             m = vi.size
             rank = np.empty(m, dtype=np.int64)
@@ -395,7 +402,8 @@ class EsColState:
                 self.in_set[np.searchsorted(self.coords, vi[top])] = True
             if debug:
                 covered = _nearest_distance(host, vi, self.coords[self.in_set])
-                assert int(covered.max()) <= R - 1
+                _check_covering(int(covered.max()), R - 1,
+                                f"class {i} extension")
             self._color_phase(i)
 
     def _color_phase(self, class_index: int) -> None:

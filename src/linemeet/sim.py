@@ -6,15 +6,23 @@ Rendezvous is detected either by node co-occupancy alone or additionally by
 a simultaneous opposite crossing of one edge.
 
 Three engines produce identical results.  ``reference`` executes the move
-generators round by round with real port navigation.  ``fast`` evaluates the
-plain program's piecewise-linear trajectory analytically, and its care-mode
-variant expands each plain round into the 4-round crossing gadget in
-vectorized chunks.  Runs reuse one trajectory plan per (world, start), and on
-the infinite line one ruling-set window per (world, R, radius); delays only
-shift a plan in global time.  String schemes are interned and keep their
-entries for the life of the process.  Custom ``LabelScheme`` objects are
-reused by identity, so they must be deterministic, and only the most recently
-used ``CUSTOM_WORLD_SLOTS`` custom worlds keep entries.
+generators round by round with real port navigation and is the oracle for
+the other two.  ``fast`` plans the plain program's trajectory as linear
+segments of slope -1, 0 or +1 and finds the meeting exactly: it merges both
+agents' breakpoints and solves each stretch where both move linearly in
+closed form (mod n on a cycle), planning one doubling iteration at a time
+and no further than the meeting.  Endpoint ping-pong and cycle settling are
+periodic tails, so one period decides whether the agents ever meet.
+``fast-care`` solves the same plain segments for the windows where the two
+plain positions come within two nodes (three with crossing detection) and
+expands the 4-round crossing gadget only inside them.
+
+Runs reuse one trajectory plan per (world, start), and on the infinite line
+one ruling-set window per (world, R, radius); delays only shift a plan in
+global time.  String schemes are interned and keep their entries for the
+life of the process.  Custom ``LabelScheme`` objects are reused by identity,
+so they must be deterministic, and only the most recently used
+``CUSTOM_WORLD_SLOTS`` custom worlds keep entries.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 import json
+import math
 
 import numpy as np
 
@@ -273,8 +282,9 @@ class AgentPlan:
                                             plan.r, plan.color))
         self.L_next *= 2
 
-    def ensure(self, horizon: int) -> None:
-        while self.terminal is None and self.cur_t <= horizon:
+    def ensure(self, t: int) -> None:
+        """Plan until the position at local round t is known."""
+        while self.terminal is None and self.cur_t < t:
             self._extend_once()
 
     # -- evaluation --------------------------------------------------------
@@ -316,7 +326,7 @@ class AgentPlan:
     def phase_at(self, t: int) -> str:
         if t < 0:
             return "asleep"
-        self.ensure(t)
+        self.ensure(t + 1)
         if self.terminal is not None and t >= self.terminal[1]:
             return "endpoint-walk" if self.terminal[0] == "pingpong" else "settle"
         i = _iteration_index(t)
@@ -328,7 +338,7 @@ class AgentPlan:
     def note_at(self, t: int) -> IterationNote | None:
         if t < 0:
             return None
-        self.ensure(t)
+        self.ensure(t + 1)
         if self.terminal is not None and t >= self.terminal[1]:
             return None
         i = _iteration_index(t)
@@ -336,7 +346,7 @@ class AgentPlan:
 
     def phase_boundaries(self, upto: int) -> list[int]:
         """Local rounds where the phase can change, ascending from 0."""
-        self.ensure(upto)
+        self.ensure(upto + 1)
         cut = self.terminal[1] if self.terminal is not None else None
         pts = {0}
         i = 0
@@ -388,9 +398,6 @@ class EventTimeline:
 # -- engines -------------------------------------------------------------------
 
 
-_CHUNK = 1 << 15
-
-
 def _care_positions(plan: AgentPlan, lo: int, hi: int) -> np.ndarray:
     """Care-frame positions for local rounds lo..hi via 4x gadget expansion."""
     t0, t1 = lo // 4, hi // 4 + 1
@@ -406,40 +413,6 @@ def _care_positions(plan: AgentPlan, lo: int, hi: int) -> np.ndarray:
                       stay_or_there], axis=1).reshape(-1)
     full = np.concatenate([x[:1], quads])
     return full[lo - 4 * t0: hi - 4 * t0 + 1]
-
-
-def _scan_for_meeting(pos_a, pos_b, cap: int, mode: str,
-                      wrap: int | None) -> tuple[int, str] | None:
-    """First global round with a node meet (or qualifying crossing)."""
-
-    def zero(arr):
-        return arr % wrap == 0 if wrap else arr == 0
-
-    prev: tuple[int, int] | None = None
-    g = 0
-    while g <= cap:
-        hi = min(g + _CHUNK - 1, cap)
-        xa, xb = pos_a(g, hi), pos_b(g, hi)
-        base = g
-        if prev is not None:
-            xa = np.concatenate([[prev[0]], xa])
-            xb = np.concatenate([[prev[1]], xb])
-            base = g - 1
-        hits = np.flatnonzero(zero(xa - xb))
-        node_t = base + int(hits[0]) if hits.size else None
-        cross_t = None
-        if mode == "node-or-crossing" and xa.size > 1:
-            swap = (zero(xa[1:] - xb[:-1]) & zero(xb[1:] - xa[:-1])
-                    & (np.abs(xa[1:] - xa[:-1]) == 1))
-            j = np.flatnonzero(swap)
-            cross_t = base + 1 + int(j[0]) if j.size else None
-        found = [(t, k) for t, k in ((node_t, "node"), (cross_t, "crossing"))
-                 if t is not None]
-        if found:
-            return min(found)
-        prev = (int(xa[-1]), int(xb[-1]))
-        g = hi + 1
-    return None
 
 
 def _plan_position_fns(config: SimConfig, plan_a: AgentPlan, plan_b: AgentPlan):
@@ -467,6 +440,202 @@ def _plan_position_fns(config: SimConfig, plan_a: AgentPlan, plan_b: AgentPlan):
             return np.where(ts < tau, vb,
                             plan_b.positions(np.maximum(ts - tau, 0)))
     return pos_a, pos_b
+
+
+# -- meeting detection ---------------------------------------------------------
+
+
+class _Track:
+    """One agent's plain trajectory on a shared clock, read left to right.
+
+    The agent rests at ``rest`` before ``shift`` and then follows ``plan``
+    shifted by ``shift``.  ``piece`` must be asked nondecreasing times below
+    ``end()``.
+    """
+
+    def __init__(self, plan: AgentPlan, shift: int, rest: int):
+        self.plan = plan
+        self.shift = shift
+        self.rest = rest
+        self._i = 0
+
+    def end(self) -> float:
+        """First time whose linear piece is not planned yet."""
+        plan = self.plan
+        return math.inf if plan.terminal else self.shift + plan.cur_t
+
+    def tail_start(self) -> int:
+        return self.shift + self.plan.terminal[1]
+
+    def piece(self, t: int) -> tuple[int, int, float]:
+        """(position at t, slope, end of the linear piece holding t)."""
+        if t < self.shift:
+            return self.rest, 0, self.shift
+        plan = self.plan
+        u = t - self.shift
+        if u < plan.cur_t:
+            t0s, i = plan.t0s, self._i
+            last = len(t0s) - 1
+            while i < last and t0s[i + 1] <= u:
+                i += 1
+            self._i = i
+            end = t0s[i + 1] if i < last else plan.cur_t
+            slope = plan.slopes[i]
+            return plan.x0s[i] + slope * (u - t0s[i]), slope, self.shift + end
+        if plan.terminal[0] == "hold":
+            return plan.terminal[2], 0, math.inf
+        _, th, e, d, m = plan.terminal
+        v = (u - th) % (2 * m)
+        if v < m:
+            return e + d * v, d, t + m - v
+        return e + d * (2 * m - v), -d, t + 2 * m - v
+
+
+def _first_root(c: int, slope: int, wrap: int | None) -> int | None:
+    """Smallest k >= 0 with c + slope*k == 0, modulo wrap on a cycle."""
+    if wrap is None:
+        if slope == 0:
+            return 0 if c == 0 else None
+        k, rem = divmod(-c, slope)
+        return k if rem == 0 and k >= 0 else None
+    c %= wrap
+    if c == 0:
+        return 0
+    g = math.gcd(slope, wrap)
+    if slope == 0 or c % g:
+        return None
+    n = wrap // g
+    return (-(c // g) * pow(slope // g, -1, n)) % n
+
+
+def _zero(v, wrap: int | None):
+    return v % wrap == 0 if wrap else v == 0
+
+
+def _first_event(xa: np.ndarray, xb: np.ndarray, base: int, first: int,
+                 mode: str, wrap: int | None) -> tuple[int, str] | None:
+    """First meeting at a round >= first among rounds base.. of two arrays."""
+    skip = first - base
+    hits = np.flatnonzero(_zero(xa[skip:] - xb[skip:], wrap))
+    found = [(first + int(hits[0]), "node")] if hits.size else []
+    if mode == "node-or-crossing":
+        # swap[i] is a crossing at round base + i + 1
+        swap = (_zero(xa[1:] - xb[:-1], wrap) & _zero(xb[1:] - xa[:-1], wrap)
+                & (np.abs(np.diff(xa)) == 1))
+        lead = max(skip - 1, 0)
+        j = np.flatnonzero(swap[lead:])
+        if j.size:
+            found.append((base + lead + int(j[0]) + 1, "crossing"))
+    return min(found) if found else None
+
+
+def _plain_solver(mode: str, wrap: int | None):
+    """Exact meetings of two linear pieces over rounds u0 <= t < u1.
+
+    Node meetings solve xa - xb = 0; a crossing at round u + 1 needs opposite
+    unit slopes (mod wrap) and xa - xb = -sa at u.
+    """
+    crossings = mode == "node-or-crossing"
+
+    def solve(u0, u1, xa, sa, xb, sb):
+        d, ds = xa - xb, sa - sb
+        k = _first_root(d, ds, wrap)
+        node = (u0 + k, "node") if k is not None and u0 + k < u1 else None
+        if crossings and sa and _zero(sa + sb, wrap):
+            k = _first_root(d + sa, ds, wrap)
+            if k is not None and u0 + k < u1:
+                cross = (u0 + k + 1, "crossing")
+                return min(node, cross) if node else cross
+        return node
+
+    return solve
+
+
+def _care_solver(mode: str, wrap: int | None, pos_a, pos_b):
+    """Care-mode meetings over the gadget rounds of plain steps k0 <= k < k1.
+
+    Care round 4k + j stands on plain position x(k) or x(k + 1), and the
+    partner's on x'(k - 1), x'(k) or x'(k + 1) of its plain clock shifted by
+    tau // 4.  A node meeting therefore needs the plain positions within 2
+    at step k, and a crossing within 3.  Only those windows are expanded into
+    gadget rounds.  Where both agents stand still, every gadget round after
+    the stretch's first step repeats the plain positions, so only that step
+    is expanded.
+    """
+    reach = 3 if mode == "node-or-crossing" else 2
+
+    def near(d):
+        return min(d % wrap, -d % wrap) <= reach if wrap else abs(d) <= reach
+
+    def expand(ks, ke):
+        lo, hi = max(4 * ks - 1, 0), 4 * ke - 1
+        return _first_event(pos_a(lo, hi), pos_b(lo, hi), lo, 4 * ks, mode,
+                            wrap)
+
+    def solve(k0, k1, xa, sa, xb, sb):
+        d, ds = xa - xb, sa - sb
+        if ds == 0:
+            if not near(d):
+                return None
+            return expand(k0, k1 if sa else k0 + 1)
+        k = k0
+        while k < k1:
+            dk = d + ds * (k - k0)
+            offs = [o for o in (_first_root(dk - c, ds, wrap)
+                                for c in range(-reach, reach + 1))
+                    if o is not None]
+            if not offs or k + min(offs) >= k1:
+                return None
+            # |ds| >= 1, so the distance leaves the window within 2*reach+1
+            ks = k + min(offs)
+            k = min(ks + 2 * reach + 1, k1)
+            found = expand(ks, k)
+            if found:
+                return found
+        return None
+
+    return solve
+
+
+def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
+            plan_b: AgentPlan, cap: int, fns) -> tuple[int, str] | None:
+    """First meeting at a global round <= cap, or None.
+
+    Walks the merged breakpoints of both plain trajectories, solving each
+    stretch where both are linear, and extends only the plan that covers the
+    shorter stretch, one doubling iteration at a time.  Care runs work in
+    plain steps of 4 rounds.  Once both plans are in their terminal tails,
+    one period of the joint motion decides whether they ever meet.
+    """
+    scale = 4 if config.care else 1
+    wrap = world.n if world.topology == "cycle" else None
+    ta = _Track(plan_a, 0, config.va)
+    tb = _Track(plan_b, config.tau // scale, config.vb)
+    solve = (_care_solver(config.detection, wrap, *fns) if config.care
+             else _plain_solver(config.detection, wrap))
+    limit = cap // scale + 1
+    t, found = 0, None
+    while True:
+        if plan_a.terminal and plan_b.terminal:
+            # one period past both tail starts, plus the gadget's lookaround
+            period = 1 if plan_a.terminal[0] == "hold" else 2 * (world.n - 1)
+            limit = min(limit,
+                        max(ta.tail_start(), tb.tail_start()) + period + 3)
+        hi = min(ta.end(), tb.end(), limit)
+        while t < hi:
+            if found and found[0] < t * scale:
+                break
+            xa, sa, ea = ta.piece(t)
+            xb, sb, eb = tb.piece(t)
+            u1 = min(ea, eb, hi)
+            event = solve(t, u1, xa, sa, xb, sb)
+            if event and (found is None or event < found):
+                found = event
+            t = u1
+        if t >= limit or (found and found[0] < t * scale):
+            break
+        (ta if ta.end() <= tb.end() else tb).plan._extend_once()
+    return found if found and found[0] <= cap else None
 
 
 def _run_reference(config: SimConfig, world: World, cap: int):
@@ -557,6 +726,10 @@ def _trail_position_fns(trail_a: list[int], trail_b: list[int]):
 # -- traces --------------------------------------------------------------------
 
 
+# rounds rendered per batch when writing a per-round trace
+_JSONL_BATCH = 1 << 15
+
+
 class SimTrace:
     """Outcome of one run plus phase/iteration queries in global rounds."""
 
@@ -637,8 +810,8 @@ class SimTrace:
         with open(path, "w") as fh:
             if runspec is not None:
                 fh.write(json.dumps({"runspec": runspec}, sort_keys=True) + "\n")
-            for lo in range(0, end + 1, _CHUNK):
-                hi = min(lo + _CHUNK - 1, end)
+            for lo in range(0, end + 1, _JSONL_BATCH):
+                hi = min(lo + _JSONL_BATCH - 1, end)
                 xa, xb = self.positions_at(lo, hi)
                 for k, t in enumerate(range(lo, hi + 1)):
                     event = self.event if t == self.t_rdv else None
@@ -743,8 +916,7 @@ def run(config: SimConfig) -> SimTrace:
     plan_a = _cached_plan(config, world, config.va)
     plan_b = _cached_plan(config, world, config.vb)
     fns = _plan_position_fns(config, plan_a, plan_b)
-    wrap = world.n if config.topology == "cycle" else None
-    meet = _scan_for_meeting(fns[0], fns[1], cap, config.detection, wrap)
+    meet = _detect(config, world, plan_a, plan_b, cap, fns)
     return SimTrace(config, world, engine, cap, meet, plan_a, plan_b, fns)
 
 

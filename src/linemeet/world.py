@@ -86,7 +86,7 @@ class _FeistelPerm:
             if not bad.any():
                 return out
             pending = pending[bad]
-        raise AssertionError("cycle walking failed to converge")
+        raise WorldError("cycle walking failed to converge")
 
     def apply_one(self, idx: int) -> int:
         return int(self.apply(np.array([idx], dtype=np.int64))[0])

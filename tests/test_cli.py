@@ -1,11 +1,15 @@
 """Command-line front end: flags, exit codes, outputs, and oracles."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from linemeet.cli import main
+from linemeet.cli import EXIT_BROKEN_PIPE, main
 
 
 def run_cli(capsys, *argv):
@@ -196,3 +200,21 @@ class TestConstantsCommand:
         assert "R=4: class ends 112 224 371 868 5320 9807" in out
         assert "R=64: class ends 2032 4064 6671 15028 88360 162267" in out
         assert "consistent" in out and "INCONSISTENT" not in out
+
+    def test_closed_pipe_exits_quietly(self):
+        # the reader is gone before the first write, like `| head` finishing
+        # early; the command must not report it as a configuration error
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "linemeet.cli", "constants"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_BROKEN_PIPE
+        assert proc.stderr == b""

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linemeet import ruling
 from linemeet.logstar import log_star
 from linemeet.ruling import (
     PALETTE_SIZE,
@@ -130,6 +131,17 @@ def test_two_far_clusters():
     rs = path_ruling_set(world, universe, 16, debug=True)
     assert verify_limited_ruling_set(world, rs.universe, rs.members, 16, 15).ok
     assert any(p < 1000 for p in rs.members) and any(p > 1000 for p in rs.members)
+
+
+@pytest.mark.parametrize("topology,n,members", [
+    ("infinite", None, [0, 2, 9]),
+    ("cycle", 12, [1, 6, 11]),
+])
+def test_spacing_breach_raises_ruling_error(topology, n, members):
+    # a real error, so the debug checks still fire under python -O
+    world = make_world(topology, "random-injective:1", n=n)
+    with pytest.raises(RulingError, match="spacing 3"):
+        ruling._check_spacing(world, np.array(members), 3)
 
 
 def test_empty_universe():

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linemeet import sim
@@ -40,6 +40,57 @@ CLASS5 = "uniform-logstar-class:5"
 
 def both_engines(cfg):
     return run(cfg), run(replace(cfg, engine="reference"))
+
+
+def scan_for_meeting(trace, cap, chunk=1 << 12):
+    """Round-by-round oracle: the first meeting in global rounds 0..cap.
+
+    Reads both agents' positions in chunks through ``trace.positions_at`` and
+    checks every round for a shared node and, with crossing detection, every
+    pair of consecutive rounds for an exchange across one edge.  Ties in one
+    round go to the node meeting.
+    """
+    world = trace.world
+    wrap = world.n if world.topology == "cycle" else None
+
+    def zero(v):
+        return v % wrap == 0 if wrap else v == 0
+
+    prev = None
+    g = 0
+    while g <= cap:
+        hi = min(g + chunk - 1, cap)
+        xa, xb = trace.positions_at(g, hi)
+        base = g
+        if prev is not None:
+            xa = np.concatenate([[prev[0]], xa])
+            xb = np.concatenate([[prev[1]], xb])
+            base = g - 1
+        hits = np.flatnonzero(zero(xa - xb))
+        found = [(base + int(hits[0]), "node")] if hits.size else []
+        if trace.config.detection == "node-or-crossing" and xa.size > 1:
+            swap = (zero(xa[1:] - xb[:-1]) & zero(xb[1:] - xa[:-1])
+                    & ~zero(np.diff(xa)))
+            j = np.flatnonzero(swap)
+            if j.size:
+                found.append((base + 1 + int(j[0]), "crossing"))
+        if found:
+            return min(found)
+        prev = (int(xa[-1]), int(xb[-1]))
+        g = hi + 1
+    return None
+
+
+def outcome(trace):
+    return (trace.t_rdv, trace.event, trace.meet_position)
+
+
+def scanned_outcome(trace, cap):
+    meet = scan_for_meeting(trace, cap)
+    if meet is None:
+        return (None, None, None)
+    xa, _ = trace.positions_at(meet[0], meet[0])
+    return (*meet, int(xa[0]))
 
 
 class TestConfigValidation:
@@ -147,6 +198,23 @@ class TestEngineAgreement:
                   detection="node-only"),
         SimConfig(topology="path", n=9, va=2, vb=7, tau=1, care=True,
                   detection="node-only"),
+        # met across the seam: the unbounded frames differ by a lap
+        SimConfig(topology="cycle", n=5, va=0, vb=3),
+        SimConfig(topology="cycle", n=8, va=0, vb=5, tau=2),
+        # both agents ping-pong from round 2 on and never share a node
+        SimConfig(topology="path", n=5, va=0, vb=3, tau=2,
+                  detection="node-only", allow_mispairing=True,
+                  round_cap=300),
+        SimConfig(topology="path", n=12, va=0, vb=11, round_cap=4),
+        # care pairs that meet while walking in step within two nodes
+        SimConfig(topology="cycle", n=4, va=3, vb=0, care=True,
+                  detection="node-only"),
+        SimConfig(topology="cycle", n=19, va=4, vb=6, tau=3, care=True,
+                  detection="node-only"),
+        # the late agent reaches its settled partner inside the gadget of
+        # the first plain step in which both stand still
+        SimConfig(topology="cycle", n=22, va=11, vb=4, tau=7, care=True,
+                  detection="node-only"),
     ]
 
     @pytest.mark.parametrize("cfg", CASES)
@@ -169,6 +237,87 @@ class TestEngineAgreement:
         xa, xb = trace.positions_at(0, trace.t_rdv)
         assert xa[0] == 0 and xb[0] == 3
         assert xa[-1] == xb[-1]
+
+
+@st.composite
+def detection_configs(draw):
+    """Small runs on every topology, plain and care, paired or mispaired."""
+    topology = draw(st.sampled_from(["infinite", "path", "cycle"]))
+    scheme = draw(st.sampled_from(
+        ["sequential", "random-injective:2", "random-injective:5"]))
+    if topology == "infinite":
+        n = None
+        va = draw(st.integers(-3, 3))
+        vb = va + draw(st.integers(1, 6))
+    else:
+        n = draw(st.integers(2 if topology == "path" else 3, 12))
+        va, vb = draw(st.permutations(range(n)))[:2]
+    care = draw(st.booleans())
+    paired = "node-only" if care else "node-or-crossing"
+    detection = draw(st.sampled_from(
+        [paired, paired, "node-only", "node-or-crossing"]))
+    return SimConfig(topology=topology, scheme=scheme, n=n, va=va, vb=vb,
+                     tau=draw(st.integers(0, 40)), care=care,
+                     detection=detection,
+                     allow_mispairing=detection != paired)
+
+
+class TestDetectionOracle:
+    """The segment detector against a round-by-round scan and the reference.
+
+    Each case runs to a horizon, then again under a cap drawn from 0 to a
+    little past the meeting (or the horizon when there is none).
+    """
+
+    HORIZON = 6000
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=detection_configs(), data=st.data())
+    @example(cfg=SimConfig(topology="path", n=2, va=1, vb=0, tau=3),
+             data=None)
+    @example(cfg=SimConfig(topology="cycle", n=3, va=2, vb=0, tau=5,
+                           care=True, detection="node-only"), data=None)
+    @example(cfg=SimConfig(va=-1, vb=2, tau=7, care=True,
+                           detection="node-only"), data=None)
+    @example(cfg=SimConfig(topology="cycle", n=7, va=1, vb=5, tau=2,
+                           detection="node-only", allow_mispairing=True),
+             data=None)
+    def test_matches_scan_and_reference(self, cfg, data):
+        full = run(replace(cfg, round_cap=self.HORIZON))
+        assert outcome(full) == scanned_outcome(full, self.HORIZON)
+        top = self.HORIZON if full.t_rdv is None else full.t_rdv
+        caps = [0, top, top + 3] if data is None else [
+            data.draw(st.integers(0, top + 8), label="round_cap")]
+        for cap in caps:
+            capped = replace(cfg, round_cap=cap)
+            fast = run(capped)
+            ref = run(replace(capped, engine="reference"))
+            assert outcome(fast) == scanned_outcome(fast, cap) == outcome(ref)
+
+
+class TestPlansStopAtTheMeeting:
+    """Detection plans no iteration that starts after an agent's meeting."""
+
+    @staticmethod
+    def last_iteration_start(plan):
+        return 28 * (plan.L_next // 2 - 1) if plan.L_next > 1 else None
+
+    @pytest.mark.parametrize("care", [False, True])
+    @pytest.mark.parametrize("seed,d,tau", [(10, 2, 1), (4, 7, 20)])
+    def test_last_iteration_starts_by_the_meeting(self, seed, d, tau, care):
+        # a fresh scheme object, so no other run has planned on this world;
+        # these pairs meet in a search iteration (TestCustomSchemeReuse)
+        if not care:
+            tau = -(-tau // 4)
+        trace = run(SimConfig(scheme=PlantedScheme(seed, 0, 3), va=0, vb=d,
+                              tau=tau, care=care,
+                              detection="node-only" if care
+                              else "node-or-crossing"))
+        for plan, local in ((trace._ta, trace.t_rdv),
+                            (trace._tb, trace.t_rdv - tau)):
+            last = local // 4 + 1 if care else local
+            start = self.last_iteration_start(plan)
+            assert start is not None and start <= last, (start, last)
 
 
 class TestTrajectoryInvariants:
