@@ -483,14 +483,8 @@ def _doubling_factory(wake_obs: Observation, sink=None):
 
 def main_program() -> AgentProgram:
     """The doubling loop: sweep radius L, then search 24L rounds; 28L per
-    iteration, so iteration L starts at round 28(L-1)."""
+    iteration, so iteration L starts at round 28(L-1).  On finite hosts it
+    walks straight ping-pong after sighting a degree-1 node, and settles on
+    the minimum label once a repeated label reveals a cycle."""
     return AgentProgram(name="doubling-search", needs_crossing_detection=True,
-                        factory=_doubling_factory)
-
-
-def finite_graph_program() -> AgentProgram:
-    """The doubling loop plus the finite adjustments it already carries:
-    straight ping-pong walking after sighting a degree-1 node, and settling
-    on the minimum label once a repeated label reveals a cycle."""
-    return AgentProgram(name="finite-adjusted", needs_crossing_detection=True,
                         factory=_doubling_factory)

@@ -44,7 +44,6 @@ from .sim import (
     SimError,
     case_classifier,
     grid_configs,
-    lmin_stats,
     run,
     sweep,
     write_csv,
@@ -169,10 +168,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                     detection=args.detection, care=care,
                     round_cap=args.round_cap, engine=args.engine,
                     allow_mispairing=args.allow_mispairing)
-    world = cfg.world()
     trace = run(cfg)
-    lmin, _ = lmin_stats(world, va, vb)
-    D = world.distance(va, vb)
+    lmin = trace.lmin
+    D = trace.world.distance(va, vb)
     denom = max(D, 1) * log_star(lmin)
     runspec = {"version": __version__, "command": "run",
                "topology": args.topology, "n": args.n, "d": args.d,

@@ -17,12 +17,13 @@ periodic tails, so one period decides whether the agents ever meet.
 plain positions come within two nodes (three with crossing detection) and
 expands the 4-round crossing gadget only inside them.
 
-Runs reuse one trajectory plan per (world, start), and on the infinite line
-one ruling-set window per (world, R, radius); delays only shift a plan in
-global time.  String schemes are interned and keep their entries for the
-life of the process.  Custom ``LabelScheme`` objects are reused by identity,
-so they must be deterministic, and only the most recently used
-``CUSTOM_WORLD_SLOTS`` custom worlds keep entries.
+Runs on the same world share one ``World`` object, and with it every label
+computed so far, one trajectory plan per start, and on the infinite line one
+ruling-set window per (R, radius); delays only shift a plan in global time.
+String schemes are interned and their worlds live for the life of the
+process.  Custom ``LabelScheme`` objects are reused by identity, so they must
+be deterministic, and only the most recently used ``CUSTOM_WORLD_SLOTS``
+custom worlds are kept.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 import json
 import math
 
@@ -39,7 +40,6 @@ import numpy as np
 from .agent import (
     Observation,
     care_transform,
-    finite_graph_program,
     main_program,
     plan_iteration,
     searching_walk_segments,
@@ -126,10 +126,13 @@ def lmin_stats(world: World, va: int, vb: int) -> tuple[int, int]:
     return int(labels.min()), int(labels.max())
 
 
+def _round_cap(D: int, biggest: int) -> int:
+    return ROUND_CAP_FACTOR * max(D, 1) * log_star(biggest)
+
+
 def default_round_cap(world: World, va: int, vb: int) -> int:
-    D = max(world.distance(va, vb), 1)
     _, biggest = lmin_stats(world, va, vb)
-    return ROUND_CAP_FACTOR * D * log_star(biggest)
+    return _round_cap(world.distance(va, vb), biggest)
 
 
 # -- analytic trajectory plans -------------------------------------------------
@@ -640,8 +643,7 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
 
 def _run_reference(config: SimConfig, world: World, cap: int):
     """Lock-step generator execution; returns meet, event lists, trails."""
-    base = (main_program() if config.topology == "infinite"
-            else finite_graph_program())
+    base = main_program()
     prog = care_transform(base) if config.care else base
     scale = 4 if config.care else 1
 
@@ -731,15 +733,20 @@ _JSONL_BATCH = 1 << 15
 
 
 class SimTrace:
-    """Outcome of one run plus phase/iteration queries in global rounds."""
+    """Outcome of one run plus phase/iteration queries in global rounds.
+
+    ``lmin`` and ``lmax`` are the smallest and largest label within the
+    bound's window around the starts (see :func:`lmin_stats`).
+    """
 
     def __init__(self, config: SimConfig, world: World, engine: str, cap: int,
-                 meet: tuple[int, str] | None, timeline_a, timeline_b,
-                 position_fns):
+                 extremes: tuple[int, int], meet: tuple[int, str] | None,
+                 timeline_a, timeline_b, position_fns):
         self.config = config
         self.world = world
         self.engine = engine
         self.round_cap = cap
+        self.lmin, self.lmax = extremes
         self.t_rdv = meet[0] if meet else None
         self.event = meet[1] if meet else None
         self._ta = timeline_a
@@ -825,39 +832,49 @@ class SimTrace:
 # -- the front door ------------------------------------------------------------
 
 
-# world key -> start -> plan, and world key -> (R, radius) -> ruling state
-_PLAN_CACHE: dict[tuple, dict[int, AgentPlan]] = {}
+@dataclass
+class _WorldWork:
+    """One world and the work runs on it reuse: plans by start and, on the
+    infinite line, ruling states by (R, radius)."""
 
-_ES_CACHE: dict[tuple, dict[tuple, EsColState]] = {}
+    world: World
+    plans: dict[int, AgentPlan] = field(default_factory=dict)
+    states: dict[tuple, EsColState] = field(default_factory=dict)
+
+
+# string-scheme worlds by key, kept for the life of the process
+_WORLDS: dict[tuple, _WorldWork] = {}
 
 # canonical ruling-set windows absorb starts this far from the origin
 _ES_MARGIN = 64
 
-# custom-scheme worlds that keep cache entries, least recently used first;
-# each maps to its scheme object, which pins the id in the key
+# custom-scheme worlds, least recently used first; each world holds its
+# scheme object, which pins the id in the key
 CUSTOM_WORLD_SLOTS = 2
-_CUSTOM_WORLDS: OrderedDict[tuple, LabelScheme] = OrderedDict()
+_CUSTOM_WORLDS: OrderedDict[tuple, _WorldWork] = OrderedDict()
 
 
-def _world_key(config: SimConfig) -> tuple:
-    """Cache key of the configured world; custom schemes count by identity.
+def _world_work(config: SimConfig) -> _WorldWork:
+    """The configured world with its reused work; custom schemes count by
+    identity.
 
     A custom world becomes the most recently used one, and the least recently
-    used beyond ``CUSTOM_WORLD_SLOTS`` lose their plans and ruling states.
+    used beyond ``CUSTOM_WORLD_SLOTS`` are dropped with their plans and ruling
+    states.
     """
     scheme = config.scheme
-    if isinstance(scheme, str):
-        return (config.topology, config.n, scheme, config.seed)
-    key = (config.topology, config.n, ("object", id(scheme)), config.seed)
-    if key in _CUSTOM_WORLDS:
+    custom = not isinstance(scheme, str)
+    key = (config.topology, config.n,
+           ("object", id(scheme)) if custom else scheme, config.seed)
+    works = _CUSTOM_WORLDS if custom else _WORLDS
+    work = works.get(key)
+    if work is None:
+        work = works[key] = _WorldWork(config.world())
+    if custom:
         _CUSTOM_WORLDS.move_to_end(key)
-    else:
-        _CUSTOM_WORLDS[key] = scheme
         while len(_CUSTOM_WORLDS) > CUSTOM_WORLD_SLOTS:
-            old, _ = _CUSTOM_WORLDS.popitem(last=False)
-            _PLAN_CACHE.pop(old, None)
-            _ES_CACHE.pop(old, None)
-    return key
+            _CUSTOM_WORLDS.popitem(last=False)
+    return work
 
 
 def _shared_es(world: World, states: dict[tuple, EsColState]):
@@ -883,23 +900,24 @@ def _shared_es(world: World, states: dict[tuple, EsColState]):
     return lookup
 
 
-def _cached_plan(config: SimConfig, world: World, start: int) -> AgentPlan:
-    key = _world_key(config)
-    plans = _PLAN_CACHE.setdefault(key, {})
-    plan = plans.get(start)
+def _cached_plan(work: _WorldWork, start: int) -> AgentPlan:
+    plan = work.plans.get(start)
     if plan is None:
-        es_lookup = (_shared_es(world, _ES_CACHE.setdefault(key, {}))
-                     if config.topology == "infinite" else None)
-        plan = plans[start] = AgentPlan(world, start, es_lookup)
+        world = work.world
+        es_lookup = (_shared_es(world, work.states)
+                     if world.topology == "infinite" else None)
+        plan = work.plans[start] = AgentPlan(world, start, es_lookup)
     return plan
 
 
 def run(config: SimConfig) -> SimTrace:
     """Simulate one instance to rendezvous or the round cap."""
-    world = config.world()
+    work = _world_work(config)
+    world = work.world
     config.validate(world)
+    extremes = lmin_stats(world, config.va, config.vb)
     cap = (config.round_cap if config.round_cap is not None
-           else default_round_cap(world, config.va, config.vb))
+           else _round_cap(world.distance(config.va, config.vb), extremes[1]))
     engine = config.engine
     if engine == "auto":
         engine = "fast-care" if config.care else "fast"
@@ -907,17 +925,18 @@ def run(config: SimConfig) -> SimTrace:
         meet, events_a, events_b, trail_a, trail_b = _run_reference(
             config, world, cap)
         fns = _trail_position_fns(trail_a, trail_b)
-        return SimTrace(config, world, engine, cap, meet,
+        return SimTrace(config, world, engine, cap, extremes, meet,
                         EventTimeline(events_a), EventTimeline(events_b), fns)
     if engine not in ("fast", "fast-care"):
         raise SimError(f"unknown engine {engine!r}")
     if (engine == "fast-care") != config.care:
         raise SimError("fast engine variant must match the care flag")
-    plan_a = _cached_plan(config, world, config.va)
-    plan_b = _cached_plan(config, world, config.vb)
+    plan_a = _cached_plan(work, config.va)
+    plan_b = _cached_plan(work, config.vb)
     fns = _plan_position_fns(config, plan_a, plan_b)
     meet = _detect(config, world, plan_a, plan_b, cap, fns)
-    return SimTrace(config, world, engine, cap, meet, plan_a, plan_b, fns)
+    return SimTrace(config, world, engine, cap, extremes, meet, plan_a,
+                    plan_b, fns)
 
 
 def case_classifier(trace: SimTrace) -> str:
@@ -953,9 +972,8 @@ def case_classifier(trace: SimTrace) -> str:
 def run_row(config: SimConfig) -> dict:
     """Run one cell and flatten it into a results row."""
     trace = run(config)
-    world = trace.world
-    D = world.distance(config.va, config.vb)
-    lmin, _ = lmin_stats(world, config.va, config.vb)
+    D = trace.world.distance(config.va, config.vb)
+    lmin = trace.lmin
     denom = max(D, 1) * log_star(lmin)
     row = {
         "topology": config.topology,

@@ -3,8 +3,8 @@
 A :class:`World` is an infinite line, a finite path, or a cycle whose nodes
 carry unique positive labels and per-node port numbers.  Ports are assigned
 independently per node from the world seed, so no common orientation leaks
-into agent programs.  Everything is immutable after construction and pure to
-query.
+into agent programs.  A world's answers never change after construction;
+it only caches labels and port bits as they are first asked for.
 """
 
 from __future__ import annotations
@@ -318,9 +318,62 @@ class NeighborhoodSnapshot:
 _PORT_BLOCK = 4096
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class _LabelStore:
+    """Labels of one contiguous coordinate interval [lo, hi], all distinct.
+
+    ``labels[i]`` is the label at coordinate ``lo + i`` and ``ordered`` holds
+    the same labels sorted.  Both arrays are read-only and replaced, never
+    written, when the interval grows.
+    """
+
+    def __init__(self):
+        self.lo, self.hi = 0, -1
+        self.labels = self.ordered = _read_only(np.empty(0, dtype=np.int64))
+
+    def check_fresh(self, fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Raise unless the labels of distinct new coordinates are distinct
+        from each other and from every stored label.
+
+        Returns them sorted and their insertion points into ``ordered``.
+        """
+        new = np.sort(fresh.ravel())
+        idx = np.searchsorted(self.ordered, new)
+        clash = (self.ordered.size
+                 and (self.ordered[np.minimum(idx, self.ordered.size - 1)]
+                      == new).any())
+        if clash or (new[1:] == new[:-1]).any():
+            raise WorldError("label scheme produced duplicate labels")
+        return new, idx
+
+    def extend(self, scheme: LabelScheme, lo: int, hi: int) -> None:
+        """Grow the interval to cover [lo, hi], which overlaps or touches it,
+        labelling only the coordinates it adds."""
+        if self.labels.size == 0:
+            self.lo, self.hi = lo, lo - 1
+        left = np.arange(lo, self.lo)
+        right = np.arange(self.hi + 1, hi + 1)
+        fresh = scheme.labels_at(np.concatenate([left, right]))
+        new, idx = self.check_fresh(fresh)
+        self.labels = _read_only(np.concatenate(
+            [fresh[:left.size], self.labels, fresh[left.size:]]))
+        self.ordered = _read_only(np.insert(self.ordered, idx, new))
+        self.lo, self.hi = min(lo, self.lo), max(hi, self.hi)
+
+
 @dataclass(frozen=True)
 class World:
-    """An immutable labeled topology with seeded per-node ports."""
+    """An immutable labeled topology with seeded per-node ports.
+
+    :meth:`labels_at` keeps the labels of one growing interval of requested
+    coordinates in a store and serves later requests inside it from there, so
+    each stored coordinate is labelled once.  Every newly labelled coordinate
+    is checked against all stored labels.
+    """
 
     topology: str
     scheme: LabelScheme
@@ -328,6 +381,8 @@ class World:
     seed: int = 0
     _port_blocks: dict = field(default_factory=dict, repr=False, compare=False)
     _label_memo: dict = field(default_factory=dict, repr=False, compare=False)
+    _store: _LabelStore = field(default_factory=_LabelStore, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
@@ -366,6 +421,9 @@ class World:
 
     def label(self, p: int) -> int:
         p = self._check(p)
+        store = self._store
+        if store.lo <= p <= store.hi:
+            return int(store.labels[p - store.lo])
         lab = self.scheme.label_at(p)
         prev = self._label_memo.setdefault(lab, p)
         if prev != p:
@@ -373,15 +431,40 @@ class World:
         return lab
 
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized labels with a batch-local injectivity check."""
+        """Vectorized labels; each stored coordinate is labelled only once.
+
+        A request inside the stored interval is gathered from it.  A
+        contiguous ascending request that overlaps or touches the interval
+        labels only the missing flanks and extends it.  Any other request
+        labels its distinct coordinates outside the interval without storing
+        them.  Newly labelled coordinates must carry labels distinct from
+        each other and from every stored label, or :class:`WorldError` is
+        raised and the store is left as it was.  The result never aliases
+        the store.
+        """
         arr = np.asarray(coords, dtype=np.int64)
-        if self.topology != "infinite" and arr.size and (arr.min() < 0 or arr.max() >= self.n):
+        if arr.size == 0:
+            return np.empty(arr.shape, dtype=np.int64)
+        lo, hi = int(arr.min()), int(arr.max())
+        if self.topology != "infinite" and (lo < 0 or hi >= self.n):
             raise WorldError("coordinate batch leaves the finite topology")
-        labels = self.scheme.labels_at(arr)
-        flat = labels.ravel()
-        if flat.size != np.unique(flat).size:
-            raise WorldError("label scheme produced duplicates within a batch")
-        return labels
+        store = self._store
+        if store.lo <= lo and hi <= store.hi:
+            return store.labels[arr - store.lo]
+        flat = arr.ravel()
+        if (hi - lo == flat.size - 1 and (np.diff(flat) == 1).all()
+                and (store.labels.size == 0
+                     or (lo <= store.hi + 1 and store.lo - 1 <= hi))):
+            store.extend(self.scheme, lo, hi)
+            return store.labels[arr - store.lo]
+        uniq, inverse = np.unique(flat, return_inverse=True)
+        inside = (uniq >= store.lo) & (uniq <= store.hi)
+        out = np.empty(uniq.shape, dtype=np.int64)
+        out[inside] = store.labels[uniq[inside] - store.lo]
+        fresh = self.scheme.labels_at(uniq[~inside])
+        store.check_fresh(fresh)
+        out[~inside] = fresh
+        return out[inverse].reshape(arr.shape)
 
     # -- ports -------------------------------------------------------------
 

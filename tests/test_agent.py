@@ -16,7 +16,6 @@ from linemeet.agent import (
     careful_walk_moves,
     careful_walk_occupancy,
     color_bits,
-    finite_graph_program,
     iteration_start_round,
     main_program,
     plan_iteration,
@@ -362,14 +361,14 @@ class TestCareTransform:
 class TestFinitePath:
     def test_wake_at_endpoint_ping_pong(self):
         world = make_world("path", "sequential", n=5)
-        trail = drive(world, 0, finite_graph_program(), 24)
+        trail = drive(world, 0, main_program(), 24)
         tri = [0, 1, 2, 3, 4, 3, 2, 1]
         assert trail == [tri[t % 8] for t in range(25)]
 
     def test_interior_start_settles_into_ping_pong(self):
         world = make_world("path", "sequential", n=9)
         events = []
-        trail = drive(world, 4, finite_graph_program(), 400,
+        trail = drive(world, 4, main_program(), 400,
                       sink=events.append)
         first = next(i for i, p in enumerate(trail) if p in (0, 8))
         deltas = np.diff(trail[first:])
@@ -380,7 +379,7 @@ class TestFinitePath:
 
     def test_near_endpoint_start(self):
         world = make_world("path", "sequential", n=12)
-        trail = drive(world, 1, finite_graph_program(), 300)
+        trail = drive(world, 1, main_program(), 300)
         first = next(i for i, p in enumerate(trail) if p in (0, 11))
         deltas = np.diff(trail[first:])
         assert set(np.abs(deltas).tolist()) == {1}
@@ -392,7 +391,7 @@ class TestCycle:
     def test_settles_on_minimum_label(self):
         world = make_world("cycle", "sequential", n=8)
         events = []
-        trail = drive(world, 3, finite_graph_program(), 600,
+        trail = drive(world, 3, main_program(), 600,
                       sink=events.append)
         labels = world.labels_at(np.arange(8))
         target = int(np.argmin(labels))
@@ -404,7 +403,7 @@ class TestCycle:
 
     def test_random_labels_cycle(self):
         world = make_world("cycle", "random-injective:7", n=12)
-        trail = drive(world, 5, finite_graph_program(), 800)
+        trail = drive(world, 5, main_program(), 800)
         labels = world.labels_at(np.arange(12))
         target = int(np.argmin(labels))
         assert set(trail[-100:]) == {target}

@@ -1,6 +1,8 @@
 """Two-agent simulation: engines, detection, delays, sweeps, and case tags."""
 
+import gc
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -466,6 +468,35 @@ class TestBoundBookkeeping:
         assert trace.event is None
         assert trace.meet_position is None
 
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(scheme=RAND, va=-5, vb=9),
+        SimConfig(topology="cycle", n=12, scheme=RAND, va=10, vb=1,
+                  round_cap=500),
+        SimConfig(scheme=CLASS4, va=2, vb=3, engine="reference",
+                  round_cap=50),
+    ])
+    def test_trace_carries_window_extremes(self, cfg):
+        trace = run(cfg)
+        fresh = cfg.world()
+        assert (trace.lmin, trace.lmax) == lmin_stats(fresh, cfg.va, cfg.vb)
+        if cfg.round_cap is None:
+            assert trace.round_cap == default_round_cap(fresh, cfg.va, cfg.vb)
+
+
+class TestOneWorldPerKey:
+    def test_runs_on_one_world_share_it_with_their_plans(self):
+        first = SimConfig(scheme=RAND, va=-3, vb=4)
+        second = replace(first, vb=9, tau=7)
+        a, b = run(first), run(second)
+        assert a.world is b.world
+        plans = sim._world_work(first).plans
+        for trace, cfg in ((a, first), (b, second)):
+            assert plans[cfg.va].world is trace.world
+            assert plans[cfg.vb].world is trace.world
+        assert run(replace(first, seed=1)).world is not a.world
+        assert run(replace(first, topology="path", n=40, va=3)).world \
+            is not a.world
+
 
 class TestRowsAndSweeps:
     def test_row_columns(self):
@@ -614,15 +645,20 @@ class TestCustomSchemeReuse:
         assert first == again == fresh == ref
 
     def test_caches_keep_only_recent_custom_worlds(self):
-        used = []
+        used, worlds = [], []
         for seed in range(3 * sim.CUSTOM_WORLD_SLOTS + 2):
             used.append(PlantedScheme(seed, 0, 3))
-            run(SimConfig(scheme=used[-1], va=0, vb=2, tau=1))
-            for cache in (sim._PLAN_CACHE, sim._ES_CACHE):
-                custom = [key for key in cache if not isinstance(key[2], str)]
-                assert len(custom) <= sim.CUSTOM_WORLD_SLOTS
+            trace = run(SimConfig(scheme=used[-1], va=0, vb=2, tau=1))
+            worlds.append(weakref.ref(trace.world))
+            del trace
+            assert len(sim._CUSTOM_WORLDS) <= sim.CUSTOM_WORLD_SLOTS
         recent = {id(s) for s in used[-sim.CUSTOM_WORLD_SLOTS:]}
-        for cache in (sim._PLAN_CACHE, sim._ES_CACHE):
-            held = {key[2][1] for key in cache if not isinstance(key[2], str)}
-            assert held == recent
-        assert all(len(sim._PLAN_CACHE[key]) <= 2 for key in sim._CUSTOM_WORLDS)
+        assert {key[2][1] for key in sim._CUSTOM_WORLDS} == recent
+        for work in sim._CUSTOM_WORLDS.values():
+            assert len(work.plans) <= 2
+            assert all(plan.world is work.world for plan in work.plans.values())
+        # evicted worlds, with their labels, plans and ruling states, are freed
+        gc.collect()
+        held = [ref() for ref in worlds if ref() is not None]
+        assert len(held) == sim.CUSTOM_WORLD_SLOTS
+        assert {id(world.scheme) for world in held} == recent

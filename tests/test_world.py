@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from linemeet.logstar import label_class
 from linemeet.world import (
     ExplicitScheme,
+    LabelScheme,
     RandomInjectiveScheme,
     SequentialScheme,
     UniformClassScheme,
@@ -236,3 +237,132 @@ def test_label_injectivity_guard_fires():
     w.label(3)
     with pytest.raises(WorldError):
         w.label(4)
+
+
+# -- the per-world label store -----------------------------------------------
+
+
+class Recording(LabelScheme):
+    """Delegates to another scheme and records every coordinate it labels."""
+
+    def __init__(self, base: LabelScheme):
+        self.base = base
+        self.asked: list[int] = []
+
+    def label_at(self, coord):
+        self.asked.append(int(coord))
+        return self.base.label_at(coord)
+
+    def labels_at(self, coords):
+        self.asked.extend(np.asarray(coords).ravel().tolist())
+        return self.base.labels_at(coords)
+
+
+STORE_SCHEMES = ["sequential", "random-injective:7", "random-injective:3:5000",
+                 "uniform-logstar-class:3:1", "uniform-logstar-class:5:2"]
+
+
+@st.composite
+def store_requests(draw):
+    """A world and a sequence of label requests on it."""
+    topology = draw(st.sampled_from(["infinite", "path", "cycle"]))
+    n = None if topology == "infinite" else draw(st.integers(3, 80))
+    lo, hi = (-120, 120) if n is None else (0, n - 1)
+    coord = st.integers(lo, hi)
+    requests = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(
+            ["range", "range", "reversed", "sparse", "single", "wrapped"]))
+        if kind == "sparse":
+            requests.append(("batch", draw(st.lists(coord, max_size=12))))
+        elif kind == "single":
+            requests.append(("single", draw(coord)))
+        elif kind == "wrapped" and topology == "cycle":
+            c, r = draw(coord), draw(st.integers(0, n))
+            requests.append(("batch", [(c + o) % n for o in range(-r, r + 1)]))
+        else:
+            a = draw(coord)
+            b = min(hi, a + draw(st.integers(0, 40)))
+            span = list(range(a, b + 1))
+            requests.append(("batch", span[::-1] if kind == "reversed" else span))
+    return topology, n, draw(st.sampled_from(STORE_SCHEMES)), requests
+
+
+@given(store_requests())
+@settings(max_examples=150, deadline=None)
+def test_label_store_answers_like_its_scheme(case):
+    topology, n, spec, requests = case
+    base = parse_scheme(spec)
+    recorder = Recording(base)
+    world = World(topology=topology, scheme=recorder, n=n)
+    requested: set[int] = set()
+    for kind, payload in requests:
+        store = world._store
+        stored = set(range(store.lo, store.hi + 1))
+        before = len(recorder.asked)
+        if kind == "single":
+            assert world.label(payload) == base.label_at(payload)
+            requested.add(payload)
+        else:
+            coords = np.array(payload, dtype=np.int64)
+            got = world.labels_at(coords)
+            assert got.shape == coords.shape
+            assert np.array_equal(got, base.labels_at(coords))
+            requested.update(payload)
+        # a stored coordinate is never labelled again
+        assert not stored & set(recorder.asked[before:])
+    # nothing outside the requests is ever labelled
+    assert set(recorder.asked) <= requested
+    store = world._store
+    span = np.arange(store.lo, store.hi + 1)
+    assert np.array_equal(store.labels, base.labels_at(span))
+    assert np.array_equal(store.ordered, np.sort(store.labels))
+
+
+def test_label_store_labels_only_requested_coordinates_of_sparse_worlds():
+    mapping = {c: 100 + c for c in range(0, 11)}
+    mapping.update({c: 300 + c for c in range(50, 61)})
+    recorder = Recording(ExplicitScheme(mapping))
+    world = World(topology="infinite", scheme=recorder)
+    assert world.labels_at(np.arange(0, 6)).tolist() == list(range(100, 106))
+    assert world.labels_at(np.arange(4, 11)).tolist() == list(range(104, 111))
+    assert world.labels_at(np.arange(50, 61)).tolist() == list(range(350, 361))
+    assert world.labels_at(np.array([55, 3, 55])).tolist() == [355, 103, 355]
+    assert world.label(7) == 107
+    assert world.label(52) == 352
+    with pytest.raises(WorldError):
+        world.labels_at(np.arange(8, 13))
+    assert set(recorder.asked) <= set(mapping) | {11, 12}
+    # coordinates 0..10 were labelled once each, when they entered the store
+    assert sorted(c for c in recorder.asked if c <= 10) == list(range(11))
+
+
+def test_label_store_checks_injectivity_across_batches():
+    class RepeatsAt40(SequentialScheme):
+        def labels_at(self, coords):
+            coords = np.asarray(coords)
+            return np.where(coords == 40, 1, super().labels_at(coords))
+
+    w = World(topology="infinite", scheme=RepeatsAt40())
+    assert w.labels_at(np.arange(0, 21))[0] == 1
+    with pytest.raises(WorldError):
+        w.labels_at(np.arange(21, 41))
+    with pytest.raises(WorldError):
+        w.labels_at(np.array([40, 33]))
+    # a refused batch leaves the store as it was
+    assert (w._store.lo, w._store.hi) == (0, 20)
+    assert w.labels_at(np.arange(21, 40)).tolist() == \
+        SequentialScheme().labels_at(np.arange(21, 40)).tolist()
+
+
+def test_label_store_returns_arrays_it_does_not_alias():
+    w = make_world("infinite", "random-injective:5")
+    truth = w.scheme.labels_at(np.arange(-10, 31))
+    for coords in (np.arange(0, 11), np.arange(0, 21), np.arange(-10, 31),
+                   np.array([30, -10, 30]), np.arange(25, 35)):
+        got = w.labels_at(coords)
+        got[:] = 0
+    assert np.array_equal(w.labels_at(np.arange(-10, 31)), truth)
+    assert w.label(0) == truth[10]
+    with pytest.raises(ValueError):
+        w._store.labels[0] = 0
