@@ -39,6 +39,7 @@ from .ruling import (
     window_certifies,
 )
 from .sim import (
+    ENGINES,
     LMIN_WINDOW_FACTOR,
     SimConfig,
     SimError,
@@ -151,26 +152,21 @@ def _warn_if_mispaired(detection: str, care: bool) -> None:
               "the meeting guarantee does not apply", file=sys.stderr)
 
 
-def _starts(topology: str, n: int | None, d: int) -> tuple[int, int]:
-    va = -(d // 2) if n is None else (n - d) // 2
-    return va, va + d
-
-
 # -- run -----------------------------------------------------------------------
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     care = _resolved_care(args)
     _warn_if_mispaired(args.detection, care)
-    va, vb = _starts(args.topology, args.n, args.d)
-    cfg = SimConfig(topology=args.topology, scheme=args.scheme, n=args.n,
-                    seed=args.seed, va=va, vb=vb, tau=args.tau,
-                    detection=args.detection, care=care,
-                    round_cap=args.round_cap, engine=args.engine,
-                    allow_mispairing=args.allow_mispairing)
+    (cfg,) = grid_configs(
+        topology=args.topology, n=args.n, schemes=(args.scheme,),
+        d_values=(args.d,), taus=(args.tau,), seed=args.seed,
+        detection=args.detection, care=care, round_cap=args.round_cap,
+        base_config=SimConfig(engine=args.engine,
+                              allow_mispairing=args.allow_mispairing))
     trace = run(cfg)
     lmin = trace.lmin
-    D = trace.world.distance(va, vb)
+    D = trace.world.distance(cfg.va, cfg.vb)
     denom = max(D, 1) * log_star(lmin)
     runspec = {"version": __version__, "command": "run",
                "topology": args.topology, "n": args.n, "d": args.d,
@@ -437,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_world_flags(p_run)
     p_run.add_argument("--d", type=int, default=1, help="start distance")
     p_run.add_argument("--tau", type=int, default=0, help="wake-up delay")
-    p_run.add_argument("--engine", default="auto")
+    p_run.add_argument("--engine", choices=ENGINES, default="fast")
     p_run.add_argument("--allow-mispairing", action="store_true")
     p_run.set_defaults(func=cmd_run, config_types={
         "topology": str, "n": int, "scheme": str, "seed": int,

@@ -31,35 +31,22 @@ class RulingError(ValueError):
     """Invalid spacing parameter or query outside the processed universe."""
 
 
-@dataclass(frozen=True)
-class RulingParams:
-    """Spacing parameter with its packing/covering distances.
-
-    Unless given explicitly, packing is R and covering R-1, the only
-    combination the rest of the package uses.
-    """
-
-    R: int
-    alpha: int = -1
-    beta: int = -1
-
-    def __post_init__(self):
-        if self.R < 1:
-            raise RulingError(f"spacing parameter must be >= 1, got {self.R}")
-        if self.alpha < 0:
-            object.__setattr__(self, "alpha", self.R)
-        if self.beta < 0:
-            object.__setattr__(self, "beta", self.R - 1)
+def _spacing(R: int) -> int:
+    """The spacing parameter as an int, which must be >= 1."""
+    R = int(R)
+    if R < 1:
+        raise RulingError(f"spacing parameter must be >= 1, got {R}")
+    return R
 
 
 @dataclass(frozen=True)
 class LimitedRulingSet:
-    """Members selected from a universe with packing alpha, covering beta."""
+    """Members selected from a universe with packing R, covering R-1."""
 
     host: World
     universe: frozenset
     members: frozenset
-    params: RulingParams
+    R: int
 
 
 @dataclass(frozen=True)
@@ -80,8 +67,8 @@ class ColoredRulingOutput:
 
     ``nearby_members`` lists the set members within distance R-1 (self
     excluded) whose classes committed no later than this node's, with their
-    colors; ``termination_round`` and ``termination_radius`` coincide, one
-    simulated round being one hop of information.
+    colors.  ``termination_radius`` is also the round at which the record is
+    committed, one simulated round being one hop of information.
     """
 
     position: int
@@ -90,7 +77,6 @@ class ColoredRulingOutput:
     in_set: bool
     color: int | None
     nearby_members: tuple
-    termination_round: int
     termination_radius: int
 
 
@@ -144,9 +130,7 @@ def phase_end_round(R: int, class_index: int) -> int:
 
 def termination_radius(label: int, R: int) -> int:
     """Snapshot radius (= virtual rounds) after which this label's output is fixed."""
-    if R < 1:
-        raise RulingError(f"spacing parameter must be >= 1, got {R}")
-    return phase_end_round(R, log_star(label))
+    return phase_end_round(_spacing(R), log_star(label))
 
 
 def _radius_factor() -> int:
@@ -219,21 +203,27 @@ def _window_maxima(host: World, coords: np.ndarray, keys: np.ndarray,
 
 
 def _greedy_extend(host: World, coords: np.ndarray, labels: np.ndarray,
-                   s_mask: np.ndarray, R: int, iterations: int,
+                   committed: np.ndarray, R: int, iterations: int,
                    cap: int) -> np.ndarray:
-    """Add locally-farthest candidates: largest capped distance to the set,
-    ties to the larger label, winners beating every candidate within R-1."""
+    """Add locally-farthest candidates to the sorted committed set.
+
+    Candidates are the sorted ``coords`` at distance >= R from the set.  Keys
+    are the distance to the whole set capped at ``cap``, ties to the larger
+    label, and a winner must beat every candidate within R-1.  Returns the
+    extended set, sorted.
+    """
     m = coords.size
     rank = np.empty(m, dtype=np.int64)
     rank[np.argsort(labels)] = np.arange(m, dtype=np.int64)
     for _ in range(iterations):
-        b = _nearest_distance(host, coords, coords[s_mask], cap=cap)
+        b = _nearest_distance(host, coords, committed, cap=cap)
         cand = b >= R
         if not cand.any():
             break
         keys = np.where(cand, b * np.int64(m + 1) + rank, np.int64(-1))
-        s_mask = s_mask | (cand & _window_maxima(host, coords, keys, R - 1))
-    return s_mask
+        top = cand & _window_maxima(host, coords, keys, R - 1)
+        committed = np.union1d(committed, coords[top])
+    return committed
 
 
 def _check_spacing(host: World, members: np.ndarray, spacing: int) -> None:
@@ -278,14 +268,13 @@ def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
     on a breach: spacing >= 2^i, universe covering <= 2^(i+1) - i - 2 per
     doubling stage (3R-3 after the last), and covering <= R-1 at the end.
     """
-    params = RulingParams(R=int(R))
-    R = params.R
+    R = _spacing(R)
     coords = _sorted_coords(universe)
     uni = frozenset(coords.tolist())
     if coords.size == 0:
-        return LimitedRulingSet(host, uni, frozenset(), params)
+        return LimitedRulingSet(host, uni, frozenset(), R)
     if R == 1:
-        return LimitedRulingSet(host, uni, uni, params)
+        return LimitedRulingSet(host, uni, uni, R)
     labels = host.labels_at(coords)
     s = coords
     d = ceil_log2(R)
@@ -298,13 +287,11 @@ def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
             worst = int(_nearest_distance(host, coords, s).max())
             bound = 2**(i + 1) - i - 2 if i < d else 3 * R - 3
             _check_covering(worst, bound, f"doubling stage {i}")
-    mask = np.isin(coords, s)
-    mask = _greedy_extend(host, coords, labels, mask, R, 6, cap=3 * R - 2)
+    s = _greedy_extend(host, coords, labels, s, R, 6, cap=3 * R - 2)
     if debug:
-        worst = int(_nearest_distance(host, coords, coords[mask]).max())
+        worst = int(_nearest_distance(host, coords, s).max())
         _check_covering(worst, R - 1, "greedy extension")
-    return LimitedRulingSet(host, uni, frozenset(coords[mask].tolist()),
-                            params)
+    return LimitedRulingSet(host, uni, frozenset(s.tolist()), R)
 
 
 def verify_limited_ruling_set(host: World, universe: Iterable[int],
@@ -350,9 +337,8 @@ class EsColState:
 
     def __init__(self, host: World, positions: Iterable[int], R: int,
                  debug: bool = False):
-        params = RulingParams(R=int(R))
         self.host = host
-        self.R = params.R
+        self.R = _spacing(R)
         self.coords = _sorted_coords(positions)
         self.labels = (host.labels_at(self.coords) if self.coords.size
                        else np.empty(0, dtype=np.int64))
@@ -385,21 +371,12 @@ class EsColState:
                 merged = _nearest_distance(host, vi, self.coords[self.in_set])
                 _check_covering(int(merged.max()), 2 * R - 2,
                                 f"class {i} merge")
-            labels_i = self.labels[sel]
-            m = vi.size
-            rank = np.empty(m, dtype=np.int64)
-            rank[np.argsort(labels_i)] = np.arange(m, dtype=np.int64)
-            for _ in range(4):
-                # distances are to the whole committed set, candidacy and
-                # the beat rule stay within this class
-                b = _nearest_distance(host, vi, self.coords[self.in_set],
+            # distances are to the whole committed set, candidacy and the
+            # beat rule stay within this class
+            extended = _greedy_extend(host, vi, self.labels[sel],
+                                      self.coords[self.in_set], R, 4,
                                       cap=2 * R - 1)
-                cand = b >= R
-                if not cand.any():
-                    break
-                keys = np.where(cand, b * np.int64(m + 1) + rank, np.int64(-1))
-                top = cand & _window_maxima(host, vi, keys, R - 1)
-                self.in_set[np.searchsorted(self.coords, vi[top])] = True
+            self.in_set[np.searchsorted(self.coords, extended)] = True
             if debug:
                 covered = _nearest_distance(host, vi, self.coords[self.in_set])
                 _check_covering(int(covered.max()), R - 1,
@@ -460,7 +437,7 @@ class EsColState:
             position=int(position), label=int(self.labels[j]), label_class=cls,
             in_set=bool(self.in_set[j]), color=color,
             nearby_members=tuple(sorted(set(near))),
-            termination_round=bound, termination_radius=bound)
+            termination_radius=bound)
 
 
 def es_col_path_ruling_set(host: World, universe: Iterable[int], R: int,

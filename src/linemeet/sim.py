@@ -5,25 +5,24 @@ delay tau but occupies its start node (and is findable there) from round 0.
 Rendezvous is detected either by node co-occupancy alone or additionally by
 a simultaneous opposite crossing of one edge.
 
-Three engines produce identical results.  ``reference`` executes the move
+Two engines produce identical results.  ``reference`` executes the move
 generators round by round with real port navigation and is the oracle for
-the other two.  ``fast`` plans the plain program's trajectory as linear
-segments of slope -1, 0 or +1 and finds the meeting exactly: it merges both
-agents' breakpoints and solves each stretch where both move linearly in
-closed form (mod n on a cycle), planning one doubling iteration at a time
-and no further than the meeting.  Endpoint ping-pong and cycle settling are
-periodic tails, so one period decides whether the agents ever meet.
-``fast-care`` solves the same plain segments for the windows where the two
-plain positions come within two nodes (three with crossing detection) and
-expands the 4-round crossing gadget only inside them.
+``fast``.  ``fast`` plans the plain program's trajectory as linear segments
+of slope -1, 0 or +1 and finds the meeting exactly: it merges both agents'
+breakpoints and solves each stretch where both move linearly in closed form
+(mod n on a cycle), planning one doubling iteration at a time and no further
+than the meeting.  Endpoint ping-pong and cycle settling are periodic tails,
+so one period decides whether the agents ever meet.  With ``care`` set it
+solves the same plain segments for the windows where the two plain positions
+come within two nodes (three with crossing detection) and expands the
+4-round crossing gadget only inside them.
 
 Runs on the same world share one ``World`` object, and with it every label
 computed so far, one trajectory plan per start, and on the infinite line one
 ruling-set window per (R, radius); delays only shift a plan in global time.
-String schemes are interned and their worlds live for the life of the
-process.  Custom ``LabelScheme`` objects are reused by identity, so they must
-be deterministic, and only the most recently used ``CUSTOM_WORLD_SLOTS``
-custom worlds are kept.
+Worlds are keyed by topology, size, seed and scheme: a string scheme by its
+spec, a ``LabelScheme`` object by identity, so such objects must be
+deterministic.  Only the ``WORLD_SLOTS`` most recently used worlds are kept.
 """
 
 from __future__ import annotations
@@ -50,6 +49,8 @@ from .ruling import EsColState
 from .world import LabelScheme, World, make_world
 
 DETECTION_MODES = ("node-only", "node-or-crossing")
+
+ENGINES = ("fast", "reference")
 
 # smallest label within this multiple of D around each start enters the bound
 LMIN_WINDOW_FACTOR = 1
@@ -82,7 +83,7 @@ class SimConfig:
     detection: str = "node-or-crossing"
     care: bool = False
     round_cap: int | None = None
-    engine: str = "auto"
+    engine: str = "fast"
     allow_mispairing: bool = False
     allow_same_start: bool = False
 
@@ -92,6 +93,8 @@ class SimConfig:
     def validate(self, world: World) -> None:
         if self.detection not in DETECTION_MODES:
             raise SimError(f"unknown detection mode {self.detection!r}")
+        if self.engine not in ENGINES:
+            raise SimError(f"unknown engine {self.engine!r}")
         if self.tau < 0:
             raise SimError("wake-up delay must be nonnegative")
         for v in (self.va, self.vb):
@@ -739,12 +742,11 @@ class SimTrace:
     bound's window around the starts (see :func:`lmin_stats`).
     """
 
-    def __init__(self, config: SimConfig, world: World, engine: str, cap: int,
+    def __init__(self, config: SimConfig, world: World, cap: int,
                  extremes: tuple[int, int], meet: tuple[int, str] | None,
                  timeline_a, timeline_b, position_fns):
         self.config = config
         self.world = world
-        self.engine = engine
         self.round_cap = cap
         self.lmin, self.lmax = extremes
         self.t_rdv = meet[0] if meet else None
@@ -842,38 +844,43 @@ class _WorldWork:
     states: dict[tuple, EsColState] = field(default_factory=dict)
 
 
-# string-scheme worlds by key, kept for the life of the process
-_WORLDS: dict[tuple, _WorldWork] = {}
+# worlds by key, least recently used first; the slots hold every world of one
+# benchmark sweep through its warm pass (the finite grid visits 24 worlds,
+# the planted care trials 50), and each world holds its scheme object, which
+# pins the id in an object scheme's key
+WORLD_SLOTS = 64
+_WORLDS: OrderedDict[tuple, _WorldWork] = OrderedDict()
 
 # canonical ruling-set windows absorb starts this far from the origin
 _ES_MARGIN = 64
 
-# custom-scheme worlds, least recently used first; each world holds its
-# scheme object, which pins the id in the key
-CUSTOM_WORLD_SLOTS = 2
-_CUSTOM_WORLDS: OrderedDict[tuple, _WorldWork] = OrderedDict()
-
 
 def _world_work(config: SimConfig) -> _WorldWork:
-    """The configured world with its reused work; custom schemes count by
-    identity.
+    """The configured world with its reused work, once the config validates.
 
-    A custom world becomes the most recently used one, and the least recently
-    used beyond ``CUSTOM_WORLD_SLOTS`` are dropped with their plans and ruling
-    states.
+    A string scheme counts by its spec, a scheme object by identity.  Stored
+    worlds with one spec share one parsed scheme, so it lives as long as the
+    last of them.  A rejected config leaves the store as it was.  Otherwise
+    the world becomes the most recently used one, and the least recently used
+    beyond ``WORLD_SLOTS`` are dropped with their plans and ruling states.
     """
     scheme = config.scheme
-    custom = not isinstance(scheme, str)
     key = (config.topology, config.n,
-           ("object", id(scheme)) if custom else scheme, config.seed)
-    works = _CUSTOM_WORLDS if custom else _WORLDS
-    work = works.get(key)
+           scheme if isinstance(scheme, str) else id(scheme), config.seed)
+    work = _WORLDS.get(key)
     if work is None:
-        work = works[key] = _WorldWork(config.world())
-    if custom:
-        _CUSTOM_WORLDS.move_to_end(key)
-        while len(_CUSTOM_WORLDS) > CUSTOM_WORLD_SLOTS:
-            _CUSTOM_WORLDS.popitem(last=False)
+        if isinstance(scheme, str):
+            # a stored world with the same spec lends its parsed scheme,
+            # which for random labels holds 1 MiB of Feistel tables
+            scheme = next((w.world.scheme for k, w in _WORLDS.items()
+                           if k[2] == scheme), scheme)
+        work = _WorldWork(make_world(config.topology, scheme, n=config.n,
+                                     seed=config.seed))
+    config.validate(work.world)
+    _WORLDS[key] = work
+    _WORLDS.move_to_end(key)
+    while len(_WORLDS) > WORLD_SLOTS:
+        _WORLDS.popitem(last=False)
     return work
 
 
@@ -914,29 +921,20 @@ def run(config: SimConfig) -> SimTrace:
     """Simulate one instance to rendezvous or the round cap."""
     work = _world_work(config)
     world = work.world
-    config.validate(world)
     extremes = lmin_stats(world, config.va, config.vb)
     cap = (config.round_cap if config.round_cap is not None
            else _round_cap(world.distance(config.va, config.vb), extremes[1]))
-    engine = config.engine
-    if engine == "auto":
-        engine = "fast-care" if config.care else "fast"
-    if engine == "reference":
+    if config.engine == "reference":
         meet, events_a, events_b, trail_a, trail_b = _run_reference(
             config, world, cap)
         fns = _trail_position_fns(trail_a, trail_b)
-        return SimTrace(config, world, engine, cap, extremes, meet,
+        return SimTrace(config, world, cap, extremes, meet,
                         EventTimeline(events_a), EventTimeline(events_b), fns)
-    if engine not in ("fast", "fast-care"):
-        raise SimError(f"unknown engine {engine!r}")
-    if (engine == "fast-care") != config.care:
-        raise SimError("fast engine variant must match the care flag")
     plan_a = _cached_plan(work, config.va)
     plan_b = _cached_plan(work, config.vb)
     fns = _plan_position_fns(config, plan_a, plan_b)
     meet = _detect(config, world, plan_a, plan_b, cap, fns)
-    return SimTrace(config, world, engine, cap, extremes, meet, plan_a,
-                    plan_b, fns)
+    return SimTrace(config, world, cap, extremes, meet, plan_a, plan_b, fns)
 
 
 def case_classifier(trace: SimTrace) -> str:

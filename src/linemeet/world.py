@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -556,14 +555,9 @@ class World:
         return NeighborhoodSnapshot(center, radius, offsets, labels, degrees, ports)
 
 
-@lru_cache(maxsize=None)
-def _interned_scheme(spec: str) -> LabelScheme:
-    return parse_scheme(spec)
-
-
 def make_world(topology: str, scheme: str | LabelScheme, n: int | None = None,
                seed: int = 0) -> World:
-    """Convenience constructor; string schemes are parsed (and interned)."""
+    """Convenience constructor; a string scheme is parsed into a new object."""
     if isinstance(scheme, str):
-        scheme = _interned_scheme(scheme)
+        scheme = parse_scheme(scheme)
     return World(topology=topology, scheme=scheme, n=n, seed=seed)

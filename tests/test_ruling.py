@@ -12,7 +12,6 @@ from linemeet.ruling import (
     RADIUS_FACTOR,
     EsColState,
     RulingError,
-    RulingParams,
     certify_es_locality,
     class_phase_rounds,
     es_col_path_ruling_set,
@@ -72,12 +71,13 @@ def test_termination_radius_bound_and_monotonicity():
 
 
 def test_spacing_parameter_validation():
+    world = make_world("infinite", "sequential")
     with pytest.raises(RulingError):
-        RulingParams(0)
+        path_ruling_set(world, range(10), 0)
+    with pytest.raises(RulingError):
+        EsColState(world, range(10), 0)
     with pytest.raises(RulingError):
         termination_radius(5, 0)
-    params = RulingParams(8)
-    assert (params.alpha, params.beta) == (8, 7)
 
 
 # -- verifier ------------------------------------------------------------------

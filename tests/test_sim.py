@@ -30,6 +30,7 @@ from linemeet.logstar import log_star
 from linemeet.world import (
     ExplicitScheme,
     LabelScheme,
+    SequentialScheme,
     make_world,
     parse_scheme,
     zigzag_array,
@@ -134,11 +135,17 @@ class TestConfigValidation:
         with pytest.raises(SimError, match="engine"):
             run(SimConfig(engine="warp"))
 
-    def test_engine_variant_must_match_care_flag(self):
-        with pytest.raises(SimError, match="care"):
-            run(SimConfig(engine="fast-care"))
-        with pytest.raises(SimError, match="care"):
-            run(SimConfig(care=True, detection="node-only", engine="fast"))
+    def test_fast_engine_follows_care_flag(self):
+        for engine in ("auto", "fast-care"):
+            with pytest.raises(SimError, match="engine"):
+                run(SimConfig(engine=engine))
+        plain = SimConfig(va=0, vb=3, tau=5)
+        care = replace(plain, detection="node-only", care=True)
+        for cfg in (plain, care):
+            fast, ref = both_engines(cfg)
+            assert fast.config.engine == "fast"
+            assert (fast.t_rdv, fast.event) == (ref.t_rdv, ref.event)
+        assert run(care).t_rdv != run(plain).t_rdv
 
 
 # Times cross-checked against the reference engine before being frozen here.
@@ -493,9 +500,34 @@ class TestOneWorldPerKey:
         for trace, cfg in ((a, first), (b, second)):
             assert plans[cfg.va].world is trace.world
             assert plans[cfg.vb].world is trace.world
-        assert run(replace(first, seed=1)).world is not a.world
+        other = run(replace(first, seed=1)).world
+        assert other is not a.world and other.scheme is a.world.scheme
         assert run(replace(first, topology="path", n=40, va=3)).world \
             is not a.world
+
+    def test_rejected_config_leaves_store_alone(self):
+        for seed in range(sim.WORLD_SLOTS):
+            run(SimConfig(topology="path", n=8, seed=seed, va=3, vb=4))
+        before = list(sim._WORLDS.items())
+        for scheme in ("sequential", SequentialScheme()):
+            with pytest.raises(SimError, match="invalid"):
+                run(SimConfig(topology="cycle", n=8, scheme=scheme,
+                              va=-3, vb=1))
+            assert list(sim._WORLDS.items()) == before
+
+    def test_store_stays_bounded_over_many_worlds(self):
+        worlds = []
+        for k in range(1000):
+            scheme = "sequential" if k % 2 else SequentialScheme()
+            trace = run(SimConfig(topology="path", n=8, scheme=scheme,
+                                  seed=k, va=3, vb=4))
+            worlds.append(weakref.ref(trace.world))
+            del trace
+            assert len(sim._WORLDS) <= sim.WORLD_SLOTS
+        gc.collect()
+        held = {id(w) for w in (ref() for ref in worlds) if w is not None}
+        assert len(held) == sim.WORLD_SLOTS
+        assert held == {id(work.world) for work in sim._WORLDS.values()}
 
 
 class TestRowsAndSweeps:
@@ -646,19 +678,19 @@ class TestCustomSchemeReuse:
 
     def test_caches_keep_only_recent_custom_worlds(self):
         used, worlds = [], []
-        for seed in range(3 * sim.CUSTOM_WORLD_SLOTS + 2):
+        for seed in range(sim.WORLD_SLOTS + 2):
             used.append(PlantedScheme(seed, 0, 3))
             trace = run(SimConfig(scheme=used[-1], va=0, vb=2, tau=1))
             worlds.append(weakref.ref(trace.world))
             del trace
-            assert len(sim._CUSTOM_WORLDS) <= sim.CUSTOM_WORLD_SLOTS
-        recent = {id(s) for s in used[-sim.CUSTOM_WORLD_SLOTS:]}
-        assert {key[2][1] for key in sim._CUSTOM_WORLDS} == recent
-        for work in sim._CUSTOM_WORLDS.values():
+            assert len(sim._WORLDS) <= sim.WORLD_SLOTS
+        recent = {id(s) for s in used[-sim.WORLD_SLOTS:]}
+        assert {key[2] for key in sim._WORLDS} == recent
+        for work in sim._WORLDS.values():
             assert len(work.plans) <= 2
             assert all(plan.world is work.world for plan in work.plans.values())
         # evicted worlds, with their labels, plans and ruling states, are freed
         gc.collect()
         held = [ref() for ref in worlds if ref() is not None]
-        assert len(held) == sim.CUSTOM_WORLD_SLOTS
+        assert len(held) == sim.WORLD_SLOTS
         assert {id(world.scheme) for world in held} == recent

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +122,15 @@ def test_parse_scheme_round_trip():
         parse_scheme("nonsense")
     with pytest.raises(WorldError):
         parse_scheme("uniform-logstar-class")
+
+
+def test_parsed_scheme_is_freed_with_its_world():
+    world = make_world("infinite", "random-injective:7")
+    scheme = weakref.ref(world.scheme)
+    assert make_world("infinite", "random-injective:7").scheme is not scheme()
+    del world
+    gc.collect()
+    assert scheme() is None
 
 
 def test_distances():
