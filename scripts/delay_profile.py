@@ -9,9 +9,9 @@ distance.
 """
 
 import argparse
-from fractions import Fraction
 
 from linemeet import sim
+from regen_goldens import infinite_denominator, summarize
 
 
 def main(argv=None):
@@ -22,29 +22,22 @@ def main(argv=None):
     parser.add_argument("--tau-max", type=int, default=96,
                         help="delays 0..tau-max are swept per distance")
     parser.add_argument("--out", default="delay_profile.csv")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     distances = tuple(int(tok) for tok in args.distances.split(","))
     configs = sim.grid_configs(schemes=(args.scheme,), d_values=distances,
                                taus=tuple(range(args.tau_max + 1)))
-    rows = sim.sweep(configs, jobs=args.jobs)
+    rows = sim.sweep(configs)
     sim.write_csv(rows, args.out, runspec={
         "command": "delay_profile", "scheme": args.scheme,
         "distances": list(distances), "tau_max": args.tau_max,
     })
 
-    worst = None
-    for row in rows:
-        if row["t_rdv"] == "":
-            raise SystemExit(f"cell missed rendezvous: {row}")
-        ratio = Fraction(int(row["t_rdv"]), row["D"] * row["logstar_lmin"])
-        if worst is None or ratio > worst[0]:
-            worst = (ratio, row)
-    ratio, row = worst
+    worst = summarize(rows, infinite_denominator)["worst"]
     print(f"{len(rows)} cells -> {args.out}")
-    print(f"peak normalized time {float(ratio):.2f} at D={row['D']} "
-          f"tau={row['tau']} (t={row['t_rdv']})")
+    print(f"peak normalized time "
+          f"{worst['numerator'] / worst['denominator']:.2f} at "
+          f"D={worst['D']} tau={worst['tau']} (t={worst['t_rdv']})")
 
 
 if __name__ == "__main__":

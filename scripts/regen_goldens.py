@@ -63,17 +63,14 @@ def write_golden(name, payload):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the sweeps")
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
 
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
 
-    rows = sim.sweep(sim.benchmark_grid(), jobs=args.jobs)
+    rows = sim.sweep(sim.benchmark_grid())
     write_golden("infinite_grid.json", summarize(rows, infinite_denominator))
 
-    rows = sim.sweep(sim.finite_benchmark_grid(), jobs=args.jobs)
+    rows = sim.sweep(sim.finite_benchmark_grid())
     write_golden("finite_grid.json", summarize(rows, finite_denominator))
 
 

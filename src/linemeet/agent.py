@@ -64,13 +64,10 @@ class AgentProgram:
 
     ``factory`` takes the wake-up observation and an optional annotation
     sink and returns a move generator; ``send`` it each subsequent
-    observation.  Programs that rely on the harness detecting opposite
-    crossings on a shared edge declare it, so the runner can refuse
-    unsound pairings.
+    observation.
     """
 
     name: str
-    needs_crossing_detection: bool
     factory: Callable[..., Generator[Move, Observation, None]]
 
     def start(self, wake_obs: Observation, sink=None):
@@ -154,8 +151,7 @@ def care_transform(program: AgentProgram) -> AgentProgram:
         g = gen()
         return g
 
-    return AgentProgram(name=f"care({program.name})",
-                        needs_crossing_detection=False, factory=factory)
+    return AgentProgram(name=f"care({program.name})", factory=factory)
 
 
 def z_walk_segments(L: int, first_direction: int = 1) -> list[tuple[int, int]]:
@@ -324,15 +320,14 @@ class KnownLine:
     """The contiguous interval an agent has visited, in its own frame.
 
     Coordinate 0 is the wake-up node; +1 is where the first-ever crossing
-    (port 0 by convention) leads.  Tracks labels, degrees, and the port
-    toward each neighbor, and notices when some label shows up at two
-    distinct coordinates, which pins the world as a cycle of that period.
+    (port 0 by convention) leads.  Tracks labels and the port toward each
+    neighbor, and notices when some label shows up at two distinct
+    coordinates, which pins the world as a cycle of that period.
     """
 
     def __init__(self, wake_obs: Observation):
         self.position = 0
         self.labels: dict[int, int] = {0: wake_obs.current_label}
-        self.degrees: dict[int, int] = {0: wake_obs.current_degree}
         self.ports: dict[int, dict[int, int]] = {}
         if wake_obs.current_degree == 1:
             self.ports[0] = {1: 0}
@@ -360,7 +355,6 @@ class KnownLine:
         self.position += direction
         p = self.position
         self.labels[p] = obs.current_label
-        self.degrees[p] = obs.current_degree
         entry = obs.entry_port
         slots = self.ports.setdefault(p, {})
         slots[-direction] = entry
@@ -486,5 +480,4 @@ def main_program() -> AgentProgram:
     iteration, so iteration L starts at round 28(L-1).  On finite hosts it
     walks straight ping-pong after sighting a degree-1 node, and settles on
     the minimum label once a repeated label reveals a cycle."""
-    return AgentProgram(name="doubling-search", needs_crossing_detection=True,
-                        factory=_doubling_factory)
+    return AgentProgram(name="doubling-search", factory=_doubling_factory)

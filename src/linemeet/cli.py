@@ -207,7 +207,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             topology=args.topology, n=args.n, schemes=schemes, d_values=(d,),
             taus=taus, seed=args.seed, detection=args.detection, care=care,
             round_cap=args.round_cap))
-    rows = sweep(configs, jobs=args.jobs)
+    rows = sweep(configs)
     runspec = {"version": __version__, "command": "sweep",
                "topology": args.topology, "n": args.n, "d": args.d,
                "tau": args.tau, "scheme": args.scheme, "seed": args.seed,
@@ -446,11 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="distances, e.g. 1..64 or 1,2,5")
     p_sweep.add_argument("--tau", default="0,1,3,D,3D,10D,10D+7",
                          help="delays per distance; D scales with the cell")
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep, config_types={
         "topology": str, "n": int, "scheme": str, "seed": int,
         "detection": str, "care": _bool_word, "round-cap": int, "out": str,
-        "d": str, "tau": str, "jobs": int})
+        "d": str, "tau": str})
 
     p_verify = sub.add_parser("verify", help="replay the independent oracles")
     p_verify.add_argument("target", choices=("carefulwalk", "rulingset",

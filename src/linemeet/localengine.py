@@ -259,10 +259,6 @@ def _three_color(labels: np.ndarray, nA: np.ndarray, nB: np.ndarray,
     return c, rounds
 
 
-def _check_pair_proper(c: np.ndarray, nA: np.ndarray, nB: np.ndarray) -> bool:
-    return not (np.any(_gather(c, nA, -1) == c) or np.any(_gather(c, nB, -1) == c))
-
-
 def _greedy_mis(colors3: np.ndarray, nA: np.ndarray, nB: np.ndarray) -> np.ndarray:
     """Three color-class sweeps turning a 3-coloring into an MIS flag array."""
     in_s = np.zeros(colors3.shape, dtype=bool)

@@ -415,9 +415,6 @@ class EsColState:
             raise RulingError(f"{position} was not processed")
         return j
 
-    def members(self) -> np.ndarray:
-        return self.member_coords
-
     def output_for(self, position: int) -> ColoredRulingOutput:
         j = self._rank_of(int(position))
         cls = int(self.classes[j])

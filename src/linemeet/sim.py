@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 import json
 import math
@@ -991,22 +990,9 @@ def run_row(config: SimConfig) -> dict:
     return row
 
 
-def _rows_for(configs: list[SimConfig]) -> list[dict]:
-    return [run_row(c) for c in configs]
-
-
-def sweep(configs: list[SimConfig], jobs: int = 1) -> list[dict]:
+def sweep(configs: list[SimConfig]) -> list[dict]:
     """One row per config, in input order; cells are independent."""
-    if jobs <= 1 or len(configs) < 2:
-        return _rows_for(configs)
-    shards = [configs[i::jobs] for i in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_rows_for, shards))
-    merged: list[dict] = []
-    iters = [iter(r) for r in results]
-    for i in range(len(configs)):
-        merged.append(next(iters[i % jobs]))
-    return merged
+    return [run_row(c) for c in configs]
 
 
 def grid_configs(topology: str = "infinite", n: int | None = None,

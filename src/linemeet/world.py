@@ -307,12 +307,6 @@ class NeighborhoodSnapshot:
                                     self.labels[keep], self.degrees[keep],
                                     self.ports_toward_center[keep])
 
-    def label_of_offset(self, offset: int) -> int:
-        idx = np.searchsorted(self.offsets, offset)
-        if idx >= len(self.offsets) or self.offsets[idx] != offset:
-            raise WorldError(f"offset {offset} not in snapshot")
-        return int(self.labels[idx])
-
 
 _PORT_BLOCK = 4096
 

@@ -314,8 +314,6 @@ class TestMainProgram:
         assert a == b
 
     def test_program_flags(self):
-        assert main_program().needs_crossing_detection
-        assert not care_transform(main_program()).needs_crossing_detection
         assert care_transform(main_program()).name == "care(doubling-search)"
 
 
@@ -333,7 +331,7 @@ class TestCareTransform:
                     yield STAY
             return gen()
 
-        idle = AgentProgram("idle", False, factory)
+        idle = AgentProgram("idle", factory)
         world = make_world("infinite", "sequential")
         assert drive(world, 5, care_transform(idle), 40) == [5] * 41
 
@@ -346,7 +344,7 @@ class TestCareTransform:
                     known.arrive(obs, 1)
             return gen()
 
-        walker = AgentProgram("walker", True, factory)
+        walker = AgentProgram("walker", factory)
         downhill = {c: 200 - 2 * abs(c) + (1 if c > 0 else 0)
                     for c in range(-8, 9)}
         world = World(topology="infinite", scheme=ExplicitScheme(downhill))

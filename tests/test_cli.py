@@ -32,6 +32,12 @@ class TestRunCommand:
         assert code == 2
         assert json.loads(err)["error"] == "config"
 
+    def test_explicit_scheme_takes_json(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--d", "1", "--scheme",
+                               'explicit:{"0":5,"1":3,"-1":7,"2":9}')
+        assert code == 0
+        assert "T_rdv=" in out
+
     def test_invalid_topology_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--topology", "donut"])
@@ -124,11 +130,20 @@ class TestSweepCommand:
         assert spec["command"] == "sweep" and spec["d"] == "1..4"
         assert len(lines) == 2 + 11
 
-    def test_parallel_jobs_do_not_change_the_csv(self, capsys, tmp_path):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(capsys, *self.ARGS, "--out", str(p1))
-        run_cli(capsys, *self.ARGS, "--jobs", "2", "--out", str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_jobs_flag_is_a_usage_error(self, capsys):
+        # sweeps run in one process; an old --jobs invocation fails loudly
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGS, "--jobs", "2"])
+        assert exc.value.code == 2
+
+    def test_jobs_config_key_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("jobs = 2\n")
+        code, _, err = run_cli(capsys, *self.ARGS, "--config", str(cfg))
+        assert code == 2
+        report = json.loads(err)
+        assert report["error"] == "config"
+        assert "unknown config key 'jobs'" in report["detail"]
 
     def test_large_delay_band_is_all_out_of_sync(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--d", "2,4",

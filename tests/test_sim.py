@@ -560,10 +560,6 @@ class TestRowsAndSweeps:
         assert [(r["D"], r["tau"]) for r in rows] == \
             [(1, 0), (1, 5), (2, 0), (2, 5), (3, 0), (3, 5)]
 
-    def test_parallel_sweep_matches_serial(self):
-        configs = grid_configs(d_values=(1, 2, 3), taus=(0, 5))
-        assert sweep(configs, jobs=2) == sweep(configs, jobs=1)
-
     def test_csv_round_trip_is_deterministic(self, tmp_path):
         configs = grid_configs(d_values=(2, 3), taus=(0, 5))
         spec = {"purpose": "unit", "cells": len(configs)}
