@@ -84,10 +84,12 @@ class PowerSubgraph:
     def __init__(self, host: World, members: Iterable[int], power: int):
         if power < 1:
             raise EngineError(f"power must be >= 1, got {power}")
-        listed = [int(p) for p in members]
-        arr = np.array(sorted(set(listed)), dtype=np.int64)
-        if arr.size != len(listed):
-            raise EngineError("duplicate members")
+        arr = np.array(members if isinstance(members, np.ndarray)
+                       else list(members), dtype=np.int64)
+        if not np.all(arr[1:] > arr[:-1]):
+            arr.sort()
+            if np.any(arr[1:] == arr[:-1]):
+                raise EngineError("duplicate members")
         self.host = host
         self.members = arr
         self.power = int(power)
@@ -211,19 +213,22 @@ def _kw_stage(colors: np.ndarray, palette: int, nA: np.ndarray,
     {6b, 6b+1, 6b+2} of their own block b; adjacent same-offset members sit in
     distinct blocks, so parallel recoloring stays proper.  The closing
     relabel 6b+j -> 3b+j is a palette renaming, not a communication round.
+    Only the members at the current offset are read and written; a recolored
+    member lands on offset 0, 1 or 2, so the offsets found up front hold.
     """
     c = colors.copy()
+    high = np.flatnonzero(c % 6 >= 3)
+    high_offsets = c[high] % 6
     for offset in (5, 4, 3):
-        sel = (c % 6) == offset
-        if sel.any():
-            cA = _gather(c, nA, -1)
-            cB = _gather(c, nB, -1)
-            base = (c // 6) * 6
-            target = base.copy()
+        sel = high[high_offsets == offset]
+        if sel.size:
+            cA = _gather(c, nA[sel], -1)
+            cB = _gather(c, nB[sel], -1)
+            target = c[sel] - offset
             for _ in range(2):
-                target = np.where(sel & ((target == cA) | (target == cB)), target + 1, target)
-            c = np.where(sel, target, c)
-    return (c // 6) * 3 + (c % 6), 3 * ((palette + 5) // 6)
+                target += (target == cA) | (target == cB)
+            c[sel] = target
+    return c - 3 * (c // 6), 3 * ((palette + 5) // 6)
 
 
 def three_color_rounds(palette: int) -> int:
@@ -257,6 +262,26 @@ def _three_color(labels: np.ndarray, nA: np.ndarray, nB: np.ndarray,
             c, m = _kw_stage(c, m, nA, nB)
             rounds += 3
     return c, rounds
+
+
+def _three_color_classes(labels: np.ndarray,
+                         classes: list[tuple[np.ndarray, np.ndarray]],
+                         init_colors: np.ndarray,
+                         palette: int) -> tuple[np.ndarray, int]:
+    """3-color every class's (nA, nB) graph on the same members in one run.
+
+    Class j's copy of member i becomes rank j*m + i of one stacked graph, so
+    the copies are disjoint and a single pipeline colors them all.  Returns
+    colors of shape (classes, members) and the executed rounds, which depend
+    on the palette alone.
+    """
+    k, m = len(classes), labels.size
+    shift = np.arange(0, k * m, m, dtype=np.int64)[:, None]
+    nA, nB = (np.where(side >= 0, side + shift, -1).ravel()
+              for side in np.stack(classes, axis=1))
+    colors, rounds = _three_color(np.tile(labels, k), nA, nB,
+                                  np.tile(init_colors, k), palette)
+    return colors.reshape(k, m), rounds
 
 
 def _greedy_mis(colors3: np.ndarray, nA: np.ndarray, nB: np.ndarray) -> np.ndarray:
@@ -548,13 +573,11 @@ def _list_color_impl(sub: PowerSubgraph,
         # small palettes: sweep the shifted label coloring directly
         work, work_palette = init, palette
     else:
+        colors3, leaf_rounds = _three_color_classes(sub.labels, classes,
+                                                    init, palette)
         # (colors, palette, constituent class pair arrays) per partial coloring
-        parts: list[tuple[np.ndarray, int, list]] = []
-        leaf_rounds = 0
-        for nA, nB in classes:
-            colors3, r = _three_color(sub.labels, nA, nB, init, palette)
-            leaf_rounds = max(leaf_rounds, r)
-            parts.append((colors3, 3, [(nA, nB)]))
+        parts: list[tuple[np.ndarray, int, list]] = [
+            (c3, 3, [pair]) for c3, pair in zip(colors3, classes)]
         rounds += leaf_rounds
         while len(parts) > 1:
             nxt, level = [], 0

@@ -16,6 +16,7 @@ neighborhood (checked by the certification helpers below).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -111,6 +112,7 @@ def class_phase_rounds(R: int, class_index: int) -> int:
     return 14 * R - 14 + (9 * R - 1) * (1 + list_color_budget(class_index))
 
 
+@lru_cache(maxsize=4096)
 def phase_start_round(R: int, class_index: int) -> int:
     """Schedule round at which a class's merge may begin.
 
@@ -123,6 +125,7 @@ def phase_start_round(R: int, class_index: int) -> int:
                ruling_stage_rounds(R, class_index))
 
 
+@lru_cache(maxsize=4096)
 def phase_end_round(R: int, class_index: int) -> int:
     """Schedule round at which a class's nodes commit their outputs."""
     return phase_start_round(R, class_index) + class_phase_rounds(R, class_index)
@@ -246,10 +249,13 @@ def _check_covering(worst: int, bound: int, what: str) -> None:
 
 
 def _sorted_coords(positions: Iterable[int]) -> np.ndarray:
-    """Distinct positions as a sorted int64 array."""
+    """Distinct positions as a sorted int64 array the caller does not share."""
     if not isinstance(positions, np.ndarray):
         positions = list(positions)
-    return np.unique(np.asarray(positions, dtype=np.int64))
+    coords = np.array(positions, dtype=np.int64)
+    if coords.ndim == 1 and np.all(coords[1:] > coords[:-1]):
+        return coords  # already strictly increasing, as every window range is
+    return np.unique(coords)
 
 
 def path_ruling_set(host: World, universe: Iterable[int], R: int, *,

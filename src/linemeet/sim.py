@@ -19,7 +19,10 @@ come within two nodes (three with crossing detection) and expands the
 
 Runs on the same world share one ``World`` object, and with it every label
 computed so far, one trajectory plan per start, and on the infinite line one
-ruling-set window per (R, radius); delays only shift a plan in global time.
+ruling-set window per (R, radius) around the origin, sized by the
+termination ball a plan reads rather than by its whole sweep, so every
+sweep longer than that ball shares one window; delays only shift a plan in
+global time.
 Worlds are keyed by topology, size, seed and scheme: a string scheme by its
 spec, a ``LabelScheme`` object by identity, so such objects must be
 deterministic.  Only the ``WORLD_SLOTS`` most recently used worlds are kept.
@@ -43,8 +46,8 @@ from .agent import (
     searching_walk_segments,
     z_walk_segments,
 )
-from .logstar import log_star
-from .ruling import EsColState
+from .logstar import CLASS_COUNT, log_star
+from .ruling import EsColState, phase_end_round
 from .world import LabelScheme, World, make_world
 
 DETECTION_MODES = ("node-only", "node-or-crossing")
@@ -850,7 +853,8 @@ class _WorldWork:
 WORLD_SLOTS = 64
 _WORLDS: OrderedDict[tuple, _WorldWork] = OrderedDict()
 
-# canonical ruling-set windows absorb starts this far from the origin
+# canonical ruling-set windows reach this far past a query's termination
+# ball, so every start within it of the origin shares them
 _ES_MARGIN = 64
 
 
@@ -887,21 +891,30 @@ def _shared_es(world: World, states: dict[tuple, EsColState]):
     """Ruling-set lookup that reuses one canonical window per (R, radius).
 
     A node's record only depends on labels within its termination-radius
-    ball, and the planner only reads records whose ball fits inside the
-    queried window, so any window containing the queried one returns the
-    same records.  Centering the canonical window at the origin lets every
-    nearby start share it.
+    ball.  The planner reads records of nodes within R of the center whose
+    ball fits in the queried window [center - L, center + L], and no class
+    terminates later than the last, so every ball it reads lies within
+    ``reach = min(L, R + phase_end_round(R, CLASS_COUNT))`` of the center.
+    Any window holding that termination ball returns the same records.  The
+    canonical window [-radius, radius], radius = reach + ``_ES_MARGIN``,
+    serves every query whose ball fits inside it; other queries build just
+    their ball.  Past L = R + phase_end_round(R, CLASS_COUNT) the radius no
+    longer grows, so all larger sweeps share one window.
     """
 
     def lookup(lo: int, hi: int, R: int) -> EsColState:
-        radius = (hi - lo) // 2 + _ES_MARGIN
-        if -radius <= lo and hi <= radius:
+        L = (hi - lo) // 2
+        center = lo + L
+        reach = min(L, R + phase_end_round(R, CLASS_COUNT))
+        radius = reach + _ES_MARGIN
+        if -radius <= center - reach and center + reach <= radius:
             state = states.get((R, radius))
             if state is None:
                 coords = np.arange(-radius, radius + 1)
                 state = states[(R, radius)] = EsColState(world, coords, R)
             return state
-        return EsColState(world, np.arange(lo, hi + 1), R)
+        return EsColState(world, np.arange(center - reach,
+                                           center + reach + 1), R)
 
     return lookup
 

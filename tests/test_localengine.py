@@ -24,6 +24,8 @@ from linemeet.localengine import (
     _list_color_impl,
     _merge_schedule_cost,
     _sweep_reduce,
+    _three_color,
+    _three_color_classes,
     certify_locality,
     color_path_constant,
     cv_reduce_round,
@@ -130,6 +132,18 @@ def test_duplicate_members_rejected():
     world = make_world("infinite", "sequential")
     with pytest.raises(EngineError):
         PowerSubgraph(world, [0, 3, 3], 1)
+    with pytest.raises(EngineError):
+        PowerSubgraph(world, np.array([5, 0, 5]), 1)
+
+
+def test_members_sorted_and_not_shared_with_the_caller():
+    world = make_world("infinite", "sequential")
+    members = np.array([9, -4, 2])
+    sub = PowerSubgraph(world, members, 6)
+    members[:] = 0
+    assert sub.members.tolist() == [-4, 2, 9]
+    assert sub.labels.tolist() == world.labels_at(np.array([-4, 2, 9])).tolist()
+    assert PowerSubgraph(world, (p for p in [3, 1]), 1).members.tolist() == [1, 3]
 
 
 @given(ring_instances())
@@ -267,6 +281,85 @@ def test_kw_stage_folds_twelve_colors_to_six():
     assert palette == 6
     assert out.max() < 6 and out.min() >= 0
     assert np.all(out[:-1] != out[1:])
+
+
+def _kw_stage_whole_array(colors, palette, nA, nB):
+    """Reference block folding: every sub-round gathers and recolors over
+    the whole array, masking the members not at the current offset."""
+    c = colors.copy()
+    for offset in (5, 4, 3):
+        sel = (c % 6) == offset
+        if sel.any():
+            cA = np.where(nA >= 0, c[nA], -1)
+            cB = np.where(nB >= 0, c[nB], -1)
+            target = (c // 6) * 6
+            for _ in range(2):
+                target = np.where(sel & ((target == cA) | (target == cB)),
+                                  target + 1, target)
+            c = np.where(sel, target, c)
+    return (c // 6) * 3 + (c % 6), 3 * ((palette + 5) // 6)
+
+
+def _three_color_per_class(labels, classes, init, palette):
+    """Reference: one pipeline run per class."""
+    runs = [_three_color(labels, nA, nB, init, palette) for nA, nB in classes]
+    return np.array([c for c, _ in runs]), {r for _, r in runs}
+
+
+# any palette the pipeline sees: small ones fold, large ones also square
+palettes = st.one_of(st.integers(1, 400), st.integers(400, 2**40))
+
+
+@st.composite
+def pair_arrays(draw, m):
+    """(nA, nB) rank arrays over m members: a chain, a wrapped ring or
+    arbitrary ranks, with -1 holes punched in."""
+    idx = np.arange(m, dtype=np.int64)
+    shape = draw(st.sampled_from(["chain", "ring", "any"]))
+    if shape == "chain":
+        nA, nB = idx - 1, np.where(idx + 1 < m, idx + 1, -1)
+    elif shape == "ring":
+        nA, nB = (idx - 1) % m, (idx + 1) % m
+    else:
+        ranks = st.lists(st.integers(-1, m - 1), min_size=m, max_size=m)
+        nA, nB = np.array(draw(ranks)), np.array(draw(ranks))
+    holes = st.lists(st.booleans(), min_size=m, max_size=m)
+    nA = np.where(draw(holes), -1, nA).astype(np.int64)
+    nB = np.where(draw(holes), -1, nB).astype(np.int64)
+    return nA, nB
+
+
+@given(st.data(), st.integers(1, 40), palettes)
+@settings(deadline=None, max_examples=150)
+def test_kw_stage_matches_whole_array_reference(data, m, palette):
+    palette = max(palette, 4)
+    nA, nB = data.draw(pair_arrays(m))
+    # low blocks crowd, so a member often finds two of its picks taken
+    color = st.one_of(st.integers(0, min(palette, 18) - 1),
+                      st.integers(0, palette - 1))
+    colors = np.array(data.draw(st.lists(color, min_size=m, max_size=m)),
+                      dtype=np.int64)
+    out, folded = _kw_stage(colors, palette, nA, nB)
+    want, want_folded = _kw_stage_whole_array(colors, palette, nA, nB)
+    assert out.dtype == want.dtype and out.tolist() == want.tolist()
+    assert folded == want_folded
+
+
+@given(st.data(), st.integers(1, 24), st.integers(1, 8), palettes)
+@settings(deadline=None, max_examples=100)
+def test_batched_three_coloring_matches_per_class_runs(data, m, k, palette):
+    classes = [data.draw(pair_arrays(m)) for _ in range(k)]
+    labels = np.array(data.draw(st.lists(st.integers(1, 10**9), min_size=m,
+                                         max_size=m, unique=True)),
+                      dtype=np.int64)
+    init = np.array(data.draw(st.lists(st.integers(0, palette - 1),
+                                       min_size=m, max_size=m)),
+                    dtype=np.int64)
+    colors, rounds = _three_color_classes(labels, classes, init, palette)
+    want, want_rounds = _three_color_per_class(labels, classes, init, palette)
+    assert colors.shape == (k, m)
+    assert colors.tolist() == want.tolist()
+    assert {rounds} == want_rounds == {three_color_rounds(palette)}
 
 
 # -- constant coloring and MIS -------------------------------------------------

@@ -247,6 +247,17 @@ def test_es_rejects_bad_spacing():
         es_col_path_ruling_set(world, [0], 0)
 
 
+def test_es_state_takes_positions_in_any_order_and_owns_them():
+    world = make_world("infinite", "random-injective:3:1000000000")
+    window = np.arange(-40, 41)
+    state = EsColState(world, window, 4)
+    jumbled = EsColState(world, [*window[::-1].tolist(), 0, 7], 4)
+    window[:] = 0  # the state keeps its own copy of the caller's array
+    for name in ("coords", "in_set", "colors", "classes"):
+        assert getattr(jumbled, name).tolist() == getattr(state, name).tolist()
+    assert state.coords.tolist() == list(range(-40, 41))
+
+
 def test_query_outside_universe():
     world = make_world("infinite", "sequential")
     state = EsColState(world, range(10), 4)

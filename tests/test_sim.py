@@ -26,7 +26,9 @@ from linemeet.sim import (
     sweep,
     write_csv,
 )
+from linemeet.agent import plan_iteration
 from linemeet.logstar import log_star
+from linemeet.ruling import termination_radius
 from linemeet.world import (
     ExplicitScheme,
     LabelScheme,
@@ -623,6 +625,43 @@ class TestSharedRulingWindows:
         horizon = np.arange(cached.t_rdv + 1)
         xa, _ = cached.positions_at(0, cached.t_rdv)
         assert (bare.positions(horizon) == xa).all()
+
+    # (labels, L, activated R): random labels are class 6 and sweep past the
+    # termination ball, R + phase_end_round(R, CLASS_COUNT), except at
+    # L = 2184; a small label planted next to the center activates R at
+    # sweeps within the ball
+    CASES = [("random", 2184, 1), ("random", 2190, 1), ("random", 9900, 4),
+             ("random", 40400, 16), ("planted", 40, 1), ("planted", 300, 4),
+             ("planted", 1200, 16)]
+
+    @pytest.mark.parametrize("kind,L,R", CASES)
+    def test_ball_sized_windows_give_the_sweep_window_plan(self, kind, L, R):
+        edge = sim._ES_MARGIN
+        states = {}
+        for center in (0, edge, -edge, edge + 1, -edge - 1, 10**6):
+            world = make_world("infinite", RAND if kind == "random"
+                               else PlantedScheme(center, center + 1, 2))
+            if kind == "planted":
+                states.clear()  # each center has its own world
+            served = []
+
+            def lookup(lo, hi, R, shared=sim._shared_es(world, states)):
+                served.append(shared(lo, hi, R))
+                return served[-1]
+
+            lo = center - L
+            labels = world.labels_at(np.arange(lo, center + L + 1))
+            plan = plan_iteration(labels, lo, center, L, es_lookup=lookup)
+            assert plan is not None and plan.R == R
+            assert plan == plan_iteration(labels, lo, center, L)
+            # the served window holds the termination ball of every node
+            # the planner reads, which is what makes its records exact
+            (coords,) = [state.coords for state in served]
+            for u in range(center - R, center + R + 1):
+                radius = termination_radius(world.label(u), R)
+                if abs(u - center) + radius <= L:
+                    assert coords[0] <= u - radius
+                    assert u + radius <= coords[-1]
 
 
 class PlantedScheme(LabelScheme):
