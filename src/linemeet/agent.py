@@ -261,6 +261,13 @@ def plan_iteration(labels: np.ndarray, lo: int, center: int, L: int,
     those nodes know are pooled, and the member nearest to the center
     (ties to the smaller label) becomes the landmark.
 
+    The records come from ``es_lookup(center - need, center + need, R)``,
+    where ``need`` is the largest |u - center| + termination radius over
+    the activated nodes u, so the window holds exactly the balls the
+    records depend on.
+    Without a lookup they are built over the whole sweep window
+    [center - L, center + L].
+
     Returns None when no spacing activates, in which case the iteration
     just waits out its search budget.
     """
@@ -271,12 +278,16 @@ def plan_iteration(labels: np.ndarray, lo: int, center: int, L: int,
         offs = np.arange(-R, R + 1, dtype=np.int64)
         cand_labels = labels[(center - lo) + offs]
         radii = _radius_by_class(R)[label_classes(cand_labels) - 1]
-        ok = np.abs(offs) + radii <= L
+        reach = np.abs(offs) + radii
+        ok = reach <= L
         if not ok.any():
             continue
         sr = (center + offs[ok]).astype(np.int64)
-        state = (es_lookup(center - L, center + L, R) if es_lookup is not None
-                 else _es_over_labels(labels, lo, center - L, center + L, R))
+        if es_lookup is not None:
+            need = int(reach[ok].max())
+            state = es_lookup(center - need, center + need, R)
+        else:
+            state = _es_over_labels(labels, lo, center - L, center + L, R)
         known: dict[int, int] = {}
         for u in sr:
             out = state.output_for(int(u))

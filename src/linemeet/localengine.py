@@ -171,18 +171,28 @@ class PowerSubgraph:
 # -- degree <= 2 three-coloring pipeline ---------------------------------------
 
 
-def _squared_cv_round(colors: np.ndarray, palette: int, labels: np.ndarray,
-                      nA: np.ndarray, nB: np.ndarray) -> tuple[np.ndarray, int]:
+def _by_label(labels: np.ndarray, nA: np.ndarray,
+              nB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two neighbor slots reordered so the smaller neighbor label comes
+    first; a missing neighbor (-1) sorts last."""
+    sentinel = np.int64(2**63 - 1)
+    swap = _gather(labels, nA, sentinel) > _gather(labels, nB, sentinel)
+    return np.where(swap, nB, nA), np.where(swap, nA, nB)
+
+
+def _squared_cv_round(colors: np.ndarray, palette: int, first: np.ndarray,
+                      second: np.ndarray) -> tuple[np.ndarray, int]:
     """One two-slot bit-index reduction round.
 
     Each member emits one entry per incident edge: the lowest bit position k
     where its color differs from that neighbor's, paired with its own bit
     there.  A missing neighbor contributes the self-consistent filler (k=0,
-    own bit 0).  Entries are ordered by neighbor label, so the new color is
-    invariant under reflections of the line.  Properness: every entry (k, b)
-    of x satisfies bit_k(color_x) = b, and for an edge uv some slot of u holds
-    k* = lowest differing bit of (c_u, c_v); equal new colors would force
-    bit_k*(c_u) = bit_k*(c_v), contradicting the choice of k*.
+    own bit 0).  Entries are ordered by neighbor label (the slots come from
+    :func:`_by_label`), so the new color is invariant under reflections of
+    the line.  Properness: every entry (k, b) of x satisfies bit_k(color_x)
+    = b, and for an edge uv some slot of u holds k* = lowest differing bit
+    of (c_u, c_v); equal new colors would force bit_k*(c_u) = bit_k*(c_v),
+    contradicting the choice of k*.
     """
     bits = max(1, ceil_log2(max(palette, 2)))
     width = 2 * bits
@@ -196,13 +206,7 @@ def _squared_cv_round(colors: np.ndarray, palette: int, labels: np.ndarray,
         b = (colors >> k) & 1
         return 2 * k + b
 
-    eA, eB = entry(nA), entry(nB)
-    sentinel = np.int64(2**63 - 1)
-    lA = _gather(labels, nA, sentinel)
-    lB = _gather(labels, nB, sentinel)
-    first = np.where(lA <= lB, eA, eB)
-    second = np.where(lA <= lB, eB, eA)
-    return first * width + second, width * width
+    return entry(first) * width + entry(second), width * width
 
 
 def _kw_stage(colors: np.ndarray, palette: int, nA: np.ndarray,
@@ -253,10 +257,11 @@ def _three_color(labels: np.ndarray, nA: np.ndarray, nB: np.ndarray,
                  init_colors: np.ndarray, palette: int) -> tuple[np.ndarray, int]:
     """Run the pipeline; returns (colors in [0,3), executed rounds)."""
     c, m, rounds = init_colors.astype(np.int64), int(palette), 0
+    first, second = _by_label(labels, nA, nB)
     while m > 3:
         squared = (2 * max(1, ceil_log2(max(m, 2)))) ** 2
         if squared < m:
-            c, m = _squared_cv_round(c, m, labels, nA, nB)
+            c, m = _squared_cv_round(c, m, first, second)
             rounds += 1
         else:
             c, m = _kw_stage(c, m, nA, nB)
@@ -329,9 +334,9 @@ def cv_reduce_round(sub: PowerSubgraph, colors: ColorAssignment) -> ColorAssignm
     if not np.array_equal(colors.members, sub.members):
         raise EngineError("color assignment is for different members")
     sub.check_proper(colors.colors)
-    nA, nB = sub.pair
+    first, second = _by_label(sub.labels, *sub.pair)
     new, new_palette = _squared_cv_round(colors.colors, colors.palette,
-                                         sub.labels, nA, nB)
+                                         first, second)
     if new_palette >= colors.palette:
         return colors
     return ColorAssignment(sub.members, new, new_palette)
@@ -359,17 +364,15 @@ def color_path_constant(sub: PowerSubgraph, palette: int | None = None,
 
 
 def mis(sub: PowerSubgraph, palette: int | None = None,
-        base: int = 1) -> set[int]:
-    """Maximal independent set of a degree <= 2 subgraph.
+        base: int = 1) -> np.ndarray:
+    """Maximal independent set of a degree <= 2 subgraph, as sorted coords.
 
     3-colors the members, then adds color classes 0, 1, 2 greedily; the
     result is independent and dominating regardless of member geometry
     (chains, rings, triangles).
     """
     assignment, _ = color_path_constant(sub, palette, base)
-    nA, nB = sub.pair
-    flags = _greedy_mis(assignment.colors, nA, nB)
-    return set(sub.members[flags].tolist())
+    return sub.members[_greedy_mis(assignment.colors, *sub.pair)]
 
 
 # -- list coloring up to degree 16 ---------------------------------------------

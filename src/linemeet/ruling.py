@@ -40,14 +40,26 @@ def _spacing(R: int) -> int:
     return R
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitedRulingSet:
-    """Members selected from a universe with packing R, covering R-1."""
+    """Members selected from a universe with packing R, covering R-1.
+
+    ``coords`` and ``member_coords`` are sorted int64 arrays; ``universe``
+    and ``members`` give them as sets.
+    """
 
     host: World
-    universe: frozenset
-    members: frozenset
+    coords: np.ndarray
+    member_coords: np.ndarray
     R: int
+
+    @property
+    def universe(self) -> frozenset:
+        return frozenset(self.coords.tolist())
+
+    @property
+    def members(self) -> frozenset:
+        return frozenset(self.member_coords.tolist())
 
 
 @dataclass(frozen=True)
@@ -276,18 +288,15 @@ def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
     """
     R = _spacing(R)
     coords = _sorted_coords(universe)
-    uni = frozenset(coords.tolist())
-    if coords.size == 0:
-        return LimitedRulingSet(host, uni, frozenset(), R)
-    if R == 1:
-        return LimitedRulingSet(host, uni, uni, R)
+    if coords.size == 0 or R == 1:
+        return LimitedRulingSet(host, coords, coords, R)
     labels = host.labels_at(coords)
     s = coords
     d = ceil_log2(R)
     for i in range(1, d + 1):
         stage_reach = 2**i - 1 if i < d else R - 1
         sub = PowerSubgraph(host, s, stage_reach)
-        s = np.sort(np.fromiter(mis(sub, palette, base), dtype=np.int64))
+        s = mis(sub, palette, base)
         if debug:
             _check_spacing(host, s, 2**i if i < d else R)
             worst = int(_nearest_distance(host, coords, s).max())
@@ -297,7 +306,7 @@ def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
     if debug:
         worst = int(_nearest_distance(host, coords, s).max())
         _check_covering(worst, R - 1, "greedy extension")
-    return LimitedRulingSet(host, uni, frozenset(s.tolist()), R)
+    return LimitedRulingSet(host, coords, s, R)
 
 
 def verify_limited_ruling_set(host: World, universe: Iterable[int],
@@ -365,9 +374,9 @@ class EsColState:
             if not sel.any():
                 continue  # empty classes still hold their schedule slot
             vi = self.coords[sel]
-            result = path_ruling_set(host, vi, R, palette=class_size(i),
-                                     base=CLASS_LO[i - 1], debug=debug)
-            fresh = np.sort(np.fromiter(result.members, dtype=np.int64))
+            fresh = path_ruling_set(host, vi, R, palette=class_size(i),
+                                    base=CLASS_LO[i - 1],
+                                    debug=debug).member_coords
             committed = self.coords[self.in_set]
             if committed.size and fresh.size:
                 far = _nearest_distance(host, fresh, committed) >= R

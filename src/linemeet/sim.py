@@ -19,10 +19,11 @@ come within two nodes (three with crossing detection) and expands the
 
 Runs on the same world share one ``World`` object, and with it every label
 computed so far, one trajectory plan per start, and on the infinite line one
-ruling-set window per (R, radius) around the origin, sized by the
-termination ball a plan reads rather than by its whole sweep, so every
-sweep longer than that ball shares one window; delays only shift a plan in
-global time.
+ruling-set window per (R, label class) around the origin.  A plan asks only
+for the balls its records depend on, and the window is the smallest rung of
+the class ladder R + phase_end_round(R, c) that holds them, so plans that
+read the same classes share it whatever their sweep; delays only shift a
+plan in global time.
 Worlds are keyed by topology, size, seed and scheme: a string scheme by its
 spec, a ``LabelScheme`` object by identity, so such objects must be
 deterministic.  Only the ``WORLD_SLOTS`` most recently used worlds are kept.
@@ -853,8 +854,8 @@ class _WorldWork:
 WORLD_SLOTS = 64
 _WORLDS: OrderedDict[tuple, _WorldWork] = OrderedDict()
 
-# canonical ruling-set windows reach this far past a query's termination
-# ball, so every start within it of the origin shares them
+# canonical ruling-set windows reach this far past their class rung, so a
+# query from any start within it of the origin fits one of them
 _ES_MARGIN = 64
 
 
@@ -888,33 +889,33 @@ def _world_work(config: SimConfig) -> _WorldWork:
 
 
 def _shared_es(world: World, states: dict[tuple, EsColState]):
-    """Ruling-set lookup that reuses one canonical window per (R, radius).
+    """Ruling-set lookup that reuses one canonical window per (R, class).
 
     A node's record only depends on labels within its termination-radius
-    ball.  The planner reads records of nodes within R of the center whose
-    ball fits in the queried window [center - L, center + L], and no class
-    terminates later than the last, so every ball it reads lies within
-    ``reach = min(L, R + phase_end_round(R, CLASS_COUNT))`` of the center.
-    Any window holding that termination ball returns the same records.  The
-    canonical window [-radius, radius], radius = reach + ``_ES_MARGIN``,
-    serves every query whose ball fits inside it; other queries build just
-    their ball.  Past L = R + phase_end_round(R, CLASS_COUNT) the radius no
-    longer grows, so all larger sweeps share one window.
+    ball, and the planner asks for [center - need, center + need], the
+    smallest window holding the ball of every node it reads.  A node of
+    class c within R of the center has its ball within R +
+    phase_end_round(R, c) of it, so ``need`` is at most the rung of that
+    ladder for the latest class read.  The query goes to the smallest rung
+    ``reach`` >= need, and the canonical window [-radius, radius], radius =
+    reach + ``_ES_MARGIN``, serves it when [lo, hi] fits inside; other
+    queries build just [lo, hi].  Starts near the origin that read the same
+    classes thus share one window, whatever their sweep radius.
     """
 
     def lookup(lo: int, hi: int, R: int) -> EsColState:
-        L = (hi - lo) // 2
-        center = lo + L
-        reach = min(L, R + phase_end_round(R, CLASS_COUNT))
+        need = (hi - lo) // 2
+        reach = min(R + phase_end_round(R, c)
+                    for c in range(1, CLASS_COUNT + 1)
+                    if R + phase_end_round(R, c) >= need)
         radius = reach + _ES_MARGIN
-        if -radius <= center - reach and center + reach <= radius:
+        if -radius <= lo and hi <= radius:
             state = states.get((R, radius))
             if state is None:
                 coords = np.arange(-radius, radius + 1)
                 state = states[(R, radius)] = EsColState(world, coords, R)
             return state
-        return EsColState(world, np.arange(center - reach,
-                                           center + reach + 1), R)
+        return EsColState(world, np.arange(lo, hi + 1), R)
 
     return lookup
 

@@ -23,7 +23,7 @@ from linemeet.agent import (
     spacing_grid,
     z_walk,
 )
-from linemeet.ruling import EsColState, es_col_path_ruling_set
+from linemeet.ruling import EsColState, es_col_path_ruling_set, termination_radius
 from linemeet.world import ExplicitScheme, World, make_world
 
 
@@ -225,7 +225,13 @@ class TestPlanIteration:
 
         plan = plan_iteration(labels, lo, 0, 256, es_lookup=lookup)
         assert plan == plan_iteration(labels, lo, 0, 256)
-        assert calls == [(-256, 256, 4)]
+        # the lookup gets the balls of the activated candidates, not the
+        # whole sweep: here the class-2 label at -2, 2 + 224 = 226
+        reach = [abs(u) + termination_radius(world.label(u), 4)
+                 for u in range(-4, 5)]
+        need = max(r for r in reach if r <= 256)
+        assert need == 226
+        assert calls == [(-need, need, 4)]
 
     def test_no_activation_waits(self):
         mapping = {c: 70300 + c for c in range(-16, 17)}

@@ -35,7 +35,7 @@ from linemeet.localengine import (
     mis_rounds,
     three_color_rounds,
 )
-from linemeet.logstar import CLASS_HI, log_star
+from linemeet.logstar import CLASS_HI, ceil_log2, log_star
 from linemeet.world import make_world
 
 
@@ -300,6 +300,34 @@ def _kw_stage_whole_array(colors, palette, nA, nB):
     return (c // 6) * 3 + (c % 6), 3 * ((palette + 5) // 6)
 
 
+def _three_color_ordering_each_round(labels, nA, nB, init, palette):
+    """Reference pipeline whose two-slot rounds gather both neighbors'
+    labels and order the two entries by them in every round."""
+    c, m = init.astype(np.int64), palette
+    while m > 3:
+        width = 2 * max(1, ceil_log2(max(m, 2)))
+        if width * width >= m:
+            c, m = _kw_stage(c, m, nA, nB)
+            continue
+
+        def entry(nbr):
+            out, cl = [], c.tolist()
+            for x, j in zip(cl, nbr.tolist()):
+                d = x ^ cl[j] if j >= 0 else x
+                k = 0 if j < 0 else 62 if d == 0 else min(
+                    (d & -d).bit_length() - 1, 62)
+                out.append(2 * k + ((x >> k) & 1))
+            return np.array(out, dtype=np.int64)
+
+        big = 2**63 - 1
+        lA = np.array([labels[j] if j >= 0 else big for j in nA.tolist()])
+        lB = np.array([labels[j] if j >= 0 else big for j in nB.tolist()])
+        eA, eB = entry(nA), entry(nB)
+        c = np.where(lA <= lB, eA * width + eB, eB * width + eA)
+        m = width * width
+    return c
+
+
 def _three_color_per_class(labels, classes, init, palette):
     """Reference: one pipeline run per class."""
     runs = [_three_color(labels, nA, nB, init, palette) for nA, nB in classes]
@@ -343,6 +371,21 @@ def test_kw_stage_matches_whole_array_reference(data, m, palette):
     want, want_folded = _kw_stage_whole_array(colors, palette, nA, nB)
     assert out.dtype == want.dtype and out.tolist() == want.tolist()
     assert folded == want_folded
+
+
+@given(st.data(), st.integers(1, 40), palettes)
+@settings(deadline=None, max_examples=100)
+def test_slots_ordered_once_match_ordering_each_round(data, m, palette):
+    nA, nB = data.draw(pair_arrays(m))
+    labels = np.array(data.draw(st.lists(st.integers(1, 10**9), min_size=m,
+                                         max_size=m, unique=True)),
+                      dtype=np.int64)
+    init = np.array(data.draw(st.lists(st.integers(0, palette - 1),
+                                       min_size=m, max_size=m)),
+                    dtype=np.int64)
+    colors, _ = _three_color(labels, nA, nB, init, palette)
+    want = _three_color_ordering_each_round(labels, nA, nB, init, palette)
+    assert colors.tolist() == want.tolist()
 
 
 @given(st.data(), st.integers(1, 24), st.integers(1, 8), palettes)
@@ -393,7 +436,7 @@ def test_three_coloring_on_triangle():
     sub = PowerSubgraph(world, [0, 1, 2], 1)
     assignment, _ = color_path_constant(sub)
     assert sorted(assignment.as_dict().values()) == [0, 1, 2]
-    assert mis(sub) in ({0}, {1}, {2})
+    assert mis(sub).tolist() in ([0], [1], [2])
 
 
 def test_class_shifted_palette():
@@ -409,6 +452,9 @@ def test_class_shifted_palette():
 
 
 def assert_mis(world, members, power, chosen):
+    assert chosen.dtype == np.int64
+    assert np.all(chosen[1:] > chosen[:-1]), "members not sorted"
+    chosen = set(chosen.tolist())
     edges = true_edges(world, members, power)
     for u, v in edges:
         assert not (u in chosen and v in chosen), "adjacent pair chosen"
@@ -439,8 +485,8 @@ def test_mis_on_rings(inst):
 
 def test_mis_of_nothing():
     world = make_world("infinite", "sequential")
-    assert mis(PowerSubgraph(world, [], 1)) == set()
-    assert mis(PowerSubgraph(world, [4], 1)) == {4}
+    assert mis(PowerSubgraph(world, [], 1)).tolist() == []
+    assert mis(PowerSubgraph(world, [4], 1)).tolist() == [4]
 
 
 def test_degree_guard():

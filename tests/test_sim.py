@@ -27,8 +27,8 @@ from linemeet.sim import (
     write_csv,
 )
 from linemeet.agent import plan_iteration
-from linemeet.logstar import log_star
-from linemeet.ruling import termination_radius
+from linemeet.logstar import CLASS_COUNT, CLASS_HI, CLASS_LO, log_star
+from linemeet.ruling import phase_end_round, termination_radius
 from linemeet.world import (
     ExplicitScheme,
     LabelScheme,
@@ -320,7 +320,7 @@ class TestPlansStopAtTheMeeting:
         # these pairs meet in a search iteration (TestCustomSchemeReuse)
         if not care:
             tau = -(-tau // 4)
-        trace = run(SimConfig(scheme=PlantedScheme(seed, 0, 3), va=0, vb=d,
+        trace = run(SimConfig(scheme=PlantedScheme(seed, {0: 3}), va=0, vb=d,
                               tau=tau, care=care,
                               detection="node-only" if care
                               else "node-or-crossing"))
@@ -616,6 +616,27 @@ class TestTraceExport:
         assert len(path.read_text().splitlines()) == 11
 
 
+# (sweep radius L, spacing R) pairs whose plans read classes 1-5
+LADDER_SWEEPS = [(40, 1), (200, 1), (200, 4), (1200, 1), (1200, 4), (1200, 16)]
+
+
+@st.composite
+def window_layouts(draw):
+    """(L, scheme, plants): a uniform-class scheme spec, or the seed of
+    random labels with 1-3 labels of classes 1-5 planted within 2R of the
+    center, keyed by offset."""
+    L, R = draw(st.sampled_from(LADDER_SWEEPS))
+    uniform = draw(st.sampled_from([None, CLASS4, CLASS5]))
+    if uniform is not None:
+        return L, uniform, {}
+    small = st.one_of(*[st.integers(CLASS_LO[c], CLASS_HI[c])
+                        for c in range(CLASS_COUNT - 1)])
+    plants = draw(st.lists(st.tuples(st.integers(-2 * R, 2 * R), small),
+                           min_size=1, max_size=3,
+                           unique_by=(lambda p: p[0], lambda p: p[1])))
+    return L, draw(st.integers(0, 99)), dict(plants)
+
+
 class TestSharedRulingWindows:
     def test_canonical_windows_do_not_change_the_plan(self):
         cfg = SimConfig(scheme=CLASS4, va=-11, vb=11)
@@ -640,7 +661,7 @@ class TestSharedRulingWindows:
         states = {}
         for center in (0, edge, -edge, edge + 1, -edge - 1, 10**6):
             world = make_world("infinite", RAND if kind == "random"
-                               else PlantedScheme(center, center + 1, 2))
+                               else PlantedScheme(center, {center + 1: 2}))
             if kind == "planted":
                 states.clear()  # each center has its own world
             served = []
@@ -663,19 +684,93 @@ class TestSharedRulingWindows:
                     assert coords[0] <= u - radius
                     assert u + radius <= coords[-1]
 
+    @staticmethod
+    def check_tight_window(world, states, center, L):
+        """Plan at one center through the shared lookup; returns the need
+        and the canonical radius, or None when no spacing activates."""
+        lo = center - L
+        labels = world.labels_at(np.arange(lo, center + L + 1))
+        calls, served = [], []
+        shared = sim._shared_es(world, states)
+
+        def lookup(win_lo, win_hi, R):
+            calls.append((win_lo, win_hi, R))
+            served.append(shared(win_lo, win_hi, R))
+            return served[-1]
+
+        plan = plan_iteration(labels, lo, center, L, es_lookup=lookup)
+        # the full sweep window of the uncached path is the oracle
+        assert plan == plan_iteration(labels, lo, center, L)
+        if plan is None:
+            assert calls == []
+            return None
+        R = plan.R
+        reach = {u: abs(u - center) + termination_radius(world.label(u), R)
+                 for u in range(center - R, center + R + 1)}
+        read = [u for u, r in reach.items() if r <= L]
+        need = max(reach[u] for u in read)
+        assert calls == [(center - need, center + need, R)]
+        rung = min(r for r in (R + phase_end_round(R, c)
+                               for c in range(1, CLASS_COUNT + 1))
+                   if r >= need)
+        radius = rung + sim._ES_MARGIN
+        (state,) = served
+        if -radius <= center - need and center + need <= radius:
+            assert state is states[(R, radius)]
+            assert np.array_equal(state.coords, np.arange(-radius, radius + 1))
+        else:
+            assert np.array_equal(state.coords,
+                                  np.arange(center - need, center + need + 1))
+        for u in read:
+            ball = termination_radius(world.label(u), R)
+            assert state.coords[0] <= u - ball
+            assert u + ball <= state.coords[-1]
+        return need, radius
+
+    @given(window_layouts())
+    @example((1200, 7, {0: 40000}))  # class 5 at the center, R = 1
+    @example((1200, 3, {1: 2, -3: 9}))  # classes 2 and 4, R = 4
+    @example((1200, 5, {-5: 1, 20: 30}))  # class 1, R = 16
+    @example((200, CLASS4, {}))
+    @example((1200, CLASS5, {}))
+    @settings(deadline=None, max_examples=25)
+    def test_tight_windows_follow_the_class_ladder(self, layout):
+        L, scheme, plants = layout
+        shared = None if isinstance(scheme, int) else make_world("infinite",
+                                                                 scheme)
+        states = {}
+
+        def at(center):
+            if shared is not None:
+                return self.check_tight_window(shared, states, center, L)
+            world = make_world("infinite", PlantedScheme(
+                scheme, {center + off: v for off, v in plants.items()}))
+            return self.check_tight_window(world, {}, center, L)
+
+        first = at(0)
+        centers = [10**6]
+        if first is not None:
+            # the last center the canonical window serves, and one past it
+            need, radius = first
+            centers = [radius - need, radius - need + 1, 10**6]
+        for center in centers:
+            at(center)
+
 
 class PlantedScheme(LabelScheme):
-    """Random labels up to 1e9 with one small label planted at a coordinate.
+    """Random labels up to 1e9 with small labels planted at coordinates.
 
-    A custom scheme object: runs on it are cached by object identity.
+    ``plants`` maps coordinates to distinct labels; a random label equal to
+    a planted one moves above 1e9.  A custom scheme object: runs on it are
+    cached by object identity.
     """
 
     name = "planted"
 
-    def __init__(self, seed: int, coord: int, value: int):
+    def __init__(self, seed: int, plants: dict[int, int]):
         self._base = parse_scheme(f"random-injective:{seed}:1000000000")
-        self._coord = int(coord)
-        self._value = int(value)
+        self._coords = np.array(list(plants), dtype=np.int64)
+        self._values = np.array(list(plants.values()), dtype=np.int64)
 
     def label_at(self, coord: int) -> int:
         return int(self.labels_at(np.array([coord]))[0])
@@ -683,9 +778,11 @@ class PlantedScheme(LabelScheme):
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords)
         out = self._base.labels_at(coords)
-        out = np.where(out == self._value,
+        out = np.where(np.isin(out, self._values),
                        10**9 + zigzag_array(coords) + 1, out)
-        return np.where(coords == self._coord, self._value, out)
+        for coord, value in zip(self._coords, self._values):
+            out = np.where(coords == coord, value, out)
+        return out
 
 
 class TestCustomSchemeReuse:
@@ -702,11 +799,11 @@ class TestCustomSchemeReuse:
 
     @pytest.mark.parametrize("seed,d,tau", PLANTED)
     def test_reuse_does_not_change_results(self, seed, d, tau):
-        shared = PlantedScheme(seed, 0, 3)
+        shared = PlantedScheme(seed, {0: 3})
         first = self._pair(lambda: shared, d, tau)
         again = self._pair(lambda: shared, d, tau)
-        fresh = self._pair(lambda: PlantedScheme(seed, 0, 3), d, tau)
-        ref = self._pair(lambda: PlantedScheme(seed, 0, 3), d, tau,
+        fresh = self._pair(lambda: PlantedScheme(seed, {0: 3}), d, tau)
+        ref = self._pair(lambda: PlantedScheme(seed, {0: 3}), d, tau,
                          engine="reference")
         assert first[0][0] > 28 * 63, "instance must reach a search iteration"
         assert first == again == fresh == ref
@@ -714,7 +811,7 @@ class TestCustomSchemeReuse:
     def test_caches_keep_only_recent_custom_worlds(self):
         used, worlds = [], []
         for seed in range(sim.WORLD_SLOTS + 2):
-            used.append(PlantedScheme(seed, 0, 3))
+            used.append(PlantedScheme(seed, {0: 3}))
             trace = run(SimConfig(scheme=used[-1], va=0, vb=2, tau=1))
             worlds.append(weakref.ref(trace.world))
             del trace
