@@ -21,22 +21,21 @@ import numpy as np
 
 from . import __version__
 from .agent import AgentError, careful_walk_occupancy, iteration_start_round
-from .localengine import EngineError, PowerSubgraph, certify_locality
+from .localengine import EngineError
 from .logstar import CLASS_COUNT, class_range, class_size, log_star
 from .ruling import (
     RADIUS_FACTOR,
     EsColState,
     RulingError,
+    certify_es_locality,
     class_phase_rounds,
     list_color_budget,
     path_ruling_set,
     phase_end_round,
     phase_start_round,
     ruling_stage_rounds,
-    termination_radius,
     verify_es_col_ruling,
     verify_limited_ruling_set,
-    window_certifies,
 )
 from .sim import (
     ENGINES,
@@ -49,7 +48,7 @@ from .sim import (
     sweep,
     write_csv,
 )
-from .world import ExplicitScheme, WorldError, make_world
+from .world import WorldError, make_world
 
 CONFIG_ERRORS = (SimError, WorldError, AgentError, RulingError, EngineError)
 
@@ -316,42 +315,24 @@ def _verify_escolruling(args: argparse.Namespace) -> int:
 
 
 def _verify_locality(args: argparse.Namespace) -> int:
-    """Purity of committed records, re-proved from truncated snapshots.
+    """Purity of committed records, each re-proved from its own ball.
 
-    Every node whose termination-radius ball fits in the window is
-    recomputed from host snapshots alone; bisection finds its true
-    information radius, which must stay within the exported factor.
+    The construction runs over [-U, U]; every node whose termination-radius
+    ball fits in it is rebuilt on a host holding only that ball's labels
+    (`certify_es_locality`).  A changed record or a read outside the ball
+    is an oracle failure.
     """
     host = make_world("infinite", args.scheme, seed=args.seed)
-    coords = np.arange(-args.universe, args.universe + 1)
-    state = EsColState(host, coords, args.r)
-    sample = [int(p) for p in coords
-              if window_certifies(host, coords, int(p), args.r)]
-    outputs = {p: state.output_for(p) for p in sample}
-
-    def recompute(snap):
-        mapping = {snap.center + o: lab for o, lab, _, _ in snap.entries}
-        local = make_world("infinite", ExplicitScheme(mapping))
-        return EsColState(local, mapping, args.r).output_for(snap.center)
-
-    declared = max((termination_radius(host.label(p), args.r)
-                    for p in sample), default=0)
-    carrier = PowerSubgraph(host, sample or [0], 1)
+    state = EsColState(host, np.arange(-args.universe, args.universe + 1),
+                       args.r)
     try:
-        cert = certify_locality(carrier, outputs, recompute, declared,
-                                sample=sample)
-    except EngineError as err:
+        radii = certify_es_locality(host, state.coords, args.r, state=state)
+    except (RulingError, WorldError) as err:
         _error_json("oracle-failure", str(err))
         return 1
-    over = [p for p, radius in cert.radii.items()
-            if radius > RADIUS_FACTOR * args.r * log_star(host.label(p))]
-    if over:
-        _error_json("oracle-failure",
-                    f"certified radius exceeds the factor at {over[0]}")
-        return 1
-    worst = max(cert.radii.values(), default=0)
-    print(f"locality: {len(sample)} certified nodes in "
-          f"[-{args.universe}, {args.universe}], max radius {worst}, "
+    print(f"locality: {len(radii)} certified nodes in "
+          f"[-{args.universe}, {args.universe}], max termination radius "
+          f"{max(radii.values(), default=0)}, "
           f"all within {RADIUS_FACTOR}*R*logstar")
     return 0
 

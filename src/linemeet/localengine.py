@@ -14,12 +14,12 @@ stretches to max degree 16 by decomposing edges into rank-difference classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .logstar import ceil_log2
-from .world import NeighborhoodSnapshot, World
+from .world import World
 
 
 class EngineError(ValueError):
@@ -60,17 +60,6 @@ class ColorAssignment:
 
     def as_dict(self) -> dict[int, int]:
         return {int(p): int(c) for p, c in zip(self.members, self.colors)}
-
-
-@dataclass(frozen=True)
-class LocalityCertificate:
-    """Per-member host-graph radii from which outputs were reproduced."""
-
-    radii: dict[int, int]
-    declared_bound: int
-
-    def max_radius(self) -> int:
-        return max(self.radii.values(), default=0)
 
 
 class PowerSubgraph:
@@ -612,37 +601,3 @@ def _list_color_impl(sub: PowerSubgraph,
         raise EngineError(f"list coloring took {rounds} rounds, schedule says "
                           f"{expected}")
     return ColorAssignment(sub.members, final, top), rounds
-
-
-# -- locality certification ----------------------------------------------------
-
-
-def certify_locality(sub: PowerSubgraph, outputs: Mapping[int, Any],
-                     recompute: Callable[[NeighborhoodSnapshot], Any],
-                     declared_bound: int,
-                     sample: Iterable[int] | None = None) -> LocalityCertificate:
-    """Find, per member, a snapshot radius that reproduces its output.
-
-    ``recompute`` must rebuild the member's output from nothing but a host
-    snapshot centered there.  The declared bound is checked first and a
-    mismatch there is a purity failure; below it, the smallest reproducing
-    radius is located by bisection and re-verified.
-    """
-    radii: dict[int, int] = {}
-    targets = list(sample) if sample is not None else [int(p) for p in sub.members]
-    for p in targets:
-        want = outputs[p]
-        if recompute(sub.host.snapshot(p, declared_bound)) != want:
-            raise EngineError(
-                f"output of member {p} not reproducible at declared bound {declared_bound}")
-        lo, hi = 0, declared_bound
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if recompute(sub.host.snapshot(p, mid)) == want:
-                hi = mid
-            else:
-                lo = mid + 1
-        if recompute(sub.host.snapshot(p, lo)) != want:
-            lo = declared_bound
-        radii[p] = lo
-    return LocalityCertificate(radii, declared_bound)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .localengine import PowerSubgraph, _merge_schedule_cost, list_color, mis, mis_rounds, three_color_rounds
 from .logstar import CLASS_COUNT, CLASS_LO, ceil_log2, class_size, label_classes, log_star
-from .world import World
+from .world import ExplicitScheme, World
 
 PALETTE_SIZE = 17  # member colors are 1..17
 
@@ -144,7 +144,7 @@ def phase_end_round(R: int, class_index: int) -> int:
 
 
 def termination_radius(label: int, R: int) -> int:
-    """Snapshot radius (= virtual rounds) after which this label's output is fixed."""
+    """Host radius (= virtual rounds) after which this label's output is fixed."""
     return phase_end_round(_spacing(R), log_star(label))
 
 
@@ -468,7 +468,7 @@ def es_col_path_ruling_set(host: World, universe: Iterable[int], R: int,
 def window_certifies(host: World, window: Iterable[int], position: int,
                      R: int) -> bool:
     """Whether the window contains the node's whole termination-radius ball."""
-    coords = np.array(sorted({int(p) for p in window}), dtype=np.int64)
+    coords = _sorted_coords(window)
     j = np.searchsorted(coords, position)
     if j >= coords.size or coords[j] != position:
         return False
@@ -540,27 +540,33 @@ def _brute_nearby(host: World, state: EsColState, position: int,
 
 
 def certify_es_locality(host: World, universe: Iterable[int], R: int,
-                        sample: Iterable[int] | None = None) -> dict[int, int]:
-    """Prove per-node purity by recomputing from truncated windows.
+                        sample: Iterable[int] | None = None,
+                        state: EsColState | None = None) -> dict[int, int]:
+    """Prove per-node purity by rebuilding each record from its own ball.
 
     For each sampled node that the full universe certifies, rebuilds the
-    construction from only the positions within its termination radius and
-    demands the identical record; a mismatch is a hard error.  Returns the
-    verified radius per node.
+    construction on a host that holds only the labels within the node's
+    termination radius and demands the identical record.  A changed record
+    raises ``RulingError``; a read outside the ball raises ``WorldError``
+    from that host.  Returns the termination radius per certified node.
     """
-    coords = sorted({int(p) for p in universe})
-    state = EsColState(host, coords, R)
-    arr = np.array(coords, dtype=np.int64)
-    targets = [int(p) for p in (sample if sample is not None else coords)]
+    if state is None:
+        state = EsColState(host, universe, R)
+    arr = state.coords
+    targets = arr.tolist() if sample is None else [int(p) for p in sample]
     radii: dict[int, int] = {}
     for p in targets:
-        if not window_certifies(host, arr, p, R):
+        if not window_certifies(host, arr, p, state.R):
             continue
-        radius = termination_radius(host.label(p), R)
-        near = arr[np.abs(arr - p) <= radius] if host.topology != "cycle" else \
-            arr[np.minimum((arr - p) % host.n, (p - arr) % host.n) <= radius]
-        truncated = EsColState(host, near, R)
-        if truncated.output_for(p) != state.output_for(p):
+        radius = termination_radius(host.label(p), state.R)
+        gap = np.abs(arr - p) if host.topology != "cycle" else \
+            np.minimum((arr - p) % host.n, (p - arr) % host.n)
+        near = gap <= radius
+        ball = ExplicitScheme(dict(zip(arr[near].tolist(),
+                                       state.labels[near].tolist())))
+        local = World(host.topology, ball, host.n)
+        if EsColState(local, arr[near], state.R).output_for(p) != \
+                state.output_for(p):
             raise RulingError(
                 f"output of {p} changed under truncation to radius {radius}")
         radii[p] = radius

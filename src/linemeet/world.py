@@ -1,4 +1,4 @@
-"""Labeled line worlds: topologies, label schemes, ports, and snapshots.
+"""Labeled line worlds: topologies, label schemes, and ports.
 
 A :class:`World` is an infinite line, a finite path, or a cycle whose nodes
 carry unique positive labels and per-node port numbers.  Ports are assigned
@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -276,38 +275,6 @@ def parse_scheme(text: str, default_seed: int = 0) -> LabelScheme:
     raise WorldError(f"unknown label scheme: {text!r}")
 
 
-@dataclass(frozen=True)
-class NeighborhoodSnapshot:
-    """Everything within a given host radius of a center node.
-
-    Entry arrays are aligned and sorted by offset; ``ports_toward_center[i]``
-    is the port at that node of its first edge on a shortest path back to the
-    center (-1 for the center itself).
-    """
-
-    center: int
-    radius: int
-    offsets: np.ndarray
-    labels: np.ndarray
-    degrees: np.ndarray
-    ports_toward_center: np.ndarray
-
-    @property
-    def entries(self) -> Iterator[tuple[int, int, int, int | None]]:
-        for o, lab, deg, port in zip(self.offsets, self.labels, self.degrees,
-                                     self.ports_toward_center):
-            yield int(o), int(lab), int(deg), (None if port < 0 else int(port))
-
-    def truncated(self, radius: int) -> "NeighborhoodSnapshot":
-        """The same snapshot restricted to a smaller radius."""
-        if radius > self.radius:
-            raise WorldError(f"cannot widen a snapshot ({radius} > {self.radius})")
-        keep = np.abs(self.offsets) <= radius
-        return NeighborhoodSnapshot(self.center, radius, self.offsets[keep],
-                                    self.labels[keep], self.degrees[keep],
-                                    self.ports_toward_center[keep])
-
-
 _PORT_BLOCK = 4096
 
 
@@ -516,37 +483,6 @@ class World:
             if prt == port:
                 return nbr, self.port_toward(nbr, p)
         raise WorldError(f"node {p} has no port {port}")
-
-    # -- snapshots ---------------------------------------------------------
-
-    def snapshot(self, center: int, radius: int) -> NeighborhoodSnapshot:
-        center = self._check(center)
-        if radius < 0:
-            raise WorldError(f"radius must be >= 0, got {radius}")
-        if self.topology == "infinite":
-            offsets = np.arange(-radius, radius + 1, dtype=np.int64)
-            coords = center + offsets
-            degrees = np.full(offsets.shape, 2, dtype=np.int64)
-        elif self.topology == "path":
-            lo = max(-radius, -center)
-            hi = min(radius, self.n - 1 - center)
-            offsets = np.arange(lo, hi + 1, dtype=np.int64)
-            coords = center + offsets
-            degrees = np.where((coords == 0) | (coords == self.n - 1), 1, 2).astype(np.int64)
-        else:
-            lo = -min(radius, (self.n - 1) // 2)
-            hi = min(radius, self.n // 2)
-            offsets = np.arange(lo, hi + 1, dtype=np.int64)
-            coords = (center + offsets) % self.n
-            degrees = np.full(offsets.shape, 2, dtype=np.int64)
-        labels = self.labels_at(coords)
-        # first hop back toward the center retraces the offset path, so for
-        # o > 0 it is the port toward -1 (1 - bit) and for o < 0 toward +1 (bit)
-        bits = self.port_bits_at(coords)
-        ports = np.where(offsets > 0, 1 - bits, bits)
-        ports[degrees == 1] = 0
-        ports[offsets == 0] = -1
-        return NeighborhoodSnapshot(center, radius, offsets, labels, degrees, ports)
 
 
 def make_world(topology: str, scheme: str | LabelScheme, n: int | None = None,

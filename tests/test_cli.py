@@ -205,6 +205,21 @@ class TestVerifyCommand:
         certified = int(re.search(r"locality: (\d+) certified", out).group(1))
         assert certified > 0
 
+    @pytest.mark.parametrize("broken", ["leaky_records",
+                                        "peeking_construction"])
+    def test_locality_failure_exits_one(self, capsys, request, broken):
+        request.getfixturevalue(broken)
+        code, _, err = run_cli(capsys, "verify", "locality",
+                               "--r", "1", "--universe", "200")
+        assert code == 1
+        assert json.loads(err)["error"] == "oracle-failure"
+
+    @pytest.mark.parametrize("flags", [["--r", "0"], ["--scheme", "nonsense"]])
+    def test_locality_bad_config_exits_two(self, capsys, flags):
+        code, _, err = run_cli(capsys, "verify", "locality", *flags)
+        assert code == 2
+        assert json.loads(err)["error"] == "config"
+
 
 class TestConstantsCommand:
     def test_report(self, capsys):

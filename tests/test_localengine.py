@@ -26,7 +26,6 @@ from linemeet.localengine import (
     _sweep_reduce,
     _three_color,
     _three_color_classes,
-    certify_locality,
     color_path_constant,
     cv_reduce_round,
     list_color,
@@ -647,37 +646,6 @@ def test_list_coloring_array_form_matches_mapping(inst, seed):
     by_array, rounds_array = _list_color_impl(sub, allowed)
     assert by_array.as_dict() == by_map.as_dict()
     assert rounds_array == rounds_map
-
-
-# -- locality certification ----------------------------------------------------
-
-def test_certify_constant_output_needs_no_radius():
-    world = make_world("infinite", "sequential")
-    sub = PowerSubgraph(world, [0, 5, 10], 5)
-    cert = certify_locality(sub, {p: 7 for p in [0, 5, 10]}, lambda snap: 7, 4)
-    assert cert.radii == {0: 0, 5: 0, 10: 0}
-    assert cert.max_radius() == 0
-
-
-def test_certify_window_maximum_needs_its_radius():
-    world = make_world("infinite", "sequential")
-    members = list(range(-4, 5))
-    sub = PowerSubgraph(world, members, 1)
-    outputs = {p: max(world.label(p + d) for d in (-2, -1, 0, 1, 2)) for p in members}
-
-    def recompute(snap):
-        return max(lab for _, lab, _, _ in snap.entries)
-
-    cert = certify_locality(sub, outputs, recompute, 2)
-    assert cert.max_radius() == 2
-    assert all(r <= 2 for r in cert.radii.values())
-
-
-def test_certify_flags_purity_failure():
-    world = make_world("infinite", "sequential")
-    sub = PowerSubgraph(world, [0, 1], 1)
-    with pytest.raises(EngineError):
-        certify_locality(sub, {0: 1, 1: 1}, lambda snap: 2, 3)
 
 
 def test_color_of_rejects_non_member():

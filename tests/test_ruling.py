@@ -25,7 +25,7 @@ from linemeet.ruling import (
     verify_limited_ruling_set,
     window_certifies,
 )
-from linemeet.world import make_world
+from linemeet.world import WorldError, make_world
 
 # frozen from hand-evaluated recurrences; regression here means the schedule
 # (and with it every cached constant) silently moved
@@ -303,3 +303,18 @@ def test_locality_certification():
     assert set(radii) == {0, 11, -40}
     for p, r in radii.items():
         assert r == termination_radius(world.label(p), 1)
+
+
+def test_locality_rejects_a_record_that_reads_past_its_ball(leaky_records):
+    world = make_world("infinite", "sequential")
+    with pytest.raises(RulingError,
+                       match="output of -2 changed under truncation to "
+                             "radius 56"):
+        certify_es_locality(world, range(-200, 201), 1)
+
+
+def test_locality_rejects_a_read_outside_the_window(peeking_construction):
+    # the full host labels every coordinate; only the ball's host refuses
+    world = make_world("infinite", "sequential")
+    with pytest.raises(WorldError, match="no label assigned"):
+        certify_es_locality(world, range(-200, 201), 1)

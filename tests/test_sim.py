@@ -306,6 +306,77 @@ class TestDetectionOracle:
             assert outcome(fast) == scanned_outcome(fast, cap) == outcome(ref)
 
 
+def seam_cycle(n, seed, plants, va, vb, tau, care):
+    """A cycle with distinct random labels above 3, ``plants`` on top."""
+    rng = np.random.default_rng(seed)
+    labels = 4 + rng.choice(10**9, size=n, replace=False)
+    scheme = ExplicitScheme({**dict(enumerate(labels.tolist())), **plants})
+    return SimConfig(topology="cycle", n=n, scheme=scheme, va=va, vb=vb,
+                     tau=tau, care=care,
+                     detection="node-only" if care else "node-or-crossing")
+
+
+def seam_searches(trace):
+    """(agent, L) of every search begun by the meeting whose window
+    [start - L, start + L] wraps across the cycle's seam."""
+    cfg = trace.config
+    scale = 4 if cfg.care else 1
+    found = set()
+    for agent, start, wake in (("alpha", cfg.va, 0), ("beta", cfg.vb, cfg.tau)):
+        L = 1
+        # iteration L searches from local round 28(L-1) + 4L on
+        while wake + scale * (32 * L - 28) <= trace.t_rdv:
+            note = trace.note_of(agent, wake + scale * (32 * L - 28))
+            if note is None:  # settled
+                break
+            if note.phase == "searching" and not L <= start < cfg.n - L:
+                found.add((agent, L))
+            L *= 2
+    return found
+
+
+@st.composite
+def seam_cycles(draw):
+    """Cycles of 33-131 nodes, n not a power of two, with label 1 (and
+    maybe 2 and 3) planted on the seam nodes n-2, n-1, 0 and 1, and one
+    start often next to them."""
+    n = draw(st.integers(33, 131).filter(lambda n: n & (n - 1)))
+    seam = draw(st.permutations([n - 2, n - 1, 0, 1]))
+    plants = {p: i + 1 for i, p in enumerate(seam[:draw(st.integers(1, 3))])}
+    vb = draw(st.one_of(st.sampled_from(seam), st.integers(0, n - 1)))
+    va = draw(st.integers(0, n - 1).filter(lambda v: v != vb))
+    return seam_cycle(n, draw(st.integers(0, 999)), plants, va, vb,
+                      draw(st.sampled_from([0, 1, 3, n])), draw(st.booleans()))
+
+
+class TestSeamOracle:
+    """Fast against reference on cycles whose smallest labels sit on the
+    seam, where a plan's window [start - L, start + L] wraps around it."""
+
+    # (n, seed, plants, va, vb, tau, care, seam-crossing searches); the
+    # first two search windows of 2L + 1 = n nodes
+    PINNED = [
+        (33, 1, {1: 1}, 1, 11, 3, False, {("alpha", 16)}),
+        (65, 0, {1: 1}, 0, 22, 3, True, {("alpha", 32)}),
+        (65, 0, {0: 1}, 0, 22, 3, False, {("alpha", 16), ("alpha", 32)}),
+        (131, 25, {129: 1, 130: 2, 0: 3}, 71, 0, 3, False, {("beta", 64)}),
+        (97, 303, {95: 1, 96: 2, 1: 3}, 62, 95, 0, False, {("beta", 16)}),
+    ]
+
+    @pytest.mark.parametrize("case", PINNED)
+    def test_pinned_searches_cross_the_seam(self, case):
+        *spec, crossing = case
+        fast, ref = both_engines(seam_cycle(*spec))
+        assert outcome(fast) == outcome(ref)
+        assert seam_searches(fast) == crossing
+
+    @settings(max_examples=40, deadline=None)
+    @given(seam_cycles())
+    def test_fast_matches_reference_across_the_seam(self, cfg):
+        fast, ref = both_engines(cfg)
+        assert outcome(fast) == outcome(ref)
+
+
 class TestPlansStopAtTheMeeting:
     """Detection plans no iteration that starts after an agent's meeting."""
 

@@ -154,44 +154,6 @@ def test_cycle_distance_is_a_metric(n, data):
     assert w.distance(a, c) <= w.distance(a, b) + w.distance(b, c)
 
 
-def test_snapshot_shapes():
-    w = make_world("infinite", "sequential")
-    assert len(list(w.snapshot(0, 0).entries)) == 1
-    snap = w.snapshot(0, 2)
-    assert snap.offsets.tolist() == [-2, -1, 0, 1, 2]
-    short = make_world("path", "sequential", n=3)
-    assert len(list(short.snapshot(0, 5).entries)) == 3
-
-
-def test_snapshot_monotone_consistency():
-    w = make_world("infinite", "random-injective:4", seed=9)
-    big = w.snapshot(5, 6)
-    small = w.snapshot(5, 4)
-    trunc = big.truncated(4)
-    assert np.array_equal(trunc.offsets, small.offsets)
-    assert np.array_equal(trunc.labels, small.labels)
-    assert np.array_equal(trunc.ports_toward_center, small.ports_toward_center)
-
-
-def test_cycle_snapshot_covers_each_node_once():
-    w = make_world("cycle", "sequential", n=10, seed=2)
-    snap = w.snapshot(3, 9)
-    assert snap.offsets.tolist() == list(range(-4, 6))
-    coords = (3 + snap.offsets) % 10
-    assert sorted(coords.tolist()) == list(range(10))
-
-
-def test_snapshot_ports_point_toward_center():
-    w = make_world("infinite", "sequential", seed=31)
-    snap = w.snapshot(7, 5)
-    for offset, _, _, port in snap.entries:
-        if offset == 0:
-            assert port is None
-            continue
-        nxt, _ = w.step(7 + offset, port)
-        assert abs(nxt - 7) == abs(offset) - 1
-
-
 def test_ports_are_consistent_edges():
     w = make_world("infinite", "sequential", seed=5)
     for p in range(-50, 50):
