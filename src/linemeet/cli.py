@@ -273,13 +273,11 @@ def _verify_carefulwalk(args: argparse.Namespace) -> int:
 
 
 def _trial_host(rng: np.random.Generator, trial: int, size: int):
+    scheme = f"random-injective:{rng.integers(2**31)}"
     if trial % 3 == 2:
-        host = make_world("cycle", f"random-injective:{rng.integers(2**31)}",
-                          n=size)
-        return host, range(size)
-    host = make_world("infinite", f"random-injective:{rng.integers(2**31)}")
+        return make_world("path", scheme, n=size), range(size)
     start = int(rng.integers(-1000, 1000))
-    return host, range(start, start + size)
+    return make_world("infinite", scheme), range(start, start + size)
 
 
 def _verify_rulingset(args: argparse.Namespace) -> int:
@@ -320,7 +318,7 @@ def _verify_locality(args: argparse.Namespace) -> int:
     The construction runs over [-U, U]; every node whose termination-radius
     ball fits in it is rebuilt on a host holding only that ball's labels
     (`certify_es_locality`).  A changed record or a read outside the ball
-    is an oracle failure.
+    is an oracle failure; a window that certifies no node proves nothing.
     """
     host = make_world("infinite", args.scheme, seed=args.seed)
     state = EsColState(host, np.arange(-args.universe, args.universe + 1),
@@ -330,9 +328,13 @@ def _verify_locality(args: argparse.Namespace) -> int:
     except (RulingError, WorldError) as err:
         _error_json("oracle-failure", str(err))
         return 1
+    if not radii:
+        _error_json("config", f"no termination-radius ball fits in "
+                              f"[-{args.universe}, {args.universe}]")
+        return 2
     print(f"locality: {len(radii)} certified nodes in "
           f"[-{args.universe}, {args.universe}], max termination radius "
-          f"{max(radii.values(), default=0)}, "
+          f"{max(radii.values())}, "
           f"all within {RADIUS_FACTOR}*R*logstar")
     return 0
 

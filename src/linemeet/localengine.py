@@ -1,4 +1,4 @@
-"""Deterministic coloring primitives on path-like power subgraphs.
+"""Deterministic coloring primitives on power subgraphs of a line.
 
 Everything here simulates synchronous full-information rounds: a k-round
 computation on ``G^k[U]`` is a pure function of each member's radius k*rounds
@@ -7,8 +7,9 @@ simulated rounds, which the ruling-set schedule and its termination radii are
 built from, so round counts must be content-independent: they depend on the
 declared palette, never on which colors actually occur.
 
-Max degree 2 covers chains, rings, and triangles of members; list coloring
-stretches to max degree 16 by decomposing edges into rank-difference classes.
+Hosts are lines, as for the ruling sets built on these primitives.  Max
+degree 2 covers chains and triangles of members; list coloring stretches to
+max degree 16 by decomposing edges into rank-difference classes.
 """
 
 from __future__ import annotations
@@ -66,11 +67,12 @@ class PowerSubgraph:
     """``G^k[U]``: members of a host world, adjacent within host distance k.
 
     Adjacency is materialized as a rank matrix (``-1`` padded) so the
-    coloring passes are numpy gathers.  On cycle hosts whose member span
-    wraps around, adjacency falls back to an explicit scan.
+    coloring passes are numpy gathers.  The host must be a line.
     """
 
     def __init__(self, host: World, members: Iterable[int], power: int):
+        if host.topology == "cycle":
+            raise EngineError(f"power subgraphs need a line, not a {host.topology}")
         if power < 1:
             raise EngineError(f"power must be >= 1, got {power}")
         arr = np.array(members if isinstance(members, np.ndarray)
@@ -79,7 +81,6 @@ class PowerSubgraph:
             arr.sort()
             if np.any(arr[1:] == arr[:-1]):
                 raise EngineError("duplicate members")
-        self.host = host
         self.members = arr
         self.power = int(power)
         self.labels = host.labels_at(arr) if arr.size else np.empty(0, dtype=np.int64)
@@ -93,40 +94,18 @@ class PowerSubgraph:
             self.max_degree = 0
             return
         c, k = self.members, self.power
-        host = self.host
-        wraps = (host.topology == "cycle"
-                 and host.n - (int(c[-1]) - int(c[0])) <= k and m > 1)
-        if wraps and 2 * k >= host.n:
-            deg = np.full(m, m - 1, dtype=np.int64)
-            t = np.arange(m - 1, dtype=np.int64)[None, :]
-            idx = np.arange(m, dtype=np.int64)[:, None]
-            nbrs = np.where(t >= idx, t + 1, t).astype(np.int64)
-        elif wraps:
-            # members within +-k form one circular rank window around each node
-            ext = np.concatenate([c - host.n, c, c + host.n])
-            lo = np.searchsorted(ext, c - k, side="left")
-            hi = np.searchsorted(ext, c + k, side="right")
-            deg = hi - lo - 1
-            dmax = int(deg.max())
-            t = np.arange(dmax, dtype=np.int64)[None, :]
-            raw = lo[:, None] + t
-            self_pos = (np.arange(m, dtype=np.int64) + m)[:, None]
-            raw = np.where(raw >= self_pos, raw + 1, raw)
-            nbrs = raw % m
-            nbrs[t >= deg[:, None]] = -1
-        else:
-            lo = np.searchsorted(c, c - k, side="left")
-            hi = np.searchsorted(c, c + k, side="right")
-            deg = hi - lo - 1
-            dmax = int(deg.max())
-            t = np.arange(dmax, dtype=np.int64)[None, :]
-            raw = lo[:, None] + t
-            idx = np.arange(m, dtype=np.int64)[:, None]
-            nbrs = np.where(raw >= idx, raw + 1, raw)
-            nbrs[t >= deg[:, None]] = -1
+        lo = np.searchsorted(c, c - k, side="left")
+        hi = np.searchsorted(c, c + k, side="right")
+        deg = hi - lo - 1
+        dmax = int(deg.max())
+        t = np.arange(dmax, dtype=np.int64)[None, :]
+        raw = lo[:, None] + t
+        idx = np.arange(m, dtype=np.int64)[:, None]
+        nbrs = np.where(raw >= idx, raw + 1, raw)
+        nbrs[t >= deg[:, None]] = -1
         self.nbrs = nbrs
         self.degrees = deg
-        self.max_degree = int(deg.max())
+        self.max_degree = dmax
 
     def require_degree(self, bound: int) -> None:
         if self.max_degree > bound:
@@ -358,7 +337,7 @@ def mis(sub: PowerSubgraph, palette: int | None = None,
 
     3-colors the members, then adds color classes 0, 1, 2 greedily; the
     result is independent and dominating regardless of member geometry
-    (chains, rings, triangles).
+    (chains, triangles).
     """
     assignment, _ = color_path_constant(sub, palette, base)
     return sub.members[_greedy_mis(assignment.colors, *sub.pair)]
@@ -371,30 +350,13 @@ def _difference_classes(sub: PowerSubgraph) -> list[tuple[np.ndarray, np.ndarray
     """Split edges by rank difference d; each class has degree <= 2.
 
     Member i's class-d neighbors can only be ranks i-d and i+d, so every
-    class is a disjoint union of paths (rings, on wrapped cycles) and the
-    classes cover all edges because adjacency windows are contiguous in the
-    (circular) rank order.
+    class is a disjoint union of paths, and the classes cover all edges
+    because adjacency windows are contiguous in the rank order.
     """
     m = sub.members.size
     c, k = sub.members, sub.power
     idx = np.arange(m, dtype=np.int64)
-    host = sub.host
     classes: list[tuple[np.ndarray, np.ndarray]] = []
-    if m > 1 and host.topology == "cycle" and host.n - (int(c[-1]) - int(c[0])) <= k:
-        n = host.n
-        for d in range(1, m // 2 + 1):
-            fwd = (idx + d) % m
-            back = (idx - d) % m
-            gap_f = (c[fwd] - c) % n
-            nB = np.where(np.minimum(gap_f, n - gap_f) <= k, fwd, -1)
-            if 2 * d == m:
-                nA = np.full(m, -1, dtype=np.int64)  # antipodal pair appears once
-            else:
-                gap_b = (c - c[back]) % n
-                nA = np.where(np.minimum(gap_b, n - gap_b) <= k, back, -1)
-            if (nA >= 0).any() or (nB >= 0).any():
-                classes.append((nA, nB))
-        return classes
     lo = np.searchsorted(c, c - k, side="left")
     hi = np.searchsorted(c, c + k, side="right")
     max_d = int(max((idx - lo).max(initial=0), (hi - 1 - idx).max(initial=0)))

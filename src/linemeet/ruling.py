@@ -1,5 +1,9 @@
 """Ruling sets on labeled lines, plus an early-stopping colored variant.
 
+Everything here runs on a line (the infinite line, or a path: a line with
+ends), as the interval an agent has walked is a path whatever its host; the
+distance of two coordinates is their difference, and other hosts raise.
+
 A ruling set with spacing R keeps members at pairwise host distance >= R
 while leaving no universe node farther than R-1 from a member.  The colored
 variant processes nodes class by class (classes are iterated-log buckets of
@@ -30,6 +34,12 @@ PALETTE_SIZE = 17  # member colors are 1..17
 
 class RulingError(ValueError):
     """Invalid spacing parameter or query outside the processed universe."""
+
+
+def _on_line(host: World) -> None:
+    """Reject a host that is not a line (see the module docstring)."""
+    if host.topology == "cycle":
+        raise RulingError(f"ruling sets are built on a line, not a {host.topology}")
 
 
 def _spacing(R: int) -> int:
@@ -166,27 +176,16 @@ RADIUS_FACTOR = _radius_factor()
 # -- vectorized distance helpers -----------------------------------------------
 
 
-def _with_wrap(host: World, coords: np.ndarray,
-               *companions: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sorted coords (plus aligned arrays) tripled across the cycle seam."""
-    if host.topology != "cycle":
-        return (coords, *companions)
-    n = host.n
-    ext = np.concatenate([coords - n, coords, coords + n])
-    return (ext, *[np.concatenate([a, a, a]) for a in companions])
-
-
-def _nearest_distance(host: World, queries: np.ndarray, members: np.ndarray,
+def _nearest_distance(queries: np.ndarray, members: np.ndarray,
                       cap: int | None = None) -> np.ndarray:
-    """Host distance from each query to the nearest member (capped)."""
+    """Distance from each query to the nearest sorted member (capped)."""
     if members.size == 0:
         if cap is None:
             raise RulingError("no members to measure against")
         return np.full(queries.size, cap, dtype=np.int64)
-    (ext,) = _with_wrap(host, members)
-    idx = np.searchsorted(ext, queries)
-    left = ext[np.clip(idx - 1, 0, ext.size - 1)]
-    right = ext[np.clip(idx, 0, ext.size - 1)]
+    idx = np.searchsorted(members, queries)
+    left = members[np.clip(idx - 1, 0, members.size - 1)]
+    right = members[np.clip(idx, 0, members.size - 1)]
     d = np.minimum(np.abs(queries - left), np.abs(right - queries))
     return np.minimum(d, cap) if cap is not None else d
 
@@ -208,16 +207,15 @@ def _range_max(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.maximum(table[kk, lo], table[kk, hi - (np.int64(1) << kk)])
 
 
-def _window_maxima(host: World, coords: np.ndarray, keys: np.ndarray,
+def _window_maxima(coords: np.ndarray, keys: np.ndarray,
                    reach: int) -> np.ndarray:
-    """True where a key is the maximum among all keys within host distance reach."""
-    ext_c, ext_k = _with_wrap(host, coords, keys)
-    lo = np.searchsorted(ext_c, coords - reach, side="left")
-    hi = np.searchsorted(ext_c, coords + reach, side="right")
-    return keys == _range_max(ext_k, lo, hi)
+    """True where a key is the maximum among all keys within distance reach."""
+    lo = np.searchsorted(coords, coords - reach, side="left")
+    hi = np.searchsorted(coords, coords + reach, side="right")
+    return keys == _range_max(keys, lo, hi)
 
 
-def _greedy_extend(host: World, coords: np.ndarray, labels: np.ndarray,
+def _greedy_extend(coords: np.ndarray, labels: np.ndarray,
                    committed: np.ndarray, R: int, iterations: int,
                    cap: int) -> np.ndarray:
     """Add locally-farthest candidates to the sorted committed set.
@@ -231,22 +229,20 @@ def _greedy_extend(host: World, coords: np.ndarray, labels: np.ndarray,
     rank = np.empty(m, dtype=np.int64)
     rank[np.argsort(labels)] = np.arange(m, dtype=np.int64)
     for _ in range(iterations):
-        b = _nearest_distance(host, coords, committed, cap=cap)
+        b = _nearest_distance(coords, committed, cap=cap)
         cand = b >= R
         if not cand.any():
             break
         keys = np.where(cand, b * np.int64(m + 1) + rank, np.int64(-1))
-        top = cand & _window_maxima(host, coords, keys, R - 1)
+        top = cand & _window_maxima(coords, keys, R - 1)
         committed = np.union1d(committed, coords[top])
     return committed
 
 
-def _check_spacing(host: World, members: np.ndarray, spacing: int) -> None:
+def _check_spacing(members: np.ndarray, spacing: int) -> None:
     if members.size < 2:
         return
     gap = int(np.diff(members).min())
-    if host.topology == "cycle":
-        gap = min(gap, host.n - int(members[-1] - members[0]))
     if gap < spacing:
         raise RulingError(f"members {gap} apart, need spacing {spacing}")
 
@@ -286,6 +282,7 @@ def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
     on a breach: spacing >= 2^i, universe covering <= 2^(i+1) - i - 2 per
     doubling stage (3R-3 after the last), and covering <= R-1 at the end.
     """
+    _on_line(host)
     R = _spacing(R)
     coords = _sorted_coords(universe)
     if coords.size == 0 or R == 1:
@@ -298,13 +295,13 @@ def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
         sub = PowerSubgraph(host, s, stage_reach)
         s = mis(sub, palette, base)
         if debug:
-            _check_spacing(host, s, 2**i if i < d else R)
-            worst = int(_nearest_distance(host, coords, s).max())
+            _check_spacing(s, 2**i if i < d else R)
+            worst = int(_nearest_distance(coords, s).max())
             bound = 2**(i + 1) - i - 2 if i < d else 3 * R - 3
             _check_covering(worst, bound, f"doubling stage {i}")
-    s = _greedy_extend(host, coords, labels, s, R, 6, cap=3 * R - 2)
+    s = _greedy_extend(coords, labels, s, R, 6, cap=3 * R - 2)
     if debug:
-        worst = int(_nearest_distance(host, coords, s).max())
+        worst = int(_nearest_distance(coords, s).max())
         _check_covering(worst, R - 1, "greedy extension")
     return LimitedRulingSet(host, coords, s, R)
 
@@ -313,28 +310,23 @@ def verify_limited_ruling_set(host: World, universe: Iterable[int],
                               members: Iterable[int], alpha: int,
                               beta: int) -> RulingCheck:
     """Exhaustively check membership, packing, and covering."""
-    uni = sorted({int(p) for p in universe})
-    uset = set(uni)
-    mem = np.array(sorted({int(p) for p in members}), dtype=np.int64)
-    outside = [int(p) for p in mem if int(p) not in uset]
-    if outside:
-        return RulingCheck(False, "subset", (outside[0],))
+    _on_line(host)
+    uni, mem = _sorted_coords(universe), _sorted_coords(members)
+    outside = mem[~np.isin(mem, uni)]
+    if outside.size:
+        return RulingCheck(False, "subset", (int(outside[0]),))
     if mem.size >= 2:
         gaps = np.diff(mem)
         j = int(np.argmin(gaps))
         if int(gaps[j]) < alpha:
             return RulingCheck(False, "packing", (int(mem[j]), int(mem[j + 1])))
-        if host.topology == "cycle":
-            seam = host.n - int(mem[-1] - mem[0])
-            if seam < alpha:
-                return RulingCheck(False, "packing", (int(mem[-1]), int(mem[0])))
-    if uni:
+    if uni.size:
         if mem.size == 0:
-            return RulingCheck(False, "covering", (uni[0],))
-        d = _nearest_distance(host, np.array(uni, dtype=np.int64), mem)
+            return RulingCheck(False, "covering", (int(uni[0]),))
+        d = _nearest_distance(uni, mem)
         j = int(np.argmax(d))
         if int(d[j]) > beta:
-            return RulingCheck(False, "covering", (uni[j],))
+            return RulingCheck(False, "covering", (int(uni[j]),))
     return RulingCheck(True)
 
 
@@ -379,21 +371,21 @@ class EsColState:
                                     debug=debug).member_coords
             committed = self.coords[self.in_set]
             if committed.size and fresh.size:
-                far = _nearest_distance(host, fresh, committed) >= R
+                far = _nearest_distance(fresh, committed) >= R
                 fresh = fresh[far]
             self.in_set[np.searchsorted(self.coords, fresh)] = True
             if debug:
-                merged = _nearest_distance(host, vi, self.coords[self.in_set])
+                merged = _nearest_distance(vi, self.coords[self.in_set])
                 _check_covering(int(merged.max()), 2 * R - 2,
                                 f"class {i} merge")
             # distances are to the whole committed set, candidacy and the
             # beat rule stay within this class
-            extended = _greedy_extend(host, vi, self.labels[sel],
+            extended = _greedy_extend(vi, self.labels[sel],
                                       self.coords[self.in_set], R, 4,
                                       cap=2 * R - 1)
             self.in_set[np.searchsorted(self.coords, extended)] = True
             if debug:
-                covered = _nearest_distance(host, vi, self.coords[self.in_set])
+                covered = _nearest_distance(vi, self.coords[self.in_set])
                 _check_covering(int(covered.max()), R - 1,
                                 f"class {i} extension")
             self._color_phase(i)
@@ -405,7 +397,7 @@ class EsColState:
         if phase.size == 0:
             return
         committed = self.colors > 0
-        sc, scol = _with_wrap(host, self.coords[committed], self.colors[committed])
+        sc, scol = self.coords[committed], self.colors[committed]
         reach = 9 * R - 1
         lo = np.searchsorted(sc, phase - reach, side="left")
         hi = np.searchsorted(sc, phase + reach, side="right")
@@ -433,22 +425,20 @@ class EsColState:
     def output_for(self, position: int) -> ColoredRulingOutput:
         j = self._rank_of(int(position))
         cls = int(self.classes[j])
-        ext_c, ext_cls, ext_col = _with_wrap(self.host, self.member_coords,
-                                             self.member_classes,
-                                             self.member_colors)
-        lo = np.searchsorted(ext_c, position - (self.R - 1), side="left")
-        hi = np.searchsorted(ext_c, position + (self.R - 1), side="right")
+        mc = self.member_coords
+        lo = np.searchsorted(mc, position - (self.R - 1), side="left")
+        hi = np.searchsorted(mc, position + (self.R - 1), side="right")
         near = []
-        for w, wc, wcol in zip(ext_c[lo:hi], ext_cls[lo:hi], ext_col[lo:hi]):
-            p = int(w) % self.host.n if self.host.topology == "cycle" else int(w)
-            if p != position and wc <= cls:
-                near.append((p, int(wcol)))
+        for w, wc, wcol in zip(mc[lo:hi], self.member_classes[lo:hi],
+                               self.member_colors[lo:hi]):
+            if w != position and wc <= cls:
+                near.append((int(w), int(wcol)))
         bound = phase_end_round(self.R, cls)
         color = int(self.colors[j]) if self.in_set[j] else None
         return ColoredRulingOutput(
             position=int(position), label=int(self.labels[j]), label_class=cls,
             in_set=bool(self.in_set[j]), color=color,
-            nearby_members=tuple(sorted(set(near))),
+            nearby_members=tuple(near),
             termination_radius=bound)
 
 
@@ -468,20 +458,15 @@ def es_col_path_ruling_set(host: World, universe: Iterable[int], R: int,
 def window_certifies(host: World, window: Iterable[int], position: int,
                      R: int) -> bool:
     """Whether the window contains the node's whole termination-radius ball."""
+    _on_line(host)
     coords = _sorted_coords(window)
     j = np.searchsorted(coords, position)
     if j >= coords.size or coords[j] != position:
         return False
     radius = termination_radius(host.label(position), R)
-    if host.topology == "cycle":
-        span = min(host.n, 2 * radius + 1)
-        offs = np.arange(-(span // 2) if span < host.n else 0,
-                         (span + 1) // 2 if span < host.n else host.n)
-        ball = (position + offs) % host.n
-        return bool(np.isin(ball, coords).all())
     lo = position - radius
     hi = position + radius
-    if host.topology == "path":
+    if host.topology == "path":  # its ends carry their own boundary
         lo, hi = max(lo, 0), min(hi, host.n - 1)
     a = np.searchsorted(coords, lo)
     b = np.searchsorted(coords, hi, side="right")
@@ -510,14 +495,12 @@ def verify_es_col_ruling(host: World, universe: Iterable[int], R: int,
         cols = state.member_colors[state.member_classes <= i]
         if cols.size and (cols.min() < 1 or cols.max() > PALETTE_SIZE):
             return RulingCheck(False, "color-range", (i,))
-        ext_c, ext_col = _with_wrap(host, spref, cols)
         for j, pos in enumerate(spref):
-            lo = np.searchsorted(ext_c, pos - (9 * R - 1), side="left")
-            hi = np.searchsorted(ext_c, pos + (9 * R - 1), side="right")
-            for w, wcol in zip(ext_c[lo:hi], ext_col[lo:hi]):
-                p = int(w) % host.n if host.topology == "cycle" else int(w)
-                if p != int(pos) and wcol == cols[j]:
-                    return RulingCheck(False, "coloring", (int(pos), p))
+            lo = np.searchsorted(spref, pos - (9 * R - 1), side="left")
+            hi = np.searchsorted(spref, pos + (9 * R - 1), side="right")
+            for w, wcol in zip(spref[lo:hi], cols[lo:hi]):
+                if w != pos and wcol == cols[j]:
+                    return RulingCheck(False, "coloring", (int(pos), int(w)))
     for j, pos in enumerate(state.coords):
         out = state.output_for(int(pos))
         want = _brute_nearby(host, state, int(pos), int(state.classes[j]))
@@ -559,9 +542,7 @@ def certify_es_locality(host: World, universe: Iterable[int], R: int,
         if not window_certifies(host, arr, p, state.R):
             continue
         radius = termination_radius(host.label(p), state.R)
-        gap = np.abs(arr - p) if host.topology != "cycle" else \
-            np.minimum((arr - p) % host.n, (p - arr) % host.n)
-        near = gap <= radius
+        near = np.abs(arr - p) <= radius
         ball = ExplicitScheme(dict(zip(arr[near].tolist(),
                                        state.labels[near].tolist())))
         local = World(host.topology, ball, host.n)

@@ -148,7 +148,7 @@ def test_ruling_set_randomized_oracle():
         r = int(rng.choice([1, 2, 4, 8, 16]))
         size = int(rng.integers(4, 513))
         if trial % 4 == 0:
-            host = make_world("cycle", f"random-injective:{trial}:1000000",
+            host = make_world("path", f"random-injective:{trial}:1000000",
                               n=size)
             universe = np.arange(size)
         else:
@@ -175,7 +175,7 @@ def test_colored_ruling_construction_oracle():
         size = int(rng.integers(4, 257))
         kind = trial % 3
         if kind == 0:
-            host = make_world("cycle", f"random-injective:{trial}:1000000",
+            host = make_world("path", f"random-injective:{trial}:1000000",
                               n=size)
             universe = np.arange(size)
         elif kind == 1:

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -219,6 +220,42 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "locality", *flags)
         assert code == 2
         assert json.loads(err)["error"] == "config"
+
+    @pytest.mark.parametrize("r,universe", [("1", "10"), ("16", "300")])
+    def test_locality_certifying_no_node_exits_two(self, capsys, r, universe):
+        # no termination-radius ball fits, so the run would prove nothing
+        code, out, err = run_cli(capsys, "verify", "locality",
+                                 "--r", r, "--universe", universe)
+        assert code == 2 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "config"
+        assert f"[-{universe}, {universe}]" in report["detail"]
+
+
+def _readme_examples() -> list[tuple[list[str], list[str]]]:
+    """(argv, printed lines) of each `$ linemeet run|sweep` README example."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples, current = [], None
+    for line in readme.read_text().splitlines():
+        if line.startswith("$ linemeet "):
+            current = (shlex.split(line)[2:], [])
+            examples.append(current)
+        elif current is not None and line and not line.startswith("```"):
+            current[1].append(line)
+        else:
+            current = None
+    return [ex for ex in examples if ex[0][0] in ("run", "sweep")]
+
+
+def test_readme_examples_print_what_readme_shows(capsys, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the sweep example writes grid.csv
+    examples = _readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["run", "run", "sweep"]
+    for argv, want in examples:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert out.splitlines() == want, argv
 
 
 class TestConstantsCommand:

@@ -71,17 +71,6 @@ def path_like_instances(draw):
     return make_world("infinite", scheme), coords, power
 
 
-@st.composite
-def ring_instances(draw):
-    g = draw(st.integers(2, 6))
-    m = draw(st.integers(3, 20))
-    gaps = draw(st.lists(st.integers(g, 2 * g), min_size=m, max_size=m))
-    n = sum(gaps)
-    coords = np.cumsum([0] + gaps[:-1]).tolist()
-    power = draw(st.integers(1, 2 * g - 1))
-    return make_world("cycle", "sequential", n=n), coords, power
-
-
 # degree <= 16: gaps >= g and power < 9g leave at most eight per side
 @st.composite
 def bounded_degree_instances(draw):
@@ -109,24 +98,6 @@ def test_adjacency_matches_host_distances(inst):
         assert sub.degrees[rank] == sum(p in e for e in want)
 
 
-@given(ring_instances())
-@settings(deadline=None)
-def test_cycle_adjacency_matches_host_distances(inst):
-    world, coords, power = inst
-    sub = PowerSubgraph(world, coords, power)
-    want = set(true_edges(world, coords, power))
-    got = {tuple(sorted((int(sub.members[i]), int(sub.members[j]))))
-           for i, j in sub.edges()}
-    assert got == want
-
-
-def test_small_cycle_is_complete_graph():
-    world = make_world("cycle", "sequential", n=5)
-    sub = PowerSubgraph(world, range(5), 2)
-    assert sub.max_degree == 4
-    assert len(list(sub.edges())) == 10
-
-
 def test_duplicate_members_rejected():
     world = make_world("infinite", "sequential")
     with pytest.raises(EngineError):
@@ -145,7 +116,7 @@ def test_members_sorted_and_not_shared_with_the_caller():
     assert PowerSubgraph(world, (p for p in [3, 1]), 1).members.tolist() == [1, 3]
 
 
-@given(ring_instances())
+@given(bounded_degree_instances())
 @settings(deadline=None)
 def test_difference_classes_cover_all_edges_once(inst):
     world, coords, power = inst
@@ -419,20 +390,10 @@ def test_three_coloring_is_proper(inst):
     assert rounds == three_color_rounds(bound)
 
 
-@given(ring_instances())
-@settings(deadline=None)
-def test_three_coloring_on_rings(inst):
-    world, coords, power = inst
-    sub = PowerSubgraph(world, coords, power)
-    if sub.max_degree > 2:
-        return
-    assignment, _ = color_path_constant(sub)
-    assert_proper(world, sub, assignment.as_dict())
-
-
 def test_three_coloring_on_triangle():
-    world = make_world("cycle", "sequential", n=3)
-    sub = PowerSubgraph(world, [0, 1, 2], 1)
+    world = make_world("infinite", "sequential")
+    sub = PowerSubgraph(world, [0, 1, 2], 2)
+    assert sub.max_degree == 2 and len(list(sub.edges())) == 3
     assignment, _ = color_path_constant(sub)
     assert sorted(assignment.as_dict().values()) == [0, 1, 2]
     assert mis(sub).tolist() in ([0], [1], [2])
@@ -469,16 +430,6 @@ def assert_mis(world, members, power, chosen):
 def test_mis_independent_and_dominating(inst):
     world, coords, power = inst
     sub = PowerSubgraph(world, coords, power)
-    assert_mis(world, coords, power, mis(sub))
-
-
-@given(ring_instances())
-@settings(deadline=None)
-def test_mis_on_rings(inst):
-    world, coords, power = inst
-    sub = PowerSubgraph(world, coords, power)
-    if sub.max_degree > 2:
-        return
     assert_mis(world, coords, power, mis(sub))
 
 
