@@ -317,8 +317,9 @@ def _verify_locality(args: argparse.Namespace) -> int:
 
     The construction runs over [-U, U]; every node whose termination-radius
     ball fits in it is rebuilt on a host holding only that ball's labels
-    (`certify_es_locality`).  A changed record or a read outside the ball
-    is an oracle failure; a window that certifies no node proves nothing.
+    (`certify_es_locality`).  A changed record, a read outside the ball or a
+    radius beyond RADIUS_FACTOR * R * log* of the node's label is an oracle
+    failure; a window that certifies no node proves nothing.
     """
     host = make_world("infinite", args.scheme, seed=args.seed)
     state = EsColState(host, np.arange(-args.universe, args.universe + 1),
@@ -332,6 +333,12 @@ def _verify_locality(args: argparse.Namespace) -> int:
         _error_json("config", f"no termination-radius ball fits in "
                               f"[-{args.universe}, {args.universe}]")
         return 2
+    for p, radius in radii.items():
+        bound = RADIUS_FACTOR * args.r * log_star(host.label(p))
+        if radius > bound:
+            _error_json("oracle-failure",
+                        f"termination radius {radius} of {p} exceeds {bound}")
+            return 1
     print(f"locality: {len(radii)} certified nodes in "
           f"[-{args.universe}, {args.universe}], max termination radius "
           f"{max(radii.values())}, "
@@ -441,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--scheme", default="sequential",
                           help="label scheme for locality")
-    p_verify.add_argument("--r", type=int, default=4,
+    p_verify.add_argument("--r", type=int, default=1,
                           help="spacing parameter for locality")
-    p_verify.add_argument("--universe", type=int, default=128,
+    p_verify.add_argument("--universe", type=int, default=1200,
                           help="window size for locality")
     p_verify.set_defaults(func=cmd_verify)
 

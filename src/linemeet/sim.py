@@ -875,7 +875,7 @@ def _world_work(config: SimConfig) -> _WorldWork:
     if work is None:
         if isinstance(scheme, str):
             # a stored world with the same spec lends its parsed scheme,
-            # which for random labels holds 1 MiB of Feistel tables
+            # which for random labels holds 256 KiB of Feistel tables
             scheme = next((w.world.scheme for k, w in _WORLDS.items()
                            if k[2] == scheme), scheme)
         work = _WorldWork(make_world(config.topology, scheme, n=config.n,

@@ -43,13 +43,15 @@ class _FeistelPerm:
 
     Round functions are lookup tables filled from SHAKE-256 of the key, so the
     permutation is a pure function of (key, size) and vectorizes to numpy
-    gathers.  Values landing outside [0, size) are cycle-walked back through
-    the network; since the network permutes [0, 2**(2h)) this stays a
-    bijection of [0, size).
+    gathers.  Each table is stored in the narrowest unsigned dtype that holds
+    its mask (uint16 for 10**9 labels); the gathers promote to int64.  Values
+    landing outside [0, size) are cycle-walked back through the network;
+    since the network permutes [0, 2**(2h)) this stays a bijection of
+    [0, size).
     """
 
     ROUNDS = 4
-    MAX_BITS = 40  # table memory guard: h <= 20 keeps each table <= 8 MiB
+    MAX_BITS = 40  # table memory guard: h <= 20 keeps each uint32 table at 4 MiB
 
     def __init__(self, key: bytes, size: int):
         if size < 1:
@@ -61,10 +63,11 @@ class _FeistelPerm:
         self.half_bits = (bits + 1) // 2
         self.mask = (1 << self.half_bits) - 1
         table_bytes = (1 << self.half_bits) * 8
+        width = np.min_scalar_type(self.mask)
         tables = []
         for rnd in range(self.ROUNDS):
             digest = hashlib.shake_256(key + rnd.to_bytes(2, "big")).digest(table_bytes)
-            tables.append(np.frombuffer(digest, dtype=np.uint64).astype(np.int64) & self.mask)
+            tables.append((np.frombuffer(digest, dtype=np.uint64) & self.mask).astype(width))
         self._tables = tables
 
     def apply(self, idx: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from linemeet import cli
 from linemeet.cli import EXIT_BROKEN_PIPE, main
 
 
@@ -194,10 +195,21 @@ class TestVerifyCommand:
         assert "0 failures" in out
 
     def test_locality_smoke_window(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "locality",
-                               "--r", "4", "--universe", "128")
+        # the defaults are the CI strength, --r 1 --universe 1200
+        code, out, _ = run_cli(capsys, "verify", "locality")
         assert code == 0
+        assert "65 certified nodes" in out
         assert "all within 424*R*logstar" in out
+
+    def test_locality_radius_beyond_bound_exits_one(self, capsys, monkeypatch):
+        # the summary's bound is checked per certified node, not just printed
+        monkeypatch.setattr(cli, "RADIUS_FACTOR", 1)
+        code, out, err = run_cli(capsys, "verify", "locality",
+                                 "--r", "1", "--universe", "200")
+        assert code == 1 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "oracle-failure"
+        assert "termination radius" in report["detail"]
 
     def test_locality_certifies_nodes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "locality",

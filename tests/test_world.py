@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -72,6 +74,35 @@ def test_random_injective_vectorized_matches_scalar():
     coords = np.arange(-64, 65)
     vec = s.labels_at(coords)
     assert vec.tolist() == [s.label_at(int(c)) for c in coords]
+
+
+@pytest.mark.parametrize("scheme,digest,origin_label", [
+    (RandomInjectiveScheme(0), "cd2d67b05bf704db", 539099441),  # uint16 tables
+    (RandomInjectiveScheme(3, 10**12), "3295224fdb3a23b1", 169687923181),  # uint32
+    (UniformClassScheme(0, 5), "9fbf7d10a1f8d624", 491),  # uint16 spill zone
+])
+def test_seeded_labels_are_pinned(scheme, digest, origin_label):
+    # the Feistel tables' storage width must never change a label
+    labels = scheme.labels_at(np.arange(-4096, 4097))
+    assert hashlib.sha256(labels.astype("<i8").tobytes()).hexdigest()[:16] == digest
+    assert labels[4096] == scheme.label_at(0) == origin_label
+
+
+@pytest.mark.parametrize("build,count,kib_each", [
+    (lambda k: RandomInjectiveScheme(k, 10**9), 8, 320),  # 4 uint16 tables of 2**15
+    (lambda k: UniformClassScheme(k, 5), 4, 600),  # class 6 spill: 4 of 2**16
+], ids=["random-injective", "uniform-class"])
+def test_seeded_schemes_hold_narrow_tables(build, count, kib_each):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        schemes = [build(k) for k in range(count)]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(schemes) == count
+    assert held <= count * kib_each * 1024
 
 
 @pytest.mark.parametrize("scheme", [
