@@ -336,10 +336,14 @@ def verify_limited_ruling_set(host: World, universe: Iterable[int],
 class EsColState:
     """Committed membership, colors, and classes over a processed window.
 
-    Built once per (host, window, R); per-node records are assembled on
-    demand.  A node's record is trustworthy when the window contains its
-    whole termination-radius ball (`window_certifies`), which is exactly
-    when truncating the window further cannot change it.
+    Classes commit in order at their schedule rounds; each class builds its
+    own ruling set, drops members within R-1 of the committed set, runs four
+    greedy-extension iterations, and list-colors the newcomers against the
+    colors already committed within 9R-1.  Built once per (host, window,
+    R); per-node records are assembled on demand by ``output_for``.  A
+    node's record is trustworthy when the window contains its whole
+    termination-radius ball (`window_certifies`), which is exactly when
+    truncating the window further cannot change it.
     """
 
     def __init__(self, host: World, positions: Iterable[int], R: int,
@@ -440,19 +444,6 @@ class EsColState:
             in_set=bool(self.in_set[j]), color=color,
             nearby_members=tuple(near),
             termination_radius=bound)
-
-
-def es_col_path_ruling_set(host: World, universe: Iterable[int], R: int,
-                           debug: bool = False) -> dict[int, ColoredRulingOutput]:
-    """Class-by-class colored ruling set over a finite processed universe.
-
-    Classes commit in order at their schedule rounds; each class builds its
-    own ruling set, drops members within R-1 of the committed set, runs four
-    greedy-extension iterations, and list-colors the newcomers against the
-    colors already committed within 9R-1.
-    """
-    state = EsColState(host, universe, R, debug=debug)
-    return {int(p): state.output_for(int(p)) for p in state.coords}
 
 
 def window_certifies(host: World, window: Iterable[int], position: int,

@@ -164,6 +164,8 @@ def _iteration_index(t: int) -> int:
 class AgentPlan:
     """Piecewise-linear trajectory of the plain program from one start.
 
+    Segments are maximal straight legs: a leg with the slope of the last
+    segment extends it, so consecutive segments always differ in slope.
     Iterations are appended lazily; a finite-topology takeover (endpoint
     ping-pong or cycle settling) replaces the tail with a closed form.
     Positions are in the unbounded frame; cycle positions wrap only when
@@ -193,9 +195,10 @@ class AgentPlan:
     def _append(self, dur: int, slope: int) -> None:
         if dur <= 0:
             return
-        self.t0s.append(self.cur_t)
-        self.x0s.append(self.cur_x)
-        self.slopes.append(slope)
+        if not self.slopes or self.slopes[-1] != slope:
+            self.t0s.append(self.cur_t)
+            self.x0s.append(self.cur_x)
+            self.slopes.append(slope)
         self.cur_t += dur
         self.cur_x += slope * dur
         self._arrays = None
@@ -477,7 +480,12 @@ class _Track:
         return self.shift + self.plan.terminal[1]
 
     def piece(self, t: int) -> tuple[int, int, float]:
-        """(position at t, slope, end of the linear piece holding t)."""
+        """(position at t, slope, end of the linear piece holding t).
+
+        Callers hold a piece until its end and read the next one there.  A
+        piece that ends at ``end()`` is read again only after the plan is
+        extended, which may continue its segment.
+        """
         if t < self.shift:
             return self.rest, 0, self.shift
         plan = self.plan
@@ -612,9 +620,12 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
 
     Walks the merged breakpoints of both plain trajectories, solving each
     stretch where both are linear, and extends only the plan that covers the
-    shorter stretch, one doubling iteration at a time.  Care runs work in
-    plain steps of 4 rounds.  Once both plans are in their terminal tails,
-    one period of the joint motion decides whether they ever meet.
+    shorter stretch, one doubling iteration at a time.  Each track keeps its
+    current piece and advances it arithmetically, so a track is looked up
+    once per breakpoint of its own; the track just extended stands at its
+    old end and so is read again.  Care runs work in plain steps of 4
+    rounds.  Once both plans are in their terminal tails, one period of the
+    joint motion decides whether they ever meet.
     """
     scale = 4 if config.care else 1
     wrap = world.n if world.topology == "cycle" else None
@@ -624,6 +635,8 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
              else _plain_solver(config.detection, wrap))
     limit = cap // scale + 1
     t, found = 0, None
+    # each track's held piece; one that ends by t is read afresh
+    xa = sa = ea = xb = sb = eb = 0
     while True:
         if plan_a.terminal and plan_b.terminal:
             # one period past both tail starts, plus the gadget's lookaround
@@ -634,12 +647,18 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
         while t < hi:
             if found and found[0] < t * scale:
                 break
-            xa, sa, ea = ta.piece(t)
-            xb, sb, eb = tb.piece(t)
-            u1 = min(ea, eb, hi)
+            if ea <= t:
+                xa, sa, ea = ta.piece(t)
+            if eb <= t:
+                xb, sb, eb = tb.piece(t)
+            u1 = ea if ea < eb else eb
+            if hi < u1:
+                u1 = hi
             event = solve(t, u1, xa, sa, xb, sb)
             if event and (found is None or event < found):
                 found = event
+            xa += sa * (u1 - t)
+            xb += sb * (u1 - t)
             t = u1
         if t >= limit or (found and found[0] < t * scale):
             break

@@ -23,7 +23,7 @@ from linemeet.agent import (
     spacing_grid,
     z_walk,
 )
-from linemeet.ruling import EsColState, es_col_path_ruling_set, termination_radius
+from linemeet.ruling import EsColState, termination_radius
 from linemeet.world import ExplicitScheme, World, make_world
 
 
@@ -185,8 +185,8 @@ class TestPlanIteration:
         labels, lo = window_labels(world, -16, 16)
         plan = plan_iteration(labels, lo, 0, 16)
         assert plan is not None and plan.R == 1 and plan.r == 0
-        outputs = es_col_path_ruling_set(world, range(-16, 17), 1)
-        assert plan.color == outputs[0].color
+        state = EsColState(world, range(-16, 17), 1)
+        assert plan.color == state.output_for(0).color
         assert plan.bits == color_bits(plan.color)
 
     def test_sequential_larger_budget_same_spacing(self):
@@ -210,9 +210,10 @@ class TestPlanIteration:
         assert plan.R == 4
         assert plan.r == -2
         assert plan.sweep_direction == 1
-        outputs = es_col_path_ruling_set(world, range(-256, 257), 4)
-        assert plan.color == outputs[-2].color
-        assert dict(plan.members) == {-2: outputs[-2].color, 3: outputs[3].color}
+        state = EsColState(world, range(-256, 257), 4)
+        color = {u: state.output_for(u).color for u in (-2, 3)}
+        assert plan.color == color[-2]
+        assert dict(plan.members) == color
 
     def test_injected_lookup_agrees(self):
         world = self.planted_world()

@@ -15,7 +15,6 @@ from linemeet.ruling import (
     RulingError,
     certify_es_locality,
     class_phase_rounds,
-    es_col_path_ruling_set,
     list_color_budget,
     path_ruling_set,
     phase_end_round,
@@ -75,15 +74,14 @@ def test_termination_radius_bound_and_monotonicity():
     (lambda h: PowerSubgraph(h, range(12), 1), EngineError),
     (lambda h: path_ruling_set(h, range(12), 4), RulingError),
     (lambda h: EsColState(h, range(12), 4), RulingError),
-    (lambda h: es_col_path_ruling_set(h, range(12), 4), RulingError),
     (lambda h: verify_limited_ruling_set(h, range(12), [0, 6], 4, 3),
      RulingError),
     (lambda h: verify_es_col_ruling(h, range(12), 4), RulingError),
     (lambda h: window_certifies(h, range(12), 0, 1), RulingError),
     (lambda h: certify_es_locality(h, range(12), 1), RulingError),
 ], ids=["PowerSubgraph", "path_ruling_set", "EsColState",
-        "es_col_path_ruling_set", "verify_limited_ruling_set",
-        "verify_es_col_ruling", "window_certifies", "certify_es_locality"])
+        "verify_limited_ruling_set", "verify_es_col_ruling",
+        "window_certifies", "certify_es_locality"])
 def test_cycle_host_is_rejected(build, error):
     # everything here is built on a line; a cycle must not get line distances
     host = make_world("cycle", "sequential", n=12)
@@ -199,8 +197,7 @@ def test_ruling_set_randomized(inst):
 
 def test_single_node_universe():
     world = make_world("infinite", "sequential")  # label 1 at the origin
-    outs = es_col_path_ruling_set(world, [0], 4)
-    out = outs[0]
+    out = EsColState(world, [0], 4).output_for(0)
     assert out.in_set and 1 <= out.color <= PALETTE_SIZE
     assert out.label_class == 1 and out.nearby_members == ()
     assert out.termination_radius <= RADIUS_FACTOR * 4 * 1
@@ -213,8 +210,8 @@ def test_sixty_four_consecutive_nodes_full_replay():
     payload = json.dumps({str(i): int(lab) for i, lab in enumerate(labels)})
     world = make_world("infinite", f"explicit:{payload}")
     universe = range(64)
-    es_col_path_ruling_set(world, universe, 4, debug=True)
-    assert verify_es_col_ruling(world, universe, 4).ok
+    state = EsColState(world, universe, 4, debug=True)
+    assert verify_es_col_ruling(world, universe, 4, state=state).ok
 
 
 @st.composite
@@ -239,8 +236,9 @@ def test_es_ruling_randomized(inst):
 
 def test_non_members_see_a_nearby_member():
     world = make_world("infinite", "random-injective:17")
-    outs = es_col_path_ruling_set(world, range(-60, 60), 4)
-    for out in outs.values():
+    state = EsColState(world, range(-60, 60), 4)
+    assert state.coords.tolist() == list(range(-60, 60))
+    for out in map(state.output_for, state.coords):
         assert out.in_set or out.nearby_members, out
         if not out.in_set:
             assert out.color is None
@@ -249,7 +247,7 @@ def test_non_members_see_a_nearby_member():
 def test_es_rejects_bad_spacing():
     world = make_world("infinite", "sequential")
     with pytest.raises(RulingError):
-        es_col_path_ruling_set(world, [0], 0)
+        EsColState(world, [0], 0)
 
 
 def test_es_state_takes_positions_in_any_order_and_owns_them():

@@ -26,7 +26,7 @@ from linemeet.sim import (
     sweep,
     write_csv,
 )
-from linemeet.agent import plan_iteration
+from linemeet.agent import color_bits, plan_iteration, searching_walk, z_walk
 from linemeet.logstar import CLASS_COUNT, CLASS_HI, CLASS_LO, log_star
 from linemeet.ruling import phase_end_round, termination_radius
 from linemeet.world import (
@@ -306,6 +306,64 @@ class TestDetectionOracle:
             assert outcome(fast) == scanned_outcome(fast, cap) == outcome(ref)
 
 
+def detect(cfg, plan_a, plan_b, cap):
+    """``(t_rdv, event, meet_position)`` of ``sim._detect`` on given plans."""
+    world = plan_a.world
+    fns = sim._plan_position_fns(cfg, plan_a, plan_b)
+    meet = sim._detect(cfg, world, plan_a, plan_b, cap, fns)
+    if meet is None:
+        return None
+    x = int(fns[0](meet[0], meet[0])[0])
+    return (*meet, x % world.n if world.topology == "cycle" else x)
+
+
+def refine(plan, data):
+    """Cut drawn segments of ``plan``, each at a drawn interior round, or
+    every segment at its middle when there is no ``data``.
+
+    The trajectory is unchanged; it only runs through more, collinear
+    pieces, which the detector must cross as it crosses real breakpoints.
+    """
+    ends = [*plan.t0s[1:], plan.cur_t][:len(plan.t0s)]
+    offs = ([(end - t0) // 2 - 1 for t0, end in zip(plan.t0s, ends)]
+            if data is None else
+            data.draw(st.lists(st.none() | st.integers(0, 10**6),
+                               min_size=len(ends), max_size=len(ends))))
+    cuts = {t0 + 1 + off % (end - t0 - 1)
+            for t0, end, off in zip(plan.t0s, ends, offs)
+            if off is not None and end - t0 > 1}
+    t0s, x0s, slopes = [], [], []
+    for t0, x0, slope, end in zip(plan.t0s, plan.x0s, plan.slopes, ends):
+        for u in [t0, *sorted(c for c in cuts if t0 < c < end)]:
+            t0s.append(u)
+            x0s.append(x0 + slope * (u - t0))
+            slopes.append(slope)
+    plan.t0s, plan.x0s, plan.slopes, plan._arrays = t0s, x0s, slopes, None
+    return len(cuts)
+
+
+class TestPartitionInvariance:
+    """Detection depends on the trajectories, not on how they are cut."""
+
+    CAP = 6000
+
+    @settings(max_examples=50, deadline=None)
+    @given(cfg=detection_configs(), data=st.data())
+    @example(cfg=SimConfig(va=0, vb=6, tau=3), data=None)
+    @example(cfg=SimConfig(topology="cycle", n=7, va=1, vb=5), data=None)
+    @example(cfg=SimConfig(topology="path", n=9, va=0, vb=3, tau=3, care=True,
+                           detection="node-only"), data=None)
+    def test_refined_plans_meet_identically(self, cfg, data):
+        world = cfg.world()  # uncached, so the plans are this test's own
+        plans = AgentPlan(world, cfg.va), AgentPlan(world, cfg.vb)
+        meet = detect(cfg, *plans, self.CAP)
+        before = [p.positions(np.arange(p.cur_t)) for p in plans]
+        cuts = [refine(plan, data) for plan in plans]
+        for plan, xs in zip(plans, before):
+            assert np.array_equal(plan.positions(np.arange(plan.cur_t)), xs)
+        assert detect(cfg, *plans, self.CAP) == meet, cuts
+
+
 def seam_cycle(n, seed, plants, va, vb, tau, care):
     """A cycle with distinct random labels above 3, ``plants`` on top."""
     rng = np.random.default_rng(seed)
@@ -400,6 +458,81 @@ class TestPlansStopAtTheMeeting:
             last = local // 4 + 1 if care else local
             start = self.last_iteration_start(plan)
             assert start is not None and start <= last, (start, last)
+
+
+def walked_steps(plan):
+    """Per-round steps of the plan's completed iterations, rebuilt from the
+    sweeps and the notes' decisions."""
+    world, steps = plan.world, []
+    for note in plan.notes:
+        steps += z_walk(note.L, plan._sweep_direction(note.L))
+        if note.phase == "wait":
+            steps += [0] * (24 * note.L)
+            continue
+        near = np.array([note.r + 1, note.r - 1])
+        if world.topology == "cycle":
+            near %= world.n
+        up, down = world.labels_at(near)
+        steps += searching_walk(note.R, note.L, note.r - plan.start,
+                                color_bits(note.color), 1 if up > down else -1)
+    return steps
+
+
+class TestPlanShapeAndCost:
+    """Plans hold maximal straight legs, and detection looks a piece up
+    about once per segment planned."""
+
+    # fresh scheme objects, so each run plans from scratch; every case has
+    # a searching iteration, and the finite ones end in a terminal tail
+    CASES = {
+        "line": lambda: SimConfig(scheme=PlantedScheme(10, {0: 3}), va=0,
+                                  vb=2, tau=1),
+        "line-care": lambda: SimConfig(scheme=PlantedScheme(10, {0: 3}),
+                                       va=0, vb=2, tau=1, care=True,
+                                       detection="node-only"),
+        "path": lambda: SimConfig(topology="path", n=120,
+                                  scheme=PlantedScheme(5, {60: 1}), va=12,
+                                  vb=60, tau=3),
+        "path-care": lambda: SimConfig(topology="path", n=120,
+                                       scheme=PlantedScheme(5, {60: 1}),
+                                       va=12, vb=60, tau=12, care=True,
+                                       detection="node-only"),
+        "cycle": lambda: seam_cycle(33, 1, {1: 1}, 1, 11, 3, False),
+        "cycle-care": lambda: seam_cycle(65, 0, {1: 1}, 0, 22, 3, True),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_legs_are_maximal_and_lookups_few(self, case, monkeypatch):
+        calls = {"piece": 0, "extend": 0}
+        piece, extend = sim._Track.piece, AgentPlan._extend_once
+
+        def counted_piece(track, t):
+            calls["piece"] += 1
+            return piece(track, t)
+
+        def counted_extend(plan):
+            calls["extend"] += 1
+            extend(plan)
+
+        monkeypatch.setattr(sim._Track, "piece", counted_piece)
+        monkeypatch.setattr(AgentPlan, "_extend_once", counted_extend)
+        trace = run(self.CASES[case]())
+        assert trace.t_rdv is not None
+        plans = (trace._ta, trace._tb)
+        assert any(note.phase == "searching"
+                   for plan in plans for note in plan.notes)
+        if case.startswith(("path", "cycle")):
+            assert any(plan.terminal for plan in plans)
+        for plan in plans:
+            assert all(a != b for a, b in zip(plan.slopes, plan.slopes[1:]))
+            # through the last iteration the plan completed, ahead of any
+            # finite takeover
+            steps = walked_steps(plan)
+            assert len(steps) == 28 * (plan.L_next - 1)
+            assert np.array_equal(plan.positions(np.arange(len(steps) + 1)),
+                                  np.cumsum([plan.start, *steps]))
+        budget = sum(len(plan.t0s) for plan in plans) + 2 * calls["extend"]
+        assert calls["piece"] <= budget + 8, (calls, budget)
 
 
 class TestTrajectoryInvariants:
