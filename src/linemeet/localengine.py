@@ -15,7 +15,7 @@ max degree 16 by decomposing edges into rank-difference classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -52,12 +52,6 @@ class ColorAssignment:
     members: np.ndarray
     colors: np.ndarray
     palette: int
-
-    def color_of(self, position: int) -> int:
-        idx = np.searchsorted(self.members, position)
-        if idx >= len(self.members) or self.members[idx] != position:
-            raise EngineError(f"{position} is not a member")
-        return int(self.colors[idx])
 
     def as_dict(self) -> dict[int, int]:
         return {int(p): int(c) for p, c in zip(self.members, self.colors)}
@@ -122,13 +116,6 @@ class PowerSubgraph:
             return self.nbrs[:, 0], np.full(self.members.size, -1, dtype=np.int64)
         none = np.full(self.members.size, -1, dtype=np.int64)
         return none, none
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """All member-rank edges (i < j); oracle-friendly, not a hot path."""
-        for i in range(self.members.size):
-            for j in self.nbrs[i]:
-                if j > i:
-                    yield i, int(j)
 
     def check_proper(self, colors: np.ndarray) -> None:
         bad = _gather(colors, self.nbrs.ravel(), -1).reshape(self.nbrs.shape)

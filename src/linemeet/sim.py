@@ -7,15 +7,18 @@ a simultaneous opposite crossing of one edge.
 
 Two engines produce identical results.  ``reference`` executes the move
 generators round by round with real port navigation and is the oracle for
-``fast``.  ``fast`` plans the plain program's trajectory as linear segments
-of slope -1, 0 or +1 and finds the meeting exactly: it merges both agents'
-breakpoints and solves each stretch where both move linearly in closed form
-(mod n on a cycle), planning one doubling iteration at a time and no further
-than the meeting.  Endpoint ping-pong and cycle settling are periodic tails,
-so one period decides whether the agents ever meet.  With ``care`` set it
-solves the same plain segments for the windows where the two plain positions
-come within two nodes (three with crossing detection) and expands the
-4-round crossing gadget only inside them.
+``fast``.  Both fill one ``Timeline`` per agent, of maximal straight legs,
+iteration notes and a finite-host tail, so they agree on trajectories and
+phases, not only on the meeting.  ``fast`` plans the plain program's
+trajectory as linear segments of slope -1, 0 or +1 and finds the meeting
+exactly: it merges both agents' breakpoints and solves each stretch where
+both move linearly in closed form (mod n on a cycle), planning one doubling
+iteration at a time and no further than the meeting.  Endpoint ping-pong
+and cycle settling are periodic tails, so one period decides whether the
+agents ever meet.  With ``care`` set it solves the same plain segments for
+the windows where the two plain positions come within two nodes (three with
+crossing detection) and expands the 4-round crossing gadget only inside
+them.
 
 Runs on the same world share one ``World`` object, and with it every label
 computed so far, one trajectory plan per start, and on the infinite line one
@@ -31,9 +34,9 @@ deterministic.  Only the ``WORLD_SLOTS`` most recently used worlds are kept.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import partial
 import json
 import math
 
@@ -117,17 +120,23 @@ class SimConfig:
 
 
 def lmin_stats(world: World, va: int, vb: int) -> tuple[int, int]:
-    """(smallest, largest) label within LMIN_WINDOW_FACTOR*D of either start."""
+    """(smallest, largest) label within LMIN_WINDOW_FACTOR*D of either start.
+
+    The two balls overlap, since their radius is at least D, so one interval
+    holds both; on a cycle vb is first moved next to va by the signed
+    shortest offset.
+    """
     D = world.distance(va, vb)
     rad = LMIN_WINDOW_FACTOR * max(D, 1)
+    n = world.n
     if world.topology == "cycle":
-        offs = np.arange(-rad, rad + 1)
-        coords = np.unique(np.concatenate([va + offs, vb + offs]) % world.n)
-    else:
-        lo, hi = min(va, vb) - rad, max(va, vb) + rad
-        if world.topology == "path":
-            lo, hi = max(lo, 0), min(hi, world.n - 1)
-        coords = np.arange(lo, hi + 1)
+        vb = va + (vb - va + n // 2) % n - n // 2
+    lo, hi = min(va, vb) - rad, max(va, vb) + rad
+    if world.topology == "path":
+        lo, hi = max(lo, 0), min(hi, n - 1)
+    coords = np.arange(lo, hi + 1)
+    if world.topology == "cycle":
+        coords = np.arange(n) if hi - lo + 1 >= n else coords % n
     labels = world.labels_at(coords)
     return int(labels.min()), int(labels.max())
 
@@ -161,36 +170,31 @@ def _iteration_index(t: int) -> int:
     return (t // 28 + 1).bit_length() - 1
 
 
-class AgentPlan:
-    """Piecewise-linear trajectory of the plain program from one start.
+class Timeline:
+    """One agent's trajectory and decisions in its own local rounds.
 
-    Segments are maximal straight legs: a leg with the slope of the last
-    segment extends it, so consecutive segments always differ in slope.
-    Iterations are appended lazily; a finite-topology takeover (endpoint
-    ping-pong or cycle settling) replaces the tail with a closed form.
-    Positions are in the unbounded frame; cycle positions wrap only when
-    rendered.
+    Legs are maximal straight runs (t0, x0, slope): a leg with the slope of
+    the last one extends it, so consecutive legs always differ in slope.
+    Past the legs the agent stays put, or follows ``terminal``, a closed
+    form for endpoint ping-pong or a hold.  ``notes`` hold the decision of
+    each iteration whose discovery sweep is done, and ``tail`` = (phase,
+    start) is the endpoint walk or cycle settling that ends the doubling
+    loop.  Positions are in the unbounded frame; cycle positions wrap only
+    when rendered.  Notes and the tail count plain-program rounds; the legs
+    of a care reference run count gadget rounds.
     """
 
-    def __init__(self, world: World, start: int, es_lookup=None):
-        self.world = world
+    def __init__(self, start: int):
         self.start = int(start)
-        self.es_lookup = es_lookup
         self.t0s: list[int] = []
         self.x0s: list[int] = []
         self.slopes: list[int] = []
         self.notes: list[IterationNote] = []
         self.cur_t = 0
         self.cur_x = self.start
-        self.L_next = 1
         self.terminal: tuple | None = None
+        self.tail: tuple[str, int] | None = None
         self._arrays: tuple | None = None
-        self._ext = (self.start, self.start)
-        if world.topology == "path" and start in (0, world.n - 1):
-            away = 1 if start == 0 else -1
-            self._begin_ping_pong(start, away)
-
-    # -- construction ------------------------------------------------------
 
     def _append(self, dur: int, slope: int) -> None:
         if dur <= 0:
@@ -203,11 +207,106 @@ class AgentPlan:
         self.cur_x += slope * dur
         self._arrays = None
 
-    def _begin_ping_pong(self, endpoint: int, away: int) -> None:
-        self.terminal = ("pingpong", self.cur_t, endpoint, away, self.world.n - 1)
+    def ensure(self, t: int) -> None:
+        """Make the trajectory through local round t known; a recorded
+        timeline already holds all of it."""
 
-    def _begin_hold(self, x: int) -> None:
-        self.terminal = ("hold", self.cur_t, x)
+    # -- evaluation --------------------------------------------------------
+
+    def _segment_arrays(self):
+        if self._arrays is None:
+            self._arrays = (np.array(self.t0s, dtype=np.int64),
+                            np.array(self.x0s, dtype=np.int64),
+                            np.array(self.slopes, dtype=np.int64))
+        return self._arrays
+
+    def positions(self, ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=np.int64)
+        if ts.size == 0:
+            return ts.copy()
+        if np.any(ts < 0):
+            raise SimError("local rounds start at 0")
+        self.ensure(int(ts.max()))
+        out = np.full(ts.shape, self.cur_x, dtype=np.int64)
+        t0a, x0a, sla = self._segment_arrays()
+        if t0a.size:
+            inside = ts < self.cur_t
+            idx = np.searchsorted(t0a, ts[inside], side="right") - 1
+            out[inside] = x0a[idx] + sla[idx] * (ts[inside] - t0a[idx])
+        if self.terminal is not None:
+            kind = self.terminal[0]
+            late = ts >= self.terminal[1]
+            if kind == "pingpong":
+                _, th, e, d, m = self.terminal
+                u = (ts[late] - th) % (2 * m)
+                out[late] = e + d * np.where(u <= m, u, 2 * m - u)
+            else:
+                _, _, x = self.terminal
+                out[late] = x
+        return out
+
+    # -- phases ------------------------------------------------------------
+
+    def phase_at(self, t: int) -> str:
+        if t < 0:
+            return "asleep"
+        self.ensure(t + 1)
+        if self.tail is not None and t >= self.tail[1]:
+            return self.tail[0]
+        i = _iteration_index(t)
+        # iteration L = 2^i decides at 28(L - 1) + 4L, when discovery ends
+        if i < len(self.notes) and t >= (32 << i) - 28:
+            return self.notes[i].phase
+        return "discovery"
+
+    def note_at(self, t: int) -> IterationNote | None:
+        """The decision of t's iteration, once its discovery sweep is done
+        and before any tail."""
+        if t < 0:
+            return None
+        self.ensure(t + 1)
+        if self.tail is not None and t >= self.tail[1]:
+            return None
+        i = _iteration_index(t)
+        if i < len(self.notes) and t >= (32 << i) - 28:
+            return self.notes[i]
+        return None
+
+    def phase_boundaries(self, upto: int) -> list[int]:
+        """Local rounds where the phase can change, ascending from 0."""
+        self.ensure(upto + 1)
+        last = upto if self.tail is None else min(upto, self.tail[1] - 1)
+        pts = {0}
+        L = 1
+        while 28 * (L - 1) <= last:
+            pts.update(p for p in (28 * (L - 1), 32 * L - 28) if p <= last)
+            L *= 2
+        if self.tail is not None and self.tail[1] <= upto:
+            pts.add(self.tail[1])
+        return sorted(pts)
+
+
+class AgentPlan(Timeline):
+    """The plain program's timeline from one start, planned lazily.
+
+    Iterations are appended one doubling step at a time; a finite-topology
+    takeover (endpoint ping-pong or cycle settling) sets the tail and ends
+    the legs with a closed-form terminal.
+    """
+
+    def __init__(self, world: World, start: int, es_lookup=None):
+        super().__init__(start)
+        self.world = world
+        self.es_lookup = es_lookup
+        self.L_next = 1
+        self._ext = (self.start, self.start)
+        if world.topology == "path" and start in (0, world.n - 1):
+            away = 1 if start == 0 else -1
+            self._begin_ping_pong(start, away)
+
+    def _begin_ping_pong(self, endpoint: int, away: int) -> None:
+        self.tail = ("endpoint-walk", self.cur_t)
+        self.terminal = ("pingpong", self.cur_t, endpoint, away, self.world.n - 1)
 
     def _walk_leg(self, dur: int, slope: int) -> bool:
         """Append one sweep leg, honoring finite takeovers; True if taken over."""
@@ -239,7 +338,9 @@ class AgentPlan:
         return False
 
     def _settle(self) -> None:
-        """Walk to the nearest copy of the minimum label and hold there."""
+        """Having recognised the cycle, walk to the nearest copy of the
+        minimum label and hold there."""
+        self.tail = ("settle", self.cur_t)
         w = self.world
         labels = w.labels_at(np.arange(w.n))
         phys = int(np.argmin(labels))
@@ -255,7 +356,7 @@ class AgentPlan:
             target = above if up else below
         if target != x:
             self._append(abs(target - x), 1 if target > x else -1)
-        self._begin_hold(target)
+        self.terminal = ("hold", self.cur_t, target)
 
     def _window_labels(self, L: int) -> np.ndarray:
         coords = np.arange(self.start - L, self.start + L + 1)
@@ -299,115 +400,12 @@ class AgentPlan:
         while self.terminal is None and self.cur_t < t:
             self._extend_once()
 
-    # -- evaluation --------------------------------------------------------
-
-    def _segment_arrays(self):
-        if self._arrays is None:
-            self._arrays = (np.array(self.t0s, dtype=np.int64),
-                            np.array(self.x0s, dtype=np.int64),
-                            np.array(self.slopes, dtype=np.int64))
-        return self._arrays
-
-    def positions(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=np.int64)
-        if ts.size == 0:
-            return ts.copy()
-        if np.any(ts < 0):
-            raise SimError("local rounds start at 0")
-        self.ensure(int(ts.max()))
-        out = np.full(ts.shape, self.cur_x, dtype=np.int64)
-        t0a, x0a, sla = self._segment_arrays()
-        if t0a.size:
-            inside = ts < self.cur_t
-            idx = np.searchsorted(t0a, ts[inside], side="right") - 1
-            out[inside] = x0a[idx] + sla[idx] * (ts[inside] - t0a[idx])
-        if self.terminal is not None:
-            kind = self.terminal[0]
-            late = ts >= self.terminal[1]
-            if kind == "pingpong":
-                _, th, e, d, m = self.terminal
-                u = (ts[late] - th) % (2 * m)
-                out[late] = e + d * np.where(u <= m, u, 2 * m - u)
-            else:
-                _, _, x = self.terminal
-                out[late] = x
-        return out
-
-    # -- timeline ----------------------------------------------------------
-
-    def phase_at(self, t: int) -> str:
-        if t < 0:
-            return "asleep"
-        self.ensure(t + 1)
-        if self.terminal is not None and t >= self.terminal[1]:
-            return "endpoint-walk" if self.terminal[0] == "pingpong" else "settle"
-        i = _iteration_index(t)
-        L = 1 << i
-        if t - 28 * (L - 1) < 4 * L:
-            return "discovery"
-        return self.notes[i].phase
-
-    def note_at(self, t: int) -> IterationNote | None:
-        if t < 0:
-            return None
-        self.ensure(t + 1)
-        if self.terminal is not None and t >= self.terminal[1]:
-            return None
-        i = _iteration_index(t)
-        return self.notes[i] if i < len(self.notes) else None
-
-    def phase_boundaries(self, upto: int) -> list[int]:
-        """Local rounds where the phase can change, ascending from 0."""
-        self.ensure(upto + 1)
-        cut = self.terminal[1] if self.terminal is not None else None
-        pts = {0}
-        i = 0
-        while True:
-            L = 1 << i
-            s = 28 * (L - 1)
-            if s > upto or (cut is not None and s >= cut):
-                break
-            pts.add(s)
-            mid = s + 4 * L
-            if mid <= upto and (cut is None or mid < cut) and i < len(self.notes):
-                pts.add(mid)
-            i += 1
-        if cut is not None and cut <= upto:
-            pts.add(cut)
-        return sorted(pts)
-
-
-class EventTimeline:
-    """Phase/iteration queries over a reference run's annotation stream."""
-
-    _PHASES = {"discovery": "discovery", "searching": "searching",
-               "wait": "wait", "endpoint": "endpoint-walk", "settle": "settle"}
-
-    def __init__(self, events: list[dict]):
-        self.events = events
-        self.ts = [e["t"] for e in events]
-
-    def _last(self, t: int) -> dict | None:
-        i = bisect_right(self.ts, t) - 1
-        return self.events[i] if i >= 0 else None
-
-    def phase_at(self, t: int) -> str:
-        e = self._last(t)
-        return self._PHASES[e["phase"]] if e else "asleep"
-
-    def note_at(self, t: int) -> IterationNote | None:
-        e = self._last(t)
-        if e is None or e["phase"] not in ("searching", "wait"):
-            return None
-        L = e["L"]
-        return IterationNote(L, 28 * (L - 1), e["phase"], e.get("R"),
-                             e.get("r"), e.get("color"))
-
-    def phase_boundaries(self, upto: int) -> list[int]:
-        return sorted({0, *(t for t in self.ts if t <= upto)})
-
 
 # -- engines -------------------------------------------------------------------
+
+
+def _plain_positions(tl: Timeline, lo: int, hi: int) -> np.ndarray:
+    return tl.positions(np.arange(lo, hi + 1))
 
 
 def _care_positions(plan: AgentPlan, lo: int, hi: int) -> np.ndarray:
@@ -427,31 +425,24 @@ def _care_positions(plan: AgentPlan, lo: int, hi: int) -> np.ndarray:
     return full[lo - 4 * t0: hi - 4 * t0 + 1]
 
 
-def _plan_position_fns(config: SimConfig, plan_a: AgentPlan, plan_b: AgentPlan):
+def _position_fns(config: SimConfig, tl_a: Timeline, tl_b: Timeline,
+                  expand: bool):
+    """Position readers (lo, hi) over global rounds for both agents.
+
+    With ``expand`` the timelines are plain plans read in care rounds
+    through the crossing gadget; otherwise their legs count the rounds
+    read.  Beta rests at its start until it wakes at tau.
+    """
     tau, vb = config.tau, config.vb
+    read = _care_positions if expand else _plain_positions
 
-    if config.care:
-        def pos_a(lo, hi):
-            return _care_positions(plan_a, lo, hi)
-
-        def pos_b(lo, hi):
-            ts = np.arange(lo, hi + 1)
-            out = np.full(ts.shape, vb, dtype=np.int64)
-            awake = ts >= tau
-            if awake.any():
-                first = int(ts[awake][0]) - tau
-                out[awake] = _care_positions(plan_b, first,
-                                             first + int(awake.sum()) - 1)
-            return out
-    else:
-        def pos_a(lo, hi):
-            return plan_a.positions(np.arange(lo, hi + 1))
-
-        def pos_b(lo, hi):
-            ts = np.arange(lo, hi + 1)
-            return np.where(ts < tau, vb,
-                            plan_b.positions(np.maximum(ts - tau, 0)))
-    return pos_a, pos_b
+    def pos_b(lo, hi):
+        out = np.full(max(hi - lo + 1, 0), vb, dtype=np.int64)
+        first = max(lo, tau)
+        if first <= hi:
+            out[first - lo:] = read(tl_b, first - tau, hi - tau)
+        return out
+    return partial(read, tl_a), pos_b
 
 
 # -- meeting detection ---------------------------------------------------------
@@ -667,36 +658,53 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
 
 
 def _run_reference(config: SimConfig, world: World, cap: int):
-    """Lock-step generator execution; returns meet, event lists, trails."""
+    """Lock-step generator execution with real port navigation.
+
+    Returns the meeting (or None) and one ``Timeline`` per agent, recorded
+    as the run goes: every round's move as a leg (unwrapped on a cycle), the
+    program's decisions as notes and its finite-host takeover as the tail.
+    A decision off the doubling schedule, which the timelines' phase
+    queries assume, raises ``RuntimeError``.
+    """
     base = main_program()
     prog = care_transform(base) if config.care else base
     scale = 4 if config.care else 1
-
-    def wake(start, buf):
-        obs = Observation(world.label(start), world.degree(start), None, 0)
-        return prog.start(obs, buf.append)
-
-    def stamp(buf, events, start, local_t):
-        o = 1 if int(world.port_bits_at(np.array([start]))[0]) == 0 else -1
-        for e in buf:
-            e["t"] = local_t // scale
-            if e.get("r") is not None:
-                e["r"] = start + o * e["r"]
-            events.append(e)
-        buf.clear()
-
-    events_a: list[dict] = []
-    events_b: list[dict] = []
-    pending_a: list[dict] = []
-    pending_b: list[dict] = []
-    xa, xb = config.va, config.vb
-    trail_a, trail_b = [xa], [xb]
-    gen_a, mv_a = wake(xa, pending_a)
-    stamp(pending_a, events_a, config.va, 0)
-    gen_b = mv_b = None
-    prev = None
-    meet = None
     wrap = world.n if config.topology == "cycle" else None
+    tails = {"endpoint": "endpoint-walk", "settle": "settle"}
+
+    def record(tl, event):
+        """Note one program annotation, made at the timeline's last round."""
+        t, phase = tl.cur_t // scale, event["phase"]
+        if phase in tails:
+            tl.tail = (tails[phase], t)
+            return
+        L = event["L"]
+        due = 28 * (L - 1) + (0 if phase == "discovery" else 4 * L)
+        if t != due:
+            raise RuntimeError(f"{phase} of iteration L={L} at local round "
+                               f"{t}, scheduled for {due}")
+        if phase != "discovery":
+            r = event.get("r")
+            if r is not None:
+                # the program's frame points +1 through port 0
+                port0 = int(world.port_bits_at(np.array([tl.start]))[0])
+                r = tl.start + (r if port0 == 0 else -r)
+            tl.notes.append(IterationNote(L, t - 4 * L, phase, event.get("R"),
+                                          r, event.get("color")))
+
+    def wake(tl):
+        obs = Observation(world.label(tl.start), world.degree(tl.start), None, 0)
+        return prog.start(obs, lambda event: record(tl, event))
+
+    def step(tl, gen, x, move):
+        """Make one move, then observe; returns (position, next move)."""
+        entry, d = None, 0
+        if not move.is_stay:
+            y, entry = world.step(x, move.port)
+            d, x = y - x, y
+        tl._append(1, (d + 1) % wrap - 1 if wrap else d)
+        return x, gen.send(Observation(world.label(x), world.degree(x), entry,
+                                       tl.cur_t))
 
     def same(p, q):
         return (p - q) % wrap == 0 if wrap else p == q
@@ -705,10 +713,15 @@ def _run_reference(config: SimConfig, world: World, cap: int):
         d = abs(p - q)
         return d == 1 or (wrap is not None and d == wrap - 1)
 
+    tl_a, tl_b = Timeline(config.va), Timeline(config.vb)
+    xa, xb = config.va, config.vb
+    gen_a, mv_a = wake(tl_a)
+    gen_b = mv_b = None
+    prev = None
+    meet = None
     for t in range(cap + 1):
         if t == config.tau:
-            gen_b, mv_b = wake(xb, pending_b)
-            stamp(pending_b, events_b, config.vb, 0)
+            gen_b, mv_b = wake(tl_b)
         if same(xa, xb):
             meet = (t, "node")
             break
@@ -720,34 +733,10 @@ def _run_reference(config: SimConfig, world: World, cap: int):
         if t == cap:
             break
         prev = (xa, xb)
-        entry_a = None
-        if not mv_a.is_stay:
-            xa, entry_a = world.step(xa, mv_a.port)
-        entry_b = None
-        if mv_b is not None and not mv_b.is_stay:
-            xb, entry_b = world.step(xb, mv_b.port)
-        trail_a.append(xa)
-        trail_b.append(xb)
-        mv_a = gen_a.send(Observation(world.label(xa), world.degree(xa),
-                                      entry_a, t + 1))
-        stamp(pending_a, events_a, config.va, t + 1)
+        xa, mv_a = step(tl_a, gen_a, xa, mv_a)
         if gen_b is not None:
-            mv_b = gen_b.send(Observation(world.label(xb), world.degree(xb),
-                                          entry_b, t + 1 - config.tau))
-            stamp(pending_b, events_b, config.vb, t + 1 - config.tau)
-    return meet, events_a, events_b, trail_a, trail_b
-
-
-def _trail_position_fns(trail_a: list[int], trail_b: list[int]):
-    arr_a = np.array(trail_a, dtype=np.int64)
-    arr_b = np.array(trail_b, dtype=np.int64)
-
-    def make(arr):
-        def fn(lo, hi):
-            idx = np.minimum(np.arange(lo, hi + 1), arr.size - 1)
-            return arr[idx]
-        return fn
-    return make(arr_a), make(arr_b)
+            xb, mv_b = step(tl_b, gen_b, xb, mv_b)
+    return meet, tl_a, tl_b
 
 
 # -- traces --------------------------------------------------------------------
@@ -766,7 +755,7 @@ class SimTrace:
 
     def __init__(self, config: SimConfig, world: World, cap: int,
                  extremes: tuple[int, int], meet: tuple[int, str] | None,
-                 timeline_a, timeline_b, position_fns):
+                 timeline_a: Timeline, timeline_b: Timeline, position_fns):
         self.config = config
         self.world = world
         self.round_cap = cap
@@ -957,14 +946,12 @@ def run(config: SimConfig) -> SimTrace:
     cap = (config.round_cap if config.round_cap is not None
            else _round_cap(world.distance(config.va, config.vb), extremes[1]))
     if config.engine == "reference":
-        meet, events_a, events_b, trail_a, trail_b = _run_reference(
-            config, world, cap)
-        fns = _trail_position_fns(trail_a, trail_b)
-        return SimTrace(config, world, cap, extremes, meet,
-                        EventTimeline(events_a), EventTimeline(events_b), fns)
+        meet, tl_a, tl_b = _run_reference(config, world, cap)
+        fns = _position_fns(config, tl_a, tl_b, expand=False)
+        return SimTrace(config, world, cap, extremes, meet, tl_a, tl_b, fns)
     plan_a = _cached_plan(work, config.va)
     plan_b = _cached_plan(work, config.vb)
-    fns = _plan_position_fns(config, plan_a, plan_b)
+    fns = _position_fns(config, plan_a, plan_b, expand=config.care)
     meet = _detect(config, world, plan_a, plan_b, cap, fns)
     return SimTrace(config, world, cap, extremes, meet, plan_a, plan_b, fns)
 

@@ -1,10 +1,37 @@
-"""Broken ruling-set constructions that the locality oracle must reject."""
+"""A per-test time limit, and broken ruling-set constructions that the
+locality oracle must reject."""
 
 import dataclasses
+import signal
 
 import pytest
 
 from linemeet.ruling import EsColState
+
+# seconds one test may run; a stalled loop fails its test instead of
+# hanging the suite (tier-1 takes about half a minute in all)
+TEST_TIME_LIMIT = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that runs past ``TEST_TIME_LIMIT``.
+
+    Not an ``Exception``, and not pytest's failure either: Hypothesis
+    catches both and replays the example to shrink it, which stalls again
+    with no alarm left.  pytest reports this one as the test's failure.
+    """
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past {TEST_TIME_LIMIT} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

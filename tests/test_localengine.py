@@ -92,7 +92,8 @@ def test_adjacency_matches_host_distances(inst):
     world, coords, power = inst
     sub = PowerSubgraph(world, coords, power)
     want = set(true_edges(world, coords, power))
-    got = {(int(sub.members[i]), int(sub.members[j])) for i, j in sub.edges()}
+    got = {(int(sub.members[i]), int(sub.members[j]))
+           for i in range(sub.members.size) for j in sub.nbrs[i] if j > i}
     assert got == want
     for rank, p in enumerate(sub.members):
         assert sub.degrees[rank] == sum(p in e for e in want)
@@ -197,9 +198,12 @@ def test_two_slot_round_mirror_invariant():
     sub_r = PowerSubgraph(rev, range(6), 1)
     out_f = cv_reduce_round(sub_f, ColorAssignment(sub_f.members, np.array(colors), 100))
     out_r = cv_reduce_round(sub_r, ColorAssignment(sub_r.members, np.array(colors[::-1]), 100))
-    by_label_f = {lab: out_f.color_of(i) for i, lab in enumerate(labels)}
-    by_label_r = {lab: out_r.color_of(5 - i) for i, lab in enumerate(labels)}
-    assert by_label_f == by_label_r
+
+    def by_label(world, out):
+        return {world.label(int(p)): int(c)
+                for p, c in zip(out.members, out.colors)}
+
+    assert by_label(fwd, out_f) == by_label(rev, out_r)
 
 
 def test_two_slot_round_no_op_below_constant_palette():
@@ -393,7 +397,8 @@ def test_three_coloring_is_proper(inst):
 def test_three_coloring_on_triangle():
     world = make_world("infinite", "sequential")
     sub = PowerSubgraph(world, [0, 1, 2], 2)
-    assert sub.max_degree == 2 and len(list(sub.edges())) == 3
+    assert sub.max_degree == 2
+    assert int((sub.nbrs > np.arange(3)[:, None]).sum()) == 3
     assignment, _ = color_path_constant(sub)
     assert sorted(assignment.as_dict().values()) == [0, 1, 2]
     assert mis(sub).tolist() in ([0], [1], [2])
@@ -597,10 +602,3 @@ def test_list_coloring_array_form_matches_mapping(inst, seed):
     by_array, rounds_array = _list_color_impl(sub, allowed)
     assert by_array.as_dict() == by_map.as_dict()
     assert rounds_array == rounds_map
-
-
-def test_color_of_rejects_non_member():
-    a = ColorAssignment(np.array([2, 5]), np.array([0, 1]), 3)
-    assert a.color_of(5) == 1
-    with pytest.raises(EngineError):
-        a.color_of(3)

@@ -90,6 +90,30 @@ def outcome(trace):
     return (trace.t_rdv, trace.event, trace.meet_position)
 
 
+def legs(timeline, upto):
+    """(t0, x0, slope) of the legs a timeline starts before round upto."""
+    return [leg for leg in zip(timeline.t0s, timeline.x0s, timeline.slopes)
+            if leg[0] < upto]
+
+
+def assert_engines_agree(fast, ref):
+    """Fast and reference runs agree on the meeting, on both trajectories
+    and the phase tallies through it, on the notes at it and, in plain mode,
+    on every leg both timelines hold."""
+    assert outcome(fast) == outcome(ref)
+    end = fast.t_rdv if fast.t_rdv is not None else fast.round_cap
+    for xf, xr in zip(fast.positions_at(0, end), ref.positions_at(0, end)):
+        assert np.array_equal(xf, xr)
+    assert fast.phase_counts() == ref.phase_counts()
+    if fast.t_rdv is not None:
+        for agent in ("alpha", "beta"):
+            assert fast.note_of(agent, end) == ref.note_of(agent, end)
+    if not fast.config.care:
+        for plan, recorded in ((fast._ta, ref._ta), (fast._tb, ref._tb)):
+            upto = min(plan.cur_t, recorded.cur_t)
+            assert legs(plan, upto) == legs(recorded, upto)
+
+
 def scanned_outcome(trace, cap):
     meet = scan_for_meeting(trace, cap)
     if meet is None:
@@ -230,18 +254,35 @@ class TestEngineAgreement:
 
     @pytest.mark.parametrize("cfg", CASES)
     def test_fast_matches_reference(self, cfg):
-        fast, ref = both_engines(cfg)
-        assert (fast.t_rdv, fast.event) == (ref.t_rdv, ref.event)
-        assert fast.meet_position == ref.meet_position
+        assert_engines_agree(*both_engines(cfg))
 
     @settings(max_examples=20, deadline=None)
     @given(va=st.integers(-2, 2), d=st.integers(1, 6),
            tau=st.integers(0, 12))
     def test_fast_matches_reference_randomized(self, va, d, tau):
-        cfg = SimConfig(va=va, vb=va + d, tau=tau)
+        assert_engines_agree(*both_engines(SimConfig(va=va, vb=va + d,
+                                                     tau=tau)))
+
+    def test_settle_begins_when_the_cycle_is_recognised(self):
+        # alpha sees a label again at round 204, then walks to the minimum
+        # until 210, where beta already holds and they meet
+        cfg = SimConfig(topology="cycle", n=12, scheme="random-injective:3",
+                        va=0, vb=6)
         fast, ref = both_engines(cfg)
-        assert (fast.t_rdv, fast.event, fast.meet_position) == \
-            (ref.t_rdv, ref.event, ref.meet_position)
+        assert fast._ta.tail == ref._ta.tail == ("settle", 204)
+        assert fast._ta.terminal[1] == fast.t_rdv == 210
+        for trace in (fast, ref):
+            assert trace.phase_of("alpha", 203) == "discovery"
+            assert trace.phase_of("alpha", 204) == "settle"
+            assert trace.phase_counts()["alpha"]["settle"] == 7
+
+    def test_no_note_before_the_iteration_decides(self):
+        fast, ref = both_engines(SimConfig(topology="cycle", n=12, va=0,
+                                           vb=5))
+        for trace in (fast, ref):
+            assert trace.note_of("alpha", 0) is None
+            assert trace.note_of("alpha", 3) is None
+            assert trace.note_of("alpha", 4) == sim.IterationNote(1, 0, "wait")
 
     def test_reference_trace_answers_position_queries(self):
         trace = run(SimConfig(va=0, vb=3, tau=5, engine="reference"))
@@ -303,13 +344,14 @@ class TestDetectionOracle:
             capped = replace(cfg, round_cap=cap)
             fast = run(capped)
             ref = run(replace(capped, engine="reference"))
-            assert outcome(fast) == scanned_outcome(fast, cap) == outcome(ref)
+            assert outcome(fast) == scanned_outcome(fast, cap)
+            assert_engines_agree(fast, ref)
 
 
 def detect(cfg, plan_a, plan_b, cap):
     """``(t_rdv, event, meet_position)`` of ``sim._detect`` on given plans."""
     world = plan_a.world
-    fns = sim._plan_position_fns(cfg, plan_a, plan_b)
+    fns = sim._position_fns(cfg, plan_a, plan_b, cfg.care)
     meet = sim._detect(cfg, world, plan_a, plan_b, cap, fns)
     if meet is None:
         return None
@@ -425,14 +467,13 @@ class TestSeamOracle:
     def test_pinned_searches_cross_the_seam(self, case):
         *spec, crossing = case
         fast, ref = both_engines(seam_cycle(*spec))
-        assert outcome(fast) == outcome(ref)
+        assert_engines_agree(fast, ref)
         assert seam_searches(fast) == crossing
 
     @settings(max_examples=40, deadline=None)
     @given(seam_cycles())
     def test_fast_matches_reference_across_the_seam(self, cfg):
-        fast, ref = both_engines(cfg)
-        assert outcome(fast) == outcome(ref)
+        assert_engines_agree(*both_engines(cfg))
 
 
 class TestPlansStopAtTheMeeting:
