@@ -2,11 +2,13 @@
 """Recompute the pinned benchmark-grid bounds under tests/golden/.
 
 The acceptance suite compares each fresh grid run against these files and
-fails when the worst meeting-time ratio regresses (grows).  Run this script
-only after an intentional behaviour change, then review the diff.
+fails when the worst meeting-time ratio regresses (grows) or any row
+changes.  Run this script only after an intentional behaviour change, then
+review the diff.
 """
 
 import argparse
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -17,8 +19,13 @@ from linemeet import sim
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
+def rows_sha256(rows):
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
 def summarize(rows, denominator):
-    """Reduce sweep rows to cell count, tag histogram, and the worst ratio."""
+    """Reduce sweep rows to cell count, tag histogram, the worst ratio and
+    a digest of every row."""
     worst_ratio = None
     worst_row = None
     for row in rows:
@@ -41,6 +48,7 @@ def summarize(rows, denominator):
             "tau": worst_row["tau"],
             "scheme": worst_row["scheme"],
         },
+        "rows_sha256": rows_sha256(rows),
     }
 
 

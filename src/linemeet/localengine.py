@@ -53,9 +53,6 @@ class ColorAssignment:
     colors: np.ndarray
     palette: int
 
-    def as_dict(self) -> dict[int, int]:
-        return {int(p): int(c) for p, c in zip(self.members, self.colors)}
-
 
 class PowerSubgraph:
     """``G^k[U]``: members of a host world, adjacent within host distance k.
@@ -276,25 +273,6 @@ def _init_coloring(sub: PowerSubgraph, palette: int | None,
         raise EngineError(
             f"member labels fall outside [{base}, {base + palette - 1}]")
     return init, int(palette)
-
-
-def cv_reduce_round(sub: PowerSubgraph, colors: ColorAssignment) -> ColorAssignment:
-    """One color-reduction round on a degree <= 2 subgraph.
-
-    Applies the two-slot bit-index step; if that would not shrink the palette
-    (already at a constant-size palette) the input is returned unchanged, so
-    iterating is always safe.
-    """
-    sub.require_degree(2)
-    if not np.array_equal(colors.members, sub.members):
-        raise EngineError("color assignment is for different members")
-    sub.check_proper(colors.colors)
-    first, second = _by_label(sub.labels, *sub.pair)
-    new, new_palette = _squared_cv_round(colors.colors, colors.palette,
-                                         first, second)
-    if new_palette >= colors.palette:
-        return colors
-    return ColorAssignment(sub.members, new, new_palette)
 
 
 def color_path_constant(sub: PowerSubgraph, palette: int | None = None,

@@ -20,13 +20,17 @@ the windows where the two plain positions come within two nodes (three with
 crossing detection) and expands the 4-round crossing gadget only inside
 them.
 
+Detection reports the meeting round, its event and the node where the
+agents meet, read off alpha's trajectory where the meeting is found, so a
+trace needs no second position lookup.
+
 Runs on the same world share one ``World`` object, and with it every label
-computed so far, one trajectory plan per start, and on the infinite line one
-ruling-set window per (R, label class) around the origin.  A plan asks only
-for the balls its records depend on, and the window is the smallest rung of
-the class ladder R + phase_end_round(R, c) that holds them, so plans that
-read the same classes share it whatever their sweep; delays only shift a
-plan in global time.
+computed so far, one trajectory plan per start, each start pair's label
+extremes, and on the infinite line one ruling-set window per (R, label
+class) around the origin.  A plan asks only for the balls its records
+depend on, and the window is the smallest rung of the class ladder R +
+phase_end_round(R, c) that holds them, so plans that read the same classes
+share it whatever their sweep; delays only shift a plan in global time.
 Worlds are keyed by topology, size, seed and scheme: a string scheme by its
 spec, a ``LabelScheme`` object by identity, so such objects must be
 deterministic.  Only the ``WORLD_SLOTS`` most recently used worlds are kept.
@@ -521,11 +525,15 @@ def _zero(v, wrap: int | None):
 
 
 def _first_event(xa: np.ndarray, xb: np.ndarray, base: int, first: int,
-                 mode: str, wrap: int | None) -> tuple[int, str] | None:
-    """First meeting at a round >= first among rounds base.. of two arrays."""
+                 mode: str, wrap: int | None) -> tuple[int, str, int] | None:
+    """First meeting at a round >= first among rounds base.. of two arrays,
+    with alpha's position there."""
     skip = first - base
     hits = np.flatnonzero(_zero(xa[skip:] - xb[skip:], wrap))
-    found = [(first + int(hits[0]), "node")] if hits.size else []
+    found = []
+    if hits.size:
+        i = skip + int(hits[0])
+        found.append((base + i, "node", int(xa[i])))
     if mode == "node-or-crossing":
         # swap[i] is a crossing at round base + i + 1
         swap = (_zero(xa[1:] - xb[:-1], wrap) & _zero(xb[1:] - xa[:-1], wrap)
@@ -533,7 +541,8 @@ def _first_event(xa: np.ndarray, xb: np.ndarray, base: int, first: int,
         lead = max(skip - 1, 0)
         j = np.flatnonzero(swap[lead:])
         if j.size:
-            found.append((base + lead + int(j[0]) + 1, "crossing"))
+            i = lead + int(j[0]) + 1
+            found.append((base + i, "crossing", int(xa[i])))
     return min(found) if found else None
 
 
@@ -541,18 +550,20 @@ def _plain_solver(mode: str, wrap: int | None):
     """Exact meetings of two linear pieces over rounds u0 <= t < u1.
 
     Node meetings solve xa - xb = 0; a crossing at round u + 1 needs opposite
-    unit slopes (mod wrap) and xa - xb = -sa at u.
+    unit slopes (mod wrap) and xa - xb = -sa at u.  Alpha's piece gives the
+    meeting node.
     """
     crossings = mode == "node-or-crossing"
 
     def solve(u0, u1, xa, sa, xb, sb):
         d, ds = xa - xb, sa - sb
         k = _first_root(d, ds, wrap)
-        node = (u0 + k, "node") if k is not None and u0 + k < u1 else None
+        node = ((u0 + k, "node", xa + sa * k)
+                if k is not None and u0 + k < u1 else None)
         if crossings and sa and _zero(sa + sb, wrap):
             k = _first_root(d + sa, ds, wrap)
             if k is not None and u0 + k < u1:
-                cross = (u0 + k + 1, "crossing")
+                cross = (u0 + k + 1, "crossing", xa + sa * (k + 1))
                 return min(node, cross) if node else cross
         return node
 
@@ -606,8 +617,11 @@ def _care_solver(mode: str, wrap: int | None, pos_a, pos_b):
 
 
 def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
-            plan_b: AgentPlan, cap: int, fns) -> tuple[int, str] | None:
-    """First meeting at a global round <= cap, or None.
+            plan_b: AgentPlan, cap: int, fns) -> tuple[int, str, int] | None:
+    """First meeting at a global round <= cap as (round, event, x), or None.
+
+    ``x`` is alpha's position at that round in the unbounded frame, so on a
+    cycle it still has to be wrapped mod n.
 
     Walks the merged breakpoints of both plain trajectories, solving each
     stretch where both are linear, and extends only the plan that covers the
@@ -660,11 +674,12 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
 def _run_reference(config: SimConfig, world: World, cap: int):
     """Lock-step generator execution with real port navigation.
 
-    Returns the meeting (or None) and one ``Timeline`` per agent, recorded
-    as the run goes: every round's move as a leg (unwrapped on a cycle), the
-    program's decisions as notes and its finite-host takeover as the tail.
-    A decision off the doubling schedule, which the timelines' phase
-    queries assume, raises ``RuntimeError``.
+    Returns the meeting (round, event, alpha's node) or None, and one
+    ``Timeline`` per agent, recorded as the run goes: every round's move as
+    a leg (unwrapped on a cycle), the program's decisions as notes and its
+    finite-host takeover as the tail.  A decision off the doubling
+    schedule, which the timelines' phase queries assume, raises
+    ``RuntimeError``.
     """
     base = main_program()
     prog = care_transform(base) if config.care else base
@@ -723,12 +738,12 @@ def _run_reference(config: SimConfig, world: World, cap: int):
         if t == config.tau:
             gen_b, mv_b = wake(tl_b)
         if same(xa, xb):
-            meet = (t, "node")
+            meet = (t, "node", xa)
             break
         if (config.detection == "node-or-crossing" and prev is not None
                 and same(xa, prev[1]) and same(xb, prev[0])
                 and adjacent(xa, prev[0])):
-            meet = (t, "crossing")
+            meet = (t, "crossing", xa)
             break
         if t == cap:
             break
@@ -754,22 +769,18 @@ class SimTrace:
     """
 
     def __init__(self, config: SimConfig, world: World, cap: int,
-                 extremes: tuple[int, int], meet: tuple[int, str] | None,
+                 extremes: tuple[int, int], meet: tuple[int, str, int] | None,
                  timeline_a: Timeline, timeline_b: Timeline, position_fns):
         self.config = config
         self.world = world
         self.round_cap = cap
         self.lmin, self.lmax = extremes
-        self.t_rdv = meet[0] if meet else None
-        self.event = meet[1] if meet else None
+        self.t_rdv, self.event, self.meet_position = meet or (None, None, None)
+        if meet and world.topology == "cycle":
+            self.meet_position %= world.n
         self._ta = timeline_a
         self._tb = timeline_b
         self._pos = position_fns
-        if self.t_rdv is not None:
-            p = int(self._pos[0](self.t_rdv, self.t_rdv)[0])
-            self.meet_position = p % world.n if world.topology == "cycle" else p
-        else:
-            self.meet_position = None
 
     def _local(self, agent: str, t: int) -> int:
         t = t if agent == "alpha" else t - self.config.tau
@@ -847,11 +858,14 @@ class SimTrace:
 
 @dataclass
 class _WorldWork:
-    """One world and the work runs on it reuse: plans by start and, on the
-    infinite line, ruling states by (R, radius)."""
+    """One world and the work runs on it reuse: plans by start, label
+    extremes by (va, vb) and, on the infinite line, ruling states by (R,
+    radius)."""
 
     world: World
     plans: dict[int, AgentPlan] = field(default_factory=dict)
+    extremes: dict[tuple[int, int], tuple[int, int]] = field(
+        default_factory=dict)
     states: dict[tuple, EsColState] = field(default_factory=dict)
 
 
@@ -874,7 +888,7 @@ def _world_work(config: SimConfig) -> _WorldWork:
     worlds with one spec share one parsed scheme, so it lives as long as the
     last of them.  A rejected config leaves the store as it was.  Otherwise
     the world becomes the most recently used one, and the least recently used
-    beyond ``WORLD_SLOTS`` are dropped with their plans and ruling states.
+    beyond ``WORLD_SLOTS`` are dropped with all they hold.
     """
     scheme = config.scheme
     key = (config.topology, config.n,
@@ -942,9 +956,12 @@ def run(config: SimConfig) -> SimTrace:
     """Simulate one instance to rendezvous or the round cap."""
     work = _world_work(config)
     world = work.world
-    extremes = lmin_stats(world, config.va, config.vb)
+    pair = (config.va, config.vb)
+    extremes = work.extremes.get(pair)
+    if extremes is None:
+        extremes = work.extremes[pair] = lmin_stats(world, *pair)
     cap = (config.round_cap if config.round_cap is not None
-           else _round_cap(world.distance(config.va, config.vb), extremes[1]))
+           else _round_cap(world.distance(*pair), extremes[1]))
     if config.engine == "reference":
         meet, tl_a, tl_b = _run_reference(config, world, cap)
         fns = _position_fns(config, tl_a, tl_b, expand=False)

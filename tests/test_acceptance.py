@@ -1,12 +1,13 @@
 """The acceptance gate: nine end-to-end checks with wall-clock budgets.
 
 Each check prints one PASS line with its measurement, the usable core count
-and the Python version.  Worst-case ratio constants are pinned under
-tests/golden/ and a check fails when its measured constant grows; regenerate
-the goldens with scripts/regen_goldens.py after an intentional behaviour
-change.
+and the Python version.  Worst-case ratio constants and a digest of every
+grid row are pinned under tests/golden/; a check fails when its measured
+constant grows or any row changes.  Regenerate the goldens with
+scripts/regen_goldens.py after an intentional behaviour change.
 """
 
+import hashlib
 import json
 import os
 import platform
@@ -302,11 +303,17 @@ def _max_ratio(rows, denominator):
     return worst
 
 
+def _rows_sha256(rows):
+    """The digest scripts/regen_goldens.py pins for a grid's rows."""
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
 def test_infinite_grid_rendezvous_and_pinned_ratio(infinite_sweep):
     rows, sweep_elapsed = infinite_sweep
     t0 = time.perf_counter() - sweep_elapsed
     payload, pinned = _golden("infinite_grid.json")
     assert len(rows) == payload["cells"]
+    assert _rows_sha256(rows) == payload["rows_sha256"], "grid rows changed"
     measured = _max_ratio(rows, lambda row: row["D"] * row["logstar_lmin"])
     assert measured <= pinned, \
         f"worst ratio regressed: {measured} > pinned {pinned}"
@@ -355,6 +362,7 @@ def test_finite_hosts_rendezvous_bound():
     rows = sim.sweep(sim.finite_benchmark_grid())
     payload, pinned = _golden("finite_grid.json")
     assert len(rows) == payload["cells"]
+    assert _rows_sha256(rows) == payload["rows_sha256"], "grid rows changed"
     measured = _max_ratio(
         rows, lambda row: min(row["n"], row["D"] * row["logstar_lmin"]))
     assert measured <= pinned, \

@@ -14,20 +14,20 @@ from hypothesis import strategies as st
 from linemeet.localengine import (
     COLOR_ROUNDS_OFFSET,
     COLOR_ROUNDS_SLOPE,
-    ColorAssignment,
     EngineError,
     PowerSubgraph,
     _allowed_matrix,
+    _by_label,
     _difference_classes,
     _final_assign,
     _kw_stage,
     _list_color_impl,
     _merge_schedule_cost,
+    _squared_cv_round,
     _sweep_reduce,
     _three_color,
     _three_color_classes,
     color_path_constant,
-    cv_reduce_round,
     list_color,
     list_color_rounds,
     mis,
@@ -48,6 +48,11 @@ def true_edges(world, members, power):
     return [(ms[i], ms[j])
             for i in range(len(ms)) for j in range(i + 1, len(ms))
             if world.distance(ms[i], ms[j]) <= power]
+
+
+def by_member(members, colors):
+    """{member coordinate: color} for aligned member and color arrays."""
+    return dict(zip(members.tolist(), colors.tolist()))
 
 
 def assert_proper(world, sub, colors_by_pos):
@@ -181,51 +186,60 @@ def test_two_slot_round_separates_three_chain():
     # lowest differing bits only under the two-slot entry layout
     world = explicit_world({0: 10, 1: 20, 2: 30})
     sub = PowerSubgraph(world, [0, 1, 2], 1)
-    before = ColorAssignment(sub.members, np.array([2, 4, 5]), 65536)
-    after = cv_reduce_round(sub, before)
-    assert after.palette == 1024
-    vals = after.as_dict()
-    assert vals[0] != vals[1] and vals[1] != vals[2]
-    assert max(vals.values()) < after.palette
+    colors = np.array([2, 4, 5])
+    after, palette = _squared_cv_round(colors, 65536,
+                                       *_by_label(sub.labels, *sub.pair))
+    assert palette == 1024
+    assert after[0] != after[1] and after[1] != after[2]
+    assert after.max() < palette
+    final, rounds = _three_color(sub.labels, *sub.pair, colors, 65536)
+    assert_proper(world, sub, by_member(sub.members, final))
+    assert rounds == three_color_rounds(65536)
 
 
 def test_two_slot_round_mirror_invariant():
-    labels = [83, 12, 55, 904, 7, 230]
+    # a reflected line with reflected colors gets the reflected coloring,
+    # both from given colors and from the labels themselves
+    rng = np.random.default_rng(3)
+    labels = rng.choice(np.arange(1, 5000), size=40, replace=False).tolist()
     fwd = explicit_world({i: lab for i, lab in enumerate(labels)})
     rev = explicit_world({i: lab for i, lab in enumerate(reversed(labels))})
-    colors = [9, 40, 3, 77, 12, 58]
-    sub_f = PowerSubgraph(fwd, range(6), 1)
-    sub_r = PowerSubgraph(rev, range(6), 1)
-    out_f = cv_reduce_round(sub_f, ColorAssignment(sub_f.members, np.array(colors), 100))
-    out_r = cv_reduce_round(sub_r, ColorAssignment(sub_r.members, np.array(colors[::-1]), 100))
-
-    def by_label(world, out):
-        return {world.label(int(p)): int(c)
-                for p, c in zip(out.members, out.colors)}
-
-    assert by_label(fwd, out_f) == by_label(rev, out_r)
+    sub_f = PowerSubgraph(fwd, range(40), 1)
+    sub_r = PowerSubgraph(rev, range(40), 1)
+    colors = rng.choice(2**20, size=40, replace=False)
+    out_f, _ = _three_color(sub_f.labels, *sub_f.pair, colors, 2**20)
+    out_r, _ = _three_color(sub_r.labels, *sub_r.pair, colors[::-1], 2**20)
+    assert out_f.tolist() == out_r[::-1].tolist()
+    by_f, _ = color_path_constant(sub_f)
+    by_r, _ = color_path_constant(sub_r)
+    assert by_f.colors.tolist() == by_r.colors[::-1].tolist()
 
 
 def test_two_slot_round_no_op_below_constant_palette():
+    # squaring would not shrink palettes this small, so the pipeline leaves
+    # colors 0..2 as they are: untouched at 3, one block fold at 6
     world = explicit_world({0: 1, 1: 2, 2: 3})
     sub = PowerSubgraph(world, [0, 1, 2], 1)
-    before = ColorAssignment(sub.members, np.array([0, 1, 2]), 6)
-    assert cv_reduce_round(sub, before) is before
+    colors = np.array([0, 1, 2])
+    for palette, want_rounds in ((3, 0), (6, 3)):
+        out, rounds = _three_color(sub.labels, *sub.pair, colors, palette)
+        assert out.tolist() == [0, 1, 2]
+        assert rounds == want_rounds == three_color_rounds(palette)
 
 
-def test_two_slot_round_rejects_improper_input():
+def test_check_proper_rejects_equal_adjacent_colors():
     world = explicit_world({0: 1, 1: 2})
     sub = PowerSubgraph(world, [0, 1], 1)
-    with pytest.raises(EngineError):
-        cv_reduce_round(sub, ColorAssignment(sub.members, np.array([5, 5]), 65536))
+    sub.check_proper(np.array([5, 6]))
+    with pytest.raises(EngineError, match="not proper"):
+        sub.check_proper(np.array([5, 5]))
 
 
-def test_two_slot_round_rejects_wrong_members():
+def test_list_coloring_rejects_matrix_for_other_members():
     world = explicit_world({0: 1, 1: 2, 5: 3})
     sub = PowerSubgraph(world, [0, 1], 1)
-    other = ColorAssignment(np.array([0, 5]), np.array([1, 2]), 65536)
-    with pytest.raises(EngineError):
-        cv_reduce_round(sub, other)
+    with pytest.raises(EngineError, match="for 2 members"):
+        list_color(sub, np.ones((3, 4), dtype=bool))
 
 
 @given(path_like_instances())
@@ -233,18 +247,22 @@ def test_two_slot_round_rejects_wrong_members():
 def test_two_slot_round_keeps_properness(inst):
     world, coords, power = inst
     sub = PowerSubgraph(world, coords, power)
-    colors, _ = color_path_constant(sub)
-    # lift back to a large palette to make room for a genuine reduction
-    lifted = ColorAssignment(sub.members, sub.labels % 65000, 65536)
-    if not _proper_dict(world, sub, lifted.as_dict()):
+    # a large palette makes room for genuine reductions
+    lifted = sub.labels % 65000
+    if not _proper_dict(world, sub, by_member(sub.members, lifted)):
         return
-    out = cv_reduce_round(sub, lifted)
-    assert_proper(world, sub, out.as_dict())
+    after, palette = _squared_cv_round(lifted, 65536,
+                                       *_by_label(sub.labels, *sub.pair))
+    assert palette < 65536
+    assert_proper(world, sub, by_member(sub.members, after))
+    final, _ = _three_color(sub.labels, *sub.pair, lifted, 65536)
+    assert_proper(world, sub, by_member(sub.members, final))
 
 
 def _proper_dict(world, sub, colors_by_pos):
+    members = [int(p) for p in sub.members]
     return all(colors_by_pos[u] != colors_by_pos[v]
-               for u, v in true_edges(world, [int(p) for p in sub.members], sub.power))
+               for u, v in true_edges(world, members, sub.power))
 
 
 def test_kw_stage_folds_twelve_colors_to_six():
@@ -389,7 +407,7 @@ def test_three_coloring_is_proper(inst):
     assignment, rounds = color_path_constant(sub)
     assert assignment.palette <= 3
     assert np.all(assignment.colors >= 0) and np.all(assignment.colors < 3)
-    assert_proper(world, sub, assignment.as_dict())
+    assert_proper(world, sub, by_member(assignment.members, assignment.colors))
     bound = int(sub.labels.max()) if sub.labels.size else 1
     assert rounds == three_color_rounds(bound)
 
@@ -400,7 +418,7 @@ def test_three_coloring_on_triangle():
     assert sub.max_degree == 2
     assert int((sub.nbrs > np.arange(3)[:, None]).sum()) == 3
     assignment, _ = color_path_constant(sub)
-    assert sorted(assignment.as_dict().values()) == [0, 1, 2]
+    assert sorted(assignment.colors.tolist()) == [0, 1, 2]
     assert mis(sub).tolist() in ([0], [1], [2])
 
 
@@ -411,7 +429,7 @@ def test_class_shifted_palette():
     sub = PowerSubgraph(world, [0, 3, 6, 9], 3)
     assignment, rounds = color_path_constant(sub, palette=12, base=5)
     assert rounds == three_color_rounds(12)
-    assert_proper(world, sub, assignment.as_dict())
+    assert_proper(world, sub, by_member(assignment.members, assignment.colors))
     with pytest.raises(EngineError):
         color_path_constant(sub, palette=12)  # base 1 leaves 16 out of range
 
@@ -470,7 +488,7 @@ def test_list_coloring_proper_and_within_lists(inst, list_seed):
     assert sub.max_degree <= 16
     lists = _random_lists(sub, np.random.default_rng(list_seed))
     assignment = list_color(sub, lists)
-    got = assignment.as_dict()
+    got = by_member(assignment.members, assignment.colors)
     assert_proper(world, sub, got)
     for p, c in got.items():
         assert c in lists[p]
@@ -496,7 +514,7 @@ def test_list_coloring_direct_path_for_class_bounded_labels():
              for p, d in zip(members, sub.degrees)}
     assignment, rounds = _list_color_impl(sub, lists, palette=12, base=5)
     assert rounds == 12  # sweeping the shifted labels beats the pipeline
-    assert_proper(world, sub, assignment.as_dict())
+    assert_proper(world, sub, by_member(assignment.members, assignment.colors))
 
 
 def test_list_coloring_isolated_members_take_list_minimum():
@@ -504,7 +522,8 @@ def test_list_coloring_isolated_members_take_list_minimum():
     sub = PowerSubgraph(world, [0, 10, 20], 1)
     assignment, rounds = _list_color_impl(sub, {0: [4, 2], 10: [9], 20: [3, 1]})
     assert rounds == 0
-    assert assignment.as_dict() == {0: 2, 10: 9, 20: 1}
+    assert by_member(assignment.members, assignment.colors) == \
+        {0: 2, 10: 9, 20: 1}
 
 
 def test_list_coloring_rejects_short_lists():
@@ -534,9 +553,10 @@ def test_list_coloring_order_independent_of_mapping_order():
     members = list(range(0, 30, 2))
     sub = PowerSubgraph(world, members, 9)
     lists = _random_lists(sub, np.random.default_rng(8))
-    forward = list_color(sub, lists).as_dict()
-    shuffled = dict(reversed(list(lists.items())))
-    assert list_color(sub, shuffled).as_dict() == forward
+    forward = list_color(sub, lists)
+    shuffled = list_color(sub, dict(reversed(list(lists.items()))))
+    assert shuffled.members.tolist() == forward.members.tolist()
+    assert shuffled.colors.tolist() == forward.colors.tolist()
 
 
 def _final_assign_loop(colors, palette, nbrs, lists):
@@ -600,5 +620,6 @@ def test_list_coloring_array_form_matches_mapping(inst, seed):
         allowed[rank, lists[int(p)]] = True
     by_map, rounds_map = _list_color_impl(sub, lists)
     by_array, rounds_array = _list_color_impl(sub, allowed)
-    assert by_array.as_dict() == by_map.as_dict()
+    assert by_array.members.tolist() == by_map.members.tolist()
+    assert by_array.colors.tolist() == by_map.colors.tolist()
     assert rounds_array == rounds_map

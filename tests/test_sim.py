@@ -349,14 +349,19 @@ class TestDetectionOracle:
 
 
 def detect(cfg, plan_a, plan_b, cap):
-    """``(t_rdv, event, meet_position)`` of ``sim._detect`` on given plans."""
+    """``(t_rdv, event, meet_position)`` of ``sim._detect`` on given plans.
+
+    The position ``_detect`` reports must be alpha's unwrapped position at
+    the meeting round, as the position reader gives it.
+    """
     world = plan_a.world
     fns = sim._position_fns(cfg, plan_a, plan_b, cfg.care)
     meet = sim._detect(cfg, world, plan_a, plan_b, cap, fns)
     if meet is None:
         return None
-    x = int(fns[0](meet[0], meet[0])[0])
-    return (*meet, x % world.n if world.topology == "cycle" else x)
+    t, event, x = meet
+    assert x == int(fns[0](t, t)[0]), (meet, cfg)
+    return (t, event, x % world.n if world.topology == "cycle" else x)
 
 
 def refine(plan, data):
@@ -751,6 +756,32 @@ class TestOneWorldPerKey:
         assert other is not a.world and other.scheme is a.world.scheme
         assert run(replace(first, topology="path", n=40, va=3)).world \
             is not a.world
+
+    def test_label_extremes_computed_once_per_start_pair(self, monkeypatch):
+        calls = []
+
+        def counted(world, va, vb):
+            calls.append((va, vb))
+            return lmin_stats(world, va, vb)
+
+        monkeypatch.setattr(sim, "lmin_stats", counted)
+        # a fresh scheme object keys a world no other test has run on
+        base = SimConfig(topology="cycle", n=24, scheme=parse_scheme(RAND),
+                         va=3)
+        configs = [replace(base, vb=vb, tau=tau)
+                   for vb in (9, 15, 22) for tau in (0, 5, 24)]
+        configs += [replace(c, va=c.vb, vb=c.va) for c in configs]
+        for cfg in configs:
+            trace = run(cfg)
+            assert (trace.lmin, trace.lmax) == \
+                lmin_stats(cfg.world(), cfg.va, cfg.vb)
+        pairs = {(cfg.va, cfg.vb) for cfg in configs}
+        assert len(pairs) == 6 and sorted(calls) == sorted(pairs)
+        extremes = sim._world_work(base).extremes
+        assert set(extremes) == pairs
+        with pytest.raises(SimError, match="invalid"):
+            run(replace(base, vb=30))
+        assert set(extremes) == pairs and len(calls) == len(pairs)
 
     def test_rejected_config_leaves_store_alone(self):
         for seed in range(sim.WORLD_SLOTS):
