@@ -22,7 +22,9 @@ them.
 
 Detection reports the meeting round, its event and the node where the
 agents meet, read off alpha's trajectory where the meeting is found, so a
-trace needs no second position lookup.
+trace needs no second position lookup.  One leg cursor, ``_Track``, turns
+legs into positions for detection, traces, position queries and the care
+gadget expansion alike.
 
 Runs on the same world share one ``World`` object, and with it every label
 computed so far, one trajectory plan per start, each start pair's label
@@ -38,9 +40,9 @@ deterministic.  Only the ``WORLD_SLOTS`` most recently used worlds are kept.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from functools import partial
 import json
 import math
 
@@ -107,6 +109,8 @@ class SimConfig:
             raise SimError(f"unknown engine {self.engine!r}")
         if self.tau < 0:
             raise SimError("wake-up delay must be nonnegative")
+        if self.round_cap is not None and self.round_cap < 0:
+            raise SimError("round cap must be nonnegative")
         for v in (self.va, self.vb):
             if not world.valid(v):
                 raise SimError(f"start {v} invalid on this topology")
@@ -198,7 +202,6 @@ class Timeline:
         self.cur_x = self.start
         self.terminal: tuple | None = None
         self.tail: tuple[str, int] | None = None
-        self._arrays: tuple | None = None
 
     def _append(self, dur: int, slope: int) -> None:
         if dur <= 0:
@@ -209,45 +212,10 @@ class Timeline:
             self.slopes.append(slope)
         self.cur_t += dur
         self.cur_x += slope * dur
-        self._arrays = None
 
     def ensure(self, t: int) -> None:
         """Make the trajectory through local round t known; a recorded
         timeline already holds all of it."""
-
-    # -- evaluation --------------------------------------------------------
-
-    def _segment_arrays(self):
-        if self._arrays is None:
-            self._arrays = (np.array(self.t0s, dtype=np.int64),
-                            np.array(self.x0s, dtype=np.int64),
-                            np.array(self.slopes, dtype=np.int64))
-        return self._arrays
-
-    def positions(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=np.int64)
-        if ts.size == 0:
-            return ts.copy()
-        if np.any(ts < 0):
-            raise SimError("local rounds start at 0")
-        self.ensure(int(ts.max()))
-        out = np.full(ts.shape, self.cur_x, dtype=np.int64)
-        t0a, x0a, sla = self._segment_arrays()
-        if t0a.size:
-            inside = ts < self.cur_t
-            idx = np.searchsorted(t0a, ts[inside], side="right") - 1
-            out[inside] = x0a[idx] + sla[idx] * (ts[inside] - t0a[idx])
-        if self.terminal is not None:
-            kind = self.terminal[0]
-            late = ts >= self.terminal[1]
-            if kind == "pingpong":
-                _, th, e, d, m = self.terminal
-                u = (ts[late] - th) % (2 * m)
-                out[late] = e + d * np.where(u <= m, u, 2 * m - u)
-            else:
-                _, _, x = self.terminal
-                out[late] = x
-        return out
 
     # -- phases ------------------------------------------------------------
 
@@ -360,7 +328,7 @@ class AgentPlan(Timeline):
             target = above if up else below
         if target != x:
             self._append(abs(target - x), 1 if target > x else -1)
-        self.terminal = ("hold", self.cur_t, target)
+        self.terminal = ("hold", self.cur_t)
 
     def _window_labels(self, L: int) -> np.ndarray:
         coords = np.arange(self.start - L, self.start + L + 1)
@@ -405,65 +373,22 @@ class AgentPlan(Timeline):
             self._extend_once()
 
 
-# -- engines -------------------------------------------------------------------
-
-
-def _plain_positions(tl: Timeline, lo: int, hi: int) -> np.ndarray:
-    return tl.positions(np.arange(lo, hi + 1))
-
-
-def _care_positions(plan: AgentPlan, lo: int, hi: int) -> np.ndarray:
-    """Care-frame positions for local rounds lo..hi via 4x gadget expansion."""
-    t0, t1 = lo // 4, hi // 4 + 1
-    x = plan.positions(np.arange(t0, t1 + 1))
-    phys = x % plan.world.n if plan.world.topology == "cycle" else x
-    uniq, inv = np.unique(phys, return_inverse=True)
-    labs = plan.world.labels_at(uniq)[inv]
-    a, b = x[:-1], x[1:]
-    moved = a != b
-    toward_lower = moved & (labs[1:] < labs[:-1])
-    stay_or_there = np.where(moved, b, a)
-    quads = np.stack([a, stay_or_there, np.where(toward_lower, a, stay_or_there),
-                      stay_or_there], axis=1).reshape(-1)
-    full = np.concatenate([x[:1], quads])
-    return full[lo - 4 * t0: hi - 4 * t0 + 1]
-
-
-def _position_fns(config: SimConfig, tl_a: Timeline, tl_b: Timeline,
-                  expand: bool):
-    """Position readers (lo, hi) over global rounds for both agents.
-
-    With ``expand`` the timelines are plain plans read in care rounds
-    through the crossing gadget; otherwise their legs count the rounds
-    read.  Beta rests at its start until it wakes at tau.
-    """
-    tau, vb = config.tau, config.vb
-    read = _care_positions if expand else _plain_positions
-
-    def pos_b(lo, hi):
-        out = np.full(max(hi - lo + 1, 0), vb, dtype=np.int64)
-        first = max(lo, tau)
-        if first <= hi:
-            out[first - lo:] = read(tl_b, first - tau, hi - tau)
-        return out
-    return partial(read, tl_a), pos_b
-
-
-# -- meeting detection ---------------------------------------------------------
+# -- reading trajectories ------------------------------------------------------
 
 
 class _Track:
-    """One agent's plain trajectory on a shared clock, read left to right.
+    """One agent's trajectory on a shared clock, read left to right.
 
-    The agent rests at ``rest`` before ``shift`` and then follows ``plan``
-    shifted by ``shift``.  ``piece`` must be asked nondecreasing times below
-    ``end()``.
+    The agent rests at its start before ``shift`` and then follows ``plan``
+    shifted by ``shift``: its legs, then the terminal or, on a timeline
+    without one, its last position.  This is the only reader that turns legs
+    into positions.  ``piece`` must be asked nondecreasing times; detection
+    asks only times below ``end()``.
     """
 
-    def __init__(self, plan: AgentPlan, shift: int, rest: int):
+    def __init__(self, plan: Timeline, shift: int):
         self.plan = plan
         self.shift = shift
-        self.rest = rest
         self._i = 0
 
     def end(self) -> float:
@@ -481,9 +406,9 @@ class _Track:
         piece that ends at ``end()`` is read again only after the plan is
         extended, which may continue its segment.
         """
-        if t < self.shift:
-            return self.rest, 0, self.shift
         plan = self.plan
+        if t < self.shift:
+            return plan.start, 0, self.shift
         u = t - self.shift
         if u < plan.cur_t:
             t0s, i = plan.t0s, self._i
@@ -494,13 +419,64 @@ class _Track:
             end = t0s[i + 1] if i < last else plan.cur_t
             slope = plan.slopes[i]
             return plan.x0s[i] + slope * (u - t0s[i]), slope, self.shift + end
-        if plan.terminal[0] == "hold":
-            return plan.terminal[2], 0, math.inf
+        if plan.terminal is None or plan.terminal[0] == "hold":
+            return plan.cur_x, 0, math.inf
         _, th, e, d, m = plan.terminal
         v = (u - th) % (2 * m)
         if v < m:
             return e + d * v, d, t + m - v
         return e + d * (2 * m - v), -d, t + 2 * m - v
+
+    def positions(self, lo: int, hi: int) -> np.ndarray:
+        """Positions at times lo..hi, planned through hi, piece by piece
+        from a cursor sought once."""
+        plan = self.plan
+        plan.ensure(hi - self.shift)
+        self._i = max(bisect_right(plan.t0s, lo - self.shift) - 1, 0)
+        out = np.empty(max(hi - lo + 1, 0), dtype=np.int64)
+        t = lo
+        while t <= hi:
+            x, slope, end = self.piece(t)
+            stop = min(end, hi + 1)
+            out[t - lo:stop - lo] = x + slope * np.arange(stop - t)
+            t = stop
+        return out
+
+
+def _care_positions(plan: AgentPlan, lo: int, hi: int) -> np.ndarray:
+    """Care-frame positions for local rounds lo..hi via 4x gadget expansion;
+    rounds before 0 stand at the start."""
+    t0, t1 = lo // 4, hi // 4 + 1
+    x = _Track(plan, 0).positions(t0, t1)
+    phys = x % plan.world.n if plan.world.topology == "cycle" else x
+    uniq, inv = np.unique(phys, return_inverse=True)
+    labs = plan.world.labels_at(uniq)[inv]
+    a, b = x[:-1], x[1:]
+    moved = a != b
+    toward_lower = moved & (labs[1:] < labs[:-1])
+    stay_or_there = np.where(moved, b, a)
+    quads = np.stack([a, stay_or_there, np.where(toward_lower, a, stay_or_there),
+                      stay_or_there], axis=1).reshape(-1)
+    full = np.concatenate([x[:1], quads])
+    return full[lo - 4 * t0: hi - 4 * t0 + 1]
+
+
+def _positions(tl: Timeline, wake: int, expand: bool, lo: int,
+               hi: int) -> np.ndarray:
+    """Positions at global rounds lo..hi of an agent that rests at its start
+    until it wakes and then follows ``tl``.
+
+    With ``expand`` the timeline is a plain plan read in care rounds through
+    the crossing gadget; otherwise its legs count the rounds read.
+    """
+    if lo < 0:
+        raise SimError("local rounds start at 0")
+    if expand:
+        return _care_positions(tl, lo - wake, hi - wake)
+    return _Track(tl, wake).positions(lo, hi)
+
+
+# -- meeting detection ---------------------------------------------------------
 
 
 def _first_root(c: int, slope: int, wrap: int | None) -> int | None:
@@ -570,7 +546,8 @@ def _plain_solver(mode: str, wrap: int | None):
     return solve
 
 
-def _care_solver(mode: str, wrap: int | None, pos_a, pos_b):
+def _care_solver(config: SimConfig, wrap: int | None, plan_a: AgentPlan,
+                 plan_b: AgentPlan):
     """Care-mode meetings over the gadget rounds of plain steps k0 <= k < k1.
 
     Care round 4k + j stands on plain position x(k) or x(k + 1), and the
@@ -581,6 +558,7 @@ def _care_solver(mode: str, wrap: int | None, pos_a, pos_b):
     the stretch's first step repeats the plain positions, so only that step
     is expanded.
     """
+    mode, tau = config.detection, config.tau
     reach = 3 if mode == "node-or-crossing" else 2
 
     def near(d):
@@ -588,8 +566,9 @@ def _care_solver(mode: str, wrap: int | None, pos_a, pos_b):
 
     def expand(ks, ke):
         lo, hi = max(4 * ks - 1, 0), 4 * ke - 1
-        return _first_event(pos_a(lo, hi), pos_b(lo, hi), lo, 4 * ks, mode,
-                            wrap)
+        return _first_event(_positions(plan_a, 0, True, lo, hi),
+                            _positions(plan_b, tau, True, lo, hi), lo, 4 * ks,
+                            mode, wrap)
 
     def solve(k0, k1, xa, sa, xb, sb):
         d, ds = xa - xb, sa - sb
@@ -617,7 +596,7 @@ def _care_solver(mode: str, wrap: int | None, pos_a, pos_b):
 
 
 def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
-            plan_b: AgentPlan, cap: int, fns) -> tuple[int, str, int] | None:
+            plan_b: AgentPlan, cap: int) -> tuple[int, str, int] | None:
     """First meeting at a global round <= cap as (round, event, x), or None.
 
     ``x`` is alpha's position at that round in the unbounded frame, so on a
@@ -629,14 +608,15 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
     current piece and advances it arithmetically, so a track is looked up
     once per breakpoint of its own; the track just extended stands at its
     old end and so is read again.  Care runs work in plain steps of 4
-    rounds.  Once both plans are in their terminal tails, one period of the
+    rounds and expand gadget windows through :func:`_positions`, as traces
+    do.  Once both plans are in their terminal tails, one period of the
     joint motion decides whether they ever meet.
     """
     scale = 4 if config.care else 1
     wrap = world.n if world.topology == "cycle" else None
-    ta = _Track(plan_a, 0, config.va)
-    tb = _Track(plan_b, config.tau // scale, config.vb)
-    solve = (_care_solver(config.detection, wrap, *fns) if config.care
+    ta = _Track(plan_a, 0)
+    tb = _Track(plan_b, config.tau // scale)
+    solve = (_care_solver(config, wrap, plan_a, plan_b) if config.care
              else _plain_solver(config.detection, wrap))
     limit = cap // scale + 1
     t, found = 0, None
@@ -770,7 +750,7 @@ class SimTrace:
 
     def __init__(self, config: SimConfig, world: World, cap: int,
                  extremes: tuple[int, int], meet: tuple[int, str, int] | None,
-                 timeline_a: Timeline, timeline_b: Timeline, position_fns):
+                 timeline_a: Timeline, timeline_b: Timeline, expand: bool):
         self.config = config
         self.world = world
         self.round_cap = cap
@@ -780,7 +760,7 @@ class SimTrace:
             self.meet_position %= world.n
         self._ta = timeline_a
         self._tb = timeline_b
-        self._pos = position_fns
+        self._expand = expand
 
     def _local(self, agent: str, t: int) -> int:
         t = t if agent == "alpha" else t - self.config.tau
@@ -799,7 +779,8 @@ class SimTrace:
         return timeline.note_at(self._local(agent, t))
 
     def positions_at(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        xa, xb = self._pos[0](lo, hi), self._pos[1](lo, hi)
+        xa = _positions(self._ta, 0, self._expand, lo, hi)
+        xb = _positions(self._tb, self.config.tau, self._expand, lo, hi)
         if self.world.topology == "cycle":
             xa, xb = xa % self.world.n, xb % self.world.n
         return xa, xb
@@ -964,13 +945,12 @@ def run(config: SimConfig) -> SimTrace:
            else _round_cap(world.distance(*pair), extremes[1]))
     if config.engine == "reference":
         meet, tl_a, tl_b = _run_reference(config, world, cap)
-        fns = _position_fns(config, tl_a, tl_b, expand=False)
-        return SimTrace(config, world, cap, extremes, meet, tl_a, tl_b, fns)
+        return SimTrace(config, world, cap, extremes, meet, tl_a, tl_b, False)
     plan_a = _cached_plan(work, config.va)
     plan_b = _cached_plan(work, config.vb)
-    fns = _position_fns(config, plan_a, plan_b, expand=config.care)
-    meet = _detect(config, world, plan_a, plan_b, cap, fns)
-    return SimTrace(config, world, cap, extremes, meet, plan_a, plan_b, fns)
+    meet = _detect(config, world, plan_a, plan_b, cap)
+    return SimTrace(config, world, cap, extremes, meet, plan_a, plan_b,
+                    config.care)
 
 
 def case_classifier(trace: SimTrace) -> str:

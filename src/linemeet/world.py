@@ -335,7 +335,8 @@ class World:
     :meth:`labels_at` keeps the labels of one growing interval of requested
     coordinates in a store and serves later requests inside it from there, so
     each stored coordinate is labelled once.  Every newly labelled coordinate
-    is checked against all stored labels.
+    is checked against all stored labels, and :meth:`label` reads through
+    the same store.
     """
 
     topology: str
@@ -343,7 +344,6 @@ class World:
     n: int | None = None
     seed: int = 0
     _port_blocks: dict = field(default_factory=dict, repr=False, compare=False)
-    _label_memo: dict = field(default_factory=dict, repr=False, compare=False)
     _store: _LabelStore = field(default_factory=_LabelStore, repr=False,
                                 compare=False)
 
@@ -387,11 +387,7 @@ class World:
         store = self._store
         if store.lo <= p <= store.hi:
             return int(store.labels[p - store.lo])
-        lab = self.scheme.label_at(p)
-        prev = self._label_memo.setdefault(lab, p)
-        if prev != p:
-            raise WorldError(f"label {lab} duplicated at coordinates {prev} and {p}")
-        return lab
+        return int(self.labels_at(np.array([p]))[0])
 
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized labels; each stored coordinate is labelled only once.

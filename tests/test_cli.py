@@ -86,6 +86,34 @@ class TestRunCommand:
         assert "T_rdv=NONE" in out
         assert json.loads(err)["error"] == "bound-violation"
 
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_negative_round_cap_exits_two(self, capsys, engine):
+        code, out, err = run_cli(capsys, "run", "--d", "3", "--round-cap",
+                                 "-5", "--engine", engine)
+        assert code == 2 and out == ""
+        assert "round cap" in json.loads(err)["detail"]
+
+    # README's run examples and their care, path and cycle-settle variants
+    @pytest.mark.parametrize("flags", [
+        "--d 5 --tau 3",
+        "--d 5 --tau 3 --detection node-only",
+        "--topology path --n 12 --d 4",
+        "--topology cycle --n 12 --d 4 --scheme random-injective:7:1000000",
+        "--topology cycle --n 12 --d 3 --scheme random-injective:7:1000000",
+        "--topology cycle --n 12 --d 3 --scheme random-injective:7:1000000 "
+        "--detection node-only",
+    ])
+    def test_fast_and_reference_traces_match(self, capsys, tmp_path, flags):
+        traces = []
+        for engine in ("fast", "reference"):
+            path = tmp_path / f"{engine}.jsonl"
+            code, _, _ = run_cli(capsys, "run", *flags.split(), "--engine",
+                                 engine, "--out", str(path))
+            assert code == 0
+            traces.append(path.read_text().splitlines()[1:])
+        assert traces[0] == traces[1]
+        assert json.loads(traces[0][-1])["event"] is not None
+
     def test_config_file_fills_flags(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("d = 5\ntau = 3\n# a comment\nscheme = sequential\n")

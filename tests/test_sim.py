@@ -96,6 +96,11 @@ def legs(timeline, upto):
             if leg[0] < upto]
 
 
+def plain_positions(plan, hi):
+    """Positions of an awake agent following ``plan`` at rounds 0..hi."""
+    return sim._positions(plan, 0, False, 0, hi)
+
+
 def assert_engines_agree(fast, ref):
     """Fast and reference runs agree on the meeting, on both trajectories
     and the phase tallies through it, on the notes at it and, in plain mode,
@@ -134,6 +139,11 @@ class TestConfigValidation:
     def test_start_off_the_path(self):
         with pytest.raises(SimError, match="invalid"):
             run(SimConfig(topology="path", n=5, va=0, vb=9))
+
+    @pytest.mark.parametrize("engine", sim.ENGINES)
+    def test_negative_round_cap(self, engine):
+        with pytest.raises(SimError, match="round cap"):
+            run(SimConfig(round_cap=-5, engine=engine))
 
     def test_identical_starts_guarded(self):
         with pytest.raises(SimError, match="allow_same_start"):
@@ -355,12 +365,11 @@ def detect(cfg, plan_a, plan_b, cap):
     the meeting round, as the position reader gives it.
     """
     world = plan_a.world
-    fns = sim._position_fns(cfg, plan_a, plan_b, cfg.care)
-    meet = sim._detect(cfg, world, plan_a, plan_b, cap, fns)
+    meet = sim._detect(cfg, world, plan_a, plan_b, cap)
     if meet is None:
         return None
     t, event, x = meet
-    assert x == int(fns[0](t, t)[0]), (meet, cfg)
+    assert x == int(sim._positions(plan_a, 0, cfg.care, t, t)[0]), (meet, cfg)
     return (t, event, x % world.n if world.topology == "cycle" else x)
 
 
@@ -385,7 +394,7 @@ def refine(plan, data):
             t0s.append(u)
             x0s.append(x0 + slope * (u - t0))
             slopes.append(slope)
-    plan.t0s, plan.x0s, plan.slopes, plan._arrays = t0s, x0s, slopes, None
+    plan.t0s, plan.x0s, plan.slopes = t0s, x0s, slopes
     return len(cuts)
 
 
@@ -404,10 +413,10 @@ class TestPartitionInvariance:
         world = cfg.world()  # uncached, so the plans are this test's own
         plans = AgentPlan(world, cfg.va), AgentPlan(world, cfg.vb)
         meet = detect(cfg, *plans, self.CAP)
-        before = [p.positions(np.arange(p.cur_t)) for p in plans]
+        before = [plain_positions(p, p.cur_t - 1) for p in plans]
         cuts = [refine(plan, data) for plan in plans]
         for plan, xs in zip(plans, before):
-            assert np.array_equal(plan.positions(np.arange(plan.cur_t)), xs)
+            assert np.array_equal(plain_positions(plan, plan.cur_t - 1), xs)
         assert detect(cfg, *plans, self.CAP) == meet, cuts
 
 
@@ -549,18 +558,29 @@ class TestPlanShapeAndCost:
 
     @pytest.mark.parametrize("case", CASES)
     def test_legs_are_maximal_and_lookups_few(self, case, monkeypatch):
-        calls = {"piece": 0, "extend": 0}
-        piece, extend = sim._Track.piece, AgentPlan._extend_once
+        # pieces read by gadget expansion count apart from detection's
+        calls = {"piece": 0, "expand": 0, "extend": 0}
+        piece, positions = sim._Track.piece, sim._Track.positions
+        extend = AgentPlan._extend_once
+        reading = []
 
         def counted_piece(track, t):
-            calls["piece"] += 1
+            calls["expand" if reading else "piece"] += 1
             return piece(track, t)
+
+        def counted_positions(track, lo, hi):
+            reading.append(track)
+            try:
+                return positions(track, lo, hi)
+            finally:
+                reading.pop()
 
         def counted_extend(plan):
             calls["extend"] += 1
             extend(plan)
 
         monkeypatch.setattr(sim._Track, "piece", counted_piece)
+        monkeypatch.setattr(sim._Track, "positions", counted_positions)
         monkeypatch.setattr(AgentPlan, "_extend_once", counted_extend)
         trace = run(self.CASES[case]())
         assert trace.t_rdv is not None
@@ -569,16 +589,58 @@ class TestPlanShapeAndCost:
                    for plan in plans for note in plan.notes)
         if case.startswith(("path", "cycle")):
             assert any(plan.terminal for plan in plans)
+        assert (calls["expand"] > 0) == case.endswith("care"), calls
         for plan in plans:
             assert all(a != b for a, b in zip(plan.slopes, plan.slopes[1:]))
             # through the last iteration the plan completed, ahead of any
             # finite takeover
             steps = walked_steps(plan)
             assert len(steps) == 28 * (plan.L_next - 1)
-            assert np.array_equal(plan.positions(np.arange(len(steps) + 1)),
+            assert np.array_equal(plain_positions(plan, len(steps)),
                                   np.cumsum([plan.start, *steps]))
         budget = sum(len(plan.t0s) for plan in plans) + 2 * calls["extend"]
         assert calls["piece"] <= budget + 8, (calls, budget)
+
+
+class TestPositionWindows:
+    """A position query reads the same positions whatever its window."""
+
+    CAP = 2000
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=detection_configs(), engine=st.sampled_from(sim.ENGINES),
+           window=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)))
+    # beta asleep, a ping-pong tail, hold tails plain and care, a care wake
+    @example(cfg=SimConfig(va=0, vb=3, tau=40), engine="fast",
+             window=(5, 60))
+    @example(cfg=SimConfig(topology="path", n=12, va=4, vb=8),
+             engine="fast", window=(88, 97))
+    @example(cfg=SimConfig(topology="cycle", n=12, va=4, vb=7,
+                           scheme="random-injective:7:1000000"),
+             engine="reference", window=(208, 210))
+    @example(cfg=SimConfig(topology="cycle", n=8, va=2, vb=6,
+                           scheme="random-injective:5", tau=8, care=True,
+                           detection="node-only"),
+             engine="fast", window=(393, 398))
+    @example(cfg=SimConfig(va=-1, vb=2, tau=7, care=True,
+                           detection="node-only"),
+             engine="fast", window=(3, 30))
+    def test_windows_read_slices_of_one_read(self, cfg, engine, window):
+        trace = run(replace(cfg, engine=engine, round_cap=self.CAP))
+        end = trace.t_rdv if trace.t_rdv is not None else self.CAP
+        lo, hi = sorted(w % (end + 1) for w in window)
+        whole = trace.positions_at(0, end)
+        for part, xs in zip(trace.positions_at(lo, hi), whole):
+            assert np.array_equal(part, xs[lo:hi + 1])
+
+    @pytest.mark.parametrize("engine", sim.ENGINES)
+    @pytest.mark.parametrize("care", [False, True])
+    def test_negative_rounds_raise(self, engine, care):
+        trace = run(SimConfig(va=0, vb=3, tau=2, engine=engine, care=care,
+                              detection="node-only" if care
+                              else "node-or-crossing"))
+        with pytest.raises(SimError, match="start at 0"):
+            trace.positions_at(-1, 3)
 
 
 class TestTrajectoryInvariants:
@@ -919,9 +981,8 @@ class TestSharedRulingWindows:
         cached = run(cfg)
         bare = AgentPlan(cfg.world(), -11)
         bare.ensure(cached.t_rdv)
-        horizon = np.arange(cached.t_rdv + 1)
         xa, _ = cached.positions_at(0, cached.t_rdv)
-        assert (bare.positions(horizon) == xa).all()
+        assert (plain_positions(bare, cached.t_rdv) == xa).all()
 
     # (labels, L, activated R): random labels are class 6 and sweep past the
     # termination ball, R + phase_end_round(R, CLASS_COUNT), except at

@@ -235,13 +235,32 @@ def test_world_validation():
 
 def test_label_injectivity_guard_fires():
     class Broken(SequentialScheme):
-        def label_at(self, coord):
-            return 5
+        def labels_at(self, coords):
+            return np.full(np.shape(coords), 5, dtype=np.int64)
 
     w = World(topology="infinite", scheme=Broken())
     w.label(3)
     with pytest.raises(WorldError):
         w.label(4)
+
+
+class SameAt0And5(SequentialScheme):
+    """Sequential labels, except that coordinate 5 repeats coordinate 0's."""
+
+    def labels_at(self, coords):
+        coords = np.asarray(coords)
+        return super().labels_at(np.where(coords == 5, 0, coords))
+
+
+def test_single_labels_share_the_store_injectivity_check():
+    w = World(topology="infinite", scheme=SameAt0And5())
+    w.labels_at(np.arange(0, 3))
+    with pytest.raises(WorldError):
+        w.label(5)
+    w = World(topology="infinite", scheme=SameAt0And5())
+    w.label(5)
+    with pytest.raises(WorldError):
+        w.labels_at(np.arange(-1, 2))
 
 
 # -- the per-world label store -----------------------------------------------
