@@ -22,7 +22,7 @@ import numpy as np
 
 from .logstar import CLASS_COUNT, label_classes
 from .ruling import EsColState, phase_end_round
-from .world import ExplicitScheme, World
+from .world import WindowScheme, World
 
 
 class AgentError(ValueError):
@@ -264,9 +264,10 @@ def plan_iteration(labels: np.ndarray, lo: int, center: int, L: int,
     The records come from ``es_lookup(center - need, center + need, R)``,
     where ``need`` is the largest |u - center| + termination radius over
     the activated nodes u, so the window holds exactly the balls the
-    records depend on.
-    Without a lookup they are built over the whole sweep window
-    [center - L, center + L].
+    records depend on.  Without a lookup they are built over the whole
+    sweep window [center - L, center + L]; only the reference engine's
+    agent program plans that way, which keeps it an independent oracle for
+    the fast engine's ball-sized windows.
 
     Returns None when no spacing activates, in which case the iteration
     just waits out its search budget.
@@ -317,11 +318,17 @@ def _radius_by_class(R: int) -> np.ndarray:
 
 def _es_over_labels(labels: np.ndarray, lo: int, win_lo: int, win_hi: int,
                     R: int) -> EsColState:
-    """Self-contained ruling-set state over a slice of known labels."""
-    coords = np.arange(win_lo, win_hi + 1)
-    mapping = {int(c): int(labels[c - lo]) for c in coords}
-    host = World(topology="infinite", scheme=ExplicitScheme(mapping))
-    return EsColState(host, coords, R)
+    """Self-contained ruling-set state over a slice of known labels.
+
+    ``labels[i]`` is the label at coordinate lo + i, and the window
+    [win_lo, win_hi] must lie inside them.  The state's host holds only the
+    window, so a read outside it raises ``WorldError``.
+    """
+    if win_lo < lo or win_hi >= lo + len(labels):
+        raise AgentError(f"window [{win_lo}, {win_hi}] leaves the known labels")
+    window = WindowScheme(labels[win_lo - lo:win_hi - lo + 1], win_lo)
+    host = World(topology="infinite", scheme=window)
+    return EsColState(host, np.arange(win_lo, win_hi + 1), R)
 
 
 # -- the agents' discovered world ----------------------------------------------

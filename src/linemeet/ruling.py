@@ -27,7 +27,7 @@ import numpy as np
 
 from .localengine import PowerSubgraph, _merge_schedule_cost, list_color, mis, mis_rounds, three_color_rounds
 from .logstar import CLASS_COUNT, CLASS_LO, ceil_log2, class_size, label_classes, log_star
-from .world import ExplicitScheme, World
+from .world import WindowScheme, World
 
 PALETTE_SIZE = 17  # member colors are 1..17
 
@@ -533,11 +533,12 @@ def certify_es_locality(host: World, universe: Iterable[int], R: int,
         if not window_certifies(host, arr, p, state.R):
             continue
         radius = termination_radius(host.label(p), state.R)
-        near = np.abs(arr - p) <= radius
-        ball = ExplicitScheme(dict(zip(arr[near].tolist(),
-                                       state.labels[near].tolist())))
+        # the window holds the ball, so its part of arr is contiguous
+        a = np.searchsorted(arr, p - radius)
+        b = np.searchsorted(arr, p + radius, side="right")
+        ball = WindowScheme(state.labels[a:b], arr[a])
         local = World(host.topology, ball, host.n)
-        if EsColState(local, arr[near], state.R).output_for(p) != \
+        if EsColState(local, arr[a:b], state.R).output_for(p) != \
                 state.output_for(p):
             raise RulingError(
                 f"output of {p} changed under truncation to radius {radius}")

@@ -33,6 +33,8 @@ class) around the origin.  A plan asks only for the balls its records
 depend on, and the window is the smallest rung of the class ladder R +
 phase_end_round(R, c) that holds them, so plans that read the same classes
 share it whatever their sweep; delays only shift a plan in global time.
+On a path or cycle each iteration builds its ruling set over exactly the
+ball window it asks for, from the labels its sweep read.
 Worlds are keyed by topology, size, seed and scheme: a string scheme by its
 spec, a ``LabelScheme`` object by identity, so such objects must be
 deterministic.  Only the ``WORLD_SLOTS`` most recently used worlds are kept.
@@ -50,6 +52,7 @@ import numpy as np
 
 from .agent import (
     Observation,
+    _es_over_labels,
     care_transform,
     main_program,
     plan_iteration,
@@ -151,11 +154,6 @@ def lmin_stats(world: World, va: int, vb: int) -> tuple[int, int]:
 
 def _round_cap(D: int, biggest: int) -> int:
     return ROUND_CAP_FACTOR * max(D, 1) * log_star(biggest)
-
-
-def default_round_cap(world: World, va: int, vb: int) -> int:
-    _, biggest = lmin_stats(world, va, vb)
-    return _round_cap(world.distance(va, vb), biggest)
 
 
 # -- analytic trajectory plans -------------------------------------------------
@@ -263,7 +261,9 @@ class AgentPlan(Timeline):
 
     Iterations are appended one doubling step at a time; a finite-topology
     takeover (endpoint ping-pong or cycle settling) sets the tail and ends
-    the legs with a closed-form terminal.
+    the legs with a closed-form terminal.  Each iteration's ruling-set
+    records come from ``es_lookup`` when given, else from a state built on
+    exactly the window the planner asks for, sliced from the sweep's labels.
     """
 
     def __init__(self, world: World, start: int, es_lookup=None):
@@ -352,8 +352,10 @@ class AgentPlan(Timeline):
         for dur, slope in z_walk_segments(L, self._sweep_direction(L)):
             if self._walk_leg(dur, slope):
                 return
-        plan = plan_iteration(self._window_labels(L), self.start - L,
-                              self.start, L, es_lookup=self.es_lookup)
+        labels, lo = self._window_labels(L), self.start - L
+        lookup = self.es_lookup or (
+            lambda a, b, R: _es_over_labels(labels, lo, a, b, R))
+        plan = plan_iteration(labels, lo, self.start, L, es_lookup=lookup)
         t0 = 28 * (L - 1)
         if plan is None:
             self._append(24 * L, 0)

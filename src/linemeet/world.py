@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,11 @@ def zigzag(coord: int) -> int:
 def zigzag_array(coords: np.ndarray) -> np.ndarray:
     c = np.asarray(coords, dtype=np.int64)
     return np.where(c >= 0, 2 * c, -2 * c - 1)
+
+
+def _zigzag_span(size: int) -> tuple[int, int]:
+    """The coordinates whose zig-zag index is below size."""
+    return -(size // 2), (size - 1) // 2
 
 
 class _FeistelPerm:
@@ -106,6 +112,12 @@ class LabelScheme:
         return np.array([self.label_at(int(c)) for c in np.asarray(coords).ravel()],
                         dtype=np.int64).reshape(np.asarray(coords).shape)
 
+    def span(self) -> tuple[float, float] | None:
+        """Bounds of the coordinate interval the scheme labels in full, which
+        a world may label ahead of requests; None when only the requested
+        coordinates may be labelled."""
+        return None
+
     def spec(self) -> str:
         """Round-trippable textual form, accepted by :func:`parse_scheme`."""
         raise NotImplementedError
@@ -121,6 +133,9 @@ class SequentialScheme(LabelScheme):
 
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
         return zigzag_array(coords) + 1
+
+    def span(self) -> tuple[float, float]:
+        return -math.inf, math.inf
 
     def spec(self) -> str:
         return "sequential"
@@ -157,6 +172,9 @@ class RandomInjectiveScheme(LabelScheme):
             raise WorldError("coordinate outside injective range")
         return 1 + self._perm.apply(zz.ravel()).reshape(zz.shape)
 
+    def span(self) -> tuple[int, int]:
+        return _zigzag_span(self.max_label)
+
     def spec(self) -> str:
         return f"random-injective:{self.seed}:{self.max_label}"
 
@@ -189,6 +207,7 @@ class UniformClassScheme(LabelScheme):
             key = hashlib.sha256(f"uniform-class:{self.seed}:{j}".encode()).digest()
             self._zones.append((start, lo, size, _FeistelPerm(key, size)))
             start += size
+        self._size = start
 
     def _zone_of(self, zz: int) -> tuple[int, int, int, _FeistelPerm]:
         for zone in self._zones:
@@ -215,6 +234,9 @@ class UniformClassScheme(LabelScheme):
         if not done.all():
             raise WorldError("coordinate outside representable range")
         return out.reshape(zz.shape)
+
+    def span(self) -> tuple[int, int]:
+        return _zigzag_span(self._size)
 
     def spec(self) -> str:
         return f"uniform-logstar-class:{self.class_index}:{self.seed}"
@@ -246,6 +268,32 @@ class ExplicitScheme(LabelScheme):
         payload = json.dumps({str(k): v for k, v in sorted(self.mapping.items())},
                              separators=(",", ":"))
         return f"explicit:{payload}"
+
+
+class WindowScheme(LabelScheme):
+    """Labels of one contiguous coordinate window, held in an array;
+    anything outside the window errors.
+
+    ``labels[i]`` is the label at coordinate ``lo + i``.  It checks no
+    label itself: a world over it rejects duplicates as it stores them.
+    """
+
+    name = "window"
+
+    def __init__(self, labels: np.ndarray, lo: int):
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.lo = int(lo)
+        self.hi = self.lo + self.labels.size - 1
+
+    def label_at(self, coord: int) -> int:
+        return int(self.labels_at(np.array([coord]))[0])
+
+    def labels_at(self, coords: np.ndarray) -> np.ndarray:
+        arr = np.asarray(coords, dtype=np.int64)
+        if arr.size and (arr.min() < self.lo or arr.max() > self.hi):
+            bad = arr.min() if arr.min() < self.lo else arr.max()
+            raise WorldError(f"no label assigned to coordinate {bad}")
+        return self.labels[arr - self.lo]
 
 
 def parse_scheme(text: str, default_seed: int = 0) -> LabelScheme:
@@ -336,7 +384,7 @@ class World:
     coordinates in a store and serves later requests inside it from there, so
     each stored coordinate is labelled once.  Every newly labelled coordinate
     is checked against all stored labels, and :meth:`label` reads through
-    the same store.
+    the same store, growing it geometrically on a miss next to it.
     """
 
     topology: str
@@ -383,11 +431,31 @@ class World:
     # -- labels ------------------------------------------------------------
 
     def label(self, p: int) -> int:
+        """The label at p, read through the store.
+
+        A miss within max(64, stored size) of the stored interval grows it
+        that far toward p, over coordinates that both the topology and the
+        scheme's :meth:`~LabelScheme.span` allow, so a walk leaving the
+        interval labels amortised O(1) coordinates per step.  For a scheme
+        without a span only p is labelled.  Labelling ahead can raise a
+        duplicate-label error for a coordinate no one has asked about yet,
+        which only a broken scheme does.
+        """
         p = self._check(p)
         store = self._store
         if store.lo <= p <= store.hi:
             return int(store.labels[p - store.lo])
-        return int(self.labels_at(np.array([p]))[0])
+        lo = hi = p
+        span = self.scheme.span()
+        if span is not None and store.labels.size and span[0] <= p <= span[1]:
+            if self.topology != "infinite":
+                span = (max(span[0], 0), min(span[1], self.n - 1))
+            step = max(64, store.labels.size)
+            if store.hi < p <= store.hi + step:
+                lo, hi = store.hi + 1, min(store.hi + step, span[1])
+            elif store.lo - step <= p < store.lo:
+                lo, hi = max(store.lo - step, span[0]), store.lo - 1
+        return int(self.labels_at(np.arange(lo, hi + 1))[p - lo])
 
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
         """Vectorized labels; each stored coordinate is labelled only once.

@@ -18,7 +18,6 @@ from linemeet.sim import (
     SimConfig,
     SimError,
     case_classifier,
-    default_round_cap,
     grid_configs,
     lmin_stats,
     run,
@@ -26,15 +25,24 @@ from linemeet.sim import (
     sweep,
     write_csv,
 )
-from linemeet.agent import color_bits, plan_iteration, searching_walk, z_walk
+from linemeet.agent import (
+    AgentError,
+    color_bits,
+    iteration_start_round,
+    plan_iteration,
+    searching_walk,
+    z_walk,
+)
 from linemeet.logstar import CLASS_COUNT, CLASS_HI, CLASS_LO, log_star
 from linemeet.ruling import phase_end_round, termination_radius
 from linemeet.world import (
     ExplicitScheme,
     LabelScheme,
     SequentialScheme,
+    WorldError,
     make_world,
     parse_scheme,
+    zigzag,
     zigzag_array,
 )
 
@@ -265,6 +273,22 @@ class TestEngineAgreement:
     @pytest.mark.parametrize("cfg", CASES)
     def test_fast_matches_reference(self, cfg):
         assert_engines_agree(*both_engines(cfg))
+
+    @pytest.mark.parametrize("topology,meet", [
+        ("path", (118755, "node", 7679)), ("cycle", (127460, "node", 0))])
+    def test_fast_matches_reference_on_a_searching_cell(self, topology, meet):
+        # both agents search at L = 2048 before the meeting, the fast engine
+        # on ball windows and the reference on whole sweep windows
+        cfg = SimConfig(topology=topology, n=8192, scheme="sequential",
+                        va=3584, vb=4608)
+        fast, ref = both_engines(cfg)
+        assert outcome(fast) == meet
+        assert_engines_agree(fast, ref)
+        for plan, recorded in ((fast._ta, ref._ta), (fast._tb, ref._tb)):
+            assert plan.notes[:len(recorded.notes)] == recorded.notes
+            assert [note for note in recorded.notes
+                    if note.phase == "searching"] == [sim.IterationNote(
+                        2048, 57316, "searching", 1, recorded.start, 2)]
 
     @settings(max_examples=20, deadline=None)
     @given(va=st.integers(-2, 2), d=st.integers(1, 6),
@@ -778,10 +802,14 @@ class TestBoundBookkeeping:
         assert lmin == min(world.label(v) for v in range(8))
 
     def test_default_cap_formula(self):
-        scheme = ExplicitScheme({0: 40, 1: 7, 2: 90, 3: 11, 4: 2,
-                                 -1: 65536, -2: 13, -3: 5, -4: 260})
-        world = make_world("infinite", scheme)
-        assert default_round_cap(world, -1, 1) == 10**5 * 2 * log_star(65536)
+        # labels past D of the starts are class 6; the largest within it,
+        # 65536 at -1, is class 5 and sets the cap
+        labels = {c: 70000 + zigzag(c) for c in range(-300, 301)}
+        labels.update({0: 40, 1: 7, 2: 90, 3: 11, 4: 2, -1: 65536, -2: 13,
+                       -3: 5, -4: 260})
+        trace = run(SimConfig(scheme=ExplicitScheme(labels), va=-1, vb=1))
+        assert trace.t_rdv is not None
+        assert trace.round_cap == 10**5 * 2 * log_star(65536)
 
     def test_expired_cap_reports_no_meeting(self):
         trace = run(SimConfig(va=0, vb=3, round_cap=10))
@@ -801,7 +829,9 @@ class TestBoundBookkeeping:
         fresh = cfg.world()
         assert (trace.lmin, trace.lmax) == lmin_stats(fresh, cfg.va, cfg.vb)
         if cfg.round_cap is None:
-            assert trace.round_cap == default_round_cap(fresh, cfg.va, cfg.vb)
+            D = fresh.distance(cfg.va, cfg.vb)
+            assert trace.round_cap == \
+                sim.ROUND_CAP_FACTOR * D * log_star(trace.lmax)
 
 
 class TestOneWorldPerKey:
@@ -1092,6 +1122,78 @@ class TestSharedRulingWindows:
             centers = [radius - need, radius - need + 1, 10**6]
         for center in centers:
             at(center)
+
+
+def class2_at(start, n):
+    """Labels of an n-node host: class 2 at start, class 5 elsewhere.
+
+    The start's termination ball at R = 1 is 32 nodes, so the planner at
+    start asks at L = 32 for the window [start - 32, start + 32].
+    """
+    return ExplicitScheme({c: 2 if c == start else 1000 + c
+                           for c in range(n)})
+
+
+class TestFiniteBallWindows:
+    """Finite hosts plan on exactly the window the planner asks for, sliced
+    from the sweep's labels; the sweep window is the oracle."""
+
+    CASES = [
+        ("path", "sequential", 8192, 3584),
+        # the ball window [-1069, 1269] wraps the seam
+        ("cycle", "sequential", 8192, 100),
+        # the ball window [1, 65] stops one node short of the end
+        ("path", class2_at(33, 200), 200, 33),
+        ("cycle", class2_at(10, 200), 200, 10),
+    ]
+
+    @pytest.mark.parametrize("topology,scheme,n,start", CASES)
+    def test_ball_windows_give_the_sweep_window_plan(self, topology, scheme,
+                                                     n, start, monkeypatch):
+        world = make_world(topology, scheme, n=n)
+        asked = []
+        honest = sim._es_over_labels
+
+        def recording(labels, lo, win_lo, win_hi, R):
+            asked.append((win_lo, win_hi, R))
+            state = honest(labels, lo, win_lo, win_hi, R)
+            assert np.array_equal(state.coords, np.arange(win_lo, win_hi + 1))
+            return state
+
+        monkeypatch.setattr(sim, "_es_over_labels", recording)
+        plan = AgentPlan(world, start)
+        plan.ensure(iteration_start_round(4096))
+        expected = []
+        for note in plan.notes:
+            L = note.L
+            lo = start - L
+            coords = np.arange(lo, start + L + 1)
+            labels = world.labels_at(coords % n if topology == "cycle"
+                                     else coords)
+            oracle = plan_iteration(labels, lo, start, L)
+            if oracle is None:
+                assert note.phase == "wait"
+                continue
+            assert (note.R, note.r, note.color) == (oracle.R, oracle.r,
+                                                    oracle.color)
+            R = oracle.R
+            reach = [abs(u - start)
+                     + termination_radius(int(labels[u - lo]), R)
+                     for u in range(start - R, start + R + 1)]
+            need = max(r for r in reach if r <= L)
+            expected.append((start - need, start + need, R))
+        assert expected and asked == expected
+        if topology == "cycle":
+            assert any(win_lo < 0 <= win_hi for win_lo, win_hi, _ in asked)
+
+    def test_a_read_outside_the_window_raises(self):
+        labels = SequentialScheme().labels_at(np.arange(-40, 41))
+        state = sim._es_over_labels(labels, -40, -20, 20, 1)
+        assert np.array_equal(state.coords, np.arange(-20, 21))
+        with pytest.raises(WorldError, match="no label assigned"):
+            state.host.label(21)
+        with pytest.raises(AgentError, match="leaves the known labels"):
+            sim._es_over_labels(labels, -40, -41, 20, 1)
 
 
 class PlantedScheme(LabelScheme):

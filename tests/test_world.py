@@ -14,8 +14,10 @@ from linemeet.world import (
     RandomInjectiveScheme,
     SequentialScheme,
     UniformClassScheme,
+    WindowScheme,
     World,
     WorldError,
+    _LabelStore,
     make_world,
     parse_scheme,
     zigzag,
@@ -264,6 +266,76 @@ def test_single_labels_share_the_store_injectivity_check():
 
 
 # -- the per-world label store -----------------------------------------------
+
+
+@pytest.mark.parametrize("topology,n,spec,span,bounded", [
+    ("infinite", None, "random-injective:3", (-5000, 5000), False),
+    ("infinite", None, "uniform-logstar-class:2:1", (-3000, 3000), False),
+    # the scheme labels [-50, 50] only, so growth stops at its ends
+    ("infinite", None, "random-injective:3:101", (-50, 50), True),
+    ("path", 3000, "sequential", (0, 2999), True),
+    ("cycle", 3000, "random-injective:4", (0, 2999), True),
+])
+def test_single_label_walks_grow_the_store_geometrically(
+        monkeypatch, topology, n, spec, span, bounded):
+    grown = []
+    honest = _LabelStore.extend
+
+    def counted(store, scheme, lo, hi):
+        grown.append((lo, hi))
+        honest(store, scheme, lo, hi)
+
+    monkeypatch.setattr(_LabelStore, "extend", counted)
+    world = make_world(topology, spec, n=n)
+    scheme = world.scheme
+    start = (span[0] + span[1]) // 2
+    walk = [*range(start, span[1] + 1), *range(start, span[0] - 1, -1)]
+    for p in walk:
+        assert world.label(p) == scheme.label_at(p)
+    store = world._store
+    if bounded:
+        assert (store.lo, store.hi) == span
+    else:
+        assert store.lo <= span[0] and span[1] <= store.hi
+        assert store.hi - store.lo <= 2 * (span[1] - span[0]) + 128
+    assert np.array_equal(store.labels,
+                          scheme.labels_at(np.arange(store.lo, store.hi + 1)))
+    # each miss at least doubles the store, or takes a 64-node step
+    assert len(grown) <= 2 * (span[1] - span[0]).bit_length()
+
+
+def test_schemes_without_a_span_grow_the_store_exactly():
+    mapping = {c: 1000 - c for c in range(-40, 41)}
+    for scheme in (ExplicitScheme(mapping),
+                   WindowScheme(np.array(list(mapping.values())), -40)):
+        world = World(topology="infinite", scheme=scheme)
+        for p in [*range(0, 41), *range(-1, -41, -1)]:
+            assert world.label(p) == 1000 - p
+            stored = (0, p) if p >= 0 else (p, 40)
+            assert (world._store.lo, world._store.hi) == stored
+
+
+def test_window_scheme_reads_only_its_window():
+    scheme = WindowScheme(np.array([9, 4, 7]), 10)
+    assert scheme.labels_at(np.array([12, 10])).tolist() == [7, 9]
+    assert scheme.label_at(11) == 4
+    for outside in ([9], [13], [10, 13]):
+        with pytest.raises(WorldError, match="no label assigned"):
+            scheme.labels_at(np.array(outside))
+    world = World(topology="infinite", scheme=scheme)
+    assert world.labels_at(np.arange(10, 13)).tolist() == [9, 4, 7]
+    with pytest.raises(WorldError, match="no label assigned to coordinate 13"):
+        world.label(13)
+
+
+def test_window_world_rejects_a_duplicate_label():
+    world = World(topology="infinite",
+                  scheme=WindowScheme(np.array([5, 3, 8, 3]), -2))
+    with pytest.raises(WorldError, match="duplicate"):
+        world.labels_at(np.arange(-2, 2))
+    world.labels_at(np.arange(-2, 1))
+    with pytest.raises(WorldError, match="duplicate"):
+        world.label(1)
 
 
 class Recording(LabelScheme):
