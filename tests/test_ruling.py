@@ -1,5 +1,7 @@
 """Ruling-set construction vs. exhaustive packing/covering oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from linemeet.ruling import (
     verify_limited_ruling_set,
     window_certifies,
 )
-from linemeet.world import WorldError, make_world
+from linemeet.world import WindowScheme, World, WorldError, make_world
 
 # frozen from hand-evaluated recurrences; regression here means the schedule
 # (and with it every cached constant) silently moved
@@ -321,3 +323,59 @@ def test_locality_rejects_a_read_outside_the_window(peeking_construction):
     world = make_world("infinite", "sequential")
     with pytest.raises(WorldError, match="no label assigned"):
         certify_es_locality(world, range(-200, 201), 1)
+
+
+# SHA-256 over (member_coords, member_classes, member_colors) as little-endian
+# int64 bytes.  Rewrites of the coloring and window-maximum kernels must
+# reproduce every committed record, which the run digests alone (t_rdv) do
+# not see.
+STATE_DIGESTS = {
+    "random-R1": "1b6684b0ec2f87719a852160e91c7d95ec76c2018a877eb6810f28db70df99e3",
+    "random-R4": "1731ebc642897765a726954294aede89f7dad7c2ce39d46e8bcf9556c9cc251a",
+    "random-R16": "82f52538579416cee06346ac165cce157ad607fb66c897d81946ce2b8a7850f5",
+    "class4-R4": "c6ae2eb5f773e63677e00d05610bfffac633b9392079c216aad80ff7c34d93b6",
+    "class4-R16": "78101d763736da3dad148a8ead75cb88fbeca32754fb31def19b0c63548c5d1e",
+    "class5-R4": "155985a7c1388ff79d14c5768bdb7d7555462dcd4160ac0d00ebfa1b16d8d5db",
+    "class5-R16": "5c87e3168bc4576d657555e3b69c0614f9ae8279716d526fbf15478a26a9fa59",
+    "class5-window-R1": "111d020c5bc0ea98aec17fdeef56f329fb0c902c35e6f00d1afca78b047f5834",
+    "planted-R4": "d0f3b194a188650f4dace0ec0d03bf025924b58f2a8fcec4e563401376cabc0a",
+}
+
+
+def _digest_case(name):
+    """(host, window, R) of one pinned state."""
+    kind, r = name.rsplit("-R", 1)
+    R = int(r)
+    if kind == "random":
+        half = {1: 300, 4: 1000, 16: 2000}[R]
+        world = make_world("infinite", "random-injective:0:1000000000")
+        return world, np.arange(-half, half + 1), R
+    if kind in ("class4", "class5"):
+        half = {4: 1000, 16: 2000}[R]
+        world = make_world("infinite", f"uniform-logstar-class:{kind[-1]}")
+        return world, np.arange(-half, half + 1), R
+    if kind == "class5-window":
+        # the shape of a finite-host build: one class-5 window, all members
+        lo = 2415
+        labels = np.arange(lo + 1, lo + 2340, dtype=np.int64)
+        return World("infinite", WindowScheme(labels, lo)), \
+            np.arange(lo, lo + 2339), R
+    # random labels with one label of each class 1..4 planted
+    lo = -600
+    coords = np.arange(lo, 601)
+    labels = make_world("infinite", "random-injective:5:1000000000") \
+        .labels_at(coords).copy()
+    for coord, label in ((-7, 1), (40, 2), (-90, 3), (5, 9)):
+        labels[coord - lo] = label
+    return World("infinite", WindowScheme(labels, lo)), coords, R
+
+
+@pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
+def test_state_digests_pinned(name):
+    host, window, R = _digest_case(name)
+    state = EsColState(host, window, R)
+    h = hashlib.sha256()
+    for arr in (state.member_coords, state.member_classes,
+                state.member_colors):
+        h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+    assert h.hexdigest() == STATE_DIGESTS[name]
