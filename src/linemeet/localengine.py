@@ -10,6 +10,17 @@ declared palette, never on which colors actually occur.
 Hosts are lines, as for the ruling sets built on these primitives.  Max
 degree 2 covers chains and triangles of members; list coloring stretches to
 max degree 16 by decomposing edges into rank-difference classes.
+
+The cost of a run is its number of numpy passes, not its member count, so
+the kernels keep passes per simulated round few.  Neighbor ranks use -1 for
+a missing neighbor, and the arrays they index carry one pad entry at the
+end: a -1 rank reads the pad, and a gather is a single take.  Colorings of
+several graphs on the same members run as one graph of disjoint copies, copy
+j's member i being rank j*m + i: the leaf 3-colorings of the list coloring
+run this way, and so does each level of its merge tree in one sweep.  List
+coloring picks colors through int64 bitmasks (a member ORs its neighbors'
+color bits and takes the lowest free bit), which caps a list universe at 63
+colors.
 """
 
 from __future__ import annotations
@@ -33,12 +44,8 @@ COLOR_ROUNDS_SLOPE = 4
 COLOR_ROUNDS_OFFSET = 30
 
 
-def _gather(arr: np.ndarray, idx: np.ndarray, fill: int) -> np.ndarray:
-    """arr[idx] with -1 entries of idx mapped to a fill value."""
-    if arr.size == 0:
-        return np.full(idx.shape, fill, dtype=arr.dtype)
-    # a -1 reads the last entry, which the mask then discards
-    return np.where(idx >= 0, arr[idx], fill)
+# list colors are picked as bits of one int64 per member
+MAX_LIST_COLORS = 63
 
 
 @dataclass(frozen=True)
@@ -115,8 +122,9 @@ class PowerSubgraph:
         return none, none
 
     def check_proper(self, colors: np.ndarray) -> None:
-        bad = _gather(colors, self.nbrs.ravel(), -1).reshape(self.nbrs.shape)
-        if np.any(bad == colors[:, None]):
+        # a -1 rank reads the last color, which the mask then discards
+        clash = (colors[self.nbrs] == colors[:, None]) & (self.nbrs >= 0)
+        if clash.any():
             raise EngineError("coloring is not proper on the subgraph")
 
 
@@ -124,67 +132,77 @@ class PowerSubgraph:
 
 
 def _by_label(labels: np.ndarray, nA: np.ndarray,
-              nB: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two neighbor slots reordered so the smaller neighbor label comes
-    first; a missing neighbor (-1) sorts last."""
-    sentinel = np.int64(2**63 - 1)
-    swap = _gather(labels, nA, sentinel) > _gather(labels, nB, sentinel)
-    return np.where(swap, nB, nA), np.where(swap, nA, nB)
+              nB: np.ndarray) -> np.ndarray:
+    """The two neighbor slots, stacked on a new first axis and reordered so
+    the smaller neighbor label comes first; a missing neighbor (-1) sorts
+    last.  ``nA`` and ``nB`` may have any (equal) shape."""
+    padded = np.append(labels, np.int64(2**63 - 1))  # the pad a -1 reads
+    swap = padded[nA] > padded[nB]
+    return np.stack((np.where(swap, nB, nA), np.where(swap, nA, nB)))
 
 
-def _squared_cv_round(colors: np.ndarray, palette: int, first: np.ndarray,
-                      second: np.ndarray) -> tuple[np.ndarray, int]:
-    """One two-slot bit-index reduction round.
+def _slot_caps(slots: np.ndarray) -> np.ndarray:
+    """Largest bit index each slot may report: 62, or 0 where the neighbor
+    is missing (uint8, the dtype of the bit counts it caps)."""
+    return np.where(slots >= 0, 62, 0).astype(np.uint8)
 
+
+def _squared_cv_round(colors: np.ndarray, palette: int, slots: np.ndarray,
+                      caps: np.ndarray) -> int:
+    """One two-slot bit-index reduction round, in place; returns the palette.
+
+    ``colors`` holds the m member colors followed by one pad entry, which a
+    missing neighbor's -1 rank reads; ``slots`` are the (2, m) neighbor
+    ranks from :func:`_by_label` and ``caps`` their :func:`_slot_caps`.
     Each member emits one entry per incident edge: the lowest bit position k
     where its color differs from that neighbor's, paired with its own bit
     there.  A missing neighbor contributes the self-consistent filler (k=0,
-    own bit 0).  Entries are ordered by neighbor label (the slots come from
-    :func:`_by_label`), so the new color is invariant under reflections of
-    the line.  Properness: every entry (k, b) of x satisfies bit_k(color_x)
-    = b, and for an edge uv some slot of u holds k* = lowest differing bit
-    of (c_u, c_v); equal new colors would force bit_k*(c_u) = bit_k*(c_v),
-    contradicting the choice of k*.
+    own bit 0).  Entries are ordered by neighbor label, so the new color is
+    invariant under reflections of the line.  Properness: every entry (k, b)
+    of x satisfies bit_k(color_x) = b, and for an edge uv some slot of u
+    holds k* = lowest differing bit of (c_u, c_v); equal new colors would
+    force bit_k*(c_u) = bit_k*(c_v), contradicting the choice of k*.
     """
-    bits = max(1, ceil_log2(max(palette, 2)))
-    width = 2 * bits
+    width = 2 * max(1, ceil_log2(max(palette, 2)))
+    own = colors[:-1]
+    diff = own ^ colors[slots]
+    low = diff & -diff
+    # equal colors count 64 trailing zeros, which the cap brings to 62
+    k = np.bitwise_count((low - 1).view(np.uint64))
+    np.minimum(k, caps, out=k)
+    entry = (own >> k) & 1
+    entry += 2 * k
+    np.multiply(entry[0], width, out=own)
+    own += entry[1]
+    return width * width
 
-    def entry(nbr: np.ndarray) -> np.ndarray:
-        nc = _gather(colors, nbr, 0)
-        diff = colors ^ nc
-        low = diff & -diff
-        k = np.bitwise_count((low - 1).astype(np.uint64)).astype(np.int64)
-        k = np.where(nbr >= 0, np.minimum(k, 62), 0)
-        b = (colors >> k) & 1
-        return 2 * k + b
 
-    return entry(first) * width + entry(second), width * width
-
-
-def _kw_stage(colors: np.ndarray, palette: int, nA: np.ndarray,
-              nB: np.ndarray) -> tuple[np.ndarray, int]:
+def _kw_stage(colors: np.ndarray, palette: int, slots: np.ndarray) -> int:
     """Three sub-rounds folding blocks of 6 colors onto their low halves.
 
-    Offsets 5, 4, 3 recolor in turn to the smallest free color among
-    {6b, 6b+1, 6b+2} of their own block b; adjacent same-offset members sit in
-    distinct blocks, so parallel recoloring stays proper.  The closing
-    relabel 6b+j -> 3b+j is a palette renaming, not a communication round.
-    Only the members at the current offset are read and written; a recolored
-    member lands on offset 0, 1 or 2, so the offsets found up front hold.
+    Works in place on ``colors`` (members, then a pad entry of -1 that a
+    missing neighbor reads) and returns the new palette.  Offsets 5, 4, 3
+    recolor in turn to the smallest free color among {6b, 6b+1, 6b+2} of
+    their own block b; adjacent same-offset members sit in distinct blocks,
+    so parallel recoloring stays proper.  The closing relabel 6b+j -> 3b+j
+    is a palette renaming, not a communication round.  Only the members at
+    the current offset are read and written; a recolored member lands on
+    offset 0, 1 or 2, so the offsets found up front hold.
     """
-    c = colors.copy()
-    high = np.flatnonzero(c % 6 >= 3)
-    high_offsets = c[high] % 6
+    own = colors[:-1]
+    offsets = own % 6
+    high = np.flatnonzero(offsets >= 3)
+    high_offsets = offsets[high]
     for offset in (5, 4, 3):
         sel = high[high_offsets == offset]
         if sel.size:
-            cA = _gather(c, nA[sel], -1)
-            cB = _gather(c, nB[sel], -1)
-            target = c[sel] - offset
+            nbr = colors[slots[:, sel]]
+            target = own[sel] - offset
             for _ in range(2):
-                target += (target == cA) | (target == cB)
-            c[sel] = target
-    return c - 3 * (c // 6), 3 * ((palette + 5) // 6)
+                target += (target == nbr[0]) | (target == nbr[1])
+            own[sel] = target
+    own -= 3 * (own // 6)
+    return 3 * ((palette + 5) // 6)
 
 
 def three_color_rounds(palette: int) -> int:
@@ -205,49 +223,56 @@ def three_color_rounds(palette: int) -> int:
     return rounds
 
 
-def _three_color(labels: np.ndarray, nA: np.ndarray, nB: np.ndarray,
-                 init_colors: np.ndarray, palette: int) -> tuple[np.ndarray, int]:
-    """Run the pipeline; returns (colors in [0,3), executed rounds)."""
-    c, m, rounds = init_colors.astype(np.int64), int(palette), 0
-    first, second = _by_label(labels, nA, nB)
+def _three_color(slots: np.ndarray, init_colors: np.ndarray,
+                 palette: int) -> tuple[np.ndarray, int]:
+    """Run the pipeline; returns (colors in [0,3), executed rounds).
+
+    ``slots`` are the (2, m) label-ordered neighbor ranks of
+    :func:`_by_label`.  They, their caps and a color buffer ending in a pad
+    entry of -1 are set up once, so every round's neighbor read is one take.
+    """
+    caps = _slot_caps(slots)
+    c = np.empty(init_colors.size + 1, dtype=np.int64)
+    c[:-1] = init_colors
+    c[-1] = -1
+    m, rounds = int(palette), 0
     while m > 3:
         squared = (2 * max(1, ceil_log2(max(m, 2)))) ** 2
         if squared < m:
-            c, m = _squared_cv_round(c, m, first, second)
+            m = _squared_cv_round(c, m, slots, caps)
             rounds += 1
         else:
-            c, m = _kw_stage(c, m, nA, nB)
+            m = _kw_stage(c, m, slots)
             rounds += 3
-    return c, rounds
+    return c[:-1], rounds
 
 
-def _three_color_classes(labels: np.ndarray,
-                         classes: list[tuple[np.ndarray, np.ndarray]],
+def _three_color_classes(labels: np.ndarray, classes: np.ndarray,
                          init_colors: np.ndarray,
                          palette: int) -> tuple[np.ndarray, int]:
     """3-color every class's (nA, nB) graph on the same members in one run.
 
+    ``classes`` stacks the (nA, nB) rank pairs, shape (classes, 2, members).
     Class j's copy of member i becomes rank j*m + i of one stacked graph, so
     the copies are disjoint and a single pipeline colors them all.  Returns
     colors of shape (classes, members) and the executed rounds, which depend
     on the palette alone.
     """
     k, m = len(classes), labels.size
+    slots = _by_label(labels, *np.stack(classes, axis=1))  # (2, k, m)
     shift = np.arange(0, k * m, m, dtype=np.int64)[:, None]
-    nA, nB = (np.where(side >= 0, side + shift, -1).ravel()
-              for side in np.stack(classes, axis=1))
-    colors, rounds = _three_color(np.tile(labels, k), nA, nB,
-                                  np.tile(init_colors, k), palette)
+    slots = np.where(slots >= 0, slots + shift, -1).reshape(2, k * m)
+    colors, rounds = _three_color(slots, np.tile(init_colors, k), palette)
     return colors.reshape(k, m), rounds
 
 
 def _greedy_mis(colors3: np.ndarray, nA: np.ndarray, nB: np.ndarray) -> np.ndarray:
     """Three color-class sweeps turning a 3-coloring into an MIS flag array."""
-    in_s = np.zeros(colors3.shape, dtype=bool)
+    in_s = np.zeros(colors3.size + 1, dtype=bool)  # the pad a -1 reads
     for color in (0, 1, 2):
-        blocked = _gather(in_s, nA, False) | _gather(in_s, nB, False)
-        in_s |= (colors3 == color) & ~blocked
-    return in_s
+        blocked = in_s[nA] | in_s[nB]
+        in_s[:-1] |= (colors3 == color) & ~blocked
+    return in_s[:-1]
 
 
 def mis_rounds(palette: int) -> int:
@@ -288,8 +313,7 @@ def color_path_constant(sub: PowerSubgraph, palette: int | None = None,
     if sub.members.size == 0:
         return ColorAssignment(sub.members, np.empty(0, dtype=np.int64), 3), 0
     init, bound = _init_coloring(sub, palette, base)
-    nA, nB = sub.pair
-    colors, rounds = _three_color(sub.labels, nA, nB, init, bound)
+    colors, rounds = _three_color(_by_label(sub.labels, *sub.pair), init, bound)
     if rounds != three_color_rounds(bound):
         raise EngineError(f"3-coloring took {rounds} rounds, schedule says "
                           f"{three_color_rounds(bound)}")
@@ -311,49 +335,57 @@ def mis(sub: PowerSubgraph, palette: int | None = None,
 # -- list coloring up to degree 16 ---------------------------------------------
 
 
-def _difference_classes(sub: PowerSubgraph) -> list[tuple[np.ndarray, np.ndarray]]:
+def _difference_classes(sub: PowerSubgraph) -> np.ndarray:
     """Split edges by rank difference d; each class has degree <= 2.
 
     Member i's class-d neighbors can only be ranks i-d and i+d, so every
     class is a disjoint union of paths, and the classes cover all edges
-    because adjacency windows are contiguous in the rank order.
+    because adjacency windows are contiguous in the rank order.  Returns
+    the (nA, nB) pairs of d = 1, 2, ... as one (classes, 2, members) array;
+    every class up to the widest reach has an edge, at the member that
+    reaches that far.
     """
     m = sub.members.size
     c, k = sub.members, sub.power
     idx = np.arange(m, dtype=np.int64)
-    classes: list[tuple[np.ndarray, np.ndarray]] = []
     lo = np.searchsorted(c, c - k, side="left")
-    hi = np.searchsorted(c, c + k, side="right")
-    max_d = int(max((idx - lo).max(initial=0), (hi - 1 - idx).max(initial=0)))
-    for d in range(1, max_d + 1):
-        left = idx - d
-        right = idx + d
-        nA = np.where(left >= lo, left, -1)
-        nB = np.where(right <= hi - 1, right, -1)
-        if (nA >= 0).any() or (nB >= 0).any():
-            classes.append((nA, nB))
-    return classes
+    hi = np.searchsorted(c, c + k, side="right") - 1
+    max_d = int(max((idx - lo).max(initial=0), (hi - idx).max(initial=0)))
+    d = np.arange(1, max_d + 1, dtype=np.int64)[:, None]
+    left, right = idx - d, idx + d
+    return np.stack((np.where(left >= lo, left, -1),
+                     np.where(right <= hi, right, -1)), axis=1)
 
 
-def _sweep_reduce(colors: np.ndarray, palette: int, target: int,
+def _sweep_reduce(colors: np.ndarray, palette, target,
                   nbrs: np.ndarray) -> tuple[np.ndarray, int]:
     """Recolor classes target..palette-1 to the smallest free color < target.
 
     One round per class, highest first, occurring or not; a class's members
-    are pairwise non-adjacent, so they pick at once.
+    are pairwise non-adjacent, so they pick at once.  ``nbrs[r]`` holds the
+    neighbor ranks (-1 for none) of member r of the flattened ``colors``.
+    ``palette`` and ``target`` (at most 62) broadcast against ``colors``, so
+    disjoint copies stacked as rows each sweep their own palette down to
+    their own target in one pass over the values, and the rounds are those
+    of the widest copy.  A member below its target holds its color as one
+    bit of an int64 (others hold 0, as does the pad a -1 reads), so a pick
+    ORs the neighbors' bits and takes the lowest bit left clear.
     """
-    c = colors.copy()
-    for value in np.unique(c[c >= target])[::-1]:
-        sel = np.flatnonzero(c == value)
-        nc = _gather(c, nbrs[sel].ravel(), -1).reshape(sel.size, -1)
-        used = np.zeros((sel.size, target), dtype=bool)
-        rows, cols = np.nonzero((nc >= 0) & (nc < target))
-        used[rows, nc[rows, cols]] = True
-        free = np.argmin(used, axis=1)
-        if used[np.arange(sel.size), free].any():
-            raise EngineError("no free color during sweep reduction")
-        c[sel] = free
-    return c, max(0, palette - target)
+    high = colors >= target
+    bits = np.zeros(colors.size + 1, dtype=np.int64)
+    np.left_shift(1, colors, out=bits[:-1].reshape(colors.shape), where=~high)
+    todo = np.flatnonzero(high)
+    flat = colors.ravel()
+    order = todo[np.argsort(flat[todo], kind="stable")][::-1]
+    bounds = np.flatnonzero(np.diff(flat[order])) + 1
+    cols = np.ascontiguousarray(nbrs[order].T)
+    for sel, around in zip(np.split(order, bounds), np.split(cols, bounds, axis=1)):
+        used = np.bitwise_or.reduce(bits[around], axis=0)
+        bits[sel] = ~used & (used + 1)
+    out = np.bitwise_count(bits[:-1] - 1).astype(np.int64).reshape(colors.shape)
+    if np.any(out >= target):
+        raise EngineError("no free color during sweep reduction")
+    return out, max(0, int(np.max(palette - target)))
 
 
 def list_color_rounds(sub_or_classes: "PowerSubgraph | int", palette: int) -> int:
@@ -370,6 +402,60 @@ def list_color_rounds(sub_or_classes: "PowerSubgraph | int", palette: int) -> in
         return 0
     pipeline = three_color_rounds(palette) + _merge_schedule_cost(dd)
     return min(pipeline, palette)
+
+
+def _stacked_neighbors(classes: np.ndarray,
+                       spans: list[tuple[int, int]]) -> np.ndarray:
+    """Neighbor ranks of disjoint member copies, one per span of classes.
+
+    Copy j's member i is rank j*m + i, and its row lists its neighbors in
+    the classes spans[j] covers, shifted into copy j; -1 pads the rows.
+    """
+    m = classes.shape[2]
+    width = 2 * max(hi - lo for lo, hi in spans)
+    out = np.full((width, len(spans), m), -1, dtype=np.int64)
+    for j, (lo, hi) in enumerate(spans):
+        ranks = classes[lo:hi].reshape(-1, m)
+        out[:ranks.shape[0], j] = np.where(ranks >= 0, ranks + j * m, -1)
+    return out.reshape(width, -1).T
+
+
+def _merge_tree(colors3: np.ndarray,
+                classes: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Merge the classes' 3-colorings pairwise into one proper coloring.
+
+    Row j of ``colors3`` 3-colors class j.  Each tree level pairs adjacent
+    partial colorings into product colorings and, below the root, sweeps
+    every product down to (its degree bound + 1) colors.  The level's
+    merges run as one :func:`_sweep_reduce` over disjoint member copies, so
+    pairs of different shapes (an odd part count leaves some pairs with
+    fewer classes) each keep their own palette and target.  Returns the
+    root coloring, its palette and the sweep rounds, the slowest merge of
+    each level.
+    """
+    # row j of work colors the classes in spans[j] with palettes[j] colors
+    work = colors3
+    palettes = np.full(len(classes), 3, dtype=np.int64)
+    spans = [(j, j + 1) for j in range(len(classes))]
+    rounds = 0
+    while len(spans) > 1:
+        pairs = len(spans) // 2
+        prod = work[0:2 * pairs:2] * palettes[1:2 * pairs:2, None] \
+            + work[1:2 * pairs:2]
+        pp = palettes[0:2 * pairs:2] * palettes[1:2 * pairs:2]
+        merged = [(spans[2 * a][0], spans[2 * a + 1][1]) for a in range(pairs)]
+        if len(spans) > 2:
+            target = np.array([2 * (hi - lo) + 1 for lo, hi in merged])
+            prod, level = _sweep_reduce(prod, pp[:, None], target[:, None],
+                                        _stacked_neighbors(classes, merged))
+            rounds += level
+            pp = target
+        if len(spans) % 2:
+            prod = np.vstack((prod, work[-1:]))
+            pp = np.append(pp, palettes[-1])
+            merged.append(spans[-1])
+        work, palettes, spans = prod, pp, merged
+    return work[0], int(palettes[0]), rounds
 
 
 def _merge_schedule_cost(dd: int) -> int:
@@ -403,26 +489,29 @@ def _final_assign(colors: np.ndarray, palette: int, nbrs: np.ndarray,
                   allowed: np.ndarray) -> tuple[np.ndarray, int]:
     """Give every member a list color, sweeping proper-color classes in order.
 
-    ``allowed[i, c]`` says whether color index c is on member rank i's list.
-    A class's members are pairwise non-adjacent, so they pick at once: each
-    takes the smallest listed color that no already-assigned neighbor holds.
-    Every value of the palette costs one round, occurring or not.
+    ``allowed[i, c]`` says whether color index c (below
+    ``MAX_LIST_COLORS``) is on member rank i's list; each list becomes one
+    int64 bitmask.  A class's members are pairwise non-adjacent, so they
+    pick at once: each ORs the bits its already-assigned neighbors hold and
+    takes the lowest listed bit left clear.  Every value of the palette
+    costs one round, occurring or not.
     """
-    final = np.full(colors.shape, -1, dtype=np.int64)
+    m = colors.size
+    lists = allowed.astype(np.int64) @ (np.int64(1) << np.arange(
+        allowed.shape[1], dtype=np.int64))
+    held = np.zeros(m + 1, dtype=np.int64)  # unassigned members and the pad: 0
     order = np.argsort(colors, kind="stable")
-    _, starts = np.unique(colors[order], return_index=True)
-    for sel in np.split(order, starts[1:]):
-        nc = _gather(final, nbrs[sel].ravel(), -1).reshape(sel.size, -1)
-        free = allowed[sel]
-        rows, cols = np.nonzero(nc >= 0)
-        free[rows, nc[rows, cols]] = False
-        pick = np.argmax(free, axis=1)
-        empty = ~free[np.arange(sel.size), pick]
-        if empty.any():
-            raise EngineError(
-                f"list exhausted at member rank {int(sel[np.argmax(empty)])}")
-        final[sel] = pick
-    return final, palette
+    bounds = np.flatnonzero(np.diff(colors[order])) + 1
+    cols = np.ascontiguousarray(nbrs[order].T)
+    for sel, around, free in zip(np.split(order, bounds),
+                                 np.split(cols, bounds, axis=1),
+                                 np.split(lists[order], bounds)):
+        free = free & ~np.bitwise_or.reduce(held[around], axis=0)
+        held[sel] = free & -free
+    empty = np.flatnonzero(held[:-1] == 0)
+    if empty.size:
+        raise EngineError(f"list exhausted at member rank {int(empty[0])}")
+    return np.bitwise_count(held[:-1] - 1).astype(np.int64), palette
 
 
 def _allowed_matrix(sub: PowerSubgraph,
@@ -436,7 +525,18 @@ def _allowed_matrix(sub: PowerSubgraph,
         if lists.ndim != 2 or lists.shape[0] != m:
             raise EngineError(
                 f"allowed-color matrix of shape {lists.shape} for {m} members")
-        return np.asarray(lists, dtype=bool), np.arange(lists.shape[1])
+        allowed, colors = np.asarray(lists, dtype=bool), np.arange(lists.shape[1])
+    else:
+        allowed, colors = _allowed_from_mapping(sub, lists)
+    if colors.size > MAX_LIST_COLORS:
+        raise EngineError(f"list universe of {colors.size} colors exceeds "
+                          f"{MAX_LIST_COLORS}")
+    return allowed, colors
+
+
+def _allowed_from_mapping(sub: PowerSubgraph, lists: Mapping[int, Iterable[int]]
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    m = sub.members.size
     rows = []
     for p in sub.members:
         try:
@@ -458,8 +558,16 @@ def list_color(sub: PowerSubgraph,
 
     ``lists`` maps each member to its colors, or is a boolean matrix whose
     row i marks the colors 0, 1, 2, ... allowed for member rank i.  Every
-    member needs at least degree+1 distinct colors.  The outcome does not
-    depend on the mapping's iteration order or on the order within a list.
+    member needs at least degree+1 distinct colors, and the union of the
+    lists (the matrix's width) may hold at most ``MAX_LIST_COLORS``, since
+    picks are bits of one int64.  The outcome does not depend on the
+    mapping's iteration order or on the order within a list.
+
+    Large palettes run the pipeline: every rank-difference class is
+    3-colored in one stacked run, and a merge tree pairs the partial
+    colorings into product colorings.  All merges of one tree level are
+    swept by one :func:`_sweep_reduce` over disjoint copies of the members,
+    each copy seeing only its own classes' edges.
     """
     assignment, _ = _list_color_impl(sub, lists, palette, base)
     return assignment
@@ -483,7 +591,7 @@ def _list_color_impl(sub: PowerSubgraph,
             f"for degree {int(sub.degrees[i])}")
     init, palette = _init_coloring(sub, palette, base)
     classes = _difference_classes(sub)
-    if not classes:
+    if len(classes) == 0:
         colors = list_colors[np.argmax(allowed, axis=1)]
         return ColorAssignment(sub.members, colors, int(colors.max()) + 1), 0
     rounds = 0
@@ -492,32 +600,10 @@ def _list_color_impl(sub: PowerSubgraph,
         # small palettes: sweep the shifted label coloring directly
         work, work_palette = init, palette
     else:
-        colors3, leaf_rounds = _three_color_classes(sub.labels, classes,
-                                                    init, palette)
-        # (colors, palette, constituent class pair arrays) per partial coloring
-        parts: list[tuple[np.ndarray, int, list]] = [
-            (c3, 3, [pair]) for c3, pair in zip(colors3, classes)]
-        rounds += leaf_rounds
-        while len(parts) > 1:
-            nxt, level = [], 0
-            for a in range(0, len(parts) - 1, 2):
-                c1, p1, e1 = parts[a]
-                c2, p2, e2 = parts[a + 1]
-                prod = c1 * p2 + c2
-                pp, edges = p1 * p2, e1 + e2
-                if len(parts) > 2:
-                    union = np.column_stack([col for pair in edges for col in pair])
-                    target = 2 * len(edges) + 1
-                    prod, r = _sweep_reduce(prod, pp, target, union)
-                    level = max(level, r)
-                    nxt.append((prod, target, edges))
-                else:
-                    nxt.append((prod, pp, edges))
-            if len(parts) % 2:
-                nxt.append(parts[-1])
-            parts = nxt
-            rounds += level
-        work, work_palette, _ = parts[0]
+        colors3, rounds = _three_color_classes(sub.labels, classes, init,
+                                               palette)
+        work, work_palette, merge_rounds = _merge_tree(colors3, classes)
+        rounds += merge_rounds
     picks, r = _final_assign(work, work_palette, sub.nbrs, allowed)
     final = list_colors[picks]
     rounds += r

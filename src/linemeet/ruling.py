@@ -190,29 +190,30 @@ def _nearest_distance(queries: np.ndarray, members: np.ndarray,
     return np.minimum(d, cap) if cap is not None else d
 
 
-def _range_max(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Max of vals[lo:hi] per query (hi > lo), via a doubling table."""
-    n = vals.size
-    lengths = hi - lo
-    K = max(1, int(lengths.max()).bit_length())
-    table = np.full((K, n), np.iinfo(np.int64).min, dtype=np.int64)
-    table[0] = vals
-    for k in range(1, K):
-        w = 1 << (k - 1)
-        span = n - (1 << k) + 1
-        table[k, :span] = np.maximum(table[k - 1, :span], table[k - 1, w:w + span])
-    kk = np.log2(lengths).astype(np.int64)
-    kk = np.where((np.int64(1) << (kk + 1)) <= lengths, kk + 1, kk)
-    kk = np.where((np.int64(1) << kk) > lengths, kk - 1, kk)
-    return np.maximum(table[kk, lo], table[kk, hi - (np.int64(1) << kk)])
+def _window_max(coords: np.ndarray, keys: np.ndarray, reach: int) -> np.ndarray:
+    """Max of the int64 keys within distance reach of each sorted coordinate.
 
-
-def _window_maxima(coords: np.ndarray, keys: np.ndarray,
-                   reach: int) -> np.ndarray:
-    """True where a key is the maximum among all keys within distance reach."""
-    lo = np.searchsorted(coords, coords - reach, side="left")
-    hi = np.searchsorted(coords, coords + reach, side="right")
-    return keys == _range_max(keys, lo, hi)
+    A van Herk / Gil-Werman sliding maximum.  The keys are scattered onto a
+    dense axis cut into blocks of the window width w = 2*reach + 1, so every
+    window is a suffix of one block followed by a prefix of the next: one
+    forward and one backward running maximum per block, then one gather per
+    end, in O(n) time and about 3n memory.  Gaps wider than reach shrink to
+    reach + 1 on that axis first; no window spans one, so sparse
+    coordinates do not widen it.
+    """
+    w = 2 * reach + 1
+    pos = np.empty(coords.size, dtype=np.int64)
+    pos[0] = reach  # room for the first window's left half
+    np.cumsum(np.minimum(np.diff(coords), reach + 1), out=pos[1:])
+    pos[1:] += reach
+    n = -(-(int(pos[-1]) + reach + 1) // w) * w
+    axis = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
+    axis[pos] = keys
+    prefix = np.maximum.accumulate(axis.reshape(-1, w), axis=1).ravel()
+    # on the reversed axis the blocks stay aligned, as n is a multiple of w
+    suffix = np.maximum.accumulate(axis[::-1].reshape(-1, w), axis=1).ravel()
+    del axis
+    return np.maximum(suffix[n - 1 - (pos - reach)], prefix[pos + reach])
 
 
 def _greedy_extend(coords: np.ndarray, labels: np.ndarray,
@@ -234,7 +235,7 @@ def _greedy_extend(coords: np.ndarray, labels: np.ndarray,
         if not cand.any():
             break
         keys = np.where(cand, b * np.int64(m + 1) + rank, np.int64(-1))
-        top = cand & _window_maxima(coords, keys, R - 1)
+        top = cand & (keys == _window_max(coords, keys, R - 1))
         committed = np.union1d(committed, coords[top])
     return committed
 

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linemeet.localengine import (
@@ -23,6 +23,8 @@ from linemeet.localengine import (
     _kw_stage,
     _list_color_impl,
     _merge_schedule_cost,
+    _merge_tree,
+    _slot_caps,
     _squared_cv_round,
     _sweep_reduce,
     _three_color,
@@ -181,18 +183,33 @@ def test_list_color_rounds_direct_path_wins_for_small_palettes():
 
 # -- two-slot reduction round --------------------------------------------------
 
+# the pipeline steps work in place on colors followed by one pad entry (-1);
+# these run one step on a padded copy and return (colors, palette)
+
+def _squared_round(colors, palette, slots):
+    padded = np.append(np.asarray(colors, dtype=np.int64), -1)
+    palette = _squared_cv_round(padded, palette, slots, _slot_caps(slots))
+    return padded[:-1], palette
+
+
+def _kw_fold(colors, palette, nA, nB):
+    padded = np.append(np.asarray(colors, dtype=np.int64), -1)
+    palette = _kw_stage(padded, palette, np.stack((nA, nB)))
+    return padded[:-1], palette
+
+
 def test_two_slot_round_separates_three_chain():
     # labels increase along the chain; colors 2, 4, 5 share pairwise-distinct
     # lowest differing bits only under the two-slot entry layout
     world = explicit_world({0: 10, 1: 20, 2: 30})
     sub = PowerSubgraph(world, [0, 1, 2], 1)
     colors = np.array([2, 4, 5])
-    after, palette = _squared_cv_round(colors, 65536,
-                                       *_by_label(sub.labels, *sub.pair))
+    after, palette = _squared_round(colors, 65536,
+                                    _by_label(sub.labels, *sub.pair))
     assert palette == 1024
     assert after[0] != after[1] and after[1] != after[2]
     assert after.max() < palette
-    final, rounds = _three_color(sub.labels, *sub.pair, colors, 65536)
+    final, rounds = _three_color(_by_label(sub.labels, *sub.pair), colors, 65536)
     assert_proper(world, sub, by_member(sub.members, final))
     assert rounds == three_color_rounds(65536)
 
@@ -207,8 +224,8 @@ def test_two_slot_round_mirror_invariant():
     sub_f = PowerSubgraph(fwd, range(40), 1)
     sub_r = PowerSubgraph(rev, range(40), 1)
     colors = rng.choice(2**20, size=40, replace=False)
-    out_f, _ = _three_color(sub_f.labels, *sub_f.pair, colors, 2**20)
-    out_r, _ = _three_color(sub_r.labels, *sub_r.pair, colors[::-1], 2**20)
+    out_f, _ = _three_color(_by_label(sub_f.labels, *sub_f.pair), colors, 2**20)
+    out_r, _ = _three_color(_by_label(sub_r.labels, *sub_r.pair), colors[::-1], 2**20)
     assert out_f.tolist() == out_r[::-1].tolist()
     by_f, _ = color_path_constant(sub_f)
     by_r, _ = color_path_constant(sub_r)
@@ -222,7 +239,7 @@ def test_two_slot_round_no_op_below_constant_palette():
     sub = PowerSubgraph(world, [0, 1, 2], 1)
     colors = np.array([0, 1, 2])
     for palette, want_rounds in ((3, 0), (6, 3)):
-        out, rounds = _three_color(sub.labels, *sub.pair, colors, palette)
+        out, rounds = _three_color(_by_label(sub.labels, *sub.pair), colors, palette)
         assert out.tolist() == [0, 1, 2]
         assert rounds == want_rounds == three_color_rounds(palette)
 
@@ -251,11 +268,11 @@ def test_two_slot_round_keeps_properness(inst):
     lifted = sub.labels % 65000
     if not _proper_dict(world, sub, by_member(sub.members, lifted)):
         return
-    after, palette = _squared_cv_round(lifted, 65536,
-                                       *_by_label(sub.labels, *sub.pair))
+    after, palette = _squared_round(lifted, 65536,
+                                    _by_label(sub.labels, *sub.pair))
     assert palette < 65536
     assert_proper(world, sub, by_member(sub.members, after))
-    final, _ = _three_color(sub.labels, *sub.pair, lifted, 65536)
+    final, _ = _three_color(_by_label(sub.labels, *sub.pair), lifted, 65536)
     assert_proper(world, sub, by_member(sub.members, final))
 
 
@@ -269,7 +286,7 @@ def test_kw_stage_folds_twelve_colors_to_six():
     c = np.arange(12, dtype=np.int64)
     nA = np.arange(-1, 11, dtype=np.int64)
     nB = np.append(np.arange(1, 12, dtype=np.int64), -1)
-    out, palette = _kw_stage(c, 12, nA, nB)
+    out, palette = _kw_fold(c, 12, nA, nB)
     assert palette == 6
     assert out.max() < 6 and out.min() >= 0
     assert np.all(out[:-1] != out[1:])
@@ -299,7 +316,7 @@ def _three_color_ordering_each_round(labels, nA, nB, init, palette):
     while m > 3:
         width = 2 * max(1, ceil_log2(max(m, 2)))
         if width * width >= m:
-            c, m = _kw_stage(c, m, nA, nB)
+            c, m = _kw_fold(c, m, nA, nB)
             continue
 
         def entry(nbr):
@@ -322,7 +339,7 @@ def _three_color_ordering_each_round(labels, nA, nB, init, palette):
 
 def _three_color_per_class(labels, classes, init, palette):
     """Reference: one pipeline run per class."""
-    runs = [_three_color(labels, nA, nB, init, palette) for nA, nB in classes]
+    runs = [_three_color(_by_label(labels, nA, nB), init, palette) for nA, nB in classes]
     return np.array([c for c, _ in runs]), {r for _, r in runs}
 
 
@@ -359,7 +376,7 @@ def test_kw_stage_matches_whole_array_reference(data, m, palette):
                       st.integers(0, palette - 1))
     colors = np.array(data.draw(st.lists(color, min_size=m, max_size=m)),
                       dtype=np.int64)
-    out, folded = _kw_stage(colors, palette, nA, nB)
+    out, folded = _kw_fold(colors, palette, nA, nB)
     want, want_folded = _kw_stage_whole_array(colors, palette, nA, nB)
     assert out.dtype == want.dtype and out.tolist() == want.tolist()
     assert folded == want_folded
@@ -375,7 +392,7 @@ def test_slots_ordered_once_match_ordering_each_round(data, m, palette):
     init = np.array(data.draw(st.lists(st.integers(0, palette - 1),
                                        min_size=m, max_size=m)),
                     dtype=np.int64)
-    colors, _ = _three_color(labels, nA, nB, init, palette)
+    colors, _ = _three_color(_by_label(labels, nA, nB), init, palette)
     want = _three_color_ordering_each_round(labels, nA, nB, init, palette)
     assert colors.tolist() == want.tolist()
 
@@ -534,6 +551,26 @@ def test_list_coloring_rejects_short_lists():
         list_color(sub, lists)
 
 
+def test_list_coloring_rejects_a_universe_past_63_colors():
+    # picks are bits of one int64 per member
+    world = make_world("infinite", "sequential")
+    sub = PowerSubgraph(world, [0, 10], 1)
+    with pytest.raises(EngineError, match="64 colors exceeds 63"):
+        list_color(sub, {0: list(range(1, 33)), 10: list(range(33, 65))})
+    with pytest.raises(EngineError, match="64 colors exceeds 63"):
+        list_color(sub, np.ones((2, 64), dtype=bool))
+    wide = list_color(sub, np.ones((2, 63), dtype=bool))
+    assert wide.colors.tolist() == [0, 0]
+
+
+def test_final_assign_reports_an_exhausted_list():
+    world = make_world("infinite", "sequential")
+    sub = PowerSubgraph(world, [0, 1], 1)
+    allowed = np.array([[True, False], [True, False]])
+    with pytest.raises(EngineError, match="list exhausted at member rank 1"):
+        _final_assign(np.array([0, 1]), 2, sub.nbrs, allowed)
+
+
 def test_list_coloring_rejects_missing_list():
     world = make_world("infinite", "sequential")
     sub = PowerSubgraph(world, [0, 1], 1)
@@ -623,3 +660,61 @@ def test_list_coloring_array_form_matches_mapping(inst, seed):
     assert by_array.members.tolist() == by_map.members.tolist()
     assert by_array.colors.tolist() == by_map.colors.tolist()
     assert rounds_array == rounds_map
+
+
+def _merge_tree_per_pair(colors3, classes):
+    """Reference merge tree: one sweep per pair of partial colorings, over
+    the union of that pair's class edges."""
+    parts = [(c, 3, [pair]) for c, pair in zip(colors3, classes)]
+    rounds = 0
+    while len(parts) > 1:
+        nxt, level = [], 0
+        for a in range(0, len(parts) - 1, 2):
+            (c1, p1, e1), (c2, p2, e2) = parts[a], parts[a + 1]
+            prod, pp, edges = c1 * p2 + c2, p1 * p2, e1 + e2
+            if len(parts) > 2:
+                union = np.column_stack([col for pair in edges for col in pair])
+                target = 2 * len(edges) + 1
+                prod, r = _sweep_reduce(prod, pp, target, union)
+                level = max(level, r)
+                nxt.append((prod, target, edges))
+            else:
+                nxt.append((prod, pp, edges))
+        if len(parts) % 2:
+            nxt.append(parts[-1])
+        parts, rounds = nxt, rounds + level
+    colors, palette, _ = parts[0]
+    return colors, palette, rounds
+
+
+# at most 17 members (so degree <= 16) packed at gaps 1 and 2, with a power
+# up to 16: one to sixteen difference classes, so odd levels pair classes of
+# different counts
+@st.composite
+def dense_instances(draw):
+    m = draw(st.integers(1, 17))
+    gaps = draw(st.lists(st.sampled_from([1, 1, 2]), min_size=m - 1,
+                         max_size=m - 1))
+    coords = np.concatenate(([0], np.cumsum(gaps, dtype=np.int64))).tolist()
+    power = draw(st.integers(1, 16))
+    return make_world("infinite", "random-injective:13"), coords, power
+
+
+@given(st.one_of(dense_instances(), bounded_degree_instances()), st.data())
+@settings(deadline=None, max_examples=120)
+def test_stacked_merge_levels_match_per_pair_sweeps(inst, data):
+    world, coords, power = inst
+    sub = PowerSubgraph(world, coords, power)
+    classes = _difference_classes(sub)
+    assume(len(classes) > 0)
+    m = sub.members.size
+    # any leaf colors, proper or not: each sweep reads the colors as they
+    # stood before its class
+    colors3 = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=m, max_size=m),
+        min_size=len(classes), max_size=len(classes))), dtype=np.int64)
+    colors, palette, rounds = _merge_tree(colors3, classes)
+    want, want_palette, want_rounds = _merge_tree_per_pair(colors3, classes)
+    assert colors.tolist() == want.tolist()
+    assert (palette, rounds) == (want_palette, want_rounds)
+    assert rounds + palette == _merge_schedule_cost(len(classes))

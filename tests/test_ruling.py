@@ -125,6 +125,46 @@ def test_verifier_subset_counterexample():
     assert not check.ok and check.failure == "subset" and check.witness == (9,)
 
 
+# -- sliding window maximum ---------------------------------------------------
+
+def _range_max(vals, lo, hi):
+    """Reference: max of vals[lo:hi] per query (hi > lo), via a K x n
+    doubling table."""
+    n = vals.size
+    lengths = hi - lo
+    K = max(1, int(lengths.max()).bit_length())
+    table = np.full((K, n), np.iinfo(np.int64).min, dtype=np.int64)
+    table[0] = vals
+    for k in range(1, K):
+        w = 1 << (k - 1)
+        span = n - (1 << k) + 1
+        table[k, :span] = np.maximum(table[k - 1, :span], table[k - 1, w:w + span])
+    kk = np.log2(lengths).astype(np.int64)
+    kk = np.where((np.int64(1) << (kk + 1)) <= lengths, kk + 1, kk)
+    kk = np.where((np.int64(1) << kk) > lengths, kk - 1, kk)
+    return np.maximum(table[kk, lo], table[kk, hi - (np.int64(1) << kk)])
+
+
+@given(st.integers(0, 40), st.integers(1, 80), st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=150)
+def test_window_max_matches_the_doubling_table(reach, n, seed):
+    rng = np.random.default_rng(seed)
+    # gaps around the reach decide which windows meet; huge ones exercise
+    # the shortened gaps
+    gaps = np.where(rng.random(n - 1) < 0.8,
+                    rng.integers(1, 2 * reach + 3, n - 1),
+                    rng.integers(1, 10**12, n - 1))
+    coords = rng.integers(-10**12, 10**12) + \
+        np.concatenate(([0], np.cumsum(gaps)))
+    keys = np.where(rng.random(n) < 0.5, rng.integers(-2, 6, n),
+                    rng.integers(-2**63, 2**63 - 1, n, endpoint=True))
+    lo = np.searchsorted(coords, coords - reach, side="left")
+    hi = np.searchsorted(coords, coords + reach, side="right")
+    got = ruling._window_max(coords, keys, reach)
+    assert got.dtype == np.int64
+    assert got.tolist() == _range_max(keys, lo, hi).tolist()
+
+
 # -- ruling set on one universe ------------------------------------------------
 
 def test_spacing_one_returns_whole_universe():
