@@ -190,7 +190,8 @@ def _kw_stage(colors: np.ndarray, palette: int, slots: np.ndarray) -> int:
     offset 0, 1 or 2, so the offsets found up front hold.
     """
     own = colors[:-1]
-    offsets = own % 6
+    block = own // 6  # recoloring stays in the block; % would cost 4x more
+    offsets = own - 6 * block
     high = np.flatnonzero(offsets >= 3)
     high_offsets = offsets[high]
     for offset in (5, 4, 3):
@@ -201,7 +202,7 @@ def _kw_stage(colors: np.ndarray, palette: int, slots: np.ndarray) -> int:
             for _ in range(2):
                 target += (target == nbr[0]) | (target == nbr[1])
             own[sel] = target
-    own -= 3 * (own // 6)
+    own -= 3 * block
     return 3 * ((palette + 5) // 6)
 
 
@@ -259,7 +260,7 @@ def _three_color_classes(labels: np.ndarray, classes: np.ndarray,
     on the palette alone.
     """
     k, m = len(classes), labels.size
-    slots = _by_label(labels, *np.stack(classes, axis=1))  # (2, k, m)
+    slots = _by_label(labels, *np.asarray(classes).swapaxes(0, 1))  # (2, k, m)
     shift = np.arange(0, k * m, m, dtype=np.int64)[:, None]
     slots = np.where(slots >= 0, slots + shift, -1).reshape(2, k * m)
     colors, rounds = _three_color(slots, np.tile(init_colors, k), palette)
@@ -357,6 +358,12 @@ def _difference_classes(sub: PowerSubgraph) -> np.ndarray:
                      np.where(right <= hi, right, -1)), axis=1)
 
 
+def _runs(values: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of every run of equal entries."""
+    cuts = (np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()
+    return list(zip([0] + cuts, cuts + [values.size]))
+
+
 def _sweep_reduce(colors: np.ndarray, palette, target,
                   nbrs: np.ndarray) -> tuple[np.ndarray, int]:
     """Recolor classes target..palette-1 to the smallest free color < target.
@@ -377,11 +384,10 @@ def _sweep_reduce(colors: np.ndarray, palette, target,
     todo = np.flatnonzero(high)
     flat = colors.ravel()
     order = todo[np.argsort(flat[todo], kind="stable")][::-1]
-    bounds = np.flatnonzero(np.diff(flat[order])) + 1
-    cols = np.ascontiguousarray(nbrs[order].T)
-    for sel, around in zip(np.split(order, bounds), np.split(cols, bounds, axis=1)):
-        used = np.bitwise_or.reduce(bits[around], axis=0)
-        bits[sel] = ~used & (used + 1)
+    cols = np.ascontiguousarray(np.take(nbrs, order, axis=0).T)
+    for a, b in _runs(flat[order]):
+        used = np.bitwise_or.reduce(bits[cols[:, a:b]], axis=0)
+        bits[order[a:b]] = ~used & (used + 1)
     out = np.bitwise_count(bits[:-1] - 1).astype(np.int64).reshape(colors.shape)
     if np.any(out >= target):
         raise EngineError("no free color during sweep reduction")
@@ -413,11 +419,11 @@ def _stacked_neighbors(classes: np.ndarray,
     """
     m = classes.shape[2]
     width = 2 * max(hi - lo for lo, hi in spans)
-    out = np.full((width, len(spans), m), -1, dtype=np.int64)
+    out = np.full((len(spans), m, width), -1, dtype=np.int64)
     for j, (lo, hi) in enumerate(spans):
-        ranks = classes[lo:hi].reshape(-1, m)
-        out[:ranks.shape[0], j] = np.where(ranks >= 0, ranks + j * m, -1)
-    return out.reshape(width, -1).T
+        ranks = classes[lo:hi].reshape(-1, m).T
+        out[j, :, :ranks.shape[1]] = np.where(ranks >= 0, ranks + j * m, -1)
+    return out.reshape(-1, width)
 
 
 def _merge_tree(colors3: np.ndarray,
@@ -501,13 +507,11 @@ def _final_assign(colors: np.ndarray, palette: int, nbrs: np.ndarray,
         allowed.shape[1], dtype=np.int64))
     held = np.zeros(m + 1, dtype=np.int64)  # unassigned members and the pad: 0
     order = np.argsort(colors, kind="stable")
-    bounds = np.flatnonzero(np.diff(colors[order])) + 1
-    cols = np.ascontiguousarray(nbrs[order].T)
-    for sel, around, free in zip(np.split(order, bounds),
-                                 np.split(cols, bounds, axis=1),
-                                 np.split(lists[order], bounds)):
-        free = free & ~np.bitwise_or.reduce(held[around], axis=0)
-        held[sel] = free & -free
+    cols = np.ascontiguousarray(np.take(nbrs, order, axis=0).T)
+    lists = lists[order]
+    for a, b in _runs(colors[order]):
+        free = lists[a:b] & ~np.bitwise_or.reduce(held[cols[:, a:b]], axis=0)
+        held[order[a:b]] = free & -free
     empty = np.flatnonzero(held[:-1] == 0)
     if empty.size:
         raise EngineError(f"list exhausted at member rank {int(empty[0])}")
