@@ -96,10 +96,9 @@ class PowerSubgraph:
         hi = np.searchsorted(c, c + k, side="right")
         deg = hi - lo - 1
         dmax = int(deg.max())
-        t = np.arange(dmax, dtype=np.int64)[None, :]
-        raw = lo[:, None] + t
-        idx = np.arange(m, dtype=np.int64)[:, None]
-        nbrs = np.where(raw >= idx, raw + 1, raw)
+        t = np.arange(dmax, dtype=np.int64)
+        nbrs = lo[:, None] + t
+        nbrs += nbrs >= np.arange(m, dtype=np.int64)[:, None]  # skip self
         nbrs[t >= deg[:, None]] = -1
         self.nbrs = nbrs
         self.degrees = deg
@@ -237,15 +236,17 @@ def _three_color(slots: np.ndarray, init_colors: np.ndarray,
     c[:-1] = init_colors
     c[-1] = -1
     m, rounds = int(palette), 0
+    while m > 3 and (2 * max(1, ceil_log2(max(m, 2)))) ** 2 < m:
+        m = _squared_cv_round(c, m, slots, caps)
+        rounds += 1
+    # squaring stops shrinking at palettes <= 324, and from there on only
+    # folds run; their colors stay below 2**15 even for an improper input
+    # (a round's entries are at most 125), so they fold in int16
+    c = c.astype(np.int16)
     while m > 3:
-        squared = (2 * max(1, ceil_log2(max(m, 2)))) ** 2
-        if squared < m:
-            m = _squared_cv_round(c, m, slots, caps)
-            rounds += 1
-        else:
-            m = _kw_stage(c, m, slots)
-            rounds += 3
-    return c[:-1], rounds
+        m = _kw_stage(c, m, slots)
+        rounds += 3
+    return c[:-1].astype(np.int64), rounds
 
 
 def _three_color_classes(labels: np.ndarray, classes: np.ndarray,
