@@ -11,8 +11,8 @@ Hosts are lines, as for the ruling sets built on these primitives.  Max
 degree 2 covers chains and triangles of members; list coloring stretches to
 max degree 16 by decomposing edges into rank-difference classes.
 
-The cost of a run is its number of numpy passes, not its member count, so
-the kernels keep passes per simulated round few.  Neighbor ranks use -1 for
+At the sizes ruling sets color, a run costs about one unit per numpy pass,
+so the kernels keep the passes per simulated round few.  Neighbor ranks use -1 for
 a missing neighbor, and the arrays they index carry one pad entry at the
 end: a -1 rank reads the pad, and a gather is a single take.  Colorings of
 several graphs on the same members run as one graph of disjoint copies, copy
@@ -365,7 +365,8 @@ def _runs(values: np.ndarray) -> list[tuple[int, int]]:
     return list(zip([0] + cuts, cuts + [values.size]))
 
 
-def _sweep_reduce(colors: np.ndarray, palette, target,
+def _sweep_reduce(colors: np.ndarray, palette: int | np.ndarray,
+                  target: int | np.ndarray,
                   nbrs: np.ndarray) -> tuple[np.ndarray, int]:
     """Recolor classes target..palette-1 to the smallest free color < target.
 
@@ -532,27 +533,20 @@ def _allowed_matrix(sub: PowerSubgraph,
                 f"allowed-color matrix of shape {lists.shape} for {m} members")
         allowed, colors = np.asarray(lists, dtype=bool), np.arange(lists.shape[1])
     else:
-        allowed, colors = _allowed_from_mapping(sub, lists)
+        rows = []
+        for p in sub.members:
+            try:
+                rows.append([int(x) for x in lists[int(p)]])
+            except KeyError:
+                raise EngineError(f"no list for member {int(p)}") from None
+        flat = np.array([x for row in rows for x in row], dtype=np.int64)
+        colors = np.unique(flat)
+        allowed = np.zeros((m, colors.size), dtype=bool)
+        owner = np.repeat(np.arange(m), [len(row) for row in rows])
+        allowed[owner, np.searchsorted(colors, flat)] = True
     if colors.size > MAX_LIST_COLORS:
         raise EngineError(f"list universe of {colors.size} colors exceeds "
                           f"{MAX_LIST_COLORS}")
-    return allowed, colors
-
-
-def _allowed_from_mapping(sub: PowerSubgraph, lists: Mapping[int, Iterable[int]]
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    m = sub.members.size
-    rows = []
-    for p in sub.members:
-        try:
-            rows.append([int(x) for x in lists[int(p)]])
-        except KeyError:
-            raise EngineError(f"no list for member {int(p)}") from None
-    flat = np.array([x for row in rows for x in row], dtype=np.int64)
-    colors = np.unique(flat)
-    allowed = np.zeros((m, colors.size), dtype=bool)
-    owner = np.repeat(np.arange(m), [len(row) for row in rows])
-    allowed[owner, np.searchsorted(colors, flat)] = True
     return allowed, colors
 
 

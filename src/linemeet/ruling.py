@@ -212,7 +212,6 @@ def _window_max(coords: np.ndarray, keys: np.ndarray, reach: int) -> np.ndarray:
     prefix = np.maximum.accumulate(axis.reshape(-1, w), axis=1).ravel()
     # on the reversed axis the blocks stay aligned, as n is a multiple of w
     suffix = np.maximum.accumulate(axis[::-1].reshape(-1, w), axis=1).ravel()
-    del axis
     return np.maximum(suffix[n - 1 - (pos - reach)], prefix[pos + reach])
 
 
