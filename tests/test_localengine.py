@@ -339,7 +339,8 @@ def _three_color_ordering_each_round(labels, nA, nB, init, palette):
 
 def _three_color_per_class(labels, classes, init, palette):
     """Reference: one pipeline run per class."""
-    runs = [_three_color(_by_label(labels, nA, nB), init, palette) for nA, nB in classes]
+    runs = [_three_color(_by_label(labels, nA, nB), init, palette)
+            for nA, nB in classes]
     return np.array([c for c, _ in runs]), {r for _, r in runs}
 
 
