@@ -70,11 +70,15 @@ def _int_list(spec: str) -> list[int]:
         tok = tok.strip()
         if not tok:
             continue
-        if ".." in tok:
-            a, b = tok.split("..", 1)
-            out.extend(range(int(a), int(b) + 1))
-        else:
-            out.append(int(tok))
+        try:
+            if ".." in tok:
+                a, b = tok.split("..", 1)
+                out.extend(range(int(a), int(b) + 1))
+            else:
+                out.append(int(tok))
+        except ValueError:
+            raise SimError(f"bad integer token {tok!r}; use forms like "
+                           f"5, 1,2,5 or 1..64") from None
     return out
 
 
@@ -134,8 +138,13 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
             key, value = key.strip(), value.strip()
             if key not in types:
                 raise SimError(f"unknown config key {key!r} on line {lineno}")
-            if not explicit(key):
+            if explicit(key):
+                continue
+            try:
                 setattr(args, key.replace("-", "_"), types[key](value))
+            except ValueError:
+                raise SimError(f"bad value {value!r} for {key} on line "
+                               f"{lineno}") from None
 
 
 def _resolved_care(args: argparse.Namespace) -> bool:
@@ -286,9 +295,8 @@ def _verify_rulingset(args: argparse.Namespace) -> int:
         R = int(rng.choice([1, 2, 4, 16, 64]))
         size = int(rng.integers(max(4, R), 220))
         host, universe = _trial_host(rng, trial, size)
-        result = path_ruling_set(host, universe, R)
-        check = verify_limited_ruling_set(host, universe, result.members,
-                                          R, R - 1)
+        members = path_ruling_set(host, universe, R)
+        check = verify_limited_ruling_set(host, universe, members, R, R - 1)
         if not check:
             _error_json("oracle-failure",
                         f"trial {trial}: {check.failure} at {check.witness}")

@@ -17,16 +17,17 @@ a missing neighbor, and the arrays they index carry one pad entry at the
 end: a -1 rank reads the pad, and a gather is a single take.  Colorings of
 several graphs on the same members run as one graph of disjoint copies, copy
 j's member i being rank j*m + i: the leaf 3-colorings of the list coloring
-run this way, and so does each level of its merge tree in one sweep.  List
-coloring picks colors through int64 bitmasks (a member ORs its neighbors'
-color bits and takes the lowest free bit), which caps a list universe at 63
+run this way, and so does each level of its merge tree in one sweep.
+Colorings are plain arrays aligned with the sorted members, and lists one
+boolean matrix, row i marking member rank i's colors.  Every list pick goes
+through one int64 bitmask kernel (a member ORs its neighbors' color bits and
+takes the lowest listed bit left clear), which caps a list universe at 63
 colors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -46,19 +47,6 @@ COLOR_ROUNDS_OFFSET = 30
 
 # list colors are picked as bits of one int64 per member
 MAX_LIST_COLORS = 63
-
-
-@dataclass(frozen=True)
-class ColorAssignment:
-    """A proper coloring of a power subgraph's members.
-
-    ``members`` is sorted by coordinate and aligned with ``colors``; all
-    colors are < palette.
-    """
-
-    members: np.ndarray
-    colors: np.ndarray
-    palette: int
 
 
 class PowerSubgraph:
@@ -113,12 +101,9 @@ class PowerSubgraph:
     def pair(self) -> tuple[np.ndarray, np.ndarray]:
         """(first, second) neighbor rank arrays for degree <= 2 graphs."""
         self.require_degree(2)
-        if self.nbrs.shape[1] >= 2:
-            return self.nbrs[:, 0], self.nbrs[:, 1]
-        if self.nbrs.shape[1] == 1:
-            return self.nbrs[:, 0], np.full(self.members.size, -1, dtype=np.int64)
-        none = np.full(self.members.size, -1, dtype=np.int64)
-        return none, none
+        pair = np.full((2, self.members.size), -1, dtype=np.int64)
+        pair[:self.nbrs.shape[1]] = self.nbrs.T
+        return pair[0], pair[1]
 
     def check_proper(self, colors: np.ndarray) -> None:
         # a -1 rank reads the last color, which the mask then discards
@@ -303,23 +288,24 @@ def _init_coloring(sub: PowerSubgraph, palette: int | None,
 
 
 def color_path_constant(sub: PowerSubgraph, palette: int | None = None,
-                        base: int = 1) -> tuple[ColorAssignment, int]:
+                        base: int = 1) -> tuple[np.ndarray, int]:
     """Proper 3-coloring of a degree <= 2 subgraph, plus simulated rounds.
 
     Starts from the shifted label coloring (values label - base, bounded by
     ``palette`` when given, else by the largest occurring value) and
     alternates squared bit-index rounds with block-folding stages until the
-    palette is at most 3.
+    palette is at most 3.  Returns (colors, rounds): colors in [0, 3),
+    aligned with ``sub.members``.
     """
     sub.require_degree(2)
     if sub.members.size == 0:
-        return ColorAssignment(sub.members, np.empty(0, dtype=np.int64), 3), 0
+        return np.empty(0, dtype=np.int64), 0
     init, bound = _init_coloring(sub, palette, base)
     colors, rounds = _three_color(_by_label(sub.labels, *sub.pair), init, bound)
     if rounds != three_color_rounds(bound):
         raise EngineError(f"3-coloring took {rounds} rounds, schedule says "
                           f"{three_color_rounds(bound)}")
-    return ColorAssignment(sub.members, colors, min(3, bound)), rounds
+    return colors, rounds
 
 
 def mis(sub: PowerSubgraph, palette: int | None = None,
@@ -330,8 +316,8 @@ def mis(sub: PowerSubgraph, palette: int | None = None,
     result is independent and dominating regardless of member geometry
     (chains, triangles).
     """
-    assignment, _ = color_path_constant(sub, palette, base)
-    return sub.members[_greedy_mis(assignment.colors, *sub.pair)]
+    colors, _ = color_path_constant(sub, palette, base)
+    return sub.members[_greedy_mis(colors, *sub.pair)]
 
 
 # -- list coloring up to degree 16 ---------------------------------------------
@@ -365,47 +351,57 @@ def _runs(values: np.ndarray) -> list[tuple[int, int]]:
     return list(zip([0] + cuts, cuts + [values.size]))
 
 
+def _pick(held: np.ndarray, order: np.ndarray, keys: np.ndarray,
+          lists: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+    """Pick list colors class by class, in place on ``held``; returns every
+    member rank's color.
+
+    ``held[r]`` is bit c for a rank r holding color c and 0 for one still to
+    pick; its last entry is the 0 pad a -1 neighbor rank reads.  ``order``
+    lists the ranks to pick in class order, aligned with their classes
+    ``keys`` and their allowed colors as bitmasks ``lists``.  A class's
+    members are pairwise non-adjacent, so each at once ORs the bits of its
+    neighbors ``nbrs[r]`` and takes the lowest listed bit left clear.  In
+    disjoint copies of m members stacked as rows, copy j's member i is rank
+    j*m + i.  A member left with no free color raises, naming its rank.
+    """
+    cols = np.ascontiguousarray(np.take(nbrs, order, axis=0).T)
+    for a, b in _runs(keys):
+        free = lists[a:b] & ~np.bitwise_or.reduce(held[cols[:, a:b]], axis=0)
+        held[order[a:b]] = free & -free
+    empty = np.flatnonzero(held[:-1] == 0)
+    if empty.size:
+        raise EngineError(f"list exhausted at member rank {int(empty[0])}")
+    return np.bitwise_count(held[:-1] - 1).astype(np.int64)
+
+
 def _sweep_reduce(colors: np.ndarray, palette: int | np.ndarray,
                   target: int | np.ndarray,
                   nbrs: np.ndarray) -> tuple[np.ndarray, int]:
     """Recolor classes target..palette-1 to the smallest free color < target.
 
-    One round per class, highest first, occurring or not; a class's members
-    are pairwise non-adjacent, so they pick at once.  ``nbrs[r]`` holds the
-    neighbor ranks (-1 for none) of member r of the flattened ``colors``.
-    ``palette`` and ``target`` (at most 62) broadcast against ``colors``, so
-    disjoint copies stacked as rows each sweep their own palette down to
-    their own target in one pass over the values, and the rounds are those
-    of the widest copy.  A member below its target holds its color as one
-    bit of an int64 (others hold 0, as does the pad a -1 reads), so a pick
-    ORs the neighbors' bits and takes the lowest bit left clear.
+    One round per class, highest first, occurring or not; the picks run
+    through :func:`_pick` with every list holding the colors below target.
+    ``nbrs[r]`` holds the neighbor ranks (-1 for none) of member r of the
+    flattened ``colors``.  ``palette`` and ``target`` (at most 62) broadcast
+    against ``colors``, so disjoint copies stacked as rows each sweep their
+    own palette down to their own target in one pass over the values, and
+    the rounds are those of the widest copy.
     """
     high = colors >= target
-    bits = np.zeros(colors.size + 1, dtype=np.int64)
-    np.left_shift(1, colors, out=bits[:-1].reshape(colors.shape), where=~high)
+    held = np.zeros(colors.size + 1, dtype=np.int64)
+    np.left_shift(1, colors, out=held[:-1].reshape(colors.shape), where=~high)
     todo = np.flatnonzero(high)
     flat = colors.ravel()
     order = todo[np.argsort(flat[todo], kind="stable")][::-1]
-    cols = np.ascontiguousarray(np.take(nbrs, order, axis=0).T)
-    for a, b in _runs(flat[order]):
-        used = np.bitwise_or.reduce(bits[cols[:, a:b]], axis=0)
-        bits[order[a:b]] = ~used & (used + 1)
-    out = np.bitwise_count(bits[:-1] - 1).astype(np.int64).reshape(colors.shape)
-    if np.any(out >= target):
-        raise EngineError("no free color during sweep reduction")
-    return out, max(0, int(np.max(palette - target)))
+    lists = np.broadcast_to((np.int64(1) << target) - 1, colors.shape)
+    out = _pick(held, order, flat[order], lists.ravel()[order], nbrs)
+    return out.reshape(colors.shape), max(0, int(np.max(palette - target)))
 
 
-def list_color_rounds(sub_or_classes: "PowerSubgraph | int", palette: int) -> int:
-    """Simulated-round formula for :func:`list_color` (content-independent).
-
-    ``sub_or_classes`` may be the subgraph or directly its number of
-    rank-difference classes.
-    """
-    if isinstance(sub_or_classes, PowerSubgraph):
-        dd = len(_difference_classes(sub_or_classes))
-    else:
-        dd = int(sub_or_classes)
+def list_color_rounds(dd: int, palette: int) -> int:
+    """Simulated-round formula for :func:`list_color` (content-independent)
+    on a subgraph with ``dd`` rank-difference classes."""
     if dd == 0:
         return 0
     pipeline = three_color_rounds(palette) + _merge_schedule_cost(dd)
@@ -497,70 +493,29 @@ def _final_assign(colors: np.ndarray, palette: int, nbrs: np.ndarray,
                   allowed: np.ndarray) -> tuple[np.ndarray, int]:
     """Give every member a list color, sweeping proper-color classes in order.
 
-    ``allowed[i, c]`` says whether color index c (below
-    ``MAX_LIST_COLORS``) is on member rank i's list; each list becomes one
-    int64 bitmask.  A class's members are pairwise non-adjacent, so they
-    pick at once: each ORs the bits its already-assigned neighbors hold and
-    takes the lowest listed bit left clear.  Every value of the palette
-    costs one round, occurring or not.
+    ``allowed[i, c]`` says whether color c (below ``MAX_LIST_COLORS``) is on
+    member rank i's list; each list becomes one int64 bitmask, and the picks
+    run through :func:`_pick`.  Every value of the palette costs one round,
+    occurring or not.
     """
-    m = colors.size
     lists = allowed.astype(np.int64) @ (np.int64(1) << np.arange(
         allowed.shape[1], dtype=np.int64))
-    held = np.zeros(m + 1, dtype=np.int64)  # unassigned members and the pad: 0
     order = np.argsort(colors, kind="stable")
-    cols = np.ascontiguousarray(np.take(nbrs, order, axis=0).T)
-    lists = lists[order]
-    for a, b in _runs(colors[order]):
-        free = lists[a:b] & ~np.bitwise_or.reduce(held[cols[:, a:b]], axis=0)
-        held[order[a:b]] = free & -free
-    empty = np.flatnonzero(held[:-1] == 0)
-    if empty.size:
-        raise EngineError(f"list exhausted at member rank {int(empty[0])}")
-    return np.bitwise_count(held[:-1] - 1).astype(np.int64), palette
+    held = np.zeros(colors.size + 1, dtype=np.int64)
+    return _pick(held, order, colors[order], lists[order], nbrs), palette
 
 
-def _allowed_matrix(sub: PowerSubgraph,
-                    lists: Mapping[int, Iterable[int]] | np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Lists as (allowed, colors): ``allowed[i, j]`` iff colors[j] is listed
-    for member rank i.  An array input already is the matrix over colors
-    0, 1, 2, ...; a mapping is read over the sorted union of its lists."""
-    m = sub.members.size
-    if isinstance(lists, np.ndarray):
-        if lists.ndim != 2 or lists.shape[0] != m:
-            raise EngineError(
-                f"allowed-color matrix of shape {lists.shape} for {m} members")
-        allowed, colors = np.asarray(lists, dtype=bool), np.arange(lists.shape[1])
-    else:
-        rows = []
-        for p in sub.members:
-            try:
-                rows.append([int(x) for x in lists[int(p)]])
-            except KeyError:
-                raise EngineError(f"no list for member {int(p)}") from None
-        flat = np.array([x for row in rows for x in row], dtype=np.int64)
-        colors = np.unique(flat)
-        allowed = np.zeros((m, colors.size), dtype=bool)
-        owner = np.repeat(np.arange(m), [len(row) for row in rows])
-        allowed[owner, np.searchsorted(colors, flat)] = True
-    if colors.size > MAX_LIST_COLORS:
-        raise EngineError(f"list universe of {colors.size} colors exceeds "
-                          f"{MAX_LIST_COLORS}")
-    return allowed, colors
-
-
-def list_color(sub: PowerSubgraph,
-               lists: Mapping[int, Iterable[int]] | np.ndarray,
-               palette: int | None = None, base: int = 1) -> ColorAssignment:
+def list_color(sub: PowerSubgraph, allowed: np.ndarray,
+               palette: int | None = None,
+               base: int = 1) -> tuple[np.ndarray, int]:
     """Deterministic list coloring for max degree <= 16.
 
-    ``lists`` maps each member to its colors, or is a boolean matrix whose
-    row i marks the colors 0, 1, 2, ... allowed for member rank i.  Every
-    member needs at least degree+1 distinct colors, and the union of the
-    lists (the matrix's width) may hold at most ``MAX_LIST_COLORS``, since
-    picks are bits of one int64.  The outcome does not depend on the
-    mapping's iteration order or on the order within a list.
+    ``allowed`` is a boolean matrix whose row i marks the colors 0, 1, 2,
+    ... allowed for member rank i.  Every member needs at least degree+1
+    allowed colors, and the matrix may be at most ``MAX_LIST_COLORS`` wide,
+    since picks are bits of one int64.  Returns (colors, rounds): colors
+    aligned with ``sub.members``, and the simulated rounds, which
+    :func:`list_color_rounds` gives in advance.
 
     Large palettes run the pipeline: every rank-difference class is
     3-colored in one stacked run, and a merge tree pairs the partial
@@ -568,19 +523,16 @@ def list_color(sub: PowerSubgraph,
     swept by one :func:`_sweep_reduce` over disjoint copies of the members,
     each copy seeing only its own classes' edges.
     """
-    assignment, _ = _list_color_impl(sub, lists, palette, base)
-    return assignment
-
-
-def _list_color_impl(sub: PowerSubgraph,
-                     lists: Mapping[int, Iterable[int]] | np.ndarray,
-                     palette: int | None = None,
-                     base: int = 1) -> tuple[ColorAssignment, int]:
     sub.require_degree(16)
     m = sub.members.size
+    if allowed.ndim != 2 or allowed.shape[0] != m:
+        raise EngineError(
+            f"allowed-color matrix of shape {allowed.shape} for {m} members")
+    if allowed.shape[1] > MAX_LIST_COLORS:
+        raise EngineError(f"list universe of {allowed.shape[1]} colors "
+                          f"exceeds {MAX_LIST_COLORS}")
     if m == 0:
-        return ColorAssignment(sub.members, np.empty(0, dtype=np.int64), 0), 0
-    allowed, list_colors = _allowed_matrix(sub, lists)
+        return np.empty(0, dtype=np.int64), 0
     sizes = allowed.sum(axis=1)
     short = np.flatnonzero(sizes < sub.degrees + 1)
     if short.size:
@@ -591,8 +543,7 @@ def _list_color_impl(sub: PowerSubgraph,
     init, palette = _init_coloring(sub, palette, base)
     classes = _difference_classes(sub)
     if len(classes) == 0:
-        colors = list_colors[np.argmax(allowed, axis=1)]
-        return ColorAssignment(sub.members, colors, int(colors.max()) + 1), 0
+        return np.argmax(allowed, axis=1), 0
     rounds = 0
     pipeline_cost = three_color_rounds(palette) + _merge_schedule_cost(len(classes))
     if palette <= pipeline_cost:
@@ -603,13 +554,11 @@ def _list_color_impl(sub: PowerSubgraph,
                                                palette)
         work, work_palette, merge_rounds = _merge_tree(colors3, classes)
         rounds += merge_rounds
-    picks, r = _final_assign(work, work_palette, sub.nbrs, allowed)
-    final = list_colors[picks]
+    colors, r = _final_assign(work, work_palette, sub.nbrs, allowed)
     rounds += r
-    sub.check_proper(final)
-    top = int(final.max()) + 1
+    sub.check_proper(colors)
     expected = list_color_rounds(len(classes), palette)
     if rounds != expected:
         raise EngineError(f"list coloring took {rounds} rounds, schedule says "
                           f"{expected}")
-    return ColorAssignment(sub.members, final, top), rounds
+    return colors, rounds

@@ -50,28 +50,6 @@ def _spacing(R: int) -> int:
     return R
 
 
-@dataclass(frozen=True, eq=False)
-class LimitedRulingSet:
-    """Members selected from a universe with packing R, covering R-1.
-
-    ``coords`` and ``member_coords`` are sorted int64 arrays; ``universe``
-    and ``members`` give them as sets.
-    """
-
-    host: World
-    coords: np.ndarray
-    member_coords: np.ndarray
-    R: int
-
-    @property
-    def universe(self) -> frozenset:
-        return frozenset(self.coords.tolist())
-
-    @property
-    def members(self) -> frozenset:
-        return frozenset(self.member_coords.tolist())
-
-
 @dataclass(frozen=True)
 class RulingCheck:
     """Oracle verdict; on failure names the property and a witness."""
@@ -268,8 +246,9 @@ def _sorted_coords(positions: Iterable[int]) -> np.ndarray:
 
 def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
                     palette: int | None = None, base: int = 1,
-                    debug: bool = False) -> LimitedRulingSet:
-    """Build a ruling set with packing R and covering R-1 over the universe.
+                    debug: bool = False) -> np.ndarray:
+    """Members of a ruling set with packing R and covering R-1 over the
+    universe, as a sorted int64 array.
 
     Doubling stages: with d = ceil(log2 R), stage i takes a maximal
     independent set of the power graph at radius 2^i - 1 (R-1 in the last
@@ -286,7 +265,7 @@ def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
     R = _spacing(R)
     coords = _sorted_coords(universe)
     if coords.size == 0 or R == 1:
-        return LimitedRulingSet(host, coords, coords, R)
+        return coords
     labels = host.labels_at(coords)
     s = coords
     d = ceil_log2(R)
@@ -303,7 +282,7 @@ def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
     if debug:
         worst = int(_nearest_distance(coords, s).max())
         _check_covering(worst, R - 1, "greedy extension")
-    return LimitedRulingSet(host, coords, s, R)
+    return s
 
 
 def verify_limited_ruling_set(host: World, universe: Iterable[int],
@@ -371,8 +350,7 @@ class EsColState:
                 continue  # empty classes still hold their schedule slot
             vi = self.coords[sel]
             fresh = path_ruling_set(host, vi, R, palette=class_size(i),
-                                    base=CLASS_LO[i - 1],
-                                    debug=debug).member_coords
+                                    base=CLASS_LO[i - 1], debug=debug)
             committed = self.coords[self.in_set]
             if committed.size and fresh.size:
                 far = _nearest_distance(fresh, committed) >= R
@@ -413,10 +391,9 @@ class EsColState:
         allowed = held[hi] == held[lo]
         allowed[:, 0] = False
         sub = PowerSubgraph(host, phase, reach)
-        assignment = list_color(sub, allowed, palette=class_size(class_index),
-                                base=CLASS_LO[class_index - 1])
-        idx = np.searchsorted(self.coords, phase)
-        self.colors[idx] = assignment.colors
+        colors, _ = list_color(sub, allowed, palette=class_size(class_index),
+                               base=CLASS_LO[class_index - 1])
+        self.colors[phase_sel] = colors
 
     # -- queries ---------------------------------------------------------------
 

@@ -217,30 +217,18 @@ class Timeline:
 
     # -- phases ------------------------------------------------------------
 
-    def phase_at(self, t: int) -> str:
-        if t < 0:
-            return "asleep"
+    def decision_at(self, t: int) -> tuple[str, IterationNote | None]:
+        """(phase, note) at local round t >= 0.  The note is the decision of
+        t's iteration once its discovery sweep is done and before any tail,
+        else None."""
         self.ensure(t + 1)
         if self.tail is not None and t >= self.tail[1]:
-            return self.tail[0]
+            return self.tail[0], None
         i = _iteration_index(t)
         # iteration L = 2^i decides at 28(L - 1) + 4L, when discovery ends
         if i < len(self.notes) and t >= (32 << i) - 28:
-            return self.notes[i].phase
-        return "discovery"
-
-    def note_at(self, t: int) -> IterationNote | None:
-        """The decision of t's iteration, once its discovery sweep is done
-        and before any tail."""
-        if t < 0:
-            return None
-        self.ensure(t + 1)
-        if self.tail is not None and t >= self.tail[1]:
-            return None
-        i = _iteration_index(t)
-        if i < len(self.notes) and t >= (32 << i) - 28:
-            return self.notes[i]
-        return None
+            return self.notes[i].phase, self.notes[i]
+        return "discovery", None
 
     def phase_boundaries(self, upto: int) -> list[int]:
         """Local rounds where the phase can change, ascending from 0."""
@@ -764,21 +752,20 @@ class SimTrace:
         self._tb = timeline_b
         self._expand = expand
 
-    def _local(self, agent: str, t: int) -> int:
-        t = t if agent == "alpha" else t - self.config.tau
-        return t // (4 if self.config.care else 1)
+    def _decision(self, agent: str, t: int) -> tuple[str, IterationNote | None]:
+        """(phase, note) of the agent at global round t."""
+        if agent == "beta":
+            t -= self.config.tau
+        if t < 0:
+            return "asleep", None
+        timeline = self._ta if agent == "alpha" else self._tb
+        return timeline.decision_at(t // (4 if self.config.care else 1))
 
     def phase_of(self, agent: str, t: int) -> str:
-        if agent == "beta" and t < self.config.tau:
-            return "asleep"
-        timeline = self._ta if agent == "alpha" else self._tb
-        return timeline.phase_at(self._local(agent, t))
+        return self._decision(agent, t)[0]
 
     def note_of(self, agent: str, t: int) -> IterationNote | None:
-        if agent == "beta" and t < self.config.tau:
-            return None
-        timeline = self._ta if agent == "alpha" else self._tb
-        return timeline.note_at(self._local(agent, t))
+        return self._decision(agent, t)[1]
 
     def positions_at(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         xa = _positions(self._ta, 0, self._expand, lo, hi)
@@ -812,7 +799,7 @@ class SimTrace:
                       if k + 1 < len(bounds) else end)
                 g1 = min(g1, end)
                 if g1 >= g0:
-                    phase = timeline.phase_at(b)
+                    phase = timeline.decision_at(b)[0]
                     counts[phase] = counts.get(phase, 0) + (g1 - g0 + 1)
         return out
 

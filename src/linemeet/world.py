@@ -248,9 +248,13 @@ class ExplicitScheme(LabelScheme):
     name = "explicit"
 
     def __init__(self, mapping: dict[int, int]):
+        try:
+            pairs = [(int(k), int(v)) for k, v in mapping.items()]
+        except (AttributeError, TypeError, ValueError):
+            raise WorldError("explicit scheme needs a map of integer "
+                             "coordinates to integer labels") from None
         clean: dict[int, int] = {}
-        for k, v in mapping.items():
-            coord, label = int(k), int(v)
+        for coord, label in pairs:
             if label < 1:
                 raise WorldError(f"label must be >= 1, got {label} at coordinate {coord}")
             clean[coord] = label
@@ -305,18 +309,20 @@ def parse_scheme(text: str, default_seed: int = 0) -> LabelScheme:
     if text == "sequential":
         return SequentialScheme()
     head, _, rest = text.partition(":")
+    if head in ("random-injective", "uniform-logstar-class"):
+        try:
+            parts = [int(p) for p in rest.split(":") if p]
+        except ValueError:
+            raise WorldError(f"scheme {text!r} has a non-integer field") from None
     if head == "random-injective":
-        parts = [p for p in rest.split(":") if p] if rest else []
-        seed = int(parts[0]) if parts else default_seed
-        max_label = int(parts[1]) if len(parts) > 1 else 10**9
+        seed = parts[0] if parts else default_seed
+        max_label = parts[1] if len(parts) > 1 else 10**9
         return RandomInjectiveScheme(seed, max_label)
     if head == "uniform-logstar-class":
-        parts = [p for p in rest.split(":") if p] if rest else []
         if not parts:
             raise WorldError("uniform-logstar-class needs a class index, e.g. uniform-logstar-class:5")
-        class_index = int(parts[0])
-        seed = int(parts[1]) if len(parts) > 1 else default_seed
-        return UniformClassScheme(seed, class_index)
+        seed = parts[1] if len(parts) > 1 else default_seed
+        return UniformClassScheme(seed, parts[0])
     if head == "explicit":
         try:
             mapping = json.loads(rest)

@@ -158,9 +158,8 @@ def test_ruling_set_randomized_oracle():
             span = size * (r + 2)
             universe = np.sort(rng.choice(np.arange(start, start + span),
                                           size=size, replace=False))
-        built = path_ruling_set(host, universe, r, debug=True)
-        check = verify_limited_ruling_set(host, universe, built.members,
-                                          r, r - 1)
+        members = path_ruling_set(host, universe, r, debug=True)
+        check = verify_limited_ruling_set(host, universe, members, r, r - 1)
         assert check, (trial, r, size, check.failure, check.witness)
     _report(3, "ruling-set", "200 instances verified at (R, R-1)",
             t0, budget=20.0)

@@ -204,6 +204,24 @@ class TestSweepCommand:
         assert "violations=1" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--d", "1..x"),
+    ("run", "--scheme", "random-injective:abc"),
+    ("run", "--scheme", "uniform-logstar-class:x"),
+    ("run", "--scheme", 'explicit:{"a": 1}'),
+    ("run", "--scheme", "explicit:[1]"),
+    ("run", "--config", "CONFIG"),
+], ids=["d-range", "random-seed", "class-index", "explicit-key",
+        "explicit-list", "config-value"])
+def test_malformed_number_is_a_config_error(capsys, tmp_path, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d = abc\n")
+    argv = [str(cfg) if a == "CONFIG" else a for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(err)["error"] == "config"
+
+
 class TestVerifyCommand:
     def test_carefulwalk(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "carefulwalk")

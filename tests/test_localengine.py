@@ -16,12 +16,10 @@ from linemeet.localengine import (
     COLOR_ROUNDS_SLOPE,
     EngineError,
     PowerSubgraph,
-    _allowed_matrix,
     _by_label,
     _difference_classes,
     _final_assign,
     _kw_stage,
-    _list_color_impl,
     _merge_schedule_cost,
     _merge_tree,
     _slot_caps,
@@ -55,6 +53,17 @@ def true_edges(world, members, power):
 def by_member(members, colors):
     """{member coordinate: color} for aligned member and color arrays."""
     return dict(zip(members.tolist(), colors.tolist()))
+
+
+def list_matrix(sub, lists):
+    """The boolean list matrix of {member: colors} lists: row i marks the
+    colors listed for member rank i."""
+    members = sub.members.tolist()
+    width = 1 + max((c for p in members for c in lists[p]), default=0)
+    allowed = np.zeros((len(members), width), dtype=bool)
+    for rank, p in enumerate(members):
+        allowed[rank, lists[p]] = True
+    return allowed
 
 
 def assert_proper(world, sub, colors_by_pos):
@@ -229,7 +238,7 @@ def test_two_slot_round_mirror_invariant():
     assert out_f.tolist() == out_r[::-1].tolist()
     by_f, _ = color_path_constant(sub_f)
     by_r, _ = color_path_constant(sub_r)
-    assert by_f.colors.tolist() == by_r.colors[::-1].tolist()
+    assert by_f.tolist() == by_r[::-1].tolist()
 
 
 def test_two_slot_round_no_op_below_constant_palette():
@@ -422,10 +431,10 @@ def test_batched_three_coloring_matches_per_class_runs(data, m, k, palette):
 def test_three_coloring_is_proper(inst):
     world, coords, power = inst
     sub = PowerSubgraph(world, coords, power)
-    assignment, rounds = color_path_constant(sub)
-    assert assignment.palette <= 3
-    assert np.all(assignment.colors >= 0) and np.all(assignment.colors < 3)
-    assert_proper(world, sub, by_member(assignment.members, assignment.colors))
+    colors, rounds = color_path_constant(sub)
+    assert colors.shape == sub.members.shape
+    assert np.all(colors >= 0) and np.all(colors < 3)
+    assert_proper(world, sub, by_member(sub.members, colors))
     bound = int(sub.labels.max()) if sub.labels.size else 1
     assert rounds == three_color_rounds(bound)
 
@@ -435,8 +444,8 @@ def test_three_coloring_on_triangle():
     sub = PowerSubgraph(world, [0, 1, 2], 2)
     assert sub.max_degree == 2
     assert int((sub.nbrs > np.arange(3)[:, None]).sum()) == 3
-    assignment, _ = color_path_constant(sub)
-    assert sorted(assignment.colors.tolist()) == [0, 1, 2]
+    colors, _ = color_path_constant(sub)
+    assert sorted(colors.tolist()) == [0, 1, 2]
     assert mis(sub).tolist() in ([0], [1], [2])
 
 
@@ -445,9 +454,9 @@ def test_class_shifted_palette():
     # largest label value
     world = explicit_world({0: 7, 3: 16, 6: 5, 9: 11})
     sub = PowerSubgraph(world, [0, 3, 6, 9], 3)
-    assignment, rounds = color_path_constant(sub, palette=12, base=5)
+    colors, rounds = color_path_constant(sub, palette=12, base=5)
     assert rounds == three_color_rounds(12)
-    assert_proper(world, sub, by_member(assignment.members, assignment.colors))
+    assert_proper(world, sub, by_member(sub.members, colors))
     with pytest.raises(EngineError):
         color_path_constant(sub, palette=12)  # base 1 leaves 16 out of range
 
@@ -505,8 +514,8 @@ def test_list_coloring_proper_and_within_lists(inst, list_seed):
     sub = PowerSubgraph(world, coords, power)
     assert sub.max_degree <= 16
     lists = _random_lists(sub, np.random.default_rng(list_seed))
-    assignment = list_color(sub, lists)
-    got = by_member(assignment.members, assignment.colors)
+    colors, _ = list_color(sub, list_matrix(sub, lists))
+    got = by_member(sub.members, colors)
     assert_proper(world, sub, got)
     for p, c in got.items():
         assert c in lists[p]
@@ -518,9 +527,9 @@ def test_list_coloring_round_formula(inst):
     world, coords, power = inst
     sub = PowerSubgraph(world, coords, power)
     lists = _random_lists(sub, np.random.default_rng(5))
-    _, rounds = _list_color_impl(sub, lists)
+    _, rounds = list_color(sub, list_matrix(sub, lists))
     bound = int(sub.labels.max())
-    assert rounds == list_color_rounds(sub, bound)
+    assert rounds == list_color_rounds(len(_difference_classes(sub)), bound)
 
 
 def test_list_coloring_direct_path_for_class_bounded_labels():
@@ -530,18 +539,19 @@ def test_list_coloring_direct_path_for_class_bounded_labels():
     sub = PowerSubgraph(world, members, 7)  # degree <= 4
     lists = {p: list(range(10, 10 + int(d) + 1))
              for p, d in zip(members, sub.degrees)}
-    assignment, rounds = _list_color_impl(sub, lists, palette=12, base=5)
+    colors, rounds = list_color(sub, list_matrix(sub, lists), palette=12,
+                                base=5)
     assert rounds == 12  # sweeping the shifted labels beats the pipeline
-    assert_proper(world, sub, by_member(assignment.members, assignment.colors))
+    assert_proper(world, sub, by_member(sub.members, colors))
 
 
 def test_list_coloring_isolated_members_take_list_minimum():
     world = make_world("infinite", "sequential")
     sub = PowerSubgraph(world, [0, 10, 20], 1)
-    assignment, rounds = _list_color_impl(sub, {0: [4, 2], 10: [9], 20: [3, 1]})
+    lists = {0: [4, 2], 10: [9], 20: [3, 1]}
+    colors, rounds = list_color(sub, list_matrix(sub, lists))
     assert rounds == 0
-    assert by_member(assignment.members, assignment.colors) == \
-        {0: 2, 10: 9, 20: 1}
+    assert by_member(sub.members, colors) == {0: 2, 10: 9, 20: 1}
 
 
 def test_list_coloring_rejects_short_lists():
@@ -549,7 +559,7 @@ def test_list_coloring_rejects_short_lists():
     sub = PowerSubgraph(world, [0, 1, 2], 1)
     lists = {0: [1, 2], 1: [5], 2: [1, 3]}  # member 1 has degree 2
     with pytest.raises(EngineError):
-        list_color(sub, lists)
+        list_color(sub, list_matrix(sub, lists))
 
 
 def test_list_coloring_rejects_a_universe_past_63_colors():
@@ -557,11 +567,9 @@ def test_list_coloring_rejects_a_universe_past_63_colors():
     world = make_world("infinite", "sequential")
     sub = PowerSubgraph(world, [0, 10], 1)
     with pytest.raises(EngineError, match="64 colors exceeds 63"):
-        list_color(sub, {0: list(range(1, 33)), 10: list(range(33, 65))})
-    with pytest.raises(EngineError, match="64 colors exceeds 63"):
         list_color(sub, np.ones((2, 64), dtype=bool))
-    wide = list_color(sub, np.ones((2, 63), dtype=bool))
-    assert wide.colors.tolist() == [0, 0]
+    wide, _ = list_color(sub, np.ones((2, 63), dtype=bool))
+    assert wide.tolist() == [0, 0]
 
 
 def test_final_assign_reports_an_exhausted_list():
@@ -572,29 +580,20 @@ def test_final_assign_reports_an_exhausted_list():
         _final_assign(np.array([0, 1]), 2, sub.nbrs, allowed)
 
 
-def test_list_coloring_rejects_missing_list():
+def test_sweep_reduce_reports_an_exhausted_color_range():
+    # member 0 keeps color 0, the only color below the target, so its
+    # neighbor, swept down from color 1, finds nothing free
     world = make_world("infinite", "sequential")
     sub = PowerSubgraph(world, [0, 1], 1)
-    with pytest.raises(EngineError):
-        list_color(sub, {0: [1, 2]})
+    with pytest.raises(EngineError, match="list exhausted at member rank 1"):
+        _sweep_reduce(np.array([0, 1]), 2, 1, sub.nbrs)
 
 
 def test_list_coloring_degree_guard():
     world = make_world("infinite", "sequential")
     sub = PowerSubgraph(world, range(18), 17)
     with pytest.raises(EngineError):
-        list_color(sub, {p: list(range(1, 19)) for p in range(18)})
-
-
-def test_list_coloring_order_independent_of_mapping_order():
-    world = make_world("infinite", "random-injective:3")
-    members = list(range(0, 30, 2))
-    sub = PowerSubgraph(world, members, 9)
-    lists = _random_lists(sub, np.random.default_rng(8))
-    forward = list_color(sub, lists)
-    shuffled = list_color(sub, dict(reversed(list(lists.items()))))
-    assert shuffled.members.tolist() == forward.members.tolist()
-    assert shuffled.colors.tolist() == forward.colors.tolist()
+        list_color(sub, np.ones((18, 19), dtype=bool))
 
 
 def _final_assign_loop(colors, palette, nbrs, lists):
@@ -634,10 +633,10 @@ def test_vectorized_sweeps_match_member_loops(inst, seed):
     # the colors as they stood before that class
     colors = rng.integers(0, palette, sub.members.size)
     lists = _random_lists(sub, rng)
-    allowed, values = _allowed_matrix(sub, lists)
-    picks, rounds = _final_assign(colors, palette, sub.nbrs, allowed)
+    picks, rounds = _final_assign(colors, palette, sub.nbrs,
+                                  list_matrix(sub, lists))
     ranked = [lists[int(p)] for p in sub.members]
-    assert values[picks].tolist() == \
+    assert picks.tolist() == \
         _final_assign_loop(colors, palette, sub.nbrs, ranked)
     assert rounds == palette
     target = sub.max_degree + 1
@@ -645,22 +644,6 @@ def test_vectorized_sweeps_match_member_loops(inst, seed):
     assert reduced.tolist() == \
         _sweep_reduce_loop(colors, palette, target, sub.nbrs)
     assert rounds == max(0, palette - target)
-
-
-@given(bounded_degree_instances(), st.integers(0, 2**31 - 1))
-@settings(deadline=None, max_examples=30)
-def test_list_coloring_array_form_matches_mapping(inst, seed):
-    world, coords, power = inst
-    sub = PowerSubgraph(world, coords, power)
-    lists = _random_lists(sub, np.random.default_rng(seed), palette_hi=18)
-    allowed = np.zeros((sub.members.size, 18), dtype=bool)
-    for rank, p in enumerate(sub.members):
-        allowed[rank, lists[int(p)]] = True
-    by_map, rounds_map = _list_color_impl(sub, lists)
-    by_array, rounds_array = _list_color_impl(sub, allowed)
-    assert by_array.members.tolist() == by_map.members.tolist()
-    assert by_array.colors.tolist() == by_map.colors.tolist()
-    assert rounds_array == rounds_map
 
 
 def _merge_tree_per_pair(colors3, classes):

@@ -169,22 +169,22 @@ def test_window_max_matches_the_doubling_table(reach, n, seed):
 
 def test_spacing_one_returns_whole_universe():
     world = make_world("infinite", "random-injective:1")
-    rs = path_ruling_set(world, [5, 9, 30], 1)
-    assert rs.members == rs.universe == frozenset({5, 9, 30})
+    members = path_ruling_set(world, [30, 5, 9], 1)
+    assert members.dtype == np.int64 and members.tolist() == [5, 9, 30]
 
 
 def test_twelve_consecutive_nodes():
     world = make_world("infinite", "random-injective:42")
-    rs = path_ruling_set(world, range(100, 112), 4, debug=True)
-    assert verify_limited_ruling_set(world, rs.universe, rs.members, 4, 3).ok
+    members = path_ruling_set(world, range(100, 112), 4, debug=True)
+    assert verify_limited_ruling_set(world, range(100, 112), members, 4, 3).ok
 
 
 def test_two_far_clusters():
     world = make_world("infinite", "random-injective:9")
     universe = list(range(0, 20)) + list(range(1020, 1040))
-    rs = path_ruling_set(world, universe, 16, debug=True)
-    assert verify_limited_ruling_set(world, rs.universe, rs.members, 16, 15).ok
-    assert any(p < 1000 for p in rs.members) and any(p > 1000 for p in rs.members)
+    members = path_ruling_set(world, universe, 16, debug=True)
+    assert verify_limited_ruling_set(world, universe, members, 16, 15).ok
+    assert members.min() < 1000 < members.max()
 
 
 @pytest.mark.parametrize("topology,n,members", [
@@ -204,8 +204,7 @@ def test_spacing_breach_raises_ruling_error(topology, n, members):
 
 def test_empty_universe():
     world = make_world("infinite", "sequential")
-    rs = path_ruling_set(world, [], 4)
-    assert rs.members == frozenset()
+    assert path_ruling_set(world, [], 4).tolist() == []
 
 
 @st.composite
@@ -231,8 +230,9 @@ def ruling_instances(draw):
 @settings(deadline=None, max_examples=60)
 def test_ruling_set_randomized(inst):
     world, universe, R = inst
-    rs = path_ruling_set(world, universe, R, debug=True)
-    assert verify_limited_ruling_set(world, rs.universe, rs.members, R, R - 1).ok
+    members = path_ruling_set(world, universe, R, debug=True)
+    assert np.all(members[1:] > members[:-1]), "members not sorted"
+    assert verify_limited_ruling_set(world, universe, members, R, R - 1).ok
 
 
 # -- early-stopping colored construction ---------------------------------------
