@@ -213,7 +213,8 @@ def _greedy_extend(coords: np.ndarray, labels: np.ndarray,
             break
         keys = np.where(cand, b * np.int64(m + 1) + rank, np.int64(-1))
         top = cand & (keys == _window_max(coords, keys, R - 1))
-        committed = np.union1d(committed, coords[top])
+        # candidates lie >= R from the set, so a sorted merge is the union
+        committed = np.sort(np.concatenate((committed, coords[top])))
     return committed
 
 

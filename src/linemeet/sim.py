@@ -33,8 +33,10 @@ class) around the origin.  A plan asks only for the balls its records
 depend on, and the window is the smallest rung of the class ladder R +
 phase_end_round(R, c) that holds them, so plans that read the same classes
 share it whatever their sweep; delays only shift a plan in global time.
-On a path or cycle each iteration builds its ruling set over exactly the
-ball window it asks for, from the labels its sweep read.
+On a path or cycle each iteration asks for exactly its ball window, and
+finite worlds with one scheme share one store of such windows: a path and a
+cycle share every window inside [0, n), and a cycle window across the seam
+is built per query.  The store holds at most ``STATE_NODES`` nodes.
 Worlds are keyed by topology, size, seed and scheme: a string scheme by its
 spec, a ``LabelScheme`` object by identity, so such objects must be
 deterministic.  Only the ``WORLD_SLOTS`` most recently used worlds are kept.
@@ -250,14 +252,15 @@ class AgentPlan(Timeline):
     Iterations are appended one doubling step at a time; a finite-topology
     takeover (endpoint ping-pong or cycle settling) sets the tail and ends
     the legs with a closed-form terminal.  Each iteration's ruling-set
-    records come from ``es_lookup`` when given, else from a state built on
-    exactly the window the planner asks for, sliced from the sweep's labels.
+    records come from ``es_lookup``; without one the plan gets a private
+    :class:`_StateStore`, which builds exactly the windows the planner asks
+    for.
     """
 
     def __init__(self, world: World, start: int, es_lookup=None):
         super().__init__(start)
         self.world = world
-        self.es_lookup = es_lookup
+        self.es_lookup = es_lookup or _StateStore().lookup(world)
         self.L_next = 1
         self._ext = (self.start, self.start)
         if world.topology == "path" and start in (0, world.n - 1):
@@ -340,10 +343,8 @@ class AgentPlan(Timeline):
         for dur, slope in z_walk_segments(L, self._sweep_direction(L)):
             if self._walk_leg(dur, slope):
                 return
-        labels, lo = self._window_labels(L), self.start - L
-        lookup = self.es_lookup or (
-            lambda a, b, R: _es_over_labels(labels, lo, a, b, R))
-        plan = plan_iteration(labels, lo, self.start, L, es_lookup=lookup)
+        plan = plan_iteration(self._window_labels(L), self.start - L,
+                              self.start, L, es_lookup=self.es_lookup)
         t0 = 28 * (L - 1)
         if plan is None:
             self._append(24 * L, 0)
@@ -826,23 +827,77 @@ class SimTrace:
 # -- the front door ------------------------------------------------------------
 
 
+# nodes that one finite-host state store holds at most: about 21 MB at the
+# 82 B per node that a stored R = 1 state keeps under tracemalloc (the
+# finite benchmark grid stores 14,034)
+STATE_NODES = 1 << 18
+
+
+class _StateStore:
+    """Ruling states over windows of one scheme's labels, by (R, lo, hi).
+
+    A window inside [0, n) holds the scheme's own labels on every path and
+    cycle, so finite worlds with one scheme share one store, and such a
+    window is built once for all of them.  A cycle window across the seam
+    holds labels that depend on n; it is built per query and not stored.
+    States are kept least recently used first, and the oldest are dropped
+    once all of them hold more than ``STATE_NODES`` nodes; a larger state is
+    returned unstored.  Every state's host is its own window, so the store
+    keeps no ``World`` alive.
+    """
+
+    def __init__(self):
+        self.states: OrderedDict[tuple[int, int, int], EsColState] = \
+            OrderedDict()
+        self.nodes = 0
+
+    def lookup(self, world: World):
+        """The ruling-set lookup of plans on ``world``; a miss builds the
+        window from the world's labels."""
+        n = world.n
+
+        def lookup(lo: int, hi: int, R: int) -> EsColState:
+            key = (R, lo, hi)
+            state = self.states.get(key)
+            if state is not None:
+                self.states.move_to_end(key)
+                return state
+            coords = np.arange(lo, hi + 1)
+            inside = n is None or (0 <= lo and hi < n)
+            labels = world.labels_at(coords if inside else coords % n)
+            state = _es_over_labels(labels, lo, lo, hi, R)
+            if inside and coords.size <= STATE_NODES:
+                self.states[key] = state
+                self.nodes += coords.size
+                while self.nodes > STATE_NODES:
+                    _, old = self.states.popitem(last=False)
+                    self.nodes -= old.coords.size
+            return state
+
+        return lookup
+
+
 @dataclass
 class _WorldWork:
     """One world and the work runs on it reuse: plans by start, label
-    extremes by (va, vb) and, on the infinite line, ruling states by (R,
-    radius)."""
+    extremes by (va, vb) and ruling states.  The infinite line keeps its
+    canonical windows by (R, radius) (see :func:`_shared_es`); a path or
+    cycle holds the :class:`_StateStore` it shares with the other finite
+    worlds of its scheme."""
 
     world: World
     plans: dict[int, AgentPlan] = field(default_factory=dict)
     extremes: dict[tuple[int, int], tuple[int, int]] = field(
         default_factory=dict)
-    states: dict[tuple, EsColState] = field(default_factory=dict)
+    states: dict[tuple, EsColState] | _StateStore = field(
+        default_factory=dict)
 
 
 # worlds by key, least recently used first; the slots hold every world of one
 # benchmark sweep through its warm pass (the finite grid visits 24 worlds,
 # the planted care trials 50), and each world holds its scheme object, which
-# pins the id in an object scheme's key
+# pins the id in an object scheme's key; ruling states count apart, against
+# STATE_NODES on finite hosts
 WORLD_SLOTS = 64
 _WORLDS: OrderedDict[tuple, _WorldWork] = OrderedDict()
 
@@ -855,9 +910,10 @@ def _world_work(config: SimConfig) -> _WorldWork:
     """The configured world with its reused work, once the config validates.
 
     A string scheme counts by its spec, a scheme object by identity.  Stored
-    worlds with one spec share one parsed scheme, so it lives as long as the
-    last of them.  A rejected config leaves the store as it was.  Otherwise
-    the world becomes the most recently used one, and the least recently used
+    worlds with one spec share one parsed scheme, and finite worlds with one
+    scheme one ruling-state store, so each lives as long as the last of
+    them.  A rejected config leaves the store as it was.  Otherwise the
+    world becomes the most recently used one, and the least recently used
     beyond ``WORLD_SLOTS`` are dropped with all they hold.
     """
     scheme = config.scheme
@@ -865,13 +921,18 @@ def _world_work(config: SimConfig) -> _WorldWork:
            scheme if isinstance(scheme, str) else id(scheme), config.seed)
     work = _WORLDS.get(key)
     if work is None:
-        if isinstance(scheme, str):
-            # a stored world with the same spec lends its parsed scheme,
-            # which for random labels holds 256 KiB of Feistel tables
-            scheme = next((w.world.scheme for k, w in _WORLDS.items()
-                           if k[2] == scheme), scheme)
+        # stored worlds with the same scheme lend their parsed scheme, which
+        # for random labels holds 256 KiB of Feistel tables, and finite ones
+        # their ruling states
+        peers = [w for k, w in _WORLDS.items() if k[2] == key[2]]
+        if peers:
+            scheme = peers[0].world.scheme
         work = _WorldWork(make_world(config.topology, scheme, n=config.n,
                                      seed=config.seed))
+        if config.topology != "infinite":
+            work.states = next((w.states for w in peers
+                                if w.world.topology != "infinite"),
+                               None) or _StateStore()
     config.validate(work.world)
     _WORLDS[key] = work
     _WORLDS.move_to_end(key)
@@ -917,7 +978,8 @@ def _cached_plan(work: _WorldWork, start: int) -> AgentPlan:
     if plan is None:
         world = work.world
         es_lookup = (_shared_es(world, work.states)
-                     if world.topology == "infinite" else None)
+                     if world.topology == "infinite"
+                     else work.states.lookup(world))
         plan = work.plans[start] = AgentPlan(world, start, es_lookup)
     return plan
 

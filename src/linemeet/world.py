@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,6 +243,14 @@ class UniformClassScheme(LabelScheme):
         return f"uniform-logstar-class:{self.class_index}:{self.seed}"
 
 
+def _integer(value) -> int:
+    """An integer value as an int; anything else, bools included, raises
+    ``TypeError``, where int() would turn 1.9 and true into 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
 class ExplicitScheme(LabelScheme):
     """Labels from an explicit coordinate -> label map; anything else errors."""
 
@@ -249,7 +258,7 @@ class ExplicitScheme(LabelScheme):
 
     def __init__(self, mapping: dict[int, int]):
         try:
-            pairs = [(int(k), int(v)) for k, v in mapping.items()]
+            pairs = [(int(k), _integer(v)) for k, v in mapping.items()]
         except (AttributeError, TypeError, ValueError):
             raise WorldError("explicit scheme needs a map of integer "
                              "coordinates to integer labels") from None
@@ -520,9 +529,10 @@ class World:
         arr = np.asarray(coords, dtype=np.int64).ravel() + (1 << 62)
         blocks, offs = np.divmod(arr, _PORT_BLOCK)
         out = np.empty(arr.shape, dtype=np.int64)
-        for block in np.unique(blocks):
+        # a set, not np.unique, which imports numpy.ma on first use
+        for block in set(blocks.tolist()):
             sel = blocks == block
-            out[sel] = self._port_block(int(block))[offs[sel]]
+            out[sel] = self._port_block(block)[offs[sel]]
         return out.reshape(np.asarray(coords).shape)
 
     def neighbors(self, p: int) -> list[tuple[int, int]]:

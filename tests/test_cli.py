@@ -210,9 +210,12 @@ class TestSweepCommand:
     ("run", "--scheme", "uniform-logstar-class:x"),
     ("run", "--scheme", 'explicit:{"a": 1}'),
     ("run", "--scheme", "explicit:[1]"),
+    # labelled wherever the run reads, so only the label's type is wrong
+    ("run", "--d", "1", "--scheme", 'explicit:{"0":5,"1":1.9,"-1":7,"2":9}'),
+    ("run", "--d", "1", "--scheme", 'explicit:{"0":5,"1":true,"-1":7,"2":9}'),
     ("run", "--config", "CONFIG"),
 ], ids=["d-range", "random-seed", "class-index", "explicit-key",
-        "explicit-list", "config-value"])
+        "explicit-list", "explicit-float", "explicit-bool", "config-value"])
 def test_malformed_number_is_a_config_error(capsys, tmp_path, argv):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("d = abc\n")

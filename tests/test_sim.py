@@ -1,9 +1,15 @@
 """Two-agent simulation: engines, detection, delays, sweeps, and case tags."""
 
 import gc
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import weakref
+from collections import OrderedDict
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1194,6 +1200,172 @@ class TestFiniteBallWindows:
             state.host.label(21)
         with pytest.raises(AgentError, match="leaves the known labels"):
             sim._es_over_labels(labels, -40, -41, 20, 1)
+
+
+
+def records(state):
+    """Every node record of a ruling state, in coordinate order."""
+    return [state.output_for(int(u)) for u in state.coords]
+
+
+class TestFiniteStateStore:
+    """Finite worlds with one scheme build each window inside [0, n) once,
+    within a node budget; a window across a cycle's seam is their own."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """A fresh world store, and the windows built through it."""
+        monkeypatch.setattr(sim, "_WORLDS", OrderedDict())
+        built = []
+        honest = sim._es_over_labels
+
+        def recording(labels, lo, win_lo, win_hi, R):
+            built.append((win_lo, win_hi, R))
+            return honest(labels, lo, win_lo, win_hi, R)
+
+        monkeypatch.setattr(sim, "_es_over_labels", recording)
+        return built
+
+    def test_a_path_and_a_cycle_share_their_windows(self, builds):
+        # both agents search at L = 2048 on either host, each on one window
+        for topology, meet in (("path", (118755, "node", 7679)),
+                               ("cycle", (127460, "node", 0))):
+            assert outcome(run(SimConfig(topology=topology, n=8192,
+                                         va=3584, vb=4608))) == meet
+        assert len(builds) == 2, builds
+        assert all(0 <= lo and hi < 8192 for lo, hi, _ in builds)
+        (store,) = {work.states for work in sim._WORLDS.values()}
+        # the stored states outlive the worlds that built them
+        worlds = [weakref.ref(work.world) for work in sim._WORLDS.values()]
+        sim._WORLDS.clear()
+        gc.collect()
+        assert len(store.states) == 2
+        assert [ref() for ref in worlds] == [None, None]
+
+    @pytest.mark.parametrize("first", [8192, 6000])
+    def test_seam_windows_hold_their_own_labels(self, builds, first):
+        # the second cycle plans after the first on the same scheme, so a
+        # stored seam window would hand it the first one's labels
+        for n in (first, 14192 - first):
+            work = sim._world_work(SimConfig(topology="cycle", n=n, va=100,
+                                             vb=101))
+            plan = sim._cached_plan(work, 100)
+            served = []
+
+            def lookup(lo, hi, R, shared=plan.es_lookup, served=served):
+                served.append(shared(lo, hi, R))
+                return served[-1]
+
+            plan.es_lookup = lookup
+            plan.ensure(iteration_start_round(4096))
+            (state,) = served
+            assert (state.R, state.coords[0], state.coords[-1]) == \
+                (1, -1069, 1269)
+            assert np.array_equal(state.labels,
+                                  work.world.labels_at(state.coords % n))
+            for note in plan.notes:
+                L = note.L
+                labels = work.world.labels_at(
+                    np.arange(100 - L, 100 + L + 1) % n)
+                oracle = plan_iteration(labels, 100 - L, 100, L)
+                assert (note.R, note.r, note.color) == (
+                    (None, None, None) if oracle is None
+                    else (oracle.R, oracle.r, oracle.color))
+        assert builds.count((-1069, 1269, 1)) == 2
+
+    def test_the_store_keeps_within_its_budget(self, monkeypatch):
+        monkeypatch.setattr(sim, "STATE_NODES", 300)
+        world = make_world("path", CLASS4, n=4096)
+        store = sim._StateStore()
+        lookup = store.lookup(world)
+        windows = [(41 * k, 41 * k + 60 + 7 * k, 4 if k % 2 else 1)
+                   for k in range(12)]
+        first = lookup(*windows[0])
+        before = records(first)
+        for k, window in enumerate(windows):
+            state = lookup(*window)
+            assert lookup(*window) is state
+            assert store.nodes == sum(s.coords.size
+                                      for s in store.states.values())
+            assert 0 < store.nodes <= sim.STATE_NODES, k
+        assert (1, 0, 60) not in store.states
+        kept = dict(store.states)
+        # a window past the budget is served and not stored
+        big = lookup(500, 900, 1)
+        assert big.coords.size == 401 and store.states == kept
+        rebuilt = lookup(*windows[0])
+        assert rebuilt is not first and records(rebuilt) == before
+        assert list(store.states)[-1] == (1, 0, 60)
+
+
+
+# the run path in a fresh interpreter: which topologies searched, and
+# whether numpy.ma got loaded (np.unique without an inverse imports it);
+# prints null when importing numpy alone loads it
+MA_PROBE = """
+import json, sys
+import numpy
+if "numpy.ma" in sys.modules:
+    print("null")
+    raise SystemExit
+from linemeet.sim import SimConfig, run
+cells = [SimConfig(scheme="random-injective:0:1000000000", va=-16, vb=16)]
+cells += [SimConfig(topology=topology, n=8192, va=3584, vb=4608)
+          for topology in ("path", "cycle")]
+out = {}
+for cfg in cells:
+    notes = run(cfg)._ta.notes
+    out[cfg.topology] = [any(note.phase == "searching" for note in notes),
+                         "numpy.ma" in sys.modules]
+print(json.dumps(out))
+"""
+
+
+def test_runs_do_not_load_numpy_ma():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", MA_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    if found is None:
+        pytest.skip("importing numpy alone loads numpy.ma")
+    assert found == {topology: [True, False]
+                     for topology in ("infinite", "path", "cycle")}
+
+
+def bench_size_cells(topologies):
+    """The finite cells only the benchmark runs: n = 2048 and 8192."""
+    out = []
+    for topology in topologies:
+        for n in (2048, 8192):
+            out += grid_configs(topology=topology, n=n,
+                                schemes=("sequential", RAND),
+                                d_values=(1, 2, n // 8, n // 4, n // 2),
+                                taus=(0, n))
+    return out
+
+
+def rows_sha256(rows):
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+# rows_sha256 of bench_size_cells(("path", "cycle")), pinned before path and
+# cycle worlds shared their ruling states
+BENCH_SIZE_ROWS_SHA256 = (
+    "11200b9b7eb32ef4fe5c5946e857c025efaa4505ba93646b6ae77813c861f847")
+
+
+def test_bench_size_finite_rows_are_pinned(monkeypatch):
+    rows = sweep(bench_size_cells(("path", "cycle")))
+    assert len(rows) == 80
+    assert rows_sha256(rows) == BENCH_SIZE_ROWS_SHA256
+    alone = []
+    for topology in ("path", "cycle"):
+        monkeypatch.setattr(sim, "_WORLDS", OrderedDict())
+        alone += sweep(bench_size_cells((topology,)))
+    assert rows_sha256(alone) == BENCH_SIZE_ROWS_SHA256
 
 
 class PlantedScheme(LabelScheme):

@@ -51,6 +51,20 @@ def test_explicit_scheme():
         ExplicitScheme({0: 0})
 
 
+@pytest.mark.parametrize("label", [1.9, 2.0, True, False, "3", None],
+                         ids=repr)
+def test_explicit_scheme_rejects_labels_that_are_not_integers(label):
+    # int() would truncate 1.9 and read true as 1
+    with pytest.raises(WorldError, match="integer labels"):
+        ExplicitScheme({0: label, 1: 5})
+
+
+def test_explicit_scheme_takes_numpy_integers():
+    s = ExplicitScheme({np.int64(0): np.int64(7), 1: np.uint8(3)})
+    assert s.mapping == {0: 7, 1: 3}
+    assert all(type(v) is int for v in s.mapping.values())
+
+
 def test_random_injective_is_deterministic():
     a = RandomInjectiveScheme(17)
     b = RandomInjectiveScheme(17)
