@@ -323,12 +323,13 @@ class EsColState:
     R); per-node records are assembled on demand by ``output_for``.  A
     node's record is trustworthy when the window contains its whole
     termination-radius ball (`window_certifies`), which is exactly when
-    truncating the window further cannot change it.
+    truncating the window further cannot change it.  The state keeps its
+    window's labels but not the host, so a stored state keeps no ``World``
+    alive.
     """
 
     def __init__(self, host: World, positions: Iterable[int], R: int,
                  debug: bool = False):
-        self.host = host
         self.R = _spacing(R)
         self.coords = _sorted_coords(positions)
         self.labels = (host.labels_at(self.coords) if self.coords.size
@@ -337,14 +338,14 @@ class EsColState:
                         else np.empty(0, dtype=np.int64))
         self.in_set = np.zeros(self.coords.size, dtype=bool)
         self.colors = np.zeros(self.coords.size, dtype=np.int64)
-        self._run(debug)
+        self._run(host, debug)
         sel = self.in_set
         self.member_coords = self.coords[sel]
         self.member_classes = self.classes[sel]
         self.member_colors = self.colors[sel]
 
-    def _run(self, debug: bool) -> None:
-        host, R = self.host, self.R
+    def _run(self, host: World, debug: bool) -> None:
+        R = self.R
         for i in range(1, CLASS_COUNT + 1):
             sel = self.classes == i
             if not sel.any():
@@ -371,10 +372,10 @@ class EsColState:
                 covered = _nearest_distance(vi, self.coords[self.in_set])
                 _check_covering(int(covered.max()), R - 1,
                                 f"class {i} extension")
-            self._color_phase(i)
+            self._color_phase(host, i)
 
-    def _color_phase(self, class_index: int) -> None:
-        host, R = self.host, self.R
+    def _color_phase(self, host: World, class_index: int) -> None:
+        R = self.R
         phase_sel = self.in_set & (self.classes == class_index) & (self.colors == 0)
         phase = self.coords[phase_sel]
         if phase.size == 0:

@@ -27,16 +27,14 @@ legs into positions for detection, traces, position queries and the care
 gadget expansion alike.
 
 Runs on the same world share one ``World`` object, and with it every label
-computed so far, one trajectory plan per start, each start pair's label
-extremes, and on the infinite line one ruling-set window per (R, label
-class) around the origin.  A plan asks only for the balls its records
-depend on, and the window is the smallest rung of the class ladder R +
-phase_end_round(R, c) that holds them, so plans that read the same classes
-share it whatever their sweep; delays only shift a plan in global time.
-On a path or cycle each iteration asks for exactly its ball window, and
-finite worlds with one scheme share one store of such windows: a path and a
-cycle share every window inside [0, n), and a cycle window across the seam
-is built per query.  The store holds at most ``STATE_NODES`` nodes.
+computed so far, one trajectory plan per start and each start pair's label
+extremes.  A plan asks only for the balls its records depend on, and worlds
+with one scheme, whatever their topology, share one store of ruling states
+over windows snapped to a tile of the class ladder's rung, so plans from
+nearby starts that read the same classes share a window whatever their
+sweep; delays only shift a plan in global time.  A cycle window across the
+seam is built per query.  The store holds at most ``STATE_NODES`` nodes,
+or its newest state alone.
 Worlds are keyed by topology, size, seed and scheme: a string scheme by its
 spec, a ``LabelScheme`` object by identity, so such objects must be
 deterministic.  Only the ``WORLD_SLOTS`` most recently used worlds are kept.
@@ -253,8 +251,7 @@ class AgentPlan(Timeline):
     takeover (endpoint ping-pong or cycle settling) sets the tail and ends
     the legs with a closed-form terminal.  Each iteration's ruling-set
     records come from ``es_lookup``; without one the plan gets a private
-    :class:`_StateStore`, which builds exactly the windows the planner asks
-    for.
+    :class:`_StateStore`.
     """
 
     def __init__(self, world: World, start: int, es_lookup=None):
@@ -827,23 +824,57 @@ class SimTrace:
 # -- the front door ------------------------------------------------------------
 
 
-# nodes that one finite-host state store holds at most: about 21 MB at the
-# 82 B per node that a stored R = 1 state keeps under tracemalloc (the
-# finite benchmark grid stores 14,034)
+# nodes that one state store holds at most, unless its newest state alone
+# holds more: about 15 MB at the 58 B per node that a stored R = 1 state
+# keeps under tracemalloc, where every node is a member (34 B at R = 16);
+# the finite benchmark grid stores 14,922
 STATE_NODES = 1 << 18
+
+# tiles per class rung: a stored window's center snaps to multiples of its
+# rung // _RUNG_TILES
+_RUNG_TILES = 8
+
+
+def _snapped_window(lo: int, hi: int, R: int,
+                    bounds: tuple | None) -> tuple[int, int]:
+    """The window [wlo, whi] whose ruling state serves the query [lo, hi].
+
+    A node's record only depends on labels within its termination-radius
+    ball, so any window holding the balls the planner reads gives the same
+    records.  The planner asks for [center - need, center + need], and a
+    node of class c within R of the center has its ball within R +
+    phase_end_round(R, c) of it, so ``need`` is at most the rung of that
+    ladder for the latest class read.  With ``reach`` the smallest rung >=
+    need, the center is snapped to a tile of reach // ``_RUNG_TILES`` and
+    the window reaches reach + tile // 2 + 1 either side of the snapped
+    center, so it holds [lo, hi]; queries of one rung from nearby centers,
+    whatever their sweep, share it.  ``bounds`` is the host's extent, which
+    the window is clipped to; None leaves it unclipped.
+    """
+    need = (hi - lo) // 2
+    reach = min(r for r in (R + phase_end_round(R, c)
+                            for c in range(1, CLASS_COUNT + 1)) if r >= need)
+    tile = max(1, reach // _RUNG_TILES)
+    snap = ((lo + hi) // 2 + tile // 2) // tile * tile
+    h = reach + tile // 2 + 1
+    if bounds is None:
+        return snap - h, snap + h
+    return max(snap - h, bounds[0]), min(snap + h, bounds[1])
 
 
 class _StateStore:
-    """Ruling states over windows of one scheme's labels, by (R, lo, hi).
+    """Ruling states over windows of one scheme's labels, by (R, wlo, whi).
 
-    A window inside [0, n) holds the scheme's own labels on every path and
-    cycle, so finite worlds with one scheme share one store, and such a
-    window is built once for all of them.  A cycle window across the seam
-    holds labels that depend on n; it is built per query and not stored.
-    States are kept least recently used first, and the oldest are dropped
-    once all of them hold more than ``STATE_NODES`` nodes; a larger state is
-    returned unstored.  Every state's host is its own window, so the store
-    keeps no ``World`` alive.
+    A query is served the state of its snapped window (see
+    :func:`_snapped_window`), clipped to the host: [0, n - 1] on a path or
+    cycle, the scheme's ``span()`` on the infinite line.  Such a window
+    holds the scheme's own labels on every topology, so worlds with one
+    scheme share one store and each window is built once for all of them.
+    A cycle window across the seam holds labels that depend on n; it is
+    built per query and never looked up.  The newest state is always
+    stored, and the least recently used are dropped while the store holds
+    more than ``STATE_NODES`` nodes and more than one state.  States keep no
+    host, so the store keeps no ``World`` alive.
     """
 
     def __init__(self):
@@ -852,26 +883,31 @@ class _StateStore:
         self.nodes = 0
 
     def lookup(self, world: World):
-        """The ruling-set lookup of plans on ``world``; a miss builds the
-        window from the world's labels."""
+        """The ruling-set lookup of plans on ``world``; a miss builds on the
+        infinite line itself, whose store holds the labels already, and
+        over a copy of the labels on a path or cycle."""
         n = world.n
+        bounds = world.scheme.span() if n is None else (0, n - 1)
+
+        def build(lo: int, hi: int, R: int) -> EsColState:
+            coords = np.arange(lo, hi + 1)
+            if n is None:
+                return EsColState(world, coords, R)
+            return _es_over_labels(world.labels_at(coords % n), lo, lo, hi, R)
 
         def lookup(lo: int, hi: int, R: int) -> EsColState:
-            key = (R, lo, hi)
+            if n is not None and (lo < 0 or hi >= n):
+                return build(lo, hi, R)
+            key = (R, *_snapped_window(lo, hi, R, bounds))
             state = self.states.get(key)
             if state is not None:
                 self.states.move_to_end(key)
                 return state
-            coords = np.arange(lo, hi + 1)
-            inside = n is None or (0 <= lo and hi < n)
-            labels = world.labels_at(coords if inside else coords % n)
-            state = _es_over_labels(labels, lo, lo, hi, R)
-            if inside and coords.size <= STATE_NODES:
-                self.states[key] = state
-                self.nodes += coords.size
-                while self.nodes > STATE_NODES:
-                    _, old = self.states.popitem(last=False)
-                    self.nodes -= old.coords.size
+            state = self.states[key] = build(*key[1:], R)
+            self.nodes += state.coords.size
+            while self.nodes > STATE_NODES and len(self.states) > 1:
+                _, old = self.states.popitem(last=False)
+                self.nodes -= old.coords.size
             return state
 
         return lookup
@@ -880,59 +916,48 @@ class _StateStore:
 @dataclass
 class _WorldWork:
     """One world and the work runs on it reuse: plans by start, label
-    extremes by (va, vb) and ruling states.  The infinite line keeps its
-    canonical windows by (R, radius) (see :func:`_shared_es`); a path or
-    cycle holds the :class:`_StateStore` it shares with the other finite
-    worlds of its scheme."""
+    extremes by (va, vb) and the :class:`_StateStore` it shares with every
+    other world of its scheme."""
 
     world: World
     plans: dict[int, AgentPlan] = field(default_factory=dict)
     extremes: dict[tuple[int, int], tuple[int, int]] = field(
         default_factory=dict)
-    states: dict[tuple, EsColState] | _StateStore = field(
-        default_factory=dict)
+    states: _StateStore = field(default_factory=_StateStore)
 
 
 # worlds by key, least recently used first; the slots hold every world of one
 # benchmark sweep through its warm pass (the finite grid visits 24 worlds,
 # the planted care trials 50), and each world holds its scheme object, which
 # pins the id in an object scheme's key; ruling states count apart, against
-# STATE_NODES on finite hosts
+# STATE_NODES
 WORLD_SLOTS = 64
 _WORLDS: OrderedDict[tuple, _WorldWork] = OrderedDict()
-
-# canonical ruling-set windows reach this far past their class rung, so a
-# query from any start within it of the origin fits one of them
-_ES_MARGIN = 64
 
 
 def _world_work(config: SimConfig) -> _WorldWork:
     """The configured world with its reused work, once the config validates.
 
     A string scheme counts by its spec, a scheme object by identity.  Stored
-    worlds with one spec share one parsed scheme, and finite worlds with one
-    scheme one ruling-state store, so each lives as long as the last of
-    them.  A rejected config leaves the store as it was.  Otherwise the
-    world becomes the most recently used one, and the least recently used
-    beyond ``WORLD_SLOTS`` are dropped with all they hold.
+    worlds with one spec share one parsed scheme and one ruling-state store,
+    so each lives as long as the last of them.  A rejected config leaves the
+    store as it was.  Otherwise the world becomes the most recently used
+    one, and the least recently used beyond ``WORLD_SLOTS`` are dropped with
+    all they hold.
     """
     scheme = config.scheme
     key = (config.topology, config.n,
            scheme if isinstance(scheme, str) else id(scheme), config.seed)
     work = _WORLDS.get(key)
     if work is None:
-        # stored worlds with the same scheme lend their parsed scheme, which
-        # for random labels holds 256 KiB of Feistel tables, and finite ones
-        # their ruling states
-        peers = [w for k, w in _WORLDS.items() if k[2] == key[2]]
-        if peers:
-            scheme = peers[0].world.scheme
-        work = _WorldWork(make_world(config.topology, scheme, n=config.n,
-                                     seed=config.seed))
-        if config.topology != "infinite":
-            work.states = next((w.states for w in peers
-                                if w.world.topology != "infinite"),
-                               None) or _StateStore()
+        # a stored world with the same scheme lends its parsed scheme, which
+        # for random labels holds 256 KiB of Feistel tables, and its states
+        peer = next((w for k, w in _WORLDS.items() if k[2] == key[2]), None)
+        world = make_world(config.topology,
+                           scheme if peer is None else peer.world.scheme,
+                           n=config.n, seed=config.seed)
+        work = (_WorldWork(world) if peer is None
+                else _WorldWork(world, states=peer.states))
     config.validate(work.world)
     _WORLDS[key] = work
     _WORLDS.move_to_end(key)
@@ -941,46 +966,12 @@ def _world_work(config: SimConfig) -> _WorldWork:
     return work
 
 
-def _shared_es(world: World, states: dict[tuple, EsColState]):
-    """Ruling-set lookup that reuses one canonical window per (R, class).
-
-    A node's record only depends on labels within its termination-radius
-    ball, and the planner asks for [center - need, center + need], the
-    smallest window holding the ball of every node it reads.  A node of
-    class c within R of the center has its ball within R +
-    phase_end_round(R, c) of it, so ``need`` is at most the rung of that
-    ladder for the latest class read.  The query goes to the smallest rung
-    ``reach`` >= need, and the canonical window [-radius, radius], radius =
-    reach + ``_ES_MARGIN``, serves it when [lo, hi] fits inside; other
-    queries build just [lo, hi].  Starts near the origin that read the same
-    classes thus share one window, whatever their sweep radius.
-    """
-
-    def lookup(lo: int, hi: int, R: int) -> EsColState:
-        need = (hi - lo) // 2
-        reach = min(R + phase_end_round(R, c)
-                    for c in range(1, CLASS_COUNT + 1)
-                    if R + phase_end_round(R, c) >= need)
-        radius = reach + _ES_MARGIN
-        if -radius <= lo and hi <= radius:
-            state = states.get((R, radius))
-            if state is None:
-                coords = np.arange(-radius, radius + 1)
-                state = states[(R, radius)] = EsColState(world, coords, R)
-            return state
-        return EsColState(world, np.arange(lo, hi + 1), R)
-
-    return lookup
-
-
 def _cached_plan(work: _WorldWork, start: int) -> AgentPlan:
     plan = work.plans.get(start)
     if plan is None:
         world = work.world
-        es_lookup = (_shared_es(world, work.states)
-                     if world.topology == "infinite"
-                     else work.states.lookup(world))
-        plan = work.plans[start] = AgentPlan(world, start, es_lookup)
+        plan = work.plans[start] = AgentPlan(world, start,
+                                             work.states.lookup(world))
     return plan
 
 

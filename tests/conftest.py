@@ -56,8 +56,8 @@ def peeking_construction(monkeypatch):
     """A construction that reads the label one past its window's right end."""
     honest = EsColState._run
 
-    def peeking(self, debug):
-        honest(self, debug)
-        self.host.label(int(self.coords[-1]) + 1)
+    def peeking(self, host, debug):
+        honest(self, host, debug)
+        host.label(int(self.coords[-1]) + 1)
 
     monkeypatch.setattr(EsColState, "_run", peeking)

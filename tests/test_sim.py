@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1011,8 +1012,32 @@ def window_layouts(draw):
     return L, draw(st.integers(0, 99)), dict(plants)
 
 
+@st.composite
+def snap_queries(draw):
+    """(lo, hi, R, bounds): a query no wider than the top rung of the class
+    ladder, often exactly a rung, centered up to 1e7 from the origin, and
+    the host's extent around it, or None."""
+    R = draw(st.sampled_from([1, 4, 16, 64, 256, 1024]))
+    rungs = [R + phase_end_round(R, c) for c in range(1, CLASS_COUNT + 1)]
+    need = draw(st.one_of(st.sampled_from(rungs), st.integers(0, rungs[-1])))
+    tile = max(1, min(r for r in rungs if r >= need) // 8)
+    # centers up to a half tile from a multiple of it, where the snap moves
+    # furthest
+    half = tile // 2
+    center = (draw(st.integers(-10**7 // tile, 10**7 // tile)) * tile
+              + draw(st.one_of(st.sampled_from([-half, half]),
+                               st.integers(-half, half))))
+    lo = center - need
+    hi = center + need + draw(st.integers(0, 1))
+    bounds = draw(st.one_of(
+        st.none(), st.just((-math.inf, math.inf)),
+        st.tuples(st.integers(lo - 3 * rungs[-1], lo),
+                  st.integers(hi, hi + 3 * rungs[-1]))))
+    return lo, hi, R, bounds
+
+
 class TestSharedRulingWindows:
-    def test_canonical_windows_do_not_change_the_plan(self):
+    def test_snapped_windows_do_not_change_the_plan(self):
         cfg = SimConfig(scheme=CLASS4, va=-11, vb=11)
         cached = run(cfg)
         bare = AgentPlan(cfg.world(), -11)
@@ -1030,16 +1055,16 @@ class TestSharedRulingWindows:
 
     @pytest.mark.parametrize("kind,L,R", CASES)
     def test_ball_sized_windows_give_the_sweep_window_plan(self, kind, L, R):
-        edge = sim._ES_MARGIN
-        states = {}
-        for center in (0, edge, -edge, edge + 1, -edge - 1, 10**6):
+        store = sim._StateStore()
+        for center in (0, 64, -64, 65, -65, 10**6):
             world = make_world("infinite", RAND if kind == "random"
                                else PlantedScheme(center, {center + 1: 2}))
             if kind == "planted":
-                states.clear()  # each center has its own world
-            served = []
+                store = sim._StateStore()  # each center has its own world
+            asked, served = [], []
 
-            def lookup(lo, hi, R, shared=sim._shared_es(world, states)):
+            def lookup(lo, hi, R, shared=store.lookup(world)):
+                asked.append((lo, hi, R))
                 served.append(shared(lo, hi, R))
                 return served[-1]
 
@@ -1048,9 +1073,16 @@ class TestSharedRulingWindows:
             plan = plan_iteration(labels, lo, center, L, es_lookup=lookup)
             assert plan is not None and plan.R == R
             assert plan == plan_iteration(labels, lo, center, L)
-            # the served window holds the termination ball of every node
-            # the planner reads, which is what makes its records exact
-            (coords,) = [state.coords for state in served]
+            # the served window is the query's snapped window, and it holds
+            # the termination ball of every node the planner reads, which is
+            # what makes its records exact
+            (state,) = served
+            (query,) = asked
+            window = sim._snapped_window(*query, world.scheme.span())
+            assert np.array_equal(state.coords,
+                                  np.arange(window[0], window[1] + 1))
+            assert state is store.states[(R, *window)]
+            coords = state.coords
             for u in range(center - R, center + R + 1):
                 radius = termination_radius(world.label(u), R)
                 if abs(u - center) + radius <= L:
@@ -1058,13 +1090,13 @@ class TestSharedRulingWindows:
                     assert u + radius <= coords[-1]
 
     @staticmethod
-    def check_tight_window(world, states, center, L):
-        """Plan at one center through the shared lookup; returns the need
-        and the canonical radius, or None when no spacing activates."""
+    def check_tight_window(world, store, center, L):
+        """Plan at one center through the shared store; returns (R, rung,
+        tile, state), or None when no spacing activates."""
         lo = center - L
         labels = world.labels_at(np.arange(lo, center + L + 1))
         calls, served = [], []
-        shared = sim._shared_es(world, states)
+        shared = store.lookup(world)
 
         def lookup(win_lo, win_hi, R):
             calls.append((win_lo, win_hi, R))
@@ -1086,19 +1118,21 @@ class TestSharedRulingWindows:
         rung = min(r for r in (R + phase_end_round(R, c)
                                for c in range(1, CLASS_COUNT + 1))
                    if r >= need)
-        radius = rung + sim._ES_MARGIN
+        # the window depends on the rung, not on the need: it is centered
+        # on the multiple of the tile nearest the center, ties upward
+        tile = max(1, rung // 8)
         (state,) = served
-        if -radius <= center - need and center + need <= radius:
-            assert state is states[(R, radius)]
-            assert np.array_equal(state.coords, np.arange(-radius, radius + 1))
-        else:
-            assert np.array_equal(state.coords,
-                                  np.arange(center - need, center + need + 1))
+        wlo, whi = int(state.coords[0]), int(state.coords[-1])
+        assert state is store.states[(R, wlo, whi)]
+        assert np.array_equal(state.coords, np.arange(wlo, whi + 1))
+        mid = (wlo + whi) // 2
+        assert mid % tile == 0 and tile // 2 - tile < mid - center <= tile // 2
+        assert whi - mid == mid - wlo == rung + tile // 2 + 1
         for u in read:
             ball = termination_radius(world.label(u), R)
             assert state.coords[0] <= u - ball
             assert u + ball <= state.coords[-1]
-        return need, radius
+        return R, rung, tile, state
 
     @given(window_layouts())
     @example((1200, 7, {0: 40000}))  # class 5 at the center, R = 1
@@ -1111,23 +1145,40 @@ class TestSharedRulingWindows:
         L, scheme, plants = layout
         shared = None if isinstance(scheme, int) else make_world("infinite",
                                                                  scheme)
-        states = {}
+        store = sim._StateStore()
 
         def at(center):
             if shared is not None:
-                return self.check_tight_window(shared, states, center, L)
+                return self.check_tight_window(shared, store, center, L)
             world = make_world("infinite", PlantedScheme(
                 scheme, {center + off: v for off, v in plants.items()}))
-            return self.check_tight_window(world, {}, center, L)
+            return self.check_tight_window(world, sim._StateStore(), center,
+                                           L)
 
         first = at(0)
-        centers = [10**6]
         if first is not None:
-            # the last center the canonical window serves, and one past it
-            need, radius = first
-            centers = [radius - need, radius - need + 1, 10**6]
-        for center in centers:
-            at(center)
+            # the last center snapped to the origin shares its window when
+            # it reads the same rung, and the next one is snapped a tile on
+            R, rung, tile, state = first
+            last = tile - tile // 2 - 1
+            for center, same in ((last, True), (last + 1, False)):
+                again = at(center)
+                if shared is not None and again is not None \
+                        and again[:2] == (R, rung):
+                    assert (again[3] is state) == same
+        at(10**6)
+
+    @given(snap_queries())
+    # an odd tile of 7 at the class-3 rung 57, the snap a half tile below
+    # the center and the query one node past need: the window ends at hi
+    @example((-54, 61, 1, None))
+    @settings(deadline=None, max_examples=300)
+    def test_snapped_windows_hold_the_query_within_the_host(self, query):
+        lo, hi, R, bounds = query
+        wlo, whi = sim._snapped_window(lo, hi, R, bounds)
+        assert wlo <= lo and hi <= whi
+        if bounds is not None:
+            assert bounds[0] <= wlo and whi <= bounds[1]
 
 
 def class2_at(start, n):
@@ -1141,8 +1192,9 @@ def class2_at(start, n):
 
 
 class TestFiniteBallWindows:
-    """Finite hosts plan on exactly the window the planner asks for, sliced
-    from the sweep's labels; the sweep window is the oracle."""
+    """Finite hosts ask for exactly the ball window of each iteration and
+    are served its snapped window, clipped to [0, n - 1], or, across a
+    cycle's seam, exactly the window; the sweep window is the oracle."""
 
     CASES = [
         ("path", "sequential", 8192, 3584),
@@ -1155,19 +1207,17 @@ class TestFiniteBallWindows:
 
     @pytest.mark.parametrize("topology,scheme,n,start", CASES)
     def test_ball_windows_give_the_sweep_window_plan(self, topology, scheme,
-                                                     n, start, monkeypatch):
+                                                     n, start):
         world = make_world(topology, scheme, n=n)
-        asked = []
-        honest = sim._es_over_labels
+        asked, served = [], []
+        store = sim._StateStore().lookup(world)
 
-        def recording(labels, lo, win_lo, win_hi, R):
-            asked.append((win_lo, win_hi, R))
-            state = honest(labels, lo, win_lo, win_hi, R)
-            assert np.array_equal(state.coords, np.arange(win_lo, win_hi + 1))
-            return state
+        def lookup(lo, hi, R):
+            asked.append((lo, hi, R))
+            served.append(store(lo, hi, R))
+            return served[-1]
 
-        monkeypatch.setattr(sim, "_es_over_labels", recording)
-        plan = AgentPlan(world, start)
+        plan = AgentPlan(world, start, lookup)
         plan.ensure(iteration_start_round(4096))
         expected = []
         for note in plan.notes:
@@ -1183,24 +1233,38 @@ class TestFiniteBallWindows:
             assert (note.R, note.r, note.color) == (oracle.R, oracle.r,
                                                     oracle.color)
             R = oracle.R
-            reach = [abs(u - start)
+            reach = {u: abs(u - start)
                      + termination_radius(int(labels[u - lo]), R)
-                     for u in range(start - R, start + R + 1)]
-            need = max(r for r in reach if r <= L)
+                     for u in range(start - R, start + R + 1)}
+            need = max(r for r in reach.values() if r <= L)
             expected.append((start - need, start + need, R))
+            # the served window holds the ball of every node the plan read
+            state = served[len(expected) - 1]
+            for u, r in reach.items():
+                if r <= L:
+                    ball = r - abs(u - start)
+                    assert state.coords[0] <= u - ball
+                    assert u + ball <= state.coords[-1]
         assert expected and asked == expected
+        for (lo, hi, R), state in zip(asked, served):
+            window = ((lo, hi) if lo < 0 or hi >= n
+                      else sim._snapped_window(lo, hi, R, (0, n - 1)))
+            assert np.array_equal(state.coords,
+                                  np.arange(window[0], window[1] + 1))
         if topology == "cycle":
             assert any(win_lo < 0 <= win_hi for win_lo, win_hi, _ in asked)
 
-    def test_a_read_outside_the_window_raises(self):
+    def test_a_read_outside_the_window_raises(self, monkeypatch,
+                                              peeking_construction):
         labels = SequentialScheme().labels_at(np.arange(-40, 41))
+        with pytest.raises(WorldError,
+                           match="no label assigned to coordinate 21"):
+            sim._es_over_labels(labels, -40, -20, 20, 1)
+        monkeypatch.undo()
         state = sim._es_over_labels(labels, -40, -20, 20, 1)
         assert np.array_equal(state.coords, np.arange(-20, 21))
-        with pytest.raises(WorldError, match="no label assigned"):
-            state.host.label(21)
         with pytest.raises(AgentError, match="leaves the known labels"):
             sim._es_over_labels(labels, -40, -41, 20, 1)
-
 
 
 def records(state):
@@ -1209,12 +1273,14 @@ def records(state):
 
 
 class TestFiniteStateStore:
-    """Finite worlds with one scheme build each window inside [0, n) once,
-    within a node budget; a window across a cycle's seam is their own."""
+    """Worlds with one scheme, on any topology, build each snapped window
+    once, within a node budget; a window across a cycle's seam is their
+    own."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """A fresh world store, and the windows built through it."""
+        """A fresh world store, and the finite-host windows built through
+        it."""
         monkeypatch.setattr(sim, "_WORLDS", OrderedDict())
         built = []
         honest = sim._es_over_labels
@@ -1236,6 +1302,23 @@ class TestFiniteStateStore:
         assert all(0 <= lo and hi < 8192 for lo, hi, _ in builds)
         (store,) = {work.states for work in sim._WORLDS.values()}
         # the stored states outlive the worlds that built them
+        worlds = [weakref.ref(work.world) for work in sim._WORLDS.values()]
+        sim._WORLDS.clear()
+        gc.collect()
+        assert len(store.states) == 2
+        assert [ref() for ref in worlds] == [None, None]
+
+    def test_the_line_and_a_path_share_their_windows(self, builds):
+        # planned through L = 2048, the line builds on itself the windows
+        # that both agents search on, and the path finds them stored
+        line = SimConfig(va=3584, vb=4608,
+                         round_cap=iteration_start_round(4096))
+        assert run(line).t_rdv is None
+        assert outcome(run(replace(line, topology="path", n=8192,
+                                   round_cap=None))) == (118755, "node", 7679)
+        assert builds == []
+        (store,) = {work.states for work in sim._WORLDS.values()}
+        assert [key[0] for key in store.states] == [1, 1]
         worlds = [weakref.ref(work.world) for work in sim._WORLDS.values()]
         sim._WORLDS.clear()
         gc.collect()
@@ -1273,30 +1356,55 @@ class TestFiniteStateStore:
                     else (oracle.R, oracle.r, oracle.color))
         assert builds.count((-1069, 1269, 1)) == 2
 
+    def test_a_seam_window_is_not_served_a_path_window(self, builds):
+        # the path stores a window over [4655, 6993]; on a cycle of 6000 the
+        # same query crosses the seam, where the labels are the cycle's own
+        path = SimConfig(topology="path", n=8192, va=4800, vb=5824)
+        run(path)
+        work = sim._world_work(replace(path, topology="cycle", n=6000))
+        assert work.states is sim._world_work(path).states
+        assert any(lo <= 4655 and 6993 <= hi for lo, hi, _ in builds)
+        state = work.states.lookup(work.world)(4655, 6993, 1)
+        assert np.array_equal(state.coords, np.arange(4655, 6994))
+        assert np.array_equal(state.labels,
+                              work.world.labels_at(state.coords % 6000))
+
     def test_the_store_keeps_within_its_budget(self, monkeypatch):
         monkeypatch.setattr(sim, "STATE_NODES", 300)
         world = make_world("path", CLASS4, n=4096)
         store = sim._StateStore()
         lookup = store.lookup(world)
-        windows = [(41 * k, 41 * k + 60 + 7 * k, 4 if k % 2 else 1)
-                   for k in range(12)]
-        first = lookup(*windows[0])
+        # R = 1 queries of need <= 17 share the rung 17 and R = 4 ones of
+        # need <= 116 the rung 116: windows of 39 and 249 nodes
+        queries = [(41 * k - need, 41 * k + need, R)
+                   for k, (need, R) in enumerate([(9, 1), (17, 1), (60, 4)]
+                                                 * 4, start=3)]
+        first = lookup(*queries[0])
         before = records(first)
-        for k, window in enumerate(windows):
-            state = lookup(*window)
-            assert lookup(*window) is state
+        for k, query in enumerate(queries):
+            state = lookup(*query)
+            key = (query[2], int(state.coords[0]), int(state.coords[-1]))
+            assert lookup(*query) is state
+            assert list(store.states.items())[-1] == (key, state)
             assert store.nodes == sum(s.coords.size
                                       for s in store.states.values())
             assert 0 < store.nodes <= sim.STATE_NODES, k
-        assert (1, 0, 60) not in store.states
-        kept = dict(store.states)
-        # a window past the budget is served and not stored
-        big = lookup(500, 900, 1)
-        assert big.coords.size == 401 and store.states == kept
-        rebuilt = lookup(*windows[0])
+        center = queries[0][0] + 9
+        assert lookup(center - 17, center + 17, 1) is lookup(center - 2,
+                                                              center + 2, 1)
+        assert all(np.array_equal(s.coords, np.arange(lo, hi + 1))
+                   for (_, lo, hi), s in store.states.items())
+        assert first not in store.states.values()
+        # a state past the budget is the newest, so it is stored alone
+        big = lookup(300, 700, 4)
+        assert big.coords.size == 487 and store.nodes == 487
+        assert list(store.states.values()) == [big]
+        # the window at the end of the path stops at its last node
+        end = lookup(4075, 4095, 1)
+        assert end.coords[-1] == 4095 and list(store.states.values()) == [end]
+        rebuilt = lookup(*queries[0])
         assert rebuilt is not first and records(rebuilt) == before
-        assert list(store.states)[-1] == (1, 0, 60)
-
+        assert list(store.states.values()) == [end, rebuilt]
 
 
 # the run path in a fresh interpreter: which topologies searched, and
