@@ -249,62 +249,112 @@ def spacing_grid(L: int) -> list[int]:
     return grid
 
 
+def label_reach(L: int) -> int:
+    """How far from the center :func:`plan_iteration` with a lookup reads
+    labels at sweep radius L: 2 R_top for the largest spacing R_top, or -1,
+    no label at all, below L = 16."""
+    grid = spacing_grid(L)
+    return 2 * grid[0] if grid else -1
+
+
 def plan_iteration(labels: np.ndarray, lo: int, center: int, L: int,
                    es_lookup=None) -> SearchPlan | None:
-    """Choose the search landmark from a discovered interval of labels.
+    """Choose the search landmark from an interval of discovered labels.
 
-    ``labels[i]`` is the label at coordinate lo + i; the interval must cover
-    [center - L, center + L].  Tries each spacing R (powers of 4, at most
-    L/16) from the largest down: a node u within R of the center activates R
-    when its whole termination-radius ball is inside the known interval.
-    For the largest activated spacing, the committed ruling-set members
-    those nodes know are pooled, and the member nearest to the center
-    (ties to the smaller label) becomes the landmark.
+    ``labels[i]`` is the label at coordinate lo + i.  Tries each spacing R
+    (powers of 4, at most L/16) from the largest, R_top, down: a node u
+    within R of the center activates R when its whole termination-radius
+    ball lies within the sweep radius L.  For the largest activated
+    spacing, the ruling-set members those nodes know are pooled, and the
+    member nearest to the center (ties to the smaller label) becomes the
+    landmark.  A node knows itself when it is a member, and the members
+    within R - 1 of it whose class is no higher than its own.
 
-    The records come from ``es_lookup(center - need, center + need, R)``,
+    The labels read are the candidates within R of the center, the known
+    members, within 2R - 1 of it, and the landmark's two neighbours, so
+    with a lookup the interval must cover [center - 2 R_top, center +
+    2 R_top] (see :func:`label_reach`); for L < 16 nothing is read.  The
+    records come from ``es_lookup(center - need, center + need, R)``,
     where ``need`` is the largest |u - center| + termination radius over
     the activated nodes u, so the window holds exactly the balls the
-    records depend on.  Without a lookup they are built over the whole
-    sweep window [center - L, center + L]; only the reference engine's
-    agent program plans that way, which keeps it an independent oracle for
-    the fast engine's ball-sized windows.
+    records depend on, and it must hold every node within 2R - 1 of the
+    center.  Without a lookup the records are built over the whole sweep
+    window [center - L, center + L], which the interval must then cover;
+    only the reference engine's agent program plans that way, which keeps
+    it an independent oracle for the fast engine's ball-sized windows.
 
     Returns None when no spacing activates, in which case the iteration
     just waits out its search budget.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if lo > center - L or lo + labels.size - 1 < center + L:
-        raise AgentError("known interval does not cover the sweep radius")
-    for R in spacing_grid(L):
-        offs = np.arange(-R, R + 1, dtype=np.int64)
-        cand_labels = labels[(center - lo) + offs]
-        radii = _radius_by_class(R)[label_classes(cand_labels) - 1]
-        reach = np.abs(offs) + radii
+    half = L if es_lookup is None else label_reach(L)
+    if half >= 0 and (lo > center - half
+                      or lo + labels.size - 1 < center + half):
+        raise AgentError("known interval does not cover the labels the "
+                         "plan reads")
+    grid = spacing_grid(L)
+    if not grid:
+        return None
+    top = grid[0]
+    # one class pass over the largest spacing's candidates; each R slices it
+    near = slice(center - top - lo, center + top + 1 - lo)
+    top_classes = label_classes(labels[near])
+    top_dist = np.abs(np.arange(-top, top + 1, dtype=np.int64))
+    for R in grid:
+        cut = slice(top - R, top + R + 1)
+        classes = top_classes[cut]
+        reach = top_dist[cut] + _radius_by_class(R)[classes - 1]
         ok = reach <= L
         if not ok.any():
             continue
-        sr = (center + offs[ok]).astype(np.int64)
         if es_lookup is not None:
             need = int(reach[ok].max())
             state = es_lookup(center - need, center + need, R)
         else:
             state = _es_over_labels(labels, lo, center - L, center + L, R)
-        known: dict[int, int] = {}
-        for u in sr:
-            out = state.output_for(int(u))
-            if out.in_set:
-                known[int(u)] = out.color
-            for w, wcol in out.nearby_members:
-                known[int(w)] = wcol
-        r = min(known, key=lambda p: (abs(p - center), labels[p - lo]))
-        if abs(r - center) > 2 * R - 1:
-            raise AgentError("landmark drifted outside the 2R-1 window")
-        color = known[r]
-        sweep = 1 if labels[r + 1 - lo] > labels[r - 1 - lo] else -1
-        return SearchPlan(R=R, r=r, color=color, bits=color_bits(color),
-                          sweep_direction=sweep,
-                          members=tuple(sorted(known.items())))
+        return _landmark_plan(state, labels, lo, center,
+                              np.where(ok, classes, 0))
     return None
+
+
+_CLASS_COLUMN = np.arange(1, CLASS_COUNT + 1)[:, None]
+
+
+def _landmark_plan(state: EsColState, labels: np.ndarray, lo: int,
+                   center: int, active: np.ndarray) -> SearchPlan:
+    """The plan for the members that the activated nodes know.
+
+    ``active[k]`` is the class of the node at center - R + k when it is
+    activated, else 0.  A member is known when an activated node of no
+    lower class lies within R - 1 of it, itself included, so only the
+    state's members within 2R - 1 of the center are read, all at once.
+    """
+    R = state.R
+    a, b = center - 2 * R + 1, center + 2 * R - 1
+    coords = state.coords
+    if coords.size == 0 or coords[0] > a or coords[-1] < b:
+        raise AgentError(f"ruling state does not cover [{a}, {b}]")
+    i, j = np.searchsorted(state.member_coords, (a, b + 1))
+    members = state.member_coords[i:j]
+    member_classes = state.member_classes[i:j]
+    # at_least[k - 1, x]: activated nodes of class >= k among the first x
+    at_least = np.zeros((CLASS_COUNT, active.size + 1), dtype=np.int64)
+    np.cumsum(active >= _CLASS_COLUMN, axis=1, out=at_least[:, 1:])
+    # activated nodes within R - 1 of member w: offsets [w - c + 1, w - c + 2R)
+    first = np.maximum(members - center + 1, 0)
+    stop = np.minimum(members - center + 2 * R, active.size)
+    row = member_classes - 1
+    known = at_least[row, stop] > at_least[row, first]
+    if not known.any():
+        raise AgentError("the activated nodes know no ruling-set member")
+    members = members[known]
+    colors = state.member_colors[i:j][known]
+    k = np.lexsort((labels[members - lo], np.abs(members - center)))[0]
+    r, color = int(members[k]), int(colors[k])
+    sweep = 1 if labels[r + 1 - lo] > labels[r - 1 - lo] else -1
+    return SearchPlan(R=R, r=r, color=color, bits=color_bits(color),
+                      sweep_direction=sweep,
+                      members=tuple(zip(members.tolist(), colors.tolist())))
 
 
 @lru_cache(maxsize=None)

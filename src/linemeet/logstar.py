@@ -48,7 +48,8 @@ def label_classes(labels: np.ndarray) -> np.ndarray:
     arr = np.asarray(labels, dtype=np.int64)
     if arr.size and (arr.min() < 1):
         raise ValueError("labels must be >= 1")
-    return np.digitize(arr, _CLASS_BINS) + 1
+    # np.digitize's own search, without its wrapper's checks
+    return np.searchsorted(_CLASS_BINS, arr, side="right") + 1
 
 
 def class_range(i: int) -> tuple[int, int]:

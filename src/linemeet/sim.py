@@ -28,13 +28,15 @@ gadget expansion alike.
 
 Runs on the same world share one ``World`` object, and with it every label
 computed so far, one trajectory plan per start and each start pair's label
-extremes.  A plan asks only for the balls its records depend on, and worlds
-with one scheme, whatever their topology, share one store of ruling states
-over windows snapped to a tile of the class ladder's rung, so plans from
-nearby starts that read the same classes share a window whatever their
-sweep; delays only shift a plan in global time.  A cycle window across the
-seam is built per query.  The store holds at most ``STATE_NODES`` nodes,
-or its newest state alone.
+extremes.  The world labels each sweep into its store, while a plan copies
+out only the O(R) labels it reads and asks only for the balls its records
+depend on.  Worlds with one scheme, whatever their topology, share one
+store of ruling states over windows snapped to a tile of the class ladder's
+rung, so plans from nearby starts that read the same classes share a window
+whatever their sweep; delays only shift a plan in global time.  A cycle
+window across the seam, or a query wider than the ladder, is built per
+query.  The store holds at most ``STATE_NODES`` nodes, or its newest state
+alone.
 Worlds are keyed by topology, size, seed and scheme: a string scheme by its
 spec, a ``LabelScheme`` object by identity, so such objects must be
 deterministic.  Only the ``WORLD_SLOTS`` most recently used worlds are kept.
@@ -54,6 +56,7 @@ from .agent import (
     Observation,
     _es_over_labels,
     care_transform,
+    label_reach,
     main_program,
     plan_iteration,
     searching_walk_segments,
@@ -249,9 +252,14 @@ class AgentPlan(Timeline):
 
     Iterations are appended one doubling step at a time; a finite-topology
     takeover (endpoint ping-pong or cycle settling) sets the tail and ends
-    the legs with a closed-form terminal.  Each iteration's ruling-set
-    records come from ``es_lookup``; without one the plan gets a private
-    :class:`_StateStore`.
+    the legs with a closed-form terminal.  Each iteration's sweep window
+    [start - L, start + L] is labelled into the world's store through
+    :meth:`World.cover`, which checks every label the sweep visits, but
+    the plan copies out only the labels :func:`plan_iteration` reads,
+    those within :func:`label_reach` of the start: 2 R_top for the
+    largest spacing R_top, and none below L = 16.
+    Its ruling-set records come from ``es_lookup``; without one the plan
+    gets a private :class:`_StateStore`.
     """
 
     def __init__(self, world: World, start: int, es_lookup=None):
@@ -318,8 +326,8 @@ class AgentPlan(Timeline):
             self._append(abs(target - x), 1 if target > x else -1)
         self.terminal = ("hold", self.cur_t)
 
-    def _window_labels(self, L: int) -> np.ndarray:
-        coords = np.arange(self.start - L, self.start + L + 1)
+    def _labels(self, lo: int, hi: int) -> np.ndarray:
+        coords = np.arange(lo, hi + 1)
         if self.world.topology == "cycle":
             coords = coords % self.world.n
         return self.world.labels_at(coords)
@@ -340,8 +348,11 @@ class AgentPlan(Timeline):
         for dur, slope in z_walk_segments(L, self._sweep_direction(L)):
             if self._walk_leg(dur, slope):
                 return
-        plan = plan_iteration(self._window_labels(L), self.start - L,
-                              self.start, L, es_lookup=self.es_lookup)
+        v = self.start
+        self.world.cover(v - L, v + L)
+        half = label_reach(L)
+        plan = plan_iteration(self._labels(v - half, v + half), v - half, v,
+                              L, es_lookup=self.es_lookup)
         t0 = 28 * (L - 1)
         if plan is None:
             self._append(24 * L, 0)
@@ -849,7 +860,8 @@ def _snapped_window(lo: int, hi: int, R: int,
     the window reaches reach + tile // 2 + 1 either side of the snapped
     center, so it holds [lo, hi]; queries of one rung from nearby centers,
     whatever their sweep, share it.  ``bounds`` is the host's extent, which
-    the window is clipped to; None leaves it unclipped.
+    the window is clipped to; None leaves it unclipped.  ``need`` must not
+    pass the top rung, R + phase_end_round(R, CLASS_COUNT).
     """
     need = (hi - lo) // 2
     reach = min(r for r in (R + phase_end_round(R, c)
@@ -870,11 +882,12 @@ class _StateStore:
     cycle, the scheme's ``span()`` on the infinite line.  Such a window
     holds the scheme's own labels on every topology, so worlds with one
     scheme share one store and each window is built once for all of them.
-    A cycle window across the seam holds labels that depend on n; it is
-    built per query and never looked up.  The newest state is always
-    stored, and the least recently used are dropped while the store holds
-    more than ``STATE_NODES`` nodes and more than one state.  States keep no
-    host, so the store keeps no ``World`` alive.
+    A cycle window across the seam holds labels that depend on n, and a
+    query wider than twice the top rung has no snapped window; both are
+    built exactly, per query, and never looked up.  The newest state is
+    always stored, and the least recently used are dropped while the store
+    holds more than ``STATE_NODES`` nodes and more than one state.  States
+    keep no host, so the store keeps no ``World`` alive.
     """
 
     def __init__(self):
@@ -896,7 +909,8 @@ class _StateStore:
             return _es_over_labels(world.labels_at(coords % n), lo, lo, hi, R)
 
         def lookup(lo: int, hi: int, R: int) -> EsColState:
-            if n is not None and (lo < 0 or hi >= n):
+            if ((n is not None and (lo < 0 or hi >= n))
+                    or (hi - lo) // 2 > R + phase_end_round(R, CLASS_COUNT)):
                 return build(lo, hi, R)
             key = (R, *_snapped_window(lo, hi, R, bounds))
             state = self.states.get(key)

@@ -376,11 +376,16 @@ class _LabelStore:
             raise WorldError("label scheme produced duplicate labels")
         return new, idx
 
-    def extend(self, scheme: LabelScheme, lo: int, hi: int) -> None:
-        """Grow the interval to cover [lo, hi], which overlaps or touches it,
-        labelling only the coordinates it adds."""
+    def extend(self, scheme: LabelScheme, lo: int, hi: int) -> bool:
+        """Grow the interval to cover [lo, hi] when it overlaps or touches
+        it, labelling only the coordinates it adds; False, with nothing
+        labelled, for a range apart from it."""
+        if self.lo <= lo and hi <= self.hi:
+            return True
         if self.labels.size == 0:
             self.lo, self.hi = lo, lo - 1
+        elif lo > self.hi + 1 or hi < self.lo - 1:
+            return False
         left = np.arange(lo, self.lo)
         right = np.arange(self.hi + 1, hi + 1)
         fresh = scheme.labels_at(np.concatenate([left, right]))
@@ -389,6 +394,7 @@ class _LabelStore:
             [fresh[:left.size], self.labels, fresh[left.size:]]))
         self.ordered = _read_only(np.insert(self.ordered, idx, new))
         self.lo, self.hi = min(lo, self.lo), max(hi, self.hi)
+        return True
 
 
 @dataclass(frozen=True)
@@ -400,6 +406,8 @@ class World:
     each stored coordinate is labelled once.  Every newly labelled coordinate
     is checked against all stored labels, and :meth:`label` reads through
     the same store, growing it geometrically on a miss next to it.
+    :meth:`cover` labels a walked range into the store without copying its
+    labels out.
     """
 
     topology: str
@@ -495,9 +503,7 @@ class World:
             return store.labels[arr - store.lo]
         flat = arr.ravel()
         if (hi - lo == flat.size - 1 and (np.diff(flat) == 1).all()
-                and (store.labels.size == 0
-                     or (lo <= store.hi + 1 and store.lo - 1 <= hi))):
-            store.extend(self.scheme, lo, hi)
+                and store.extend(self.scheme, lo, hi)):
             return store.labels[arr - store.lo]
         uniq, inverse = np.unique(flat, return_inverse=True)
         inside = (uniq >= store.lo) & (uniq <= store.hi)
@@ -507,6 +513,22 @@ class World:
         store.check_fresh(fresh)
         out[~inside] = fresh
         return out[inverse].reshape(arr.shape)
+
+    def cover(self, lo: int, hi: int) -> None:
+        """Label the nodes lo..hi, wrapped onto a cycle, as
+        :meth:`labels_at` would, but return none of them.
+
+        A walk that visits a range calls this, so that the store checks
+        every label the walk sees.  A range inside the host that overlaps
+        or touches the stored interval extends it, labelling only what it
+        adds, and one inside the interval costs nothing.
+        """
+        if (self.valid(lo) and self.valid(hi)
+                and self._store.extend(self.scheme, lo, hi)):
+            return
+        coords = np.arange(lo, hi + 1)
+        self.labels_at(coords % self.n if self.topology == "cycle"
+                       else coords)
 
     # -- ports -------------------------------------------------------------
 

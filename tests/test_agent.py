@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linemeet.agent import (
@@ -12,6 +12,7 @@ from linemeet.agent import (
     KnownLine,
     Move,
     Observation,
+    _es_over_labels,
     care_transform,
     careful_walk_moves,
     careful_walk_occupancy,
@@ -23,7 +24,9 @@ from linemeet.agent import (
     spacing_grid,
     z_walk,
 )
+from linemeet.logstar import CLASS_HI, CLASS_LO
 from linemeet.ruling import EsColState, termination_radius
+from linemeet.sim import _StateStore as StateStore
 from linemeet.world import ExplicitScheme, World, make_world
 
 
@@ -179,6 +182,72 @@ def window_labels(world, lo, hi):
     return world.labels_at(np.arange(lo, hi + 1)), lo
 
 
+def exact_lookup(world):
+    """A ruling-set lookup that builds exactly the queried window."""
+    return lambda lo, hi, R: EsColState(world, np.arange(lo, hi + 1), R)
+
+
+def dict_plan(labels, lo, center, L):
+    """(R, r, color, sweep direction, members) as the planner chose them
+    when each activated node's record was read on its own.
+
+    Builds the records over the sweep window [center - L, center + L],
+    pools what each activated node knows through ``output_for`` in a dict
+    and takes the member nearest the center, ties to the smaller label;
+    None when no spacing activates.
+    """
+    for R in spacing_grid(L):
+        active = [u for u in range(center - R, center + R + 1)
+                  if abs(u - center)
+                  + termination_radius(int(labels[u - lo]), R) <= L]
+        if not active:
+            continue
+        state = _es_over_labels(labels, lo, center - L, center + L, R)
+        known = {}
+        for u in active:
+            out = state.output_for(u)
+            if out.in_set:
+                known[u] = out.color
+            for w, color in out.nearby_members:
+                known[w] = color
+        r = min(known, key=lambda p: (abs(p - center), labels[p - lo]))
+        sweep = 1 if labels[r + 1 - lo] > labels[r - 1 - lo] else -1
+        return R, r, known[r], sweep, tuple(sorted(known.items()))
+    return None
+
+
+@st.composite
+def plan_cases(draw):
+    """(world, center, L): a scheme world, a center often far from the
+    origin and a sweep radius up to 4096.  Explicit maps hold only the
+    sweep window."""
+    L = draw(st.sampled_from([16 << k for k in range(9)]))
+    center = draw(st.one_of(st.integers(-40, 40),
+                            st.integers(-10**6, 10**6)))
+    spec = draw(st.sampled_from(
+        ["sequential", "random-injective", "uniform-logstar-class:3",
+         "uniform-logstar-class:4", "uniform-logstar-class:5", "explicit"]))
+    if spec == "random-injective":
+        spec = f"random-injective:{draw(st.integers(0, 9))}:1000000000"
+    if spec != "explicit":
+        return make_world("infinite", spec), center, L
+    # distinct class-5 or class-6 labels with small labels planted within
+    # 2R of the center for some spacing R: candidates within R, known
+    # members out to 2R - 1
+    base = draw(st.sampled_from([30000, 100000]))
+    mapping = {c: base + c - center + L
+               for c in range(center - L, center + L + 1)}
+    R = draw(st.sampled_from(spacing_grid(L)))
+    small = st.one_of(*[st.integers(CLASS_LO[c], CLASS_HI[c])
+                        for c in range(4)], st.integers(17, 29999))
+    offset = st.one_of(st.integers(-R, R), st.integers(-2 * R, 2 * R))
+    plants = draw(st.lists(st.tuples(offset, small), min_size=1, max_size=6,
+                           unique_by=(lambda p: p[0], lambda p: p[1])))
+    mapping.update({center + off: label for off, label in plants})
+    return (World(topology="infinite", scheme=ExplicitScheme(mapping)),
+            center, L)
+
+
 class TestPlanIteration:
     def test_sequential_first_activation(self):
         world = make_world("infinite", "sequential")
@@ -245,6 +314,76 @@ class TestPlanIteration:
         labels, lo = window_labels(world, -8, 8)
         with pytest.raises(AgentError):
             plan_iteration(labels, lo, 0, 16)
+        # at L = 256 the largest spacing is 16, so with a lookup the plan
+        # reads [c - 32, c + 32] and nothing past it
+        center, L = 5, 256
+        full, full_lo = window_labels(world, center - L, center + L)
+        labels, lo = window_labels(world, center - 32, center + 32)
+        lookup = exact_lookup(world)
+        plan = plan_iteration(labels, lo, center, L, es_lookup=lookup)
+        assert plan is not None
+        assert plan == plan_iteration(full, full_lo, center, L)
+        for short, short_lo in ((labels[1:], lo + 1), (labels[:-1], lo)):
+            with pytest.raises(AgentError, match="does not cover"):
+                plan_iteration(short, short_lo, center, L, es_lookup=lookup)
+        # without one it builds over the whole sweep window, which the
+        # interval must cover
+        with pytest.raises(AgentError, match="does not cover"):
+            plan_iteration(labels, lo, center, L)
+        for short, short_lo in ((full[1:], full_lo + 1), (full[:-1], full_lo)):
+            with pytest.raises(AgentError, match="does not cover"):
+                plan_iteration(short, short_lo, center, L)
+        # below L = 16 no spacing exists and a lookup plan reads nothing
+        empty = np.empty(0, dtype=np.int64)
+        assert plan_iteration(empty, center, center, 8, es_lookup=lookup) \
+            is None
+
+    @pytest.mark.parametrize("left,right", [(1, 0), (0, 1)])
+    def test_state_must_cover_the_member_window(self, left, right):
+        # the planted plan reads the members within 2R - 1 = 7 of the center
+        world = self.planted_world()
+        labels, lo = window_labels(world, -256, 256)
+        built = []
+
+        def short(win_lo, win_hi, R):
+            built.append(R)
+            return EsColState(world, np.arange(-7 + left, 8 - right), R)
+
+        with pytest.raises(AgentError, match=r"does not cover \[-7, 7\]"):
+            plan_iteration(labels, lo, 0, 256, es_lookup=short)
+        assert built == [4]
+        wide = EsColState(world, np.arange(-7, 8), 4)
+        plan = plan_iteration(labels, lo, 0, 256,
+                              es_lookup=lambda *query: wide)
+        assert (plan.R, plan.r) == (4, -2)
+
+
+class TestBatchedSelection:
+    """The planner reads every known member in one batch; reading each
+    activated node's record on its own is the oracle, since both engines
+    plan through the same batch."""
+
+    @given(plan_cases())
+    @example((make_world("infinite", "sequential"), 0, 16))
+    @example((make_world("infinite", "uniform-logstar-class:4"), 3, 256))
+    @settings(deadline=None, max_examples=100)
+    def test_batched_records_give_the_dict_plan(self, case):
+        world, center, L = case
+        # string schemes share a store of snapped windows; an explicit map
+        # has no labels past the sweep window, so its plans get the query
+        lookup = (exact_lookup(world)
+                  if isinstance(world.scheme, ExplicitScheme)
+                  else StateStore().lookup(world))
+        labels, lo = window_labels(world, center - L, center + L)
+        want = dict_plan(labels, lo, center, L)
+        half = 2 * spacing_grid(L)[0]
+        near = labels[L - half:L + half + 1]
+        for plan in (plan_iteration(labels, lo, center, L),
+                     plan_iteration(near, center - half, center, L,
+                                    es_lookup=lookup)):
+            got = plan and (plan.R, plan.r, plan.color,
+                            plan.sweep_direction, plan.members)
+            assert got == want
 
 
 class TestKnownLine:

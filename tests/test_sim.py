@@ -38,6 +38,7 @@ from linemeet.agent import (
     iteration_start_round,
     plan_iteration,
     searching_walk,
+    spacing_grid,
     z_walk,
 )
 from linemeet.logstar import CLASS_COUNT, CLASS_HI, CLASS_LO, log_star
@@ -1168,6 +1169,14 @@ class TestSharedRulingWindows:
                     assert (again[3] is state) == same
         at(10**6)
 
+    def test_an_over_wide_query_is_built_exactly_and_not_stored(self):
+        # the top rung at R = 1 is 2185, so this query has no snapped window
+        assert 1 + phase_end_round(1, CLASS_COUNT) == 2185
+        store = sim._StateStore()
+        state = store.lookup(make_world("infinite", RAND))(-3000, 3000, 1)
+        assert np.array_equal(state.coords, np.arange(-3000, 3001))
+        assert not store.states and store.nodes == 0
+
     @given(snap_queries())
     # an odd tile of 7 at the class-3 rung 57, the snap a half tile below
     # the center and the query one node past need: the window ends at hi
@@ -1502,6 +1511,39 @@ class PlantedScheme(LabelScheme):
         for coord, value in zip(self._coords, self._values):
             out = np.where(coords == coord, value, out)
         return out
+
+
+class DuplicateScheme(LabelScheme):
+    """Class-4 uniform labels where coordinate ``coord`` repeats the label
+    of ``twin``.  Without a span, a world labels only what it is asked."""
+
+    name = "duplicate"
+
+    def __init__(self, coord: int, twin: int):
+        self._base = parse_scheme(CLASS4)
+        self.coord, self.twin = coord, twin
+
+    def labels_at(self, coords: np.ndarray) -> np.ndarray:
+        coords = np.asarray(coords)
+        return np.where(coords == self.coord, self._base.label_at(self.twin),
+                        self._base.labels_at(coords))
+
+
+def test_a_duplicate_only_a_sweep_visits_raises(monkeypatch):
+    # the pair at -3 and 3 meets at 8522 while searching at L = 256; beta's
+    # sweep [-253, 259] then is all that reaches 259: it lies past the
+    # labels every plan reads, 2 R_top of its start, the lmin window
+    # [-9, 9] and every ruling window
+    monkeypatch.setattr(sim, "_WORLDS", OrderedDict())
+    clean = SimConfig(scheme=DuplicateScheme(10**6, 0), va=-3, vb=3)
+    assert outcome(run(clean)) == (8522, "node", -3)
+    (work,) = sim._WORLDS.values()
+    assert work.states.states
+    assert all(whi < 259 for _, _, whi in work.states.states)
+    assert 3 + 2 * spacing_grid(256)[0] < 259
+    # the label at 259 repeats alpha's start label
+    with pytest.raises(WorldError, match="duplicate"):
+        run(replace(clean, scheme=DuplicateScheme(259, -3)))
 
 
 class TestCustomSchemeReuse:

@@ -382,8 +382,15 @@ def store_requests(draw):
     requests = []
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(
-            ["range", "range", "reversed", "sparse", "single", "wrapped"]))
-        if kind == "sparse":
+            ["range", "range", "reversed", "sparse", "single", "wrapped",
+             "cover"]))
+        if kind == "cover":
+            # a walk's range: it may run past a cycle's seam
+            a = draw(coord)
+            b = a + draw(st.integers(0, 40 if n is None else n))
+            requests.append(("cover", (a, b if topology == "cycle"
+                                       else min(hi, b))))
+        elif kind == "sparse":
             requests.append(("batch", draw(st.lists(coord, max_size=12))))
         elif kind == "single":
             requests.append(("single", draw(coord)))
@@ -413,6 +420,11 @@ def test_label_store_answers_like_its_scheme(case):
         if kind == "single":
             assert world.label(payload) == base.label_at(payload)
             requested.add(payload)
+        elif kind == "cover":
+            a, b = payload
+            assert world.cover(a, b) is None
+            requested.update(range(a, b + 1) if topology != "cycle"
+                             else (c % n for c in range(a, b + 1)))
         else:
             coords = np.array(payload, dtype=np.int64)
             got = world.labels_at(coords)
@@ -463,6 +475,36 @@ def test_label_store_checks_injectivity_across_batches():
     assert (w._store.lo, w._store.hi) == (0, 20)
     assert w.labels_at(np.arange(21, 40)).tolist() == \
         SequentialScheme().labels_at(np.arange(21, 40)).tolist()
+
+
+def test_cover_stores_what_a_walk_visits():
+    recorder = Recording(SequentialScheme())
+    world = World(topology="cycle", scheme=recorder, n=50)
+    world.labels_at(np.arange(0, 5))
+    # a range inside the host extends the store; one across the seam is
+    # labelled and checked as labels_at does, here without being stored
+    world.cover(2, 8)
+    assert (world._store.lo, world._store.hi) == (0, 8)
+    assert world.cover(-3, 10) is None
+    assert (world._store.lo, world._store.hi) == (0, 8)
+    assert sorted(recorder.asked) == [*range(11), 47, 48, 49]
+    world.cover(1, 7)
+    assert len(recorder.asked) == 14
+    path = make_world("path", "sequential", n=10)
+    for lo, hi in ((-1, 5), (4, 10)):
+        with pytest.raises(WorldError, match="leaves the finite topology"):
+            path.cover(lo, hi)
+
+    class RepeatsAt40(SequentialScheme):
+        def labels_at(self, coords):
+            coords = np.asarray(coords)
+            return np.where(coords == 40, 1, super().labels_at(coords))
+
+    line = World(topology="infinite", scheme=RepeatsAt40())
+    line.cover(0, 20)
+    with pytest.raises(WorldError, match="duplicate"):
+        line.cover(10, 40)
+    assert (line._store.lo, line._store.hi) == (0, 20)
 
 
 def test_label_store_returns_arrays_it_does_not_alias():
