@@ -12,8 +12,9 @@ iteration notes and a finite-host tail, so they agree on trajectories and
 phases, not only on the meeting.  ``fast`` plans the plain program's
 trajectory as linear segments of slope -1, 0 or +1 and finds the meeting
 exactly: it merges both agents' breakpoints and solves each stretch where
-both move linearly in closed form (mod n on a cycle), planning one doubling
-iteration at a time and no further than the meeting.  Endpoint ping-pong
+both move linearly in closed form (mod n on a cycle), from the first round
+at which their sweep radii allow contact, planning one doubling iteration
+at a time and no further than the meeting.  Endpoint ping-pong
 and cycle settling are periodic tails, so one period decides whether the
 agents ever meet.  With ``care`` set it solves the same plain segments for
 the windows where the two plain positions come within two nodes (three with
@@ -344,7 +345,11 @@ class AgentPlan(Timeline):
         return 1 if w.label(plus) > w.label(minus) else -1
 
     def _extend_once(self) -> None:
+        """Plan the next doubling iteration.  Raises :class:`SimError` if
+        its legs leave [start - L, start + L] before a finite takeover,
+        which :func:`_first_contact` relies on."""
         L = self.L_next
+        first = max(len(self.x0s) - 1, 0)
         for dur, slope in z_walk_segments(L, self._sweep_direction(L)):
             if self._walk_leg(dur, slope):
                 return
@@ -364,6 +369,9 @@ class AgentPlan(Timeline):
                 self._append(dur, slope)
             self.notes.append(IterationNote(L, t0, "searching", plan.R,
                                             plan.r, plan.color))
+        # legs are straight, so their ends are the iteration's extremes
+        if any(abs(x - v) > L for x in (*self.x0s[first:], self.cur_x)):
+            raise SimError(f"iteration L={L} leaves [{v - L}, {v + L}]")
         self.L_next *= 2
 
     def ensure(self, t: int) -> None:
@@ -403,7 +411,9 @@ class _Track:
 
         Callers hold a piece until its end and read the next one there.  A
         piece that ends at ``end()`` is read again only after the plan is
-        extended, which may continue its segment.
+        extended, which may continue its segment.  The cursor steps to the
+        next leg, or seeks by bisection when t lies further on, as it does
+        when detection starts at the first contact round.
         """
         plan = self.plan
         if t < self.shift:
@@ -412,9 +422,11 @@ class _Track:
         if u < plan.cur_t:
             t0s, i = plan.t0s, self._i
             last = len(t0s) - 1
-            while i < last and t0s[i + 1] <= u:
+            if i < last and t0s[i + 1] <= u:
                 i += 1
-            self._i = i
+                if i < last and t0s[i + 1] <= u:
+                    i = bisect_right(t0s, u, i) - 1
+                self._i = i
             end = t0s[i + 1] if i < last else plan.cur_t
             slope = plan.slopes[i]
             return plan.x0s[i] + slope * (u - t0s[i]), slope, self.shift + end
@@ -428,10 +440,11 @@ class _Track:
 
     def positions(self, lo: int, hi: int) -> np.ndarray:
         """Positions at times lo..hi, planned through hi, piece by piece
-        from a cursor sought once."""
+        from the cursor reset to the first leg, which the first piece read
+        seeks from."""
         plan = self.plan
         plan.ensure(hi - self.shift)
-        self._i = max(bisect_right(plan.t0s, lo - self.shift) - 1, 0)
+        self._i = 0
         out = np.empty(max(hi - lo + 1, 0), dtype=np.int64)
         t = lo
         while t <= hi:
@@ -594,6 +607,58 @@ def _care_solver(config: SimConfig, wrap: int | None, plan_a: AgentPlan,
     return solve
 
 
+def _covering_radius(world: World, v: int) -> float:
+    """Sweep radius from which an agent starting at v counts as covering
+    its whole host: the first iteration whose sweep reaches a path end,
+    L >= min(v, n - 1 - v), or wraps the cycle, 2L >= n, takes over with
+    an endpoint ping-pong or a settle walk that can go anywhere.  Every
+    iteration has L >= 1, so a start on a path end covers from its wake."""
+    if world.topology == "path":
+        return max(min(v, world.n - 1 - v), 1)
+    if world.topology == "cycle":
+        return (world.n + 1) // 2
+    return math.inf
+
+
+def _first_contact(config: SimConfig, world: World) -> int:
+    """First global round from which the agents can meet.
+
+    Iteration L of the doubling loop runs over local rounds [28(L - 1),
+    28(2L - 1)) and never leaves [start - L, start + L], so at local round
+    u >= 0 an agent is within L(u) = 2^_iteration_index(u) of its start,
+    or anywhere once L(u) reaches :func:`_covering_radius`; before it
+    wakes it stands at its start.  With D the host distance, a node
+    meeting at round t needs the two radii at t to sum to D, and a
+    crossing at t needs them to sum to D - 1 at t - 1.  So before the
+    first round c at which they sum to at least D - 1 the agents stay at
+    least two nodes apart: no node meeting comes before c, no crossing
+    before c + 1, and the stretch walk from c finds both.
+
+    Care runs count in plain steps k, with beta's plan shifted by tau // 4
+    as its detection track is.  Gadget rounds 4k..4k + 3 stand on alpha's
+    plain steps k and k + 1 and on beta's track steps k - 1..k + 1, so a
+    meeting in them, or a crossing into their first round, needs the radii
+    to sum to D - 1 at step k + 1.  With c that first step in the track
+    frame, the walk starts one step earlier, at care round 4(c - 1).
+    """
+    scale = 4 if config.care else 1
+    shift = config.tau // scale
+    need = world.distance(config.va, config.vb) - 1
+    cover_a = _covering_radius(world, config.va)
+    cover_b = _covering_radius(world, config.vb)
+    # the radii at round t and the rounds where they next grow; beta's is
+    # 0 until it wakes at `shift`
+    t, ra, na, rb, nb = 0, 1, 28, 0, shift
+    while ra < cover_a and rb < cover_b and ra + rb < need:
+        if na <= nb:
+            t, ra = na, 2 * ra
+            na = 28 * (2 * ra - 1)
+        else:
+            t, rb = nb, 2 * rb or 1
+            nb = shift + 28 * (2 * rb - 1)
+    return t if scale == 1 else 4 * max(t - 1, 0)
+
+
 def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
             plan_b: AgentPlan, cap: int) -> tuple[int, str, int] | None:
     """First meeting at a global round <= cap as (round, event, x), or None.
@@ -601,9 +666,12 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
     ``x`` is alpha's position at that round in the unbounded frame, so on a
     cycle it still has to be wrapped mod n.
 
-    Walks the merged breakpoints of both plain trajectories, solving each
-    stretch where both are linear, and extends only the plan that covers the
-    shorter stretch, one doubling iteration at a time.  Each track keeps its
+    Walks the merged breakpoints of both plain trajectories from the first
+    contact round (:func:`_first_contact`), before which the agents cannot
+    meet, solving each stretch where both are linear, and extends only the
+    plan that covers the shorter stretch, one doubling iteration at a time.
+    Plans still grow from round 0, so they are the same wherever the walk
+    starts, and each track seeks its first piece there.  Each track keeps its
     current piece and advances it arithmetically, so a track is looked up
     once per breakpoint of its own; the track just extended stands at its
     old end and so is read again.  Care runs work in plain steps of 4
@@ -618,7 +686,7 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
     solve = (_care_solver(config, wrap, plan_a, plan_b) if config.care
              else _plain_solver(config.detection, wrap))
     limit = cap // scale + 1
-    t, found = 0, None
+    t, found = _first_contact(config, world) // scale, None
     # each track's held piece; one that ends by t is read afresh
     xa = sa = ea = xb = sb = eb = 0
     while True:

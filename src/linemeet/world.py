@@ -519,16 +519,22 @@ class World:
         :meth:`labels_at` would, but return none of them.
 
         A walk that visits a range calls this, so that the store checks
-        every label the walk sees.  A range inside the host that overlaps
-        or touches the stored interval extends it, labelling only what it
-        adds, and one inside the interval costs nothing.
+        every label the walk sees.  A cycle range across the seam is split
+        into its two contiguous runs on [0, n - 1].  A run inside the host
+        that overlaps or touches the stored interval extends it, labelling
+        only what it adds, and one inside the interval costs nothing; any
+        other run goes through :meth:`labels_at`.
         """
-        if (self.valid(lo) and self.valid(hi)
-                and self._store.extend(self.scheme, lo, hi)):
-            return
-        coords = np.arange(lo, hi + 1)
-        self.labels_at(coords % self.n if self.topology == "cycle"
-                       else coords)
+        n = self.n
+        runs = [(lo, hi)]
+        if self.topology == "cycle":
+            a, b = lo % n, hi % n
+            runs = ([(0, n - 1)] if hi - lo + 1 >= n
+                    else [(a, b)] if a <= b else [(a, n - 1), (0, b)])
+        for a, b in runs:
+            if not (self.valid(a) and self.valid(b)
+                    and self._store.extend(self.scheme, a, b)):
+                self.labels_at(np.arange(a, b + 1))
 
     # -- ports -------------------------------------------------------------
 

@@ -55,6 +55,7 @@ from linemeet.world import (
 )
 
 RAND = "random-injective:0:1000000000"
+RAND3 = "random-injective:3"
 CLASS4 = "uniform-logstar-class:4"
 CLASS5 = "uniform-logstar-class:5"
 
@@ -388,6 +389,125 @@ class TestDetectionOracle:
             ref = run(replace(capped, engine="reference"))
             assert outcome(fast) == scanned_outcome(fast, cap)
             assert_engines_agree(fast, ref)
+
+
+@st.composite
+def contact_configs(draw):
+    """Runs on every topology, plain and care, with D up to 64 and delays up
+    to 10D + 7, as in the benchmark grid."""
+    topology = draw(st.sampled_from(["infinite", "path", "cycle"]))
+    d = draw(st.integers(1, 64))
+    n = None
+    if topology == "infinite":
+        va = draw(st.integers(-8, 8))
+        vb = va + d
+    else:
+        n = draw(st.integers(max(2 * d, 3), 2 * d + 24))
+        va = draw(st.integers(0, n - 1 - d if topology == "path" else n - 1))
+        vb = (va + d) % n
+    if draw(st.booleans()):
+        va, vb = vb, va
+    care = draw(st.booleans())
+    return SimConfig(topology=topology, n=n, va=va, vb=vb,
+                     scheme=draw(st.sampled_from(["sequential", RAND3])),
+                     tau=draw(st.integers(0, 10 * d + 7)), care=care,
+                     detection="node-only" if care else "node-or-crossing",
+                     round_cap=TestFirstContact.CAP)
+
+
+def sweep_extent(plan, u, seen):
+    """How far from its start an agent gets in the doubling iteration that
+    holds its local plain round u, read off its positions: 0 before it
+    wakes, unbounded from the iteration in which a path or cycle tail
+    begins.  ``seen`` keeps the extents by iteration."""
+    if u < 0:
+        return 0
+    L = 1
+    while iteration_start_round(2 * L) <= u:
+        L *= 2
+    if L not in seen:
+        end = iteration_start_round(2 * L) - 1
+        xs = sim._positions(plan, 0, False, iteration_start_round(L), end)
+        seen[L] = (math.inf if plan.tail is not None and plan.tail[1] <= end
+                   else int(np.abs(xs - plan.start).max()))
+    return seen[L]
+
+
+class TestFirstContact:
+    """Detection starts where the agents can first meet.
+
+    Before the round ``_first_contact`` returns, the agents stay at least
+    two nodes apart, and detection from there finds the scan's meeting.
+    The round is the first at which the extents of both agents' current
+    iterations, read off fresh plans, sum to D - 1; a care run starts one
+    plain step before the step where they do.
+    """
+
+    CAP = 40_000
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=contact_configs())
+    # contact 84, meeting 88: both agents sweep L = 4 toward each other
+    @example(cfg=SimConfig(scheme=RAND3, va=3, vb=-5, round_cap=CAP))
+    # contact 27, where beta wakes; meeting 30
+    @example(cfg=SimConfig(va=2, vb=5, tau=27, round_cap=CAP))
+    # contact 84, meeting 87
+    @example(cfg=SimConfig(scheme=RAND3, va=6, vb=1, tau=57, round_cap=CAP))
+    # beta starts on the path's end, so it covers the path once it wakes:
+    # contact 2, meeting 5
+    @example(cfg=SimConfig(topology="path", n=13, va=9, vb=12, tau=2,
+                           round_cap=CAP))
+    # contact 84, meeting 88
+    @example(cfg=SimConfig(topology="cycle", n=13, scheme=RAND3, va=0, vb=7,
+                           tau=58, round_cap=CAP))
+    # contact 108 (plain step 27, one before the step where the extents
+    # reach D - 1), meeting 118
+    @example(cfg=SimConfig(topology="cycle", n=21, scheme=RAND3, va=20, vb=16,
+                           care=True, detection="node-only", round_cap=CAP))
+    # contact 108, meeting 118
+    @example(cfg=SimConfig(topology="path", n=15, scheme=RAND3, va=2, vb=6,
+                           care=True, detection="node-only", round_cap=CAP))
+    # contact 28, meeting 87; the agents are one node apart at round 30,
+    # before beta wakes at 31, where the radii first sum to D
+    @example(cfg=SimConfig(scheme=RAND3, va=-2, vb=1, tau=31, round_cap=CAP))
+    def test_agents_meet_no_earlier_than_the_contact_round(self, cfg):
+        trace = run(cfg)
+        world = trace.world
+        first = sim._first_contact(cfg, world)
+        if first:
+            xa, xb = trace.positions_at(0, first - 1)
+            gap = np.abs(xa - xb)
+            if world.topology == "cycle":
+                gap = np.minimum(gap, world.n - gap)
+            assert gap.min() >= 2
+        assert outcome(trace) == scanned_outcome(trace, self.CAP)
+        fresh = cfg.world()
+        plans = AgentPlan(fresh, cfg.va), AgentPlan(fresh, cfg.vb)
+        seen = {}, {}
+        scale = 4 if cfg.care else 1
+        need = world.distance(cfg.va, cfg.vb) - 1
+        g = 0
+        while (sweep_extent(plans[0], g // scale, seen[0])
+               + sweep_extent(plans[1], (g - cfg.tau) // scale, seen[1])
+               < need):
+            g += 1
+        assert first == (g if scale == 1 else 4 * max(g // 4 - 1, 0))
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_an_iteration_leaving_its_sweep_window_raises(monkeypatch, over):
+    # a 24L-round search that walks `over` nodes past start + L, and back
+    monkeypatch.setattr(
+        sim, "searching_walk_segments",
+        lambda R, L, *rest: [(L + over, 1), (L + over, -1),
+                             (22 * L - 2 * over, 0)])
+    plan = AgentPlan(make_world("infinite", "sequential"), 0)
+    if over:
+        with pytest.raises(SimError, match=r"L=16 leaves \[-16, 16\]"):
+            plan.ensure(iteration_start_round(32))
+    else:
+        plan.ensure(iteration_start_round(32))
+        assert plan.notes[-1].phase == "searching"
 
 
 def detect(cfg, plan_a, plan_b, cap):

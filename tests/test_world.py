@@ -482,11 +482,12 @@ def test_cover_stores_what_a_walk_visits():
     world = World(topology="cycle", scheme=recorder, n=50)
     world.labels_at(np.arange(0, 5))
     # a range inside the host extends the store; one across the seam is
-    # labelled and checked as labels_at does, here without being stored
+    # split at it, and its run apart from the store is labelled and checked
+    # as labels_at does, without being stored
     world.cover(2, 8)
     assert (world._store.lo, world._store.hi) == (0, 8)
     assert world.cover(-3, 10) is None
-    assert (world._store.lo, world._store.hi) == (0, 8)
+    assert (world._store.lo, world._store.hi) == (0, 10)
     assert sorted(recorder.asked) == [*range(11), 47, 48, 49]
     world.cover(1, 7)
     assert len(recorder.asked) == 14
@@ -505,6 +506,20 @@ def test_cover_stores_what_a_walk_visits():
     with pytest.raises(WorldError, match="duplicate"):
         line.cover(10, 40)
     assert (line._store.lo, line._store.hi) == (0, 20)
+
+
+def test_a_wrapped_cover_is_stored_run_by_run():
+    recorder = Recording(SequentialScheme())
+    world = World(topology="cycle", scheme=recorder, n=50)
+    world.labels_at(np.arange(5, 46))
+    # [-8, 12] is [42, 49] and [0, 12]; each run overlaps the stored [5, 45]
+    world.cover(-8, 12)
+    assert (world._store.lo, world._store.hi) == (0, 49)
+    assert sorted(recorder.asked) == list(range(50))
+    world.cover(-8, 12)
+    assert len(recorder.asked) == 50
+    assert np.array_equal(world._store.labels,
+                          SequentialScheme().labels_at(np.arange(50)))
 
 
 def test_label_store_returns_arrays_it_does_not_alias():
