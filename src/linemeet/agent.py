@@ -331,8 +331,7 @@ def _landmark_plan(state: EsColState, labels: np.ndarray, lo: int,
     """
     R = state.R
     a, b = center - 2 * R + 1, center + 2 * R - 1
-    coords = state.coords
-    if coords.size == 0 or coords[0] > a or coords[-1] < b:
+    if state.lo > a or state.hi < b:
         raise AgentError(f"ruling state does not cover [{a}, {b}]")
     i, j = np.searchsorted(state.member_coords, (a, b + 1))
     members = state.member_coords[i:j]

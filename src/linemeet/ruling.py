@@ -26,7 +26,8 @@ from typing import Iterable
 import numpy as np
 
 from .localengine import PowerSubgraph, _merge_schedule_cost, list_color, mis, mis_rounds, three_color_rounds
-from .logstar import CLASS_COUNT, CLASS_LO, ceil_log2, class_size, label_classes, log_star
+from .logstar import (CLASS_COUNT, CLASS_LO, ceil_log2, class_size, label_class,
+                      label_classes, log_star)
 from .world import WindowScheme, World
 
 PALETTE_SIZE = 17  # member colors are 1..17
@@ -193,28 +194,44 @@ def _window_max(coords: np.ndarray, keys: np.ndarray, reach: int) -> np.ndarray:
     return np.maximum(suffix[n - 1 - (pos - reach)], prefix[pos + reach])
 
 
-def _greedy_extend(coords: np.ndarray, labels: np.ndarray,
-                   committed: np.ndarray, R: int, iterations: int,
-                   cap: int) -> np.ndarray:
+def _far_from(coords: np.ndarray, committed: np.ndarray, R: int) -> np.ndarray:
+    """The sorted ``coords`` at distance >= R from the sorted committed set,
+    measured ``BLOCK`` coordinates at a time."""
+    parts = [c[_nearest_distance(c, committed, cap=R) >= R]
+             for c in (coords[a:a + BLOCK]
+                       for a in range(0, coords.size, BLOCK))]
+    return np.concatenate(parts) if parts else coords[:0]
+
+
+def _greedy_extend(host: World, coords: np.ndarray, committed: np.ndarray,
+                   R: int, iterations: int, cap: int) -> np.ndarray:
     """Add locally-farthest candidates to the sorted committed set.
 
     Candidates are the sorted ``coords`` at distance >= R from the set.  Keys
     are the distance to the whole set capped at ``cap``, ties to the larger
     label, and a winner must beat every candidate within R-1.  Returns the
     extended set, sorted.
+
+    Only candidates are carried from one iteration to the next: distances
+    to a growing set only fall, so a node that is no candidate never
+    becomes one, and it could neither win a window nor block a candidate.
+    Labels are read for the first iteration's candidates only, and their
+    ranks among those order the same as among all of ``coords``.
     """
-    m = coords.size
+    cand = _far_from(coords, committed, R)
+    m = cand.size
     rank = np.empty(m, dtype=np.int64)
-    rank[np.argsort(labels)] = np.arange(m, dtype=np.int64)
+    rank[np.argsort(host.labels_at(cand))] = np.arange(m, dtype=np.int64)
     for _ in range(iterations):
-        b = _nearest_distance(coords, committed, cap=cap)
-        cand = b >= R
-        if not cand.any():
+        b = _nearest_distance(cand, committed, cap=cap)
+        keep = b >= R
+        if not keep.any():
             break
-        keys = np.where(cand, b * np.int64(m + 1) + rank, np.int64(-1))
-        top = cand & (keys == _window_max(coords, keys, R - 1))
+        cand, rank = cand[keep], rank[keep]
+        keys = b[keep] * np.int64(m + 1) + rank
+        top = keys == _window_max(cand, keys, R - 1)
         # candidates lie >= R from the set, so a sorted merge is the union
-        committed = np.sort(np.concatenate((committed, coords[top])))
+        committed = np.sort(np.concatenate((committed, cand[top])))
     return committed
 
 
@@ -236,13 +253,48 @@ def _check_covering(worst: int, bound: int, what: str) -> None:
 
 
 def _sorted_coords(positions: Iterable[int]) -> np.ndarray:
-    """Distinct positions as a sorted int64 array the caller does not share."""
+    """Distinct positions as a sorted int64 array.
+
+    A strictly increasing int64 array, as every window range is, comes back
+    as it is, so a caller that keeps the result copies it.
+    """
     if not isinstance(positions, np.ndarray):
         positions = list(positions)
-    coords = np.array(positions, dtype=np.int64)
+    coords = np.asarray(positions, dtype=np.int64)
     if coords.ndim == 1 and np.all(coords[1:] > coords[:-1]):
-        return coords  # already strictly increasing, as every window range is
+        return coords
     return np.unique(coords)
+
+
+# stage members per blocked mis run, and coordinates per distance pass of
+# the greedy extension
+BLOCK = 1 << 14
+
+
+def _stage(host: World, s: np.ndarray, reach: int, palette: int | None,
+           base: int) -> np.ndarray:
+    """One doubling stage: the mis of the reach-power graph on ``s``.
+
+    A stage of more than two ``BLOCK``s runs block by block.  Its mis is a
+    ``mis_rounds(palette)``-round local algorithm, and a round's hop spans
+    at most ``reach`` coordinates, so a member's output depends only on
+    the members within ``mis_rounds(palette) * reach`` of it.  Each block
+    therefore runs widened by that halo, and keeps its own members'
+    outputs.  Every block colors from the palette of the whole stage, as
+    the schedule, and with it every color, depends on the palette.
+    """
+    if s.size <= 2 * BLOCK:
+        return mis(PowerSubgraph(host, s, reach), palette, base)
+    if palette is None:
+        palette = int(host.labels_at(s).max()) - base + 1
+    halo = mis_rounds(palette) * reach
+    parts = []
+    for a in range(0, s.size, BLOCK):
+        first, last = s[a], s[min(a + BLOCK, s.size) - 1]
+        i, j = np.searchsorted(s, (first - halo, last + halo + 1))
+        got = mis(PowerSubgraph(host, s[i:j], reach), palette, base)
+        parts.append(got[(got >= first) & (got <= last)])
+    return np.concatenate(parts)
 
 
 def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
@@ -256,7 +308,9 @@ def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
     stage), squaring the spacing while the covering loss stays linear.  Six
     greedy-extension iterations then pull the covering down to R-1 by
     admitting candidates at distance >= R from the set that beat every
-    nearby candidate on (distance, label).
+    nearby candidate on (distance, label).  Large stages run in blocks
+    (see :func:`_stage`), so the graph and coloring temporaries of a stage
+    are bounded by the block, not by the universe.
 
     With ``debug`` the stage invariants are checked, raising ``RulingError``
     on a breach: spacing >= 2^i, universe covering <= 2^(i+1) - i - 2 per
@@ -266,20 +320,17 @@ def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
     R = _spacing(R)
     coords = _sorted_coords(universe)
     if coords.size == 0 or R == 1:
-        return coords
-    labels = host.labels_at(coords)
+        return coords.copy()
     s = coords
     d = ceil_log2(R)
     for i in range(1, d + 1):
-        stage_reach = 2**i - 1 if i < d else R - 1
-        sub = PowerSubgraph(host, s, stage_reach)
-        s = mis(sub, palette, base)
+        s = _stage(host, s, 2**i - 1 if i < d else R - 1, palette, base)
         if debug:
             _check_spacing(s, 2**i if i < d else R)
             worst = int(_nearest_distance(coords, s).max())
             bound = 2**(i + 1) - i - 2 if i < d else 3 * R - 3
             _check_covering(worst, bound, f"doubling stage {i}")
-    s = _greedy_extend(coords, labels, s, R, 6, cap=3 * R - 2)
+    s = _greedy_extend(host, coords, s, R, 6, cap=3 * R - 2)
     if debug:
         worst = int(_nearest_distance(coords, s).max())
         _check_covering(worst, R - 1, "greedy extension")
@@ -323,106 +374,154 @@ class EsColState:
     R); per-node records are assembled on demand by ``output_for``.  A
     node's record is trustworthy when the window contains its whole
     termination-radius ball (`window_certifies`), which is exactly when
-    truncating the window further cannot change it.  The state keeps its
-    window's labels but not the host, so a stored state keeps no ``World``
-    alive.
+    truncating the window further cannot change it.
+
+    Once built, a state keeps what queries read: the members' coordinates
+    (int64), classes and colors (uint8), R, the window's ends ``lo`` and
+    ``hi``, and its labels.  A window with gaps also keeps its coordinates;
+    a contiguous one gives ``coords`` from its ends.  The per-node classes,
+    colors and membership of the build are dropped, and so is the host, so
+    a stored state keeps no ``World`` alive.
     """
 
     def __init__(self, host: World, positions: Iterable[int], R: int,
                  debug: bool = False):
         self.R = _spacing(R)
-        self.coords = _sorted_coords(positions)
-        self.labels = (host.labels_at(self.coords) if self.coords.size
+        coords = _sorted_coords(positions)
+        self.lo, self.hi = ((int(coords[0]), int(coords[-1])) if coords.size
+                            else (0, -1))
+        # a contiguous window is given by its ends; any other keeps a copy
+        self._coords = (None if coords.size == self.hi - self.lo + 1
+                        else coords.copy())
+        self.labels = (host.labels_at(coords) if coords.size
                        else np.empty(0, dtype=np.int64))
-        self.classes = (label_classes(self.labels) if self.coords.size
-                        else np.empty(0, dtype=np.int64))
-        self.in_set = np.zeros(self.coords.size, dtype=bool)
-        self.colors = np.zeros(self.coords.size, dtype=np.int64)
         self._run(host, debug)
-        sel = self.in_set
-        self.member_coords = self.coords[sel]
-        self.member_classes = self.classes[sel]
-        self.member_colors = self.colors[sel]
+
+    @property
+    def coords(self) -> np.ndarray:
+        """The window's sorted coordinates."""
+        if self._coords is not None:
+            return self._coords
+        return np.arange(self.lo, self.hi + 1, dtype=np.int64)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the state keeps."""
+        kept = (self.labels, self.member_coords, self.member_classes,
+                self.member_colors)
+        return sum(a.nbytes for a in kept) + (
+            0 if self._coords is None else self._coords.nbytes)
+
+    def _at(self, sel: np.ndarray) -> np.ndarray:
+        """The window's coordinates where the boolean ``sel`` holds."""
+        if self._coords is not None:
+            return self._coords[sel]
+        return np.flatnonzero(sel) + self.lo
+
+    def _ranks(self, coords: np.ndarray) -> np.ndarray:
+        """Ranks in the window of coordinates it holds."""
+        if self._coords is not None:
+            return np.searchsorted(self._coords, coords)
+        return coords - self.lo
 
     def _run(self, host: World, debug: bool) -> None:
-        R = self.R
+        # per-node work arrays are one byte a node; coordinates are made
+        # only for the nodes a step reads
+        R, n = self.R, self.labels.size
+        classes = label_classes(self.labels).astype(np.uint8)
+        in_set = np.zeros(n, dtype=bool)
+        colors = np.zeros(n, dtype=np.uint8)
         for i in range(1, CLASS_COUNT + 1):
-            sel = self.classes == i
+            sel = classes == i
             if not sel.any():
                 continue  # empty classes still hold their schedule slot
-            vi = self.coords[sel]
-            fresh = path_ruling_set(host, vi, R, palette=class_size(i),
-                                    base=CLASS_LO[i - 1], debug=debug)
-            committed = self.coords[self.in_set]
-            if committed.size and fresh.size:
-                far = _nearest_distance(fresh, committed) >= R
-                fresh = fresh[far]
-            self.in_set[np.searchsorted(self.coords, fresh)] = True
-            if debug:
-                merged = _nearest_distance(vi, self.coords[self.in_set])
-                _check_covering(int(merged.max()), 2 * R - 2,
-                                f"class {i} merge")
-            # distances are to the whole committed set, candidacy and the
-            # beat rule stay within this class
-            extended = _greedy_extend(vi, self.labels[sel],
-                                      self.coords[self.in_set], R, 4,
-                                      cap=2 * R - 1)
-            self.in_set[np.searchsorted(self.coords, extended)] = True
-            if debug:
-                covered = _nearest_distance(vi, self.coords[self.in_set])
-                _check_covering(int(covered.max()), R - 1,
-                                f"class {i} extension")
-            self._color_phase(host, i)
-
-    def _color_phase(self, host: World, class_index: int) -> None:
-        R = self.R
-        phase_sel = self.in_set & (self.classes == class_index) & (self.colors == 0)
-        phase = self.coords[phase_sel]
-        if phase.size == 0:
-            return
-        committed = self.colors > 0
-        sc, scol = self.coords[committed], self.colors[committed]
-        reach = 9 * R - 1
-        lo = np.searchsorted(sc, phase - reach, side="left")
-        hi = np.searchsorted(sc, phase + reach, side="right")
-        # held[k, c]: how many of the first k committed members hold color c;
-        # a color is allowed where none within 9R-1 holds it
-        held = np.zeros((sc.size + 1, PALETTE_SIZE + 1), dtype=np.int32)
-        held[np.arange(1, sc.size + 1), scol] = 1
-        np.cumsum(held, axis=0, out=held)
-        allowed = held[hi] == held[lo]
-        allowed[:, 0] = False
-        sub = PowerSubgraph(host, phase, reach)
-        colors, _ = list_color(sub, allowed, palette=class_size(class_index),
-                               base=CLASS_LO[class_index - 1])
-        self.colors[phase_sel] = colors
+            grown = _class_members(host, self._at(sel), self._at(in_set), R,
+                                   i, debug)
+            in_set[self._ranks(grown)] = True
+            done = colors > 0
+            phase = in_set & sel & ~done
+            colors[phase] = _color_phase(host, self._at(phase), self._at(done),
+                                         colors[done], R, i)
+        self.member_coords = self._at(in_set)
+        self.member_classes = classes[in_set]
+        self.member_colors = colors[in_set]
 
     # -- queries ---------------------------------------------------------------
 
     def _rank_of(self, position: int) -> int:
-        j = int(np.searchsorted(self.coords, position))
-        if j >= self.coords.size or self.coords[j] != position:
+        j = int(self._ranks(position))
+        if not (0 <= j < self.labels.size
+                and (self._coords is None or self._coords[j] == position)):
             raise RulingError(f"{position} was not processed")
         return j
 
     def output_for(self, position: int) -> ColoredRulingOutput:
-        j = self._rank_of(int(position))
-        cls = int(self.classes[j])
+        position = int(position)
+        label = int(self.labels[self._rank_of(position)])
+        cls = label_class(label)
         mc = self.member_coords
         lo = np.searchsorted(mc, position - (self.R - 1), side="left")
         hi = np.searchsorted(mc, position + (self.R - 1), side="right")
-        near = []
-        for w, wc, wcol in zip(mc[lo:hi], self.member_classes[lo:hi],
-                               self.member_colors[lo:hi]):
-            if w != position and wc <= cls:
-                near.append((int(w), int(wcol)))
-        bound = phase_end_round(self.R, cls)
-        color = int(self.colors[j]) if self.in_set[j] else None
+        near, color = [], None
+        for w, wc, wcol in zip(mc[lo:hi].tolist(),
+                               self.member_classes[lo:hi].tolist(),
+                               self.member_colors[lo:hi].tolist()):
+            if w == position:
+                color = wcol
+            elif wc <= cls:
+                near.append((w, wcol))
         return ColoredRulingOutput(
-            position=int(position), label=int(self.labels[j]), label_class=cls,
-            in_set=bool(self.in_set[j]), color=color,
+            position=position, label=label, label_class=cls,
+            in_set=color is not None, color=color,
             nearby_members=tuple(near),
-            termination_radius=bound)
+            termination_radius=phase_end_round(self.R, cls))
+
+
+def _class_members(host: World, vi: np.ndarray, committed: np.ndarray,
+                   R: int, class_index: int, debug: bool) -> np.ndarray:
+    """The committed set grown by class ``class_index``, whose nodes are
+    ``vi``: the class's own ruling set less its members within R-1 of
+    ``committed``, then four greedy-extension iterations."""
+    fresh = path_ruling_set(host, vi, R, palette=class_size(class_index),
+                            base=CLASS_LO[class_index - 1], debug=debug)
+    if committed.size and fresh.size:
+        fresh = fresh[_nearest_distance(fresh, committed) >= R]
+    # fresh members lie >= R from the committed set, so this is the union
+    grown = np.sort(np.concatenate((committed, fresh)))
+    if debug:
+        merged = _nearest_distance(vi, grown)
+        _check_covering(int(merged.max()), 2 * R - 2,
+                        f"class {class_index} merge")
+    # distances are to the whole committed set, candidacy and the beat rule
+    # stay within this class
+    grown = _greedy_extend(host, vi, grown, R, 4, cap=2 * R - 1)
+    if debug:
+        covered = _nearest_distance(vi, grown)
+        _check_covering(int(covered.max()), R - 1,
+                        f"class {class_index} extension")
+    return grown
+
+
+def _color_phase(host: World, phase: np.ndarray, sc: np.ndarray,
+                 scol: np.ndarray, R: int, class_index: int) -> np.ndarray:
+    """Colors of a class's newcomers ``phase``, list-colored against the
+    colors ``scol`` already committed at the sorted ``sc`` within 9R-1."""
+    if phase.size == 0:
+        return np.empty(0, dtype=np.int64)
+    reach = 9 * R - 1
+    lo = np.searchsorted(sc, phase - reach, side="left")
+    hi = np.searchsorted(sc, phase + reach, side="right")
+    # held[k, c]: how many of the first k committed members hold color c;
+    # a color is allowed where none within 9R-1 holds it
+    held = np.zeros((sc.size + 1, PALETTE_SIZE + 1), dtype=np.int32)
+    held[np.arange(1, sc.size + 1), scol] = 1
+    np.cumsum(held, axis=0, out=held)
+    allowed = held[hi] == held[lo]
+    allowed[:, 0] = False
+    colors, _ = list_color(PowerSubgraph(host, phase, reach), allowed,
+                           palette=class_size(class_index),
+                           base=CLASS_LO[class_index - 1])
+    return colors
 
 
 def window_certifies(host: World, window: Iterable[int], position: int,
@@ -455,8 +554,9 @@ def verify_es_col_ruling(host: World, universe: Iterable[int], R: int,
     if state is None:
         state = EsColState(host, universe, R)
     R = state.R
+    classes = label_classes(state.labels)
     for i in range(1, CLASS_COUNT + 1):
-        upref = state.coords[state.classes <= i]
+        upref = state.coords[classes <= i]
         spref = state.member_coords[state.member_classes <= i]
         check = verify_limited_ruling_set(host, upref, spref, R, R - 1)
         if not check:
@@ -473,7 +573,7 @@ def verify_es_col_ruling(host: World, universe: Iterable[int], R: int,
                     return RulingCheck(False, "coloring", (int(pos), int(w)))
     for j, pos in enumerate(state.coords):
         out = state.output_for(int(pos))
-        want = _brute_nearby(host, state, int(pos), int(state.classes[j]))
+        want = _brute_nearby(host, state, int(pos), int(classes[j]))
         if out.nearby_members != want:
             return RulingCheck(False, "nearby", (int(pos),))
         if out.termination_radius > RADIUS_FACTOR * R * out.label_class:

@@ -36,8 +36,8 @@ store of ruling states over windows snapped to a tile of the class ladder's
 rung, so plans from nearby starts that read the same classes share a window
 whatever their sweep; delays only shift a plan in global time.  A cycle
 window across the seam, or a query wider than the ladder, is built per
-query.  The store holds at most ``STATE_NODES`` nodes, or its newest state
-alone.
+query.  The states of a store keep at most ``STATE_BYTES`` bytes, or the
+store holds its newest state alone.
 Worlds are keyed by topology, size, seed and scheme: a string scheme by its
 spec, a ``LabelScheme`` object by identity, so such objects must be
 deterministic.  Only the ``WORLD_SLOTS`` most recently used worlds are kept.
@@ -620,7 +620,7 @@ def _covering_radius(world: World, v: int) -> float:
     return math.inf
 
 
-def _first_contact(config: SimConfig, world: World) -> int:
+def _first_contact(config: SimConfig, world: World, D: int) -> int:
     """First global round from which the agents can meet.
 
     Iteration L of the doubling loop runs over local rounds [28(L - 1),
@@ -643,7 +643,7 @@ def _first_contact(config: SimConfig, world: World) -> int:
     """
     scale = 4 if config.care else 1
     shift = config.tau // scale
-    need = world.distance(config.va, config.vb) - 1
+    need = D - 1
     cover_a = _covering_radius(world, config.va)
     cover_b = _covering_radius(world, config.vb)
     # the radii at round t and the rounds where they next grow; beta's is
@@ -660,7 +660,7 @@ def _first_contact(config: SimConfig, world: World) -> int:
 
 
 def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
-            plan_b: AgentPlan, cap: int) -> tuple[int, str, int] | None:
+            plan_b: AgentPlan, cap: int, D: int) -> tuple[int, str, int] | None:
     """First meeting at a global round <= cap as (round, event, x), or None.
 
     ``x`` is alpha's position at that round in the unbounded frame, so on a
@@ -686,7 +686,7 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
     solve = (_care_solver(config, wrap, plan_a, plan_b) if config.care
              else _plain_solver(config.detection, wrap))
     limit = cap // scale + 1
-    t, found = _first_contact(config, world) // scale, None
+    t, found = _first_contact(config, world, D) // scale, None
     # each track's held piece; one that ends by t is read afresh
     xa = sa = ea = xb = sb = eb = 0
     while True:
@@ -811,15 +811,17 @@ _JSONL_BATCH = 1 << 15
 class SimTrace:
     """Outcome of one run plus phase/iteration queries in global rounds.
 
-    ``lmin`` and ``lmax`` are the smallest and largest label within the
-    bound's window around the starts (see :func:`lmin_stats`).
+    ``D`` is the host distance of the starts, and ``lmin`` and ``lmax``
+    are the smallest and largest label within the bound's window around
+    them (see :func:`lmin_stats`).
     """
 
-    def __init__(self, config: SimConfig, world: World, cap: int,
+    def __init__(self, config: SimConfig, world: World, D: int, cap: int,
                  extremes: tuple[int, int], meet: tuple[int, str, int] | None,
                  timeline_a: Timeline, timeline_b: Timeline, expand: bool):
         self.config = config
         self.world = world
+        self.D = D
         self.round_cap = cap
         self.lmin, self.lmax = extremes
         self.t_rdv, self.event, self.meet_position = meet or (None, None, None)
@@ -903,11 +905,11 @@ class SimTrace:
 # -- the front door ------------------------------------------------------------
 
 
-# nodes that one state store holds at most, unless its newest state alone
-# holds more: about 15 MB at the 58 B per node that a stored R = 1 state
-# keeps under tracemalloc, where every node is a member (34 B at R = 16);
-# the finite benchmark grid stores 14,922
-STATE_NODES = 1 << 18
+# bytes that the states of one store keep at most, unless its newest state
+# alone keeps more (EsColState.nbytes): a stored state keeps its labels and
+# its members, 18 B per node at R = 1, where every node is a member, and
+# 8.7 B at R = 16 with random labels, so 15 MiB hold about 0.9M R = 1 nodes
+STATE_BYTES = 15 << 20
 
 # tiles per class rung: a stored window's center snaps to multiples of its
 # rung // _RUNG_TILES
@@ -953,15 +955,16 @@ class _StateStore:
     A cycle window across the seam holds labels that depend on n, and a
     query wider than twice the top rung has no snapped window; both are
     built exactly, per query, and never looked up.  The newest state is
-    always stored, and the least recently used are dropped while the store
-    holds more than ``STATE_NODES`` nodes and more than one state.  States
-    keep no host, so the store keeps no ``World`` alive.
+    always stored, and the least recently used are dropped while its states
+    keep more than ``STATE_BYTES`` bytes (:attr:`EsColState.nbytes`) and it
+    holds more than one.  States keep no host, so the store keeps no
+    ``World`` alive.
     """
 
     def __init__(self):
         self.states: OrderedDict[tuple[int, int, int], EsColState] = \
             OrderedDict()
-        self.nodes = 0
+        self.nbytes = 0
 
     def lookup(self, world: World):
         """The ruling-set lookup of plans on ``world``; a miss builds on the
@@ -986,10 +989,10 @@ class _StateStore:
                 self.states.move_to_end(key)
                 return state
             state = self.states[key] = build(*key[1:], R)
-            self.nodes += state.coords.size
-            while self.nodes > STATE_NODES and len(self.states) > 1:
+            self.nbytes += state.nbytes
+            while self.nbytes > STATE_BYTES and len(self.states) > 1:
                 _, old = self.states.popitem(last=False)
-                self.nodes -= old.coords.size
+                self.nbytes -= old.nbytes
             return state
 
         return lookup
@@ -1012,7 +1015,7 @@ class _WorldWork:
 # benchmark sweep through its warm pass (the finite grid visits 24 worlds,
 # the planted care trials 50), and each world holds its scheme object, which
 # pins the id in an object scheme's key; ruling states count apart, against
-# STATE_NODES
+# STATE_BYTES
 WORLD_SLOTS = 64
 _WORLDS: OrderedDict[tuple, _WorldWork] = OrderedDict()
 
@@ -1065,15 +1068,17 @@ def run(config: SimConfig) -> SimTrace:
     extremes = work.extremes.get(pair)
     if extremes is None:
         extremes = work.extremes[pair] = lmin_stats(world, *pair)
+    D = world.distance(*pair)
     cap = (config.round_cap if config.round_cap is not None
-           else _round_cap(world.distance(*pair), extremes[1]))
+           else _round_cap(D, extremes[1]))
     if config.engine == "reference":
         meet, tl_a, tl_b = _run_reference(config, world, cap)
-        return SimTrace(config, world, cap, extremes, meet, tl_a, tl_b, False)
+        return SimTrace(config, world, D, cap, extremes, meet, tl_a, tl_b,
+                        False)
     plan_a = _cached_plan(work, config.va)
     plan_b = _cached_plan(work, config.vb)
-    meet = _detect(config, world, plan_a, plan_b, cap)
-    return SimTrace(config, world, cap, extremes, meet, plan_a, plan_b,
+    meet = _detect(config, world, plan_a, plan_b, cap, D)
+    return SimTrace(config, world, D, cap, extremes, meet, plan_a, plan_b,
                     config.care)
 
 
@@ -1110,9 +1115,9 @@ def case_classifier(trace: SimTrace) -> str:
 def run_row(config: SimConfig) -> dict:
     """Run one cell and flatten it into a results row."""
     trace = run(config)
-    D = trace.world.distance(config.va, config.vb)
-    lmin = trace.lmin
-    denom = max(D, 1) * log_star(lmin)
+    D, lmin = trace.D, trace.lmin
+    logstar_lmin = log_star(lmin)
+    denom = max(D, 1) * logstar_lmin
     row = {
         "topology": config.topology,
         "n": config.n if config.n is not None else "",
@@ -1120,7 +1125,7 @@ def run_row(config: SimConfig) -> dict:
         "tau": config.tau,
         "scheme": str(config.scheme),
         "lmin": lmin,
-        "logstar_lmin": log_star(lmin),
+        "logstar_lmin": logstar_lmin,
         "t_rdv": trace.t_rdv if trace.t_rdv is not None else "",
         "ratio": (f"{trace.t_rdv / denom:.6f}"
                   if trace.t_rdv is not None else ""),

@@ -1,6 +1,7 @@
 """Ruling-set construction vs. exhaustive packing/covering oracles."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linemeet import ruling
-from linemeet.localengine import EngineError, PowerSubgraph
-from linemeet.logstar import log_star
+from linemeet.localengine import EngineError, PowerSubgraph, mis, mis_rounds
+from linemeet.logstar import CLASS_HI, CLASS_LO, class_size, log_star
 from linemeet.ruling import (
     PALETTE_SIZE,
     RADIUS_FACTOR,
@@ -298,7 +299,8 @@ def test_es_state_takes_positions_in_any_order_and_owns_them():
     state = EsColState(world, window, 4)
     jumbled = EsColState(world, [*window[::-1].tolist(), 0, 7], 4)
     window[:] = 0  # the state keeps its own copy of the caller's array
-    for name in ("coords", "in_set", "colors", "classes"):
+    for name in ("coords", "labels", "member_coords", "member_classes",
+                 "member_colors"):
         assert getattr(jumbled, name).tolist() == getattr(state, name).tolist()
     assert state.coords.tolist() == list(range(-40, 41))
 
@@ -410,12 +412,158 @@ def _digest_case(name):
     return World("infinite", WindowScheme(labels, lo)), coords, R
 
 
-@pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
-def test_state_digests_pinned(name):
+def _state_digest(name):
     host, window, R = _digest_case(name)
     state = EsColState(host, window, R)
     h = hashlib.sha256()
     for arr in (state.member_coords, state.member_classes,
                 state.member_colors):
         h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
-    assert h.hexdigest() == STATE_DIGESTS[name]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
+def test_state_digests_pinned(name):
+    assert _state_digest(name) == STATE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
+def test_state_digests_pinned_in_tiny_blocks(monkeypatch, name):
+    # 28 is the halo of a first stage on labels of class 6: every stage of
+    # more than 56 members and every extension pass runs in blocks
+    monkeypatch.setattr(ruling, "BLOCK", 28)
+    assert _state_digest(name) == STATE_DIGESTS[name]
+
+
+# -- blocked doubling stages ----------------------------------------------------
+
+
+def _distinct(rng, lo, hi, n):
+    """n distinct sorted integers in [lo, hi]."""
+    got = np.unique(rng.integers(lo, hi, 2 * n + 8, endpoint=True))
+    while got.size < n:
+        got = np.union1d(got, rng.integers(lo, hi, n, endpoint=True))
+    return np.sort(rng.choice(got, n, replace=False))
+
+
+def _layout(kind, rng, lo, hi, n):
+    """n distinct labels in [lo, hi] in one of the orders that carry a
+    block edge's error furthest: monotone runs, monotone in runs, or at
+    random."""
+    labels = _distinct(rng, lo, hi, n)
+    if kind == "decreasing":
+        return labels[::-1].copy()
+    if kind == "runs":
+        # increasing runs of one length, each run above the one before
+        run = int(rng.integers(2, 40))
+        idx = np.arange(n)
+        return labels[np.argsort((idx % run) * n + idx // run)]
+    if kind == "random":
+        return rng.permutation(labels)
+    return labels
+
+
+@st.composite
+def stages(draw):
+    """(host, members, reach, palette, base) of one doubling stage with
+    more than two blocks of a halo each."""
+    reach = draw(st.sampled_from([1, 3, 7]))
+    kind = draw(st.sampled_from(["increasing", "decreasing", "runs",
+                                 "random"]))
+    classes = draw(st.sampled_from(["class-5", "class-6", "mixed"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if classes == "mixed":  # no palette given: the stage's largest label
+        palette, base = None, 1
+        top = int(rng.choice([10**3, 10**6, 10**9, 2**62]))
+        halo = mis_rounds(top) * reach
+    else:  # a class-pure window, as every stage of EsColState runs
+        c = int(classes[-1])
+        palette, base = class_size(c), CLASS_LO[c - 1]
+        top = CLASS_HI[c - 1]
+        halo = mis_rounds(palette) * reach
+    n = draw(st.integers(2 * halo + 1, 5 * halo))
+    labels = _layout(kind, rng, base, top, n)
+    # members at least (reach + 1) / 2 apart, as a previous stage leaves
+    # them, keep the degree at most 2; gaps of reach + 1 cut the graph
+    low = (reach + 1) // 2
+    high = draw(st.sampled_from([low, reach + 1]))
+    members = int(rng.integers(-10**6, 10**6)) + np.concatenate(
+        ([0], np.cumsum(rng.integers(low, high, n - 1, endpoint=True))))
+    window = np.full(int(members[-1] - members[0]) + 1, 2**62 + 1,
+                     dtype=np.int64)
+    window[members - members[0]] = labels
+    host = World("infinite", WindowScheme(window, int(members[0])))
+    return host, members, reach, palette, base
+
+
+@given(stages())
+@settings(deadline=None, max_examples=40)
+def test_blocked_stages_match_whole_stages(stage):
+    host, members, reach, palette, base = stage
+    whole = mis(PowerSubgraph(host, members, reach), palette, base)
+    own = palette if palette is not None else \
+        int(host.labels_at(members).max()) - base + 1
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks as small as the halo, so each block's members lie within
+        # the halo of its neighbours' blocks
+        mp.setattr(ruling, "BLOCK", mis_rounds(own) * reach)
+        blocked = ruling._stage(host, members, reach, palette, base)
+    assert np.array_equal(blocked, whole)
+
+
+def _radius_parity_mis(sub, palette=None, base=1):
+    """A stand-in for ``mis`` that reads its whole dependency radius.
+
+    A member is kept when the members within mis_rounds(palette) * power
+    of it, plus the palette, count even, so one member missing at the
+    radius or a palette off by one changes an output.
+    """
+    if palette is None:
+        palette = int(sub.labels.max()) - base + 1
+    c, radius = sub.members, mis_rounds(palette) * sub.power
+    count = np.searchsorted(c, c + radius, side="right") - \
+        np.searchsorted(c, c - radius)
+    return c[(count + palette) % 2 == 0]
+
+
+@pytest.mark.parametrize("reach", [1, 3, 7])
+@pytest.mark.parametrize("palette", [None, class_size(6)],
+                         ids=["stage-palette", "class-6"])
+def test_blocks_read_the_whole_halo(monkeypatch, reach, palette):
+    # labels rise from 1, so every block's own largest label falls short of
+    # the stage's; gaps of g, g, g + 1 keep the degree at most 2 and put
+    # members at every distance up to the halo
+    n = 6000
+    host = World("infinite", WindowScheme(np.arange(1, n + 1), 0))
+    g = (reach + 1) // 2
+    members = np.cumsum(np.resize([g, g, g + 1], n // (g + 1)))
+    monkeypatch.setattr(ruling, "mis", _radius_parity_mis)
+    monkeypatch.setattr(ruling, "BLOCK", 100)
+    whole = _radius_parity_mis(PowerSubgraph(host, members, reach), palette)
+    blocked = ruling._stage(host, members, reach, palette, 1)
+    assert np.array_equal(blocked, whole)
+
+
+def test_a_build_keeps_and_peaks_within_its_byte_bounds():
+    """tracemalloc bounds on one R = 16 build over 2^17 random labels.
+
+    Measured with numpy 2.4.6: the build peaks 64 B per window node above
+    what was allocated before it, and the state keeps 180 B per member
+    (its labels, 8 B per node, and its members' arrays).  The bounds add
+    25% and 10%.
+    """
+    world = make_world("infinite", "random-injective:0:1000000000")
+    window = np.arange(-(1 << 16), 1 << 16)
+    world.labels_at(window)  # the world's own store is no part of the build
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = EsColState(world, window, 16)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    members = state.member_coords.size
+    assert (peak - before) / window.size <= 80
+    assert (kept - before) / members <= 200
+    assert state.nbytes <= kept - before

@@ -473,7 +473,7 @@ class TestFirstContact:
     def test_agents_meet_no_earlier_than_the_contact_round(self, cfg):
         trace = run(cfg)
         world = trace.world
-        first = sim._first_contact(cfg, world)
+        first = sim._first_contact(cfg, world, trace.D)
         if first:
             xa, xb = trace.positions_at(0, first - 1)
             gap = np.abs(xa - xb)
@@ -517,7 +517,8 @@ def detect(cfg, plan_a, plan_b, cap):
     the meeting round, as the position reader gives it.
     """
     world = plan_a.world
-    meet = sim._detect(cfg, world, plan_a, plan_b, cap)
+    meet = sim._detect(cfg, world, plan_a, plan_b, cap,
+                       world.distance(cfg.va, cfg.vb))
     if meet is None:
         return None
     t, event, x = meet
@@ -1295,7 +1296,7 @@ class TestSharedRulingWindows:
         store = sim._StateStore()
         state = store.lookup(make_world("infinite", RAND))(-3000, 3000, 1)
         assert np.array_equal(state.coords, np.arange(-3000, 3001))
-        assert not store.states and store.nodes == 0
+        assert not store.states and store.nbytes == 0
 
     @given(snap_queries())
     # an odd tile of 7 at the class-3 rung 57, the snap a half tile below
@@ -1499,7 +1500,9 @@ class TestFiniteStateStore:
                               work.world.labels_at(state.coords % 6000))
 
     def test_the_store_keeps_within_its_budget(self, monkeypatch):
-        monkeypatch.setattr(sim, "STATE_NODES", 300)
+        # an R = 1 window of 39 nodes keeps 702 B, an R = 4 one of 249 nodes
+        # about 2.5 KB: two of the first and one of the second go past this
+        monkeypatch.setattr(sim, "STATE_BYTES", 3500)
         world = make_world("path", CLASS4, n=4096)
         store = sim._StateStore()
         lookup = store.lookup(world)
@@ -1515,9 +1518,9 @@ class TestFiniteStateStore:
             key = (query[2], int(state.coords[0]), int(state.coords[-1]))
             assert lookup(*query) is state
             assert list(store.states.items())[-1] == (key, state)
-            assert store.nodes == sum(s.coords.size
-                                      for s in store.states.values())
-            assert 0 < store.nodes <= sim.STATE_NODES, k
+            assert store.nbytes == sum(s.nbytes
+                                       for s in store.states.values())
+            assert 0 < store.nbytes <= sim.STATE_BYTES, k
         center = queries[0][0] + 9
         assert lookup(center - 17, center + 17, 1) is lookup(center - 2,
                                                               center + 2, 1)
@@ -1526,7 +1529,8 @@ class TestFiniteStateStore:
         assert first not in store.states.values()
         # a state past the budget is the newest, so it is stored alone
         big = lookup(300, 700, 4)
-        assert big.coords.size == 487 and store.nodes == 487
+        assert big.coords.size == 487 and store.nbytes == big.nbytes
+        assert big.nbytes > sim.STATE_BYTES
         assert list(store.states.values()) == [big]
         # the window at the end of the path stops at its last node
         end = lookup(4075, 4095, 1)
