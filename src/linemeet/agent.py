@@ -22,7 +22,6 @@ import numpy as np
 
 from .logstar import CLASS_COUNT, label_classes
 from .ruling import EsColState, phase_end_round
-from .world import WindowScheme, World
 
 
 class AgentError(ValueError):
@@ -223,6 +222,12 @@ def iteration_start_round(L: int) -> int:
     return 28 * (L - 1)
 
 
+def iteration_decision_round(L: int) -> int:
+    """Round at which the iteration with sweep radius L ends its 4L-round
+    discovery sweep and decides: 28(L-1) + 4L."""
+    return iteration_start_round(L) + 4 * L
+
+
 # -- per-iteration planning ----------------------------------------------------
 
 
@@ -311,7 +316,8 @@ def plan_iteration(labels: np.ndarray, lo: int, center: int, L: int,
             need = int(reach[ok].max())
             state = es_lookup(center - need, center + need, R)
         else:
-            state = _es_over_labels(labels, lo, center - L, center + L, R)
+            state = EsColState(labels[center - L - lo:center + L + 1 - lo],
+                               center - L, R)
         return _landmark_plan(state, labels, lo, center,
                               np.where(ok, classes, 0))
     return None
@@ -363,21 +369,6 @@ def _radius_by_class(R: int) -> np.ndarray:
                      dtype=np.int64)
     table.flags.writeable = False
     return table
-
-
-def _es_over_labels(labels: np.ndarray, lo: int, win_lo: int, win_hi: int,
-                    R: int) -> EsColState:
-    """Self-contained ruling-set state over a slice of known labels.
-
-    ``labels[i]`` is the label at coordinate lo + i, and the window
-    [win_lo, win_hi] must lie inside them.  The state's host holds only the
-    window, so a read outside it raises ``WorldError``.
-    """
-    if win_lo < lo or win_hi >= lo + len(labels):
-        raise AgentError(f"window [{win_lo}, {win_hi}] leaves the known labels")
-    window = WindowScheme(labels[win_lo - lo:win_hi - lo + 1], win_lo)
-    host = World(topology="infinite", scheme=window)
-    return EsColState(host, np.arange(win_lo, win_hi + 1), R)
 
 
 # -- the agents' discovered world ----------------------------------------------

@@ -174,7 +174,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                               allow_mispairing=args.allow_mispairing))
     trace = run(cfg)
     lmin = trace.lmin
-    D = trace.world.distance(cfg.va, cfg.vb)
+    D = trace.D
     denom = max(D, 1) * log_star(lmin)
     runspec = {"version": __version__, "command": "run",
                "topology": args.topology, "n": args.n, "d": args.d,
@@ -295,8 +295,8 @@ def _verify_rulingset(args: argparse.Namespace) -> int:
         R = int(rng.choice([1, 2, 4, 16, 64]))
         size = int(rng.integers(max(4, R), 220))
         host, universe = _trial_host(rng, trial, size)
-        members = path_ruling_set(host, universe, R)
-        check = verify_limited_ruling_set(host, universe, members, R, R - 1)
+        members = path_ruling_set(universe, host.labels_at(universe), R)
+        check = verify_limited_ruling_set(universe, members, R, R - 1)
         if not check:
             _error_json("oracle-failure",
                         f"trial {trial}: {check.failure} at {check.witness}")
@@ -311,7 +311,8 @@ def _verify_escolruling(args: argparse.Namespace) -> int:
         R = int(rng.choice([1, 4, 16]))
         size = int(rng.integers(max(4, R), 160))
         host, universe = _trial_host(rng, trial, size)
-        check = verify_es_col_ruling(host, universe, R)
+        check = verify_es_col_ruling(
+            EsColState(host.labels_at(universe), universe.start, R))
         if not check:
             _error_json("oracle-failure",
                         f"trial {trial}: {check.failure} at {check.witness}")
@@ -324,17 +325,17 @@ def _verify_locality(args: argparse.Namespace) -> int:
     """Purity of committed records, each re-proved from its own ball.
 
     The construction runs over [-U, U]; every node whose termination-radius
-    ball fits in it is rebuilt on a host holding only that ball's labels
-    (`certify_es_locality`).  A changed record, a read outside the ball or a
-    radius beyond RADIUS_FACTOR * R * log* of the node's label is an oracle
-    failure; a window that certifies no node proves nothing.
+    ball fits in it is rebuilt on that ball's labels alone
+    (`certify_es_locality`).  A changed record or a radius beyond
+    RADIUS_FACTOR * R * log* of the node's label is an oracle failure; a
+    window that certifies no node proves nothing.
     """
     host = make_world("infinite", args.scheme, seed=args.seed)
-    state = EsColState(host, np.arange(-args.universe, args.universe + 1),
-                       args.r)
+    universe = np.arange(-args.universe, args.universe + 1)
+    state = EsColState(host.labels_at(universe), -args.universe, args.r)
     try:
-        radii = certify_es_locality(host, state.coords, args.r, state=state)
-    except (RulingError, WorldError) as err:
+        radii = certify_es_locality(state)
+    except RulingError as err:
         _error_json("oracle-failure", str(err))
         return 1
     if not radii:

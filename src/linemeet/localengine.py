@@ -7,9 +7,11 @@ simulated rounds, which the ruling-set schedule and its termination radii are
 built from, so round counts must be content-independent: they depend on the
 declared palette, never on which colors actually occur.
 
-Hosts are lines, as for the ruling sets built on these primitives.  Max
-degree 2 covers chains and triangles of members; list coloring stretches to
-max degree 16 by decomposing edges into rank-difference classes.
+Members lie on a line, as for the ruling sets built on these primitives:
+two members' distance is the difference of their coordinates, and each
+member carries its label, which is all a coloring reads of it.  Max degree
+2 covers chains and triangles of members; list coloring stretches to max
+degree 16 by decomposing edges into rank-difference classes.
 
 At the sizes ruling sets color, a run costs about one unit per numpy pass,
 so the kernels keep the passes per simulated round few.  Neighbor ranks use -1 for
@@ -32,7 +34,6 @@ from typing import Iterable
 import numpy as np
 
 from .logstar import ceil_log2
-from .world import World
 
 
 class EngineError(ValueError):
@@ -50,26 +51,31 @@ MAX_LIST_COLORS = 63
 
 
 class PowerSubgraph:
-    """``G^k[U]``: members of a host world, adjacent within host distance k.
+    """``G^k[U]``: members of a line, adjacent within distance k.
 
-    Adjacency is materialized as a rank matrix (``-1`` padded) so the
-    coloring passes are numpy gathers.  The host must be a line.
+    ``labels[i]`` is the label of ``members[i]``; both are kept sorted by
+    member, the members as a copy and the labels without one where they
+    come sorted.  Adjacency is materialized as a rank matrix (``-1``
+    padded) so the coloring passes are numpy gathers.
     """
 
-    def __init__(self, host: World, members: Iterable[int], power: int):
-        if host.topology == "cycle":
-            raise EngineError(f"power subgraphs need a line, not a {host.topology}")
+    def __init__(self, members: Iterable[int], labels: np.ndarray,
+                 power: int):
         if power < 1:
             raise EngineError(f"power must be >= 1, got {power}")
         arr = np.array(members if isinstance(members, np.ndarray)
                        else list(members), dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != arr.shape:
+            raise EngineError(f"{labels.size} labels for {arr.size} members")
         if not np.all(arr[1:] > arr[:-1]):
-            arr.sort()
+            order = np.argsort(arr, kind="stable")
+            arr, labels = arr[order], labels[order]
             if np.any(arr[1:] == arr[:-1]):
                 raise EngineError("duplicate members")
         self.members = arr
+        self.labels = labels
         self.power = int(power)
-        self.labels = host.labels_at(arr) if arr.size else np.empty(0, dtype=np.int64)
         self._build_adjacency()
 
     def _build_adjacency(self) -> None:

@@ -1,14 +1,17 @@
 """Ruling sets on labeled lines, plus an early-stopping colored variant.
 
-Everything here runs on a line (the infinite line, or a path: a line with
-ends), as the interval an agent has walked is a path whatever its host; the
-distance of two coordinates is their difference, and other hosts raise.
+Everything here is a pure function of coordinates on a line and their
+labels: the agents simulate the construction over the interval of labels
+they have walked, which is a path whatever their host, so the distance of
+two coordinates is their difference and a window's labels are all a build
+reads.  Labels travel with their coordinates, and whatever selects nodes
+selects both by the same mask or index.
 
-A ruling set with spacing R keeps members at pairwise host distance >= R
+A ruling set with spacing R keeps members at pairwise distance >= R
 while leaving no universe node farther than R-1 from a member.  The colored
 variant processes nodes class by class (classes are iterated-log buckets of
 the labels), commits each class at a fixed schedule round, and hands every
-member one of 17 colors such that members within host distance 9R-1 never
+member one of 17 colors such that members within distance 9R-1 never
 share one.
 
 All schedule quantities are exact integer formulas in R and the class index,
@@ -28,19 +31,12 @@ import numpy as np
 from .localengine import PowerSubgraph, _merge_schedule_cost, list_color, mis, mis_rounds, three_color_rounds
 from .logstar import (CLASS_COUNT, CLASS_LO, ceil_log2, class_size, label_class,
                       label_classes, log_star)
-from .world import WindowScheme, World
 
 PALETTE_SIZE = 17  # member colors are 1..17
 
 
 class RulingError(ValueError):
     """Invalid spacing parameter or query outside the processed universe."""
-
-
-def _on_line(host: World) -> None:
-    """Reject a host that is not a line (see the module docstring)."""
-    if host.topology == "cycle":
-        raise RulingError(f"ruling sets are built on a line, not a {host.topology}")
 
 
 def _spacing(R: int) -> int:
@@ -195,33 +191,36 @@ def _window_max(coords: np.ndarray, keys: np.ndarray, reach: int) -> np.ndarray:
 
 
 def _far_from(coords: np.ndarray, committed: np.ndarray, R: int) -> np.ndarray:
-    """The sorted ``coords`` at distance >= R from the sorted committed set,
-    measured ``BLOCK`` coordinates at a time."""
-    parts = [c[_nearest_distance(c, committed, cap=R) >= R]
-             for c in (coords[a:a + BLOCK]
-                       for a in range(0, coords.size, BLOCK))]
-    return np.concatenate(parts) if parts else coords[:0]
+    """Whether each sorted coordinate lies at distance >= R from the sorted
+    committed set, measured ``BLOCK`` coordinates at a time."""
+    far = np.empty(coords.size, dtype=bool)
+    for a in range(0, coords.size, BLOCK):
+        c = coords[a:a + BLOCK]
+        far[a:a + BLOCK] = _nearest_distance(c, committed, cap=R) >= R
+    return far
 
 
-def _greedy_extend(host: World, coords: np.ndarray, committed: np.ndarray,
-                   R: int, iterations: int, cap: int) -> np.ndarray:
+def _greedy_extend(coords: np.ndarray, labels: np.ndarray,
+                   committed: np.ndarray, R: int, iterations: int,
+                   cap: int) -> np.ndarray:
     """Add locally-farthest candidates to the sorted committed set.
 
-    Candidates are the sorted ``coords`` at distance >= R from the set.  Keys
-    are the distance to the whole set capped at ``cap``, ties to the larger
-    label, and a winner must beat every candidate within R-1.  Returns the
-    extended set, sorted.
+    Candidates are the sorted ``coords``, labelled ``labels``, at distance
+    >= R from the set.  Keys are the distance to the whole set capped at
+    ``cap``, ties to the larger label, and a winner must beat every
+    candidate within R-1.  Returns the extended set, sorted.
 
     Only candidates are carried from one iteration to the next: distances
     to a growing set only fall, so a node that is no candidate never
     becomes one, and it could neither win a window nor block a candidate.
-    Labels are read for the first iteration's candidates only, and their
-    ranks among those order the same as among all of ``coords``.
+    The first iteration's candidates are ranked by label among themselves,
+    which orders them as their ranks among all of ``coords`` would.
     """
-    cand = _far_from(coords, committed, R)
+    far = _far_from(coords, committed, R)
+    cand = coords[far]
     m = cand.size
     rank = np.empty(m, dtype=np.int64)
-    rank[np.argsort(host.labels_at(cand))] = np.arange(m, dtype=np.int64)
+    rank[np.argsort(labels[far])] = np.arange(m, dtype=np.int64)
     for _ in range(iterations):
         b = _nearest_distance(cand, committed, cap=cap)
         keep = b >= R
@@ -255,8 +254,7 @@ def _check_covering(worst: int, bound: int, what: str) -> None:
 def _sorted_coords(positions: Iterable[int]) -> np.ndarray:
     """Distinct positions as a sorted int64 array.
 
-    A strictly increasing int64 array, as every window range is, comes back
-    as it is, so a caller that keeps the result copies it.
+    A strictly increasing int64 array comes back as it is.
     """
     if not isinstance(positions, np.ndarray):
         positions = list(positions)
@@ -271,37 +269,39 @@ def _sorted_coords(positions: Iterable[int]) -> np.ndarray:
 BLOCK = 1 << 14
 
 
-def _stage(host: World, s: np.ndarray, reach: int, palette: int | None,
-           base: int) -> np.ndarray:
-    """One doubling stage: the mis of the reach-power graph on ``s``.
+def _stage(s: np.ndarray, labels: np.ndarray, reach: int,
+           palette: int | None, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """One doubling stage: the mis of the reach-power graph on the sorted
+    ``s``, labelled ``labels``; returns its members and their labels.
 
-    A stage of more than two ``BLOCK``s runs block by block.  Its mis is a
-    ``mis_rounds(palette)``-round local algorithm, and a round's hop spans
-    at most ``reach`` coordinates, so a member's output depends only on
-    the members within ``mis_rounds(palette) * reach`` of it.  Each block
-    therefore runs widened by that halo, and keeps its own members'
-    outputs.  Every block colors from the palette of the whole stage, as
-    the schedule, and with it every color, depends on the palette.
+    The stage runs block by block.  Its mis is a ``mis_rounds(palette)``-
+    round local algorithm, and a round's hop spans at most ``reach``
+    coordinates, so a member's output depends only on the members within
+    ``mis_rounds(palette) * reach`` of it.  Each block therefore runs
+    widened by that halo, and keeps its own members' outputs; a stage of
+    at most ``BLOCK`` members is one block, whose halo holds the whole
+    stage.  Every block colors from the palette of the whole stage, as the
+    schedule, and with it every color, depends on the palette.
     """
-    if s.size <= 2 * BLOCK:
-        return mis(PowerSubgraph(host, s, reach), palette, base)
     if palette is None:
-        palette = int(host.labels_at(s).max()) - base + 1
+        palette = int(labels.max()) - base + 1
     halo = mis_rounds(palette) * reach
     parts = []
     for a in range(0, s.size, BLOCK):
         first, last = s[a], s[min(a + BLOCK, s.size) - 1]
         i, j = np.searchsorted(s, (first - halo, last + halo + 1))
-        got = mis(PowerSubgraph(host, s[i:j], reach), palette, base)
+        got = mis(PowerSubgraph(s[i:j], labels[i:j], reach), palette, base)
         parts.append(got[(got >= first) & (got <= last)])
-    return np.concatenate(parts)
+    kept = np.concatenate(parts)
+    return kept, labels[np.searchsorted(s, kept)]
 
 
-def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
+def path_ruling_set(coords: np.ndarray, labels: np.ndarray, R: int, *,
                     palette: int | None = None, base: int = 1,
                     debug: bool = False) -> np.ndarray:
     """Members of a ruling set with packing R and covering R-1 over the
-    universe, as a sorted int64 array.
+    universe ``coords``, strictly increasing, whose labels are ``labels``
+    in the same order, as a sorted int64 array.
 
     Doubling stages: with d = ceil(log2 R), stage i takes a maximal
     independent set of the power graph at radius 2^i - 1 (R-1 in the last
@@ -316,32 +316,35 @@ def path_ruling_set(host: World, universe: Iterable[int], R: int, *,
     on a breach: spacing >= 2^i, universe covering <= 2^(i+1) - i - 2 per
     doubling stage (3R-3 after the last), and covering <= R-1 at the end.
     """
-    _on_line(host)
     R = _spacing(R)
-    coords = _sorted_coords(universe)
+    coords = np.asarray(coords, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != coords.shape or np.any(coords[1:] <= coords[:-1]):
+        raise RulingError("a universe is increasing coordinates, each with "
+                          "one label")
     if coords.size == 0 or R == 1:
         return coords.copy()
-    s = coords
+    s, s_labels = coords, labels
     d = ceil_log2(R)
     for i in range(1, d + 1):
-        s = _stage(host, s, 2**i - 1 if i < d else R - 1, palette, base)
+        s, s_labels = _stage(s, s_labels, 2**i - 1 if i < d else R - 1,
+                             palette, base)
         if debug:
             _check_spacing(s, 2**i if i < d else R)
             worst = int(_nearest_distance(coords, s).max())
             bound = 2**(i + 1) - i - 2 if i < d else 3 * R - 3
             _check_covering(worst, bound, f"doubling stage {i}")
-    s = _greedy_extend(host, coords, s, R, 6, cap=3 * R - 2)
+    s = _greedy_extend(coords, labels, s, R, 6, cap=3 * R - 2)
     if debug:
         worst = int(_nearest_distance(coords, s).max())
         _check_covering(worst, R - 1, "greedy extension")
     return s
 
 
-def verify_limited_ruling_set(host: World, universe: Iterable[int],
+def verify_limited_ruling_set(universe: Iterable[int],
                               members: Iterable[int], alpha: int,
                               beta: int) -> RulingCheck:
     """Exhaustively check membership, packing, and covering."""
-    _on_line(host)
     uni, mem = _sorted_coords(universe), _sorted_coords(members)
     outside = mem[~np.isin(mem, uni)]
     if outside.size:
@@ -365,43 +368,36 @@ def verify_limited_ruling_set(host: World, universe: Iterable[int],
 
 
 class EsColState:
-    """Committed membership, colors, and classes over a processed window.
+    """Committed membership, colors, and classes over one window of labels.
 
-    Classes commit in order at their schedule rounds; each class builds its
-    own ruling set, drops members within R-1 of the committed set, runs four
-    greedy-extension iterations, and list-colors the newcomers against the
-    colors already committed within 9R-1.  Built once per (host, window,
-    R); per-node records are assembled on demand by ``output_for``.  A
-    node's record is trustworthy when the window contains its whole
-    termination-radius ball (`window_certifies`), which is exactly when
-    truncating the window further cannot change it.
+    ``labels[i]`` is the label at coordinate ``lo + i``, so the window is
+    the contiguous [lo, hi], hi = lo + labels.size - 1, and its labels are
+    all the build reads.  Classes commit in order at their schedule rounds;
+    each class builds its own ruling set, drops members within R-1 of the
+    committed set, runs four greedy-extension iterations, and list-colors
+    the newcomers against the colors already committed within 9R-1.  Built
+    once per (window, R); per-node records are assembled on demand by
+    ``output_for``.  A node's record is trustworthy when the window
+    contains its whole termination-radius ball (`window_certifies`), which
+    is exactly when truncating the window further cannot change it.
 
     Once built, a state keeps what queries read: the members' coordinates
     (int64), classes and colors (uint8), R, the window's ends ``lo`` and
-    ``hi``, and its labels.  A window with gaps also keeps its coordinates;
-    a contiguous one gives ``coords`` from its ends.  The per-node classes,
-    colors and membership of the build are dropped, and so is the host, so
-    a stored state keeps no ``World`` alive.
+    ``hi``, and the labels array the caller handed over, not a copy of it.
+    The per-node classes, colors and membership of the build are dropped.
     """
 
-    def __init__(self, host: World, positions: Iterable[int], R: int,
+    def __init__(self, labels: np.ndarray, lo: int, R: int,
                  debug: bool = False):
         self.R = _spacing(R)
-        coords = _sorted_coords(positions)
-        self.lo, self.hi = ((int(coords[0]), int(coords[-1])) if coords.size
-                            else (0, -1))
-        # a contiguous window is given by its ends; any other keeps a copy
-        self._coords = (None if coords.size == self.hi - self.lo + 1
-                        else coords.copy())
-        self.labels = (host.labels_at(coords) if coords.size
-                       else np.empty(0, dtype=np.int64))
-        self._run(host, debug)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.lo = int(lo)
+        self.hi = self.lo + self.labels.size - 1
+        self._run(debug)
 
     @property
     def coords(self) -> np.ndarray:
-        """The window's sorted coordinates."""
-        if self._coords is not None:
-            return self._coords
+        """The window's coordinates, lo..hi."""
         return np.arange(self.lo, self.hi + 1, dtype=np.int64)
 
     @property
@@ -409,39 +405,30 @@ class EsColState:
         """Bytes of the arrays the state keeps."""
         kept = (self.labels, self.member_coords, self.member_classes,
                 self.member_colors)
-        return sum(a.nbytes for a in kept) + (
-            0 if self._coords is None else self._coords.nbytes)
+        return sum(a.nbytes for a in kept)
 
     def _at(self, sel: np.ndarray) -> np.ndarray:
         """The window's coordinates where the boolean ``sel`` holds."""
-        if self._coords is not None:
-            return self._coords[sel]
         return np.flatnonzero(sel) + self.lo
 
-    def _ranks(self, coords: np.ndarray) -> np.ndarray:
-        """Ranks in the window of coordinates it holds."""
-        if self._coords is not None:
-            return np.searchsorted(self._coords, coords)
-        return coords - self.lo
-
-    def _run(self, host: World, debug: bool) -> None:
-        # per-node work arrays are one byte a node; coordinates are made
-        # only for the nodes a step reads
-        R, n = self.R, self.labels.size
-        classes = label_classes(self.labels).astype(np.uint8)
-        in_set = np.zeros(n, dtype=bool)
-        colors = np.zeros(n, dtype=np.uint8)
+    def _run(self, debug: bool) -> None:
+        # per-node work arrays are one byte a node; coordinates and labels
+        # are selected only for the nodes a step reads
+        R, lo, labels = self.R, self.lo, self.labels
+        classes = label_classes(labels).astype(np.uint8)
+        in_set = np.zeros(labels.size, dtype=bool)
+        colors = np.zeros(labels.size, dtype=np.uint8)
         for i in range(1, CLASS_COUNT + 1):
             sel = classes == i
             if not sel.any():
                 continue  # empty classes still hold their schedule slot
-            grown = _class_members(host, self._at(sel), self._at(in_set), R,
-                                   i, debug)
-            in_set[self._ranks(grown)] = True
+            grown = _class_members(self._at(sel), labels[sel],
+                                   self._at(in_set), R, i, debug)
+            in_set[grown - lo] = True
             done = colors > 0
             phase = in_set & sel & ~done
-            colors[phase] = _color_phase(host, self._at(phase), self._at(done),
-                                         colors[done], R, i)
+            colors[phase] = _color_phase(self._at(phase), labels[phase],
+                                         self._at(done), colors[done], R, i)
         self.member_coords = self._at(in_set)
         self.member_classes = classes[in_set]
         self.member_colors = colors[in_set]
@@ -449,11 +436,9 @@ class EsColState:
     # -- queries ---------------------------------------------------------------
 
     def _rank_of(self, position: int) -> int:
-        j = int(self._ranks(position))
-        if not (0 <= j < self.labels.size
-                and (self._coords is None or self._coords[j] == position)):
+        if not self.lo <= position <= self.hi:
             raise RulingError(f"{position} was not processed")
-        return j
+        return position - self.lo
 
     def output_for(self, position: int) -> ColoredRulingOutput:
         position = int(position)
@@ -477,12 +462,13 @@ class EsColState:
             termination_radius=phase_end_round(self.R, cls))
 
 
-def _class_members(host: World, vi: np.ndarray, committed: np.ndarray,
+def _class_members(vi: np.ndarray, labels: np.ndarray, committed: np.ndarray,
                    R: int, class_index: int, debug: bool) -> np.ndarray:
     """The committed set grown by class ``class_index``, whose nodes are
-    ``vi``: the class's own ruling set less its members within R-1 of
-    ``committed``, then four greedy-extension iterations."""
-    fresh = path_ruling_set(host, vi, R, palette=class_size(class_index),
+    ``vi``, labelled ``labels``: the class's own ruling set less its
+    members within R-1 of ``committed``, then four greedy-extension
+    iterations."""
+    fresh = path_ruling_set(vi, labels, R, palette=class_size(class_index),
                             base=CLASS_LO[class_index - 1], debug=debug)
     if committed.size and fresh.size:
         fresh = fresh[_nearest_distance(fresh, committed) >= R]
@@ -494,7 +480,7 @@ def _class_members(host: World, vi: np.ndarray, committed: np.ndarray,
                         f"class {class_index} merge")
     # distances are to the whole committed set, candidacy and the beat rule
     # stay within this class
-    grown = _greedy_extend(host, vi, grown, R, 4, cap=2 * R - 1)
+    grown = _greedy_extend(vi, labels, grown, R, 4, cap=2 * R - 1)
     if debug:
         covered = _nearest_distance(vi, grown)
         _check_covering(int(covered.max()), R - 1,
@@ -502,10 +488,11 @@ def _class_members(host: World, vi: np.ndarray, committed: np.ndarray,
     return grown
 
 
-def _color_phase(host: World, phase: np.ndarray, sc: np.ndarray,
+def _color_phase(phase: np.ndarray, labels: np.ndarray, sc: np.ndarray,
                  scol: np.ndarray, R: int, class_index: int) -> np.ndarray:
-    """Colors of a class's newcomers ``phase``, list-colored against the
-    colors ``scol`` already committed at the sorted ``sc`` within 9R-1."""
+    """Colors of a class's newcomers ``phase``, labelled ``labels``,
+    list-colored against the colors ``scol`` already committed at the
+    sorted ``sc`` within 9R-1."""
     if phase.size == 0:
         return np.empty(0, dtype=np.int64)
     reach = 9 * R - 1
@@ -518,32 +505,29 @@ def _color_phase(host: World, phase: np.ndarray, sc: np.ndarray,
     np.cumsum(held, axis=0, out=held)
     allowed = held[hi] == held[lo]
     allowed[:, 0] = False
-    colors, _ = list_color(PowerSubgraph(host, phase, reach), allowed,
+    colors, _ = list_color(PowerSubgraph(phase, labels, reach), allowed,
                            palette=class_size(class_index),
                            base=CLASS_LO[class_index - 1])
     return colors
 
 
-def window_certifies(host: World, window: Iterable[int], position: int,
-                     R: int) -> bool:
-    """Whether the window contains the node's whole termination-radius ball."""
-    _on_line(host)
-    coords = _sorted_coords(window)
-    j = np.searchsorted(coords, position)
-    if j >= coords.size or coords[j] != position:
+def window_certifies(state: EsColState, position: int,
+                     ends: tuple[int, int] | None = None) -> bool:
+    """Whether the state's window contains the node's whole
+    termination-radius ball.  On a path, ``ends`` are its first and last
+    node, which carry their own boundary: the ball is clipped to them."""
+    position = int(position)
+    if not state.lo <= position <= state.hi:
         return False
-    radius = termination_radius(host.label(position), R)
-    lo = position - radius
-    hi = position + radius
-    if host.topology == "path":  # its ends carry their own boundary
-        lo, hi = max(lo, 0), min(hi, host.n - 1)
-    a = np.searchsorted(coords, lo)
-    b = np.searchsorted(coords, hi, side="right")
-    return b - a == hi - lo + 1
+    radius = termination_radius(int(state.labels[position - state.lo]),
+                                state.R)
+    lo, hi = position - radius, position + radius
+    if ends is not None:
+        lo, hi = max(lo, ends[0]), min(hi, ends[1])
+    return state.lo <= lo and hi <= state.hi
 
 
-def verify_es_col_ruling(host: World, universe: Iterable[int], R: int,
-                         state: EsColState | None = None) -> RulingCheck:
+def verify_es_col_ruling(state: EsColState) -> RulingCheck:
     """Replay oracle for the colored construction.
 
     Checks, in commit order: each class prefix is a ruling set over the
@@ -551,14 +535,13 @@ def verify_es_col_ruling(host: World, universe: Iterable[int], R: int,
     graph of every prefix; nearby-member records match a brute-force scan;
     and every termination radius respects the exported factor.
     """
-    if state is None:
-        state = EsColState(host, universe, R)
     R = state.R
+    coords = state.coords
     classes = label_classes(state.labels)
     for i in range(1, CLASS_COUNT + 1):
-        upref = state.coords[classes <= i]
+        upref = coords[classes <= i]
         spref = state.member_coords[state.member_classes <= i]
-        check = verify_limited_ruling_set(host, upref, spref, R, R - 1)
+        check = verify_limited_ruling_set(upref, spref, R, R - 1)
         if not check:
             return RulingCheck(False, f"prefix-{check.failure}",
                                (i,) + (check.witness or ()))
@@ -571,9 +554,9 @@ def verify_es_col_ruling(host: World, universe: Iterable[int], R: int,
             for w, wcol in zip(spref[lo:hi], cols[lo:hi]):
                 if w != pos and wcol == cols[j]:
                     return RulingCheck(False, "coloring", (int(pos), int(w)))
-    for j, pos in enumerate(state.coords):
+    for j, pos in enumerate(coords):
         out = state.output_for(int(pos))
-        want = _brute_nearby(host, state, int(pos), int(classes[j]))
+        want = _brute_nearby(state, int(pos), int(classes[j]))
         if out.nearby_members != want:
             return RulingCheck(False, "nearby", (int(pos),))
         if out.termination_radius > RADIUS_FACTOR * R * out.label_class:
@@ -581,44 +564,40 @@ def verify_es_col_ruling(host: World, universe: Iterable[int], R: int,
     return RulingCheck(True)
 
 
-def _brute_nearby(host: World, state: EsColState, position: int,
-                  cls: int) -> tuple:
+def _brute_nearby(state: EsColState, position: int, cls: int) -> tuple:
     found = []
     for w, wc, wcol in zip(state.member_coords, state.member_classes,
                            state.member_colors):
         if int(w) != position and wc <= cls \
-                and host.distance(int(w), position) <= state.R - 1:
+                and abs(int(w) - position) <= state.R - 1:
             found.append((int(w), int(wcol)))
     return tuple(sorted(found))
 
 
-def certify_es_locality(host: World, universe: Iterable[int], R: int,
-                        sample: Iterable[int] | None = None,
-                        state: EsColState | None = None) -> dict[int, int]:
+def certify_es_locality(state: EsColState, sample: Iterable[int] | None = None,
+                        ends: tuple[int, int] | None = None) -> dict[int, int]:
     """Prove per-node purity by rebuilding each record from its own ball.
 
-    For each sampled node that the full universe certifies, rebuilds the
-    construction on a host that holds only the labels within the node's
-    termination radius and demands the identical record.  A changed record
-    raises ``RulingError``; a read outside the ball raises ``WorldError``
-    from that host.  Returns the termination radius per certified node.
+    For each sampled node that the state's window certifies (see
+    :func:`window_certifies`, with a path's ``ends``), rebuilds the
+    construction on the labels of the node's termination-radius ball alone,
+    [p - radius, p + radius] clipped to the path's ends, and demands the
+    identical record; a changed one raises ``RulingError``.  Returns the
+    termination radius per certified node.
     """
-    if state is None:
-        state = EsColState(host, universe, R)
-    arr = state.coords
-    targets = arr.tolist() if sample is None else [int(p) for p in sample]
+    targets = (state.coords.tolist() if sample is None
+               else [int(p) for p in sample])
     radii: dict[int, int] = {}
     for p in targets:
-        if not window_certifies(host, arr, p, state.R):
+        if not window_certifies(state, p, ends):
             continue
-        radius = termination_radius(host.label(p), state.R)
-        # the window holds the ball, so its part of arr is contiguous
-        a = np.searchsorted(arr, p - radius)
-        b = np.searchsorted(arr, p + radius, side="right")
-        ball = WindowScheme(state.labels[a:b], arr[a])
-        local = World(host.topology, ball, host.n)
-        if EsColState(local, arr[a:b], state.R).output_for(p) != \
-                state.output_for(p):
+        out = state.output_for(p)
+        radius = out.termination_radius
+        # the window holds the ball, so it clips the ball only at a path
+        # end; the slice stops at the window's last node by itself
+        a = max(p - radius, state.lo)
+        ball = state.labels[a - state.lo:p + radius + 1 - state.lo]
+        if EsColState(ball, a, state.R).output_for(p) != out:
             raise RulingError(
                 f"output of {p} changed under truncation to radius {radius}")
         radii[p] = radius

@@ -55,8 +55,9 @@ import numpy as np
 
 from .agent import (
     Observation,
-    _es_over_labels,
     care_transform,
+    iteration_decision_round,
+    iteration_start_round,
     label_reach,
     main_program,
     plan_iteration,
@@ -229,8 +230,7 @@ class Timeline:
         if self.tail is not None and t >= self.tail[1]:
             return self.tail[0], None
         i = _iteration_index(t)
-        # iteration L = 2^i decides at 28(L - 1) + 4L, when discovery ends
-        if i < len(self.notes) and t >= (32 << i) - 28:
+        if i < len(self.notes) and t >= iteration_decision_round(1 << i):
             return self.notes[i].phase, self.notes[i]
         return "discovery", None
 
@@ -240,12 +240,21 @@ class Timeline:
         last = upto if self.tail is None else min(upto, self.tail[1] - 1)
         pts = {0}
         L = 1
-        while 28 * (L - 1) <= last:
-            pts.update(p for p in (28 * (L - 1), 32 * L - 28) if p <= last)
+        while iteration_start_round(L) <= last:
+            pts.update(p for p in (iteration_start_round(L),
+                                   iteration_decision_round(L)) if p <= last)
             L *= 2
         if self.tail is not None and self.tail[1] <= upto:
             pts.add(self.tail[1])
         return sorted(pts)
+
+
+def _window_labels(world: World, lo: int, hi: int) -> np.ndarray:
+    """The labels of nodes lo..hi, wrapped mod n on a cycle."""
+    coords = np.arange(lo, hi + 1)
+    if world.topology == "cycle":
+        coords %= world.n
+    return world.labels_at(coords)
 
 
 class AgentPlan(Timeline):
@@ -327,12 +336,6 @@ class AgentPlan(Timeline):
             self._append(abs(target - x), 1 if target > x else -1)
         self.terminal = ("hold", self.cur_t)
 
-    def _labels(self, lo: int, hi: int) -> np.ndarray:
-        coords = np.arange(lo, hi + 1)
-        if self.world.topology == "cycle":
-            coords = coords % self.world.n
-        return self.world.labels_at(coords)
-
     def _sweep_direction(self, L: int) -> int:
         w, v = self.world, self.start
         if L == 1:
@@ -356,9 +359,9 @@ class AgentPlan(Timeline):
         v = self.start
         self.world.cover(v - L, v + L)
         half = label_reach(L)
-        plan = plan_iteration(self._labels(v - half, v + half), v - half, v,
-                              L, es_lookup=self.es_lookup)
-        t0 = 28 * (L - 1)
+        plan = plan_iteration(_window_labels(self.world, v - half, v + half),
+                              v - half, v, L, es_lookup=self.es_lookup)
+        t0 = iteration_start_round(L)
         if plan is None:
             self._append(24 * L, 0)
             self.notes.append(IterationNote(L, t0, "wait"))
@@ -648,14 +651,14 @@ def _first_contact(config: SimConfig, world: World, D: int) -> int:
     cover_b = _covering_radius(world, config.vb)
     # the radii at round t and the rounds where they next grow; beta's is
     # 0 until it wakes at `shift`
-    t, ra, na, rb, nb = 0, 1, 28, 0, shift
+    t, ra, na, rb, nb = 0, 1, iteration_start_round(2), 0, shift
     while ra < cover_a and rb < cover_b and ra + rb < need:
         if na <= nb:
             t, ra = na, 2 * ra
-            na = 28 * (2 * ra - 1)
+            na = iteration_start_round(2 * ra)
         else:
             t, rb = nb, 2 * rb or 1
-            nb = shift + 28 * (2 * rb - 1)
+            nb = shift + iteration_start_round(2 * rb)
     return t if scale == 1 else 4 * max(t - 1, 0)
 
 
@@ -741,7 +744,8 @@ def _run_reference(config: SimConfig, world: World, cap: int):
             tl.tail = (tails[phase], t)
             return
         L = event["L"]
-        due = 28 * (L - 1) + (0 if phase == "discovery" else 4 * L)
+        due = (iteration_start_round(L) if phase == "discovery"
+               else iteration_decision_round(L))
         if t != due:
             raise RuntimeError(f"{phase} of iteration L={L} at local round "
                                f"{t}, scheduled for {due}")
@@ -751,8 +755,9 @@ def _run_reference(config: SimConfig, world: World, cap: int):
                 # the program's frame points +1 through port 0
                 port0 = int(world.port_bits_at(np.array([tl.start]))[0])
                 r = tl.start + (r if port0 == 0 else -r)
-            tl.notes.append(IterationNote(L, t - 4 * L, phase, event.get("R"),
-                                          r, event.get("color")))
+            tl.notes.append(IterationNote(L, iteration_start_round(L), phase,
+                                          event.get("R"), r,
+                                          event.get("color")))
 
     def wake(tl):
         obs = Observation(world.label(tl.start), world.degree(tl.start), None, 0)
@@ -957,8 +962,8 @@ class _StateStore:
     built exactly, per query, and never looked up.  The newest state is
     always stored, and the least recently used are dropped while its states
     keep more than ``STATE_BYTES`` bytes (:attr:`EsColState.nbytes`) and it
-    holds more than one.  States keep no host, so the store keeps no
-    ``World`` alive.
+    holds more than one.  States hold labels and no host, so the store
+    keeps no ``World`` alive.
     """
 
     def __init__(self):
@@ -967,17 +972,13 @@ class _StateStore:
         self.nbytes = 0
 
     def lookup(self, world: World):
-        """The ruling-set lookup of plans on ``world``; a miss builds on the
-        infinite line itself, whose store holds the labels already, and
-        over a copy of the labels on a path or cycle."""
+        """The ruling-set lookup of plans on ``world``; a miss builds on
+        the window's labels, which the world reads and checks."""
         n = world.n
         bounds = world.scheme.span() if n is None else (0, n - 1)
 
         def build(lo: int, hi: int, R: int) -> EsColState:
-            coords = np.arange(lo, hi + 1)
-            if n is None:
-                return EsColState(world, coords, R)
-            return _es_over_labels(world.labels_at(coords % n), lo, lo, hi, R)
+            return EsColState(_window_labels(world, lo, hi), lo, R)
 
         def lookup(lo: int, hi: int, R: int) -> EsColState:
             if ((n is not None and (lo < 0 or hi >= n))

@@ -283,32 +283,6 @@ class ExplicitScheme(LabelScheme):
         return f"explicit:{payload}"
 
 
-class WindowScheme(LabelScheme):
-    """Labels of one contiguous coordinate window, held in an array;
-    anything outside the window errors.
-
-    ``labels[i]`` is the label at coordinate ``lo + i``.  It checks no
-    label itself: a world over it rejects duplicates as it stores them.
-    """
-
-    name = "window"
-
-    def __init__(self, labels: np.ndarray, lo: int):
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.lo = int(lo)
-        self.hi = self.lo + self.labels.size - 1
-
-    def label_at(self, coord: int) -> int:
-        return int(self.labels_at(np.array([coord]))[0])
-
-    def labels_at(self, coords: np.ndarray) -> np.ndarray:
-        arr = np.asarray(coords, dtype=np.int64)
-        if arr.size and (arr.min() < self.lo or arr.max() > self.hi):
-            bad = arr.min() if arr.min() < self.lo else arr.max()
-            raise WorldError(f"no label assigned to coordinate {bad}")
-        return self.labels[arr - self.lo]
-
-
 def parse_scheme(text: str, default_seed: int = 0) -> LabelScheme:
     """Parse a scheme spec string.
 

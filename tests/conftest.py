@@ -53,11 +53,12 @@ def leaky_records(monkeypatch):
 
 @pytest.fixture
 def peeking_construction(monkeypatch):
-    """A construction that reads the label one past its window's right end."""
+    """A construction that colors every member by the label at its window's
+    right end, which lies outside the ball of every node it certifies."""
     honest = EsColState._run
 
-    def peeking(self, host, debug):
-        honest(self, host, debug)
-        host.label(int(self.coords[-1]) + 1)
+    def peeking(self, debug):
+        honest(self, debug)
+        self.member_colors[:] = self.labels[-1] % 17 + 1
 
     monkeypatch.setattr(EsColState, "_run", peeking)

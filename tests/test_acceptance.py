@@ -158,8 +158,9 @@ def test_ruling_set_randomized_oracle():
             span = size * (r + 2)
             universe = np.sort(rng.choice(np.arange(start, start + span),
                                           size=size, replace=False))
-        members = path_ruling_set(host, universe, r, debug=True)
-        check = verify_limited_ruling_set(host, universe, members, r, r - 1)
+        members = path_ruling_set(universe, host.labels_at(universe), r,
+                                  debug=True)
+        check = verify_limited_ruling_set(universe, members, r, r - 1)
         assert check, (trial, r, size, check.failure, check.witness)
     _report(3, "ruling-set", "200 instances verified at (R, R-1)",
             t0, budget=20.0)
@@ -188,12 +189,12 @@ def test_colored_ruling_construction_oracle():
             host = make_world("infinite",
                               f"random-injective:{trial}:1000000000")
             start = int(rng.integers(-10**6, 10**6))
-            universe = np.sort(rng.choice(
-                np.arange(start, start + size * 3), size=size, replace=False))
-        state = EsColState(host, universe, r, debug=True)
+            universe = np.arange(start, start + size)
+        state = EsColState(host.labels_at(universe), int(universe[0]), r,
+                           debug=True)
         if state.member_colors.size:
             max_color = max(max_color, int(state.member_colors.max()))
-        check = verify_es_col_ruling(host, universe, r, state=state)
+        check = verify_es_col_ruling(state)
         assert check, (trial, r, size, check.failure, check.witness)
     assert max_color <= PALETTE_SIZE
     _report(4, "colored-ruling",
@@ -223,13 +224,13 @@ def test_window_truncation_agreement():
         w1 = np.arange(c1 - half, c1 + half + 1)
         w2 = np.arange(c2 - half - int(rng.integers(0, 201)),
                        c2 + half + int(rng.integers(0, 201)) + 1)
-        s1 = EsColState(host, w1, r)
-        s2 = EsColState(host, w2, r)
+        s1 = EsColState(host.labels_at(w1), int(w1[0]), r)
+        s2 = EsColState(host.labels_at(w2), int(w2[0]), r)
         m1 = _certified_mask(host, w1, r)
         m2 = _certified_mask(host, w2, r)
-        for window, mask in ((w1, m1), (w2, m2)):
+        for state, window, mask in ((s1, w1, m1), (s2, w2, m2)):
             for p in rng.choice(window, size=25):
-                assert window_certifies(host, window, int(p), r) \
+                assert window_certifies(state, int(p)) \
                     == bool(mask[int(p) - window[0]])
         common = sorted(set(w1[m1]) & set(w2[m2]))
         shared += len(common)

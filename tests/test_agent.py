@@ -12,7 +12,6 @@ from linemeet.agent import (
     KnownLine,
     Move,
     Observation,
-    _es_over_labels,
     care_transform,
     careful_walk_moves,
     careful_walk_occupancy,
@@ -182,9 +181,14 @@ def window_labels(world, lo, hi):
     return world.labels_at(np.arange(lo, hi + 1)), lo
 
 
+def window_state(world, lo, hi, R):
+    """The ruling state of the window [lo, hi] on the world's labels."""
+    return EsColState(world.labels_at(np.arange(lo, hi + 1)), lo, R)
+
+
 def exact_lookup(world):
     """A ruling-set lookup that builds exactly the queried window."""
-    return lambda lo, hi, R: EsColState(world, np.arange(lo, hi + 1), R)
+    return lambda lo, hi, R: window_state(world, lo, hi, R)
 
 
 def dict_plan(labels, lo, center, L):
@@ -202,7 +206,8 @@ def dict_plan(labels, lo, center, L):
                   + termination_radius(int(labels[u - lo]), R) <= L]
         if not active:
             continue
-        state = _es_over_labels(labels, lo, center - L, center + L, R)
+        state = EsColState(labels[center - L - lo:center + L + 1 - lo],
+                           center - L, R)
         known = {}
         for u in active:
             out = state.output_for(u)
@@ -254,7 +259,7 @@ class TestPlanIteration:
         labels, lo = window_labels(world, -16, 16)
         plan = plan_iteration(labels, lo, 0, 16)
         assert plan is not None and plan.R == 1 and plan.r == 0
-        state = EsColState(world, range(-16, 17), 1)
+        state = window_state(world, -16, 16, 1)
         assert plan.color == state.output_for(0).color
         assert plan.bits == color_bits(plan.color)
 
@@ -279,7 +284,7 @@ class TestPlanIteration:
         assert plan.R == 4
         assert plan.r == -2
         assert plan.sweep_direction == 1
-        state = EsColState(world, range(-256, 257), 4)
+        state = window_state(world, -256, 256, 4)
         color = {u: state.output_for(u).color for u in (-2, 3)}
         assert plan.color == color[-2]
         assert dict(plan.members) == color
@@ -291,7 +296,7 @@ class TestPlanIteration:
 
         def lookup(win_lo, win_hi, R):
             calls.append((win_lo, win_hi, R))
-            return EsColState(world, np.arange(win_lo, win_hi + 1), R)
+            return window_state(world, win_lo, win_hi, R)
 
         plan = plan_iteration(labels, lo, 0, 256, es_lookup=lookup)
         assert plan == plan_iteration(labels, lo, 0, 256)
@@ -347,12 +352,12 @@ class TestPlanIteration:
 
         def short(win_lo, win_hi, R):
             built.append(R)
-            return EsColState(world, np.arange(-7 + left, 8 - right), R)
+            return window_state(world, -7 + left, 7 - right, R)
 
         with pytest.raises(AgentError, match=r"does not cover \[-7, 7\]"):
             plan_iteration(labels, lo, 0, 256, es_lookup=short)
         assert built == [4]
-        wide = EsColState(world, np.arange(-7, 8), 4)
+        wide = window_state(world, -7, 7, 4)
         plan = plan_iteration(labels, lo, 0, 256,
                               es_lookup=lambda *query: wide)
         assert (plan.R, plan.r) == (4, -2)

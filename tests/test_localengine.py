@@ -38,6 +38,12 @@ from linemeet.logstar import CLASS_HI, ceil_log2, log_star
 from linemeet.world import make_world
 
 
+def subgraph(world, members, power):
+    """The power subgraph of the members with their labels in ``world``."""
+    members = np.array(list(members), dtype=np.int64)
+    return PowerSubgraph(members, world.labels_at(members), power)
+
+
 def explicit_world(labels_by_coord, topology="infinite", n=None):
     payload = json.dumps({str(k): v for k, v in labels_by_coord.items()})
     return make_world(topology, f"explicit:{payload}", n=n)
@@ -106,7 +112,7 @@ def bounded_degree_instances(draw):
 @given(path_like_instances())
 def test_adjacency_matches_host_distances(inst):
     world, coords, power = inst
-    sub = PowerSubgraph(world, coords, power)
+    sub = subgraph(world, coords, power)
     want = set(true_edges(world, coords, power))
     got = {(int(sub.members[i]), int(sub.members[j]))
            for i in range(sub.members.size) for j in sub.nbrs[i] if j > i}
@@ -118,26 +124,29 @@ def test_adjacency_matches_host_distances(inst):
 def test_duplicate_members_rejected():
     world = make_world("infinite", "sequential")
     with pytest.raises(EngineError):
-        PowerSubgraph(world, [0, 3, 3], 1)
+        subgraph(world, [0, 3, 3], 1)
     with pytest.raises(EngineError):
-        PowerSubgraph(world, np.array([5, 0, 5]), 1)
+        subgraph(world, np.array([5, 0, 5]), 1)
 
 
 def test_members_sorted_and_not_shared_with_the_caller():
-    world = make_world("infinite", "sequential")
+    # labels travel with their members when the members get sorted
     members = np.array([9, -4, 2])
-    sub = PowerSubgraph(world, members, 6)
+    sub = PowerSubgraph(members, np.array([90, 40, 20]), 6)
     members[:] = 0
     assert sub.members.tolist() == [-4, 2, 9]
-    assert sub.labels.tolist() == world.labels_at(np.array([-4, 2, 9])).tolist()
-    assert PowerSubgraph(world, (p for p in [3, 1]), 1).members.tolist() == [1, 3]
+    assert sub.labels.tolist() == [40, 20, 90]
+    sub = PowerSubgraph((p for p in [3, 1]), np.array([30, 10]), 1)
+    assert sub.members.tolist() == [1, 3] and sub.labels.tolist() == [10, 30]
+    with pytest.raises(EngineError, match="2 labels for 3 members"):
+        PowerSubgraph([0, 1, 2], np.array([5, 6]), 1)
 
 
 @given(bounded_degree_instances())
 @settings(deadline=None)
 def test_difference_classes_cover_all_edges_once(inst):
     world, coords, power = inst
-    sub = PowerSubgraph(world, coords, power)
+    sub = subgraph(world, coords, power)
     seen = []
     for nA, nB in _difference_classes(sub):
         for i in range(sub.members.size):
@@ -211,7 +220,7 @@ def test_two_slot_round_separates_three_chain():
     # labels increase along the chain; colors 2, 4, 5 share pairwise-distinct
     # lowest differing bits only under the two-slot entry layout
     world = explicit_world({0: 10, 1: 20, 2: 30})
-    sub = PowerSubgraph(world, [0, 1, 2], 1)
+    sub = subgraph(world, [0, 1, 2], 1)
     colors = np.array([2, 4, 5])
     after, palette = _squared_round(colors, 65536,
                                     _by_label(sub.labels, *sub.pair))
@@ -230,8 +239,8 @@ def test_two_slot_round_mirror_invariant():
     labels = rng.choice(np.arange(1, 5000), size=40, replace=False).tolist()
     fwd = explicit_world({i: lab for i, lab in enumerate(labels)})
     rev = explicit_world({i: lab for i, lab in enumerate(reversed(labels))})
-    sub_f = PowerSubgraph(fwd, range(40), 1)
-    sub_r = PowerSubgraph(rev, range(40), 1)
+    sub_f = subgraph(fwd, range(40), 1)
+    sub_r = subgraph(rev, range(40), 1)
     colors = rng.choice(2**20, size=40, replace=False)
     out_f, _ = _three_color(_by_label(sub_f.labels, *sub_f.pair), colors, 2**20)
     out_r, _ = _three_color(_by_label(sub_r.labels, *sub_r.pair), colors[::-1], 2**20)
@@ -245,7 +254,7 @@ def test_two_slot_round_no_op_below_constant_palette():
     # squaring would not shrink palettes this small, so the pipeline leaves
     # colors 0..2 as they are: untouched at 3, one block fold at 6
     world = explicit_world({0: 1, 1: 2, 2: 3})
-    sub = PowerSubgraph(world, [0, 1, 2], 1)
+    sub = subgraph(world, [0, 1, 2], 1)
     colors = np.array([0, 1, 2])
     for palette, want_rounds in ((3, 0), (6, 3)):
         out, rounds = _three_color(_by_label(sub.labels, *sub.pair), colors, palette)
@@ -255,7 +264,7 @@ def test_two_slot_round_no_op_below_constant_palette():
 
 def test_check_proper_rejects_equal_adjacent_colors():
     world = explicit_world({0: 1, 1: 2})
-    sub = PowerSubgraph(world, [0, 1], 1)
+    sub = subgraph(world, [0, 1], 1)
     sub.check_proper(np.array([5, 6]))
     with pytest.raises(EngineError, match="not proper"):
         sub.check_proper(np.array([5, 5]))
@@ -263,7 +272,7 @@ def test_check_proper_rejects_equal_adjacent_colors():
 
 def test_list_coloring_rejects_matrix_for_other_members():
     world = explicit_world({0: 1, 1: 2, 5: 3})
-    sub = PowerSubgraph(world, [0, 1], 1)
+    sub = subgraph(world, [0, 1], 1)
     with pytest.raises(EngineError, match="for 2 members"):
         list_color(sub, np.ones((3, 4), dtype=bool))
 
@@ -272,7 +281,7 @@ def test_list_coloring_rejects_matrix_for_other_members():
 @settings(deadline=None)
 def test_two_slot_round_keeps_properness(inst):
     world, coords, power = inst
-    sub = PowerSubgraph(world, coords, power)
+    sub = subgraph(world, coords, power)
     # a large palette makes room for genuine reductions
     lifted = sub.labels % 65000
     if not _proper_dict(world, sub, by_member(sub.members, lifted)):
@@ -430,7 +439,7 @@ def test_batched_three_coloring_matches_per_class_runs(data, m, k, palette):
 @settings(deadline=None)
 def test_three_coloring_is_proper(inst):
     world, coords, power = inst
-    sub = PowerSubgraph(world, coords, power)
+    sub = subgraph(world, coords, power)
     colors, rounds = color_path_constant(sub)
     assert colors.shape == sub.members.shape
     assert np.all(colors >= 0) and np.all(colors < 3)
@@ -441,7 +450,7 @@ def test_three_coloring_is_proper(inst):
 
 def test_three_coloring_on_triangle():
     world = make_world("infinite", "sequential")
-    sub = PowerSubgraph(world, [0, 1, 2], 2)
+    sub = subgraph(world, [0, 1, 2], 2)
     assert sub.max_degree == 2
     assert int((sub.nbrs > np.arange(3)[:, None]).sum()) == 3
     colors, _ = color_path_constant(sub)
@@ -453,7 +462,7 @@ def test_class_shifted_palette():
     # labels drawn from one label class: palette is the class size, not the
     # largest label value
     world = explicit_world({0: 7, 3: 16, 6: 5, 9: 11})
-    sub = PowerSubgraph(world, [0, 3, 6, 9], 3)
+    sub = subgraph(world, [0, 3, 6, 9], 3)
     colors, rounds = color_path_constant(sub, palette=12, base=5)
     assert rounds == three_color_rounds(12)
     assert_proper(world, sub, by_member(sub.members, colors))
@@ -479,19 +488,19 @@ def assert_mis(world, members, power, chosen):
 @settings(deadline=None)
 def test_mis_independent_and_dominating(inst):
     world, coords, power = inst
-    sub = PowerSubgraph(world, coords, power)
+    sub = subgraph(world, coords, power)
     assert_mis(world, coords, power, mis(sub))
 
 
 def test_mis_of_nothing():
     world = make_world("infinite", "sequential")
-    assert mis(PowerSubgraph(world, [], 1)).tolist() == []
-    assert mis(PowerSubgraph(world, [4], 1)).tolist() == [4]
+    assert mis(subgraph(world, [], 1)).tolist() == []
+    assert mis(subgraph(world, [4], 1)).tolist() == [4]
 
 
 def test_degree_guard():
     world = make_world("infinite", "sequential")
-    sub = PowerSubgraph(world, range(4), 3)
+    sub = subgraph(world, range(4), 3)
     with pytest.raises(EngineError):
         color_path_constant(sub)
 
@@ -511,7 +520,7 @@ def _random_lists(sub, rng, palette_hi=40, slack=3):
 @settings(deadline=None, max_examples=60)
 def test_list_coloring_proper_and_within_lists(inst, list_seed):
     world, coords, power = inst
-    sub = PowerSubgraph(world, coords, power)
+    sub = subgraph(world, coords, power)
     assert sub.max_degree <= 16
     lists = _random_lists(sub, np.random.default_rng(list_seed))
     colors, _ = list_color(sub, list_matrix(sub, lists))
@@ -525,7 +534,7 @@ def test_list_coloring_proper_and_within_lists(inst, list_seed):
 @settings(deadline=None, max_examples=40)
 def test_list_coloring_round_formula(inst):
     world, coords, power = inst
-    sub = PowerSubgraph(world, coords, power)
+    sub = subgraph(world, coords, power)
     lists = _random_lists(sub, np.random.default_rng(5))
     _, rounds = list_color(sub, list_matrix(sub, lists))
     bound = int(sub.labels.max())
@@ -536,7 +545,7 @@ def test_list_coloring_direct_path_for_class_bounded_labels():
     labels = [5, 9, 16, 7, 12, 6, 15, 8]
     world = explicit_world({3 * i: lab for i, lab in enumerate(labels)})
     members = [3 * i for i in range(len(labels))]
-    sub = PowerSubgraph(world, members, 7)  # degree <= 4
+    sub = subgraph(world, members, 7)  # degree <= 4
     lists = {p: list(range(10, 10 + int(d) + 1))
              for p, d in zip(members, sub.degrees)}
     colors, rounds = list_color(sub, list_matrix(sub, lists), palette=12,
@@ -547,7 +556,7 @@ def test_list_coloring_direct_path_for_class_bounded_labels():
 
 def test_list_coloring_isolated_members_take_list_minimum():
     world = make_world("infinite", "sequential")
-    sub = PowerSubgraph(world, [0, 10, 20], 1)
+    sub = subgraph(world, [0, 10, 20], 1)
     lists = {0: [4, 2], 10: [9], 20: [3, 1]}
     colors, rounds = list_color(sub, list_matrix(sub, lists))
     assert rounds == 0
@@ -556,7 +565,7 @@ def test_list_coloring_isolated_members_take_list_minimum():
 
 def test_list_coloring_rejects_short_lists():
     world = make_world("infinite", "sequential")
-    sub = PowerSubgraph(world, [0, 1, 2], 1)
+    sub = subgraph(world, [0, 1, 2], 1)
     lists = {0: [1, 2], 1: [5], 2: [1, 3]}  # member 1 has degree 2
     with pytest.raises(EngineError):
         list_color(sub, list_matrix(sub, lists))
@@ -565,7 +574,7 @@ def test_list_coloring_rejects_short_lists():
 def test_list_coloring_rejects_a_universe_past_63_colors():
     # picks are bits of one int64 per member
     world = make_world("infinite", "sequential")
-    sub = PowerSubgraph(world, [0, 10], 1)
+    sub = subgraph(world, [0, 10], 1)
     with pytest.raises(EngineError, match="64 colors exceeds 63"):
         list_color(sub, np.ones((2, 64), dtype=bool))
     wide, _ = list_color(sub, np.ones((2, 63), dtype=bool))
@@ -574,7 +583,7 @@ def test_list_coloring_rejects_a_universe_past_63_colors():
 
 def test_final_assign_reports_an_exhausted_list():
     world = make_world("infinite", "sequential")
-    sub = PowerSubgraph(world, [0, 1], 1)
+    sub = subgraph(world, [0, 1], 1)
     allowed = np.array([[True, False], [True, False]])
     with pytest.raises(EngineError, match="list exhausted at member rank 1"):
         _final_assign(np.array([0, 1]), 2, sub.nbrs, allowed)
@@ -584,14 +593,14 @@ def test_sweep_reduce_reports_an_exhausted_color_range():
     # member 0 keeps color 0, the only color below the target, so its
     # neighbor, swept down from color 1, finds nothing free
     world = make_world("infinite", "sequential")
-    sub = PowerSubgraph(world, [0, 1], 1)
+    sub = subgraph(world, [0, 1], 1)
     with pytest.raises(EngineError, match="list exhausted at member rank 1"):
         _sweep_reduce(np.array([0, 1]), 2, 1, sub.nbrs)
 
 
 def test_list_coloring_degree_guard():
     world = make_world("infinite", "sequential")
-    sub = PowerSubgraph(world, range(18), 17)
+    sub = subgraph(world, range(18), 17)
     with pytest.raises(EngineError):
         list_color(sub, np.ones((18, 19), dtype=bool))
 
@@ -626,7 +635,7 @@ def _sweep_reduce_loop(colors, palette, target, nbrs):
 @settings(deadline=None, max_examples=40)
 def test_vectorized_sweeps_match_member_loops(inst, seed):
     world, coords, power = inst
-    sub = PowerSubgraph(world, coords, power)
+    sub = subgraph(world, coords, power)
     rng = np.random.default_rng(seed)
     palette = int(rng.integers(1, 12))
     # any coloring, proper or not: both forms read a class's neighbors from
@@ -688,7 +697,7 @@ def dense_instances(draw):
 @settings(deadline=None, max_examples=120)
 def test_stacked_merge_levels_match_per_pair_sweeps(inst, data):
     world, coords, power = inst
-    sub = PowerSubgraph(world, coords, power)
+    sub = subgraph(world, coords, power)
     classes = _difference_classes(sub)
     assume(len(classes) > 0)
     m = sub.members.size

@@ -1,15 +1,17 @@
 """Ruling-set construction vs. exhaustive packing/covering oracles."""
 
+import ast
 import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linemeet import ruling
-from linemeet.localengine import EngineError, PowerSubgraph, mis, mis_rounds
+from linemeet import localengine, ruling
+from linemeet.localengine import PowerSubgraph, mis, mis_rounds
 from linemeet.logstar import CLASS_HI, CLASS_LO, class_size, log_star
 from linemeet.ruling import (
     PALETTE_SIZE,
@@ -28,7 +30,18 @@ from linemeet.ruling import (
     verify_limited_ruling_set,
     window_certifies,
 )
-from linemeet.world import WindowScheme, World, WorldError, make_world
+from linemeet.world import make_world
+
+
+def ruling_set(world, universe, R, **kw):
+    """The ruling set of a universe on the world's labels."""
+    coords = np.asarray(universe, dtype=np.int64)
+    return path_ruling_set(coords, world.labels_at(coords), R, **kw)
+
+
+def window_state(world, lo, hi, R, **kw):
+    """The ruling state of the window [lo, hi] on the world's labels."""
+    return EsColState(world.labels_at(np.arange(lo, hi + 1)), lo, R, **kw)
 
 # frozen from hand-evaluated recurrences; regression here means the schedule
 # (and with it every cached constant) silently moved
@@ -73,31 +86,27 @@ def test_termination_radius_bound_and_monotonicity():
         assert termination_radius(a, 16) <= termination_radius(b, 16)
 
 
-@pytest.mark.parametrize("build,error", [
-    (lambda h: PowerSubgraph(h, range(12), 1), EngineError),
-    (lambda h: path_ruling_set(h, range(12), 4), RulingError),
-    (lambda h: EsColState(h, range(12), 4), RulingError),
-    (lambda h: verify_limited_ruling_set(h, range(12), [0, 6], 4, 3),
-     RulingError),
-    (lambda h: verify_es_col_ruling(h, range(12), 4), RulingError),
-    (lambda h: window_certifies(h, range(12), 0, 1), RulingError),
-    (lambda h: certify_es_locality(h, range(12), 1), RulingError),
-], ids=["PowerSubgraph", "path_ruling_set", "EsColState",
-        "verify_limited_ruling_set", "verify_es_col_ruling",
-        "window_certifies", "certify_es_locality"])
-def test_cycle_host_is_rejected(build, error):
-    # everything here is built on a line; a cycle must not get line distances
-    host = make_world("cycle", "sequential", n=12)
-    with pytest.raises(error, match="line, not a cycle"):
-        build(host)
+@pytest.mark.parametrize("module", [ruling, localengine])
+def test_ruling_layers_import_nothing_from_world(module):
+    # a build reads the labels it is handed, never a host
+    imported = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = ("linemeet." if node.level else "") + (node.module or "")
+            imported += [base.rstrip(".")]
+            imported += [f"{base.rstrip('.')}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert "linemeet.logstar" in imported
+    assert not [m for m in imported if m.startswith("linemeet.world")]
 
 
 def test_spacing_parameter_validation():
     world = make_world("infinite", "sequential")
     with pytest.raises(RulingError):
-        path_ruling_set(world, range(10), 0)
+        ruling_set(world, range(10), 0)
     with pytest.raises(RulingError):
-        EsColState(world, range(10), 0)
+        window_state(world, 0, 9, 0)
     with pytest.raises(RulingError):
         termination_radius(5, 0)
 
@@ -105,24 +114,21 @@ def test_spacing_parameter_validation():
 # -- verifier ------------------------------------------------------------------
 
 def test_verifier_trivial_cases():
-    world = make_world("infinite", "sequential")
     uni = list(range(10))
-    assert verify_limited_ruling_set(world, uni, uni, 1, 0).ok
-    empty = verify_limited_ruling_set(world, uni, [], 1, 0)
+    assert verify_limited_ruling_set(uni, uni, 1, 0).ok
+    empty = verify_limited_ruling_set(uni, [], 1, 0)
     assert not empty.ok and empty.failure == "covering"
     assert empty.witness == (0,)
 
 
 def test_verifier_packing_counterexample():
-    world = make_world("infinite", "sequential")
-    check = verify_limited_ruling_set(world, range(20), [3, 10], 8, 7)
+    check = verify_limited_ruling_set(range(20), [3, 10], 8, 7)
     assert not check.ok and check.failure == "packing"
     assert check.witness == (3, 10)
 
 
 def test_verifier_subset_counterexample():
-    world = make_world("infinite", "sequential")
-    check = verify_limited_ruling_set(world, range(5), [2, 9], 1, 4)
+    check = verify_limited_ruling_set(range(5), [2, 9], 1, 4)
     assert not check.ok and check.failure == "subset" and check.witness == (9,)
 
 
@@ -170,21 +176,26 @@ def test_window_max_matches_the_doubling_table(reach, n, seed):
 
 def test_spacing_one_returns_whole_universe():
     world = make_world("infinite", "random-injective:1")
-    members = path_ruling_set(world, [30, 5, 9], 1)
+    members = ruling_set(world, [5, 9, 30], 1)
     assert members.dtype == np.int64 and members.tolist() == [5, 9, 30]
+    # coordinates come increasing, each with its label
+    for coords, labels in (([30, 5, 9], [1, 2, 3]), ([5, 5, 9], [1, 2, 3]),
+                           ([5, 9, 30], [1, 2])):
+        with pytest.raises(RulingError, match="increasing coordinates"):
+            path_ruling_set(coords, labels, 1)
 
 
 def test_twelve_consecutive_nodes():
     world = make_world("infinite", "random-injective:42")
-    members = path_ruling_set(world, range(100, 112), 4, debug=True)
-    assert verify_limited_ruling_set(world, range(100, 112), members, 4, 3).ok
+    members = ruling_set(world, range(100, 112), 4, debug=True)
+    assert verify_limited_ruling_set(range(100, 112), members, 4, 3).ok
 
 
 def test_two_far_clusters():
     world = make_world("infinite", "random-injective:9")
     universe = list(range(0, 20)) + list(range(1020, 1040))
-    members = path_ruling_set(world, universe, 16, debug=True)
-    assert verify_limited_ruling_set(world, universe, members, 16, 15).ok
+    members = ruling_set(world, universe, 16, debug=True)
+    assert verify_limited_ruling_set(universe, members, 16, 15).ok
     assert members.min() < 1000 < members.max()
 
 
@@ -196,16 +207,19 @@ def test_spacing_breach_raises_ruling_error(topology, n, members):
     # a real error, so the debug checks still fire under python -O
     with pytest.raises(RulingError, match="spacing 3"):
         ruling._check_spacing(np.array(members), 3)
-    # the replay oracle finds the same breach on the line host
-    world = make_world(topology, "random-injective:1", n=n)
-    check = verify_limited_ruling_set(world, range(12), members, 3, 11)
+    # the replay oracle finds the same breach, and none in the set built on
+    # the host's labels
+    check = verify_limited_ruling_set(range(12), members, 3, 11)
     close = [(a, b) for a, b in zip(members, members[1:]) if b - a < 3]
     assert check.failure == "packing" and check.witness == close[0]
+    world = make_world(topology, "random-injective:1", n=n)
+    built = ruling_set(world, range(12), 3)
+    assert verify_limited_ruling_set(range(12), built, 3, 2).ok
 
 
 def test_empty_universe():
     world = make_world("infinite", "sequential")
-    assert path_ruling_set(world, [], 4).tolist() == []
+    assert ruling_set(world, [], 4).tolist() == []
 
 
 @st.composite
@@ -218,8 +232,8 @@ def ruling_instances(draw):
         size = draw(st.integers(1, 160))
         universe = list(range(start, start + size))
     elif kind == "subset":
-        universe = draw(st.lists(st.integers(-300, 300), min_size=1,
-                                 max_size=120, unique=True))
+        universe = sorted(draw(st.lists(st.integers(-300, 300), min_size=1,
+                                        max_size=120, unique=True)))
     else:
         gap = draw(st.integers(100, 2000))
         universe = list(range(0, 30)) + list(range(gap, gap + 30))
@@ -231,16 +245,16 @@ def ruling_instances(draw):
 @settings(deadline=None, max_examples=60)
 def test_ruling_set_randomized(inst):
     world, universe, R = inst
-    members = path_ruling_set(world, universe, R, debug=True)
+    members = ruling_set(world, universe, R, debug=True)
     assert np.all(members[1:] > members[:-1]), "members not sorted"
-    assert verify_limited_ruling_set(world, universe, members, R, R - 1).ok
+    assert verify_limited_ruling_set(universe, members, R, R - 1).ok
 
 
 # -- early-stopping colored construction ---------------------------------------
 
 def test_single_node_universe():
     world = make_world("infinite", "sequential")  # label 1 at the origin
-    out = EsColState(world, [0], 4).output_for(0)
+    out = window_state(world, 0, 0, 4).output_for(0)
     assert out.in_set and 1 <= out.color <= PALETTE_SIZE
     assert out.label_class == 1 and out.nearby_members == ()
     assert out.termination_radius <= RADIUS_FACTOR * 4 * 1
@@ -252,9 +266,8 @@ def test_sixty_four_consecutive_nodes_full_replay():
     import json
     payload = json.dumps({str(i): int(lab) for i, lab in enumerate(labels)})
     world = make_world("infinite", f"explicit:{payload}")
-    universe = range(64)
-    state = EsColState(world, universe, 4, debug=True)
-    assert verify_es_col_ruling(world, universe, 4, state=state).ok
+    state = window_state(world, 0, 63, 4, debug=True)
+    assert verify_es_col_ruling(state).ok
 
 
 @st.composite
@@ -264,22 +277,22 @@ def es_instances(draw):
     start = draw(st.integers(-400, 400))
     size = draw(st.integers(1, 120))
     R = draw(st.sampled_from([1, 4, 16]))
-    return world, list(range(start, start + size)), R
+    return world, start, start + size - 1, R
 
 
 @given(es_instances())
 @settings(deadline=None, max_examples=25)
 def test_es_ruling_randomized(inst):
-    world, universe, R = inst
-    state = EsColState(world, universe, R, debug=True)
-    assert verify_es_col_ruling(world, universe, R, state=state).ok
+    world, lo, hi, R = inst
+    state = window_state(world, lo, hi, R, debug=True)
+    assert verify_es_col_ruling(state).ok
     assert np.all(state.member_colors >= 1)
     assert np.all(state.member_colors <= PALETTE_SIZE)
 
 
 def test_non_members_see_a_nearby_member():
     world = make_world("infinite", "random-injective:17")
-    state = EsColState(world, range(-60, 60), 4)
+    state = window_state(world, -60, 59, 4)
     assert state.coords.tolist() == list(range(-60, 60))
     for out in map(state.output_for, state.coords):
         assert out.in_set or out.nearby_members, out
@@ -288,56 +301,55 @@ def test_non_members_see_a_nearby_member():
 
 
 def test_es_rejects_bad_spacing():
-    world = make_world("infinite", "sequential")
     with pytest.raises(RulingError):
-        EsColState(world, [0], 0)
+        EsColState(np.array([1]), 0, 0)
 
 
-def test_es_state_takes_positions_in_any_order_and_owns_them():
+def test_es_state_keeps_the_labels_it_is_handed():
     world = make_world("infinite", "random-injective:3:1000000000")
-    window = np.arange(-40, 41)
-    state = EsColState(world, window, 4)
-    jumbled = EsColState(world, [*window[::-1].tolist(), 0, 7], 4)
-    window[:] = 0  # the state keeps its own copy of the caller's array
-    for name in ("coords", "labels", "member_coords", "member_classes",
-                 "member_colors"):
-        assert getattr(jumbled, name).tolist() == getattr(state, name).tolist()
+    labels = world.labels_at(np.arange(-40, 41))
+    state = EsColState(labels, -40, 4)
+    assert state.labels is labels  # kept, not copied
+    assert (state.lo, state.hi) == (-40, 40)
     assert state.coords.tolist() == list(range(-40, 41))
+    assert state.nbytes == labels.nbytes + state.member_coords.nbytes \
+        + state.member_classes.nbytes + state.member_colors.nbytes
+    for p in (-40, 0, 40):
+        assert state.output_for(p).label == labels[p + 40]
 
 
 def test_query_outside_universe():
     world = make_world("infinite", "sequential")
-    state = EsColState(world, range(10), 4)
-    with pytest.raises(RulingError):
-        state.output_for(99)
+    state = window_state(world, 0, 9, 4)
+    # a coordinate left of the window must not read the far end's label
+    for outside in (99, 10, -1, -10):
+        with pytest.raises(RulingError, match="was not processed"):
+            state.output_for(outside)
 
 
 # -- purity across windows -----------------------------------------------------
 
 def test_window_certification():
     world = make_world("infinite", "sequential")
-    window = np.arange(-100, 101)
-    assert window_certifies(world, window, 0, 1)  # label 1: radius 16
-    assert not window_certifies(world, window, 95, 1)
-    assert not window_certifies(world, window, 500, 1)
+    state = window_state(world, -100, 100, 1)
+    assert window_certifies(state, 0)  # label 1: radius 16
+    assert not window_certifies(state, 95)
+    assert not window_certifies(state, 500)
     # a path endpoint carries its own boundary: the clipped ball suffices
-    pworld = make_world("path", "sequential", n=400)
-    assert window_certifies(pworld, range(0, 120), 1, 1)
-    assert not window_certifies(make_world("path", "sequential", n=60),
-                                range(0, 30), 1, 1)
+    near_end = window_state(make_world("path", "sequential", n=400), 0, 119, 1)
+    assert window_certifies(near_end, 1, ends=(0, 399))
+    assert not window_certifies(near_end, 1)
+    short = window_state(make_world("path", "sequential", n=60), 0, 29, 1)
+    assert not window_certifies(short, 1, ends=(0, 59))
 
 
 def test_dual_window_agreement():
     world = make_world("infinite", "random-injective:23")
-    a = range(-6000, 3000)
-    b = range(-3000, 6000)
-    state_a = EsColState(world, a, 1)
-    state_b = EsColState(world, b, 1)
-    arr_a, arr_b = np.arange(-6000, 3000), np.arange(-3000, 6000)
+    state_a = window_state(world, -6000, 2999, 1)
+    state_b = window_state(world, -3000, 5999, 1)
     compared = 0
     for p in range(-900, 900, 7):
-        if window_certifies(world, arr_a, p, 1) and \
-                window_certifies(world, arr_b, p, 1):
+        if window_certifies(state_a, p) and window_certifies(state_b, p):
             assert state_a.output_for(p) == state_b.output_for(p)
             compared += 1
     assert compared > 100
@@ -345,8 +357,8 @@ def test_dual_window_agreement():
 
 def test_locality_certification():
     world = make_world("infinite", "random-injective:5")
-    universe = range(-2600, 2600)
-    radii = certify_es_locality(world, universe, 1, sample=[0, 11, -40])
+    state = window_state(world, -2600, 2599, 1)
+    radii = certify_es_locality(state, sample=[0, 11, -40])
     assert set(radii) == {0, 11, -40}
     for p, r in radii.items():
         assert r == termination_radius(world.label(p), 1)
@@ -357,14 +369,37 @@ def test_locality_rejects_a_record_that_reads_past_its_ball(leaky_records):
     with pytest.raises(RulingError,
                        match="output of -2 changed under truncation to "
                              "radius 56"):
-        certify_es_locality(world, range(-200, 201), 1)
+        certify_es_locality(window_state(world, -200, 200, 1))
 
 
-def test_locality_rejects_a_read_outside_the_window(peeking_construction):
-    # the full host labels every coordinate; only the ball's host refuses
-    world = make_world("infinite", "sequential")
-    with pytest.raises(WorldError, match="no label assigned"):
-        certify_es_locality(world, range(-200, 201), 1)
+@pytest.mark.parametrize("n", [None, 3000], ids=["line", "path"])
+def test_locality_rebuilds_each_node_on_exactly_its_ball(monkeypatch, n):
+    # the path window is the whole path: balls of class-5 labels (radius
+    # 1168) are clipped near its ends and whole in its middle
+    world = make_world("infinite" if n is None else "path", "sequential", n=n)
+    lo, hi = (-200, 200) if n is None else (0, n - 1)
+    ends = None if n is None else (0, n - 1)
+    sample = None if n is None else range(0, n, 25)
+    state = window_state(world, lo, hi, 1)
+    rebuilt = []
+
+    class Recording(EsColState):
+        def __init__(self, labels, lo, R, debug=False):
+            rebuilt.append((lo, labels))
+            super().__init__(labels, lo, R, debug)
+
+    monkeypatch.setattr(ruling, "EsColState", Recording)
+    radii = certify_es_locality(state, sample=sample, ends=ends)
+    assert len(radii) == len(rebuilt) > 0
+    clipped = 0
+    for (p, radius), (ball_lo, labels) in zip(radii.items(), rebuilt):
+        a, b = p - radius, p + radius
+        if ends is not None:
+            a, b = max(a, ends[0]), min(b, ends[1])
+        clipped += (b - a) < 2 * radius
+        assert (ball_lo, labels.size) == (a, b - a + 1), p
+        assert np.array_equal(labels, world.labels_at(np.arange(a, b + 1)))
+    assert (clipped > 0) == (n is not None) and clipped < len(radii)
 
 
 # SHA-256 over (member_coords, member_classes, member_colors) as little-endian
@@ -385,36 +420,32 @@ STATE_DIGESTS = {
 
 
 def _digest_case(name):
-    """(host, window, R) of one pinned state."""
+    """(labels, lo, R) of one pinned state."""
     kind, r = name.rsplit("-R", 1)
     R = int(r)
     if kind == "random":
         half = {1: 300, 4: 1000, 16: 2000}[R]
         world = make_world("infinite", "random-injective:0:1000000000")
-        return world, np.arange(-half, half + 1), R
+        return world.labels_at(np.arange(-half, half + 1)), -half, R
     if kind in ("class4", "class5"):
         half = {4: 1000, 16: 2000}[R]
         world = make_world("infinite", f"uniform-logstar-class:{kind[-1]}")
-        return world, np.arange(-half, half + 1), R
+        return world.labels_at(np.arange(-half, half + 1)), -half, R
     if kind == "class5-window":
         # the shape of a finite-host build: one class-5 window, all members
         lo = 2415
-        labels = np.arange(lo + 1, lo + 2340, dtype=np.int64)
-        return World("infinite", WindowScheme(labels, lo)), \
-            np.arange(lo, lo + 2339), R
+        return np.arange(lo + 1, lo + 2340, dtype=np.int64), lo, R
     # random labels with one label of each class 1..4 planted
     lo = -600
-    coords = np.arange(lo, 601)
     labels = make_world("infinite", "random-injective:5:1000000000") \
-        .labels_at(coords).copy()
+        .labels_at(np.arange(lo, 601))
     for coord, label in ((-7, 1), (40, 2), (-90, 3), (5, 9)):
         labels[coord - lo] = label
-    return World("infinite", WindowScheme(labels, lo)), coords, R
+    return labels, lo, R
 
 
 def _state_digest(name):
-    host, window, R = _digest_case(name)
-    state = EsColState(host, window, R)
+    state = EsColState(*_digest_case(name))
     h = hashlib.sha256()
     for arr in (state.member_coords, state.member_classes,
                 state.member_colors):
@@ -465,7 +496,7 @@ def _layout(kind, rng, lo, hi, n):
 
 @st.composite
 def stages(draw):
-    """(host, members, reach, palette, base) of one doubling stage with
+    """(members, labels, reach, palette, base) of one doubling stage with
     more than two blocks of a halo each."""
     reach = draw(st.sampled_from([1, 3, 7]))
     kind = draw(st.sampled_from(["increasing", "decreasing", "runs",
@@ -490,26 +521,25 @@ def stages(draw):
     high = draw(st.sampled_from([low, reach + 1]))
     members = int(rng.integers(-10**6, 10**6)) + np.concatenate(
         ([0], np.cumsum(rng.integers(low, high, n - 1, endpoint=True))))
-    window = np.full(int(members[-1] - members[0]) + 1, 2**62 + 1,
-                     dtype=np.int64)
-    window[members - members[0]] = labels
-    host = World("infinite", WindowScheme(window, int(members[0])))
-    return host, members, reach, palette, base
+    return members, labels, reach, palette, base
 
 
 @given(stages())
 @settings(deadline=None, max_examples=40)
 def test_blocked_stages_match_whole_stages(stage):
-    host, members, reach, palette, base = stage
-    whole = mis(PowerSubgraph(host, members, reach), palette, base)
+    members, labels, reach, palette, base = stage
+    whole = mis(PowerSubgraph(members, labels, reach), palette, base)
     own = palette if palette is not None else \
-        int(host.labels_at(members).max()) - base + 1
+        int(labels.max()) - base + 1
     with pytest.MonkeyPatch.context() as mp:
         # blocks as small as the halo, so each block's members lie within
         # the halo of its neighbours' blocks
         mp.setattr(ruling, "BLOCK", mis_rounds(own) * reach)
-        blocked = ruling._stage(host, members, reach, palette, base)
+        blocked, blocked_labels = ruling._stage(members, labels, reach,
+                                                palette, base)
     assert np.array_equal(blocked, whole)
+    assert np.array_equal(blocked_labels,
+                          labels[np.searchsorted(members, whole)])
 
 
 def _radius_parity_mis(sub, palette=None, base=1):
@@ -535,13 +565,13 @@ def test_blocks_read_the_whole_halo(monkeypatch, reach, palette):
     # the stage's; gaps of g, g, g + 1 keep the degree at most 2 and put
     # members at every distance up to the halo
     n = 6000
-    host = World("infinite", WindowScheme(np.arange(1, n + 1), 0))
     g = (reach + 1) // 2
     members = np.cumsum(np.resize([g, g, g + 1], n // (g + 1)))
+    labels = members + 1
     monkeypatch.setattr(ruling, "mis", _radius_parity_mis)
     monkeypatch.setattr(ruling, "BLOCK", 100)
-    whole = _radius_parity_mis(PowerSubgraph(host, members, reach), palette)
-    blocked = ruling._stage(host, members, reach, palette, 1)
+    whole = _radius_parity_mis(PowerSubgraph(members, labels, reach), palette)
+    blocked, _ = ruling._stage(members, labels, reach, palette, 1)
     assert np.array_equal(blocked, whole)
 
 
@@ -559,7 +589,7 @@ def test_a_build_keeps_and_peaks_within_its_byte_bounds():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        state = EsColState(world, window, 16)
+        state = EsColState(world.labels_at(window), int(window[0]), 16)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -33,7 +33,6 @@ from linemeet.sim import (
     write_csv,
 )
 from linemeet.agent import (
-    AgentError,
     color_bits,
     iteration_start_round,
     plan_iteration,
@@ -1384,18 +1383,6 @@ class TestFiniteBallWindows:
         if topology == "cycle":
             assert any(win_lo < 0 <= win_hi for win_lo, win_hi, _ in asked)
 
-    def test_a_read_outside_the_window_raises(self, monkeypatch,
-                                              peeking_construction):
-        labels = SequentialScheme().labels_at(np.arange(-40, 41))
-        with pytest.raises(WorldError,
-                           match="no label assigned to coordinate 21"):
-            sim._es_over_labels(labels, -40, -20, 20, 1)
-        monkeypatch.undo()
-        state = sim._es_over_labels(labels, -40, -20, 20, 1)
-        assert np.array_equal(state.coords, np.arange(-20, 21))
-        with pytest.raises(AgentError, match="leaves the known labels"):
-            sim._es_over_labels(labels, -40, -41, 20, 1)
-
 
 def records(state):
     """Every node record of a ruling state, in coordinate order."""
@@ -1409,17 +1396,16 @@ class TestFiniteStateStore:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """A fresh world store, and the finite-host windows built through
-        it."""
+        """A fresh world store, and the windows built through it."""
         monkeypatch.setattr(sim, "_WORLDS", OrderedDict())
         built = []
-        honest = sim._es_over_labels
+        honest = sim.EsColState
 
-        def recording(labels, lo, win_lo, win_hi, R):
-            built.append((win_lo, win_hi, R))
-            return honest(labels, lo, win_lo, win_hi, R)
+        def recording(labels, lo, R):
+            built.append((lo, lo + labels.size - 1, R))
+            return honest(labels, lo, R)
 
-        monkeypatch.setattr(sim, "_es_over_labels", recording)
+        monkeypatch.setattr(sim, "EsColState", recording)
         return built
 
     def test_a_path_and_a_cycle_share_their_windows(self, builds):
@@ -1444,9 +1430,10 @@ class TestFiniteStateStore:
         line = SimConfig(va=3584, vb=4608,
                          round_cap=iteration_start_round(4096))
         assert run(line).t_rdv is None
+        on_line = list(builds)
         assert outcome(run(replace(line, topology="path", n=8192,
                                    round_cap=None))) == (118755, "node", 7679)
-        assert builds == []
+        assert len(on_line) == 2 and builds == on_line
         (store,) = {work.states for work in sim._WORLDS.values()}
         assert [key[0] for key in store.states] == [1, 1]
         worlds = [weakref.ref(work.world) for work in sim._WORLDS.values()]

@@ -14,7 +14,6 @@ from linemeet.world import (
     RandomInjectiveScheme,
     SequentialScheme,
     UniformClassScheme,
-    WindowScheme,
     World,
     WorldError,
     _LabelStore,
@@ -318,10 +317,24 @@ def test_single_label_walks_grow_the_store_geometrically(
     assert len(grown) <= 2 * (span[1] - span[0]).bit_length()
 
 
+class ArrayScheme(LabelScheme):
+    """Labels of coordinates lo, lo + 1, ... from an array, unchecked and
+    vectorized, and without a span."""
+
+    def __init__(self, labels, lo):
+        self.labels, self.lo = np.asarray(labels, dtype=np.int64), lo
+
+    def label_at(self, coord):
+        return int(self.labels[coord - self.lo])
+
+    def labels_at(self, coords):
+        return self.labels[np.asarray(coords, dtype=np.int64) - self.lo]
+
+
 def test_schemes_without_a_span_grow_the_store_exactly():
     mapping = {c: 1000 - c for c in range(-40, 41)}
     for scheme in (ExplicitScheme(mapping),
-                   WindowScheme(np.array(list(mapping.values())), -40)):
+                   ArrayScheme(list(mapping.values()), -40)):
         world = World(topology="infinite", scheme=scheme)
         for p in [*range(0, 41), *range(-1, -41, -1)]:
             assert world.label(p) == 1000 - p
@@ -329,22 +342,9 @@ def test_schemes_without_a_span_grow_the_store_exactly():
             assert (world._store.lo, world._store.hi) == stored
 
 
-def test_window_scheme_reads_only_its_window():
-    scheme = WindowScheme(np.array([9, 4, 7]), 10)
-    assert scheme.labels_at(np.array([12, 10])).tolist() == [7, 9]
-    assert scheme.label_at(11) == 4
-    for outside in ([9], [13], [10, 13]):
-        with pytest.raises(WorldError, match="no label assigned"):
-            scheme.labels_at(np.array(outside))
-    world = World(topology="infinite", scheme=scheme)
-    assert world.labels_at(np.arange(10, 13)).tolist() == [9, 4, 7]
-    with pytest.raises(WorldError, match="no label assigned to coordinate 13"):
-        world.label(13)
-
-
 def test_window_world_rejects_a_duplicate_label():
     world = World(topology="infinite",
-                  scheme=WindowScheme(np.array([5, 3, 8, 3]), -2))
+                  scheme=ArrayScheme([5, 3, 8, 3], -2))
     with pytest.raises(WorldError, match="duplicate"):
         world.labels_at(np.arange(-2, 2))
     world.labels_at(np.arange(-2, 1))
