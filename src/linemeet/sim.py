@@ -29,14 +29,17 @@ gadget expansion alike.
 
 Runs on the same world share one ``World`` object, and with it every label
 computed so far, one trajectory plan per start and each start pair's label
-extremes.  The world labels each sweep into its store, while a plan copies
-out only the O(R) labels it reads and asks only for the balls its records
-depend on.  Worlds with one scheme, whatever their topology, share one
-store of ruling states over windows snapped to a tile of the class ladder's
-rung, so plans from nearby starts that read the same classes share a window
-whatever their sweep; delays only shift a plan in global time.  A cycle
-window across the seam, or a query wider than the ladder, is built per
-query.  The states of a store keep at most ``STATE_BYTES`` bytes, or the
+extremes.  A plan reads only the O(R) labels it needs through the world's
+store and asks only for the balls its records depend on.  Each sweep is
+checked for distinct labels (:meth:`World.cover`).  For the sequential,
+random and uniform-class schemes, bijections by construction, that only
+means staying inside the scheme's span; an explicit or custom scheme's
+sweep is labelled into the store and checked against it.  Worlds with one
+scheme, whatever their topology, share one store of ruling states over
+windows snapped to a tile of the class ladder's rung, so plans from nearby
+starts that read the same classes share a window whatever their sweep;
+delays only shift a plan in global time.  A cycle window across the seam,
+or a query wider than the ladder, is built per query.  The states of a store keep at most ``STATE_BYTES`` bytes, or the
 store holds its newest state alone.
 Worlds are keyed by topology, size, seed and scheme: a string scheme by its
 spec, a ``LabelScheme`` object by identity, so such objects must be
@@ -250,7 +253,8 @@ class Timeline:
 
 
 def _window_labels(world: World, lo: int, hi: int) -> np.ndarray:
-    """The labels of nodes lo..hi, wrapped mod n on a cycle."""
+    """The labels of nodes lo..hi, wrapped mod n on a cycle, read through
+    the world's store."""
     coords = np.arange(lo, hi + 1)
     if world.topology == "cycle":
         coords %= world.n
@@ -263,11 +267,11 @@ class AgentPlan(Timeline):
     Iterations are appended one doubling step at a time; a finite-topology
     takeover (endpoint ping-pong or cycle settling) sets the tail and ends
     the legs with a closed-form terminal.  Each iteration's sweep window
-    [start - L, start + L] is labelled into the world's store through
-    :meth:`World.cover`, which checks every label the sweep visits, but
-    the plan copies out only the labels :func:`plan_iteration` reads,
-    those within :func:`label_reach` of the start: 2 R_top for the
-    largest spacing R_top, and none below L = 16.
+    [start - L, start + L] goes through :meth:`World.cover`, which checks
+    that the sweep visits distinct labels and stores the window only for an
+    explicit or custom scheme.  The plan reads only the labels
+    :func:`plan_iteration` reads, those within :func:`label_reach` of the
+    start: 2 R_top for the largest spacing R_top, and none below L = 16.
     Its ruling-set records come from ``es_lookup``; without one the plan
     gets a private :class:`_StateStore`.
     """
@@ -973,12 +977,12 @@ class _StateStore:
 
     def lookup(self, world: World):
         """The ruling-set lookup of plans on ``world``; a miss builds on
-        the window's labels, which the world reads and checks."""
+        the window's labels from :meth:`World.window_labels`."""
         n = world.n
         bounds = world.scheme.span() if n is None else (0, n - 1)
 
         def build(lo: int, hi: int, R: int) -> EsColState:
-            return EsColState(_window_labels(world, lo, hi), lo, R)
+            return EsColState(world.window_labels(lo, hi), lo, R)
 
         def lookup(lo: int, hi: int, R: int) -> EsColState:
             if ((n is not None and (lo < 0 or hi >= n))

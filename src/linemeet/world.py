@@ -318,6 +318,19 @@ def parse_scheme(text: str, default_seed: int = 0) -> LabelScheme:
 _PORT_BLOCK = 4096
 
 
+# Schemes that label every coordinate of their span() with distinct labels
+# by construction: zig-zag indexing, and Feistel permutations with cycle
+# walking (Black & Rogaway, CT-RSA 2002) over disjoint label zones.  Matched
+# by exact class: a subclass may repeat a label, and an explicit map may
+# leave a swept coordinate unlabelled, so both keep every check.
+_BIJECTIVE_SCHEMES = (SequentialScheme, RandomInjectiveScheme,
+                      UniformClassScheme)
+
+# coordinates a window is labelled in at a time from a bijective scheme;
+# Feistel labelling allocates about 58 B of temporaries per coordinate
+WINDOW_BLOCK = 1 << 16
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -380,8 +393,12 @@ class World:
     each stored coordinate is labelled once.  Every newly labelled coordinate
     is checked against all stored labels, and :meth:`label` reads through
     the same store, growing it geometrically on a miss next to it.
-    :meth:`cover` labels a walked range into the store without copying its
-    labels out.
+
+    A walk's sweep (:meth:`cover`) and a ruling state's window
+    (:meth:`window_labels`) go through the store, except for the
+    ``sequential``, ``random-injective`` and ``uniform-logstar-class``
+    schemes: they label their span with distinct labels by construction,
+    so their sweeps only have to stay inside it.
     """
 
     topology: str
@@ -489,15 +506,17 @@ class World:
         return out[inverse].reshape(arr.shape)
 
     def cover(self, lo: int, hi: int) -> None:
-        """Label the nodes lo..hi, wrapped onto a cycle, as
-        :meth:`labels_at` would, but return none of them.
+        """Check that the nodes lo..hi, wrapped onto a cycle, carry distinct
+        labels, as :meth:`labels_at` would, but return none of them.
 
-        A walk that visits a range calls this, so that the store checks
-        every label the walk sees.  A cycle range across the seam is split
-        into its two contiguous runs on [0, n - 1].  A run inside the host
-        that overlaps or touches the stored interval extends it, labelling
-        only what it adds, and one inside the interval costs nothing; any
-        other run goes through :meth:`labels_at`.
+        A walk that visits a range calls this, so that every label the walk
+        sees is checked.  A cycle range across the seam is split into its
+        two contiguous runs on [0, n - 1], and a run that leaves a path
+        raises.  For a bijective scheme a run only has to lie inside the
+        scheme's span, in O(1) and storing nothing.  For any other scheme a
+        run that overlaps or touches the stored interval extends it,
+        labelling only what it adds, and one inside the interval costs
+        nothing; any other run goes through :meth:`labels_at`.
         """
         n = self.n
         runs = [(lo, hi)]
@@ -506,9 +525,42 @@ class World:
             runs = ([(0, n - 1)] if hi - lo + 1 >= n
                     else [(a, b)] if a <= b else [(a, n - 1), (0, b)])
         for a, b in runs:
-            if not (self.valid(a) and self.valid(b)
-                    and self._store.extend(self.scheme, a, b)):
+            inside = self.valid(a) and self.valid(b)
+            if inside and self._bijective:
+                first, last = self.scheme.span()
+                if a < first or b > last:
+                    raise WorldError(f"coordinates {a}..{b} reach outside "
+                                     f"injective range [{first}, {last}]")
+            elif not (inside and self._store.extend(self.scheme, a, b)):
                 self.labels_at(np.arange(a, b + 1))
+
+    def window_labels(self, lo: int, hi: int) -> np.ndarray:
+        """The labels of nodes lo..hi, wrapped mod n on a cycle, in a new
+        array that the world does not keep.
+
+        A bijective scheme labels the window itself, ``WINDOW_BLOCK``
+        coordinates at a time, and the store is neither grown nor checked;
+        any other scheme's window is read through :meth:`labels_at`.
+        """
+        def nodes(a: int, b: int) -> np.ndarray:
+            coords = np.arange(a, b + 1)
+            if self.topology == "cycle":
+                coords %= self.n
+            return coords
+
+        if not self._bijective:
+            return self.labels_at(nodes(lo, hi))
+        if self.topology == "path" and (lo < 0 or hi >= self.n):
+            raise WorldError("coordinate batch leaves the finite topology")
+        out = np.empty(hi - lo + 1, dtype=np.int64)
+        for a in range(lo, hi + 1, WINDOW_BLOCK):
+            b = min(a + WINDOW_BLOCK - 1, hi)
+            out[a - lo:b - lo + 1] = self.scheme.labels_at(nodes(a, b))
+        return out
+
+    @property
+    def _bijective(self) -> bool:
+        return type(self.scheme) in _BIJECTIVE_SCHEMES
 
     # -- ports -------------------------------------------------------------
 

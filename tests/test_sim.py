@@ -46,6 +46,7 @@ from linemeet.world import (
     ExplicitScheme,
     LabelScheme,
     SequentialScheme,
+    World,
     WorldError,
     make_world,
     parse_scheme,
@@ -1526,6 +1527,17 @@ class TestFiniteStateStore:
         assert rebuilt is not first and records(rebuilt) == before
         assert list(store.states.values()) == [end, rebuilt]
 
+    def test_a_clipped_path_window_holds_its_scheme_labels(self, monkeypatch):
+        # labelled from the scheme in blocks of 100, past the path's end
+        # the snapped window stops at its last node
+        monkeypatch.setattr("linemeet.world.WINDOW_BLOCK", 100)
+        world = make_world("path", CLASS4, n=4096)
+        state = sim._StateStore().lookup(world)(3990, 4095, 4)
+        assert state.coords[-1] == 4095 and state.coords.size == 174
+        assert np.array_equal(state.labels,
+                              world.scheme.labels_at(state.coords))
+        assert world._store.labels.size == 0
+
 
 # the run path in a fresh interpreter: which topologies searched, and
 # whether numpy.ma got loaded (np.unique without an inverse imports it);
@@ -1655,6 +1667,20 @@ def test_a_duplicate_only_a_sweep_visits_raises(monkeypatch):
     # the label at 259 repeats alpha's start label
     with pytest.raises(WorldError, match="duplicate"):
         run(replace(clean, scheme=DuplicateScheme(259, -3)))
+
+
+def test_a_sweep_past_the_labelled_range_raises(monkeypatch):
+    # random-injective:0:30 labels [-15, 14]; the lmin window, the plan
+    # windows and the ruling windows stay inside it, and only alpha's
+    # L = 16 sweep [-17, 15] leaves it: without the sweep's check the pair
+    # would meet
+    cfg = SimConfig(scheme="random-injective:0:30", va=-1, vb=1)
+    monkeypatch.setattr(sim, "_WORLDS", OrderedDict())
+    with pytest.raises(WorldError, match="outside injective range"):
+        run(cfg)
+    monkeypatch.setattr(sim, "_WORLDS", OrderedDict())
+    monkeypatch.setattr(World, "cover", lambda world, lo, hi: None)
+    assert run(cfg).t_rdv == 2086
 
 
 class TestCustomSchemeReuse:

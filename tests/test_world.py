@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linemeet import world as world_module
 from linemeet.logstar import label_class
 from linemeet.world import (
     ExplicitScheme,
@@ -520,6 +521,86 @@ def test_a_wrapped_cover_is_stored_run_by_run():
     assert len(recorder.asked) == 50
     assert np.array_equal(world._store.labels,
                           SequentialScheme().labels_at(np.arange(50)))
+
+
+class RepeatsAt40(SequentialScheme):
+    """Sequential labels, except that coordinate 40 repeats coordinate 0's."""
+
+    def labels_at(self, coords):
+        coords = np.asarray(coords)
+        return np.where(coords == 40, 1, super().labels_at(coords))
+
+
+@pytest.mark.parametrize("topology,n,spec,lo,hi", [
+    ("infinite", None, "sequential", -10**12, 10**12),
+    ("infinite", None, "random-injective:3:101", -50, 50),
+    ("infinite", None, "uniform-logstar-class:4:1", -400, 400),
+    ("path", 64, "random-injective:3", 0, 63),
+    ("cycle", 64, "uniform-logstar-class:5", -100, 30),
+])
+def test_a_bijective_scheme_covers_without_storing(topology, n, spec, lo, hi):
+    world = make_world(topology, spec, n=n)
+    assert world.cover(lo, hi) is None
+    assert world._store.labels.size == 0
+
+
+@pytest.mark.parametrize("spec,lo,hi", [
+    ("random-injective:3:101", -51, 10),
+    ("random-injective:3:101", 0, 51),
+    ("uniform-logstar-class:6:2", -2**32, 0),
+])
+def test_a_bijective_cover_rejects_a_sweep_past_its_span(spec, lo, hi):
+    world = make_world("infinite", spec)
+    with pytest.raises(WorldError, match="outside injective range"):
+        world.cover(lo, hi)
+    assert world._store.labels.size == 0
+
+
+def test_only_the_builtin_schemes_skip_the_cover_check():
+    # a subclass of a bijective scheme may repeat a label, and an explicit
+    # map may leave a swept coordinate unlabelled: both are still checked
+    line = World(topology="infinite", scheme=RepeatsAt40())
+    with pytest.raises(WorldError, match="duplicate"):
+        line.cover(0, 40)
+    explicit = World(topology="infinite",
+                     scheme=ExplicitScheme({c: 100 + c for c in range(-5, 6)}))
+    explicit.cover(-5, 5)
+    assert (explicit._store.lo, explicit._store.hi) == (-5, 5)
+    with pytest.raises(WorldError, match="no label assigned to coordinate 6"):
+        explicit.cover(-5, 6)
+
+
+@pytest.mark.parametrize("topology,n,spec,lo,hi", [
+    # a window over several blocks, its last one short
+    ("infinite", None, "random-injective:7", -23, 17),
+    # class 4 holds zig-zag indices 0..11, so this window spills into class 5
+    ("infinite", None, "uniform-logstar-class:4:3", -9, 9),
+    # a path window clipped to the host
+    ("path", 40, "uniform-logstar-class:5:1", 0, 39),
+    # a cycle window across the seam, wrapped mod n
+    ("cycle", 40, "random-injective:2", -15, 12),
+])
+def test_window_labels_match_the_scheme_block_by_block(
+        monkeypatch, topology, n, spec, lo, hi):
+    monkeypatch.setattr(world_module, "WINDOW_BLOCK", 7)
+    world = make_world(topology, spec, n=n)
+    coords = np.arange(lo, hi + 1)
+    got = world.window_labels(lo, hi)
+    assert np.array_equal(got, world.scheme.labels_at(
+        coords % n if topology == "cycle" else coords))
+    assert world._store.labels.size == 0
+    if topology == "path":
+        with pytest.raises(WorldError, match="leaves the finite topology"):
+            world.window_labels(lo, hi + 1)
+
+
+def test_window_labels_of_other_schemes_go_through_the_store():
+    world = World(topology="infinite", scheme=RepeatsAt40())
+    assert np.array_equal(world.window_labels(-3, 20),
+                          SequentialScheme().labels_at(np.arange(-3, 21)))
+    assert (world._store.lo, world._store.hi) == (-3, 20)
+    with pytest.raises(WorldError, match="duplicate"):
+        world.window_labels(21, 40)
 
 
 def test_label_store_returns_arrays_it_does_not_alias():
