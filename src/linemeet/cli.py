@@ -42,10 +42,10 @@ from .sim import (
     LMIN_WINDOW_FACTOR,
     SimConfig,
     SimError,
-    case_classifier,
     grid_configs,
     run,
     sweep,
+    trace_row,
     write_csv,
 )
 from .world import WorldError, make_world
@@ -173,25 +173,24 @@ def cmd_run(args: argparse.Namespace) -> int:
         base_config=SimConfig(engine=args.engine,
                               allow_mispairing=args.allow_mispairing))
     trace = run(cfg)
-    lmin = trace.lmin
-    D = trace.D
-    denom = max(D, 1) * log_star(lmin)
+    row = trace_row(trace)
     runspec = {"version": __version__, "command": "run",
                "topology": args.topology, "n": args.n, "d": args.d,
                "tau": args.tau, "scheme": args.scheme, "seed": args.seed,
                "detection": args.detection, "care": care,
                "round_cap": args.round_cap, "engine": args.engine}
+    cell = f"D={row['D']} tau={row['tau']} lmin={row['lmin']}"
     if trace.t_rdv is None:
-        print(f"T_rdv=NONE D={D} tau={args.tau} lmin={lmin} ratio=NONE "
-              f"case=bound-violation cap={trace.round_cap}")
+        print(f"T_rdv=NONE {cell} ratio=NONE case={row['case_tag']} "
+              f"cap={trace.round_cap}")
         if args.out:
             trace.to_jsonl(args.out, runspec=runspec)
         _error_json("bound-violation",
                     f"no rendezvous within {trace.round_cap} rounds")
         return 1
-    print(f"T_rdv={trace.t_rdv} D={D} tau={args.tau} lmin={lmin} "
-          f"ratio={trace.t_rdv / denom:.6f} case={case_classifier(trace)} "
-          f"event={trace.event} position={trace.meet_position}")
+    print(f"T_rdv={trace.t_rdv} {cell} ratio={row['ratio']} "
+          f"case={row['case_tag']} event={trace.event} "
+          f"position={trace.meet_position}")
     if args.out:
         trace.to_jsonl(args.out, runspec=runspec)
     return 0

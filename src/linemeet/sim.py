@@ -169,10 +169,10 @@ def _round_cap(D: int, biggest: int) -> int:
 
 @dataclass(frozen=True)
 class IterationNote:
-    """What one doubling iteration decided, in plain-program local rounds."""
+    """What doubling iteration L decided: its phase after discovery and,
+    when it searches, the spacing R, the landmark r and its color."""
 
     L: int
-    t0: int
     phase: str
     R: int | None = None
     r: int | None = None
@@ -236,20 +236,6 @@ class Timeline:
         if i < len(self.notes) and t >= iteration_decision_round(1 << i):
             return self.notes[i].phase, self.notes[i]
         return "discovery", None
-
-    def phase_boundaries(self, upto: int) -> list[int]:
-        """Local rounds where the phase can change, ascending from 0."""
-        self.ensure(upto + 1)
-        last = upto if self.tail is None else min(upto, self.tail[1] - 1)
-        pts = {0}
-        L = 1
-        while iteration_start_round(L) <= last:
-            pts.update(p for p in (iteration_start_round(L),
-                                   iteration_decision_round(L)) if p <= last)
-            L *= 2
-        if self.tail is not None and self.tail[1] <= upto:
-            pts.add(self.tail[1])
-        return sorted(pts)
 
 
 def _window_labels(world: World, lo: int, hi: int) -> np.ndarray:
@@ -365,17 +351,16 @@ class AgentPlan(Timeline):
         half = label_reach(L)
         plan = plan_iteration(_window_labels(self.world, v - half, v + half),
                               v - half, v, L, es_lookup=self.es_lookup)
-        t0 = iteration_start_round(L)
         if plan is None:
             self._append(24 * L, 0)
-            self.notes.append(IterationNote(L, t0, "wait"))
+            self.notes.append(IterationNote(L, "wait"))
         else:
             for dur, slope in searching_walk_segments(
                     plan.R, L, plan.r - self.start, plan.bits,
                     plan.sweep_direction):
                 self._append(dur, slope)
-            self.notes.append(IterationNote(L, t0, "searching", plan.R,
-                                            plan.r, plan.color))
+            self.notes.append(IterationNote(L, "searching", plan.R, plan.r,
+                                            plan.color))
         # legs are straight, so their ends are the iteration's extremes
         if any(abs(x - v) > L for x in (*self.x0s[first:], self.cur_x)):
             raise SimError(f"iteration L={L} leaves [{v - L}, {v + L}]")
@@ -759,8 +744,7 @@ def _run_reference(config: SimConfig, world: World, cap: int):
                 # the program's frame points +1 through port 0
                 port0 = int(world.port_bits_at(np.array([tl.start]))[0])
                 r = tl.start + (r if port0 == 0 else -r)
-            tl.notes.append(IterationNote(L, iteration_start_round(L), phase,
-                                          event.get("R"), r,
+            tl.notes.append(IterationNote(L, phase, event.get("R"), r,
                                           event.get("color")))
 
     def wake(tl):
@@ -827,7 +811,7 @@ class SimTrace:
 
     def __init__(self, config: SimConfig, world: World, D: int, cap: int,
                  extremes: tuple[int, int], meet: tuple[int, str, int] | None,
-                 timeline_a: Timeline, timeline_b: Timeline, expand: bool):
+                 timeline_a: Timeline, timeline_b: Timeline):
         self.config = config
         self.world = world
         self.D = D
@@ -838,7 +822,6 @@ class SimTrace:
             self.meet_position %= world.n
         self._ta = timeline_a
         self._tb = timeline_b
-        self._expand = expand
 
     def _decision(self, agent: str, t: int) -> tuple[str, IterationNote | None]:
         """(phase, note) of the agent at global round t."""
@@ -856,46 +839,16 @@ class SimTrace:
         return self._decision(agent, t)[1]
 
     def positions_at(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        xa = _positions(self._ta, 0, self._expand, lo, hi)
-        xb = _positions(self._tb, self.config.tau, self._expand, lo, hi)
+        # a fast care run holds plain plans, which gadget rounds expand
+        expand = self.config.care and self.config.engine == "fast"
+        xa = _positions(self._ta, 0, expand, lo, hi)
+        xb = _positions(self._tb, self.config.tau, expand, lo, hi)
         if self.world.topology == "cycle":
             xa, xb = xa % self.world.n, xb % self.world.n
         return xa, xb
 
-    def phase_counts(self, upto: int | None = None) -> dict[str, dict[str, int]]:
-        """Exact rounds spent per phase per agent over global rounds 0..end."""
-        if upto is not None:
-            end = upto
-        elif self.t_rdv is not None:
-            end = self.t_rdv
-        else:
-            end = self.round_cap
-        scale = 4 if self.config.care else 1
-        out: dict[str, dict[str, int]] = {}
-        for agent, timeline in (("alpha", self._ta), ("beta", self._tb)):
-            wake = 0 if agent == "alpha" else self.config.tau
-            counts: dict[str, int] = {}
-            out[agent] = counts
-            if wake > 0:
-                counts["asleep"] = min(wake, end + 1)
-            if end < wake:
-                continue
-            bounds = timeline.phase_boundaries((end - wake) // scale)
-            for k, b in enumerate(bounds):
-                g0 = wake + b * scale
-                g1 = (wake + bounds[k + 1] * scale - 1
-                      if k + 1 < len(bounds) else end)
-                g1 = min(g1, end)
-                if g1 >= g0:
-                    phase = timeline.decision_at(b)[0]
-                    counts[phase] = counts.get(phase, 0) + (g1 - g0 + 1)
-        return out
-
-    def to_jsonl(self, path, limit: int | None = None,
-                 runspec: dict | None = None) -> None:
+    def to_jsonl(self, path, runspec: dict | None = None) -> None:
         end = self.t_rdv if self.t_rdv is not None else self.round_cap
-        if limit is not None:
-            end = min(end, limit)
         with open(path, "w") as fh:
             if runspec is not None:
                 fh.write(json.dumps({"runspec": runspec}, sort_keys=True) + "\n")
@@ -939,12 +892,17 @@ def _snapped_window(lo: int, hi: int, R: int,
     the window reaches reach + tile // 2 + 1 either side of the snapped
     center, so it holds [lo, hi]; queries of one rung from nearby centers,
     whatever their sweep, share it.  ``bounds`` is the host's extent, which
-    the window is clipped to; None leaves it unclipped.  ``need`` must not
-    pass the top rung, R + phase_end_round(R, CLASS_COUNT).
+    the window is clipped to; None leaves it unclipped.  A ``need`` past
+    the top rung, R + phase_end_round(R, CLASS_COUNT), raises
+    :class:`SimError`.
     """
     need = (hi - lo) // 2
-    reach = min(r for r in (R + phase_end_round(R, c)
-                            for c in range(1, CLASS_COUNT + 1)) if r >= need)
+    reach = min((r for r in (R + phase_end_round(R, c)
+                             for c in range(1, CLASS_COUNT + 1)) if r >= need),
+                default=None)
+    if reach is None:
+        raise SimError(f"a query of half-width {need} passes the top rung "
+                       f"at R={R}")
     tile = max(1, reach // _RUNG_TILES)
     snap = ((lo + hi) // 2 + tile // 2) // tile * tile
     h = reach + tile // 2 + 1
@@ -961,8 +919,7 @@ class _StateStore:
     cycle, the scheme's ``span()`` on the infinite line.  Such a window
     holds the scheme's own labels on every topology, so worlds with one
     scheme share one store and each window is built once for all of them.
-    A cycle window across the seam holds labels that depend on n, and a
-    query wider than twice the top rung has no snapped window; both are
+    A cycle window across the seam holds labels that depend on n, so it is
     built exactly, per query, and never looked up.  The newest state is
     always stored, and the least recently used are dropped while its states
     keep more than ``STATE_BYTES`` bytes (:attr:`EsColState.nbytes`) and it
@@ -985,8 +942,7 @@ class _StateStore:
             return EsColState(world.window_labels(lo, hi), lo, R)
 
         def lookup(lo: int, hi: int, R: int) -> EsColState:
-            if ((n is not None and (lo < 0 or hi >= n))
-                    or (hi - lo) // 2 > R + phase_end_round(R, CLASS_COUNT)):
+            if n is not None and (lo < 0 or hi >= n):
                 return build(lo, hi, R)
             key = (R, *_snapped_window(lo, hi, R, bounds))
             state = self.states.get(key)
@@ -1078,13 +1034,11 @@ def run(config: SimConfig) -> SimTrace:
            else _round_cap(D, extremes[1]))
     if config.engine == "reference":
         meet, tl_a, tl_b = _run_reference(config, world, cap)
-        return SimTrace(config, world, D, cap, extremes, meet, tl_a, tl_b,
-                        False)
-    plan_a = _cached_plan(work, config.va)
-    plan_b = _cached_plan(work, config.vb)
-    meet = _detect(config, world, plan_a, plan_b, cap, D)
-    return SimTrace(config, world, D, cap, extremes, meet, plan_a, plan_b,
-                    config.care)
+    else:
+        tl_a = _cached_plan(work, config.va)
+        tl_b = _cached_plan(work, config.vb)
+        meet = _detect(config, world, tl_a, tl_b, cap, D)
+    return SimTrace(config, world, D, cap, extremes, meet, tl_a, tl_b)
 
 
 def case_classifier(trace: SimTrace) -> str:
@@ -1119,11 +1073,16 @@ def case_classifier(trace: SimTrace) -> str:
 
 def run_row(config: SimConfig) -> dict:
     """Run one cell and flatten it into a results row."""
-    trace = run(config)
+    return trace_row(run(config))
+
+
+def trace_row(trace: SimTrace) -> dict:
+    """Flatten one run into a results row."""
+    config = trace.config
     D, lmin = trace.D, trace.lmin
     logstar_lmin = log_star(lmin)
     denom = max(D, 1) * logstar_lmin
-    row = {
+    return {
         "topology": config.topology,
         "n": config.n if config.n is not None else "",
         "D": D,
@@ -1138,7 +1097,6 @@ def run_row(config: SimConfig) -> dict:
                      else "bound-violation"),
         "seed": config.seed,
     }
-    return row
 
 
 def sweep(configs: list[SimConfig]) -> list[dict]:

@@ -252,9 +252,9 @@ def test_iteration_phase_timing():
     plan = AgentPlan(make_world("infinite", "random-injective:0:1000000000"),
                      0)
     plan.ensure(28 * 511)
-    traced = {note.L: note.t0 for note in plan.notes}
-    for length in doublings:
-        assert traced[length] == 28 * (length - 1), (length, traced[length])
+    # one note per iteration, in doubling order
+    traced = [note.L for note in plan.notes]
+    assert traced[:len(doublings)] == doublings, traced
 
     # cap below the meet time so every boundary up to L=256 is observable
     plain = run(SimConfig(scheme="random-injective:0:1000000000", va=-1,

@@ -1,5 +1,6 @@
 """Command-line front end: flags, exit codes, outputs, and oracles."""
 
+import csv
 import json
 import os
 import re
@@ -159,6 +160,18 @@ class TestSweepCommand:
         spec = json.loads(lines[0].removeprefix("# runspec="))
         assert spec["command"] == "sweep" and spec["d"] == "1..4"
         assert len(lines) == 2 + 11
+
+    def test_a_cell_reads_as_in_run(self, capsys, tmp_path):
+        # run's summary and a one-cell sweep's row of a searching cell give
+        # one ratio and one case tag
+        cell = ("--d", "6", "--tau", "0", "--scheme", "uniform-logstar-class:4")
+        code, out, _ = run_cli(capsys, "run", *cell)
+        assert code == 0
+        path = tmp_path / "cell.csv"
+        assert run_cli(capsys, "sweep", *cell, "--out", str(path))[0] == 0
+        (row,) = csv.DictReader(path.read_text().splitlines()[1:])
+        assert row["case_tag"] == "distinct-nodes-colored"
+        assert f" ratio={row['ratio']} case={row['case_tag']} " in out
 
     def test_jobs_flag_is_a_usage_error(self, capsys):
         # sweeps run in one process; an old --jobs invocation fails loudly

@@ -1,5 +1,6 @@
 """Two-agent simulation: engines, detection, delays, sweeps, and case tags."""
 
+import ast
 import gc
 import hashlib
 import json
@@ -34,6 +35,7 @@ from linemeet.sim import (
 )
 from linemeet.agent import (
     color_bits,
+    iteration_decision_round,
     iteration_start_round,
     plan_iteration,
     searching_walk,
@@ -118,18 +120,37 @@ def plain_positions(plan, hi):
     return sim._positions(plan, 0, False, 0, hi)
 
 
+def local_round(trace, agent, g):
+    """An agent's timeline and its plain-program local round at global round
+    g, negative while it sleeps."""
+    wake = trace.config.tau if agent == "beta" else 0
+    timeline = trace._ta if agent == "alpha" else trace._tb
+    return timeline, (g - wake) // (4 if trace.config.care else 1)
+
+
+def decisions(trace, agent, end):
+    """The notes of the iterations an agent decides by global round end, and
+    its tail if that starts by then: the data its phases follow from."""
+    timeline, t = local_round(trace, agent, end)
+    if t < 0:
+        return [], None
+    timeline.ensure(t + 1)
+    tail = timeline.tail
+    return ([note for note in timeline.notes
+             if iteration_decision_round(note.L) <= t],
+            tail if tail is not None and tail[1] <= t else None)
+
+
 def assert_engines_agree(fast, ref):
     """Fast and reference runs agree on the meeting, on both trajectories
-    and the phase tallies through it, on the notes at it and, in plain mode,
-    on every leg both timelines hold."""
+    through it, on the notes and tails decided by it and, in plain mode, on
+    every leg both timelines hold."""
     assert outcome(fast) == outcome(ref)
     end = fast.t_rdv if fast.t_rdv is not None else fast.round_cap
     for xf, xr in zip(fast.positions_at(0, end), ref.positions_at(0, end)):
         assert np.array_equal(xf, xr)
-    assert fast.phase_counts() == ref.phase_counts()
-    if fast.t_rdv is not None:
-        for agent in ("alpha", "beta"):
-            assert fast.note_of(agent, end) == ref.note_of(agent, end)
+    for agent in ("alpha", "beta"):
+        assert decisions(fast, agent, end) == decisions(ref, agent, end)
     if not fast.config.care:
         for plan, recorded in ((fast._ta, ref._ta), (fast._tb, ref._tb)):
             upto = min(plan.cur_t, recorded.cur_t)
@@ -277,6 +298,8 @@ class TestEngineAgreement:
         # the first plain step in which both stand still
         SimConfig(topology="cycle", n=22, va=11, vb=4, tau=7, care=True,
                   detection="node-only"),
+        # both agents search at the meeting, with different spacings R
+        SimConfig(scheme=CLASS4, va=-21, vb=22),
     ]
 
     @pytest.mark.parametrize("cfg", CASES)
@@ -297,7 +320,7 @@ class TestEngineAgreement:
             assert plan.notes[:len(recorded.notes)] == recorded.notes
             assert [note for note in recorded.notes
                     if note.phase == "searching"] == [sim.IterationNote(
-                        2048, 57316, "searching", 1, recorded.start, 2)]
+                        2048, "searching", 1, recorded.start, 2)]
 
     @settings(max_examples=20, deadline=None)
     @given(va=st.integers(-2, 2), d=st.integers(1, 6),
@@ -317,7 +340,7 @@ class TestEngineAgreement:
         for trace in (fast, ref):
             assert trace.phase_of("alpha", 203) == "discovery"
             assert trace.phase_of("alpha", 204) == "settle"
-            assert trace.phase_counts()["alpha"]["settle"] == 7
+            assert trace.phase_of("alpha", 210) == "settle"
 
     def test_no_note_before_the_iteration_decides(self):
         fast, ref = both_engines(SimConfig(topology="cycle", n=12, va=0,
@@ -325,13 +348,32 @@ class TestEngineAgreement:
         for trace in (fast, ref):
             assert trace.note_of("alpha", 0) is None
             assert trace.note_of("alpha", 3) is None
-            assert trace.note_of("alpha", 4) == sim.IterationNote(1, 0, "wait")
+            assert trace.note_of("alpha", 4) == sim.IterationNote(1, "wait")
 
     def test_reference_trace_answers_position_queries(self):
         trace = run(SimConfig(va=0, vb=3, tau=5, engine="reference"))
         xa, xb = trace.positions_at(0, trace.t_rdv)
         assert xa[0] == 0 and xb[0] == 3
         assert xa[-1] == xb[-1]
+
+
+def test_the_reference_engine_uses_nothing_of_the_fast_engine():
+    # the reference stays an independent oracle for the fast engine only
+    # while it plans, tracks and detects without the fast engine's code
+    tree = ast.parse(Path(sim.__file__).read_text())
+    (body,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name == "_run_reference"]
+    named = set()
+    for node in ast.walk(body):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.keyword):
+            named.add(node.arg)
+    assert {"main_program", "Timeline"} <= named
+    assert not named & {"AgentPlan", "_Track", "_StateStore", "_cached_plan",
+                        "_world_work", "_detect", "_positions", "es_lookup"}
 
 
 @st.composite
@@ -856,13 +898,43 @@ class TestTrajectoryInvariants:
         assert case_classifier(trace) == "out-of-sync"
 
 
+def scheduled_phase(trace, agent, g):
+    """The phase of an agent at global round g as the doubling schedule
+    gives it from the agent's notes and tail: iteration L starts at
+    28(L - 1) with 4L discovery rounds, then follows its note."""
+    timeline, t = local_round(trace, agent, g)
+    if t < 0:
+        return "asleep"
+    timeline.ensure(t + 1)
+    if timeline.tail is not None and t >= timeline.tail[1]:
+        return timeline.tail[0]
+    L = 1
+    while iteration_start_round(2 * L) <= t:
+        L *= 2
+    if t < iteration_start_round(L) + 4 * L:
+        return "discovery"
+    return next(note.phase for note in timeline.notes if note.L == L)
+
+
 class TestPhaseAccounting:
     def test_counts_match_hand_tally(self):
+        # alpha: 16 discovery and 72 wait rounds through the meeting at 87;
+        # beta: 5 asleep, 12 discovery and 71 wait rounds
         trace = run(SimConfig(va=0, vb=3, tau=5))
-        assert trace.phase_counts() == {
-            "alpha": {"discovery": 16, "wait": 72},
-            "beta": {"asleep": 5, "discovery": 12, "wait": 71},
+        assert trace.t_rdv == 87
+        schedule = {
+            "alpha": [(0, "discovery"), (3, "discovery"), (4, "wait"),
+                      (27, "wait"), (28, "discovery"), (35, "discovery"),
+                      (36, "wait"), (83, "wait"), (84, "discovery"),
+                      (87, "discovery")],
+            "beta": [(0, "asleep"), (4, "asleep"), (5, "discovery"),
+                     (8, "discovery"), (9, "wait"), (32, "wait"),
+                     (33, "discovery"), (40, "discovery"), (41, "wait"),
+                     (87, "wait")],
         }
+        for agent, phases in schedule.items():
+            assert [trace.phase_of(agent, t) for t, _ in phases] == \
+                [phase for _, phase in phases]
 
     @pytest.mark.parametrize("cfg", [
         SimConfig(va=0, vb=3, tau=5),
@@ -872,10 +944,13 @@ class TestPhaseAccounting:
         SimConfig(scheme=CLASS4, va=-11, vb=11),
     ])
     def test_counts_cover_every_round_exactly_once(self, cfg):
+        # each round through the meeting counts once, under the phase the
+        # schedule gives it from the notes and tail
         trace = run(cfg)
-        counts = trace.phase_counts()
         for agent in ("alpha", "beta"):
-            assert sum(counts[agent].values()) == trace.t_rdv + 1
+            rounds = range(trace.t_rdv + 1)
+            assert [trace.phase_of(agent, g) for g in rounds] == \
+                [scheduled_phase(trace, agent, g) for g in rounds]
 
     def test_sleeper_phase_before_wake(self):
         trace = run(SimConfig(va=0, vb=3, tau=5))
@@ -1106,12 +1181,6 @@ class TestTraceExport:
         assert rows[-1]["xa"] == rows[-1]["xb"]
         assert all(r["event"] is None for r in rows[:-1])
 
-    def test_jsonl_limit(self, tmp_path):
-        trace = run(SimConfig(va=0, vb=3, tau=5))
-        path = tmp_path / "trace.jsonl"
-        trace.to_jsonl(path, limit=10)
-        assert len(path.read_text().splitlines()) == 11
-
 
 # (sweep radius L, spacing R) pairs whose plans read classes 1-5
 LADDER_SWEEPS = [(40, 1), (200, 1), (200, 4), (1200, 1), (1200, 4), (1200, 16)]
@@ -1290,13 +1359,16 @@ class TestSharedRulingWindows:
                     assert (again[3] is state) == same
         at(10**6)
 
-    def test_an_over_wide_query_is_built_exactly_and_not_stored(self):
-        # the top rung at R = 1 is 2185, so this query has no snapped window
+    def test_an_over_wide_query_raises_and_stores_nothing(self):
+        # the top rung at R = 1 is 2185, which no plan's need passes, so
+        # this query has no snapped window
         assert 1 + phase_end_round(1, CLASS_COUNT) == 2185
         store = sim._StateStore()
-        state = store.lookup(make_world("infinite", RAND))(-3000, 3000, 1)
-        assert np.array_equal(state.coords, np.arange(-3000, 3001))
+        lookup = store.lookup(make_world("infinite", RAND))
+        with pytest.raises(SimError, match="top rung"):
+            lookup(-3000, 3000, 1)
         assert not store.states and store.nbytes == 0
+        assert lookup(-2185, 2185, 1).coords[0] <= -2185
 
     @given(snap_queries())
     # an odd tile of 7 at the class-3 rung 57, the snap a half tile below
