@@ -1,22 +1,22 @@
-"""Agent programs for rendezvous on labeled lines.
+"""What both engines share: the iteration schedule, walk segments, landmark
+planning and the timeline each engine fills.
 
-A program is a deterministic generator: it receives one observation per
-round (label and degree of the current node, the entry port if the agent
-just crossed, and its private round count) and yields the next move.  Both
-agents run the same program; everything they do is a function of what they
-have seen.
-
-The two layers here are the move gadgets (the 4-round careful crossing, the
-interval sweep, the color-scheduled search) and the doubling main loop that
-composes them, planning each iteration from the interval of labels the
-agent has discovered so far.
+Both agents run one deterministic program: a doubling loop whose iteration
+with sweep radius L sweeps [start - L, start + L] in 4L rounds and then
+searches, or waits, for 24L.  This module holds that schedule, the
+iteration's walks as (duration, slope) runs, the planner that picks the
+search landmark from the labels discovered so far, and the ``Timeline`` of
+legs, iteration notes and finite-host tail that records a trajectory.  The
+fast engine (:mod:`linemeet.sim`) plans timelines from these pieces; the
+reference engine (:mod:`linemeet.reference`) runs the program move by move
+and records one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Generator, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -25,132 +25,10 @@ from .ruling import EsColState, phase_end_round
 
 
 class AgentError(ValueError):
-    """A move gadget was invoked outside its stated preconditions."""
+    """A walk, gadget or planner was invoked outside its stated preconditions."""
 
 
-@dataclass(frozen=True)
-class Move:
-    """Stay put (port None) or cross through port 0 or 1."""
-
-    port: int | None = None
-
-    def __post_init__(self):
-        if self.port not in (None, 0, 1):
-            raise AgentError(f"port must be 0 or 1, got {self.port}")
-
-    @property
-    def is_stay(self) -> bool:
-        return self.port is None
-
-
-STAY = Move(None)
-PORTS = (Move(0), Move(1))
-
-
-@dataclass(frozen=True)
-class Observation:
-    """What an agent perceives at the start of a round."""
-
-    current_label: int
-    current_degree: int
-    entry_port: int | None
-    rounds_since_wakeup: int
-
-
-@dataclass(frozen=True)
-class AgentProgram:
-    """A named deterministic observation-to-move procedure.
-
-    ``factory`` takes the wake-up observation and an optional annotation
-    sink and returns a move generator; ``send`` it each subsequent
-    observation.
-    """
-
-    name: str
-    factory: Callable[..., Generator[Move, Observation, None]]
-
-    def start(self, wake_obs: Observation, sink=None):
-        gen = self.factory(wake_obs, sink)
-        first = gen.send(None)
-        return gen, first
-
-
-# -- move gadgets --------------------------------------------------------------
-
-
-def careful_walk_moves(direction_port: int, label_here: int, label_there: int,
-                       return_port: int) -> list[Move]:
-    """The 4-round crossing gadget: wait, cross, then settle.
-
-    Crossing toward the larger label waits out the two remaining rounds on
-    the far side; toward the smaller label it bounces back once and
-    recrosses.  Either way the agent stands on the far endpoint after round
-    4, and two agents crossing the same edge in opposite directions are
-    guaranteed to co-occupy the larger-label endpoint then.
-    """
-    if label_here == label_there:
-        raise AgentError("endpoint labels must differ")
-    head = [STAY, Move(direction_port)]
-    if label_there > label_here:
-        return head + [STAY, STAY]
-    return head + [Move(return_port), Move(direction_port)]
-
-
-def careful_walk_occupancy(label_here: int, label_there: int) -> str:
-    """Occupancy string over rounds 0..4; 0 = smaller-label endpoint."""
-    here, there = ("0", "1") if label_there > label_here else ("1", "0")
-    moves = careful_walk_moves(0, label_here, label_there, 0)
-    out, at_here = [here], True
-    for mv in moves:
-        if not mv.is_stay:
-            at_here = not at_here
-        out.append(here if at_here else there)
-    return "".join(out)
-
-
-def care_transform(program: AgentProgram) -> AgentProgram:
-    """Replace each crossing with a careful walk and each stay with 4 stays.
-
-    The transformed program needs no crossing detection and takes exactly 4
-    rounds per original round; its position at round 4t is the original's
-    position at round t.
-    """
-
-    def factory(wake_obs: Observation, sink=None):
-        def gen():
-            inner = program.factory(
-                Observation(wake_obs.current_label, wake_obs.current_degree,
-                            None, 0), sink)
-            move = inner.send(None)
-            t = 0
-            here_label = wake_obs.current_label
-            while True:
-                if move.is_stay:
-                    for _ in range(4):
-                        obs = yield STAY
-                    inner_obs = Observation(obs.current_label,
-                                            obs.current_degree, None, t + 1)
-                else:
-                    yield STAY
-                    across = yield move
-                    if across.current_label > here_label:
-                        yield STAY
-                        obs = yield STAY
-                        entry = across.entry_port
-                    else:
-                        yield Move(across.entry_port)
-                        obs = yield move
-                        entry = obs.entry_port
-                    inner_obs = Observation(across.current_label,
-                                            across.current_degree, entry, t + 1)
-                t += 1
-                here_label = inner_obs.current_label
-                move = inner.send(inner_obs)
-
-        g = gen()
-        return g
-
-    return AgentProgram(name=f"care({program.name})", factory=factory)
+# -- walks ---------------------------------------------------------------------
 
 
 def z_walk_segments(L: int, first_direction: int = 1) -> list[tuple[int, int]]:
@@ -159,14 +37,6 @@ def z_walk_segments(L: int, first_direction: int = 1) -> list[tuple[int, int]]:
         raise AgentError(f"sweep radius must be >= 1, got {L}")
     f = 1 if first_direction >= 0 else -1
     return [(L, f), (2 * L, -f), (L, f)]
-
-
-def z_walk(L: int, first_direction: int = 1) -> list[int]:
-    """Per-round steps (+1/-1) of the radius-L sweep; 4L crossings total."""
-    steps: list[int] = []
-    for dur, slope in z_walk_segments(L, first_direction):
-        steps.extend([slope] * dur)
-    return steps
 
 
 def color_bits(color: int) -> tuple[int, int, int, int, int]:
@@ -206,15 +76,6 @@ def searching_walk_segments(R: int, L: int, r_offset: int,
     segs += [(11 * (2 * L - 32 * R), 0), (L - delta, 0), (delta, -step)]
     return [(dur, slope) for dur, slope in segs if dur > 0]
 
-
-def searching_walk(R: int, L: int, r_offset: int, bits: Iterable[int],
-                   sweep_direction: int = 1) -> list[int]:
-    """Per-round steps (-1/0/+1) of the search schedule; length exactly 24L."""
-    steps: list[int] = []
-    for dur, slope in searching_walk_segments(R, L, r_offset, bits,
-                                              sweep_direction):
-        steps.extend([slope] * dur)
-    return steps
 
 
 def iteration_start_round(L: int) -> int:
@@ -371,171 +232,75 @@ def _radius_by_class(R: int) -> np.ndarray:
     return table
 
 
-# -- the agents' discovered world ----------------------------------------------
+# -- timelines -----------------------------------------------------------------
 
 
-class KnownLine:
-    """The contiguous interval an agent has visited, in its own frame.
+@dataclass(frozen=True)
+class IterationNote:
+    """What doubling iteration L decided: its phase after discovery and,
+    when it searches, the spacing R, the landmark r and its color."""
 
-    Coordinate 0 is the wake-up node; +1 is where the first-ever crossing
-    (port 0 by convention) leads.  Tracks labels and the port toward each
-    neighbor, and notices when some label shows up at two distinct
-    coordinates, which pins the world as a cycle of that period.
+    L: int
+    phase: str
+    R: int | None = None
+    r: int | None = None
+    color: int | None = None
+
+
+def _iteration_index(t: int) -> int:
+    """Index i of the iteration (L = 2^i) containing plain local round t."""
+    return (t // 28 + 1).bit_length() - 1
+
+
+class Timeline:
+    """One agent's trajectory and decisions in its own local rounds.
+
+    Legs are maximal straight runs (t0, x0, slope): a leg with the slope of
+    the last one extends it, so consecutive legs always differ in slope.
+    Past the legs the agent stays put, or follows ``terminal``, a closed
+    form for endpoint ping-pong or a hold.  ``notes`` hold the decision of
+    each iteration whose discovery sweep is done, and ``tail`` = (phase,
+    start) is the endpoint walk or cycle settling that ends the doubling
+    loop.  Positions are in the unbounded frame; cycle positions wrap only
+    when rendered.  Notes and the tail count plain-program rounds; the legs
+    of a care reference run count gadget rounds.
     """
 
-    def __init__(self, wake_obs: Observation):
-        self.position = 0
-        self.labels: dict[int, int] = {0: wake_obs.current_label}
-        self.ports: dict[int, dict[int, int]] = {}
-        if wake_obs.current_degree == 1:
-            self.ports[0] = {1: 0}
-        else:
-            self.ports[0] = {1: 0, -1: 1}
-        self._label_pos: dict[int, int] = {wake_obs.current_label: 0}
-        self.cycle_period: int | None = None
+    def __init__(self, start: int):
+        self.start = int(start)
+        self.t0s: list[int] = []
+        self.x0s: list[int] = []
+        self.slopes: list[int] = []
+        self.notes: list[IterationNote] = []
+        self.cur_t = 0
+        self.cur_x = self.start
+        self.terminal: tuple | None = None
+        self.tail: tuple[str, int] | None = None
 
-    @property
-    def low(self) -> int:
-        return min(self.labels)
-
-    @property
-    def high(self) -> int:
-        return max(self.labels)
-
-    def move_toward(self, direction: int) -> Move:
-        port = self.ports[self.position].get(direction)
-        if port is None:
-            raise AgentError(
-                f"no known port toward {direction:+d} at {self.position}")
-        return Move(port)
-
-    def arrive(self, obs: Observation, direction: int) -> None:
-        self.position += direction
-        p = self.position
-        self.labels[p] = obs.current_label
-        entry = obs.entry_port
-        slots = self.ports.setdefault(p, {})
-        slots[-direction] = entry
-        if obs.current_degree == 2:
-            slots[direction] = 1 - entry
-        seen = self._label_pos.get(obs.current_label)
-        if seen is None:
-            self._label_pos[obs.current_label] = p
-        elif seen != p and self.cycle_period is None:
-            self.cycle_period = abs(p - seen)
-
-    def label_array(self) -> tuple[np.ndarray, int]:
-        lo, hi = self.low, self.high
-        arr = np.array([self.labels[c] for c in range(lo, hi + 1)],
-                       dtype=np.int64)
-        return arr, lo
-
-    def label_at(self, coord: int) -> int:
-        if coord in self.labels:
-            return self.labels[coord]
-        if self.cycle_period:
-            n = self.cycle_period
-            lo = self.low
-            return self.labels[lo + ((coord - lo) % n)]
-        raise AgentError(f"coordinate {coord} not yet visited")
-
-    def sweep_direction(self, around: int = 0) -> int:
-        """Toward the larger-label neighbor; +1 if either side is unknown."""
-        try:
-            return 1 if self.label_at(around + 1) > self.label_at(around - 1) else -1
-        except (AgentError, KeyError):
-            return 1
-
-
-# -- programs ------------------------------------------------------------------
-
-
-def _emit(sink, **event):
-    if sink is not None:
-        sink(dict(event))
-
-
-def _straight_walker(known: KnownLine, direction: int):
-    """Walk straight forever, reversing at each degree-1 node."""
-    d = direction
-    while True:
-        obs = yield known.move_toward(d)
-        known.arrive(obs, d)
-        if obs.current_degree == 1:
-            d = -d
-
-
-def _cycle_settler(known: KnownLine, sink):
-    """Walk to the nearest copy of the global minimum label; wait forever."""
-    n = known.cycle_period
-    lo = known.low
-    period_labels = [known.labels[lo + k] for k in range(n)]
-    smallest = min(period_labels)
-    anchor = lo + period_labels.index(smallest)
-    here = known.position
-    k = round((here - anchor) / n)
-    targets = sorted({anchor + (k + s) * n for s in (-1, 0, 1)},
-                     key=lambda t: abs(t - here))
-    target = targets[0]
-    if len(targets) > 1 and abs(targets[0] - here) == abs(targets[1] - here):
-        d = known.sweep_direction(here)
-        target = targets[0] if (targets[0] - here) * d > 0 else targets[1]
-    _emit(sink, phase="settle", target=target - here, period=n,
-          min_label=smallest)
-    while known.position != target:
-        d = 1 if target > known.position else -1
-        obs = yield known.move_toward(d)
-        known.arrive(obs, d)
-    while True:
-        yield STAY
-
-
-def _doubling_factory(wake_obs: Observation, sink=None):
-    def gen():
-        known = KnownLine(wake_obs)
-        if wake_obs.current_degree == 1:
-            _emit(sink, phase="endpoint", L=0)
-            yield from _straight_walker(known, 1)
+    def _append(self, dur: int, slope: int) -> None:
+        if dur <= 0:
             return
-        L = 1
-        while True:
-            zdir = known.sweep_direction()
-            _emit(sink, phase="discovery", L=L, direction=zdir)
-            for step in z_walk(L, zdir):
-                obs = yield known.move_toward(step)
-                known.arrive(obs, step)
-                if obs.current_degree == 1:
-                    _emit(sink, phase="endpoint", L=L)
-                    away = -step
-                    yield from _straight_walker(known, away)
-                    return
-                if known.cycle_period is not None:
-                    yield from _cycle_settler(known, sink)
-                    return
-            labels, lo = known.label_array()
-            plan = plan_iteration(labels, lo, 0, L)
-            if plan is None:
-                _emit(sink, phase="wait", L=L)
-                for _ in range(24 * L):
-                    yield STAY
-            else:
-                _emit(sink, phase="searching", L=L, R=plan.R, r=plan.r,
-                      color=plan.color)
-                for step in searching_walk(plan.R, L, plan.r, plan.bits,
-                                           plan.sweep_direction):
-                    if step == 0:
-                        yield STAY
-                    else:
-                        obs = yield known.move_toward(step)
-                        known.arrive(obs, step)
-            L *= 2
+        if not self.slopes or self.slopes[-1] != slope:
+            self.t0s.append(self.cur_t)
+            self.x0s.append(self.cur_x)
+            self.slopes.append(slope)
+        self.cur_t += dur
+        self.cur_x += slope * dur
 
-    return gen()
+    def ensure(self, t: int) -> None:
+        """Make the trajectory through local round t known; a recorded
+        timeline already holds all of it."""
 
+    # -- phases ------------------------------------------------------------
 
-def main_program() -> AgentProgram:
-    """The doubling loop: sweep radius L, then search 24L rounds; 28L per
-    iteration, so iteration L starts at round 28(L-1).  On finite hosts it
-    walks straight ping-pong after sighting a degree-1 node, and settles on
-    the minimum label once a repeated label reveals a cycle."""
-    return AgentProgram(name="doubling-search", factory=_doubling_factory)
+    def decision_at(self, t: int) -> tuple[str, IterationNote | None]:
+        """(phase, note) at local round t >= 0.  The note is the decision of
+        t's iteration once its discovery sweep is done and before any tail,
+        else None."""
+        self.ensure(t + 1)
+        if self.tail is not None and t >= self.tail[1]:
+            return self.tail[0], None
+        i = _iteration_index(t)
+        if i < len(self.notes) and t >= iteration_decision_round(1 << i):
+            return self.notes[i].phase, self.notes[i]
+        return "discovery", None

@@ -20,9 +20,10 @@ from collections import Counter
 import numpy as np
 
 from . import __version__
-from .agent import AgentError, careful_walk_occupancy, iteration_start_round
+from .agent import AgentError, iteration_start_round
 from .localengine import EngineError
 from .logstar import CLASS_COUNT, class_range, class_size, log_star
+from .reference import careful_walk_occupancy
 from .ruling import (
     RADIUS_FACTOR,
     EsColState,

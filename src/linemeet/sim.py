@@ -5,9 +5,11 @@ delay tau but occupies its start node (and is findable there) from round 0.
 Rendezvous is detected either by node co-occupancy alone or additionally by
 a simultaneous opposite crossing of one edge.
 
-Two engines produce identical results.  ``reference`` executes the move
-generators round by round with real port navigation and is the oracle for
-``fast``.  Both fill one ``Timeline`` per agent, of maximal straight legs,
+Two engines produce identical results.  ``reference``
+(:func:`linemeet.reference.run_reference`, the one name taken from that
+module) executes the move generators round by round with real port
+navigation and is the oracle for ``fast``, which lives here.  Both fill one
+:class:`~linemeet.agent.Timeline` per agent, of maximal straight legs,
 iteration notes and a finite-host tail, so they agree on trajectories and
 phases, not only on the meeting.  ``fast`` plans the plain program's
 trajectory as linear segments of slope -1, 0 or +1 and finds the meeting
@@ -38,9 +40,10 @@ sweep is labelled into the store and checked against it.  Worlds with one
 scheme, whatever their topology, share one store of ruling states over
 windows snapped to a tile of the class ladder's rung, so plans from nearby
 starts that read the same classes share a window whatever their sweep;
-delays only shift a plan in global time.  A cycle window across the seam,
-or a query wider than the ladder, is built per query.  The states of a store keep at most ``STATE_BYTES`` bytes, or the
-store holds its newest state alone.
+delays only shift a plan in global time.  Only a cycle window across the
+seam is built per query; a query wider than the ladder's top rung raises
+:class:`SimError`.  The states of a store keep at most ``STATE_BYTES``
+bytes, or the store holds its newest state alone.
 Worlds are keyed by topology, size, seed and scheme: a string scheme by its
 spec, a ``LabelScheme`` object by identity, so such objects must be
 deterministic.  Only the ``WORLD_SLOTS`` most recently used worlds are kept.
@@ -57,17 +60,17 @@ import math
 import numpy as np
 
 from .agent import (
-    Observation,
-    care_transform,
-    iteration_decision_round,
+    IterationNote,
+    Timeline,
+    _iteration_index,
     iteration_start_round,
     label_reach,
-    main_program,
     plan_iteration,
     searching_walk_segments,
     z_walk_segments,
 )
 from .logstar import CLASS_COUNT, log_star
+from .reference import run_reference
 from .ruling import EsColState, phase_end_round
 from .world import LabelScheme, World, make_world
 
@@ -167,77 +170,6 @@ def _round_cap(D: int, biggest: int) -> int:
 # -- analytic trajectory plans -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IterationNote:
-    """What doubling iteration L decided: its phase after discovery and,
-    when it searches, the spacing R, the landmark r and its color."""
-
-    L: int
-    phase: str
-    R: int | None = None
-    r: int | None = None
-    color: int | None = None
-
-
-def _iteration_index(t: int) -> int:
-    """Index i of the iteration (L = 2^i) containing plain local round t."""
-    return (t // 28 + 1).bit_length() - 1
-
-
-class Timeline:
-    """One agent's trajectory and decisions in its own local rounds.
-
-    Legs are maximal straight runs (t0, x0, slope): a leg with the slope of
-    the last one extends it, so consecutive legs always differ in slope.
-    Past the legs the agent stays put, or follows ``terminal``, a closed
-    form for endpoint ping-pong or a hold.  ``notes`` hold the decision of
-    each iteration whose discovery sweep is done, and ``tail`` = (phase,
-    start) is the endpoint walk or cycle settling that ends the doubling
-    loop.  Positions are in the unbounded frame; cycle positions wrap only
-    when rendered.  Notes and the tail count plain-program rounds; the legs
-    of a care reference run count gadget rounds.
-    """
-
-    def __init__(self, start: int):
-        self.start = int(start)
-        self.t0s: list[int] = []
-        self.x0s: list[int] = []
-        self.slopes: list[int] = []
-        self.notes: list[IterationNote] = []
-        self.cur_t = 0
-        self.cur_x = self.start
-        self.terminal: tuple | None = None
-        self.tail: tuple[str, int] | None = None
-
-    def _append(self, dur: int, slope: int) -> None:
-        if dur <= 0:
-            return
-        if not self.slopes or self.slopes[-1] != slope:
-            self.t0s.append(self.cur_t)
-            self.x0s.append(self.cur_x)
-            self.slopes.append(slope)
-        self.cur_t += dur
-        self.cur_x += slope * dur
-
-    def ensure(self, t: int) -> None:
-        """Make the trajectory through local round t known; a recorded
-        timeline already holds all of it."""
-
-    # -- phases ------------------------------------------------------------
-
-    def decision_at(self, t: int) -> tuple[str, IterationNote | None]:
-        """(phase, note) at local round t >= 0.  The note is the decision of
-        t's iteration once its discovery sweep is done and before any tail,
-        else None."""
-        self.ensure(t + 1)
-        if self.tail is not None and t >= self.tail[1]:
-            return self.tail[0], None
-        i = _iteration_index(t)
-        if i < len(self.notes) and t >= iteration_decision_round(1 << i):
-            return self.notes[i].phase, self.notes[i]
-        return "discovery", None
-
-
 def _window_labels(world: World, lo: int, hi: int) -> np.ndarray:
     """The labels of nodes lo..hi, wrapped mod n on a cycle, read through
     the world's store."""
@@ -330,7 +262,7 @@ class AgentPlan(Timeline):
         w, v = self.world, self.start
         if L == 1:
             # first-ever crossing takes port 0, which fixes the frame
-            return 1 if int(w.port_bits_at(np.array([v]))[0]) == 0 else -1
+            return 1 if w.port_bit(v) == 0 else -1
         if w.topology == "cycle":
             plus, minus = (v + 1) % w.n, (v - 1) % w.n
         else:
@@ -710,90 +642,6 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
     return found if found and found[0] <= cap else None
 
 
-def _run_reference(config: SimConfig, world: World, cap: int):
-    """Lock-step generator execution with real port navigation.
-
-    Returns the meeting (round, event, alpha's node) or None, and one
-    ``Timeline`` per agent, recorded as the run goes: every round's move as
-    a leg (unwrapped on a cycle), the program's decisions as notes and its
-    finite-host takeover as the tail.  A decision off the doubling
-    schedule, which the timelines' phase queries assume, raises
-    ``RuntimeError``.
-    """
-    base = main_program()
-    prog = care_transform(base) if config.care else base
-    scale = 4 if config.care else 1
-    wrap = world.n if config.topology == "cycle" else None
-    tails = {"endpoint": "endpoint-walk", "settle": "settle"}
-
-    def record(tl, event):
-        """Note one program annotation, made at the timeline's last round."""
-        t, phase = tl.cur_t // scale, event["phase"]
-        if phase in tails:
-            tl.tail = (tails[phase], t)
-            return
-        L = event["L"]
-        due = (iteration_start_round(L) if phase == "discovery"
-               else iteration_decision_round(L))
-        if t != due:
-            raise RuntimeError(f"{phase} of iteration L={L} at local round "
-                               f"{t}, scheduled for {due}")
-        if phase != "discovery":
-            r = event.get("r")
-            if r is not None:
-                # the program's frame points +1 through port 0
-                port0 = int(world.port_bits_at(np.array([tl.start]))[0])
-                r = tl.start + (r if port0 == 0 else -r)
-            tl.notes.append(IterationNote(L, phase, event.get("R"), r,
-                                          event.get("color")))
-
-    def wake(tl):
-        obs = Observation(world.label(tl.start), world.degree(tl.start), None, 0)
-        return prog.start(obs, lambda event: record(tl, event))
-
-    def step(tl, gen, x, move):
-        """Make one move, then observe; returns (position, next move)."""
-        entry, d = None, 0
-        if not move.is_stay:
-            y, entry = world.step(x, move.port)
-            d, x = y - x, y
-        tl._append(1, (d + 1) % wrap - 1 if wrap else d)
-        return x, gen.send(Observation(world.label(x), world.degree(x), entry,
-                                       tl.cur_t))
-
-    def same(p, q):
-        return (p - q) % wrap == 0 if wrap else p == q
-
-    def adjacent(p, q):
-        d = abs(p - q)
-        return d == 1 or (wrap is not None and d == wrap - 1)
-
-    tl_a, tl_b = Timeline(config.va), Timeline(config.vb)
-    xa, xb = config.va, config.vb
-    gen_a, mv_a = wake(tl_a)
-    gen_b = mv_b = None
-    prev = None
-    meet = None
-    for t in range(cap + 1):
-        if t == config.tau:
-            gen_b, mv_b = wake(tl_b)
-        if same(xa, xb):
-            meet = (t, "node", xa)
-            break
-        if (config.detection == "node-or-crossing" and prev is not None
-                and same(xa, prev[1]) and same(xb, prev[0])
-                and adjacent(xa, prev[0])):
-            meet = (t, "crossing", xa)
-            break
-        if t == cap:
-            break
-        prev = (xa, xb)
-        xa, mv_a = step(tl_a, gen_a, xa, mv_a)
-        if gen_b is not None:
-            xb, mv_b = step(tl_b, gen_b, xb, mv_b)
-    return meet, tl_a, tl_b
-
-
 # -- traces --------------------------------------------------------------------
 
 
@@ -1033,7 +881,7 @@ def run(config: SimConfig) -> SimTrace:
     cap = (config.round_cap if config.round_cap is not None
            else _round_cap(D, extremes[1]))
     if config.engine == "reference":
-        meet, tl_a, tl_b = _run_reference(config, world, cap)
+        meet, tl_a, tl_b = run_reference(config, world, cap)
     else:
         tl_a = _cached_plan(work, config.va)
         tl_b = _cached_plan(work, config.vb)

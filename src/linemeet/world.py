@@ -96,22 +96,15 @@ class _FeistelPerm:
             pending = pending[bad]
         raise WorldError("cycle walking failed to converge")
 
-    def apply_one(self, idx: int) -> int:
-        return int(self.apply(np.array([idx], dtype=np.int64))[0])
-
 
 class LabelScheme:
     """Base class: a deterministic injective map from coordinates to labels >= 1."""
 
     name: str = "abstract"
 
-    def label_at(self, coord: int) -> int:
-        raise NotImplementedError
-
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized labels; subclasses override where a fast path exists."""
-        return np.array([self.label_at(int(c)) for c in np.asarray(coords).ravel()],
-                        dtype=np.int64).reshape(np.asarray(coords).shape)
+        """The labels of a coordinate array, in its shape."""
+        raise NotImplementedError
 
     def span(self) -> tuple[float, float] | None:
         """Bounds of the coordinate interval the scheme labels in full, which
@@ -128,9 +121,6 @@ class SequentialScheme(LabelScheme):
     """Zig-zag enumeration from the origin: 0 -> 1, -k -> 2k, +k -> 2k+1."""
 
     name = "sequential"
-
-    def label_at(self, coord: int) -> int:
-        return zigzag(coord) + 1
 
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
         return zigzag_array(coords) + 1
@@ -160,12 +150,6 @@ class RandomInjectiveScheme(LabelScheme):
         self.max_label = int(max_label)
         key = hashlib.sha256(f"random-injective:{self.seed}".encode()).digest()
         self._perm = _FeistelPerm(key, self.max_label)
-
-    def label_at(self, coord: int) -> int:
-        zz = zigzag(coord)
-        if zz >= self.max_label:
-            raise WorldError(f"coordinate {coord} outside injective range for max_label {self.max_label}")
-        return 1 + self._perm.apply_one(zz)
 
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
         zz = zigzag_array(coords)
@@ -209,18 +193,6 @@ class UniformClassScheme(LabelScheme):
             self._zones.append((start, lo, size, _FeistelPerm(key, size)))
             start += size
         self._size = start
-
-    def _zone_of(self, zz: int) -> tuple[int, int, int, _FeistelPerm]:
-        for zone in self._zones:
-            start, _, size, _ = zone
-            if zz < start + size:
-                return zone
-        raise WorldError(f"coordinate outside representable range (zig-zag index {zz})")
-
-    def label_at(self, coord: int) -> int:
-        zz = zigzag(coord)
-        start, lo, _, perm = self._zone_of(zz)
-        return lo + perm.apply_one(zz - start)
 
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
         zz = zigzag_array(coords)
@@ -270,12 +242,16 @@ class ExplicitScheme(LabelScheme):
         if len(set(clean.values())) != len(clean):
             raise WorldError("explicit scheme has duplicate labels")
         self.mapping = clean
+        order = sorted(clean)
+        self._coords = np.array(order, dtype=np.int64)
+        self._labels = np.array([clean[c] for c in order], dtype=np.int64)
 
-    def label_at(self, coord: int) -> int:
-        try:
-            return self.mapping[int(coord)]
-        except KeyError:
-            raise WorldError(f"no label assigned to coordinate {coord}") from None
+    def labels_at(self, coords: np.ndarray) -> np.ndarray:
+        arr = np.asarray(coords, dtype=np.int64)
+        missing = arr[~np.isin(arr, self._coords)]
+        if missing.size:
+            raise WorldError(f"no label assigned to coordinate {missing[0]}")
+        return self._labels[np.searchsorted(self._coords, arr)]
 
     def spec(self) -> str:
         payload = json.dumps({str(k): v for k, v in sorted(self.mapping.items())},
@@ -283,7 +259,7 @@ class ExplicitScheme(LabelScheme):
         return f"explicit:{payload}"
 
 
-def parse_scheme(text: str, default_seed: int = 0) -> LabelScheme:
+def parse_scheme(text: str) -> LabelScheme:
     """Parse a scheme spec string.
 
     Accepted forms: ``sequential``, ``random-injective[:seed[:max_label]]``,
@@ -298,13 +274,13 @@ def parse_scheme(text: str, default_seed: int = 0) -> LabelScheme:
         except ValueError:
             raise WorldError(f"scheme {text!r} has a non-integer field") from None
     if head == "random-injective":
-        seed = parts[0] if parts else default_seed
+        seed = parts[0] if parts else 0
         max_label = parts[1] if len(parts) > 1 else 10**9
         return RandomInjectiveScheme(seed, max_label)
     if head == "uniform-logstar-class":
         if not parts:
             raise WorldError("uniform-logstar-class needs a class index, e.g. uniform-logstar-class:5")
-        seed = parts[1] if len(parts) > 1 else default_seed
+        seed = parts[1] if len(parts) > 1 else 0
         return UniformClassScheme(seed, parts[0])
     if head == "explicit":
         try:
@@ -573,21 +549,10 @@ class World:
             self._port_blocks[block] = bits
         return bits
 
-    def _port_bit(self, p: int) -> int:
+    def port_bit(self, p: int) -> int:
         """1-bit per node: which port points toward coordinate +1."""
         block, off = divmod(p + (1 << 62), _PORT_BLOCK)  # shift keeps divmod sane for negatives
         return int(self._port_block(block)[off])
-
-    def port_bits_at(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_port_bit` over a coordinate array."""
-        arr = np.asarray(coords, dtype=np.int64).ravel() + (1 << 62)
-        blocks, offs = np.divmod(arr, _PORT_BLOCK)
-        out = np.empty(arr.shape, dtype=np.int64)
-        # a set, not np.unique, which imports numpy.ma on first use
-        for block in set(blocks.tolist()):
-            sel = blocks == block
-            out[sel] = self._port_block(block)[offs[sel]]
-        return out.reshape(np.asarray(coords).shape)
 
     def neighbors(self, p: int) -> list[tuple[int, int]]:
         """(port, neighbor) pairs at p, ordered by port number."""
@@ -602,7 +567,7 @@ class World:
             if p == self.n - 1:
                 return [(0, self.n - 2)]
             plus, minus = p + 1, p - 1
-        b = self._port_bit(p)
+        b = self.port_bit(p)
         pairs = [(b, plus), (1 - b, minus)]
         pairs.sort()
         return pairs

@@ -19,11 +19,7 @@ import numpy as np
 import pytest
 
 from linemeet import sim
-from linemeet.agent import (
-    iteration_start_round,
-    searching_walk,
-    searching_walk_segments,
-)
+from linemeet.agent import iteration_start_round, searching_walk_segments
 from linemeet.cli import main as cli_main
 from linemeet.logstar import log_star
 from linemeet.ruling import (
@@ -35,12 +31,12 @@ from linemeet.ruling import (
     verify_limited_ruling_set,
     window_certifies,
 )
+from linemeet.reference import searching_walk
 from linemeet.sim import AgentPlan, SimConfig, run
 from linemeet.world import (
     LabelScheme,
     make_world,
     parse_scheme,
-    zigzag,
     zigzag_array,
 )
 
@@ -99,16 +95,10 @@ class PlantedScheme(LabelScheme):
         self._coord = int(coord)
         self._value = int(value)
 
-    def label_at(self, coord: int) -> int:
-        if coord == self._coord:
-            return self._value
-        lab = self._base.label_at(coord)
-        # displaced above the base range if it collides with the plant
-        return lab if lab != self._value else 10**9 + zigzag(coord) + 1
-
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords)
         out = self._base.labels_at(coords)
+        # displaced above the base range if it collides with the plant
         out = np.where(out == self._value,
                        10**9 + zigzag_array(coords) + 1, out)
         return np.where(coords == self._coord, self._value, out)

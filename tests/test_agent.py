@@ -1,4 +1,5 @@
-"""Move gadgets, per-iteration planning, and the doubling search program."""
+"""Walks, per-iteration planning, and the reference engine's gadgets and
+doubling search program."""
 
 import numpy as np
 import pytest
@@ -6,24 +7,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linemeet.agent import (
-    STAY,
     AgentError,
-    AgentProgram,
+    color_bits,
+    iteration_start_round,
+    plan_iteration,
+    spacing_grid,
+)
+from linemeet.logstar import CLASS_HI, CLASS_LO
+from linemeet.reference import (
+    STAY,
     KnownLine,
     Move,
     Observation,
     care_transform,
     careful_walk_moves,
     careful_walk_occupancy,
-    color_bits,
-    iteration_start_round,
     main_program,
-    plan_iteration,
     searching_walk,
-    spacing_grid,
     z_walk,
 )
-from linemeet.logstar import CLASS_HI, CLASS_LO
 from linemeet.ruling import EsColState, termination_radius
 from linemeet.sim import _StateStore as StateStore
 from linemeet.world import ExplicitScheme, World, make_world
@@ -33,7 +35,7 @@ def drive(world, start, program, rounds, sink=None):
     """Reference runner: execute a program on a world, return the position trail."""
     pos = start
     obs = Observation(world.label(pos), world.degree(pos), None, 0)
-    gen = program.factory(obs, sink)
+    gen = program(obs, sink)
     move = gen.send(None)
     trail = [pos]
     for t in range(1, rounds + 1):
@@ -428,7 +430,7 @@ class TestMainProgram:
     def run_sequential(self, rounds, start=0):
         world = make_world("infinite", "sequential")
         events = []
-        trail = drive(world, start, main_program(), rounds, sink=events.append)
+        trail = drive(world, start, main_program, rounds, sink=events.append)
         return trail, events
 
     def test_returns_home_each_iteration(self):
@@ -464,38 +466,29 @@ class TestMainProgram:
         b, _ = self.run_sequential(600)
         assert a == b
 
-    def test_program_flags(self):
-        assert care_transform(main_program()).name == "care(doubling-search)"
-
 
 class TestCareTransform:
     def test_quadrupled_positions_match(self):
         world = make_world("infinite", "sequential")
-        plain = drive(world, 0, main_program(), 500)
-        care = drive(world, 0, care_transform(main_program()), 2000)
+        plain = drive(world, 0, main_program, 500)
+        care = drive(world, 0, care_transform(main_program), 2000)
         assert all(care[4 * t] == plain[t] for t in range(501))
 
     def test_pure_stay_program(self):
-        def factory(wake_obs, sink=None):
-            def gen():
-                while True:
-                    yield STAY
-            return gen()
+        def idle(wake_obs, sink=None):
+            while True:
+                yield STAY
 
-        idle = AgentProgram("idle", factory)
         world = make_world("infinite", "sequential")
         assert drive(world, 5, care_transform(idle), 40) == [5] * 41
 
     def test_toward_smaller_label_bounces(self):
-        def factory(wake_obs, sink=None):
-            def gen():
-                known = KnownLine(wake_obs)
-                while True:
-                    obs = yield known.move_toward(1)
-                    known.arrive(obs, 1)
-            return gen()
+        def walker(wake_obs, sink=None):
+            known = KnownLine(wake_obs)
+            while True:
+                obs = yield known.move_toward(1)
+                known.arrive(obs, 1)
 
-        walker = AgentProgram("walker", factory)
         downhill = {c: 200 - 2 * abs(c) + (1 if c > 0 else 0)
                     for c in range(-8, 9)}
         world = World(topology="infinite", scheme=ExplicitScheme(downhill))
@@ -506,18 +499,42 @@ class TestCareTransform:
         diffs = np.abs(np.diff(care)).sum()
         assert diffs == 3 * np.abs(np.diff(plain)).sum()
 
+    # seed 0 enters node 1 through the port it left node 0 by, seed 4
+    # through the other one, so a bounce with its two moves swapped shows
+    @pytest.mark.parametrize("seed", [0, 4])
+    @pytest.mark.parametrize("here,there", [(5, 9), (9, 5)])
+    def test_a_crossing_runs_the_careful_walk(self, seed, here, there):
+        world = World(topology="infinite", seed=seed,
+                      scheme=ExplicitScheme({-1: 1, 0: here, 1: there, 2: 2}))
+        port = world.port_toward(0, 1)
+
+        def cross_once(wake_obs, sink=None):
+            yield Move(port)
+            while True:
+                yield STAY
+
+        gen = care_transform(cross_once)(Observation(here, 2, None, 0))
+        pos, moves = 0, [gen.send(None)]
+        for t in range(1, 4):
+            entry = None
+            if not moves[-1].is_stay:
+                pos, entry = world.step(pos, moves[-1].port)
+            moves.append(gen.send(Observation(world.label(pos), 2, entry, t)))
+        assert moves == careful_walk_moves(port, here, there,
+                                           world.port_toward(1, 0))
+
 
 class TestFinitePath:
     def test_wake_at_endpoint_ping_pong(self):
         world = make_world("path", "sequential", n=5)
-        trail = drive(world, 0, main_program(), 24)
+        trail = drive(world, 0, main_program, 24)
         tri = [0, 1, 2, 3, 4, 3, 2, 1]
         assert trail == [tri[t % 8] for t in range(25)]
 
     def test_interior_start_settles_into_ping_pong(self):
         world = make_world("path", "sequential", n=9)
         events = []
-        trail = drive(world, 4, main_program(), 400,
+        trail = drive(world, 4, main_program, 400,
                       sink=events.append)
         first = next(i for i, p in enumerate(trail) if p in (0, 8))
         deltas = np.diff(trail[first:])
@@ -528,7 +545,7 @@ class TestFinitePath:
 
     def test_near_endpoint_start(self):
         world = make_world("path", "sequential", n=12)
-        trail = drive(world, 1, main_program(), 300)
+        trail = drive(world, 1, main_program, 300)
         first = next(i for i, p in enumerate(trail) if p in (0, 11))
         deltas = np.diff(trail[first:])
         assert set(np.abs(deltas).tolist()) == {1}
@@ -540,7 +557,7 @@ class TestCycle:
     def test_settles_on_minimum_label(self):
         world = make_world("cycle", "sequential", n=8)
         events = []
-        trail = drive(world, 3, main_program(), 600,
+        trail = drive(world, 3, main_program, 600,
                       sink=events.append)
         labels = world.labels_at(np.arange(8))
         target = int(np.argmin(labels))
@@ -552,7 +569,7 @@ class TestCycle:
 
     def test_random_labels_cycle(self):
         world = make_world("cycle", "random-injective:7", n=12)
-        trail = drive(world, 5, main_program(), 800)
+        trail = drive(world, 5, main_program, 800)
         labels = world.labels_at(np.arange(12))
         target = int(np.argmin(labels))
         assert set(trail[-100:]) == {target}

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linemeet import sim
+from linemeet import reference, sim
 from linemeet.sim import (
     CASE_TAGS,
     CSV_COLUMNS,
@@ -38,11 +38,10 @@ from linemeet.agent import (
     iteration_decision_round,
     iteration_start_round,
     plan_iteration,
-    searching_walk,
     spacing_grid,
-    z_walk,
 )
 from linemeet.logstar import CLASS_COUNT, CLASS_HI, CLASS_LO, log_star
+from linemeet.reference import searching_walk, z_walk
 from linemeet.ruling import phase_end_round, termination_radius
 from linemeet.world import (
     ExplicitScheme,
@@ -357,23 +356,30 @@ class TestEngineAgreement:
         assert xa[-1] == xb[-1]
 
 
+def imported_names(module):
+    """Every linemeet module a module imports, and each name it takes from
+    one, as dotted paths."""
+    imported = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = (("linemeet." if node.level else "")
+                    + (node.module or "")).rstrip(".")
+            imported += [base] + [f"{base}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    return imported
+
+
 def test_the_reference_engine_uses_nothing_of_the_fast_engine():
     # the reference stays an independent oracle for the fast engine only
-    # while it plans, tracks and detects without the fast engine's code
-    tree = ast.parse(Path(sim.__file__).read_text())
-    (body,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-               and node.name == "_run_reference"]
-    named = set()
-    for node in ast.walk(body):
-        if isinstance(node, ast.Name):
-            named.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
-        elif isinstance(node, ast.keyword):
-            named.add(node.arg)
-    assert {"main_program", "Timeline"} <= named
-    assert not named & {"AgentPlan", "_Track", "_StateStore", "_cached_plan",
-                        "_world_work", "_detect", "_positions", "es_lookup"}
+    # while it plans, tracks and detects without the fast engine's code,
+    # and the fast engine takes nothing of the reference but its entry
+    ref = imported_names(reference)
+    assert "linemeet.agent.Timeline" in ref
+    assert not [m for m in ref if m.startswith("linemeet.sim")]
+    fast = [m for m in imported_names(sim)
+            if m.startswith("linemeet.reference")]
+    assert fast == ["linemeet.reference", "linemeet.reference.run_reference"]
 
 
 @st.composite
@@ -1695,9 +1701,6 @@ class PlantedScheme(LabelScheme):
         self._coords = np.array(list(plants), dtype=np.int64)
         self._values = np.array(list(plants.values()), dtype=np.int64)
 
-    def label_at(self, coord: int) -> int:
-        return int(self.labels_at(np.array([coord]))[0])
-
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords)
         out = self._base.labels_at(coords)
@@ -1720,7 +1723,8 @@ class DuplicateScheme(LabelScheme):
 
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords)
-        return np.where(coords == self.coord, self._base.label_at(self.twin),
+        twin = self._base.labels_at(np.array([self.twin]))[0]
+        return np.where(coords == self.coord, twin,
                         self._base.labels_at(coords))
 
 

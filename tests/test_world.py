@@ -26,11 +26,7 @@ from linemeet.world import (
 
 def test_sequential_labels():
     s = SequentialScheme()
-    assert s.label_at(0) == 1
-    assert s.label_at(-1) == 2
-    assert s.label_at(1) == 3
-    assert s.label_at(-2) == 4
-    assert s.label_at(2) == 5
+    assert s.labels_at(np.array([0, -1, 1, -2, 2])).tolist() == [1, 2, 3, 4, 5]
 
 
 def test_zigzag_is_injective_near_origin():
@@ -41,10 +37,9 @@ def test_zigzag_is_injective_near_origin():
 
 def test_explicit_scheme():
     s = ExplicitScheme({0: 7, 1: 3})
-    assert s.label_at(1) == 3
-    assert s.label_at(0) == 7
-    with pytest.raises(WorldError):
-        s.label_at(2)
+    assert s.labels_at(np.array([1, 0, 1])).tolist() == [3, 7, 3]
+    with pytest.raises(WorldError, match="no label assigned to coordinate 2"):
+        s.labels_at(np.array([0, 2]))
     with pytest.raises(WorldError):
         ExplicitScheme({0: 4, 5: 4})
     with pytest.raises(WorldError):
@@ -70,7 +65,6 @@ def test_random_injective_is_deterministic():
     b = RandomInjectiveScheme(17)
     coords = np.arange(-200, 201)
     assert np.array_equal(a.labels_at(coords), b.labels_at(coords))
-    assert a.label_at(33) == a.label_at(33)
     c = RandomInjectiveScheme(18)
     assert not np.array_equal(a.labels_at(coords), c.labels_at(coords))
 
@@ -79,17 +73,10 @@ def test_random_injective_small_domain_is_a_permutation():
     # with max_label 64 the first 64 zig-zag indices must map onto 1..64 exactly
     s = RandomInjectiveScheme(5, max_label=64)
     coords = [0] + [c for k in range(1, 32) for c in (-k, k)] + [-32]
-    labels = sorted(s.label_at(c) for c in coords)
+    labels = sorted(s.labels_at(np.array(coords)).tolist())
     assert labels == list(range(1, 65))
     with pytest.raises(WorldError):
-        s.label_at(33)  # zig-zag index 66 is outside the domain
-
-
-def test_random_injective_vectorized_matches_scalar():
-    s = RandomInjectiveScheme(99)
-    coords = np.arange(-64, 65)
-    vec = s.labels_at(coords)
-    assert vec.tolist() == [s.label_at(int(c)) for c in coords]
+        s.labels_at(np.array([33]))  # zig-zag index 66 is outside the domain
 
 
 @pytest.mark.parametrize("scheme,digest,origin_label", [
@@ -101,7 +88,7 @@ def test_seeded_labels_are_pinned(scheme, digest, origin_label):
     # the Feistel tables' storage width must never change a label
     labels = scheme.labels_at(np.arange(-4096, 4097))
     assert hashlib.sha256(labels.astype("<i8").tobytes()).hexdigest()[:16] == digest
-    assert labels[4096] == scheme.label_at(0) == origin_label
+    assert labels[4096] == scheme.labels_at(np.array([0]))[0] == origin_label
 
 
 @pytest.mark.parametrize("build,count,kib_each", [
@@ -138,12 +125,12 @@ def test_schemes_injective_on_sampled_window(scheme):
 def test_uniform_class_scheme_core_zone():
     s = UniformClassScheme(3, 4)
     # class 4 holds 12 labels covering zig-zag indices 0..11, coords -6..5
-    core = [s.label_at(c) for c in range(-6, 6)]
+    core = s.labels_at(np.arange(-6, 6)).tolist()
     assert sorted(core) == list(range(5, 17))
     assert all(label_class(x) == 4 for x in core)
     # the next coordinate outward spills into class 5
-    assert label_class(s.label_at(6)) == 5
-    assert label_class(s.label_at(-7)) == 5
+    assert [label_class(int(x)) for x in s.labels_at(np.array([6, -7]))] \
+        == [5, 5]
 
 
 def test_uniform_class_scheme_class5_window():
@@ -151,8 +138,8 @@ def test_uniform_class_scheme_class5_window():
     labels = s.labels_at(np.arange(-2000, 2001))
     assert all(label_class(int(x)) == 5 for x in labels)
     # spill boundary: zig-zag index 65519 is the last class-5 slot
-    assert label_class(s.label_at(-32760)) == 5
-    assert label_class(s.label_at(32760)) == 6
+    assert [label_class(int(x)) for x in s.labels_at(np.array([-32760, 32760]))] \
+        == [5, 6]
 
 
 def test_parse_scheme_round_trip():
@@ -211,20 +198,13 @@ def test_ports_are_consistent_edges():
             assert w.step(q, back)[0] == p
 
 
-def test_port_bits_vectorized_matches_scalar():
-    w = make_world("infinite", "sequential", seed=77)
-    coords = np.arange(-5000, 5000, 7)
-    vec = w.port_bits_at(coords)
-    assert vec.tolist() == [w._port_bit(int(c)) for c in coords]
-
-
 def test_port_seeding():
     a = make_world("infinite", "sequential", seed=1)
     b = make_world("infinite", "sequential", seed=1)
     c = make_world("infinite", "sequential", seed=2)
-    coords = np.arange(0, 2000)
-    assert np.array_equal(a.port_bits_at(coords), b.port_bits_at(coords))
-    assert not np.array_equal(a.port_bits_at(coords), c.port_bits_at(coords))
+    bits = [[w.port_bit(p) for p in range(2000)] for w in (a, b, c)]
+    assert bits[0] == bits[1]
+    assert bits[0] != bits[2]
 
 
 def test_path_endpoints_have_one_port():
@@ -305,7 +285,7 @@ def test_single_label_walks_grow_the_store_geometrically(
     start = (span[0] + span[1]) // 2
     walk = [*range(start, span[1] + 1), *range(start, span[0] - 1, -1)]
     for p in walk:
-        assert world.label(p) == scheme.label_at(p)
+        assert world.label(p) == scheme.labels_at(np.array([p]))[0]
     store = world._store
     if bounded:
         assert (store.lo, store.hi) == span
@@ -324,9 +304,6 @@ class ArrayScheme(LabelScheme):
 
     def __init__(self, labels, lo):
         self.labels, self.lo = np.asarray(labels, dtype=np.int64), lo
-
-    def label_at(self, coord):
-        return int(self.labels[coord - self.lo])
 
     def labels_at(self, coords):
         return self.labels[np.asarray(coords, dtype=np.int64) - self.lo]
@@ -359,10 +336,6 @@ class Recording(LabelScheme):
     def __init__(self, base: LabelScheme):
         self.base = base
         self.asked: list[int] = []
-
-    def label_at(self, coord):
-        self.asked.append(int(coord))
-        return self.base.label_at(coord)
 
     def labels_at(self, coords):
         self.asked.extend(np.asarray(coords).ravel().tolist())
@@ -419,7 +392,7 @@ def test_label_store_answers_like_its_scheme(case):
         stored = set(range(store.lo, store.hi + 1))
         before = len(recorder.asked)
         if kind == "single":
-            assert world.label(payload) == base.label_at(payload)
+            assert world.label(payload) == base.labels_at(np.array([payload]))[0]
             requested.add(payload)
         elif kind == "cover":
             a, b = payload
