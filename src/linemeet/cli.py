@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .ruling import (
 from .sim import (
     ENGINES,
     LMIN_WINDOW_FACTOR,
-    SimConfig,
     SimError,
     grid_configs,
     run,
@@ -170,9 +170,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     (cfg,) = grid_configs(
         topology=args.topology, n=args.n, schemes=(args.scheme,),
         d_values=(args.d,), taus=(args.tau,), seed=args.seed,
-        detection=args.detection, care=care, round_cap=args.round_cap,
-        base_config=SimConfig(engine=args.engine,
-                              allow_mispairing=args.allow_mispairing))
+        detection=args.detection, care=care, round_cap=args.round_cap)
+    cfg = replace(cfg, engine=args.engine,
+                  allow_mispairing=args.allow_mispairing)
     trace = run(cfg)
     row = trace_row(trace)
     runspec = {"version": __version__, "command": "run",

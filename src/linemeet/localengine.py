@@ -9,9 +9,12 @@ declared palette, never on which colors actually occur.
 
 Members lie on a line, as for the ruling sets built on these primitives:
 two members' distance is the difference of their coordinates, and each
-member carries its label, which is all a coloring reads of it.  Max degree
-2 covers chains and triangles of members; list coloring stretches to max
-degree 16 by decomposing edges into rank-difference classes.
+member carries its label, which is all a coloring reads of it.  A member's
+neighbors are then one contiguous window of ranks, the only adjacency a
+subgraph keeps.  Max degree 2 covers chains and triangles of members, whose
+neighbor pairs come from the windows; list coloring stretches to max degree
+16 by splitting each window into rank-difference classes, which also give
+its neighbor rows.
 
 At the sizes ruling sets color, a run costs about one unit per numpy pass,
 so the kernels keep the passes per simulated round few.  Neighbor ranks use -1 for
@@ -29,7 +32,7 @@ colors.
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import cached_property
 
 import numpy as np
 
@@ -53,69 +56,48 @@ MAX_LIST_COLORS = 63
 class PowerSubgraph:
     """``G^k[U]``: members of a line, adjacent within distance k.
 
-    ``labels[i]`` is the label of ``members[i]``; both are kept sorted by
-    member, the members as a copy and the labels without one where they
-    come sorted.  Adjacency is materialized as a rank matrix (``-1``
-    padded) so the coloring passes are numpy gathers.
+    ``members`` are strictly increasing coordinates, kept as a copy, and
+    ``labels[i]`` is the label of ``members[i]``.  On a line, member i's
+    neighbors are the contiguous rank window ``lo[i]..hi[i]`` less i itself,
+    and that window is the only adjacency kept: degree <= 2 graphs derive
+    their neighbor :attr:`pair` from it, list coloring its rank-difference
+    classes.
     """
 
-    def __init__(self, members: Iterable[int], labels: np.ndarray,
+    def __init__(self, members: np.ndarray, labels: np.ndarray,
                  power: int):
         if power < 1:
             raise EngineError(f"power must be >= 1, got {power}")
-        arr = np.array(members if isinstance(members, np.ndarray)
-                       else list(members), dtype=np.int64)
+        c = np.array(members, dtype=np.int64)
         labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != arr.shape:
-            raise EngineError(f"{labels.size} labels for {arr.size} members")
-        if not np.all(arr[1:] > arr[:-1]):
-            order = np.argsort(arr, kind="stable")
-            arr, labels = arr[order], labels[order]
-            if np.any(arr[1:] == arr[:-1]):
-                raise EngineError("duplicate members")
-        self.members = arr
+        if labels.shape != c.shape:
+            raise EngineError(f"{labels.size} labels for {c.size} members")
+        if np.any(c[1:] <= c[:-1]):
+            raise EngineError("members must be strictly increasing")
+        self.members = c
         self.labels = labels
         self.power = int(power)
-        self._build_adjacency()
-
-    def _build_adjacency(self) -> None:
-        m = self.members.size
-        if m == 0:
-            self.nbrs = np.empty((0, 0), dtype=np.int64)
-            self.degrees = np.empty(0, dtype=np.int64)
-            self.max_degree = 0
-            return
-        c, k = self.members, self.power
-        lo = np.searchsorted(c, c - k, side="left")
-        hi = np.searchsorted(c, c + k, side="right")
-        deg = hi - lo - 1
-        dmax = int(deg.max())
-        t = np.arange(dmax, dtype=np.int64)
-        nbrs = lo[:, None] + t
-        nbrs += nbrs >= np.arange(m, dtype=np.int64)[:, None]  # skip self
-        nbrs[t >= deg[:, None]] = -1
-        self.nbrs = nbrs
-        self.degrees = deg
-        self.max_degree = dmax
+        self.lo = np.searchsorted(c, c - power, side="left")
+        self.hi = np.searchsorted(c, c + power, side="right") - 1
+        self.degrees = self.hi - self.lo
+        self.max_degree = int(self.degrees.max(initial=0))
 
     def require_degree(self, bound: int) -> None:
         if self.max_degree > bound:
             raise EngineError(
                 f"max degree {self.max_degree} exceeds {bound} for this operation")
 
-    @property
-    def pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """(first, second) neighbor rank arrays for degree <= 2 graphs."""
+    @cached_property
+    def pair(self) -> np.ndarray:
+        """(2, m) neighbor ranks of a degree <= 2 graph, lower rank first,
+        -1 for a missing neighbor.  Member i's window skips i, so in a
+        triangle its two neighbors can be i-2 and i-1, or i+1 and i+2."""
         self.require_degree(2)
-        pair = np.full((2, self.members.size), -1, dtype=np.int64)
-        pair[:self.nbrs.shape[1]] = self.nbrs.T
-        return pair[0], pair[1]
-
-    def check_proper(self, colors: np.ndarray) -> None:
-        # a -1 rank reads the last color, which the mask then discards
-        clash = (colors[self.nbrs] == colors[:, None]) & (self.nbrs >= 0)
-        if clash.any():
-            raise EngineError("coloring is not proper on the subgraph")
+        own = np.arange(self.members.size, dtype=np.int64)
+        ranks = self.lo + np.arange(2, dtype=np.int64)[:, None]
+        ranks += ranks >= own  # skip self
+        ranks[ranks > self.hi] = -1
+        return ranks
 
 
 # -- degree <= 2 three-coloring pipeline ---------------------------------------
@@ -276,46 +258,42 @@ def mis_rounds(palette: int) -> int:
 # -- public operations ---------------------------------------------------------
 
 
-def _init_coloring(sub: PowerSubgraph, palette: int | None,
-                   base: int) -> tuple[np.ndarray, int]:
-    """Label-based initial coloring: color = label - base, palette = bound.
+def _init_coloring(sub: PowerSubgraph, palette: int, base: int) -> np.ndarray:
+    """Label-based initial coloring: color = label - base, below ``palette``.
 
     ``base`` is the smallest label the caller's contract admits (1 for raw
     labels, a class lower bound when members all share a label class); the
     palette counts the admissible values starting there.
     """
     init = sub.labels - base
-    if palette is None:
-        palette = int(init.max()) + 1 if init.size else 1
     if init.size and (int(init.min()) < 0 or int(init.max()) >= palette):
         raise EngineError(
             f"member labels fall outside [{base}, {base + palette - 1}]")
-    return init, int(palette)
+    return init
 
 
-def color_path_constant(sub: PowerSubgraph, palette: int | None = None,
-                        base: int = 1) -> tuple[np.ndarray, int]:
+def color_path_constant(sub: PowerSubgraph, palette: int,
+                        base: int) -> tuple[np.ndarray, int]:
     """Proper 3-coloring of a degree <= 2 subgraph, plus simulated rounds.
 
-    Starts from the shifted label coloring (values label - base, bounded by
-    ``palette`` when given, else by the largest occurring value) and
-    alternates squared bit-index rounds with block-folding stages until the
-    palette is at most 3.  Returns (colors, rounds): colors in [0, 3),
-    aligned with ``sub.members``.
+    Starts from the shifted label coloring (values label - base, below
+    ``palette``) and alternates squared bit-index rounds with block-folding
+    stages until the palette is at most 3.  Returns (colors, rounds):
+    colors in [0, 3), aligned with ``sub.members``.
     """
     sub.require_degree(2)
     if sub.members.size == 0:
         return np.empty(0, dtype=np.int64), 0
-    init, bound = _init_coloring(sub, palette, base)
-    colors, rounds = _three_color(_by_label(sub.labels, *sub.pair), init, bound)
-    if rounds != three_color_rounds(bound):
+    init = _init_coloring(sub, palette, base)
+    colors, rounds = _three_color(_by_label(sub.labels, *sub.pair), init,
+                                  palette)
+    if rounds != three_color_rounds(palette):
         raise EngineError(f"3-coloring took {rounds} rounds, schedule says "
-                          f"{three_color_rounds(bound)}")
+                          f"{three_color_rounds(palette)}")
     return colors, rounds
 
 
-def mis(sub: PowerSubgraph, palette: int | None = None,
-        base: int = 1) -> np.ndarray:
+def mis(sub: PowerSubgraph, palette: int, base: int) -> np.ndarray:
     """Maximal independent set of a degree <= 2 subgraph, as sorted coords.
 
     3-colors the members, then adds color classes 0, 1, 2 greedily; the
@@ -334,21 +312,18 @@ def _difference_classes(sub: PowerSubgraph) -> np.ndarray:
 
     Member i's class-d neighbors can only be ranks i-d and i+d, so every
     class is a disjoint union of paths, and the classes cover all edges
-    because adjacency windows are contiguous in the rank order.  Returns
-    the (nA, nB) pairs of d = 1, 2, ... as one (classes, 2, members) array;
+    because each member's neighbors are its rank window.  Returns the
+    (nA, nB) pairs of d = 1, 2, ... as one (classes, 2, members) array;
     every class up to the widest reach has an edge, at the member that
     reaches that far.
     """
-    m = sub.members.size
-    c, k = sub.members, sub.power
-    idx = np.arange(m, dtype=np.int64)
-    lo = np.searchsorted(c, c - k, side="left")
-    hi = np.searchsorted(c, c + k, side="right") - 1
-    max_d = int(max((idx - lo).max(initial=0), (hi - idx).max(initial=0)))
+    idx = np.arange(sub.members.size, dtype=np.int64)
+    max_d = int(max((idx - sub.lo).max(initial=0),
+                    (sub.hi - idx).max(initial=0)))
     d = np.arange(1, max_d + 1, dtype=np.int64)[:, None]
     left, right = idx - d, idx + d
-    return np.stack((np.where(left >= lo, left, -1),
-                     np.where(right <= hi, right, -1)), axis=1)
+    return np.stack((np.where(left >= sub.lo, left, -1),
+                     np.where(right <= sub.hi, right, -1)), axis=1)
 
 
 def _runs(values: np.ndarray) -> list[tuple[int, int]]:
@@ -358,7 +333,7 @@ def _runs(values: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _pick(held: np.ndarray, order: np.ndarray, keys: np.ndarray,
-          lists: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+          lists: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Pick list colors class by class, in place on ``held``; returns every
     member rank's color.
 
@@ -367,11 +342,11 @@ def _pick(held: np.ndarray, order: np.ndarray, keys: np.ndarray,
     lists the ranks to pick in class order, aligned with their classes
     ``keys`` and their allowed colors as bitmasks ``lists``.  A class's
     members are pairwise non-adjacent, so each at once ORs the bits of its
-    neighbors ``nbrs[r]`` and takes the lowest listed bit left clear.  In
+    neighbors ``rows[r]`` and takes the lowest listed bit left clear.  In
     disjoint copies of m members stacked as rows, copy j's member i is rank
     j*m + i.  A member left with no free color raises, naming its rank.
     """
-    cols = np.ascontiguousarray(np.take(nbrs, order, axis=0).T)
+    cols = np.ascontiguousarray(np.take(rows, order, axis=0).T)
     for a, b in _runs(keys):
         free = lists[a:b] & ~np.bitwise_or.reduce(held[cols[:, a:b]], axis=0)
         held[order[a:b]] = free & -free
@@ -383,12 +358,12 @@ def _pick(held: np.ndarray, order: np.ndarray, keys: np.ndarray,
 
 def _sweep_reduce(colors: np.ndarray, palette: int | np.ndarray,
                   target: int | np.ndarray,
-                  nbrs: np.ndarray) -> tuple[np.ndarray, int]:
+                  rows: np.ndarray) -> tuple[np.ndarray, int]:
     """Recolor classes target..palette-1 to the smallest free color < target.
 
     One round per class, highest first, occurring or not; the picks run
     through :func:`_pick` with every list holding the colors below target.
-    ``nbrs[r]`` holds the neighbor ranks (-1 for none) of member r of the
+    ``rows[r]`` holds the neighbor ranks (-1 for none) of member r of the
     flattened ``colors``.  ``palette`` and ``target`` (at most 62) broadcast
     against ``colors``, so disjoint copies stacked as rows each sweep their
     own palette down to their own target in one pass over the values, and
@@ -401,7 +376,7 @@ def _sweep_reduce(colors: np.ndarray, palette: int | np.ndarray,
     flat = colors.ravel()
     order = todo[np.argsort(flat[todo], kind="stable")][::-1]
     lists = np.broadcast_to((np.int64(1) << target) - 1, colors.shape)
-    out = _pick(held, order, flat[order], lists.ravel()[order], nbrs)
+    out = _pick(held, order, flat[order], lists.ravel()[order], rows)
     return out.reshape(colors.shape), max(0, int(np.max(palette - target)))
 
 
@@ -495,7 +470,7 @@ def _merge_schedule_cost(dd: int) -> int:
     return cost
 
 
-def _final_assign(colors: np.ndarray, palette: int, nbrs: np.ndarray,
+def _final_assign(colors: np.ndarray, palette: int, rows: np.ndarray,
                   allowed: np.ndarray) -> tuple[np.ndarray, int]:
     """Give every member a list color, sweeping proper-color classes in order.
 
@@ -508,12 +483,18 @@ def _final_assign(colors: np.ndarray, palette: int, nbrs: np.ndarray,
         allowed.shape[1], dtype=np.int64))
     order = np.argsort(colors, kind="stable")
     held = np.zeros(colors.size + 1, dtype=np.int64)
-    return _pick(held, order, colors[order], lists[order], nbrs), palette
+    return _pick(held, order, colors[order], lists[order], rows), palette
 
 
-def list_color(sub: PowerSubgraph, allowed: np.ndarray,
-               palette: int | None = None,
-               base: int = 1) -> tuple[np.ndarray, int]:
+def _check_proper(colors: np.ndarray, rows: np.ndarray) -> None:
+    """Raise unless no member shares its color with a neighbor in its row
+    of ``rows`` (-1 for none, which reads a pad no color equals)."""
+    if (np.append(colors, -1)[rows] == colors[:, None]).any():
+        raise EngineError("coloring is not proper on the subgraph")
+
+
+def list_color(sub: PowerSubgraph, allowed: np.ndarray, palette: int,
+               base: int) -> tuple[np.ndarray, int]:
     """Deterministic list coloring for max degree <= 16.
 
     ``allowed`` is a boolean matrix whose row i marks the colors 0, 1, 2,
@@ -546,7 +527,7 @@ def list_color(sub: PowerSubgraph, allowed: np.ndarray,
         raise EngineError(
             f"list of member {int(sub.members[i])} has {int(sizes[i])} colors "
             f"for degree {int(sub.degrees[i])}")
-    init, palette = _init_coloring(sub, palette, base)
+    init = _init_coloring(sub, palette, base)
     classes = _difference_classes(sub)
     if len(classes) == 0:
         return np.argmax(allowed, axis=1), 0
@@ -560,9 +541,10 @@ def list_color(sub: PowerSubgraph, allowed: np.ndarray,
                                                palette)
         work, work_palette, merge_rounds = _merge_tree(colors3, classes)
         rounds += merge_rounds
-    colors, r = _final_assign(work, work_palette, sub.nbrs, allowed)
+    rows = _stacked_neighbors(classes, [(0, len(classes))])
+    colors, r = _final_assign(work, work_palette, rows, allowed)
     rounds += r
-    sub.check_proper(colors)
+    _check_proper(colors, rows)
     expected = list_color_rounds(len(classes), palette)
     if rounds != expected:
         raise EngineError(f"list coloring took {rounds} rounds, schedule says "

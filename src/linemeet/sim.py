@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import json
 import math
 
@@ -111,7 +111,6 @@ class SimConfig:
     round_cap: int | None = None
     engine: str = "fast"
     allow_mispairing: bool = False
-    allow_same_start: bool = False
 
     def world(self) -> World:
         return make_world(self.topology, self.scheme, n=self.n, seed=self.seed)
@@ -128,8 +127,8 @@ class SimConfig:
         for v in (self.va, self.vb):
             if not world.valid(v):
                 raise SimError(f"start {v} invalid on this topology")
-        if self.va == self.vb and not self.allow_same_start:
-            raise SimError("identical starts need allow_same_start")
+        if self.va == self.vb:
+            raise SimError("the two starts must differ")
         care_needed = self.detection == "node-only"
         if self.care != care_needed and not self.allow_mispairing:
             raise SimError(
@@ -397,21 +396,6 @@ def _care_positions(plan: AgentPlan, lo: int, hi: int) -> np.ndarray:
     return full[lo - 4 * t0: hi - 4 * t0 + 1]
 
 
-def _positions(tl: Timeline, wake: int, expand: bool, lo: int,
-               hi: int) -> np.ndarray:
-    """Positions at global rounds lo..hi of an agent that rests at its start
-    until it wakes and then follows ``tl``.
-
-    With ``expand`` the timeline is a plain plan read in care rounds through
-    the crossing gadget; otherwise its legs count the rounds read.
-    """
-    if lo < 0:
-        raise SimError("local rounds start at 0")
-    if expand:
-        return _care_positions(tl, lo - wake, hi - wake)
-    return _Track(tl, wake).positions(lo, hi)
-
-
 # -- meeting detection ---------------------------------------------------------
 
 
@@ -502,9 +486,9 @@ def _care_solver(config: SimConfig, wrap: int | None, plan_a: AgentPlan,
 
     def expand(ks, ke):
         lo, hi = max(4 * ks - 1, 0), 4 * ke - 1
-        return _first_event(_positions(plan_a, 0, True, lo, hi),
-                            _positions(plan_b, tau, True, lo, hi), lo, 4 * ks,
-                            mode, wrap)
+        return _first_event(_care_positions(plan_a, lo, hi),
+                            _care_positions(plan_b, lo - tau, hi - tau), lo,
+                            4 * ks, mode, wrap)
 
     def solve(k0, k1, xa, sa, xb, sb):
         d, ds = xa - xb, sa - sb
@@ -599,9 +583,9 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
     current piece and advances it arithmetically, so a track is looked up
     once per breakpoint of its own; the track just extended stands at its
     old end and so is read again.  Care runs work in plain steps of 4
-    rounds and expand gadget windows through :func:`_positions`, as traces
-    do.  Once both plans are in their terminal tails, one period of the
-    joint motion decides whether they ever meet.
+    rounds and expand gadget windows through :func:`_care_positions`, as
+    traces do.  Once both plans are in their terminal tails, one period of
+    the joint motion decides whether they ever meet.
     """
     scale = 4 if config.care else 1
     wrap = world.n if world.topology == "cycle" else None
@@ -687,10 +671,18 @@ class SimTrace:
         return self._decision(agent, t)[1]
 
     def positions_at(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        # a fast care run holds plain plans, which gadget rounds expand
-        expand = self.config.care and self.config.engine == "fast"
-        xa = _positions(self._ta, 0, expand, lo, hi)
-        xb = _positions(self._tb, self.config.tau, expand, lo, hi)
+        """Both agents' positions at global rounds lo..hi; one that has not
+        woken yet stands at its start."""
+        if lo < 0:
+            raise SimError("rounds start at 0")
+        tau = self.config.tau
+        if self.config.care and self.config.engine == "fast":
+            # a fast care run holds plain plans, which gadget rounds expand
+            xa = _care_positions(self._ta, lo, hi)
+            xb = _care_positions(self._tb, lo - tau, hi - tau)
+        else:
+            xa = _Track(self._ta, 0).positions(lo, hi)
+            xb = _Track(self._tb, tau).positions(lo, hi)
         if self.world.topology == "cycle":
             xa, xb = xa % self.world.n, xb % self.world.n
         return xa, xb
@@ -955,8 +947,8 @@ def sweep(configs: list[SimConfig]) -> list[dict]:
 def grid_configs(topology: str = "infinite", n: int | None = None,
                  schemes=("sequential",), d_values=(1,), taus=(0,),
                  seed: int = 0, detection: str = "node-or-crossing",
-                 care: bool = False, round_cap: int | None = None,
-                 base_config: SimConfig | None = None) -> list[SimConfig]:
+                 care: bool = False,
+                 round_cap: int | None = None) -> list[SimConfig]:
     """Cartesian sweep grid with starts straddling the scheme's center.
 
     Placing the pair symmetrically around the origin (or the middle of a
@@ -965,14 +957,13 @@ def grid_configs(topology: str = "infinite", n: int | None = None,
     meeting case; starts at 0 and D can never hand both agents the same
     landmark.
     """
-    base = base_config or SimConfig()
     out = []
     for scheme in schemes:
         for d in d_values:
             va = -(d // 2) if n is None else (n - d) // 2
             for tau in taus:
-                out.append(replace(
-                    base, topology=topology, n=n, scheme=scheme, seed=seed,
+                out.append(SimConfig(
+                    topology=topology, n=n, scheme=scheme, seed=seed,
                     va=va, vb=va + d, tau=tau, detection=detection, care=care,
                     round_cap=round_cap))
     return out

@@ -104,6 +104,12 @@ class PlantedScheme(LabelScheme):
         return np.where(coords == self._coord, self._value, out)
 
 
+# SHA-256 of the JSON list of every care-4x trial's (plain t_rdv, plain
+# event, care t_rdv, care event)
+CARE_4X_OUTCOMES_SHA256 = (
+    "0d174135f93183509585437615636d0065263d894c69fd7ec2a1adbc778781df")
+
+
 def test_care_slowdown_bounded_by_four():
     # The transform dilates time by 4, so a transformed pair woken tau
     # rounds apart replays the untransformed pair at delay ceil(tau/4);
@@ -112,6 +118,7 @@ def test_care_slowdown_bounded_by_four():
     rng = np.random.default_rng(20260822)
     t0 = time.perf_counter()
     worst = Fraction(0)
+    outcomes = []
     for trial in range(200):
         d = int(rng.integers(1, 33))
         tau = int(rng.integers(0, 65))
@@ -128,6 +135,9 @@ def test_care_slowdown_bounded_by_four():
         assert care.t_rdv + 1 <= 4 * (plain.t_rdv + 1), \
             (trial, d, tau, plain.t_rdv, care.t_rdv)
         worst = max(worst, Fraction(care.t_rdv + 1, plain.t_rdv + 1))
+        outcomes.append((plain.t_rdv, plain.event, care.t_rdv, care.event))
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == CARE_4X_OUTCOMES_SHA256
     _report(2, "care-4x", f"200 instances, worst slowdown {float(worst):.4f}",
             t0, budget=30.0)
 

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from linemeet.localengine import (
@@ -17,6 +17,7 @@ from linemeet.localengine import (
     EngineError,
     PowerSubgraph,
     _by_label,
+    _check_proper,
     _difference_classes,
     _final_assign,
     _kw_stage,
@@ -54,6 +55,23 @@ def true_edges(world, members, power):
     return [(ms[i], ms[j])
             for i in range(len(ms)) for j in range(i + 1, len(ms))
             if world.distance(ms[i], ms[j]) <= power]
+
+
+def neighbor_rows(sub):
+    """Row i lists member rank i's neighbor ranks, found by scanning every
+    pair of members, padded with -1 to the widest row."""
+    ms = sub.members.tolist()
+    rows = [[j for j in range(len(ms))
+             if j != i and abs(ms[i] - ms[j]) <= sub.power]
+            for i in range(len(ms))]
+    width = max(map(len, rows), default=0)
+    return np.array([row + [-1] * (width - len(row)) for row in rows],
+                    dtype=np.int64).reshape(len(ms), width)
+
+
+def label_palette(sub):
+    """The palette of labels 1 up to the largest member label."""
+    return int(sub.labels.max(initial=1))
 
 
 def by_member(members, colors):
@@ -110,15 +128,28 @@ def bounded_degree_instances(draw):
 # -- adjacency -----------------------------------------------------------------
 
 @given(path_like_instances())
+@example((make_world("infinite", "sequential"), [0, 1, 2], 2))  # triangle
+@example((make_world("infinite", "sequential"), [], 1))
 def test_adjacency_matches_host_distances(inst):
+    # the pair, the degrees and the difference classes all come from the
+    # rank windows; each is checked against a scan of every member pair
     world, coords, power = inst
     sub = subgraph(world, coords, power)
-    want = set(true_edges(world, coords, power))
-    got = {(int(sub.members[i]), int(sub.members[j]))
-           for i in range(sub.members.size) for j in sub.nbrs[i] if j > i}
-    assert got == want
-    for rank, p in enumerate(sub.members):
-        assert sub.degrees[rank] == sum(p in e for e in want)
+    ms = sub.members.tolist()
+    near = [[j for j in range(len(ms))
+             if j != i and world.distance(ms[i], ms[j]) <= power]
+            for i in range(len(ms))]
+    assert sub.degrees.tolist() == [len(js) for js in near]
+    assert sub.max_degree == max(map(len, near), default=0)
+    assert sub.pair.T.tolist() == [(js + [-1, -1])[:2] for js in near]
+    classes = _difference_classes(sub)
+    assert len(classes) == max((abs(i - j) for i, js in enumerate(near)
+                                for j in js), default=0)
+    for d, (nA, nB) in enumerate(classes, start=1):
+        assert nA.tolist() == [i - d if i - d in js else -1
+                               for i, js in enumerate(near)]
+        assert nB.tolist() == [i + d if i + d in js else -1
+                               for i, js in enumerate(near)]
 
 
 def test_duplicate_members_rejected():
@@ -130,14 +161,14 @@ def test_duplicate_members_rejected():
 
 
 def test_members_sorted_and_not_shared_with_the_caller():
-    # labels travel with their members when the members get sorted
-    members = np.array([9, -4, 2])
-    sub = PowerSubgraph(members, np.array([90, 40, 20]), 6)
+    # members come strictly increasing, and the subgraph keeps a copy
+    with pytest.raises(EngineError, match="strictly increasing"):
+        PowerSubgraph(np.array([9, -4, 2]), np.array([90, 40, 20]), 6)
+    members = np.array([-4, 2, 9])
+    sub = PowerSubgraph(members, np.array([40, 20, 90]), 6)
     members[:] = 0
     assert sub.members.tolist() == [-4, 2, 9]
     assert sub.labels.tolist() == [40, 20, 90]
-    sub = PowerSubgraph((p for p in [3, 1]), np.array([30, 10]), 1)
-    assert sub.members.tolist() == [1, 3] and sub.labels.tolist() == [10, 30]
     with pytest.raises(EngineError, match="2 labels for 3 members"):
         PowerSubgraph([0, 1, 2], np.array([5, 6]), 1)
 
@@ -245,8 +276,8 @@ def test_two_slot_round_mirror_invariant():
     out_f, _ = _three_color(_by_label(sub_f.labels, *sub_f.pair), colors, 2**20)
     out_r, _ = _three_color(_by_label(sub_r.labels, *sub_r.pair), colors[::-1], 2**20)
     assert out_f.tolist() == out_r[::-1].tolist()
-    by_f, _ = color_path_constant(sub_f)
-    by_r, _ = color_path_constant(sub_r)
+    by_f, _ = color_path_constant(sub_f, label_palette(sub_f), 1)
+    by_r, _ = color_path_constant(sub_r, label_palette(sub_r), 1)
     assert by_f.tolist() == by_r[::-1].tolist()
 
 
@@ -265,16 +296,16 @@ def test_two_slot_round_no_op_below_constant_palette():
 def test_check_proper_rejects_equal_adjacent_colors():
     world = explicit_world({0: 1, 1: 2})
     sub = subgraph(world, [0, 1], 1)
-    sub.check_proper(np.array([5, 6]))
+    _check_proper(np.array([5, 6]), neighbor_rows(sub))
     with pytest.raises(EngineError, match="not proper"):
-        sub.check_proper(np.array([5, 5]))
+        _check_proper(np.array([5, 5]), neighbor_rows(sub))
 
 
 def test_list_coloring_rejects_matrix_for_other_members():
     world = explicit_world({0: 1, 1: 2, 5: 3})
     sub = subgraph(world, [0, 1], 1)
     with pytest.raises(EngineError, match="for 2 members"):
-        list_color(sub, np.ones((3, 4), dtype=bool))
+        list_color(sub, np.ones((3, 4), dtype=bool), label_palette(sub), 1)
 
 
 @given(path_like_instances())
@@ -440,22 +471,22 @@ def test_batched_three_coloring_matches_per_class_runs(data, m, k, palette):
 def test_three_coloring_is_proper(inst):
     world, coords, power = inst
     sub = subgraph(world, coords, power)
-    colors, rounds = color_path_constant(sub)
+    colors, rounds = color_path_constant(sub, label_palette(sub), 1)
     assert colors.shape == sub.members.shape
     assert np.all(colors >= 0) and np.all(colors < 3)
     assert_proper(world, sub, by_member(sub.members, colors))
-    bound = int(sub.labels.max()) if sub.labels.size else 1
-    assert rounds == three_color_rounds(bound)
+    assert rounds == three_color_rounds(label_palette(sub))
 
 
 def test_three_coloring_on_triangle():
     world = make_world("infinite", "sequential")
     sub = subgraph(world, [0, 1, 2], 2)
     assert sub.max_degree == 2
-    assert int((sub.nbrs > np.arange(3)[:, None]).sum()) == 3
-    colors, _ = color_path_constant(sub)
+    # the end members' windows skip themselves: ranks 1, 2 and 0, 1
+    assert sub.pair.tolist() == [[1, 0, 0], [2, 2, 1]]
+    colors, _ = color_path_constant(sub, label_palette(sub), 1)
     assert sorted(colors.tolist()) == [0, 1, 2]
-    assert mis(sub).tolist() in ([0], [1], [2])
+    assert mis(sub, label_palette(sub), 1).tolist() in ([0], [1], [2])
 
 
 def test_class_shifted_palette():
@@ -467,7 +498,7 @@ def test_class_shifted_palette():
     assert rounds == three_color_rounds(12)
     assert_proper(world, sub, by_member(sub.members, colors))
     with pytest.raises(EngineError):
-        color_path_constant(sub, palette=12)  # base 1 leaves 16 out of range
+        color_path_constant(sub, palette=12, base=1)  # 16 out of range
 
 
 def assert_mis(world, members, power, chosen):
@@ -489,20 +520,21 @@ def assert_mis(world, members, power, chosen):
 def test_mis_independent_and_dominating(inst):
     world, coords, power = inst
     sub = subgraph(world, coords, power)
-    assert_mis(world, coords, power, mis(sub))
+    assert_mis(world, coords, power, mis(sub, label_palette(sub), 1))
 
 
 def test_mis_of_nothing():
     world = make_world("infinite", "sequential")
-    assert mis(subgraph(world, [], 1)).tolist() == []
-    assert mis(subgraph(world, [4], 1)).tolist() == [4]
+    for members in ([], [4]):
+        sub = subgraph(world, members, 1)
+        assert mis(sub, label_palette(sub), 1).tolist() == members
 
 
 def test_degree_guard():
     world = make_world("infinite", "sequential")
     sub = subgraph(world, range(4), 3)
     with pytest.raises(EngineError):
-        color_path_constant(sub)
+        color_path_constant(sub, label_palette(sub), 1)
 
 
 # -- list coloring -------------------------------------------------------------
@@ -523,7 +555,8 @@ def test_list_coloring_proper_and_within_lists(inst, list_seed):
     sub = subgraph(world, coords, power)
     assert sub.max_degree <= 16
     lists = _random_lists(sub, np.random.default_rng(list_seed))
-    colors, _ = list_color(sub, list_matrix(sub, lists))
+    colors, _ = list_color(sub, list_matrix(sub, lists), label_palette(sub),
+                           1)
     got = by_member(sub.members, colors)
     assert_proper(world, sub, got)
     for p, c in got.items():
@@ -536,9 +569,10 @@ def test_list_coloring_round_formula(inst):
     world, coords, power = inst
     sub = subgraph(world, coords, power)
     lists = _random_lists(sub, np.random.default_rng(5))
-    _, rounds = list_color(sub, list_matrix(sub, lists))
-    bound = int(sub.labels.max())
-    assert rounds == list_color_rounds(len(_difference_classes(sub)), bound)
+    _, rounds = list_color(sub, list_matrix(sub, lists), label_palette(sub),
+                           1)
+    assert rounds == list_color_rounds(len(_difference_classes(sub)),
+                                       label_palette(sub))
 
 
 def test_list_coloring_direct_path_for_class_bounded_labels():
@@ -558,7 +592,8 @@ def test_list_coloring_isolated_members_take_list_minimum():
     world = make_world("infinite", "sequential")
     sub = subgraph(world, [0, 10, 20], 1)
     lists = {0: [4, 2], 10: [9], 20: [3, 1]}
-    colors, rounds = list_color(sub, list_matrix(sub, lists))
+    colors, rounds = list_color(sub, list_matrix(sub, lists),
+                                label_palette(sub), 1)
     assert rounds == 0
     assert by_member(sub.members, colors) == {0: 2, 10: 9, 20: 1}
 
@@ -568,7 +603,7 @@ def test_list_coloring_rejects_short_lists():
     sub = subgraph(world, [0, 1, 2], 1)
     lists = {0: [1, 2], 1: [5], 2: [1, 3]}  # member 1 has degree 2
     with pytest.raises(EngineError):
-        list_color(sub, list_matrix(sub, lists))
+        list_color(sub, list_matrix(sub, lists), label_palette(sub), 1)
 
 
 def test_list_coloring_rejects_a_universe_past_63_colors():
@@ -576,8 +611,10 @@ def test_list_coloring_rejects_a_universe_past_63_colors():
     world = make_world("infinite", "sequential")
     sub = subgraph(world, [0, 10], 1)
     with pytest.raises(EngineError, match="64 colors exceeds 63"):
-        list_color(sub, np.ones((2, 64), dtype=bool))
-    wide, _ = list_color(sub, np.ones((2, 63), dtype=bool))
+        list_color(sub, np.ones((2, 64), dtype=bool), label_palette(sub),
+                   1)
+    wide, _ = list_color(sub, np.ones((2, 63), dtype=bool),
+                         label_palette(sub), 1)
     assert wide.tolist() == [0, 0]
 
 
@@ -586,7 +623,7 @@ def test_final_assign_reports_an_exhausted_list():
     sub = subgraph(world, [0, 1], 1)
     allowed = np.array([[True, False], [True, False]])
     with pytest.raises(EngineError, match="list exhausted at member rank 1"):
-        _final_assign(np.array([0, 1]), 2, sub.nbrs, allowed)
+        _final_assign(np.array([0, 1]), 2, neighbor_rows(sub), allowed)
 
 
 def test_sweep_reduce_reports_an_exhausted_color_range():
@@ -595,29 +632,30 @@ def test_sweep_reduce_reports_an_exhausted_color_range():
     world = make_world("infinite", "sequential")
     sub = subgraph(world, [0, 1], 1)
     with pytest.raises(EngineError, match="list exhausted at member rank 1"):
-        _sweep_reduce(np.array([0, 1]), 2, 1, sub.nbrs)
+        _sweep_reduce(np.array([0, 1]), 2, 1, neighbor_rows(sub))
 
 
 def test_list_coloring_degree_guard():
     world = make_world("infinite", "sequential")
     sub = subgraph(world, range(18), 17)
     with pytest.raises(EngineError):
-        list_color(sub, np.ones((18, 19), dtype=bool))
+        list_color(sub, np.ones((18, 19), dtype=bool), label_palette(sub),
+                   1)
 
 
-def _final_assign_loop(colors, palette, nbrs, lists):
+def _final_assign_loop(colors, palette, rows, lists):
     """Member-by-member reference: each class reads the colors assigned
     before it and takes the smallest listed color no neighbor holds."""
     final = [-1] * len(colors)
     for value in range(palette):
         before = list(final)
         for i in np.flatnonzero(colors == value):
-            taken = {before[j] for j in nbrs[i] if j >= 0}
+            taken = {before[j] for j in rows[i] if j >= 0}
             final[i] = next(c for c in sorted(lists[i]) if c not in taken)
     return final
 
 
-def _sweep_reduce_loop(colors, palette, target, nbrs):
+def _sweep_reduce_loop(colors, palette, target, rows):
     """Reference: classes palette-1 down to target, each reading the colors
     after the previous one, take the smallest color below target no
     neighbor holds."""
@@ -626,7 +664,7 @@ def _sweep_reduce_loop(colors, palette, target, nbrs):
         before = list(c)
         for i in range(len(c)):
             if before[i] == value:
-                held = {before[j] for j in nbrs[i] if j >= 0}
+                held = {before[j] for j in rows[i] if j >= 0}
                 c[i] = min(x for x in range(target) if x not in held)
     return c
 
@@ -642,16 +680,16 @@ def test_vectorized_sweeps_match_member_loops(inst, seed):
     # the colors as they stood before that class
     colors = rng.integers(0, palette, sub.members.size)
     lists = _random_lists(sub, rng)
-    picks, rounds = _final_assign(colors, palette, sub.nbrs,
+    rows = neighbor_rows(sub)
+    picks, rounds = _final_assign(colors, palette, rows,
                                   list_matrix(sub, lists))
     ranked = [lists[int(p)] for p in sub.members]
-    assert picks.tolist() == \
-        _final_assign_loop(colors, palette, sub.nbrs, ranked)
+    assert picks.tolist() == _final_assign_loop(colors, palette, rows, ranked)
     assert rounds == palette
     target = sub.max_degree + 1
-    reduced, rounds = _sweep_reduce(colors, palette, target, sub.nbrs)
+    reduced, rounds = _sweep_reduce(colors, palette, target, rows)
     assert reduced.tolist() == \
-        _sweep_reduce_loop(colors, palette, target, sub.nbrs)
+        _sweep_reduce_loop(colors, palette, target, rows)
     assert rounds == max(0, palette - target)
 
 

@@ -101,6 +101,17 @@ def test_ruling_layers_import_nothing_from_world(module):
     assert not [m for m in imported if m.startswith("linemeet.world")]
 
 
+def test_the_package_has_no_assert_statements():
+    # invariants raise real errors, which python -O cannot strip
+    package = Path(ruling.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert len(list(package.glob("*.py"))) > 5
+    assert found == []
+
+
 def test_spacing_parameter_validation():
     world = make_world("infinite", "sequential")
     with pytest.raises(RulingError):
@@ -528,9 +539,9 @@ def stages(draw):
 @settings(deadline=None, max_examples=40)
 def test_blocked_stages_match_whole_stages(stage):
     members, labels, reach, palette, base = stage
-    whole = mis(PowerSubgraph(members, labels, reach), palette, base)
     own = palette if palette is not None else \
         int(labels.max()) - base + 1
+    whole = mis(PowerSubgraph(members, labels, reach), own, base)
     with pytest.MonkeyPatch.context() as mp:
         # blocks as small as the halo, so each block's members lie within
         # the halo of its neighbours' blocks

@@ -116,7 +116,7 @@ def legs(timeline, upto):
 
 def plain_positions(plan, hi):
     """Positions of an awake agent following ``plan`` at rounds 0..hi."""
-    return sim._positions(plan, 0, False, 0, hi)
+    return sim._Track(plan, 0).positions(0, hi)
 
 
 def local_round(trace, agent, g):
@@ -183,14 +183,8 @@ class TestConfigValidation:
             run(SimConfig(round_cap=-5, engine=engine))
 
     def test_identical_starts_guarded(self):
-        with pytest.raises(SimError, match="allow_same_start"):
+        with pytest.raises(SimError, match="starts must differ"):
             run(SimConfig(va=2, vb=2))
-
-    def test_identical_starts_meet_immediately(self):
-        trace = run(SimConfig(va=2, vb=2, allow_same_start=True))
-        assert trace.t_rdv == 0
-        assert trace.event == "node"
-        assert trace.meet_position == 2
 
     def test_node_only_requires_care(self):
         with pytest.raises(SimError, match="allow_mispairing"):
@@ -475,7 +469,7 @@ def sweep_extent(plan, u, seen):
         L *= 2
     if L not in seen:
         end = iteration_start_round(2 * L) - 1
-        xs = sim._positions(plan, 0, False, iteration_start_round(L), end)
+        xs = sim._Track(plan, 0).positions(iteration_start_round(L), end)
         seen[L] = (math.inf if plan.tail is not None and plan.tail[1] <= end
                    else int(np.abs(xs - plan.start).max()))
     return seen[L]
@@ -570,7 +564,9 @@ def detect(cfg, plan_a, plan_b, cap):
     if meet is None:
         return None
     t, event, x = meet
-    assert x == int(sim._positions(plan_a, 0, cfg.care, t, t)[0]), (meet, cfg)
+    xs = (sim._care_positions(plan_a, t, t) if cfg.care
+          else sim._Track(plan_a, 0).positions(t, t))
+    assert x == int(xs[0]), (meet, cfg)
     return (t, event, x % world.n if world.topology == "cycle" else x)
 
 
