@@ -105,13 +105,8 @@ def _tau_terms(spec: str) -> list[tuple[int, int]]:
     return out
 
 
-def _bool_word(word: str) -> bool:
-    lowered = word.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise SimError(f"bad boolean {word!r} in config file")
+# a comma inside an explicit scheme's {...} map does not end a scheme
+_SCHEME_SEPARATOR = re.compile(r",(?![^{]*\})")
 
 
 def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
@@ -121,11 +116,8 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
     types = args.config_types
 
     def explicit(key: str) -> bool:
-        for flag in ("--" + key, "--no-" + key):
-            for tok in argv:
-                if tok == flag or tok.startswith(flag + "="):
-                    return True
-        return False
+        flag = "--" + key
+        return any(tok == flag or tok.startswith(flag + "=") for tok in argv)
 
     with open(args.config) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -148,37 +140,20 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
                                f"{lineno}") from None
 
 
-def _resolved_care(args: argparse.Namespace) -> bool:
-    # pair with the detection mode unless forced either way
-    if args.care is None:
-        return args.detection == "node-only"
-    return args.care
-
-
-def _warn_if_mispaired(detection: str, care: bool) -> None:
-    if care != (detection == "node-only"):
-        print("warning: detection mode and program variant are mispaired; "
-              "the meeting guarantee does not apply", file=sys.stderr)
-
-
 # -- run -----------------------------------------------------------------------
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    care = _resolved_care(args)
-    _warn_if_mispaired(args.detection, care)
     (cfg,) = grid_configs(
         topology=args.topology, n=args.n, schemes=(args.scheme,),
         d_values=(args.d,), taus=(args.tau,), seed=args.seed,
-        detection=args.detection, care=care, round_cap=args.round_cap)
-    cfg = replace(cfg, engine=args.engine,
-                  allow_mispairing=args.allow_mispairing)
-    trace = run(cfg)
+        detection=args.detection, round_cap=args.round_cap)
+    trace = run(replace(cfg, engine=args.engine))
     row = trace_row(trace)
     runspec = {"version": __version__, "command": "run",
                "topology": args.topology, "n": args.n, "d": args.d,
                "tau": args.tau, "scheme": args.scheme, "seed": args.seed,
-               "detection": args.detection, "care": care,
+               "detection": args.detection, "care": cfg.care,
                "round_cap": args.round_cap, "engine": args.engine}
     cell = f"D={row['D']} tau={row['tau']} lmin={row['lmin']}"
     if trace.t_rdv is None:
@@ -201,11 +176,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    care = _resolved_care(args)
-    _warn_if_mispaired(args.detection, care)
     d_values = _int_list(args.d)
     terms = _tau_terms(args.tau)
-    schemes = [s for s in args.scheme.split(",") if s]
+    schemes = [s for s in _SCHEME_SEPARATOR.split(args.scheme) if s]
     if not d_values or not terms or not schemes:
         raise SimError("empty sweep grid")
     configs = []
@@ -213,13 +186,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         taus = sorted({mult * d + add for mult, add in terms})
         configs.extend(grid_configs(
             topology=args.topology, n=args.n, schemes=schemes, d_values=(d,),
-            taus=taus, seed=args.seed, detection=args.detection, care=care,
+            taus=taus, seed=args.seed, detection=args.detection,
             round_cap=args.round_cap))
     rows = sweep(configs)
     runspec = {"version": __version__, "command": "sweep",
                "topology": args.topology, "n": args.n, "d": args.d,
                "tau": args.tau, "scheme": args.scheme, "seed": args.seed,
-               "detection": args.detection, "care": care,
+               "detection": args.detection, "care": configs[0].care,
                "round_cap": args.round_cap}
     if args.out:
         write_csv(rows, args.out, runspec=runspec)
@@ -289,35 +262,34 @@ def _trial_host(rng: np.random.Generator, trial: int, size: int):
     return make_world("infinite", scheme), range(start, start + size)
 
 
-def _verify_rulingset(args: argparse.Namespace) -> int:
+def _check_ruling_set(universe: range, labels: np.ndarray, R: int):
+    members = path_ruling_set(universe, labels, R)
+    return verify_limited_ruling_set(universe, members, R, R - 1)
+
+
+def _check_es_col_ruling(universe: range, labels: np.ndarray, R: int):
+    return verify_es_col_ruling(EsColState(labels, universe.start, R))
+
+
+# per randomized target: the spacings R are drawn from, the bound window
+# sizes are drawn below, and the oracle each trial runs
+_TRIALS = {"rulingset": ((1, 2, 4, 16, 64), 220, _check_ruling_set),
+           "escolruling": ((1, 4, 16), 160, _check_es_col_ruling)}
+
+
+def _verify_trials(args: argparse.Namespace) -> int:
+    spacings, size_bound, check_trial = _TRIALS[args.target]
     rng = np.random.default_rng(args.seed)
     for trial in range(args.trials):
-        R = int(rng.choice([1, 2, 4, 16, 64]))
-        size = int(rng.integers(max(4, R), 220))
+        R = int(rng.choice(spacings))
+        size = int(rng.integers(max(4, R), size_bound))
         host, universe = _trial_host(rng, trial, size)
-        members = path_ruling_set(universe, host.labels_at(universe), R)
-        check = verify_limited_ruling_set(universe, members, R, R - 1)
+        check = check_trial(universe, host.labels_at(universe), R)
         if not check:
             _error_json("oracle-failure",
                         f"trial {trial}: {check.failure} at {check.witness}")
             return 1
-    print(f"rulingset: {args.trials} randomized trials, 0 failures")
-    return 0
-
-
-def _verify_escolruling(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    for trial in range(args.trials):
-        R = int(rng.choice([1, 4, 16]))
-        size = int(rng.integers(max(4, R), 160))
-        host, universe = _trial_host(rng, trial, size)
-        check = verify_es_col_ruling(
-            EsColState(host.labels_at(universe), universe.start, R))
-        if not check:
-            _error_json("oracle-failure",
-                        f"trial {trial}: {check.failure} at {check.witness}")
-            return 1
-    print(f"escolruling: {args.trials} randomized trials, 0 failures")
+    print(f"{args.target}: {args.trials} randomized trials, 0 failures")
     return 0
 
 
@@ -357,8 +329,8 @@ def _verify_locality(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     target = {"carefulwalk": _verify_carefulwalk,
-              "rulingset": _verify_rulingset,
-              "escolruling": _verify_escolruling,
+              "rulingset": _verify_trials,
+              "escolruling": _verify_trials,
               "locality": _verify_locality}[args.target]
     return target(args)
 
@@ -418,11 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scheme", default="sequential")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--detection", choices=("node-only", "node-or-crossing"),
-                       default="node-or-crossing")
-        p.add_argument("--care", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="crossing-free program variant; defaults to "
-                            "whatever the detection mode requires")
+                       default="node-or-crossing",
+                       help="node-only runs the crossing-free program variant")
         p.add_argument("--round-cap", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None,
@@ -433,10 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--d", type=int, default=1, help="start distance")
     p_run.add_argument("--tau", type=int, default=0, help="wake-up delay")
     p_run.add_argument("--engine", choices=ENGINES, default="fast")
-    p_run.add_argument("--allow-mispairing", action="store_true")
     p_run.set_defaults(func=cmd_run, config_types={
         "topology": str, "n": int, "scheme": str, "seed": int,
-        "detection": str, "care": _bool_word, "round-cap": int, "out": str,
+        "detection": str, "round-cap": int, "out": str,
         "d": int, "tau": int, "engine": str})
 
     p_sweep = sub.add_parser("sweep", help="run a grid of instances to CSV")
@@ -447,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="delays per distance; D scales with the cell")
     p_sweep.set_defaults(func=cmd_sweep, config_types={
         "topology": str, "n": int, "scheme": str, "seed": int,
-        "detection": str, "care": _bool_word, "round-cap": int, "out": str,
+        "detection": str, "round-cap": int, "out": str,
         "d": str, "tau": str})
 
     p_verify = sub.add_parser("verify", help="replay the independent oracles")

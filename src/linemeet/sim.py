@@ -2,8 +2,11 @@
 
 Both agents run the same deterministic program; the second wakes after a
 delay tau but occupies its start node (and is findable there) from round 0.
-Rendezvous is detected either by node co-occupancy alone or additionally by
-a simultaneous opposite crossing of one edge.
+The detection mode chooses the program.  With ``node-or-crossing`` the plain
+program runs and a simultaneous opposite crossing of one edge also counts as
+a meeting; with ``node-only`` the care-transformed program runs, whose
+crossing gadget turns every such crossing into a node meeting.  The other
+two pairings have no meeting guarantee, and :class:`SimConfig` rejects them.
 
 Two engines produce identical results.  ``reference``
 (:func:`linemeet.reference.run_reference`, the one name taken from that
@@ -19,9 +22,8 @@ at which their sweep radii allow contact, planning one doubling iteration
 at a time and no further than the meeting.  Endpoint ping-pong
 and cycle settling are periodic tails, so one period decides whether the
 agents ever meet.  With ``care`` set it solves the same plain segments for
-the windows where the two plain positions come within two nodes (three with
-crossing detection) and expands the 4-round crossing gadget only inside
-them.
+the windows where the two plain positions come within two nodes and expands
+the 4-round crossing gadget only inside them.
 
 Detection reports the meeting round, its event and the node where the
 agents meet, read off alpha's trajectory where the meeting is found, so a
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import OrderedDict
+import csv
 from dataclasses import dataclass, field
 import json
 import math
@@ -110,7 +113,6 @@ class SimConfig:
     care: bool = False
     round_cap: int | None = None
     engine: str = "fast"
-    allow_mispairing: bool = False
 
     def world(self) -> World:
         return make_world(self.topology, self.scheme, n=self.n, seed=self.seed)
@@ -129,12 +131,10 @@ class SimConfig:
                 raise SimError(f"start {v} invalid on this topology")
         if self.va == self.vb:
             raise SimError("the two starts must differ")
-        care_needed = self.detection == "node-only"
-        if self.care != care_needed and not self.allow_mispairing:
+        if self.care != (self.detection == "node-only"):
             raise SimError(
                 "node-only detection pairs with the care-transformed program "
-                "and node-or-crossing with the plain one; set allow_mispairing "
-                "to run the unsound combination anyway")
+                "and node-or-crossing with the plain one")
 
 
 # -- bound bookkeeping ---------------------------------------------------------
@@ -420,43 +420,20 @@ def _zero(v, wrap: int | None):
     return v % wrap == 0 if wrap else v == 0
 
 
-def _first_event(xa: np.ndarray, xb: np.ndarray, base: int, first: int,
-                 mode: str, wrap: int | None) -> tuple[int, str, int] | None:
-    """First meeting at a round >= first among rounds base.. of two arrays,
-    with alpha's position there."""
-    skip = first - base
-    hits = np.flatnonzero(_zero(xa[skip:] - xb[skip:], wrap))
-    found = []
-    if hits.size:
-        i = skip + int(hits[0])
-        found.append((base + i, "node", int(xa[i])))
-    if mode == "node-or-crossing":
-        # swap[i] is a crossing at round base + i + 1
-        swap = (_zero(xa[1:] - xb[:-1], wrap) & _zero(xb[1:] - xa[:-1], wrap)
-                & (np.abs(np.diff(xa)) == 1))
-        lead = max(skip - 1, 0)
-        j = np.flatnonzero(swap[lead:])
-        if j.size:
-            i = lead + int(j[0]) + 1
-            found.append((base + i, "crossing", int(xa[i])))
-    return min(found) if found else None
-
-
-def _plain_solver(mode: str, wrap: int | None):
+def _plain_solver(wrap: int | None):
     """Exact meetings of two linear pieces over rounds u0 <= t < u1.
 
     Node meetings solve xa - xb = 0; a crossing at round u + 1 needs opposite
     unit slopes (mod wrap) and xa - xb = -sa at u.  Alpha's piece gives the
     meeting node.
     """
-    crossings = mode == "node-or-crossing"
 
     def solve(u0, u1, xa, sa, xb, sb):
         d, ds = xa - xb, sa - sb
         k = _first_root(d, ds, wrap)
         node = ((u0 + k, "node", xa + sa * k)
                 if k is not None and u0 + k < u1 else None)
-        if crossings and sa and _zero(sa + sb, wrap):
+        if sa and _zero(sa + sb, wrap):
             k = _first_root(d + sa, ds, wrap)
             if k is not None and u0 + k < u1:
                 cross = (u0 + k + 1, "crossing", xa + sa * (k + 1))
@@ -466,29 +443,31 @@ def _plain_solver(mode: str, wrap: int | None):
     return solve
 
 
-def _care_solver(config: SimConfig, wrap: int | None, plan_a: AgentPlan,
+def _care_solver(tau: int, wrap: int | None, plan_a: AgentPlan,
                  plan_b: AgentPlan):
-    """Care-mode meetings over the gadget rounds of plain steps k0 <= k < k1.
+    """Care-mode node meetings over the gadget rounds of plain steps
+    k0 <= k < k1.
 
     Care round 4k + j stands on plain position x(k) or x(k + 1), and the
     partner's on x'(k - 1), x'(k) or x'(k + 1) of its plain clock shifted by
-    tau // 4.  A node meeting therefore needs the plain positions within 2
-    at step k, and a crossing within 3.  Only those windows are expanded into
-    gadget rounds.  Where both agents stand still, every gadget round after
-    the stretch's first step repeats the plain positions, so only that step
-    is expanded.
+    tau // 4.  A meeting therefore needs the plain positions within 2 at
+    step k.  Only those windows are expanded into gadget rounds.  Where both
+    agents stand still, every gadget round after the stretch's first step
+    repeats the plain positions, so only that step is expanded.
     """
-    mode, tau = config.detection, config.tau
-    reach = 3 if mode == "node-or-crossing" else 2
 
     def near(d):
-        return min(d % wrap, -d % wrap) <= reach if wrap else abs(d) <= reach
+        return min(d % wrap, -d % wrap) <= 2 if wrap else abs(d) <= 2
 
     def expand(ks, ke):
-        lo, hi = max(4 * ks - 1, 0), 4 * ke - 1
-        return _first_event(_care_positions(plan_a, lo, hi),
-                            _care_positions(plan_b, lo - tau, hi - tau), lo,
-                            4 * ks, mode, wrap)
+        lo, hi = 4 * ks, 4 * ke - 1
+        xa = _care_positions(plan_a, lo, hi)
+        hits = np.flatnonzero(
+            _zero(xa - _care_positions(plan_b, lo - tau, hi - tau), wrap))
+        if hits.size == 0:
+            return None
+        i = int(hits[0])
+        return lo + i, "node", int(xa[i])
 
     def solve(k0, k1, xa, sa, xb, sb):
         d, ds = xa - xb, sa - sb
@@ -500,13 +479,13 @@ def _care_solver(config: SimConfig, wrap: int | None, plan_a: AgentPlan,
         while k < k1:
             dk = d + ds * (k - k0)
             offs = [o for o in (_first_root(dk - c, ds, wrap)
-                                for c in range(-reach, reach + 1))
+                                for c in range(-2, 3))
                     if o is not None]
             if not offs or k + min(offs) >= k1:
                 return None
-            # |ds| >= 1, so the distance leaves the window within 2*reach+1
+            # |ds| >= 1, so the distance leaves the window within 5 steps
             ks = k + min(offs)
-            k = min(ks + 2 * reach + 1, k1)
+            k = min(ks + 5, k1)
             found = expand(ks, k)
             if found:
                 return found
@@ -545,9 +524,9 @@ def _first_contact(config: SimConfig, world: World, D: int) -> int:
     Care runs count in plain steps k, with beta's plan shifted by tau // 4
     as its detection track is.  Gadget rounds 4k..4k + 3 stand on alpha's
     plain steps k and k + 1 and on beta's track steps k - 1..k + 1, so a
-    meeting in them, or a crossing into their first round, needs the radii
-    to sum to D - 1 at step k + 1.  With c that first step in the track
-    frame, the walk starts one step earlier, at care round 4(c - 1).
+    meeting in them needs the radii to sum to D - 1 at step k + 1.  With c
+    that first step in the track frame, the walk starts one step earlier,
+    at care round 4(c - 1).
     """
     scale = 4 if config.care else 1
     shift = config.tau // scale
@@ -591,8 +570,8 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
     wrap = world.n if world.topology == "cycle" else None
     ta = _Track(plan_a, 0)
     tb = _Track(plan_b, config.tau // scale)
-    solve = (_care_solver(config, wrap, plan_a, plan_b) if config.care
-             else _plain_solver(config.detection, wrap))
+    solve = (_care_solver(config.tau, wrap, plan_a, plan_b) if config.care
+             else _plain_solver(wrap))
     limit = cap // scale + 1
     t, found = _first_contact(config, world, D) // scale, None
     # each track's held piece; one that ends by t is read afresh
@@ -927,7 +906,8 @@ def trace_row(trace: SimTrace) -> dict:
         "n": config.n if config.n is not None else "",
         "D": D,
         "tau": config.tau,
-        "scheme": str(config.scheme),
+        "scheme": (config.scheme if isinstance(config.scheme, str)
+                   else config.scheme.spec()),
         "lmin": lmin,
         "logstar_lmin": logstar_lmin,
         "t_rdv": trace.t_rdv if trace.t_rdv is not None else "",
@@ -947,9 +927,9 @@ def sweep(configs: list[SimConfig]) -> list[dict]:
 def grid_configs(topology: str = "infinite", n: int | None = None,
                  schemes=("sequential",), d_values=(1,), taus=(0,),
                  seed: int = 0, detection: str = "node-or-crossing",
-                 care: bool = False,
                  round_cap: int | None = None) -> list[SimConfig]:
-    """Cartesian sweep grid with starts straddling the scheme's center.
+    """Cartesian sweep grid with starts straddling the scheme's center, each
+    running the program its detection mode pairs with.
 
     Placing the pair symmetrically around the origin (or the middle of a
     finite host) keeps small-label neighborhoods between the agents rather
@@ -957,6 +937,7 @@ def grid_configs(topology: str = "infinite", n: int | None = None,
     meeting case; starts at 0 and D can never hand both agents the same
     landmark.
     """
+    care = detection == "node-only"
     out = []
     for scheme in schemes:
         for d in d_values:
@@ -1001,10 +982,12 @@ def finite_benchmark_grid() -> list[SimConfig]:
 
 
 def write_csv(rows: list[dict], path, runspec: dict | None = None) -> None:
-    """Fixed-column CSV; the generating spec rides in a leading comment."""
+    """Fixed-column CSV; the generating spec rides in a leading comment, and
+    a cell holding a comma or a quote, such as an explicit scheme, is
+    quoted."""
     with open(path, "w") as fh:
         if runspec is not None:
             fh.write("# runspec=" + json.dumps(runspec, sort_keys=True) + "\n")
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in CSV_COLUMNS) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(CSV_COLUMNS)
+        out.writerows([row[c] for c in CSV_COLUMNS] for row in rows)

@@ -100,8 +100,6 @@ class _FeistelPerm:
 class LabelScheme:
     """Base class: a deterministic injective map from coordinates to labels >= 1."""
 
-    name: str = "abstract"
-
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
         """The labels of a coordinate array, in its shape."""
         raise NotImplementedError
@@ -113,14 +111,14 @@ class LabelScheme:
         return None
 
     def spec(self) -> str:
-        """Round-trippable textual form, accepted by :func:`parse_scheme`."""
-        raise NotImplementedError
+        """Textual form, the scheme cell of a results row.  A built-in
+        scheme's is accepted by :func:`parse_scheme`; a custom scheme
+        without its own gives its class name."""
+        return type(self).__name__
 
 
 class SequentialScheme(LabelScheme):
     """Zig-zag enumeration from the origin: 0 -> 1, -k -> 2k, +k -> 2k+1."""
-
-    name = "sequential"
 
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
         return zigzag_array(coords) + 1
@@ -140,8 +138,6 @@ class RandomInjectiveScheme(LabelScheme):
     labels.  Coordinates whose zig-zag index reaches max_label are out of the
     injective range and rejected.
     """
-
-    name = "random-injective"
 
     def __init__(self, seed: int, max_label: int = 10**9):
         if max_label < 1:
@@ -174,8 +170,6 @@ class UniformClassScheme(LabelScheme):
     class_index+1, then +2, and so on.  The zone that decides the smallest
     label near the agents is always class-pure.
     """
-
-    name = "uniform-logstar-class"
 
     _SPILL_CLASS6_BITS = 32  # class 6 is sampled from its first 2**32 labels
 
@@ -225,8 +219,6 @@ def _integer(value) -> int:
 
 class ExplicitScheme(LabelScheme):
     """Labels from an explicit coordinate -> label map; anything else errors."""
-
-    name = "explicit"
 
     def __init__(self, mapping: dict[int, int]):
         try:

@@ -1,5 +1,6 @@
 """Command-line front end: flags, exit codes, outputs, and oracles."""
 
+import argparse
 import csv
 import json
 import os
@@ -46,26 +47,30 @@ class TestRunCommand:
             main(["run", "--topology", "donut"])
         assert exc.value.code == 2
 
-    def test_node_only_without_care_requires_override(self, capsys):
-        code, _, err = run_cli(capsys, "run", "--detection", "node-only",
-                               "--no-care")
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("flag", ["--care", "--no-care",
+                                      "--allow-mispairing"])
+    def test_program_flags_are_usage_errors(self, capsys, command, flag):
+        # the detection mode alone chooses the program
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--detection", "node-only", flag])
+        assert exc.value.code == 2
+
+    def test_care_config_key_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("care = true\n")
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2
-        assert "warning" in err
-        assert json.loads(err.splitlines()[-1])["error"] == "config"
+        assert "unknown config key 'care'" in json.loads(err)["detail"]
 
-    def test_mispairing_override_runs_with_warning(self, capsys):
+    def test_node_only_defaults_to_care(self, capsys, tmp_path):
+        path = tmp_path / "trace.jsonl"
         code, out, err = run_cli(capsys, "run", "--detection", "node-only",
-                                 "--no-care", "--allow-mispairing")
-        assert code == 0
-        assert "warning" in err
+                                 "--d", "3", "--out", str(path))
+        assert code == 0 and err == ""
         assert "T_rdv=" in out
-
-    def test_node_only_defaults_to_care(self, capsys):
-        code, out, err = run_cli(capsys, "run", "--detection", "node-only",
-                                 "--d", "3")
-        assert code == 0
-        assert "warning" not in err
-        assert "T_rdv=" in out
+        runspec = json.loads(path.read_text().splitlines()[0])["runspec"]
+        assert runspec["detection"] == "node-only" and runspec["care"]
 
     def test_trace_output(self, capsys, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -209,6 +214,20 @@ class TestSweepCommand:
         assert code == 2
         assert "delay token" in json.loads(err)["detail"]
 
+    def test_explicit_scheme_keeps_its_commas(self, capsys, tmp_path):
+        # commas inside the JSON map do not split the scheme list
+        scheme = 'explicit:{"0":5,"1":3,"-1":7,"2":9}'
+        path = tmp_path / "explicit.csv"
+        code, out, _ = run_cli(capsys, "sweep", "--d", "1", "--tau", "0",
+                               "--scheme", f"sequential,{scheme}",
+                               "--out", str(path))
+        assert code == 0
+        assert "cells=2" in out
+        header, *rows = csv.reader(path.read_text().splitlines()[1:])
+        assert all(len(row) == len(header) == 11 for row in rows)
+        assert [row[header.index("scheme")] for row in rows] == \
+            ["sequential", scheme]
+
     def test_cap_violations_exit_one(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--d", "3", "--tau", "0",
                                "--scheme", "sequential",
@@ -330,6 +349,37 @@ def test_readme_examples_print_what_readme_shows(capsys, tmp_path,
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         assert out.splitlines() == want, argv
+
+
+def _readme_flags() -> list[tuple[str | None, str]]:
+    """(subcommand, flag) of each `--flag` README gives: with its
+    subcommand in a `linemeet` command, with None in a code span of its
+    own."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = (re.findall(r"^\$ (linemeet .*)$", text, re.M)
+                + re.findall(r"`(linemeet [^`]*)`", text))
+    found = []
+    for command in commands:
+        argv = shlex.split(command, comments=True)
+        found += [(argv[1], tok.split("=")[0]) for tok in argv[2:]
+                  if tok.startswith("--")]
+    return found + [(None, flag)
+                    for flag in re.findall(r"`(--[\w-]+)[^`]*`", text)]
+
+
+def test_readme_flags_are_accepted():
+    # docs that name a deleted or misspelt flag fail here
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    accepted = {name: set(sub._option_string_actions)
+                for name, sub in subparsers.choices.items()}
+    flags = _readme_flags()
+    assert {sub for sub, _ in flags} >= {"run", "sweep", "verify", None}
+    unknown = [(sub, flag) for sub, flag in flags
+               if flag not in (accepted[sub] if sub
+                               else set().union(*accepted.values()))]
+    assert unknown == []
 
 
 class TestConstantsCommand:

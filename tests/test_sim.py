@@ -46,6 +46,7 @@ from linemeet.ruling import phase_end_round, termination_radius
 from linemeet.world import (
     ExplicitScheme,
     LabelScheme,
+    RandomInjectiveScheme,
     SequentialScheme,
     World,
     WorldError,
@@ -186,17 +187,19 @@ class TestConfigValidation:
         with pytest.raises(SimError, match="starts must differ"):
             run(SimConfig(va=2, vb=2))
 
+    # the two pairings without a meeting guarantee are rejected on both
+    # engines, with the pairing named
+    PAIRING = "node-only detection pairs with the care-transformed program"
+
     def test_node_only_requires_care(self):
-        with pytest.raises(SimError, match="allow_mispairing"):
-            run(SimConfig(detection="node-only"))
+        for engine in sim.ENGINES:
+            with pytest.raises(SimError, match=self.PAIRING):
+                run(SimConfig(detection="node-only", engine=engine))
 
     def test_care_requires_node_only(self):
-        with pytest.raises(SimError, match="allow_mispairing"):
-            run(SimConfig(care=True))
-
-    def test_mispairing_override(self):
-        trace = run(SimConfig(detection="node-only", allow_mispairing=True))
-        assert trace.t_rdv is not None
+        for engine in sim.ENGINES:
+            with pytest.raises(SimError, match=self.PAIRING):
+                run(SimConfig(care=True, engine=engine))
 
     def test_unknown_engine(self):
         with pytest.raises(SimError, match="engine"):
@@ -277,10 +280,9 @@ class TestEngineAgreement:
         # met across the seam: the unbounded frames differ by a lap
         SimConfig(topology="cycle", n=5, va=0, vb=3),
         SimConfig(topology="cycle", n=8, va=0, vb=5, tau=2),
-        # both agents ping-pong from round 2 on and never share a node
-        SimConfig(topology="path", n=5, va=0, vb=3, tau=2,
-                  detection="node-only", allow_mispairing=True,
-                  round_cap=300),
+        # alpha ping-pongs from its endpoint start, beta from round 3, and
+        # they meet by crossing an edge in round 4
+        SimConfig(topology="path", n=5, va=0, vb=3, tau=2, round_cap=300),
         SimConfig(topology="path", n=12, va=0, vb=11, round_cap=4),
         # care pairs that meet while walking in step within two nodes
         SimConfig(topology="cycle", n=4, va=3, vb=0, care=True,
@@ -378,7 +380,8 @@ def test_the_reference_engine_uses_nothing_of_the_fast_engine():
 
 @st.composite
 def detection_configs(draw):
-    """Small runs on every topology, plain and care, paired or mispaired."""
+    """Small runs on every topology, each with the program its detection
+    mode pairs with."""
     topology = draw(st.sampled_from(["infinite", "path", "cycle"]))
     scheme = draw(st.sampled_from(
         ["sequential", "random-injective:2", "random-injective:5"]))
@@ -390,13 +393,9 @@ def detection_configs(draw):
         n = draw(st.integers(2 if topology == "path" else 3, 12))
         va, vb = draw(st.permutations(range(n)))[:2]
     care = draw(st.booleans())
-    paired = "node-only" if care else "node-or-crossing"
-    detection = draw(st.sampled_from(
-        [paired, paired, "node-only", "node-or-crossing"]))
     return SimConfig(topology=topology, scheme=scheme, n=n, va=va, vb=vb,
                      tau=draw(st.integers(0, 40)), care=care,
-                     detection=detection,
-                     allow_mispairing=detection != paired)
+                     detection="node-only" if care else "node-or-crossing")
 
 
 class TestDetectionOracle:
@@ -416,9 +415,6 @@ class TestDetectionOracle:
                            care=True, detection="node-only"), data=None)
     @example(cfg=SimConfig(va=-1, vb=2, tau=7, care=True,
                            detection="node-only"), data=None)
-    @example(cfg=SimConfig(topology="cycle", n=7, va=1, vb=5, tau=2,
-                           detection="node-only", allow_mispairing=True),
-             data=None)
     def test_matches_scan_and_reference(self, cfg, data):
         full = run(replace(cfg, round_cap=self.HORIZON))
         assert outcome(full) == scanned_outcome(full, self.HORIZON)
@@ -1149,6 +1145,23 @@ class TestRowsAndSweeps:
         assert lines[1] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2 + len(configs)
 
+    def test_scheme_object_rows_carry_its_spec(self):
+        # a built-in object's cell is its spec string's; a custom scheme
+        # without a spec of its own gets its class name, never an address
+        by_object = run_row(SimConfig(scheme=RandomInjectiveScheme(0), va=0,
+                                      vb=3))
+        by_string = run_row(SimConfig(scheme=RAND, va=0, vb=3))
+        assert by_object == by_string
+        assert by_object["scheme"] == RAND
+
+        class Shifted(LabelScheme):
+            def labels_at(self, coords):
+                return zigzag_array(coords) + 7
+
+        cells = {run_row(SimConfig(scheme=Shifted(), va=0, vb=3))["scheme"]
+                 for _ in range(2)}
+        assert cells == {"Shifted"}
+
 
 class TestGridConfigs:
     def test_straddle_starts_on_the_line(self):
@@ -1167,6 +1180,14 @@ class TestGridConfigs:
         cfgs = grid_configs(schemes=("sequential", RAND),
                             d_values=(1, 2, 3), taus=(0, 1, 2, 3))
         assert len(cfgs) == 2 * 3 * 4
+
+    def test_detection_mode_chooses_the_program(self):
+        for detection, care in (("node-or-crossing", False),
+                                ("node-only", True)):
+            cfgs = grid_configs(d_values=(1, 2), detection=detection)
+            assert {(c.detection, c.care) for c in cfgs} == {(detection, care)}
+        with pytest.raises(TypeError):
+            grid_configs(care=True)
 
 
 class TestTraceExport:
