@@ -194,12 +194,17 @@ def _landmark_plan(state: EsColState, labels: np.ndarray, lo: int,
     ``active[k]`` is the class of the node at center - R + k when it is
     activated, else 0.  A member is known when an activated node of no
     lower class lies within R - 1 of it, itself included, so only the
-    state's members within 2R - 1 of the center are read, all at once.
+    state's members within 2R - 1 of the center are read, all at once, and
+    only those of classes up to the highest activated one, which the state
+    must have built.
     """
     R = state.R
     a, b = center - 2 * R + 1, center + 2 * R - 1
     if state.lo > a or state.hi < b:
         raise AgentError(f"ruling state does not cover [{a}, {b}]")
+    if active.max() > state.top_class:
+        raise AgentError(f"an activated node is of class {active.max()}, "
+                         f"past the state's classes 1..{state.top_class}")
     i, j = np.searchsorted(state.member_coords, (a, b + 1))
     members = state.member_coords[i:j]
     member_classes = state.member_classes[i:j]

@@ -376,8 +376,10 @@ def cmd_constants(_args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no parser takes an abbreviated flag: a config file's key yields only
+    # to a flag that argv spells in full (_apply_config_file)
     parser = argparse.ArgumentParser(
-        prog="linemeet",
+        prog="linemeet", allow_abbrev=False,
         description="Two-agent rendezvous on labeled lines, paths, and cycles")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -397,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="key = value file mirroring these flags")
 
-    p_run = sub.add_parser("run", help="simulate one instance")
+    p_run = sub.add_parser("run", help="simulate one instance",
+                           allow_abbrev=False)
     add_world_flags(p_run)
     p_run.add_argument("--d", type=int, default=1, help="start distance")
     p_run.add_argument("--tau", type=int, default=0, help="wake-up delay")
@@ -407,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
         "detection": str, "round-cap": int, "out": str,
         "d": int, "tau": int, "engine": str})
 
-    p_sweep = sub.add_parser("sweep", help="run a grid of instances to CSV")
+    p_sweep = sub.add_parser("sweep", help="run a grid of instances to CSV",
+                             allow_abbrev=False)
     add_world_flags(p_sweep)
     p_sweep.add_argument("--d", default="1..8",
                          help="distances, e.g. 1..64 or 1,2,5")
@@ -418,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         "detection": str, "round-cap": int, "out": str,
         "d": str, "tau": str})
 
-    p_verify = sub.add_parser("verify", help="replay the independent oracles")
+    p_verify = sub.add_parser("verify", help="replay the independent oracles",
+                              allow_abbrev=False)
     p_verify.add_argument("target", choices=("carefulwalk", "rulingset",
                                              "escolruling", "locality"))
     p_verify.add_argument("--trials", type=int, default=200)
@@ -431,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="window size for locality")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_const = sub.add_parser("constants",
+    p_const = sub.add_parser("constants", allow_abbrev=False,
                              help="report implementation-chosen constants")
     p_const.set_defaults(func=cmd_constants)
     return parser

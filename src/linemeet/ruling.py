@@ -381,6 +381,13 @@ class EsColState:
     contains its whole termination-radius ball (`window_certifies`), which
     is exactly when truncating the window further cannot change it.
 
+    ``top_class`` stops the build after that class: classes commit in
+    order and a class reads only its own nodes and the set committed
+    before it, so the members of classes 1..top_class are those of the
+    full build.  A record of a node above ``top_class`` was not built, and
+    asking for one raises ``RulingError``.  The default builds all
+    ``CLASS_COUNT`` classes.
+
     Once built, a state keeps what queries read: the members' coordinates
     (int64), classes and colors (uint8), R, the window's ends ``lo`` and
     ``hi``, and the labels array the caller handed over, not a copy of it.
@@ -388,8 +395,12 @@ class EsColState:
     """
 
     def __init__(self, labels: np.ndarray, lo: int, R: int,
-                 debug: bool = False):
+                 debug: bool = False, top_class: int = CLASS_COUNT):
         self.R = _spacing(R)
+        if not 1 <= top_class <= CLASS_COUNT:
+            raise RulingError(f"top class must be in 1..{CLASS_COUNT}, "
+                              f"got {top_class}")
+        self.top_class = int(top_class)
         self.labels = np.asarray(labels, dtype=np.int64)
         self.lo = int(lo)
         self.hi = self.lo + self.labels.size - 1
@@ -418,7 +429,7 @@ class EsColState:
         classes = label_classes(labels).astype(np.uint8)
         in_set = np.zeros(labels.size, dtype=bool)
         colors = np.zeros(labels.size, dtype=np.uint8)
-        for i in range(1, CLASS_COUNT + 1):
+        for i in range(1, self.top_class + 1):
             sel = classes == i
             if not sel.any():
                 continue  # empty classes still hold their schedule slot
@@ -435,15 +446,20 @@ class EsColState:
 
     # -- queries ---------------------------------------------------------------
 
-    def _rank_of(self, position: int) -> int:
+    def _class_of(self, position: int) -> int:
+        """The class of a node in the window whose class was built."""
         if not self.lo <= position <= self.hi:
             raise RulingError(f"{position} was not processed")
-        return position - self.lo
+        cls = label_class(int(self.labels[position - self.lo]))
+        if cls > self.top_class:
+            raise RulingError(f"{position} is of class {cls}, past the "
+                              f"built classes 1..{self.top_class}")
+        return cls
 
     def output_for(self, position: int) -> ColoredRulingOutput:
         position = int(position)
-        label = int(self.labels[self._rank_of(position)])
-        cls = label_class(label)
+        cls = self._class_of(position)
+        label = int(self.labels[position - self.lo])
         mc = self.member_coords
         lo = np.searchsorted(mc, position - (self.R - 1), side="left")
         hi = np.searchsorted(mc, position + (self.R - 1), side="right")
@@ -515,12 +531,12 @@ def window_certifies(state: EsColState, position: int,
                      ends: tuple[int, int] | None = None) -> bool:
     """Whether the state's window contains the node's whole
     termination-radius ball.  On a path, ``ends`` are its first and last
-    node, which carry their own boundary: the ball is clipped to them."""
+    node, which carry their own boundary: the ball is clipped to them.  A
+    node of a class the state did not build raises ``RulingError``."""
     position = int(position)
     if not state.lo <= position <= state.hi:
         return False
-    radius = termination_radius(int(state.labels[position - state.lo]),
-                                state.R)
+    radius = phase_end_round(state.R, state._class_of(position))
     lo, hi = position - radius, position + radius
     if ends is not None:
         lo, hi = max(lo, ends[0]), min(hi, ends[1])
@@ -530,15 +546,16 @@ def window_certifies(state: EsColState, position: int,
 def verify_es_col_ruling(state: EsColState) -> RulingCheck:
     """Replay oracle for the colored construction.
 
-    Checks, in commit order: each class prefix is a ruling set over the
-    prefix universe; colors are in range and proper on the (9R-1)-power
-    graph of every prefix; nearby-member records match a brute-force scan;
-    and every termination radius respects the exported factor.
+    Checks, in commit order: each class prefix 1..``state.top_class`` is
+    a ruling set over the prefix universe; colors are in range and proper
+    on the (9R-1)-power graph of every prefix; the nearby-member records of
+    the built classes match a brute-force scan; and every such termination
+    radius respects the exported factor.
     """
     R = state.R
     coords = state.coords
     classes = label_classes(state.labels)
-    for i in range(1, CLASS_COUNT + 1):
+    for i in range(1, state.top_class + 1):
         upref = coords[classes <= i]
         spref = state.member_coords[state.member_classes <= i]
         check = verify_limited_ruling_set(upref, spref, R, R - 1)
@@ -555,6 +572,8 @@ def verify_es_col_ruling(state: EsColState) -> RulingCheck:
                 if w != pos and wcol == cols[j]:
                     return RulingCheck(False, "coloring", (int(pos), int(w)))
     for j, pos in enumerate(coords):
+        if classes[j] > state.top_class:
+            continue
         out = state.output_for(int(pos))
         want = _brute_nearby(state, int(pos), int(classes[j]))
         if out.nearby_members != want:

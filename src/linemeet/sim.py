@@ -42,10 +42,12 @@ sweep is labelled into the store and checked against it.  Worlds with one
 scheme, whatever their topology, share one store of ruling states over
 windows snapped to a tile of the class ladder's rung, so plans from nearby
 starts that read the same classes share a window whatever their sweep;
-delays only shift a plan in global time.  Only a cycle window across the
-seam is built per query; a query wider than the ladder's top rung raises
-:class:`SimError`.  The states of a store keep at most ``STATE_BYTES``
-bytes, or the store holds its newest state alone.
+delays only shift a plan in global time.  A state on the rung of class c
+builds classes 1..c only, the classes its queries read, and the store keys
+it by (R, window, c).  Only a cycle window across the seam is built per
+query; a query wider than the ladder's top rung raises :class:`SimError`.
+The states of a store keep at most ``STATE_BYTES`` bytes, or the store
+holds its newest state alone.
 Worlds are keyed by topology, size, seed and scheme: a string scheme by its
 spec, a ``LabelScheme`` object by identity, so such objects must be
 deterministic.  Only the ``WORLD_SLOTS`` most recently used worlds are kept.
@@ -698,8 +700,9 @@ _RUNG_TILES = 8
 
 
 def _snapped_window(lo: int, hi: int, R: int,
-                    bounds: tuple | None) -> tuple[int, int]:
-    """The window [wlo, whi] whose ruling state serves the query [lo, hi].
+                    bounds: tuple | None) -> tuple[int, int, int]:
+    """The window [wlo, whi] whose ruling state serves the query [lo, hi],
+    and the class c of its rung; the state holds classes 1..c.
 
     A node's record only depends on labels within its termination-radius
     ball, so any window holding the balls the planner reads gives the same
@@ -714,40 +717,56 @@ def _snapped_window(lo: int, hi: int, R: int,
     the window is clipped to; None leaves it unclipped.  A ``need`` past
     the top rung, R + phase_end_round(R, CLASS_COUNT), raises
     :class:`SimError`.
+
+    Classes 1..c are all the query reads.  With c* the highest activated
+    class, ``need`` lies in [phase_end_round(R, c*), R +
+    phase_end_round(R, c*)]: the class-c* node is within R of the center,
+    and a lower class ends its phase no later.  A class phase lasts longer
+    than R, so the rung below c*'s, R + phase_end_round(R, c* - 1), lies
+    under phase_end_round(R, c*), and the query's rung is c*'s.  The build
+    commits classes in order, and class i reads only its own nodes and the
+    set committed before it, so a record of class <= c never depends on a
+    later class; and the planner reads a member only when an activated node
+    of no lower class knows it, so never one of a class above c*.  A
+    clipped window can be the same for two rungs, so its state is stored
+    by its class as well.
     """
     need = (hi - lo) // 2
-    reach = min((r for r in (R + phase_end_round(R, c)
-                             for c in range(1, CLASS_COUNT + 1)) if r >= need),
-                default=None)
-    if reach is None:
+    top = next((c for c in range(1, CLASS_COUNT + 1)
+                if R + phase_end_round(R, c) >= need), None)
+    if top is None:
         raise SimError(f"a query of half-width {need} passes the top rung "
                        f"at R={R}")
+    reach = R + phase_end_round(R, top)
     tile = max(1, reach // _RUNG_TILES)
     snap = ((lo + hi) // 2 + tile // 2) // tile * tile
     h = reach + tile // 2 + 1
     if bounds is None:
-        return snap - h, snap + h
-    return max(snap - h, bounds[0]), min(snap + h, bounds[1])
+        return snap - h, snap + h, top
+    return max(snap - h, bounds[0]), min(snap + h, bounds[1]), top
 
 
 class _StateStore:
-    """Ruling states over windows of one scheme's labels, by (R, wlo, whi).
+    """Ruling states over windows of one scheme's labels, by (R, wlo, whi,
+    c).
 
     A query is served the state of its snapped window (see
     :func:`_snapped_window`), clipped to the host: [0, n - 1] on a path or
-    cycle, the scheme's ``span()`` on the infinite line.  Such a window
-    holds the scheme's own labels on every topology, so worlds with one
-    scheme share one store and each window is built once for all of them.
-    A cycle window across the seam holds labels that depend on n, so it is
-    built exactly, per query, and never looked up.  The newest state is
-    always stored, and the least recently used are dropped while its states
-    keep more than ``STATE_BYTES`` bytes (:attr:`EsColState.nbytes`) and it
-    holds more than one.  States hold labels and no host, so the store
+    cycle, the scheme's ``span()`` on the infinite line.  The state holds
+    classes 1..c, c being the class of the window's rung, which is all the
+    query reads.  Such a window holds the scheme's own labels on every
+    topology, so worlds with one scheme share one store and each window is
+    built once for all of them.  A cycle window across the seam holds
+    labels that depend on n, so it is built exactly, per query, with every
+    class, and never looked up.  The newest state is always stored, and
+    the least recently used are dropped while its states keep more than
+    ``STATE_BYTES`` bytes (:attr:`EsColState.nbytes`) and it holds more
+    than one.  States hold labels and no host, so the store
     keeps no ``World`` alive.
     """
 
     def __init__(self):
-        self.states: OrderedDict[tuple[int, int, int], EsColState] = \
+        self.states: OrderedDict[tuple[int, int, int, int], EsColState] = \
             OrderedDict()
         self.nbytes = 0
 
@@ -757,18 +776,20 @@ class _StateStore:
         n = world.n
         bounds = world.scheme.span() if n is None else (0, n - 1)
 
-        def build(lo: int, hi: int, R: int) -> EsColState:
-            return EsColState(world.window_labels(lo, hi), lo, R)
+        def build(lo: int, hi: int, R: int, top_class: int) -> EsColState:
+            return EsColState(world.window_labels(lo, hi), lo, R,
+                              top_class=top_class)
 
         def lookup(lo: int, hi: int, R: int) -> EsColState:
             if n is not None and (lo < 0 or hi >= n):
-                return build(lo, hi, R)
+                return build(lo, hi, R, CLASS_COUNT)
             key = (R, *_snapped_window(lo, hi, R, bounds))
             state = self.states.get(key)
             if state is not None:
                 self.states.move_to_end(key)
                 return state
-            state = self.states[key] = build(*key[1:], R)
+            wlo, whi, top = key[1:]
+            state = self.states[key] = build(wlo, whi, R, top)
             self.nbytes += state.nbytes
             while self.nbytes > STATE_BYTES and len(self.states) > 1:
                 _, old = self.states.popitem(last=False)

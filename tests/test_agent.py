@@ -364,6 +364,24 @@ class TestPlanIteration:
                               es_lookup=lambda *query: wide)
         assert (plan.R, plan.r) == (4, -2)
 
+    def test_state_must_hold_the_activated_classes(self):
+        # the planted plan at R = 4 activates the class-1 label at 3 and the
+        # class-2 label at -2
+        world = self.planted_world()
+        labels, lo = window_labels(world, -256, 256)
+
+        def cut(top):
+            state = EsColState(labels, lo, 4, top_class=top)
+            return lambda *query: state
+
+        with pytest.raises(AgentError, match=r"class 2, past the state's "
+                                             r"classes 1\.\.1"):
+            plan_iteration(labels, lo, 0, 256, es_lookup=cut(1))
+        oracle = plan_iteration(labels, lo, 0, 256)
+        for top in (2, 6):
+            assert plan_iteration(labels, lo, 0, 256,
+                                  es_lookup=cut(top)) == oracle
+
 
 class TestBatchedSelection:
     """The planner reads every known member in one batch; reading each

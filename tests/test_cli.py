@@ -56,6 +56,29 @@ class TestRunCommand:
             main([command, "--detection", "node-only", flag])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["run", "--ta", "0"],
+                                      ["sweep", "--ta", "0"],
+                                      ["verify", "locality", "--univ", "9"]])
+    def test_abbreviated_flags_are_usage_errors(self, capsys, argv):
+        # an abbreviation would escape the config file's explicit-flag check
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    def test_an_explicit_flag_beats_the_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau = 3\n")
+        code, out, _ = run_cli(capsys, "run", "--d", "5", "--config",
+                               str(cfg), "--tau", "0")
+        assert code == 0 and " tau=0 " in out
+        code, out, _ = run_cli(capsys, "run", "--d", "5", "--config",
+                               str(cfg))
+        assert code == 0 and " tau=3 " in out
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--d", "5", "--config", str(cfg), "--ta", "0"])
+        assert exc.value.code == 2
+
     def test_care_config_key_exits_two(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("care = true\n")

@@ -301,6 +301,69 @@ def test_es_ruling_randomized(inst):
     assert np.all(state.member_colors <= PALETTE_SIZE)
 
 
+@st.composite
+def truncated_instances(draw):
+    """(labels, lo, R, top class): a window of random, uniform-class-4 or
+    -5 scheme labels, or of explicit distinct labels drawn from every
+    class."""
+    kind = draw(st.sampled_from(["random", "class4", "class5", "explicit"]))
+    lo = draw(st.integers(-400, 400))
+    size = draw(st.integers(1, 200))
+    if kind == "explicit":
+        labels = np.array(draw(st.lists(
+            st.one_of(*[st.integers(CLASS_LO[c], CLASS_HI[c])
+                        for c in range(5)], st.integers(65537, 10**9)),
+            min_size=size, max_size=size, unique=True)), dtype=np.int64)
+    else:
+        spec = {"random": f"random-injective:{draw(st.integers(0, 30))}",
+                "class4": "uniform-logstar-class:4",
+                "class5": "uniform-logstar-class:5"}[kind]
+        labels = make_world("infinite", spec).labels_at(
+            np.arange(lo, lo + size))
+    return (labels, lo, draw(st.sampled_from([1, 4, 16])),
+            draw(st.integers(1, 6)))
+
+
+@given(truncated_instances())
+@settings(deadline=None, max_examples=60)
+def test_a_truncated_build_is_the_full_build_cut_at_its_class(inst):
+    labels, lo, R, top = inst
+    full = EsColState(labels, lo, R)
+    cut = EsColState(labels, lo, R, top_class=top)
+    assert (full.top_class, cut.top_class) == (6, top)
+    keep = full.member_classes <= top
+    assert np.array_equal(cut.member_coords, full.member_coords[keep])
+    assert np.array_equal(cut.member_classes, full.member_classes[keep])
+    assert np.array_equal(cut.member_colors, full.member_colors[keep])
+    for p, label in zip(cut.coords.tolist(), labels.tolist()):
+        if log_star(label) <= top:
+            assert cut.output_for(p) == full.output_for(p)
+    assert verify_es_col_ruling(cut).ok
+
+
+def test_a_truncated_state_refuses_the_classes_it_did_not_build():
+    # labels 1..120 at 0..119: classes 1, 2, 3 at 0..3 and 4 and 5 above
+    labels = np.arange(1, 121, dtype=np.int64)
+    state = EsColState(labels, 0, 4, top_class=3)
+    assert state.nbytes == labels.nbytes + state.member_coords.nbytes \
+        + state.member_classes.nbytes + state.member_colors.nbytes
+    assert set(state.member_classes.tolist()) <= {1, 2, 3}
+    assert state.output_for(3).label_class == 3
+    assert window_certifies(state, 0) is False  # radius 112 past hi = 119
+    for p in (4, 60, 119):
+        with pytest.raises(RulingError, match="past the built classes 1..3"):
+            state.output_for(p)
+        with pytest.raises(RulingError, match="past the built classes 1..3"):
+            window_certifies(state, p)
+    # a node outside the window is still one the window does not certify
+    assert window_certifies(state, 500) is False
+    # the oracle checks the built prefixes 1..3 and their records
+    assert verify_es_col_ruling(state).ok
+    for top in (0, 7):
+        with pytest.raises(RulingError, match="top class must be in 1..6"):
+            EsColState(labels, 0, 4, top_class=top)
+
+
 def test_non_members_see_a_nearby_member():
     world = make_world("infinite", "random-injective:17")
     state = window_state(world, -60, 59, 4)

@@ -42,7 +42,7 @@ from linemeet.agent import (
 )
 from linemeet.logstar import CLASS_COUNT, CLASS_HI, CLASS_LO, log_star
 from linemeet.reference import searching_walk, z_walk
-from linemeet.ruling import phase_end_round, termination_radius
+from linemeet.ruling import EsColState, phase_end_round, termination_radius
 from linemeet.world import (
     ExplicitScheme,
     LabelScheme,
@@ -1329,15 +1329,19 @@ class TestSharedRulingWindows:
         read = [u for u, r in reach.items() if r <= L]
         need = max(reach[u] for u in read)
         assert calls == [(center - need, center + need, R)]
-        rung = min(r for r in (R + phase_end_round(R, c)
-                               for c in range(1, CLASS_COUNT + 1))
-                   if r >= need)
+        top = next(c for c in range(1, CLASS_COUNT + 1)
+                   if R + phase_end_round(R, c) >= need)
+        rung = R + phase_end_round(R, top)
+        # the rung is that of the highest class read, and the state holds
+        # the classes up to it
+        assert top == max(log_star(world.label(u)) for u in read)
         # the window depends on the rung, not on the need: it is centered
         # on the multiple of the tile nearest the center, ties upward
         tile = max(1, rung // 8)
         (state,) = served
         wlo, whi = int(state.coords[0]), int(state.coords[-1])
-        assert state is store.states[(R, wlo, whi)]
+        assert state is store.states[(R, wlo, whi, top)]
+        assert state.top_class == top
         assert np.array_equal(state.coords, np.arange(wlo, whi + 1))
         mid = (wlo + whi) // 2
         assert mid % tile == 0 and tile // 2 - tile < mid - center <= tile // 2
@@ -1400,8 +1404,12 @@ class TestSharedRulingWindows:
     @settings(deadline=None, max_examples=300)
     def test_snapped_windows_hold_the_query_within_the_host(self, query):
         lo, hi, R, bounds = query
-        wlo, whi = sim._snapped_window(lo, hi, R, bounds)
+        wlo, whi, top = sim._snapped_window(lo, hi, R, bounds)
         assert wlo <= lo and hi <= whi
+        # the class of the smallest rung that holds the query's need
+        need = (hi - lo) // 2
+        assert R + phase_end_round(R, top) >= need
+        assert top == 1 or R + phase_end_round(R, top - 1) < need
         if bounds is not None:
             assert bounds[0] <= wlo and whi <= bounds[1]
 
@@ -1481,8 +1489,14 @@ class TestFiniteBallWindows:
 
 
 def records(state):
-    """Every node record of a ruling state, in coordinate order."""
-    return [state.output_for(int(u)) for u in state.coords]
+    """What a ruling state keeps, and the record of every node of its built
+    classes, in coordinate order."""
+    built = [state.output_for(int(u))
+             for u, label in zip(state.coords, state.labels)
+             if log_star(int(label)) <= state.top_class]
+    return (state.top_class, state.labels.tolist(),
+            state.member_coords.tolist(), state.member_classes.tolist(),
+            state.member_colors.tolist(), built)
 
 
 class TestFiniteStateStore:
@@ -1497,9 +1511,9 @@ class TestFiniteStateStore:
         built = []
         honest = sim.EsColState
 
-        def recording(labels, lo, R):
-            built.append((lo, lo + labels.size - 1, R))
-            return honest(labels, lo, R)
+        def recording(labels, lo, R, top_class):
+            built.append((lo, lo + labels.size - 1, R, top_class))
+            return honest(labels, lo, R, top_class=top_class)
 
         monkeypatch.setattr(sim, "EsColState", recording)
         return built
@@ -1511,7 +1525,7 @@ class TestFiniteStateStore:
             assert outcome(run(SimConfig(topology=topology, n=8192,
                                          va=3584, vb=4608))) == meet
         assert len(builds) == 2, builds
-        assert all(0 <= lo and hi < 8192 for lo, hi, _ in builds)
+        assert all(0 <= lo and hi < 8192 for lo, hi, *_ in builds)
         (store,) = {work.states for work in sim._WORLDS.values()}
         # the stored states outlive the worlds that built them
         worlds = [weakref.ref(work.world) for work in sim._WORLDS.values()]
@@ -1567,7 +1581,8 @@ class TestFiniteStateStore:
                 assert (note.R, note.r, note.color) == (
                     (None, None, None) if oracle is None
                     else (oracle.R, oracle.r, oracle.color))
-        assert builds.count((-1069, 1269, 1)) == 2
+        # a seam window holds every class
+        assert builds.count((-1069, 1269, 1, CLASS_COUNT)) == 2
 
     def test_a_seam_window_is_not_served_a_path_window(self, builds):
         # the path stores a window over [4655, 6993]; on a cycle of 6000 the
@@ -1576,16 +1591,18 @@ class TestFiniteStateStore:
         run(path)
         work = sim._world_work(replace(path, topology="cycle", n=6000))
         assert work.states is sim._world_work(path).states
-        assert any(lo <= 4655 and 6993 <= hi for lo, hi, _ in builds)
+        assert any(lo <= 4655 and 6993 <= hi for lo, hi, *_ in builds)
         state = work.states.lookup(work.world)(4655, 6993, 1)
         assert np.array_equal(state.coords, np.arange(4655, 6994))
         assert np.array_equal(state.labels,
                               work.world.labels_at(state.coords % 6000))
 
     def test_the_store_keeps_within_its_budget(self, monkeypatch):
-        # an R = 1 window of 39 nodes keeps 702 B, an R = 4 one of 249 nodes
-        # about 2.5 KB: two of the first and one of the second go past this
-        monkeypatch.setattr(sim, "STATE_BYTES", 3500)
+        # the windows below lie on the class-1 rung and hold no class-1
+        # label, so they keep their labels alone: an R = 1 window of 39
+        # nodes keeps 312 B, an R = 4 one of 249 nodes 1,992 B, and two of
+        # the first and one of the second go past this
+        monkeypatch.setattr(sim, "STATE_BYTES", 2600)
         world = make_world("path", CLASS4, n=4096)
         store = sim._StateStore()
         lookup = store.lookup(world)
@@ -1598,7 +1615,8 @@ class TestFiniteStateStore:
         before = records(first)
         for k, query in enumerate(queries):
             state = lookup(*query)
-            key = (query[2], int(state.coords[0]), int(state.coords[-1]))
+            key = (query[2], int(state.coords[0]), int(state.coords[-1]),
+                   state.top_class)
             assert lookup(*query) is state
             assert list(store.states.items())[-1] == (key, state)
             assert store.nbytes == sum(s.nbytes
@@ -1608,7 +1626,7 @@ class TestFiniteStateStore:
         assert lookup(center - 17, center + 17, 1) is lookup(center - 2,
                                                               center + 2, 1)
         assert all(np.array_equal(s.coords, np.arange(lo, hi + 1))
-                   for (_, lo, hi), s in store.states.items())
+                   for (_, lo, hi, _), s in store.states.items())
         assert first not in store.states.values()
         # a state past the budget is the newest, so it is stored alone
         big = lookup(300, 700, 4)
@@ -1621,6 +1639,45 @@ class TestFiniteStateStore:
         rebuilt = lookup(*queries[0])
         assert rebuilt is not first and records(rebuilt) == before
         assert list(store.states.values()) == [end, rebuilt]
+
+    def test_two_rungs_clipped_to_one_window_keep_their_classes(self):
+        # on a path of 69 nodes the R = 1 queries of need 33 (the class-2
+        # rung) and 34 (the class-3 rung) both clip to [0, 68]
+        n, center = 69, 34
+        world = make_world("path", ExplicitScheme(
+            {c: 2 if c == center else 3 if c == 20 else 1000 + c
+             for c in range(n)}), n=n)
+        store = sim._StateStore()
+        lookup = store.lookup(world)
+        needs = {2: 33, 3: 34}
+        served = {top: lookup(center - need, center + need, 1)
+                  for top, need in needs.items()}
+        assert served[2] is not served[3]
+        assert list(store.states) == [(1, 0, n - 1, 2), (1, 0, n - 1, 3)]
+        full = EsColState(world.labels_at(np.arange(n)), 0, 1)
+        for top, state in served.items():
+            assert state.top_class == top
+            assert lookup(center - needs[top], center + needs[top],
+                          1) is state
+            keep = full.member_classes <= top
+            assert np.array_equal(state.member_coords,
+                                  full.member_coords[keep])
+            assert np.array_equal(state.member_colors,
+                                  full.member_colors[keep])
+        # at L = 32 the class-2 label at the center activates R = 1 alone,
+        # and either state gives the plan of the sweep window
+        L = 32
+        labels = world.labels_at(np.arange(center - L, center + L + 1))
+        oracle = plan_iteration(labels, center - L, center, L)
+        assert oracle is not None and oracle.R == 1
+        for state in served.values():
+            assert plan_iteration(labels, center - L, center, L,
+                                  es_lookup=lambda *query: state) == oracle
+        # the plan's own query, of need 32, lies on the class-2 rung
+        assert plan_iteration(labels, center - L, center, L,
+                              es_lookup=lookup) == oracle
+        assert len(store.states) == 2
+        assert next(reversed(store.states.values())) is served[2]
 
     def test_a_clipped_path_window_holds_its_scheme_labels(self, monkeypatch):
         # labelled from the scheme in blocks of 100, past the path's end
@@ -1755,7 +1812,7 @@ def test_a_duplicate_only_a_sweep_visits_raises(monkeypatch):
     assert outcome(run(clean)) == (8522, "node", -3)
     (work,) = sim._WORLDS.values()
     assert work.states.states
-    assert all(whi < 259 for _, _, whi in work.states.states)
+    assert all(whi < 259 for _, _, whi, _ in work.states.states)
     assert 3 + 2 * spacing_grid(256)[0] < 259
     # the label at 259 repeats alpha's start label
     with pytest.raises(WorldError, match="duplicate"):
