@@ -196,12 +196,14 @@ def _landmark_plan(state: EsColState, labels: np.ndarray, lo: int,
     lower class lies within R - 1 of it, itself included, so only the
     state's members within 2R - 1 of the center are read, all at once, and
     only those of classes up to the highest activated one, which the state
-    must have built.
+    must have built; the state must serve that member window (see
+    :class:`EsColState`).
     """
     R = state.R
     a, b = center - 2 * R + 1, center + 2 * R - 1
-    if state.lo > a or state.hi < b:
-        raise AgentError(f"ruling state does not cover [{a}, {b}]")
+    if state.serves[0] > a or state.serves[1] < b:
+        raise AgentError(f"ruling state does not cover [{a}, {b}] in the "
+                         f"region it serves")
     if active.max() > state.top_class:
         raise AgentError(f"an activated node is of class {active.max()}, "
                          f"past the state's classes 1..{state.top_class}")

@@ -509,6 +509,16 @@ def list_color(sub: PowerSubgraph, allowed: np.ndarray, palette: int,
     colorings into product colorings.  All merges of one tree level are
     swept by one :func:`_sweep_reduce` over disjoint copies of the members,
     each copy seeing only its own classes' edges.
+
+    The tree has one leaf per rank-difference class of the whole call, dd,
+    the widest rank window over all members, and dd also decides between
+    the pipeline and a direct sweep.  So a member's color depends on dd as
+    well as on the members within its rounds, and members far away can
+    change it by changing dd: at power 35, 250 class-5 members 16 apart (dd
+    2) color 124 of themselves differently once 12 members 4 apart (dd 8)
+    join the call 8,000 coordinates away.  A caller that colors part of a
+    universe gets the whole universe's colors only where both calls have
+    the same dd.
     """
     sub.require_degree(16)
     m = sub.members.size

@@ -388,6 +388,28 @@ class EsColState:
     asking for one raises ``RulingError``.  The default builds all
     ``CLASS_COUNT`` classes.
 
+    ``serves`` = (slo, shi) within the window is the region S whose records
+    the state must hold; the default is the whole window.  Classes below
+    ``top_class`` run over the whole window, but ``top_class`` = c runs
+    only on its nodes within ``class_phase_rounds(R, c) +
+    ruling_stage_rounds(R, c) + 2R`` of S, its cone.  That is exact in S:
+    a class-c member's status reads the class-c nodes within the ruling
+    stages, the merge scan and four extension passes, ruling_stage_rounds
+    + 13R - 13, of it, and its color reads the newcomers within (9R - 1)
+    list-coloring rounds of it, so every record in S, members within R - 1
+    of it included, reads class-c nodes within the cone alone.  List
+    coloring has one more input, the number of rank-difference classes of
+    the whole call (see :func:`~linemeet.localengine.list_color`), which is
+    at most 8, as newcomers lie R apart.  So the cone keeps its newcomers
+    when it holds every class-c node of the window, when it has none, or
+    when one of them has 8 such classes while its neighbours' status is
+    exact (it lies within ``class_phase_rounds(R, c) - 20R + 14`` of S),
+    as the whole window's call then has 8 too.  Otherwise class c runs
+    over the rest of the window as well, in two parts that overlap the
+    cone's exact status by ruling_stage_rounds + 13R - 13, and colors the
+    whole window's newcomers.  A class-c record outside S raises
+    ``RulingError``, built or not.
+
     Once built, a state keeps what queries read: the members' coordinates
     (int64), classes and colors (uint8), R, the window's ends ``lo`` and
     ``hi``, and the labels array the caller handed over, not a copy of it.
@@ -395,7 +417,8 @@ class EsColState:
     """
 
     def __init__(self, labels: np.ndarray, lo: int, R: int,
-                 debug: bool = False, top_class: int = CLASS_COUNT):
+                 debug: bool = False, top_class: int = CLASS_COUNT,
+                 serves: tuple[int, int] | None = None):
         self.R = _spacing(R)
         if not 1 <= top_class <= CLASS_COUNT:
             raise RulingError(f"top class must be in 1..{CLASS_COUNT}, "
@@ -404,6 +427,11 @@ class EsColState:
         self.labels = np.asarray(labels, dtype=np.int64)
         self.lo = int(lo)
         self.hi = self.lo + self.labels.size - 1
+        slo, shi = (self.lo, self.hi) if serves is None else map(int, serves)
+        if not self.lo <= slo <= shi <= self.hi:
+            raise RulingError(f"served region [{slo}, {shi}] leaves the "
+                              f"window [{self.lo}, {self.hi}]")
+        self.serves = (slo, shi)
         self._run(debug)
 
     @property
@@ -418,42 +446,81 @@ class EsColState:
                 self.member_colors)
         return sum(a.nbytes for a in kept)
 
-    def _at(self, sel: np.ndarray) -> np.ndarray:
-        """The window's coordinates where the boolean ``sel`` holds."""
-        return np.flatnonzero(sel) + self.lo
-
     def _run(self, debug: bool) -> None:
         # per-node work arrays are one byte a node; coordinates and labels
         # are selected only for the nodes a step reads
         R, lo, labels = self.R, self.lo, self.labels
         classes = label_classes(labels).astype(np.uint8)
-        in_set = np.zeros(labels.size, dtype=bool)
         colors = np.zeros(labels.size, dtype=np.uint8)
+        members = np.empty(0, dtype=np.int64)
         for i in range(1, self.top_class + 1):
-            sel = classes == i
-            if not sel.any():
-                continue  # empty classes still hold their schedule slot
-            grown = _class_members(self._at(sel), labels[sel],
-                                   self._at(in_set), R, i, debug)
-            in_set[grown - lo] = True
-            done = colors > 0
-            phase = in_set & sel & ~done
-            colors[phase] = _color_phase(self._at(phase), labels[phase],
-                                         self._at(done), colors[done], R, i)
-        self.member_coords = self._at(in_set)
-        self.member_classes = classes[in_set]
-        self.member_colors = colors[in_set]
+            # empty classes still hold their schedule slot
+            fresh = self._fresh(classes, i, members, debug)
+            colors[fresh - lo] = _color_phase(
+                fresh, labels[fresh - lo], members, colors[members - lo], R, i)
+            # fresh members lie >= R from the committed set
+            members = np.sort(np.concatenate((members, fresh)))
+        self.member_coords = members
+        self.member_classes = classes[members - lo]
+        self.member_colors = colors[members - lo]
+
+    def _fresh(self, classes: np.ndarray, i: int, members: np.ndarray,
+               debug: bool) -> np.ndarray:
+        """The members class i adds to the committed set ``members``: over
+        the whole window below ``top_class``, and over its cone at
+        ``top_class``, unless the cone leaves out nodes of the class and
+        its newcomers could list-color on fewer rank-difference classes
+        than the whole window's."""
+        R, lo, size = self.R, self.lo, classes.size
+
+        def run(a: int, b: int) -> np.ndarray:
+            at = np.flatnonzero(classes[a:b] == i) + a
+            if at.size == 0:
+                return at + lo
+            grown = _class_members(at + lo, self.labels[at], members, R, i,
+                                   debug)
+            return grown[classes[grown - lo] == i]
+
+        if i < self.top_class:
+            return run(0, size)
+        (slo, shi), stage = self.serves, ruling_stage_rounds(R, i)
+        cone = class_phase_rounds(R, i) + stage + 2 * R
+        a, b = max(slo - cone - lo, 0), min(shi + cone - lo + 1, size)
+        fresh = run(a, b)
+        # a status reads the class-i nodes within `settle`, so the cone's
+        # are exact but within `settle` of a cut end, and the newcomers
+        # within 9R - 1 of a node `near` S have the whole window's status
+        settle = stage + 13 * R - 13
+        near = cone - settle - (9 * R - 1)
+        if not fresh.size or _full_width_in(fresh, slo - near, shi + near, R) \
+                or not ((classes[:a] == i).any() or (classes[b:] == i).any()):
+            return fresh
+        # the rest of the window runs in two parts, each widened by
+        # `settle` and keeping its own nodes' status
+        ea, eb = (a + settle if a else 0), (b - settle if b < size else size)
+        keep = [fresh[(fresh >= ea + lo) & (fresh < eb + lo)]]
+        if ea:
+            left = run(0, ea + settle)
+            keep.insert(0, left[left < ea + lo])
+        if eb < size:
+            right = run(eb - settle, size)
+            keep.append(right[right >= eb + lo])
+        return np.concatenate(keep)
 
     # -- queries ---------------------------------------------------------------
 
     def _class_of(self, position: int) -> int:
-        """The class of a node in the window whose class was built."""
+        """The class of a node in the window whose record was built."""
         if not self.lo <= position <= self.hi:
             raise RulingError(f"{position} was not processed")
         cls = label_class(int(self.labels[position - self.lo]))
         if cls > self.top_class:
             raise RulingError(f"{position} is of class {cls}, past the "
                               f"built classes 1..{self.top_class}")
+        slo, shi = self.serves
+        if cls == self.top_class and not slo <= position <= shi:
+            raise RulingError(f"{position} is of class {cls}, served only "
+                              f"within [{slo}, {shi}]")
         return cls
 
     def output_for(self, position: int) -> ColoredRulingOutput:
@@ -504,6 +571,18 @@ def _class_members(vi: np.ndarray, labels: np.ndarray, committed: np.ndarray,
     return grown
 
 
+def _full_width_in(fresh: np.ndarray, slo: int, shi: int, R: int) -> bool:
+    """Whether a newcomer in [slo, shi] has the most rank-difference
+    classes a call of :func:`_color_phase` can have: 8 newcomers within
+    9R - 1 on one side, as newcomers lie at least R apart."""
+    reach, widest = 9 * R - 1, (9 * R - 1) // R
+    a, b = np.searchsorted(fresh, (slo, shi + 1))
+    rank = np.arange(a, b)
+    left = rank - np.searchsorted(fresh, fresh[a:b] - reach)
+    right = np.searchsorted(fresh, fresh[a:b] + reach, side="right") - 1 - rank
+    return bool((np.maximum(left, right) == widest).any())
+
+
 def _color_phase(phase: np.ndarray, labels: np.ndarray, sc: np.ndarray,
                  scol: np.ndarray, R: int, class_index: int) -> np.ndarray:
     """Colors of a class's newcomers ``phase``, labelled ``labels``,
@@ -532,7 +611,8 @@ def window_certifies(state: EsColState, position: int,
     """Whether the state's window contains the node's whole
     termination-radius ball.  On a path, ``ends`` are its first and last
     node, which carry their own boundary: the ball is clipped to them.  A
-    node of a class the state did not build raises ``RulingError``."""
+    node of a class the state did not build, or of its top class outside
+    the region it serves, raises ``RulingError``."""
     position = int(position)
     if not state.lo <= position <= state.hi:
         return False
@@ -550,13 +630,18 @@ def verify_es_col_ruling(state: EsColState) -> RulingCheck:
     a ruling set over the prefix universe; colors are in range and proper
     on the (9R-1)-power graph of every prefix; the nearby-member records of
     the built classes match a brute-force scan; and every such termination
-    radius respects the exported factor.
+    radius respects the exported factor.  The nodes of ``state.top_class``
+    count only within the served region and where they are members.
     """
     R = state.R
     coords = state.coords
     classes = label_classes(state.labels)
+    slo, shi = state.serves
+    served = (classes < state.top_class) | (coords >= slo) & (coords <= shi)
+    checked = served.copy()
+    checked[state.member_coords - state.lo] = True
     for i in range(1, state.top_class + 1):
-        upref = coords[classes <= i]
+        upref = coords[(classes <= i) & checked]
         spref = state.member_coords[state.member_classes <= i]
         check = verify_limited_ruling_set(upref, spref, R, R - 1)
         if not check:
@@ -572,7 +657,7 @@ def verify_es_col_ruling(state: EsColState) -> RulingCheck:
                 if w != pos and wcol == cols[j]:
                     return RulingCheck(False, "coloring", (int(pos), int(w)))
     for j, pos in enumerate(coords):
-        if classes[j] > state.top_class:
+        if classes[j] > state.top_class or not served[j]:
             continue
         out = state.output_for(int(pos))
         want = _brute_nearby(state, int(pos), int(classes[j]))

@@ -43,9 +43,11 @@ scheme, whatever their topology, share one store of ruling states over
 windows snapped to a tile of the class ladder's rung, so plans from nearby
 starts that read the same classes share a window whatever their sweep;
 delays only shift a plan in global time.  A state on the rung of class c
-builds classes 1..c only, the classes its queries read, and the store keys
-it by (R, window, c).  Only a cycle window across the seam is built per
-query; a query wider than the ladder's top rung raises :class:`SimError`.
+builds classes 1..c only, the classes its queries read, and class c only
+on the cone around the member windows its queries read; the store keys it
+by (R, window, c, served region).  Only a cycle window across the seam is
+built per query; a query wider than the ladder's top rung raises
+:class:`SimError`.
 The states of a store keep at most ``STATE_BYTES`` bytes, or the store
 holds its newest state alone.
 Worlds are keyed by topology, size, seed and scheme: a string scheme by its
@@ -690,8 +692,9 @@ class SimTrace:
 
 # bytes that the states of one store keep at most, unless its newest state
 # alone keeps more (EsColState.nbytes): a stored state keeps its labels and
-# its members, 18 B per node at R = 1, where every node is a member, and
-# 8.7 B at R = 16 with random labels, so 15 MiB hold about 0.9M R = 1 nodes
+# its members, which on a random-label rung-6 window come to 13 B per node
+# at R = 1, where every class-6 node of the cone is a member, and 8.3 B at
+# R = 16, so 15 MiB hold about 1.2M R = 1 nodes
 STATE_BYTES = 15 << 20
 
 # tiles per class rung: a stored window's center snaps to multiples of its
@@ -700,9 +703,11 @@ _RUNG_TILES = 8
 
 
 def _snapped_window(lo: int, hi: int, R: int,
-                    bounds: tuple | None) -> tuple[int, int, int]:
-    """The window [wlo, whi] whose ruling state serves the query [lo, hi],
-    and the class c of its rung; the state holds classes 1..c.
+                    bounds: tuple | None) -> tuple[int, int, int, int, int]:
+    """(wlo, whi, c, slo, shi): the window [wlo, whi] whose ruling state
+    serves the query [lo, hi], the class c of its rung, and the region S =
+    [slo, shi] whose records the state must hold; the state holds classes
+    1..c, and class c only around S.
 
     A node's record only depends on labels within its termination-radius
     ball, so any window holding the balls the planner reads gives the same
@@ -730,6 +735,14 @@ def _snapped_window(lo: int, hi: int, R: int,
     of no lower class knows it, so never one of a class above c*.  A
     clipped window can be the same for two rungs, so its state is stored
     by its class as well.
+
+    The planner reads only the members within 2R - 1 of the center, so S
+    is the union of those member windows over every center snapped to
+    ``snap``, clipped like the window; it lies inside the window, as the
+    rung exceeds 2R.  The state builds class c only on the cone around S
+    that :class:`~linemeet.ruling.EsColState` derives from the schedule,
+    and is exact on S.  Clipped windows from two snaps can be the same
+    while their S differ, so S is part of the store key as well.
     """
     need = (hi - lo) // 2
     top = next((c for c in range(1, CLASS_COUNT + 1)
@@ -741,20 +754,25 @@ def _snapped_window(lo: int, hi: int, R: int,
     tile = max(1, reach // _RUNG_TILES)
     snap = ((lo + hi) // 2 + tile // 2) // tile * tile
     h = reach + tile // 2 + 1
-    if bounds is None:
-        return snap - h, snap + h, top
-    return max(snap - h, bounds[0]), min(snap + h, bounds[1]), top
+    # the centers snapped here, [first, first + tile - 1], read members
+    # within 2R - 1 of them
+    first = snap - tile // 2
+    box = (snap - h, snap + h, first - 2 * R + 1, first + tile + 2 * R - 2)
+    if bounds is not None:
+        box = tuple(min(max(x, bounds[0]), bounds[1]) for x in box)
+    return box[0], box[1], top, box[2], box[3]
 
 
 class _StateStore:
     """Ruling states over windows of one scheme's labels, by (R, wlo, whi,
-    c).
+    c, slo, shi).
 
     A query is served the state of its snapped window (see
     :func:`_snapped_window`), clipped to the host: [0, n - 1] on a path or
     cycle, the scheme's ``span()`` on the infinite line.  The state holds
     classes 1..c, c being the class of the window's rung, which is all the
-    query reads.  Such a window holds the scheme's own labels on every
+    query reads, and class c only on the cone around the region [slo, shi]
+    the window serves.  Such a window holds the scheme's own labels on every
     topology, so worlds with one scheme share one store and each window is
     built once for all of them.  A cycle window across the seam holds
     labels that depend on n, so it is built exactly, per query, with every
@@ -776,20 +794,21 @@ class _StateStore:
         n = world.n
         bounds = world.scheme.span() if n is None else (0, n - 1)
 
-        def build(lo: int, hi: int, R: int, top_class: int) -> EsColState:
+        def build(lo: int, hi: int, R: int, top_class: int,
+                  serves: tuple[int, int] | None) -> EsColState:
             return EsColState(world.window_labels(lo, hi), lo, R,
-                              top_class=top_class)
+                              top_class=top_class, serves=serves)
 
         def lookup(lo: int, hi: int, R: int) -> EsColState:
             if n is not None and (lo < 0 or hi >= n):
-                return build(lo, hi, R, CLASS_COUNT)
+                return build(lo, hi, R, CLASS_COUNT, None)
             key = (R, *_snapped_window(lo, hi, R, bounds))
             state = self.states.get(key)
             if state is not None:
                 self.states.move_to_end(key)
                 return state
-            wlo, whi, top = key[1:]
-            state = self.states[key] = build(wlo, whi, R, top)
+            wlo, whi, top, slo, shi = key[1:]
+            state = self.states[key] = build(wlo, whi, R, top, (slo, shi))
             self.nbytes += state.nbytes
             while self.nbytes > STATE_BYTES and len(self.states) > 1:
                 _, old = self.states.popitem(last=False)

@@ -168,7 +168,8 @@ class UniformClassScheme(LabelScheme):
     few labels, and injectivity on an unbounded line is impossible inside one
     class, so once a class range is exhausted labels spill outward to class
     class_index+1, then +2, and so on.  The zone that decides the smallest
-    label near the agents is always class-pure.
+    label near the agents is always class-pure.  A zone's permutation, whose
+    tables take up to 2 MiB, is built when a coordinate first lands in it.
     """
 
     _SPILL_CLASS6_BITS = 32  # class 6 is sampled from its first 2**32 labels
@@ -178,14 +179,15 @@ class UniformClassScheme(LabelScheme):
             raise WorldError(f"class index out of range [1, {CLASS_COUNT}]: {class_index}")
         self.seed = int(seed)
         self.class_index = int(class_index)
-        self._zones: list[tuple[int, int, int, _FeistelPerm]] = []
+        self._zones: list[tuple[int, int, int, bytes]] = []
         start = 0
         for j in range(self.class_index, CLASS_COUNT + 1):
             lo, _ = class_range(j)
             size = class_size(j) if j < CLASS_COUNT else 1 << self._SPILL_CLASS6_BITS
             key = hashlib.sha256(f"uniform-class:{self.seed}:{j}".encode()).digest()
-            self._zones.append((start, lo, size, _FeistelPerm(key, size)))
+            self._zones.append((start, lo, size, key))
             start += size
+        self._perms: dict[int, _FeistelPerm] = {}
         self._size = start
 
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
@@ -193,9 +195,12 @@ class UniformClassScheme(LabelScheme):
         flat = zz.ravel()
         out = np.empty(flat.shape, dtype=np.int64)
         done = np.zeros(flat.shape, dtype=bool)
-        for start, lo, size, perm in self._zones:
+        for start, lo, size, key in self._zones:
             sel = ~done & (flat < start + size)
             if sel.any():
+                perm = self._perms.get(start)
+                if perm is None:
+                    perm = self._perms[start] = _FeistelPerm(key, size)
                 out[sel] = lo + perm.apply(flat[sel] - start)
                 done |= sel
         if not done.all():

@@ -364,6 +364,25 @@ class TestPlanIteration:
                               es_lookup=lambda *query: wide)
         assert (plan.R, plan.r) == (4, -2)
 
+    @pytest.mark.parametrize("left,right", [(1, 0), (0, 1)])
+    def test_state_must_serve_the_member_window(self, left, right):
+        # a state over the whole interval that serves one node less of the
+        # member window [-7, 7] than the plan reads
+        world = self.planted_world()
+        labels, lo = window_labels(world, -256, 256)
+
+        def narrow(serves):
+            state = EsColState(labels, lo, 4, top_class=2, serves=serves)
+            return lambda *query: state
+
+        with pytest.raises(AgentError, match=r"does not cover \[-7, 7\] in "
+                                             r"the region it serves"):
+            plan_iteration(labels, lo, 0, 256,
+                           es_lookup=narrow((-7 + left, 7 - right)))
+        plan = plan_iteration(labels, lo, 0, 256,
+                              es_lookup=narrow((-7, 7)))
+        assert plan == plan_iteration(labels, lo, 0, 256)
+
     def test_state_must_hold_the_activated_classes(self):
         # the planted plan at R = 4 activates the class-1 label at 3 and the
         # class-2 label at -2

@@ -598,6 +598,25 @@ def test_list_coloring_isolated_members_take_list_minimum():
     assert by_member(sub.members, colors) == {0: 2, 10: 9, 20: 1}
 
 
+def test_list_coloring_depends_on_the_widest_window_of_the_call():
+    # 250 class-5 members 16 apart have 2 rank-difference classes at power
+    # 35 (= 9R - 1 at R = 4); 12 members 4 apart, 8,000 coordinates away,
+    # widen the call to 8, and with it the merge tree of every member
+    sparse = np.arange(250) * 16
+    both = np.concatenate((sparse, sparse[-1] + 8000 + np.arange(12) * 4))
+    labels = 17 + np.arange(both.size) * 7919 % 65520  # distinct, class 5
+    allowed = np.ones((both.size, 18), dtype=bool)
+    allowed[:, 0] = False
+    alone = PowerSubgraph(sparse, labels[:250], 35)
+    joined = PowerSubgraph(both, labels, 35)
+    assert [len(_difference_classes(s)) for s in (alone, joined)] == [2, 8]
+    colors, rounds = list_color(alone, allowed[:250], 65520, 17)
+    wide, wide_rounds = list_color(joined, allowed, 65520, 17)
+    assert (rounds, wide_rounds) == (list_color_rounds(2, 65520),
+                                     list_color_rounds(8, 65520))
+    assert int((colors != wide[:250]).sum()) == 124
+
+
 def test_list_coloring_rejects_short_lists():
     world = make_world("infinite", "sequential")
     sub = subgraph(world, [0, 1, 2], 1)

@@ -364,6 +364,66 @@ def test_a_truncated_state_refuses_the_classes_it_did_not_build():
             EsColState(labels, 0, 4, top_class=top)
 
 
+def test_a_cone_state_refuses_what_it_did_not_build():
+    # labels 1..120 at 0..119: classes 1, 2, 3 at 0..3, 4 at 4..15 and 5
+    # above; the state serves [40, 60]
+    labels = np.arange(1, 121, dtype=np.int64)
+    state = EsColState(labels, 0, 4, top_class=5, serves=(40, 60))
+    assert state.serves == (40, 60)
+    assert state.nbytes == labels.nbytes + state.member_coords.nbytes \
+        + state.member_classes.nbytes + state.member_colors.nbytes
+    assert state.output_for(50).label_class == 5
+    assert state.output_for(10).label_class == 4  # lower classes everywhere
+    for p in (39, 61, 119):
+        with pytest.raises(RulingError,
+                           match=r"served only within \[40, 60\]"):
+            state.output_for(p)
+        with pytest.raises(RulingError,
+                           match=r"served only within \[40, 60\]"):
+            window_certifies(state, p)
+    # the oracle checks class 5 within the served region
+    assert verify_es_col_ruling(state).ok
+    assert EsColState(labels, 0, 4).serves == (0, 119)
+    for serves in ((-1, 60), (40, 120), (61, 60)):
+        with pytest.raises(RulingError, match="leaves the window"):
+            EsColState(labels, 0, 4, top_class=5, serves=serves)
+
+
+def test_a_cone_falls_back_when_its_merge_tree_is_narrower(monkeypatch):
+    # 250 class-5 labels 16 apart at R = 4 are 250 newcomers of 2
+    # rank-difference classes (see the list coloring test of that name);
+    # 12 more 4 apart, 8,000 coordinates past them and past the cone of
+    # [0, 3984] (4,640 at R = 4), give the whole window's coloring 8
+    labels = 100000 + np.arange(12100, dtype=np.int64)  # class 6
+    sparse = np.arange(250) * 16
+    cluster = sparse[-1] + 8000 + np.arange(12) * 4
+    labels[np.concatenate((sparse, cluster))] = \
+        17 + np.arange(262) * 7919 % 65520
+    assert class_phase_rounds(4, 5) + ruling_stage_rounds(4, 5) + 8 == 4640
+    full = EsColState(labels, 0, 4, top_class=5)
+    assert np.array_equal(full.member_coords,
+                          np.concatenate((sparse, cluster)))
+    # the cone alone would color 124 of the 250 otherwise
+    short = EsColState(labels[:9000], 0, 4, top_class=5)
+    assert int((short.member_colors != full.member_colors[:250]).sum()) == 124
+    universes = []
+    honest = ruling._class_members
+
+    def recording(vi, labels, committed, R, class_index, debug):
+        universes.append(vi.size)
+        return honest(vi, labels, committed, R, class_index, debug)
+
+    monkeypatch.setattr(ruling, "_class_members", recording)
+    cone = EsColState(labels, 0, 4, top_class=5, serves=(0, 3984))
+    # the cone, then the rest of the window past the cone's exact part,
+    # which holds the cluster alone
+    assert universes == [250, 12]
+    for got, want in ((cone.member_coords, full.member_coords),
+                      (cone.member_classes, full.member_classes),
+                      (cone.member_colors, full.member_colors)):
+        assert np.array_equal(got, want)
+
+
 def test_non_members_see_a_nearby_member():
     world = make_world("infinite", "random-injective:17")
     state = window_state(world, -60, 59, 4)

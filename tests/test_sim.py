@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from linemeet import reference, sim
+from linemeet import reference, ruling, sim
 from linemeet.sim import (
     CASE_TAGS,
     CSV_COLUMNS,
@@ -40,9 +40,11 @@ from linemeet.agent import (
     plan_iteration,
     spacing_grid,
 )
-from linemeet.logstar import CLASS_COUNT, CLASS_HI, CLASS_LO, log_star
+from linemeet.logstar import (CLASS_COUNT, CLASS_HI, CLASS_LO, label_classes,
+                              log_star)
 from linemeet.reference import searching_walk, z_walk
-from linemeet.ruling import EsColState, phase_end_round, termination_radius
+from linemeet.ruling import (EsColState, class_phase_rounds, phase_end_round,
+                             ruling_stage_rounds, termination_radius)
 from linemeet.world import (
     ExplicitScheme,
     LabelScheme,
@@ -1340,12 +1342,15 @@ class TestSharedRulingWindows:
         tile = max(1, rung // 8)
         (state,) = served
         wlo, whi = int(state.coords[0]), int(state.coords[-1])
-        assert state is store.states[(R, wlo, whi, top)]
+        assert state is store.states[(R, wlo, whi, top, *state.serves)]
         assert state.top_class == top
         assert np.array_equal(state.coords, np.arange(wlo, whi + 1))
         mid = (wlo + whi) // 2
         assert mid % tile == 0 and tile // 2 - tile < mid - center <= tile // 2
         assert whi - mid == mid - wlo == rung + tile // 2 + 1
+        # it serves the member windows of every center snapped to mid
+        first = mid - tile // 2
+        assert state.serves == (first - 2 * R + 1, first + tile + 2 * R - 2)
         for u in read:
             ball = termination_radius(world.label(u), R)
             assert state.coords[0] <= u - ball
@@ -1404,8 +1409,15 @@ class TestSharedRulingWindows:
     @settings(deadline=None, max_examples=300)
     def test_snapped_windows_hold_the_query_within_the_host(self, query):
         lo, hi, R, bounds = query
-        wlo, whi, top = sim._snapped_window(lo, hi, R, bounds)
+        wlo, whi, top, slo, shi = sim._snapped_window(lo, hi, R, bounds)
         assert wlo <= lo and hi <= whi
+        # the served region lies in the window and holds the center's
+        # member window, as far as the host reaches
+        center = (lo + hi) // 2
+        ends = (-math.inf, math.inf) if bounds is None else bounds
+        assert wlo <= slo <= shi <= whi
+        assert slo <= max(center - 2 * R + 1, ends[0])
+        assert min(center + 2 * R - 1, ends[1]) <= shi
         # the class of the smallest rung that holds the query's need
         need = (hi - lo) // 2
         assert R + phase_end_round(R, top) >= need
@@ -1499,6 +1511,101 @@ def records(state):
             state.member_colors.tolist(), built)
 
 
+def served_records(state, region=None):
+    """The members of a ruling state in ``region``, by default the region
+    it serves, with their classes and colors."""
+    slo, shi = state.serves if region is None else region
+    i, j = np.searchsorted(state.member_coords, (slo, shi + 1))
+    return (state.member_coords[i:j].tolist(),
+            state.member_classes[i:j].tolist(),
+            state.member_colors[i:j].tolist())
+
+
+@st.composite
+def cone_cases(draw):
+    """(topology, scheme, n, center, L): random, uniform-class-4 or -5
+    labels, or random labels with 1-3 small explicit labels within R of the
+    center, on the line or on a path or cycle whose end may clip the
+    windows, and the smallest sweep radius, plus up to R, at which a
+    spacing R in {1, 4, 16} activates at the center (R = 16 only when a
+    label below class 6 lies within R of it, to keep windows small)."""
+    kind = draw(st.sampled_from(["random", "class4", "class5", "explicit"]))
+    R = draw(st.sampled_from([1, 4] if kind == "random" else [1, 4, 16]))
+    topology = draw(st.sampled_from(["infinite", "path", "cycle"]))
+    seed = draw(st.integers(0, 99))
+    small = st.one_of(*[st.integers(CLASS_LO[c], CLASS_HI[c])
+                        for c in range(CLASS_COUNT - 1)])
+    plants = draw(st.lists(st.tuples(st.integers(-R, R), small),
+                           min_size=1, max_size=3,
+                           unique_by=(lambda p: p[0], lambda p: p[1])))
+
+    def at(center):
+        if kind == "explicit":
+            scheme = PlantedScheme(seed, {center + off: label
+                                          for off, label in plants})
+        else:
+            scheme = {"random": f"random-injective:{seed}", "class4": CLASS4,
+                      "class5": CLASS5}[kind]
+        near = make_world("infinite", scheme).labels_at(
+            np.arange(center - R, center + R + 1))
+        return scheme, max(16 * R, min(
+            abs(u) + termination_radius(int(label), R)
+            for u, label in zip(range(-R, R + 1), near)))
+
+    center, extra = draw(st.integers(0, 1 << 13)), draw(st.integers(0, R))
+    scheme, L = at(center)
+    if topology != "infinite" and center < L + extra:
+        # the sweep must lie on the host, whose nodes are 0..n - 1
+        center += L + extra
+        scheme, L = at(center)
+    L += extra
+    assume(topology == "infinite" or center >= L)
+    n = None if topology == "infinite" else \
+        center + L + 1 + draw(st.integers(0, 2 * L))
+    return topology, scheme, n, center, L
+
+
+@given(cone_cases())
+@settings(deadline=None, max_examples=25)
+def test_cone_states_are_the_full_build_in_the_region_they_serve(case):
+    topology, scheme, n, center, L = case
+    world = make_world(topology, scheme, n=n)
+    coords = np.arange(center - L, center + L + 1)
+    labels = world.labels_at(coords % n if topology == "cycle" else coords)
+    store = sim._StateStore()
+    universes = []
+    honest = ruling._class_members
+
+    def recording(vi, labels, committed, R, class_index, debug):
+        universes.append((class_index, vi))
+        return honest(vi, labels, committed, R, class_index, debug)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ruling, "_class_members", recording)
+        plan = plan_iteration(labels, center - L, center, L,
+                              es_lookup=store.lookup(world))
+    # the full sweep window's plan is the oracle
+    assert plan is not None
+    assert plan == plan_iteration(labels, center - L, center, L)
+    ((key, state),) = store.states.items()
+    R, wlo, whi, top, slo, shi = key
+    assert slo <= center - 2 * R + 1 and center + 2 * R - 1 <= shi
+    full = EsColState(state.labels, wlo, R, top_class=top)
+    assert served_records(state) == served_records(full, (slo, shi))
+    for p in range(slo, shi + 1, max(1, (shi - slo) // 16)):
+        if log_star(int(state.labels[p - wlo])) <= top:
+            assert state.output_for(p) == full.output_for(p)
+    # the top class ran first on its nodes within the cone of the served
+    # region, and on the rest of the window only when that cone's coloring
+    # could be narrower
+    cone = class_phase_rounds(R, top) + ruling_stage_rounds(R, top) + 2 * R
+    nodes = np.flatnonzero(label_classes(state.labels) == top) + wlo
+    ran = [vi for cls, vi in universes if cls == top]
+    assert np.array_equal(ran[0], nodes[(nodes >= slo - cone)
+                                        & (nodes <= shi + cone)])
+    assert len(ran) <= 3
+
+
 class TestFiniteStateStore:
     """Worlds with one scheme, on any topology, build each snapped window
     once, within a node budget; a window across a cycle's seam is their
@@ -1511,9 +1618,9 @@ class TestFiniteStateStore:
         built = []
         honest = sim.EsColState
 
-        def recording(labels, lo, R, top_class):
-            built.append((lo, lo + labels.size - 1, R, top_class))
-            return honest(labels, lo, R, top_class=top_class)
+        def recording(labels, lo, R, top_class, serves):
+            built.append((lo, lo + labels.size - 1, R, top_class, serves))
+            return honest(labels, lo, R, top_class=top_class, serves=serves)
 
         monkeypatch.setattr(sim, "EsColState", recording)
         return built
@@ -1581,8 +1688,8 @@ class TestFiniteStateStore:
                 assert (note.R, note.r, note.color) == (
                     (None, None, None) if oracle is None
                     else (oracle.R, oracle.r, oracle.color))
-        # a seam window holds every class
-        assert builds.count((-1069, 1269, 1, CLASS_COUNT)) == 2
+        # a seam window holds every class over the whole window
+        assert builds.count((-1069, 1269, 1, CLASS_COUNT, None)) == 2
 
     def test_a_seam_window_is_not_served_a_path_window(self, builds):
         # the path stores a window over [4655, 6993]; on a cycle of 6000 the
@@ -1616,7 +1723,7 @@ class TestFiniteStateStore:
         for k, query in enumerate(queries):
             state = lookup(*query)
             key = (query[2], int(state.coords[0]), int(state.coords[-1]),
-                   state.top_class)
+                   state.top_class, *state.serves)
             assert lookup(*query) is state
             assert list(store.states.items())[-1] == (key, state)
             assert store.nbytes == sum(s.nbytes
@@ -1626,7 +1733,7 @@ class TestFiniteStateStore:
         assert lookup(center - 17, center + 17, 1) is lookup(center - 2,
                                                               center + 2, 1)
         assert all(np.array_equal(s.coords, np.arange(lo, hi + 1))
-                   for (_, lo, hi, _), s in store.states.items())
+                   for (_, lo, hi, *_), s in store.states.items())
         assert first not in store.states.values()
         # a state past the budget is the newest, so it is stored alone
         big = lookup(300, 700, 4)
@@ -1653,7 +1760,10 @@ class TestFiniteStateStore:
         served = {top: lookup(center - need, center + need, 1)
                   for top, need in needs.items()}
         assert served[2] is not served[3]
-        assert list(store.states) == [(1, 0, n - 1, 2), (1, 0, n - 1, 3)]
+        # the class-2 rung's tile is 4 and the class-3 rung's 7, so the
+        # center 34 snaps to 36 and 35, and the served regions differ too
+        assert list(store.states) == [(1, 0, n - 1, 2, 33, 38),
+                                      (1, 0, n - 1, 3, 31, 39)]
         full = EsColState(world.labels_at(np.arange(n)), 0, 1)
         for top, state in served.items():
             assert state.top_class == top
@@ -1678,6 +1788,29 @@ class TestFiniteStateStore:
                               es_lookup=lookup) == oracle
         assert len(store.states) == 2
         assert next(reversed(store.states.values())) is served[2]
+
+    def test_two_snaps_clipped_to_one_window_keep_their_regions(self):
+        # on a path of 69 nodes with a class-2 label at 33, the planner
+        # asks at centers 33 (L = 32) and 34 (L = 33) on the class-2 rung,
+        # whose tile of 4 snaps them to 32 and 36; both windows clip to
+        # [0, 68], but each serves its own centers' member windows
+        n = 69
+        world = make_world("path", ExplicitScheme(
+            {c: 2 if c == 33 else 1000 + c for c in range(n)}), n=n)
+        store = sim._StateStore()
+        lookup = store.lookup(world)
+        for center, L in ((33, 32), (34, 33)):
+            labels = world.labels_at(np.arange(center - L, center + L + 1))
+            oracle = plan_iteration(labels, center - L, center, L)
+            assert oracle is not None and oracle.R == 1
+            assert plan_iteration(labels, center - L, center, L,
+                                  es_lookup=lookup) == oracle
+        assert list(store.states) == [(1, 0, n - 1, 2, 29, 34),
+                                      (1, 0, n - 1, 2, 33, 38)]
+        full = EsColState(world.labels_at(np.arange(n)), 0, 1, top_class=2)
+        for (*_, slo, shi), state in store.states.items():
+            assert state.serves == (slo, shi)
+            assert served_records(state) == served_records(full, (slo, shi))
 
     def test_a_clipped_path_window_holds_its_scheme_labels(self, monkeypatch):
         # labelled from the scheme in blocks of 100, past the path's end
@@ -1812,7 +1945,7 @@ def test_a_duplicate_only_a_sweep_visits_raises(monkeypatch):
     assert outcome(run(clean)) == (8522, "node", -3)
     (work,) = sim._WORLDS.values()
     assert work.states.states
-    assert all(whi < 259 for _, _, whi, _ in work.states.states)
+    assert all(whi < 259 for _, _, whi, *_ in work.states.states)
     assert 3 + 2 * spacing_grid(256)[0] < 259
     # the label at 259 repeats alpha's start label
     with pytest.raises(WorldError, match="duplicate"):

@@ -133,6 +133,21 @@ def test_uniform_class_scheme_core_zone():
         == [5, 5]
 
 
+def test_uniform_class_zones_are_built_on_first_use():
+    # a zone's permutation is built when a coordinate first lands in it,
+    # and labels do not depend on which zones were built before
+    s = UniformClassScheme(3, 4)
+    assert s._perms == {}
+    core = s.labels_at(np.arange(-6, 6))
+    assert list(s._perms) == [0]
+    spill = s.labels_at(np.array([6, -7, -32767]))
+    assert list(s._perms) == [0, 12, 65532]
+    fresh = UniformClassScheme(3, 4)
+    assert fresh.labels_at(np.array([6, -7, -32767])).tolist() == \
+        spill.tolist()
+    assert fresh.labels_at(np.arange(-6, 6)).tolist() == core.tolist()
+
+
 def test_uniform_class_scheme_class5_window():
     s = UniformClassScheme(11, 5)
     labels = s.labels_at(np.arange(-2000, 2001))
