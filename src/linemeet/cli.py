@@ -17,6 +17,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -71,19 +72,17 @@ def _int_list(spec: str) -> list[int]:
         tok = tok.strip()
         if not tok:
             continue
+        a, dots, b = tok.partition("..")
         try:
-            if ".." in tok:
-                a, b = tok.split("..", 1)
-                out.extend(range(int(a), int(b) + 1))
-            else:
-                out.append(int(tok))
+            out.extend(range(int(a), int(b if dots else a) + 1))
         except ValueError:
             raise SimError(f"bad integer token {tok!r}; use forms like "
                            f"5, 1,2,5 or 1..64") from None
     return out
 
 
-_TAU_TOKEN = re.compile(r"^(\d+)?(D)?(?:\+(\d+))?$")
+# a constant delay, or a multiple of D plus a constant
+_TAU_TOKEN = re.compile(r"(\d+)|(\d*)D(?:\+(\d+))?")
 
 
 def _tau_terms(spec: str) -> list[tuple[int, int]]:
@@ -91,17 +90,13 @@ def _tau_terms(spec: str) -> list[tuple[int, int]]:
     out = []
     for tok in spec.split(","):
         tok = tok.strip()
-        m = _TAU_TOKEN.match(tok)
-        if not tok or m is None or (m.group(1) is None and m.group(2) is None):
-            raise SimError(f"bad delay token {tok!r}; use forms like 0, D, 3D, 10D+7")
-        coeff = int(m.group(1)) if m.group(1) is not None else 1
-        add = int(m.group(3)) if m.group(3) is not None else 0
-        if m.group(2):
-            out.append((coeff, add))
-        elif m.group(3) is not None:
-            raise SimError(f"bad delay token {tok!r}")
-        else:
-            out.append((0, coeff))
+        m = _TAU_TOKEN.fullmatch(tok)
+        if m is None:
+            raise SimError(f"bad delay token {tok!r}; use forms like 0, D, "
+                           f"3D, 10D+7")
+        const, coeff, add = m.groups()
+        out.append((0, int(const)) if const
+                   else (int(coeff or 1), int(add or 0)))
     return out
 
 
@@ -109,35 +104,61 @@ def _tau_terms(spec: str) -> list[tuple[int, int]]:
 _SCHEME_SEPARATOR = re.compile(r",(?![^{]*\})")
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill flags from `key = value` lines; explicit flags win."""
-    if getattr(args, "config", None) is None:
-        return
-    types = args.config_types
+# the runspec keys that steer a command but not its result
+_PLUMBING = ("func", "config", "out")
 
-    def explicit(key: str) -> bool:
-        flag = "--" + key
-        return any(tok == flag or tok.startswith(flag + "=") for tok in argv)
 
+def _runspec(flags: dict) -> dict:
+    """Parsed flags as an output's header holds them: no plumbing, plus
+    `version` and the derived `care`, which a replay checks, never applies."""
+    return {k: v for k, v in flags.items() if k not in _PLUMBING} | {
+        "version": __version__, "care": flags.get("detection") == "node-only"}
+
+
+def _replay(args: argparse.Namespace, argv: list[str] | None) -> None:
+    """Fill each flag argv leaves unset from the runspec on the first line
+    of the CSV or JSONL that ``--config`` names; a value must be what its
+    flag's parse would hold."""
     with open(args.config) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" in line:
-                key, value = line.split("=", 1)
-            else:
-                key, _, value = line.partition(" ")
-            key, value = key.strip(), value.strip()
-            if key not in types:
-                raise SimError(f"unknown config key {key!r} on line {lineno}")
-            if explicit(key):
-                continue
-            try:
-                setattr(args, key.replace("-", "_"), types[key](value))
-            except ValueError:
-                raise SimError(f"bad value {value!r} for {key} on line "
-                               f"{lineno}") from None
+        try:
+            line = fh.readline()
+            spec = json.loads(line.removeprefix("# runspec="))
+            spec = spec if line.startswith("# runspec=") else spec["runspec"]
+        except (ValueError, TypeError, KeyError):
+            spec = None
+    if not isinstance(spec, dict):
+        raise SimError(f"no runspec on the first line of {args.config}")
+    want = _runspec({"command": args.command,
+                     "detection": spec.get("detection")})
+    for key in ("version", "command", "care"):
+        got = spec.pop(key, None)
+        if got != want[key]:
+            raise SimError(f"runspec {key} {got!r} does not match "
+                           f"{want[key]!r}")
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    sub = commands.choices[args.command]
+    flags = {a.dest: a for a in sub._actions
+             if a.option_strings and a.dest not in (*_PLUMBING, "help")}
+    unset = object()
+    for key, value in spec.items():
+        if key not in flags:
+            raise SimError(f"unknown runspec key {key!r}")
+        action = flags[key]
+        try:
+            parsed = (value if value is None and action.default is None
+                      else (action.type or str)(str(value)))
+        except ValueError:
+            parsed = unset
+        if parsed != value or (action.choices and value not in action.choices):
+            raise SimError(f"bad runspec value {value!r} for {key}")
+    # parsed again with every default unset, argv shows which flags it gives
+    sub.set_defaults(**dict.fromkeys(flags, unset))
+    given = vars(parser.parse_args(argv))
+    for key, value in spec.items():
+        if given[key] is unset:
+            setattr(args, key, value)
 
 
 # -- run -----------------------------------------------------------------------
@@ -150,25 +171,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         detection=args.detection, round_cap=args.round_cap)
     trace = run(replace(cfg, engine=args.engine))
     row = trace_row(trace)
-    runspec = {"version": __version__, "command": "run",
-               "topology": args.topology, "n": args.n, "d": args.d,
-               "tau": args.tau, "scheme": args.scheme, "seed": args.seed,
-               "detection": args.detection, "care": cfg.care,
-               "round_cap": args.round_cap, "engine": args.engine}
+    if args.out:
+        trace.to_jsonl(args.out, runspec=_runspec(vars(args)))
     cell = f"D={row['D']} tau={row['tau']} lmin={row['lmin']}"
     if trace.t_rdv is None:
         print(f"T_rdv=NONE {cell} ratio=NONE case={row['case_tag']} "
               f"cap={trace.round_cap}")
-        if args.out:
-            trace.to_jsonl(args.out, runspec=runspec)
         _error_json("bound-violation",
                     f"no rendezvous within {trace.round_cap} rounds")
         return 1
     print(f"T_rdv={trace.t_rdv} {cell} ratio={row['ratio']} "
           f"case={row['case_tag']} event={trace.event} "
           f"position={trace.meet_position}")
-    if args.out:
-        trace.to_jsonl(args.out, runspec=runspec)
     return 0
 
 
@@ -189,13 +203,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             taus=taus, seed=args.seed, detection=args.detection,
             round_cap=args.round_cap))
     rows = sweep(configs)
-    runspec = {"version": __version__, "command": "sweep",
-               "topology": args.topology, "n": args.n, "d": args.d,
-               "tau": args.tau, "scheme": args.scheme, "seed": args.seed,
-               "detection": args.detection, "care": configs[0].care,
-               "round_cap": args.round_cap}
     if args.out:
-        write_csv(rows, args.out, runspec=runspec)
+        write_csv(rows, args.out, runspec=_runspec(vars(args)))
     met = [r for r in rows if r["ratio"] != ""]
     violations = [r for r in rows if r["case_tag"] == "bound-violation"]
     print(f"cells={len(rows)}")
@@ -238,13 +247,9 @@ def _verify_carefulwalk(args: argparse.Namespace) -> int:
         for flipped in (False, True):
             x = (down, 0, "1", "0") if flipped else (up, 0, "0", "1")
             y = (up, delta, "0", "1") if flipped else (down, delta, "1", "0")
-            meet = None
-            for t in range(min(0, delta) - 1, max(0, delta) + 6):
-                if position(*x, t) == position(*y, t):
-                    meet = t
-                    break
             checked += 1
-            if meet is None:
+            if not any(position(*x, t) == position(*y, t)
+                       for t in range(min(0, delta) - 1, max(0, delta) + 6)):
                 failures.append({"offset": delta, "flipped": flipped})
     if failures:
         _error_json("oracle-failure", f"no meeting: {failures[0]}")
@@ -279,6 +284,8 @@ _TRIALS = {"rulingset": ((1, 2, 4, 16, 64), 220, _check_ruling_set),
 
 def _verify_trials(args: argparse.Namespace) -> int:
     spacings, size_bound, check_trial = _TRIALS[args.target]
+    if args.trials < 1:
+        raise SimError(f"--trials {args.trials} checks nothing; use 1 or more")
     rng = np.random.default_rng(args.seed)
     for trial in range(args.trials):
         R = int(rng.choice(spacings))
@@ -302,6 +309,8 @@ def _verify_locality(args: argparse.Namespace) -> int:
     RADIUS_FACTOR * R * log* of the node's label is an oracle failure; a
     window that certifies no node proves nothing.
     """
+    if args.universe < 0:
+        raise SimError(f"--universe {args.universe} is below 0")
     host = make_world("infinite", args.scheme, seed=args.seed)
     universe = np.arange(-args.universe, args.universe + 1)
     state = EsColState(host.labels_at(universe), -args.universe, args.r)
@@ -311,9 +320,8 @@ def _verify_locality(args: argparse.Namespace) -> int:
         _error_json("oracle-failure", str(err))
         return 1
     if not radii:
-        _error_json("config", f"no termination-radius ball fits in "
-                              f"[-{args.universe}, {args.universe}]")
-        return 2
+        raise SimError(f"no termination-radius ball fits in "
+                       f"[-{args.universe}, {args.universe}]")
     for p, radius in radii.items():
         bound = RADIUS_FACTOR * args.r * log_star(host.label(p))
         if radius > bound:
@@ -376,13 +384,15 @@ def cmd_constants(_args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # no parser takes an abbreviated flag: a config file's key yields only
-    # to a flag that argv spells in full (_apply_config_file)
+    # no parser takes an abbreviated flag: an abbreviation keeps its meaning
+    # only until a flag sharing its prefix is added (`--d` already prefixes
+    # `--detection`)
     parser = argparse.ArgumentParser(
         prog="linemeet", allow_abbrev=False,
         description="Two-agent rendezvous on labeled lines, paths, and cycles")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=(
+        partial(argparse.ArgumentParser, allow_abbrev=False)))
 
     def add_world_flags(p):
         p.add_argument("--topology", choices=("infinite", "path", "cycle"),
@@ -397,33 +407,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--round-cap", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None,
-                       help="key = value file mirroring these flags")
+                       help="replay the runspec atop a CSV or JSONL "
+                            "that this command wrote")
 
-    p_run = sub.add_parser("run", help="simulate one instance",
-                           allow_abbrev=False)
+    p_run = sub.add_parser("run", help="simulate one instance")
     add_world_flags(p_run)
     p_run.add_argument("--d", type=int, default=1, help="start distance")
     p_run.add_argument("--tau", type=int, default=0, help="wake-up delay")
     p_run.add_argument("--engine", choices=ENGINES, default="fast")
-    p_run.set_defaults(func=cmd_run, config_types={
-        "topology": str, "n": int, "scheme": str, "seed": int,
-        "detection": str, "round-cap": int, "out": str,
-        "d": int, "tau": int, "engine": str})
+    p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a grid of instances to CSV",
-                             allow_abbrev=False)
+    p_sweep = sub.add_parser("sweep", help="run a grid of instances to CSV")
     add_world_flags(p_sweep)
     p_sweep.add_argument("--d", default="1..8",
                          help="distances, e.g. 1..64 or 1,2,5")
     p_sweep.add_argument("--tau", default="0,1,3,D,3D,10D,10D+7",
                          help="delays per distance; D scales with the cell")
-    p_sweep.set_defaults(func=cmd_sweep, config_types={
-        "topology": str, "n": int, "scheme": str, "seed": int,
-        "detection": str, "round-cap": int, "out": str,
-        "d": str, "tau": str})
+    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_verify = sub.add_parser("verify", help="replay the independent oracles",
-                              allow_abbrev=False)
+    p_verify = sub.add_parser("verify", help="replay the independent oracles")
     p_verify.add_argument("target", choices=("carefulwalk", "rulingset",
                                              "escolruling", "locality"))
     p_verify.add_argument("--trials", type=int, default=200)
@@ -436,18 +438,16 @@ def build_parser() -> argparse.ArgumentParser:
                           help="window size for locality")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_const = sub.add_parser("constants", allow_abbrev=False,
-                             help="report implementation-chosen constants")
-    p_const.set_defaults(func=cmd_constants)
+    sub.add_parser("constants", help="report implementation-chosen "
+                   "constants").set_defaults(func=cmd_constants)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config_file(args, argv)
+        if getattr(args, "config", None) is not None:
+            _replay(args, argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -456,10 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         # at /dev/null so the interpreter's final flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except CONFIG_ERRORS as err:
-        _error_json("config", str(err))
-        return 2
-    except OSError as err:
+    except (*CONFIG_ERRORS, OSError) as err:
         _error_json("config", str(err))
         return 2
 

@@ -375,8 +375,8 @@ class EsColState:
     all the build reads.  Classes commit in order at their schedule rounds;
     each class builds its own ruling set, drops members within R-1 of the
     committed set, runs four greedy-extension iterations, and list-colors
-    the newcomers against the colors already committed within 9R-1.  Built
-    once per (window, R); per-node records are assembled on demand by
+    the newcomers against the colors already committed within 9R-1.  Stored
+    by (R, window, class, served region); per-node records are assembled on demand by
     ``output_for``.  A node's record is trustworthy when the window
     contains its whole termination-radius ball (`window_certifies`), which
     is exactly when truncating the window further cannot change it.

@@ -784,8 +784,8 @@ class _StateStore:
     """
 
     def __init__(self):
-        self.states: OrderedDict[tuple[int, int, int, int], EsColState] = \
-            OrderedDict()
+        self.states: OrderedDict[tuple[int, int, int, int, int, int],
+                                 EsColState] = OrderedDict()
         self.nbytes = 0
 
     def lookup(self, world: World):
@@ -981,6 +981,8 @@ def grid_configs(topology: str = "infinite", n: int | None = None,
     out = []
     for scheme in schemes:
         for d in d_values:
+            if d < 1:
+                raise SimError(f"start distance {d} is below 1")
             va = -(d // 2) if n is None else (n - d) // 2
             for tau in taus:
                 out.append(SimConfig(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from linemeet import cli
+from linemeet import __version__, cli
 from linemeet.cli import EXIT_BROKEN_PIPE, main
 
 
@@ -20,6 +20,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _output(capsys, path, *argv):
+    """Runs `linemeet ARGV --out PATH` and returns what it printed."""
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0
+    return out
+
+
+def _edit_runspec(path, **changes):
+    """Sets keys of the runspec on the first line of a CSV or JSONL."""
+    first, rest = path.read_text().split("\n", 1)
+    prefix = "# runspec=" if first.startswith("#") else ""
+    line = json.loads(first.removeprefix(prefix))
+    (line if prefix else line["runspec"]).update(changes)
+    path.write_text(prefix + json.dumps(line) + "\n" + rest)
 
 
 class TestRunCommand:
@@ -60,31 +76,39 @@ class TestRunCommand:
                                       ["sweep", "--ta", "0"],
                                       ["verify", "locality", "--univ", "9"]])
     def test_abbreviated_flags_are_usage_errors(self, capsys, argv):
-        # an abbreviation would escape the config file's explicit-flag check
+        # an abbreviation keeps its meaning only until a flag sharing its
+        # prefix is added, so none is taken
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     def test_an_explicit_flag_beats_the_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("tau = 3\n")
-        code, out, _ = run_cli(capsys, "run", "--d", "5", "--config",
-                               str(cfg), "--tau", "0")
-        assert code == 0 and " tau=0 " in out
-        code, out, _ = run_cli(capsys, "run", "--d", "5", "--config",
-                               str(cfg))
-        assert code == 0 and " tau=3 " in out
+        cfg = tmp_path / "run.jsonl"
+        _output(capsys, cfg, "run", "--d", "5", "--tau", "3")
+        for argv in (["--config", str(cfg), "--tau", "0"],
+                     ["--tau", "0", "--config", str(cfg)],
+                     ["--tau=0", "--config", str(cfg)]):
+            code, out, _ = run_cli(capsys, "run", *argv)
+            assert code == 0 and "D=5 tau=0 " in out
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 0 and "D=5 tau=3 " in out
         with pytest.raises(SystemExit) as exc:
             main(["run", "--d", "5", "--config", str(cfg), "--ta", "0"])
         assert exc.value.code == 2
 
     def test_care_config_key_exits_two(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("care = true\n")
-        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
-        assert code == 2
-        assert "unknown config key 'care'" in json.loads(err)["detail"]
+        # care follows the file's own detection mode and is never applied
+        cfg = tmp_path / "run.jsonl"
+        for detection, care in (("node-or-crossing", True),
+                                ("node-only", False)):
+            _output(capsys, cfg, "run", "--d", "3", "--detection", detection)
+            _edit_runspec(cfg, care=care)
+            for flags in ([], ["--detection", detection]):
+                code, out, err = run_cli(capsys, "run", "--config", str(cfg),
+                                         *flags)
+                assert code == 2 and out == ""
+                assert "runspec care" in json.loads(err)["detail"]
 
     def test_node_only_defaults_to_care(self, capsys, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -144,26 +168,42 @@ class TestRunCommand:
         assert json.loads(traces[0][-1])["event"] is not None
 
     def test_config_file_fills_flags(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("d = 5\ntau = 3\n# a comment\nscheme = sequential\n")
-        code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
-        assert code == 0
-        assert "D=5 tau=3" in out
+        cfg = tmp_path / "run.jsonl"
+        flags = ["--topology", "path", "--n", "30", "--d", "4", "--tau", "2",
+                 "--scheme", "random-injective:7:1000", "--seed", "3",
+                 "--round-cap", "5000", "--engine", "reference"]
+        _output(capsys, cfg, "run", *flags)
+        written = json.loads(cfg.read_text().splitlines()[0])["runspec"]
+        again = tmp_path / "again.jsonl"
+        _output(capsys, again, "run", "--config", str(cfg))
+        assert json.loads(again.read_text().splitlines()[0]) == \
+            {"runspec": written}
+        assert written["engine"] == "reference" and written["n"] == 30
 
     def test_explicit_flag_beats_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("d = 5\ntau = 3\n")
-        code, out, _ = run_cli(capsys, "run", "--config", str(cfg),
-                               "--tau", "0")
-        assert code == 0
-        assert "D=5 tau=0" in out
+        # a CSV's runspec yields to a sweep's own flags in the same way
+        cfg, again = tmp_path / "sweep.csv", tmp_path / "again.csv"
+        _output(capsys, cfg, "sweep", "--d", "1..3", "--tau", "0,D")
+        out = _output(capsys, again, "sweep", "--d", "2", "--config",
+                      str(cfg))
+        assert "cells=2" in out
+        assert json.loads(again.read_text().splitlines()[0].removeprefix(
+            "# runspec="))["d"] == "2"
 
     def test_unknown_config_key_exits_two(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("flux = 9\n")
+        cfg = tmp_path / "run.jsonl"
+        _output(capsys, cfg, "run", "--d", "3")
+        _edit_runspec(cfg, flux=9)
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2
-        assert "flux" in json.loads(err)["detail"]
+        assert "unknown runspec key 'flux'" in json.loads(err)["detail"]
+
+    @pytest.mark.parametrize("distance", ["-3", "0"])
+    def test_distance_below_one_exits_two(self, capsys, tmp_path, distance):
+        # a negative distance would swap the agents' starts
+        code, out, err = run_cli(capsys, "run", "--d", distance)
+        assert code == 2 and out == ""
+        assert "below 1" in json.loads(err)["detail"]
 
 
 class TestSweepCommand:
@@ -208,13 +248,22 @@ class TestSweepCommand:
         assert exc.value.code == 2
 
     def test_jobs_config_key_exits_two(self, capsys, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("jobs = 2\n")
+        cfg = tmp_path / "sweep.csv"
+        _output(capsys, cfg, *self.ARGS)
+        _edit_runspec(cfg, jobs=2)
         code, _, err = run_cli(capsys, *self.ARGS, "--config", str(cfg))
         assert code == 2
         report = json.loads(err)
         assert report["error"] == "config"
-        assert "unknown config key 'jobs'" in report["detail"]
+        assert "unknown runspec key 'jobs'" in report["detail"]
+
+    @pytest.mark.parametrize("distances", ["-4..-1", "0..3", "2,-1"])
+    def test_distance_below_one_exits_two(self, capsys, tmp_path, distances):
+        path = tmp_path / "grid.csv"
+        code, out, err = run_cli(capsys, "sweep", f"--d={distances}",
+                                 "--out", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert "below 1" in json.loads(err)["detail"]
 
     def test_large_delay_band_is_all_out_of_sync(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--d", "2,4",
@@ -272,12 +321,100 @@ class TestSweepCommand:
 ], ids=["d-range", "random-seed", "class-index", "explicit-key",
         "explicit-list", "explicit-float", "explicit-bool", "config-value"])
 def test_malformed_number_is_a_config_error(capsys, tmp_path, argv):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("d = abc\n")
+    cfg = tmp_path / "run.jsonl"
+    cfg.write_text(json.dumps({"runspec": {
+        "version": __version__, "command": "run", "care": False,
+        "d": "abc"}}) + "\n")
     argv = [str(cfg) if a == "CONFIG" else a for a in argv]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert json.loads(err)["error"] == "config"
+
+
+class TestReplay:
+    """`--config FILE` replays the runspec atop an output linemeet wrote."""
+
+    @pytest.mark.parametrize("flags", [
+        "--d 1..6 --tau 0,1,3,D,3D,10D,10D+7",
+        "--topology path --n 24 --d 1..5 --tau 0,D,24 "
+        "--scheme random-injective:5:100000 --seed 2",
+        "--topology cycle --n 16 --d 1..6 --tau 0,3 --detection node-only "
+        "--scheme sequential,uniform-logstar-class:3 --round-cap 90000",
+    ], ids=["infinite", "path", "cycle"])
+    def test_sweep_replays_byte_identical(self, capsys, tmp_path, flags):
+        grid, again = tmp_path / "grid.csv", tmp_path / "again.csv"
+        out = _output(capsys, grid, "sweep", *shlex.split(flags))
+        assert _output(capsys, again, "sweep", "--config", str(grid)) == out
+        assert again.read_bytes() == grid.read_bytes()
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("detection", ["node-or-crossing", "node-only"])
+    def test_run_replays_its_line(self, capsys, tmp_path, detection, engine):
+        trace = tmp_path / "trace.jsonl"
+        out = _output(capsys, trace, "run", "--d", "5", "--tau", "3",
+                      "--detection", detection, "--engine", engine)
+        code, again, err = run_cli(capsys, "run", "--config", str(trace))
+        assert (code, again, err) == (0, out, "")
+
+    def test_run_given_a_sweep_csv_exits_two(self, capsys, tmp_path):
+        grid = tmp_path / "grid.csv"
+        _output(capsys, grid, "sweep", "--d", "2", "--tau", "0")
+        code, out, err = run_cli(capsys, "run", "--config", str(grid))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "config",
+            "detail": "runspec command 'sweep' does not match 'run'"}
+
+    def test_wrong_version_exits_two(self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        _output(capsys, trace, "run", "--d", "2")
+        _edit_runspec(trace, version="0.0.0")
+        code, _, err = run_cli(capsys, "run", "--config", str(trace))
+        assert code == 2
+        assert "runspec version '0.0.0'" in json.loads(err)["detail"]
+
+    @pytest.mark.parametrize("text", ["", "d = 5\n", "[1, 2]\n",
+                                      '{"round": 0}\n', '{"runspec": 5}\n',
+                                      "# runspec=null\n"])
+    def test_file_without_runspec_exits_two(self, capsys, tmp_path, text):
+        cfg = tmp_path / "plain.txt"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "config"
+        assert "no runspec" in report["detail"]
+
+    def test_csv_rows_without_header_exit_two(self, capsys, tmp_path):
+        grid = tmp_path / "grid.csv"
+        _output(capsys, grid, "sweep", "--d", "2", "--tau", "0")
+        grid.write_text(grid.read_text().split("\n", 1)[1])
+        code, _, err = run_cli(capsys, "sweep", "--config", str(grid))
+        assert code == 2 and "no runspec" in json.loads(err)["detail"]
+
+    # each value must be what its flag's own parse would hold
+    @pytest.mark.parametrize("key,value", [
+        ("d", "5"), ("d", 5.0), ("tau", True), ("seed", None),
+        ("scheme", 7), ("detection", "both"), ("engine", "slow"),
+        ("topology", None)])
+    def test_bad_value_exits_two(self, capsys, tmp_path, key, value):
+        trace = tmp_path / "trace.jsonl"
+        _output(capsys, trace, "run", "--d", "2")
+        _edit_runspec(trace, **{key: value})
+        code, out, err = run_cli(capsys, "run", "--config", str(trace))
+        assert code == 2 and out == ""
+        assert json.loads(err)["detail"] == \
+            f"bad runspec value {value!r} for {key}"
+
+    @pytest.mark.parametrize("key", ["out", "config", "func", "help"])
+    def test_plumbing_keys_are_unknown(self, capsys, tmp_path, key):
+        trace = tmp_path / "trace.jsonl"
+        _output(capsys, trace, "run", "--d", "2")
+        _edit_runspec(trace, **{key: str(tmp_path / "elsewhere")})
+        code, _, err = run_cli(capsys, "run", "--config", str(trace))
+        assert code == 2
+        assert f"unknown runspec key {key!r}" in json.loads(err)["detail"]
+        assert not (tmp_path / "elsewhere").exists()
 
 
 class TestVerifyCommand:
@@ -297,6 +434,22 @@ class TestVerifyCommand:
                                "--trials", "10")
         assert code == 0
         assert "0 failures" in out
+
+    @pytest.mark.parametrize("target", ["rulingset", "escolruling"])
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_checking_nothing_exit_two(self, capsys, target, trials):
+        code, out, err = run_cli(capsys, "verify", target, "--trials", trials)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "config",
+            "detail": f"--trials {trials} checks nothing; use 1 or more"}
+
+    def test_locality_negative_universe_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "locality",
+                                 "--universe", "-5")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "config",
+                                   "detail": "--universe -5 is below 0"}
 
     def test_locality_smoke_window(self, capsys):
         # the defaults are the CI strength, --r 1 --universe 1200
