@@ -37,7 +37,8 @@ gadget expansion alike.
 Runs on the same world share one ``World`` object, and with it every label
 computed so far, one trajectory plan per start and each start pair's label
 extremes.  A plan reads only the O(R) labels it needs through the world's
-store and asks only for the balls its records depend on.  Each sweep is
+store, as a read-only view of it when the store holds them, and asks only
+for the balls its records depend on.  Each sweep is
 checked for distinct labels (:meth:`World.cover`).  For the sequential,
 random and uniform-class schemes, bijections by construction, that only
 means staying inside the scheme's span; an explicit or custom scheme's
@@ -162,10 +163,9 @@ def lmin_stats(world: World, va: int, vb: int) -> tuple[int, int]:
     lo, hi = min(va, vb) - rad, max(va, vb) + rad
     if world.topology == "path":
         lo, hi = max(lo, 0), min(hi, n - 1)
-    coords = np.arange(lo, hi + 1)
-    if world.topology == "cycle":
-        coords = np.arange(n) if hi - lo + 1 >= n else coords % n
-    labels = world.labels_at(coords)
+    if world.topology == "cycle" and hi - lo + 1 >= n:
+        lo, hi = 0, n - 1
+    labels = _window_labels(world, lo, hi)
     return int(labels.min()), int(labels.max())
 
 
@@ -178,7 +178,16 @@ def _round_cap(D: int, biggest: int) -> int:
 
 def _window_labels(world: World, lo: int, hi: int) -> np.ndarray:
     """The labels of nodes lo..hi, wrapped mod n on a cycle, read through
-    the world's store."""
+    the world's store.
+
+    A window the store holds as one run is a read-only view of it
+    (:meth:`World.stored_labels`); any other goes through
+    :meth:`World.labels_at`, which may grow the store.
+    """
+    first = lo % world.n if world.topology == "cycle" else lo
+    held = world.stored_labels(first, first + hi - lo)
+    if held is not None:
+        return held
     coords = np.arange(lo, hi + 1)
     if world.topology == "cycle":
         coords %= world.n

@@ -37,7 +37,9 @@ def zigzag(coord: int) -> int:
 
 def zigzag_array(coords: np.ndarray) -> np.ndarray:
     c = np.asarray(coords, dtype=np.int64)
-    return np.where(c >= 0, 2 * c, -2 * c - 1)
+    z = c << 1
+    z ^= c >> 63  # 0, or -1 for a negative c, which flips 2c to -2c - 1
+    return z
 
 
 def _zigzag_span(size: int) -> tuple[int, int]:
@@ -48,12 +50,15 @@ def _zigzag_span(size: int) -> tuple[int, int]:
 class _FeistelPerm:
     """Seeded bijection of [0, size) built from a 4-round Feistel network.
 
-    Round functions are lookup tables filled from SHAKE-256 of the key, so the
-    permutation is a pure function of (key, size) and vectorizes to numpy
-    gathers.  Each table is stored in the narrowest unsigned dtype that holds
-    its mask (uint16 for 10**9 labels); the gathers promote to int64.  Values
-    landing outside [0, size) are cycle-walked back through the network;
-    since the network permutes [0, 2**(2h)) this stays a bijection of
+    Round functions are lookup tables filled from SHAKE-256 of the key, read
+    as little-endian words, so the permutation is a pure function of (key,
+    size) on any host and vectorizes to numpy gathers.  Each table is stored
+    in the narrowest unsigned dtype that holds its mask (uint16 for 10**9
+    labels), and the two halves of a value stay apart in that dtype through
+    the rounds: a round maps (high, low) to (low, high ^ table[low]).  They
+    are joined into int64 once per pass.  Values landing outside [0, size)
+    are cycle-walked back through the network (Black & Rogaway, CT-RSA
+    2002); since the network permutes [0, 2**(2h)) this stays a bijection of
     [0, size).
     """
 
@@ -74,26 +79,33 @@ class _FeistelPerm:
         tables = []
         for rnd in range(self.ROUNDS):
             digest = hashlib.shake_256(key + rnd.to_bytes(2, "big")).digest(table_bytes)
-            tables.append((np.frombuffer(digest, dtype=np.uint64) & self.mask).astype(width))
+            tables.append((np.frombuffer(digest, dtype="<u8") & self.mask).astype(width))
         self._tables = tables
 
     def apply(self, idx: np.ndarray) -> np.ndarray:
-        x = np.asarray(idx, dtype=np.int64)
-        if x.size and (x.min() < 0 or x.max() >= self.size):
+        """The images of a 1-D index array, in a new int64 array."""
+        v = np.asarray(idx, dtype=np.int64)
+        if v.size and (v.min() < 0 or v.max() >= self.size):
             raise WorldError("permutation input outside domain")
-        out = x.copy()
-        pending = np.arange(out.size)
+        width = self._tables[0].dtype
+        out = pending = None
         for _ in range(1000):
-            v = out[pending] if pending.size != out.size else out
+            high = (v >> self.half_bits).astype(width)
+            low = (v & self.mask).astype(width)
             for table in self._tables:
-                left = v >> self.half_bits
-                right = v & self.mask
-                v = (right << self.half_bits) | (left ^ table[right])
-            out[pending] = v
-            bad = v >= self.size
-            if not bad.any():
+                high, low = low, high ^ table.take(low)
+            v = high.astype(np.int64)
+            v <<= self.half_bits
+            v |= low
+            if out is None:
+                out = v
+            else:
+                out[pending] = v
+            bad = (v >= self.size).nonzero()[0]
+            if not bad.size:
                 return out
-            pending = pending[bad]
+            pending = bad if pending is None else pending[bad]
+            v = v[bad]
         raise WorldError("cycle walking failed to converge")
 
 
@@ -151,7 +163,9 @@ class RandomInjectiveScheme(LabelScheme):
         zz = zigzag_array(coords)
         if zz.size and zz.max() >= self.max_label:
             raise WorldError("coordinate outside injective range")
-        return 1 + self._perm.apply(zz.ravel()).reshape(zz.shape)
+        out = self._perm.apply(zz.ravel())
+        out += 1
+        return out.reshape(zz.shape)
 
     def span(self) -> tuple[int, int]:
         return _zigzag_span(self.max_label)
@@ -193,18 +207,26 @@ class UniformClassScheme(LabelScheme):
     def labels_at(self, coords: np.ndarray) -> np.ndarray:
         zz = zigzag_array(coords)
         flat = zz.ravel()
-        out = np.empty(flat.shape, dtype=np.int64)
-        done = np.zeros(flat.shape, dtype=bool)
-        for start, lo, size, key in self._zones:
-            sel = ~done & (flat < start + size)
-            if sel.any():
-                perm = self._perms.get(start)
-                if perm is None:
-                    perm = self._perms[start] = _FeistelPerm(key, size)
-                out[sel] = lo + perm.apply(flat[sel] - start)
-                done |= sel
-        if not done.all():
+        if not flat.size:
+            return zz
+        first, last = int(flat.min()), int(flat.max())
+        if last >= self._size:
             raise WorldError("coordinate outside representable range")
+        out = None
+        for start, lo, size, key in self._zones:
+            if last < start or first >= start + size:
+                continue
+            perm = self._perms.get(start)
+            if perm is None:
+                perm = self._perms[start] = _FeistelPerm(key, size)
+            if start <= first and last < start + size:  # one zone holds all
+                out = perm.apply(flat - start)
+                out += lo
+                break
+            if out is None:
+                out = np.empty(flat.shape, dtype=np.int64)
+            sel = (flat >= start) & (flat < start + size)
+            out[sel] = lo + perm.apply(flat[sel] - start)
         return out.reshape(zz.shape)
 
     def span(self) -> tuple[int, int]:
@@ -300,7 +322,8 @@ _BIJECTIVE_SCHEMES = (SequentialScheme, RandomInjectiveScheme,
                       UniformClassScheme)
 
 # coordinates a window is labelled in at a time from a bijective scheme;
-# Feistel labelling allocates about 58 B of temporaries per coordinate
+# beside its 8 B label, a block peaks at 30 B of temporaries per coordinate
+# for random labels and 38 B for one uniform-class zone (tracemalloc)
 WINDOW_BLOCK = 1 << 16
 
 
@@ -321,12 +344,9 @@ class _LabelStore:
         self.lo, self.hi = 0, -1
         self.labels = self.ordered = _read_only(np.empty(0, dtype=np.int64))
 
-    def check_fresh(self, fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def check_fresh(self, fresh: np.ndarray) -> None:
         """Raise unless the labels of distinct new coordinates are distinct
-        from each other and from every stored label.
-
-        Returns them sorted and their insertion points into ``ordered``.
-        """
+        from each other and from every stored label."""
         new = np.sort(fresh.ravel())
         idx = np.searchsorted(self.ordered, new)
         clash = (self.ordered.size
@@ -334,12 +354,16 @@ class _LabelStore:
                       == new).any())
         if clash or (new[1:] == new[:-1]).any():
             raise WorldError("label scheme produced duplicate labels")
-        return new, idx
 
     def extend(self, scheme: LabelScheme, lo: int, hi: int) -> bool:
         """Grow the interval to cover [lo, hi] when it overlaps or touches
         it, labelling only the coordinates it adds; False, with nothing
-        labelled, for a range apart from it."""
+        labelled, for a range apart from it.
+
+        The fresh labels, sorted, and ``ordered`` are merged by one stable
+        sort, a timsort that finds the two sorted runs and merges them; the
+        merge holds a repeated label exactly when two neighbours are equal.
+        """
         if self.lo <= lo and hi <= self.hi:
             return True
         if self.labels.size == 0:
@@ -349,10 +373,13 @@ class _LabelStore:
         left = np.arange(lo, self.lo)
         right = np.arange(self.hi + 1, hi + 1)
         fresh = scheme.labels_at(np.concatenate([left, right]))
-        new, idx = self.check_fresh(fresh)
+        ordered = np.concatenate([self.ordered, np.sort(fresh)])
+        ordered.sort(kind="stable")
+        if (ordered[1:] == ordered[:-1]).any():
+            raise WorldError("label scheme produced duplicate labels")
         self.labels = _read_only(np.concatenate(
             [fresh[:left.size], self.labels, fresh[left.size:]]))
-        self.ordered = _read_only(np.insert(self.ordered, idx, new))
+        self.ordered = _read_only(ordered)
         self.lo, self.hi = min(lo, self.lo), max(hi, self.hi)
         return True
 
@@ -454,7 +481,8 @@ class World:
         them.  Newly labelled coordinates must carry labels distinct from
         each other and from every stored label, or :class:`WorldError` is
         raised and the store is left as it was.  The result never aliases
-        the store.
+        the store; :meth:`stored_labels` serves a run the store holds as a
+        read-only view of it instead.
         """
         arr = np.asarray(coords, dtype=np.int64)
         if arr.size == 0:
@@ -477,6 +505,18 @@ class World:
         store.check_fresh(fresh)
         out[~inside] = fresh
         return out[inverse].reshape(arr.shape)
+
+    def stored_labels(self, lo: int, hi: int) -> np.ndarray | None:
+        """The labels of coordinates lo..hi as a read-only view of the
+        store, with no gather, or None unless the store holds them all.
+
+        The store replaces its arrays when it grows, so a view stays as it
+        was.
+        """
+        store = self._store
+        if store.lo <= lo and hi <= store.hi:
+            return store.labels[lo - store.lo:hi - store.lo + 1]
+        return None
 
     def cover(self, lo: int, hi: int) -> None:
         """Check that the nodes lo..hi, wrapped onto a cycle, carry distinct

@@ -1064,6 +1064,25 @@ class TestBoundBookkeeping:
         world = make_world(topology, "random-injective:3", n=n)
         assert lmin_stats(world, va, vb) == self.brute_window(world, va, vb)
 
+    @pytest.mark.parametrize("topology,n,lo,hi,view", [
+        ("infinite", None, -7, 9, True),
+        ("path", 30, 0, 29, True),
+        ("cycle", 12, 3, 10, True),
+        ("cycle", 12, 14, 20, True),  # a later lap, the run 2..8
+        ("cycle", 12, -4, 5, False),  # across the seam
+        ("cycle", 12, -3, 14, False),  # longer than the cycle
+    ])
+    def test_windows_the_store_holds_are_read_only_views(
+            self, topology, n, lo, hi, view):
+        world = make_world(topology, "random-injective:3", n=n)
+        coords = np.arange(lo, hi + 1)
+        truth = world.scheme.labels_at(coords % n if n else coords)
+        assert np.array_equal(sim._window_labels(world, lo, hi), truth)
+        # the first read stored every contiguous run
+        again = sim._window_labels(world, lo, hi)
+        assert np.array_equal(again, truth)
+        assert again.flags.writeable is not view
+
     def test_cycle_window_wraps_to_the_global_minimum(self):
         world = make_world("cycle", "random-injective:3", n=8)
         lmin, _ = lmin_stats(world, 0, 4)

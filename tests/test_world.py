@@ -1,3 +1,5 @@
+import array
+import functools
 import gc
 import hashlib
 import tracemalloc
@@ -5,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linemeet import world as world_module
 from linemeet.logstar import label_class
@@ -17,6 +19,7 @@ from linemeet.world import (
     UniformClassScheme,
     World,
     WorldError,
+    _FeistelPerm,
     _LabelStore,
     make_world,
     parse_scheme,
@@ -79,16 +82,106 @@ def test_random_injective_small_domain_is_a_permutation():
         s.labels_at(np.array([33]))  # zig-zag index 66 is outside the domain
 
 
+@functools.lru_cache(maxsize=16)
+def _reference_tables(key: bytes, half: int) -> tuple[array.array, ...]:
+    """The four round tables over half-width values: SHAKE-256 of the key
+    and the round number, read as little-endian 64-bit words and masked."""
+    tables = []
+    for rnd in range(4):
+        digest = hashlib.shake_256(key + rnd.to_bytes(2, "big")).digest(8 << half)
+        tables.append(array.array("Q", (
+            int.from_bytes(digest[i:i + 8], "little") & ((1 << half) - 1)
+            for i in range(0, len(digest), 8))))
+    return tuple(tables)
+
+
+def _reference_feistel(key: bytes, size: int, x: int) -> tuple[int, int]:
+    """The image of x under the permutation of [0, size), one element in
+    plain integers, and the number of passes through the network it took."""
+    half = (max(2, (size - 1).bit_length()) + 1) // 2
+    mask = (1 << half) - 1
+    passes = 0
+    while True:
+        passes += 1
+        for table in _reference_tables(key, half):
+            x = ((x & mask) << half) | ((x >> half) ^ table[x & mask])
+        if x < size:
+            return x, passes
+
+
+# permutation domains by the width of their tables: up to 2**16, 2**32 and
+# 2**40 values; the uint16 draws stay small but for the 10**9 labels of the
+# default random scheme, since the reference tables are Python lists
+FEISTEL_SIZES = {
+    "uint8": st.integers(1, 2**16),
+    "uint16": st.integers(2**16 + 1, 2**24) | st.just(10**9),
+    "uint32": st.sampled_from([2**32 + 1, 2**33 + 12345]),
+}
+
+
+@st.composite
+def feistel_cases(draw):
+    width = draw(st.sampled_from(sorted(FEISTEL_SIZES)))
+    size = draw(FEISTEL_SIZES[width])
+    xs = draw(st.lists(st.integers(0, size - 1), max_size=40))
+    return width, draw(st.sampled_from([b"", b"k", b"linemeet"])), size, xs
+
+
+@given(feistel_cases())
+@settings(max_examples=40, deadline=None)
+@example(("uint8", b"k", 5, list(range(5))))
+@example(("uint16", b"k", 10**9, []))
+def test_feistel_matches_a_pure_python_reference(case):
+    width, key, size, xs = case
+    perm = _FeistelPerm(key, size)
+    assert all(table.dtype == width for table in perm._tables)
+    got = perm.apply(np.array(xs, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [_reference_feistel(key, size, x)[0] for x in xs]
+
+
+@pytest.mark.parametrize("width,size", [
+    ("uint8", 2**14 + 1), ("uint16", 2**30 + 1), ("uint32", 2**32 + 1)])
+def test_feistel_walks_values_outside_the_domain_like_the_reference(
+        width, size):
+    # just above a power of 4 the network's domain is 4 times the
+    # permutation's, so most values walk, and some of them several times
+    perm = _FeistelPerm(b"walk", size)
+    assert perm._tables[0].dtype == width
+    xs = list(range(0, size, size // 400))
+    passes = [_reference_feistel(b"walk", size, x)[1] for x in xs]
+    assert max(passes) >= 3 and passes.count(1) < len(xs) // 2
+    assert perm.apply(np.array(xs)).tolist() == \
+        [_reference_feistel(b"walk", size, x)[0] for x in xs]
+
+
+def _window_digest(labels: np.ndarray) -> str:
+    return hashlib.sha256(labels.astype("<i8").tobytes()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("scheme,digest,origin_label", [
     (RandomInjectiveScheme(0), "cd2d67b05bf704db", 539099441),  # uint16 tables
     (RandomInjectiveScheme(3, 10**12), "3295224fdb3a23b1", 169687923181),  # uint32
-    (UniformClassScheme(0, 5), "9fbf7d10a1f8d624", 491),  # uint16 spill zone
+    # the window stays in the class-5 zone of 65,520 labels: uint8 tables
+    (UniformClassScheme(0, 5), "9fbf7d10a1f8d624", 491),
 ])
 def test_seeded_labels_are_pinned(scheme, digest, origin_label):
     # the Feistel tables' storage width must never change a label
     labels = scheme.labels_at(np.arange(-4096, 4097))
-    assert hashlib.sha256(labels.astype("<i8").tobytes()).hexdigest()[:16] == digest
+    assert _window_digest(labels) == digest
     assert labels[4096] == scheme.labels_at(np.array([0]))[0] == origin_label
+
+
+def test_seeded_labels_across_the_class_spill_boundary_are_pinned():
+    # coordinate 32760 is the first in the class-6 zone, whose 2**32 labels
+    # take uint16 tables, and 32759 the last but one of the uint8 class-5 zone
+    scheme = UniformClassScheme(0, 5)
+    labels = scheme.labels_at(np.arange(32760 - 4096, 32760 + 4097))
+    assert _window_digest(labels) == "9a877d55eb17dfd6"
+    assert [label_class(int(x)) for x in labels[4095:4097]] == [5, 6]
+    assert labels[4096] == scheme.labels_at(np.array([32760]))[0] == 2904323950
+    assert [scheme._perms[start]._tables[0].dtype for start in (0, 65520)] \
+        == [np.uint8, np.uint16]
 
 
 @pytest.mark.parametrize("build,count,kib_each", [
@@ -449,19 +542,28 @@ def test_label_store_labels_only_requested_coordinates_of_sparse_worlds():
 
 
 def test_label_store_checks_injectivity_across_batches():
-    class RepeatsAt40(SequentialScheme):
+    class Repeats(RepeatsAt40):
+        """Also repeats coordinate -20's label at -30."""
+
         def labels_at(self, coords):
             coords = np.asarray(coords)
-            return np.where(coords == 40, 1, super().labels_at(coords))
+            return np.where(coords == -30, 40, super().labels_at(coords))
 
-    w = World(topology="infinite", scheme=RepeatsAt40())
+    w = World(topology="infinite", scheme=Repeats())
     assert w.labels_at(np.arange(0, 21))[0] == 1
+    store = w._store
+    labels, ordered = store.labels, store.ordered
+    # a fresh label repeating a stored one, on the extend and sparse paths
     with pytest.raises(WorldError):
         w.labels_at(np.arange(21, 41))
     with pytest.raises(WorldError):
         w.labels_at(np.array([40, 33]))
+    # two fresh labels repeating each other inside one new flank
+    with pytest.raises(WorldError):
+        w.labels_at(np.arange(-30, 21))
     # a refused batch leaves the store as it was
-    assert (w._store.lo, w._store.hi) == (0, 20)
+    assert (store.lo, store.hi) == (0, 20)
+    assert store.labels is labels and store.ordered is ordered
     assert w.labels_at(np.arange(21, 40)).tolist() == \
         SequentialScheme().labels_at(np.arange(21, 40)).tolist()
 
@@ -484,11 +586,6 @@ def test_cover_stores_what_a_walk_visits():
     for lo, hi in ((-1, 5), (4, 10)):
         with pytest.raises(WorldError, match="leaves the finite topology"):
             path.cover(lo, hi)
-
-    class RepeatsAt40(SequentialScheme):
-        def labels_at(self, coords):
-            coords = np.asarray(coords)
-            return np.where(coords == 40, 1, super().labels_at(coords))
 
     line = World(topology="infinite", scheme=RepeatsAt40())
     line.cover(0, 20)
@@ -602,3 +699,14 @@ def test_label_store_returns_arrays_it_does_not_alias():
     assert w.label(0) == truth[10]
     with pytest.raises(ValueError):
         w._store.labels[0] = 0
+    # a window the store holds is served as a read-only view of it, which
+    # a later growth of the store leaves as it was
+    view = w.stored_labels(-5, 20)
+    assert np.array_equal(view, truth[5:31])
+    with pytest.raises(ValueError):
+        view[0] = 0
+    assert w.stored_labels(-11, 0) is None
+    w.labels_at(np.arange(31, 200))
+    assert np.array_equal(w.labels_at(np.arange(-10, 200)),
+                          w.scheme.labels_at(np.arange(-10, 200)))
+    assert np.array_equal(view, truth[5:31])
