@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .localengine import PowerSubgraph, _merge_schedule_cost, list_color, mis, mis_rounds, three_color_rounds
+from .localengine import PowerSubgraph, list_color, list_color_rounds, mis, mis_rounds
 from .logstar import (CLASS_COUNT, CLASS_LO, ceil_log2, class_size, label_class,
                       label_classes, log_star)
 
@@ -80,13 +80,11 @@ class ColoredRulingOutput:
 
 # -- exact schedule ------------------------------------------------------------
 
-_FULL_MERGE_COST = _merge_schedule_cost(8)
-
-
 def list_color_budget(class_index: int) -> int:
-    """Reserved simulated rounds for list-coloring one class's members."""
-    m = class_size(class_index)
-    return min(three_color_rounds(m) + _FULL_MERGE_COST, m)
+    """Reserved simulated rounds for list-coloring one class's members: the
+    most that :func:`list_color` takes on the class's palette, with 8
+    rank-difference classes (newcomers lie R apart within 9R - 1)."""
+    return list_color_rounds(8, class_size(class_index))
 
 
 def ruling_stage_rounds(R: int, class_index: int) -> int:
@@ -234,20 +232,6 @@ def _greedy_extend(coords: np.ndarray, labels: np.ndarray,
     return committed
 
 
-def _check_spacing(members: np.ndarray, spacing: int) -> None:
-    if members.size < 2:
-        return
-    gap = int(np.diff(members).min())
-    if gap < spacing:
-        raise RulingError(f"members {gap} apart, need spacing {spacing}")
-
-
-def _check_covering(worst: int, bound: int, what: str) -> None:
-    if worst > bound:
-        raise RulingError(f"{what}: a node is {worst} from the set, "
-                          f"bound {bound}")
-
-
 # -- ruling set on one universe ------------------------------------------------
 
 
@@ -297,8 +281,7 @@ def _stage(s: np.ndarray, labels: np.ndarray, reach: int,
 
 
 def path_ruling_set(coords: np.ndarray, labels: np.ndarray, R: int, *,
-                    palette: int | None = None, base: int = 1,
-                    debug: bool = False) -> np.ndarray:
+                    palette: int | None = None, base: int = 1) -> np.ndarray:
     """Members of a ruling set with packing R and covering R-1 over the
     universe ``coords``, strictly increasing, whose labels are ``labels``
     in the same order, as a sorted int64 array.
@@ -312,9 +295,13 @@ def path_ruling_set(coords: np.ndarray, labels: np.ndarray, R: int, *,
     (see :func:`_stage`), so the graph and coloring temporaries of a stage
     are bounded by the block, not by the universe.
 
-    With ``debug`` the stage invariants are checked, raising ``RulingError``
-    on a breach: spacing >= 2^i, universe covering <= 2^(i+1) - i - 2 per
-    doubling stage (3R-3 after the last), and covering <= R-1 at the end.
+    Stage invariants: each doubling stage's output is a (reach + 1, reach)
+    ruling set of its input, so after stage i the spacing is >= 2^i (R
+    after the last) and the universe's covering is <= 2^(i+1) - i - 2
+    (3R-3 after the last, the extension's cap - 1); the extension ends
+    with spacing >= R and covering <= R-1.  The test suite checks them on
+    every stage and extension with :func:`verify_limited_ruling_set` (the
+    ``ruling_invariants`` fixture of ``tests/conftest.py``).
     """
     R = _spacing(R)
     coords = np.asarray(coords, dtype=np.int64)
@@ -329,16 +316,7 @@ def path_ruling_set(coords: np.ndarray, labels: np.ndarray, R: int, *,
     for i in range(1, d + 1):
         s, s_labels = _stage(s, s_labels, 2**i - 1 if i < d else R - 1,
                              palette, base)
-        if debug:
-            _check_spacing(s, 2**i if i < d else R)
-            worst = int(_nearest_distance(coords, s).max())
-            bound = 2**(i + 1) - i - 2 if i < d else 3 * R - 3
-            _check_covering(worst, bound, f"doubling stage {i}")
-    s = _greedy_extend(coords, labels, s, R, 6, cap=3 * R - 2)
-    if debug:
-        worst = int(_nearest_distance(coords, s).max())
-        _check_covering(worst, R - 1, "greedy extension")
-    return s
+    return _greedy_extend(coords, labels, s, R, 6, cap=3 * R - 2)
 
 
 def verify_limited_ruling_set(universe: Iterable[int],
@@ -417,7 +395,7 @@ class EsColState:
     """
 
     def __init__(self, labels: np.ndarray, lo: int, R: int,
-                 debug: bool = False, top_class: int = CLASS_COUNT,
+                 top_class: int = CLASS_COUNT,
                  serves: tuple[int, int] | None = None):
         self.R = _spacing(R)
         if not 1 <= top_class <= CLASS_COUNT:
@@ -432,7 +410,7 @@ class EsColState:
             raise RulingError(f"served region [{slo}, {shi}] leaves the "
                               f"window [{self.lo}, {self.hi}]")
         self.serves = (slo, shi)
-        self._run(debug)
+        self._run()
 
     @property
     def coords(self) -> np.ndarray:
@@ -446,7 +424,7 @@ class EsColState:
                 self.member_colors)
         return sum(a.nbytes for a in kept)
 
-    def _run(self, debug: bool) -> None:
+    def _run(self) -> None:
         # per-node work arrays are one byte a node; coordinates and labels
         # are selected only for the nodes a step reads
         R, lo, labels = self.R, self.lo, self.labels
@@ -455,7 +433,7 @@ class EsColState:
         members = np.empty(0, dtype=np.int64)
         for i in range(1, self.top_class + 1):
             # empty classes still hold their schedule slot
-            fresh = self._fresh(classes, i, members, debug)
+            fresh = self._fresh(classes, i, members)
             colors[fresh - lo] = _color_phase(
                 fresh, labels[fresh - lo], members, colors[members - lo], R, i)
             # fresh members lie >= R from the committed set
@@ -464,8 +442,8 @@ class EsColState:
         self.member_classes = classes[members - lo]
         self.member_colors = colors[members - lo]
 
-    def _fresh(self, classes: np.ndarray, i: int, members: np.ndarray,
-               debug: bool) -> np.ndarray:
+    def _fresh(self, classes: np.ndarray, i: int,
+               members: np.ndarray) -> np.ndarray:
         """The members class i adds to the committed set ``members``: over
         the whole window below ``top_class``, and over its cone at
         ``top_class``, unless the cone leaves out nodes of the class and
@@ -477,8 +455,7 @@ class EsColState:
             at = np.flatnonzero(classes[a:b] == i) + a
             if at.size == 0:
                 return at + lo
-            grown = _class_members(at + lo, self.labels[at], members, R, i,
-                                   debug)
+            grown = _class_members(at + lo, self.labels[at], members, R, i)
             return grown[classes[grown - lo] == i]
 
         if i < self.top_class:
@@ -546,29 +523,20 @@ class EsColState:
 
 
 def _class_members(vi: np.ndarray, labels: np.ndarray, committed: np.ndarray,
-                   R: int, class_index: int, debug: bool) -> np.ndarray:
+                   R: int, class_index: int) -> np.ndarray:
     """The committed set grown by class ``class_index``, whose nodes are
     ``vi``, labelled ``labels``: the class's own ruling set less its
     members within R-1 of ``committed``, then four greedy-extension
     iterations."""
     fresh = path_ruling_set(vi, labels, R, palette=class_size(class_index),
-                            base=CLASS_LO[class_index - 1], debug=debug)
+                            base=CLASS_LO[class_index - 1])
     if committed.size and fresh.size:
         fresh = fresh[_nearest_distance(fresh, committed) >= R]
     # fresh members lie >= R from the committed set, so this is the union
     grown = np.sort(np.concatenate((committed, fresh)))
-    if debug:
-        merged = _nearest_distance(vi, grown)
-        _check_covering(int(merged.max()), 2 * R - 2,
-                        f"class {class_index} merge")
     # distances are to the whole committed set, candidacy and the beat rule
     # stay within this class
-    grown = _greedy_extend(vi, labels, grown, R, 4, cap=2 * R - 1)
-    if debug:
-        covered = _nearest_distance(vi, grown)
-        _check_covering(int(covered.max()), R - 1,
-                        f"class {class_index} extension")
-    return grown
+    return _greedy_extend(vi, labels, grown, R, 4, cap=2 * R - 1)
 
 
 def _full_width_in(fresh: np.ndarray, slo: int, shi: int, R: int) -> bool:

@@ -1,12 +1,15 @@
-"""A per-test time limit, and broken ruling-set constructions that the
-locality oracle must reject."""
+"""A per-test time limit, a checker of the ruling-set stage invariants, and
+broken ruling-set constructions that the locality oracle must reject."""
 
+import contextlib
 import dataclasses
 import signal
 
+import numpy as np
 import pytest
 
-from linemeet.ruling import EsColState
+from linemeet import ruling
+from linemeet.ruling import EsColState, verify_limited_ruling_set
 
 # seconds one test may run; a stalled loop fails its test instead of
 # hanging the suite (tier-1 takes about half a minute in all)
@@ -57,8 +60,66 @@ def peeking_construction(monkeypatch):
     right end, which lies outside the ball of every node it certifies."""
     honest = EsColState._run
 
-    def peeking(self, debug):
-        honest(self, debug)
+    def peeking(self):
+        honest(self)
         self.member_colors[:] = self.labels[-1] % 17 + 1
 
     monkeypatch.setattr(EsColState, "_run", peeking)
+
+
+@dataclasses.dataclass
+class InvariantChecks:
+    """How many doubling stages and greedy extensions were checked."""
+
+    stages: int = 0
+    extensions: int = 0
+
+
+@contextlib.contextmanager
+def _checked_ruling_builds():
+    """Check every doubling stage and greedy extension the ruling-set
+    builders run inside the block with the replay oracle, failing on a
+    breach; yields the running counts.
+
+    A stage's output is a (reach + 1, reach) ruling set of its input.  An
+    extension's input set covers its universe within ``cap - 1``, and its
+    output keeps spacing R and covers the universe within R - 1.  The sets
+    an extension sees may hold members of earlier classes outside its
+    universe, so the oracle's universe is the union of both.
+    """
+    seen = InvariantChecks()
+    stage, extend = ruling._stage, ruling._greedy_extend
+
+    def checked_stage(s, labels, reach, palette, base):
+        kept, kept_labels = stage(s, labels, reach, palette, base)
+        check = verify_limited_ruling_set(s, kept, reach + 1, reach)
+        assert check, (f"doubling stage at reach {reach}", check.failure,
+                       check.witness)
+        seen.stages += 1
+        return kept, kept_labels
+
+    def check_extension(coords, members, R, covering, when):
+        check = verify_limited_ruling_set(np.union1d(coords, members),
+                                          members, R, covering)
+        assert check, (f"greedy extension {when}", check.failure,
+                       check.witness)
+
+    def checked_extend(coords, labels, committed, R, iterations, cap):
+        check_extension(coords, committed, R, cap - 1, "start")
+        grown = extend(coords, labels, committed, R, iterations, cap)
+        check_extension(coords, grown, R, R - 1, "end")
+        seen.extensions += 1
+        return grown
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ruling, "_stage", checked_stage)
+        mp.setattr(ruling, "_greedy_extend", checked_extend)
+        yield seen
+
+
+@pytest.fixture(scope="session")
+def ruling_invariants():
+    """A context manager that checks the ruling-set stage invariants within
+    its block (see :func:`_checked_ruling_builds`).  Session-scoped, so
+    Hypothesis tests may take it and enter it once per example."""
+    return _checked_ruling_builds

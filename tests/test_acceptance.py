@@ -21,7 +21,7 @@ import pytest
 from linemeet import sim
 from linemeet.agent import iteration_start_round, searching_walk_segments
 from linemeet.cli import main as cli_main
-from linemeet.logstar import log_star
+from linemeet.logstar import ceil_log2, log_star
 from linemeet.ruling import (
     EsColState,
     PALETTE_SIZE,
@@ -142,7 +142,7 @@ def test_care_slowdown_bounded_by_four():
             t0, budget=30.0)
 
 
-def test_ruling_set_randomized_oracle():
+def test_ruling_set_randomized_oracle(ruling_invariants):
     rng = np.random.default_rng(3)
     t0 = time.perf_counter()
     for trial in range(200):
@@ -158,15 +158,17 @@ def test_ruling_set_randomized_oracle():
             span = size * (r + 2)
             universe = np.sort(rng.choice(np.arange(start, start + span),
                                           size=size, replace=False))
-        members = path_ruling_set(universe, host.labels_at(universe), r,
-                                  debug=True)
+        # every doubling stage and the extension are checked as they run
+        with ruling_invariants() as seen:
+            members = path_ruling_set(universe, host.labels_at(universe), r)
+        assert (seen.stages, seen.extensions) == (ceil_log2(r), int(r > 1))
         check = verify_limited_ruling_set(universe, members, r, r - 1)
         assert check, (trial, r, size, check.failure, check.witness)
     _report(3, "ruling-set", "200 instances verified at (R, R-1)",
             t0, budget=20.0)
 
 
-def test_colored_ruling_construction_oracle():
+def test_colored_ruling_construction_oracle(ruling_invariants):
     rng = np.random.default_rng(4)
     t0 = time.perf_counter()
     assert PALETTE_SIZE == 17
@@ -190,8 +192,9 @@ def test_colored_ruling_construction_oracle():
                               f"random-injective:{trial}:1000000000")
             start = int(rng.integers(-10**6, 10**6))
             universe = np.arange(start, start + size)
-        state = EsColState(host.labels_at(universe), int(universe[0]), r,
-                           debug=True)
+        with ruling_invariants() as seen:
+            state = EsColState(host.labels_at(universe), int(universe[0]), r)
+        assert seen.extensions and (seen.stages or r == 1)
         if state.member_colors.size:
             max_color = max(max_color, int(state.member_colors.max()))
         check = verify_es_col_ruling(state)

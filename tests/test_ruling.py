@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from linemeet import localengine, ruling
 from linemeet.localengine import PowerSubgraph, mis, mis_rounds
-from linemeet.logstar import CLASS_HI, CLASS_LO, class_size, log_star
+from linemeet.logstar import CLASS_HI, CLASS_LO, ceil_log2, class_size, log_star
 from linemeet.ruling import (
     PALETTE_SIZE,
     RADIUS_FACTOR,
@@ -196,18 +196,54 @@ def test_spacing_one_returns_whole_universe():
             path_ruling_set(coords, labels, 1)
 
 
-def test_twelve_consecutive_nodes():
+def checked_ruling_set(checker, world, universe, R):
+    """The ruling set of a universe, every stage and the extension checked."""
+    with checker() as seen:
+        members = ruling_set(world, universe, R)
+    assert (seen.stages, seen.extensions) == (ceil_log2(R), int(R > 1))
+    return members
+
+
+def test_twelve_consecutive_nodes(ruling_invariants):
     world = make_world("infinite", "random-injective:42")
-    members = ruling_set(world, range(100, 112), 4, debug=True)
+    members = checked_ruling_set(ruling_invariants, world, range(100, 112), 4)
     assert verify_limited_ruling_set(range(100, 112), members, 4, 3).ok
 
 
-def test_two_far_clusters():
+def test_two_far_clusters(ruling_invariants):
     world = make_world("infinite", "random-injective:9")
     universe = list(range(0, 20)) + list(range(1020, 1040))
-    members = ruling_set(world, universe, 16, debug=True)
+    members = checked_ruling_set(ruling_invariants, world, universe, 16)
     assert verify_limited_ruling_set(universe, members, 16, 15).ok
     assert members.min() < 1000 < members.max()
+
+
+def _extra_stage_member(stage):
+    """A doubling stage that also keeps the input member right after its
+    first kept one."""
+    def broken(s, labels, reach, palette, base):
+        kept, _ = stage(s, labels, reach, palette, base)
+        at = int(np.searchsorted(s, kept[0])) + 1
+        kept = np.union1d(kept, s[at:at + 1])
+        return kept, labels[np.searchsorted(s, kept)]
+    return broken
+
+
+def _unextended(extend):
+    """A greedy extension that returns its input set unchanged."""
+    return lambda coords, labels, committed, R, iterations, cap: committed
+
+
+@pytest.mark.parametrize("name,mutate,failure", [
+    ("_stage", _extra_stage_member, "doubling stage .*'packing'"),
+    ("_greedy_extend", _unextended, "extension end', 'covering'"),
+])
+def test_ruling_invariants_checker_rejects_broken_builds(
+        ruling_invariants, monkeypatch, name, mutate, failure):
+    monkeypatch.setattr(ruling, name, mutate(getattr(ruling, name)))
+    world = make_world("infinite", "random-injective:7")
+    with pytest.raises(AssertionError, match=failure):
+        checked_ruling_set(ruling_invariants, world, range(200), 16)
 
 
 @pytest.mark.parametrize("topology,n,members", [
@@ -215,11 +251,8 @@ def test_two_far_clusters():
     ("path", 12, [1, 9, 11]),
 ])
 def test_spacing_breach_raises_ruling_error(topology, n, members):
-    # a real error, so the debug checks still fire under python -O
-    with pytest.raises(RulingError, match="spacing 3"):
-        ruling._check_spacing(np.array(members), 3)
-    # the replay oracle finds the same breach, and none in the set built on
-    # the host's labels
+    # the replay oracle finds the breach, and none in the set built on the
+    # host's labels
     check = verify_limited_ruling_set(range(12), members, 3, 11)
     close = [(a, b) for a, b in zip(members, members[1:]) if b - a < 3]
     assert check.failure == "packing" and check.witness == close[0]
@@ -254,9 +287,9 @@ def ruling_instances(draw):
 
 @given(ruling_instances())
 @settings(deadline=None, max_examples=60)
-def test_ruling_set_randomized(inst):
+def test_ruling_set_randomized(ruling_invariants, inst):
     world, universe, R = inst
-    members = ruling_set(world, universe, R, debug=True)
+    members = checked_ruling_set(ruling_invariants, world, universe, R)
     assert np.all(members[1:] > members[:-1]), "members not sorted"
     assert verify_limited_ruling_set(universe, members, R, R - 1).ok
 
@@ -271,13 +304,22 @@ def test_single_node_universe():
     assert out.termination_radius <= RADIUS_FACTOR * 4 * 1
 
 
-def test_sixty_four_consecutive_nodes_full_replay():
+def checked_window_state(checker, world, lo, hi, R):
+    """The ruling state of the window [lo, hi], every stage and extension
+    of its classes checked."""
+    with checker() as seen:
+        state = window_state(world, lo, hi, R)
+    assert seen.extensions and (seen.stages or R == 1)
+    return state
+
+
+def test_sixty_four_consecutive_nodes_full_replay(ruling_invariants):
     rng = np.random.default_rng(3)
     labels = rng.choice(np.arange(1, 10**6), size=64, replace=False)
     import json
     payload = json.dumps({str(i): int(lab) for i, lab in enumerate(labels)})
     world = make_world("infinite", f"explicit:{payload}")
-    state = window_state(world, 0, 63, 4, debug=True)
+    state = checked_window_state(ruling_invariants, world, 0, 63, 4)
     assert verify_es_col_ruling(state).ok
 
 
@@ -293,9 +335,9 @@ def es_instances(draw):
 
 @given(es_instances())
 @settings(deadline=None, max_examples=25)
-def test_es_ruling_randomized(inst):
+def test_es_ruling_randomized(ruling_invariants, inst):
     world, lo, hi, R = inst
-    state = window_state(world, lo, hi, R, debug=True)
+    state = checked_window_state(ruling_invariants, world, lo, hi, R)
     assert verify_es_col_ruling(state).ok
     assert np.all(state.member_colors >= 1)
     assert np.all(state.member_colors <= PALETTE_SIZE)
@@ -409,9 +451,9 @@ def test_a_cone_falls_back_when_its_merge_tree_is_narrower(monkeypatch):
     universes = []
     honest = ruling._class_members
 
-    def recording(vi, labels, committed, R, class_index, debug):
+    def recording(vi, labels, committed, R, class_index):
         universes.append(vi.size)
-        return honest(vi, labels, committed, R, class_index, debug)
+        return honest(vi, labels, committed, R, class_index)
 
     monkeypatch.setattr(ruling, "_class_members", recording)
     cone = EsColState(labels, 0, 4, top_class=5, serves=(0, 3984))
@@ -518,9 +560,9 @@ def test_locality_rebuilds_each_node_on_exactly_its_ball(monkeypatch, n):
     rebuilt = []
 
     class Recording(EsColState):
-        def __init__(self, labels, lo, R, debug=False):
+        def __init__(self, labels, lo, R):
             rebuilt.append((lo, labels))
-            super().__init__(labels, lo, R, debug)
+            super().__init__(labels, lo, R)
 
     monkeypatch.setattr(ruling, "EsColState", Recording)
     radii = certify_es_locality(state, sample=sample, ends=ends)

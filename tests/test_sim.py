@@ -1659,9 +1659,9 @@ def test_cone_states_are_the_full_build_in_the_region_they_serve(case):
     universes = []
     honest = ruling._class_members
 
-    def recording(vi, labels, committed, R, class_index, debug):
+    def recording(vi, labels, committed, R, class_index):
         universes.append((class_index, vi))
-        return honest(vi, labels, committed, R, class_index, debug)
+        return honest(vi, labels, committed, R, class_index)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ruling, "_class_members", recording)
