@@ -149,7 +149,8 @@ def _squared_cv_round(colors: np.ndarray, palette: int, slots: np.ndarray,
     return width * width
 
 
-def _kw_stage(colors: np.ndarray, palette: int, slots: np.ndarray) -> int:
+def _kw_stage(colors: np.ndarray, palette: int, slots: np.ndarray,
+              taint: np.ndarray | None = None) -> int:
     """Three sub-rounds folding blocks of 6 colors onto their low halves.
 
     Works in place on ``colors`` (members, then a pad entry of -1 that a
@@ -159,7 +160,9 @@ def _kw_stage(colors: np.ndarray, palette: int, slots: np.ndarray) -> int:
     so parallel recoloring stays proper.  The closing relabel 6b+j -> 3b+j
     is a palette renaming, not a communication round.  Only the members at
     the current offset are read and written; a recolored member lands on
-    offset 0, 1 or 2, so the offsets found up front hold.
+    offset 0, 1 or 2, so the offsets found up front hold.  A member at the
+    current offset also takes the ``taint`` of both its slots (see
+    :func:`_three_color`).
     """
     own = colors[:-1]
     block = own // 6  # recoloring stays in the block; % would cost 4x more
@@ -169,6 +172,8 @@ def _kw_stage(colors: np.ndarray, palette: int, slots: np.ndarray) -> int:
     for offset in (5, 4, 3):
         sel = high[high_offsets == offset]
         if sel.size:
+            if taint is not None:
+                taint[sel] |= taint[slots[0, sel]] | taint[slots[1, sel]]
             nbr = colors[slots[:, sel]]
             target = own[sel] - offset
             for _ in range(2):
@@ -196,13 +201,18 @@ def three_color_rounds(palette: int) -> int:
     return rounds
 
 
-def _three_color(slots: np.ndarray, init_colors: np.ndarray,
-                 palette: int) -> tuple[np.ndarray, int]:
+def _three_color(slots: np.ndarray, init_colors: np.ndarray, palette: int,
+                 taint: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Run the pipeline; returns (colors in [0,3), executed rounds).
 
     ``slots`` are the (2, m) label-ordered neighbor ranks of
     :func:`_by_label`.  They, their caps and a color buffer ending in a pad
     entry of -1 are set up once, so every round's neighbor read is one take.
+
+    ``taint``, when given, holds one flag per member and a False pad entry
+    that a missing neighbor reads, and is updated in place: a member's
+    flag is set once its color reads a flagged value, from either slot in
+    a squared round and in the sub-rounds of its own offset.
     """
     caps = _slot_caps(slots)
     c = np.empty(init_colors.size + 1, dtype=np.int64)
@@ -210,6 +220,8 @@ def _three_color(slots: np.ndarray, init_colors: np.ndarray,
     c[-1] = -1
     m, rounds = int(palette), 0
     while m > 3 and (2 * max(1, ceil_log2(max(m, 2)))) ** 2 < m:
+        if taint is not None:
+            taint[:-1] |= taint[slots[0]] | taint[slots[1]]
         m = _squared_cv_round(c, m, slots, caps)
         rounds += 1
     # squaring stops shrinking at palettes <= 324, and from there on only
@@ -217,27 +229,33 @@ def _three_color(slots: np.ndarray, init_colors: np.ndarray,
     # (a round's entries are at most 125), so they fold in int16
     c = c.astype(np.int16)
     while m > 3:
-        m = _kw_stage(c, m, slots)
+        m = _kw_stage(c, m, slots, taint)
         rounds += 3
     return c[:-1].astype(np.int64), rounds
 
 
 def _three_color_classes(labels: np.ndarray, classes: np.ndarray,
-                         init_colors: np.ndarray,
-                         palette: int) -> tuple[np.ndarray, int]:
+                         init_colors: np.ndarray, palette: int,
+                         taint: np.ndarray | None = None
+                         ) -> tuple[np.ndarray, int]:
     """3-color every class's (nA, nB) graph on the same members in one run.
 
     ``classes`` stacks the (nA, nB) rank pairs, shape (classes, 2, members).
     Class j's copy of member i becomes rank j*m + i of one stacked graph, so
     the copies are disjoint and a single pipeline colors them all.  Returns
     colors of shape (classes, members) and the executed rounds, which depend
-    on the palette alone.
+    on the palette alone.  ``taint``, of the colors' shape, starts as every
+    copy's flags and is updated in place (see :func:`_three_color`).
     """
     k, m = len(classes), labels.size
     slots = _by_label(labels, *np.asarray(classes).swapaxes(0, 1))  # (2, k, m)
     shift = np.arange(0, k * m, m, dtype=np.int64)[:, None]
     slots = np.where(slots >= 0, slots + shift, -1).reshape(2, k * m)
-    colors, rounds = _three_color(slots, np.tile(init_colors, k), palette)
+    flags = None if taint is None else np.append(taint.ravel(), False)
+    colors, rounds = _three_color(slots, np.tile(init_colors, k), palette,
+                                  flags)
+    if taint is not None:
+        taint[...] = flags[:-1].reshape(k, m)
     return colors.reshape(k, m), rounds
 
 
@@ -333,7 +351,8 @@ def _runs(values: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _pick(held: np.ndarray, order: np.ndarray, keys: np.ndarray,
-          lists: np.ndarray, rows: np.ndarray) -> np.ndarray:
+          lists: np.ndarray, rows: np.ndarray,
+          taint: np.ndarray | None = None) -> np.ndarray:
     """Pick list colors class by class, in place on ``held``; returns every
     member rank's color.
 
@@ -345,9 +364,13 @@ def _pick(held: np.ndarray, order: np.ndarray, keys: np.ndarray,
     neighbors ``rows[r]`` and takes the lowest listed bit left clear.  In
     disjoint copies of m members stacked as rows, copy j's member i is rank
     j*m + i.  A member left with no free color raises, naming its rank.
+    ``taint``, laid out as ``held``, is updated in place: a member that
+    picks takes the flags of its row as they stand at its class's turn.
     """
     cols = np.ascontiguousarray(np.take(rows, order, axis=0).T)
     for a, b in _runs(keys):
+        if taint is not None:
+            taint[order[a:b]] |= taint[cols[:, a:b]].any(axis=0)
         free = lists[a:b] & ~np.bitwise_or.reduce(held[cols[:, a:b]], axis=0)
         held[order[a:b]] = free & -free
     empty = np.flatnonzero(held[:-1] == 0)
@@ -357,8 +380,8 @@ def _pick(held: np.ndarray, order: np.ndarray, keys: np.ndarray,
 
 
 def _sweep_reduce(colors: np.ndarray, palette: int | np.ndarray,
-                  target: int | np.ndarray,
-                  rows: np.ndarray) -> tuple[np.ndarray, int]:
+                  target: int | np.ndarray, rows: np.ndarray,
+                  taint: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Recolor classes target..palette-1 to the smallest free color < target.
 
     One round per class, highest first, occurring or not; the picks run
@@ -367,7 +390,8 @@ def _sweep_reduce(colors: np.ndarray, palette: int | np.ndarray,
     flattened ``colors``.  ``palette`` and ``target`` (at most 62) broadcast
     against ``colors``, so disjoint copies stacked as rows each sweep their
     own palette down to their own target in one pass over the values, and
-    the rounds are those of the widest copy.
+    the rounds are those of the widest copy.  ``taint``, of the colors'
+    shape, is updated in place (see :func:`_pick`).
     """
     high = colors >= target
     held = np.zeros(colors.size + 1, dtype=np.int64)
@@ -376,7 +400,10 @@ def _sweep_reduce(colors: np.ndarray, palette: int | np.ndarray,
     flat = colors.ravel()
     order = todo[np.argsort(flat[todo], kind="stable")][::-1]
     lists = np.broadcast_to((np.int64(1) << target) - 1, colors.shape)
-    out = _pick(held, order, flat[order], lists.ravel()[order], rows)
+    flags = None if taint is None else np.append(taint.ravel(), False)
+    out = _pick(held, order, flat[order], lists.ravel()[order], rows, flags)
+    if taint is not None:
+        taint[...] = flags[:-1].reshape(colors.shape)
     return out.reshape(colors.shape), max(0, int(np.max(palette - target)))
 
 
@@ -405,8 +432,9 @@ def _stacked_neighbors(classes: np.ndarray,
     return out.reshape(-1, width)
 
 
-def _merge_tree(colors3: np.ndarray,
-                classes: np.ndarray) -> tuple[np.ndarray, int, int]:
+def _merge_tree(colors3: np.ndarray, classes: np.ndarray,
+                taint: np.ndarray | None = None
+                ) -> tuple[np.ndarray, int, int]:
     """Merge the classes' 3-colorings pairwise into one proper coloring.
 
     Row j of ``colors3`` 3-colors class j.  Each tree level pairs adjacent
@@ -416,10 +444,13 @@ def _merge_tree(colors3: np.ndarray,
     pairs of different shapes (an odd part count leaves some pairs with
     fewer classes) each keep their own palette and target.  Returns the
     root coloring, its palette and the sweep rounds, the slowest merge of
-    each level.
+    each level.  ``taint``, of the shape of ``colors3``, flags the partial
+    colors; a product is flagged where either of its two copies is, and
+    the root's flags are written to ``taint[0]``.
     """
-    # row j of work colors the classes in spans[j] with palettes[j] colors
-    work = colors3
+    # row j of work colors the classes in spans[j] with palettes[j] colors,
+    # flagged by row j of flags
+    work, flags = colors3, taint
     palettes = np.full(len(classes), 3, dtype=np.int64)
     spans = [(j, j + 1) for j in range(len(classes))]
     rounds = 0
@@ -428,11 +459,16 @@ def _merge_tree(colors3: np.ndarray,
         prod = work[0:2 * pairs:2] * palettes[1:2 * pairs:2, None] \
             + work[1:2 * pairs:2]
         pp = palettes[0:2 * pairs:2] * palettes[1:2 * pairs:2]
+        if taint is not None:
+            flags = np.vstack((flags[0:2 * pairs:2] | flags[1:2 * pairs:2],
+                               flags[2 * pairs:]))
         merged = [(spans[2 * a][0], spans[2 * a + 1][1]) for a in range(pairs)]
         if len(spans) > 2:
             target = np.array([2 * (hi - lo) + 1 for lo, hi in merged])
             prod, level = _sweep_reduce(prod, pp[:, None], target[:, None],
-                                        _stacked_neighbors(classes, merged))
+                                        _stacked_neighbors(classes, merged),
+                                        None if taint is None
+                                        else flags[:pairs])
             rounds += level
             pp = target
         if len(spans) % 2:
@@ -440,6 +476,8 @@ def _merge_tree(colors3: np.ndarray,
             pp = np.append(pp, palettes[-1])
             merged.append(spans[-1])
         work, palettes, spans = prod, pp, merged
+    if taint is not None:
+        taint[0] = flags[0]
     return work[0], int(palettes[0]), rounds
 
 
@@ -471,19 +509,25 @@ def _merge_schedule_cost(dd: int) -> int:
 
 
 def _final_assign(colors: np.ndarray, palette: int, rows: np.ndarray,
-                  allowed: np.ndarray) -> tuple[np.ndarray, int]:
+                  allowed: np.ndarray,
+                  taint: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Give every member a list color, sweeping proper-color classes in order.
 
     ``allowed[i, c]`` says whether color c (below ``MAX_LIST_COLORS``) is on
     member rank i's list; each list becomes one int64 bitmask, and the picks
-    run through :func:`_pick`.  Every value of the palette costs one round,
-    occurring or not.
+    run through :func:`_pick`, which updates ``taint``, a flag per member,
+    in place.  Every value of the palette costs one round, occurring or
+    not.
     """
     lists = allowed.astype(np.int64) @ (np.int64(1) << np.arange(
         allowed.shape[1], dtype=np.int64))
     order = np.argsort(colors, kind="stable")
     held = np.zeros(colors.size + 1, dtype=np.int64)
-    return _pick(held, order, colors[order], lists[order], rows), palette
+    flags = None if taint is None else np.append(taint, False)
+    out = _pick(held, order, colors[order], lists[order], rows, flags)
+    if taint is not None:
+        taint[:] = flags[:-1]
+    return out, palette
 
 
 def _check_proper(colors: np.ndarray, rows: np.ndarray) -> None:
@@ -494,7 +538,8 @@ def _check_proper(colors: np.ndarray, rows: np.ndarray) -> None:
 
 
 def list_color(sub: PowerSubgraph, allowed: np.ndarray, palette: int,
-               base: int) -> tuple[np.ndarray, int]:
+               base: int,
+               taint: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Deterministic list coloring for max degree <= 16.
 
     ``allowed`` is a boolean matrix whose row i marks the colors 0, 1, 2,
@@ -547,12 +592,16 @@ def list_color(sub: PowerSubgraph, allowed: np.ndarray, palette: int,
         # small palettes: sweep the shifted label coloring directly
         work, work_palette = init, palette
     else:
+        copies = None if taint is None else np.tile(taint, (len(classes), 1))
         colors3, rounds = _three_color_classes(sub.labels, classes, init,
-                                               palette)
-        work, work_palette, merge_rounds = _merge_tree(colors3, classes)
+                                               palette, copies)
+        work, work_palette, merge_rounds = _merge_tree(colors3, classes,
+                                                       copies)
+        if taint is not None:
+            taint[:] = copies[0]
         rounds += merge_rounds
     rows = _stacked_neighbors(classes, [(0, len(classes))])
-    colors, r = _final_assign(work, work_palette, rows, allowed)
+    colors, r = _final_assign(work, work_palette, rows, allowed, taint)
     rounds += r
     _check_proper(colors, rows)
     expected = list_color_rounds(len(classes), palette)

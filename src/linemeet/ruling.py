@@ -369,24 +369,39 @@ class EsColState:
     ``serves`` = (slo, shi) within the window is the region S whose records
     the state must hold; the default is the whole window.  Classes below
     ``top_class`` run over the whole window, but ``top_class`` = c runs
-    only on its nodes within ``class_phase_rounds(R, c) +
-    ruling_stage_rounds(R, c) + 2R`` of S, its cone.  That is exact in S:
-    a class-c member's status reads the class-c nodes within the ruling
-    stages, the merge scan and four extension passes, ruling_stage_rounds
-    + 13R - 13, of it, and its color reads the newcomers within (9R - 1)
-    list-coloring rounds of it, so every record in S, members within R - 1
-    of it included, reads class-c nodes within the cone alone.  List
-    coloring has one more input, the number of rank-difference classes of
-    the whole call (see :func:`~linemeet.localengine.list_color`), which is
-    at most 8, as newcomers lie R apart.  So the cone keeps its newcomers
-    when it holds every class-c node of the window, when it has none, or
-    when one of them has 8 such classes while its neighbours' status is
-    exact (it lies within ``class_phase_rounds(R, c) - 20R + 14`` of S),
-    as the whole window's call then has 8 too.  Otherwise class c runs
-    over the rest of the window as well, in two parts that overlap the
-    cone's exact status by ruling_stage_rounds + 13R - 13, and colors the
-    whole window's newcomers.  A class-c record outside S raises
-    ``RulingError``, built or not.
+    only on its nodes around S.  Its schedule cone,
+    ``class_phase_rounds(R, c) + ruling_stage_rounds(R, c) + 2R`` around S,
+    is exact in S: a class-c member's status reads the class-c nodes
+    within the ruling stages, the merge scan and four extension passes,
+    ``settle`` = ruling_stage_rounds + 13R - 13, of it, and its color reads
+    the newcomers within (9R - 1) list-coloring rounds of it, so every
+    record in S, members within R - 1 of it included, reads class-c nodes
+    within the cone alone.  List coloring has one more input, the number of
+    rank-difference classes of the whole call, dd (see
+    :func:`~linemeet.localengine.list_color`), which is at most 8, as
+    newcomers lie R apart.
+
+    Colors rarely read that far, so class c first runs on its nodes within
+    rho + settle of S, whose statuses are exact on [slo - rho, shi + rho],
+    with rho starting at :func:`_first_color_radius`, and its list coloring
+    carries taint.  A newcomer starts tainted when its neighbours within
+    9R - 1 reach past those exact statuses at a cut that is not a window
+    end, and a value is tainted once it reads a tainted one.  A taint-free
+    color was computed from the same inputs as in the whole window's call,
+    as long as dd is shared, which it is when an untainted newcomer has 8
+    rank-difference classes.  So the run keeps its newcomers when no color
+    that S reads is tainted and such a newcomer exists, when it holds every
+    class-c node of the window, or when S reads no class-c newcomer;
+    otherwise rho doubles.  Once rho + settle reaches the schedule cone,
+    the cone keeps its newcomers when it holds every class-c node of the
+    window, when it has none, or when one of them has 8 classes while its
+    neighbours' status is exact (it lies within ``class_phase_rounds(R, c)
+    - 20R + 14`` of S), as the whole window's call then has 8 too.
+    Otherwise class c runs over the rest of the window as well, in two
+    parts that overlap the cone's exact status by ``settle``, and colors
+    the whole window's newcomers.  A class-c record outside S raises
+    ``RulingError``, built or not, and the class-c members a state keeps
+    outside S may differ from the whole window's.
 
     Once built, a state keeps what queries read: the members' coordinates
     (int64), classes and colors (uint8), R, the window's ends ``lo`` and
@@ -433,23 +448,30 @@ class EsColState:
         members = np.empty(0, dtype=np.int64)
         for i in range(1, self.top_class + 1):
             # empty classes still hold their schedule slot
-            fresh = self._fresh(classes, i, members)
-            colors[fresh - lo] = _color_phase(
-                fresh, labels[fresh - lo], members, colors[members - lo], R, i)
+            fresh, got = self._fresh(classes, i, members, colors)
+            colors[fresh - lo] = got
             # fresh members lie >= R from the committed set
             members = np.sort(np.concatenate((members, fresh)))
         self.member_coords = members
         self.member_classes = classes[members - lo]
         self.member_colors = colors[members - lo]
 
-    def _fresh(self, classes: np.ndarray, i: int,
-               members: np.ndarray) -> np.ndarray:
-        """The members class i adds to the committed set ``members``: over
-        the whole window below ``top_class``, and over its cone at
-        ``top_class``, unless the cone leaves out nodes of the class and
-        its newcomers could list-color on fewer rank-difference classes
-        than the whole window's."""
-        R, lo, size = self.R, self.lo, classes.size
+    def _fresh(self, classes: np.ndarray, i: int, members: np.ndarray,
+               colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The members class i adds to the committed set ``members``, and
+        their colors against the committed ``colors``.
+
+        Below ``top_class`` class i runs over the whole window.  At
+        ``top_class`` it runs on its nodes within rho + ``settle`` of S,
+        rho starting at :func:`_first_color_radius` and doubling until the
+        colors S reads are taint-free and the call shares the whole
+        window's rank-difference classes, which makes them the whole
+        window's colors; then on the schedule cone, unless that cone leaves
+        out nodes of the class and its newcomers could list-color on fewer
+        rank-difference classes than the whole window's (see the class
+        docstring).
+        """
+        R, lo, size, reach = self.R, self.lo, classes.size, 9 * self.R - 1
 
         def run(a: int, b: int) -> np.ndarray:
             at = np.flatnonzero(classes[a:b] == i) + a
@@ -458,20 +480,49 @@ class EsColState:
             grown = _class_members(at + lo, self.labels[at], members, R, i)
             return grown[classes[grown - lo] == i]
 
+        def color(fresh: np.ndarray,
+                  taint: np.ndarray | None = None) -> np.ndarray:
+            return _color_phase(fresh, self.labels[fresh - lo], members,
+                                colors[members - lo], R, i, taint)
+
+        def outside(a: int, b: int) -> bool:
+            """Whether the window has class-i nodes off [a, b)."""
+            return bool((classes[:a] == i).any() or (classes[b:] == i).any())
+
         if i < self.top_class:
-            return run(0, size)
+            fresh = run(0, size)
+            return fresh, color(fresh)
         (slo, shi), stage = self.serves, ruling_stage_rounds(R, i)
+        # a status reads the class-i nodes within `settle`, so a run's are
+        # exact but within `settle` of a cut end
+        settle = stage + 13 * R - 13
         cone = class_phase_rounds(R, i) + stage + 2 * R
+        rho = _first_color_radius(R, i)
+        while rho + settle < cone:
+            a = max(slo - rho - settle - lo, 0)
+            b = min(shi + rho + settle - lo + 1, size)
+            fresh = run(a, b)
+            # statuses are exact on [slo - rho, shi + rho], so newcomers in
+            # [first, last] have the whole window's neighbours within 9R - 1
+            first = slo - rho + reach if a else self.lo
+            last = shi + rho - reach if b < size else self.hi
+            read = slice(*np.searchsorted(fresh, (slo - R + 1, shi + R)))
+            if read.start == read.stop or not outside(a, b):
+                return fresh, color(fresh)
+            if _full_width_in(fresh, first, last, R):
+                taint = (fresh < first) | (fresh > last)
+                got = color(fresh, taint)
+                if not taint[read].any():
+                    return fresh, got
+            rho *= 2
         a, b = max(slo - cone - lo, 0), min(shi + cone - lo + 1, size)
         fresh = run(a, b)
-        # a status reads the class-i nodes within `settle`, so the cone's
-        # are exact but within `settle` of a cut end, and the newcomers
-        # within 9R - 1 of a node `near` S have the whole window's status
-        settle = stage + 13 * R - 13
-        near = cone - settle - (9 * R - 1)
+        # the newcomers within 9R - 1 of a node `near` S have the whole
+        # window's status
+        near = cone - settle - reach
         if not fresh.size or _full_width_in(fresh, slo - near, shi + near, R) \
-                or not ((classes[:a] == i).any() or (classes[b:] == i).any()):
-            return fresh
+                or not outside(a, b):
+            return fresh, color(fresh)
         # the rest of the window runs in two parts, each widened by
         # `settle` and keeping its own nodes' status
         ea, eb = (a + settle if a else 0), (b - settle if b < size else size)
@@ -482,7 +533,8 @@ class EsColState:
         if eb < size:
             right = run(eb - settle, size)
             keep.append(right[right >= eb + lo])
-        return np.concatenate(keep)
+        fresh = np.concatenate(keep)
+        return fresh, color(fresh)
 
     # -- queries ---------------------------------------------------------------
 
@@ -539,6 +591,16 @@ def _class_members(vi: np.ndarray, labels: np.ndarray, committed: np.ndarray,
     return _greedy_extend(vi, labels, grown, R, 4, cap=2 * R - 1)
 
 
+def _first_color_radius(R: int, class_index: int) -> int:
+    """Radius of the first color cone a state's top class runs on around
+    the region it serves: a fifth of the class's exclusion-list round and
+    list-coloring budget, in hops of 9R - 1, rounded up.  On the windows
+    that ``scripts/locality_profile.py`` draws, the taint of a cut reaches
+    9 to 27 hops into classes 5 and 6, whose budgets are 126 and 127 hops,
+    so a wider cone is rarely needed."""
+    return (9 * R - 1) * -(-(1 + list_color_budget(class_index)) // 5)
+
+
 def _full_width_in(fresh: np.ndarray, slo: int, shi: int, R: int) -> bool:
     """Whether a newcomer in [slo, shi] has the most rank-difference
     classes a call of :func:`_color_phase` can have: 8 newcomers within
@@ -552,10 +614,12 @@ def _full_width_in(fresh: np.ndarray, slo: int, shi: int, R: int) -> bool:
 
 
 def _color_phase(phase: np.ndarray, labels: np.ndarray, sc: np.ndarray,
-                 scol: np.ndarray, R: int, class_index: int) -> np.ndarray:
+                 scol: np.ndarray, R: int, class_index: int,
+                 taint: np.ndarray | None = None) -> np.ndarray:
     """Colors of a class's newcomers ``phase``, labelled ``labels``,
     list-colored against the colors ``scol`` already committed at the
-    sorted ``sc`` within 9R-1."""
+    sorted ``sc`` within 9R-1; ``taint``, a flag per newcomer, is traced
+    through the coloring in place (see :func:`~linemeet.localengine.list_color`)."""
     if phase.size == 0:
         return np.empty(0, dtype=np.int64)
     reach = 9 * R - 1
@@ -570,7 +634,7 @@ def _color_phase(phase: np.ndarray, labels: np.ndarray, sc: np.ndarray,
     allowed[:, 0] = False
     colors, _ = list_color(PowerSubgraph(phase, labels, reach), allowed,
                            palette=class_size(class_index),
-                           base=CLASS_LO[class_index - 1])
+                           base=CLASS_LO[class_index - 1], taint=taint)
     return colors
 
 

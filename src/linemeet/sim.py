@@ -48,8 +48,11 @@ windows snapped to a tile of the class ladder's rung, so plans from nearby
 starts that read the same classes share a window whatever their sweep;
 delays only shift a plan in global time.  A state on the rung of class c
 builds classes 1..c only, the classes its queries read, and class c only
-on the cone around the member windows its queries read; the store keys it
-by (R, window, c, served region).  Only a cycle window across the seam is
+around the member windows its queries read: on the narrowest of a few
+doubling cones whose list coloring leaves every color those windows read
+free of the taint its cut starts, so each such color was computed from
+the same inputs as over the whole window, and else on the cone the
+schedule bounds.  The store keys it by (R, window, c, served region).  Only a cycle window across the seam is
 built per query; a query wider than the ladder's top rung raises
 :class:`SimError`.
 The states of a store keep at most ``STATE_BYTES`` bytes, or the store
@@ -821,9 +824,9 @@ def _snapped_window(lo: int, hi: int, R: int,
     The planner reads only the members within 2R - 1 of the center, so S
     is the union of those member windows over every center snapped to
     ``snap``, clipped like the window; it lies inside the window, as the
-    rung exceeds 2R.  The state builds class c only on the cone around S
-    that :class:`~linemeet.ruling.EsColState` derives from the schedule,
-    and is exact on S.  Clipped windows from two snaps can be the same
+    rung exceeds 2R.  The state builds class c only on a cone around S,
+    a taint-certified color cone or the schedule's (see
+    :class:`~linemeet.ruling.EsColState`), and is exact on S.  Clipped windows from two snaps can be the same
     while their S differ, so S is part of the store key as well.
     """
     need = (hi - lo) // 2

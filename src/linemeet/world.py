@@ -321,6 +321,10 @@ _PORT_BLOCK = 4096
 _BIJECTIVE_SCHEMES = (SequentialScheme, RandomInjectiveScheme,
                       UniformClassScheme)
 
+def _bijective(scheme: LabelScheme) -> bool:
+    return type(scheme) in _BIJECTIVE_SCHEMES
+
+
 # coordinates a window is labelled in at a time from a bijective scheme;
 # beside its 8 B label, a block peaks at 30 B of temporaries per coordinate
 # for random labels and 38 B for one uniform-class zone (tracemalloc)
@@ -336,8 +340,10 @@ class _LabelStore:
     """Labels of one contiguous coordinate interval [lo, hi], all distinct.
 
     ``labels[i]`` is the label at coordinate ``lo + i`` and ``ordered`` holds
-    the same labels sorted.  Both arrays are read-only and replaced, never
-    written, when the interval grows.
+    the same labels sorted, for the duplicate checks, or none when they were
+    labelled by a scheme in ``_BIJECTIVE_SCHEMES``, which cannot repeat a
+    label.  Both arrays are read-only and replaced, never written, when the
+    interval grows.
     """
 
     def __init__(self):
@@ -360,9 +366,10 @@ class _LabelStore:
         it, labelling only the coordinates it adds; False, with nothing
         labelled, for a range apart from it.
 
-        The fresh labels, sorted, and ``ordered`` are merged by one stable
-        sort, a timsort that finds the two sorted runs and merges them; the
-        merge holds a repeated label exactly when two neighbours are equal.
+        Unless the scheme is bijective, the fresh labels, sorted, and
+        ``ordered`` are merged by one stable sort, a timsort that finds the
+        two sorted runs and merges them; the merge holds a repeated label
+        exactly when two neighbours are equal.
         """
         if self.lo <= lo and hi <= self.hi:
             return True
@@ -373,13 +380,14 @@ class _LabelStore:
         left = np.arange(lo, self.lo)
         right = np.arange(self.hi + 1, hi + 1)
         fresh = scheme.labels_at(np.concatenate([left, right]))
-        ordered = np.concatenate([self.ordered, np.sort(fresh)])
-        ordered.sort(kind="stable")
-        if (ordered[1:] == ordered[:-1]).any():
-            raise WorldError("label scheme produced duplicate labels")
+        if not _bijective(scheme):
+            ordered = np.concatenate([self.ordered, np.sort(fresh)])
+            ordered.sort(kind="stable")
+            if (ordered[1:] == ordered[:-1]).any():
+                raise WorldError("label scheme produced duplicate labels")
+            self.ordered = _read_only(ordered)
         self.labels = _read_only(np.concatenate(
             [fresh[:left.size], self.labels, fresh[left.size:]]))
-        self.ordered = _read_only(ordered)
         self.lo, self.hi = min(lo, self.lo), max(hi, self.hi)
         return True
 
@@ -480,7 +488,8 @@ class World:
         labels its distinct coordinates outside the interval without storing
         them.  Newly labelled coordinates must carry labels distinct from
         each other and from every stored label, or :class:`WorldError` is
-        raised and the store is left as it was.  The result never aliases
+        raised and the store is left as it was; a bijective scheme's are
+        distinct by construction and go unchecked.  The result never aliases
         the store; :meth:`stored_labels` serves a run the store holds as a
         read-only view of it instead.
         """
@@ -502,7 +511,8 @@ class World:
         out = np.empty(uniq.shape, dtype=np.int64)
         out[inside] = store.labels[uniq[inside] - store.lo]
         fresh = self.scheme.labels_at(uniq[~inside])
-        store.check_fresh(fresh)
+        if not self._bijective:
+            store.check_fresh(fresh)
         out[~inside] = fresh
         return out[inverse].reshape(arr.shape)
 
@@ -573,7 +583,7 @@ class World:
 
     @property
     def _bijective(self) -> bool:
-        return type(self.scheme) in _BIJECTIVE_SCHEMES
+        return _bijective(self.scheme)
 
     # -- ports -------------------------------------------------------------
 

@@ -563,6 +563,27 @@ def test_list_coloring_proper_and_within_lists(inst, list_seed):
         assert c in lists[p]
 
 
+@given(bounded_degree_instances(), st.integers(0, 2**31 - 1))
+@settings(deadline=None, max_examples=60)
+def test_list_coloring_taint_matches_member_loops(list_color_reference,
+                                                  inst, seed):
+    # sequential labels sweep their palette directly, random ones run the
+    # pipeline; a few flagged members, so that a missed read shows
+    world, coords, power = inst
+    sub = subgraph(world, coords, power)
+    rng = np.random.default_rng(seed)
+    allowed = list_matrix(sub, _random_lists(sub, rng))
+    taint = rng.random(sub.members.size) < rng.uniform(0, 0.3)
+    start = taint.tolist()
+    colors, _ = list_color(sub, allowed, label_palette(sub), 1, taint)
+    want, want_taint = list_color_reference(
+        sub.members.tolist(), sub.labels.tolist(), power, allowed,
+        label_palette(sub), 1, start)
+    assert colors.tolist() == want
+    assert taint.tolist() == want_taint
+    assert all(t for t, s in zip(taint, start) if s)
+
+
 @given(bounded_degree_instances())
 @settings(deadline=None, max_examples=40)
 def test_list_coloring_round_formula(inst):

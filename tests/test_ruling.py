@@ -250,7 +250,7 @@ def test_ruling_invariants_checker_rejects_broken_builds(
     ("infinite", None, [0, 2, 9]),
     ("path", 12, [1, 9, 11]),
 ])
-def test_spacing_breach_raises_ruling_error(topology, n, members):
+def test_oracle_reports_a_spacing_breach(topology, n, members):
     # the replay oracle finds the breach, and none in the set built on the
     # host's labels
     check = verify_limited_ruling_set(range(12), members, 3, 11)
@@ -457,9 +457,11 @@ def test_a_cone_falls_back_when_its_merge_tree_is_narrower(monkeypatch):
 
     monkeypatch.setattr(ruling, "_class_members", recording)
     cone = EsColState(labels, 0, 4, top_class=5, serves=(0, 3984))
-    # the cone, then the rest of the window past the cone's exact part,
-    # which holds the cluster alone
-    assert universes == [250, 12]
+    # three color cones (910, 1,820 and 3,640 past S), which hold no
+    # newcomer of 8 classes, the cone, then the rest of the window past the
+    # cone's exact part, which holds the cluster alone
+    assert ruling._first_color_radius(4, 5) == 910
+    assert universes == [250, 250, 250, 250, 12]
     for got, want in ((cone.member_coords, full.member_coords),
                       (cone.member_classes, full.member_classes),
                       (cone.member_colors, full.member_colors)):

@@ -30,3 +30,20 @@ def test_delay_profile_reports_its_peak(capsys, tmp_path, monkeypatch):
         f"peak normalized time {float(ratio):.2f} at D={peak['D']} "
         f"tau={peak['tau']} (t={peak['t_rdv']})",
     ]
+
+
+def test_locality_profile_certifies_a_tiny_sample(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    locality_profile = importlib.import_module("locality_profile")
+    assert locality_profile.main(["--windows", "1", "--spacings", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:2] == ["class", "R"]
+    rows = {int(line.split()[0]): line.split() for line in lines[1:-1]}
+    assert sorted(rows) == [3, 4, 5, 6]
+    # one window per class at R = 1: classes 3 and 4 hold their few labels
+    # in every window, classes 5 and 6 are cut and certified
+    for c, row in rows.items():
+        outcomes = [int(x) for x in row[2:6]]
+        assert sum(outcomes) == 1 and (outcomes[3] == 1) == (c < 5)
+    assert lines[-1] == ("every taint-certified state serves its "
+                         "whole-window records")

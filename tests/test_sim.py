@@ -1606,7 +1606,7 @@ def served_records(state, region=None):
 
 @st.composite
 def cone_cases(draw):
-    """(topology, scheme, n, center, L): random, uniform-class-4 or -5
+    """(topology, scheme, n, center, L, R): random, uniform-class-4 or -5
     labels, or random labels with 1-3 small explicit labels within R of the
     center, on the line or on a path or cycle whose end may clip the
     windows, and the smallest sweep radius, plus up to R, at which a
@@ -1645,13 +1645,13 @@ def cone_cases(draw):
     assume(topology == "infinite" or center >= L)
     n = None if topology == "infinite" else \
         center + L + 1 + draw(st.integers(0, 2 * L))
-    return topology, scheme, n, center, L
+    return topology, scheme, n, center, L, R
 
 
 @given(cone_cases())
 @settings(deadline=None, max_examples=25)
 def test_cone_states_are_the_full_build_in_the_region_they_serve(case):
-    topology, scheme, n, center, L = case
+    topology, scheme, n, center, L, _ = case
     world = make_world(topology, scheme, n=n)
     coords = np.arange(center - L, center + L + 1)
     labels = world.labels_at(coords % n if topology == "cycle" else coords)
@@ -1678,15 +1678,76 @@ def test_cone_states_are_the_full_build_in_the_region_they_serve(case):
     for p in range(slo, shi + 1, max(1, (shi - slo) // 16)):
         if log_star(int(state.labels[p - wlo])) <= top:
             assert state.output_for(p) == full.output_for(p)
-    # the top class ran first on its nodes within the cone of the served
-    # region, and on the rest of the window only when that cone's coloring
-    # could be narrower
-    cone = class_phase_rounds(R, top) + ruling_stage_rounds(R, top) + 2 * R
+    # the top class ran first on its nodes within rho + settle of the
+    # served region, rho doubling from the first color radius while the
+    # colors S reads were tainted, then on the schedule cone, and on the
+    # rest of the window only when that cone's coloring could be narrower
+    stage = ruling_stage_rounds(R, top)
+    settle = stage + 13 * R - 13
+    cone = class_phase_rounds(R, top) + stage + 2 * R
+    radii, rho = [], ruling._first_color_radius(R, top)
+    while rho + settle < cone:
+        radii.append(rho + settle)
+        rho *= 2
+    radii.append(cone)
     nodes = np.flatnonzero(label_classes(state.labels) == top) + wlo
     ran = [vi for cls, vi in universes if cls == top]
-    assert np.array_equal(ran[0], nodes[(nodes >= slo - cone)
-                                        & (nodes <= shi + cone)])
-    assert len(ran) <= 3
+    assert len(ran) <= len(radii) + 2
+    for vi, r in zip(ran, radii):
+        assert np.array_equal(vi, nodes[(nodes >= slo - r) & (nodes <= shi + r)])
+
+
+@st.composite
+def certified_cases(draw):
+    """(labels, wlo, R, top, serves): the store window of a sweep drawn by
+    :func:`cone_cases`, or an R = 1 window of sequential labels on a path
+    or cycle, as finite hosts build them, whose rung is class 4's or 5's."""
+    if draw(st.booleans()):
+        topology, scheme, n, center, L, R = draw(cone_cases())
+    else:
+        topology, scheme, R = draw(st.sampled_from(["path", "cycle"])), \
+            "sequential", 1
+        L = phase_end_round(1, draw(st.sampled_from([4, 5]))) \
+            + draw(st.integers(0, 1))
+        n = draw(st.integers(2 * L, 8192))
+        center = draw(st.integers(0, n - 1))
+    world = make_world(topology, scheme, n=n)
+    bounds = world.scheme.span() if n is None else (0, n - 1)
+    wlo, whi, top, slo, shi = sim._snapped_window(center - L, center + L, R,
+                                                  bounds)
+    return world.window_labels(wlo, whi), wlo, R, top, (slo, shi)
+
+
+@given(certified_cases(), st.integers(1, 24))
+@settings(deadline=None, max_examples=20)
+def test_taint_certified_states_serve_the_schedule_cone_records(
+        color_taint_checks, case, hops):
+    # a first color cone of a few hops of 9R - 1 puts the cut, and the
+    # taint it starts, close to the colors S reads
+    labels, wlo, R, top, serves = case
+    with pytest.MonkeyPatch.context() as mp, color_taint_checks() as calls:
+        mp.setattr(ruling, "_first_color_radius",
+                   lambda R, c: hops * (9 * R - 1))
+        certified = EsColState(labels, wlo, R, top_class=top, serves=serves)
+        # no color cone is narrower than the schedule cone
+        mp.setattr(ruling, "_first_color_radius", lambda R, c: 1 << 62)
+        scheduled = EsColState(labels, wlo, R, top_class=top, serves=serves)
+    assert served_records(certified) == served_records(scheduled)
+    slo, shi = serves
+    for p in range(slo, shi + 1):
+        if log_star(int(labels[p - wlo])) <= top:
+            assert certified.output_for(p) == scheduled.output_for(p)
+    # a newcomer that starts unflagged is one of the whole window's, with
+    # the whole window's newcomers within 9R - 1
+    full = EsColState(labels, wlo, R, top_class=top)
+    whole = full.member_coords[full.member_classes == top]
+    reach = 9 * R - 1
+    for members, taint in calls:
+        for x in members[~taint]:
+            near = (x - reach, x + reach + 1)
+            i, j = np.searchsorted(members, near)
+            a, b = np.searchsorted(whole, near)
+            assert members[i:j].tolist() == whole[a:b].tolist(), x
 
 
 class TestFiniteStateStore:
@@ -1852,10 +1913,17 @@ class TestFiniteStateStore:
             assert state.top_class == top
             assert lookup(center - needs[top], center + needs[top],
                           1) is state
-            keep = full.member_classes <= top
-            assert np.array_equal(state.member_coords,
+            # the classes below the top one everywhere, the top one where
+            # the state serves it
+            slo, shi = state.serves
+            inside = (full.member_coords >= slo) & (full.member_coords <= shi)
+            keep = (full.member_classes < top) \
+                | (full.member_classes == top) & inside
+            ours = (state.member_classes < top) \
+                | (state.member_coords >= slo) & (state.member_coords <= shi)
+            assert np.array_equal(state.member_coords[ours],
                                   full.member_coords[keep])
-            assert np.array_equal(state.member_colors,
+            assert np.array_equal(state.member_colors[ours],
                                   full.member_colors[keep])
         # at L = 32 the class-2 label at the center activates R = 1 alone,
         # and either state gives the plan of the sweep window
