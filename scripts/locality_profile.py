@@ -1,24 +1,29 @@
 #!/usr/bin/env python3
 """Profile how far list-coloring taint reaches into a state's color cone.
 
-A stored ruling state builds its top class c first on the class-c nodes
-within rho + settle of the region S it serves (see
-:class:`linemeet.ruling.EsColState`).  The newcomers whose neighbours within
-9R - 1 reach past the exact statuses of that cut start tainted, the taint
-spreads through every read of the list coloring, and rho doubles until no
-color that S reads is tainted.  For each class with nodes and each spacing
-R, this builds the states of a few windows on the class's rung and prints:
+A stored ruling state builds its top class c in growth steps around the
+region S it serves (see :class:`linemeet.ruling.EsColState`): step k runs
+on the class-c nodes within rho_k + settle of S, rho doubling from step to
+step.  The newcomers whose neighbours within 9R - 1 reach past the exact
+statuses of a cut start tainted, the taint spreads through every read of
+the list coloring, and the loop stops once no color that S reads is
+tainted, or once a step holds every class-c node of the window.  For each
+class with nodes and each spacing R, this builds the states of a few
+windows on the class's rung and prints:
 
-- how many took the first color cone, how many rebuilt on a wider one, how
-  many fell back to the schedule cone, and how many held every class-c node
-  of their window, so that no cut was made;
-- the certified color radius of every cut: how many hops of 9R - 1 past the
-  edge of the exact statuses the taint reached, against the first cone's
-  radius and the class's coloring budget, 1 + list_color_budget(c) hops.
+- how many builds a step certified, the first or a later one, how many
+  grew to the whole window after cutting it, and how many needed no cut:
+  their first step held every class-c node of the window, or S reads no
+  class-c newcomer;
+- the certified color radius of every cut: how many hops of 9R - 1 past
+  the edge of its own step's exact statuses the taint reached, against the
+  first step's radius and the class's coloring budget,
+  1 + list_color_budget(c) hops.
 
-Every state is also compared with the whole-window build of the same
-window, which the schedule cone reproduces in S: the script exits 1 if a
-member that a record in S reads, or a record in S, differs.
+Classes 3 and 4 are never cut: they hold 2 and 12 labels, and every
+window drawn here holds them all.  Every state is also compared with the
+whole-window build of the same window: the script exits 1 if a member
+that a record in S reads, or a record in S, differs.
 
     python scripts/locality_profile.py [--windows 3] [--spacings 1,4,16,64]
 """
@@ -31,8 +36,7 @@ import numpy as np
 
 from linemeet import ruling, sim
 from linemeet.logstar import CLASS_COUNT, class_size, log_star
-from linemeet.ruling import (EsColState, class_phase_rounds,
-                             list_color_budget, ruling_stage_rounds)
+from linemeet.ruling import EsColState, list_color_budget
 from linemeet.world import make_world
 
 # the scheme whose windows hold many nodes of each class; uniform-class
@@ -42,43 +46,45 @@ SCHEMES = {3: "uniform-logstar-class:3:{}", 4: "uniform-logstar-class:4:{}",
 
 
 class Recorder:
-    """Counts the runs of one build's top class and keeps each
-    taint-carrying coloring as (runs before it, newcomers, final taint)."""
+    """Records one build's top-class growth steps: the exact newcomer range
+    (first, last) of each step that tests for a full-width newcomer, each
+    taint-carrying coloring with its step's range, and whether the build's
+    last coloring carried taint."""
 
     def __init__(self):
-        self.top, self.runs, self.colorings = 0, 0, []
-        self.members, self.color = ruling._class_members, ruling._color_phase
+        self.full_width = ruling._full_width_in
+        self.color = ruling._color_phase
 
-    def class_members(self, vi, labels, committed, R, class_index):
-        self.runs += class_index == self.top
-        return self.members(vi, labels, committed, R, class_index)
+    def full_width_in(self, fresh, first, last, R):
+        self.steps.append((first, last))
+        return self.full_width(fresh, first, last, R)
 
     def color_phase(self, phase, labels, sc, scol, R, class_index,
                     taint=None):
         got = self.color(phase, labels, sc, scol, R, class_index, taint)
-        if taint is not None:
-            self.colorings.append((self.runs - 1, phase, taint.copy()))
+        if class_index == self.top:
+            self.tainted = taint is not None
+            if self.tainted:
+                self.colorings.append((*self.steps[-1], phase, taint.copy()))
         return got
 
     def build(self, labels, wlo, R, c, serves):
-        self.top, self.runs, self.colorings = c, 0, []
-        ruling._class_members = self.class_members
+        self.top, self.steps, self.colorings, self.tainted = c, [], [], False
+        ruling._full_width_in = self.full_width_in
         ruling._color_phase = self.color_phase
         try:
             return EsColState(labels, wlo, R, top_class=c, serves=serves)
         finally:
-            ruling._class_members = self.members
+            ruling._full_width_in = self.full_width
             ruling._color_phase = self.color
 
-
-def attempts(R: int, c: int) -> int:
-    """Color cones tried before the schedule cone."""
-    stage = ruling_stage_rounds(R, c)
-    settle, cone = stage + 13 * R - 13, class_phase_rounds(R, c) + stage + 2 * R
-    rho, k = ruling._first_color_radius(R, c), 0
-    while rho + settle < cone:
-        rho, k = 2 * rho, k + 1
-    return k
+    def outcome(self) -> str:
+        """first, rebuilt, whole or uncut: a step certified the build's
+        colors, the first or a later one, or its last step needed no
+        certificate, after a cut or without one."""
+        if self.tainted:
+            return "first" if len(self.steps) == 1 else "rebuilt"
+        return "whole" if self.steps else "uncut"
 
 
 def read_members(state, lo, hi, c):
@@ -93,10 +99,9 @@ def read_members(state, lo, hi, c):
 def profile(c: int, R: int, windows: int, rng) -> tuple[dict, list, int]:
     """(outcome counts, cut depths in hops, differing states) of class c's
     rung at spacing R over ``windows`` drawn windows."""
-    outcomes = dict.fromkeys(("first", "rebuilt", "schedule", "uncut"), 0)
+    outcomes = dict.fromkeys(("first", "rebuilt", "whole", "uncut"), 0)
     depths, wrong = [], 0
     recorder, reach = Recorder(), 9 * R - 1
-    rho0, k = ruling._first_color_radius(R, c), attempts(R, c)
     need = R + ruling.phase_end_round(R, c)
     for w in range(windows):
         world = make_world("infinite", SCHEMES[c].format(w))
@@ -107,17 +112,13 @@ def profile(c: int, R: int, windows: int, rng) -> tuple[dict, list, int]:
             center - need, center + need, R, world.scheme.span())
         labels = world.window_labels(wlo, whi)
         state = recorder.build(labels, wlo, R, top, (slo, shi))
-        if recorder.runs > k:
-            outcomes["schedule"] += 1
-        elif recorder.colorings:
-            outcomes["first" if recorder.runs == 1 else "rebuilt"] += 1
-        else:
-            outcomes["uncut"] += 1
+        outcomes[recorder.outcome()] += 1
         mid = (slo + shi) // 2
-        for before, phase, taint in recorder.colorings:
-            rho = rho0 << before
-            for edge, side in ((slo - rho, phase < mid),
-                               (shi + rho, phase >= mid)):
+        # at a cut, a step's statuses are exact up to reach short of first
+        # and last
+        for first, last, phase, taint in recorder.colorings:
+            for edge, side in ((first - reach, phase < mid),
+                               (last + reach, phase >= mid)):
                 hit = np.abs(phase[taint & side] - edge)
                 if hit.size:
                     depths.append(int(hit.max()) / reach)
@@ -141,7 +142,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rng = np.random.default_rng(args.seed)
     wrong = 0
-    print("class     R  first rebuilt schedule uncut  "
+    print("class     R  first rebuilt whole uncut  "
           "certified hops min/median/max  first cone  budget")
     for c in sorted(SCHEMES):
         budget = 1 + list_color_budget(c)
@@ -151,7 +152,7 @@ def main(argv=None) -> int:
             spread = (f"{min(depths):5.1f} {statistics.median(depths):5.1f} "
                       f"{max(depths):5.1f}" if depths else f"{'-':>17}")
             print(f"{c:5d} {R:5d}  {outcomes['first']:5d} "
-                  f"{outcomes['rebuilt']:7d} {outcomes['schedule']:8d} "
+                  f"{outcomes['rebuilt']:7d} {outcomes['whole']:5d} "
                   f"{outcomes['uncut']:5d}  {spread:>30}  "
                   f"{ruling._first_color_radius(R, c) // (9 * R - 1):10d}  "
                   f"{budget:6d}")

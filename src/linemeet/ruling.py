@@ -368,38 +368,30 @@ class EsColState:
 
     ``serves`` = (slo, shi) within the window is the region S whose records
     the state must hold; the default is the whole window.  Classes below
-    ``top_class`` run over the whole window, but ``top_class`` = c runs
-    only on its nodes around S.  Its schedule cone,
-    ``class_phase_rounds(R, c) + ruling_stage_rounds(R, c) + 2R`` around S,
-    is exact in S: a class-c member's status reads the class-c nodes
-    within the ruling stages, the merge scan and four extension passes,
-    ``settle`` = ruling_stage_rounds + 13R - 13, of it, and its color reads
-    the newcomers within (9R - 1) list-coloring rounds of it, so every
-    record in S, members within R - 1 of it included, reads class-c nodes
-    within the cone alone.  List coloring has one more input, the number of
-    rank-difference classes of the whole call, dd (see
-    :func:`~linemeet.localengine.list_color`), which is at most 8, as
-    newcomers lie R apart.
+    ``top_class`` run over the whole window, but ``top_class`` = c grows
+    around S in steps.  Step k runs class c on its nodes within rho_k +
+    ``settle`` of S, clipped to the window, rho_0 being
+    :func:`_first_color_radius` and rho doubling each step.  A class-c
+    member's status reads the class-c nodes within the ruling stages, the
+    merge scan and four extension passes, ``settle`` = ruling_stage_rounds
+    + 13R - 13, of it, so a step's statuses are exact on its range less
+    ``settle`` at each cut that is not a window end, its exact part.  A
+    later step keeps the last step's members on that part and runs only
+    its two new flanks, each widened by ``settle`` into it and keeping its
+    own side; a step with no exact part runs whole.
 
-    Colors rarely read that far, so class c first runs on its nodes within
-    rho + settle of S, whose statuses are exact on [slo - rho, shi + rho],
-    with rho starting at :func:`_first_color_radius`, and its list coloring
-    carries taint.  A newcomer starts tainted when its neighbours within
-    9R - 1 reach past those exact statuses at a cut that is not a window
-    end, and a value is tainted once it reads a tainted one.  A taint-free
+    The list coloring of a step carries taint.  A newcomer starts tainted
+    when its neighbours within 9R - 1 reach past the exact statuses at a
+    cut, and a value is tainted once it reads a tainted one.  A taint-free
     color was computed from the same inputs as in the whole window's call,
-    as long as dd is shared, which it is when an untainted newcomer has 8
-    rank-difference classes.  So the run keeps its newcomers when no color
-    that S reads is tainted and such a newcomer exists, when it holds every
-    class-c node of the window, or when S reads no class-c newcomer;
-    otherwise rho doubles.  Once rho + settle reaches the schedule cone,
-    the cone keeps its newcomers when it holds every class-c node of the
-    window, when it has none, or when one of them has 8 classes while its
-    neighbours' status is exact (it lies within ``class_phase_rounds(R, c)
-    - 20R + 14`` of S), as the whole window's call then has 8 too.
-    Otherwise class c runs over the rest of the window as well, in two
-    parts that overlap the cone's exact status by ``settle``, and colors
-    the whole window's newcomers.  A class-c record outside S raises
+    as long as both calls share their one call-wide input, the number dd
+    of rank-difference classes (see
+    :func:`~linemeet.localengine.list_color`), which is at most 8, as
+    newcomers lie R apart; an untainted newcomer with 8 classes settles
+    it.  So a step is kept when S reads no class-c newcomer, when it holds
+    every class-c node of the window, or when such a newcomer exists and
+    no color that S reads is tainted; otherwise rho doubles.  The whole
+    window is thus the last step.  A class-c record outside S raises
     ``RulingError``, built or not, and the class-c members a state keeps
     outside S may differ from the whole window's.
 
@@ -463,13 +455,11 @@ class EsColState:
 
         Below ``top_class`` class i runs over the whole window.  At
         ``top_class`` it runs on its nodes within rho + ``settle`` of S,
-        rho starting at :func:`_first_color_radius` and doubling until the
-        colors S reads are taint-free and the call shares the whole
-        window's rank-difference classes, which makes them the whole
-        window's colors; then on the schedule cone, unless that cone leaves
-        out nodes of the class and its newcomers could list-color on fewer
-        rank-difference classes than the whole window's (see the class
-        docstring).
+        rho starting at :func:`_first_color_radius` and doubling, each step
+        rerunning only the flanks the last one cut, until the step holds
+        every class-i node of the window or the colors S reads are
+        taint-free with the whole window's rank-difference classes (see the
+        class docstring).
         """
         R, lo, size, reach = self.R, self.lo, classes.size, 9 * self.R - 1
 
@@ -485,29 +475,41 @@ class EsColState:
             return _color_phase(fresh, self.labels[fresh - lo], members,
                                 colors[members - lo], R, i, taint)
 
-        def outside(a: int, b: int) -> bool:
-            """Whether the window has class-i nodes off [a, b)."""
-            return bool((classes[:a] == i).any() or (classes[b:] == i).any())
-
         if i < self.top_class:
             fresh = run(0, size)
             return fresh, color(fresh)
-        (slo, shi), stage = self.serves, ruling_stage_rounds(R, i)
-        # a status reads the class-i nodes within `settle`, so a run's are
-        # exact but within `settle` of a cut end
-        settle = stage + 13 * R - 13
-        cone = class_phase_rounds(R, i) + stage + 2 * R
-        rho = _first_color_radius(R, i)
-        while rho + settle < cone:
+        slo, shi = self.serves
+        # a status reads the class-i nodes within `settle`, so a step's are
+        # exact on [ea, eb), its range less `settle` at each cut
+        settle = ruling_stage_rounds(R, i) + 13 * R - 13
+        rho, ea, eb = _first_color_radius(R, i), 0, 0
+        while True:
             a = max(slo - rho - settle - lo, 0)
             b = min(shi + rho + settle - lo + 1, size)
-            fresh = run(a, b)
-            # statuses are exact on [slo - rho, shi + rho], so newcomers in
-            # [first, last] have the whole window's neighbours within 9R - 1
-            first = slo - rho + reach if a else self.lo
-            last = shi + rho - reach if b < size else self.hi
+            # the first step, or one after a step with no exact part,
+            # runs whole
+            if ea >= eb:
+                fresh = run(a, b)
+            else:
+                # the last step's members stand on its exact part, and each
+                # new flank, widened by `settle`, keeps its own side
+                keep = [fresh[(fresh >= ea + lo) & (fresh < eb + lo)]]
+                if ea:
+                    left = run(a, ea + settle)
+                    keep.insert(0, left[left < ea + lo])
+                if eb < size:
+                    right = run(eb - settle, b)
+                    keep.append(right[right >= eb + lo])
+                fresh = np.concatenate(keep)
+            ea, eb = (a + settle if a else 0), (b - settle if b < size else size)
+            # newcomers in [first, last] have the whole window's neighbours
+            # within 9R - 1
+            first = ea + reach + lo if a else self.lo
+            last = eb - reach - 1 + lo if b < size else self.hi
             read = slice(*np.searchsorted(fresh, (slo - R + 1, shi + R)))
-            if read.start == read.stop or not outside(a, b):
+            # S reads no newcomer, or the step holds every class-i node
+            if read.start == read.stop or not (
+                    (classes[:a] == i).any() or (classes[b:] == i).any()):
                 return fresh, color(fresh)
             if _full_width_in(fresh, first, last, R):
                 taint = (fresh < first) | (fresh > last)
@@ -515,26 +517,6 @@ class EsColState:
                 if not taint[read].any():
                     return fresh, got
             rho *= 2
-        a, b = max(slo - cone - lo, 0), min(shi + cone - lo + 1, size)
-        fresh = run(a, b)
-        # the newcomers within 9R - 1 of a node `near` S have the whole
-        # window's status
-        near = cone - settle - reach
-        if not fresh.size or _full_width_in(fresh, slo - near, shi + near, R) \
-                or not outside(a, b):
-            return fresh, color(fresh)
-        # the rest of the window runs in two parts, each widened by
-        # `settle` and keeping its own nodes' status
-        ea, eb = (a + settle if a else 0), (b - settle if b < size else size)
-        keep = [fresh[(fresh >= ea + lo) & (fresh < eb + lo)]]
-        if ea:
-            left = run(0, ea + settle)
-            keep.insert(0, left[left < ea + lo])
-        if eb < size:
-            right = run(eb - settle, size)
-            keep.append(right[right >= eb + lo])
-        fresh = np.concatenate(keep)
-        return fresh, color(fresh)
 
     # -- queries ---------------------------------------------------------------
 
@@ -592,12 +574,12 @@ def _class_members(vi: np.ndarray, labels: np.ndarray, committed: np.ndarray,
 
 
 def _first_color_radius(R: int, class_index: int) -> int:
-    """Radius of the first color cone a state's top class runs on around
+    """Radius rho of the first step a state's top class runs on around
     the region it serves: a fifth of the class's exclusion-list round and
     list-coloring budget, in hops of 9R - 1, rounded up.  On the windows
     that ``scripts/locality_profile.py`` draws, the taint of a cut reaches
     9 to 27 hops into classes 5 and 6, whose budgets are 126 and 127 hops,
-    so a wider cone is rarely needed."""
+    so a later step is rarely needed."""
     return (9 * R - 1) * -(-(1 + list_color_budget(class_index)) // 5)
 
 

@@ -48,12 +48,12 @@ windows snapped to a tile of the class ladder's rung, so plans from nearby
 starts that read the same classes share a window whatever their sweep;
 delays only shift a plan in global time.  A state on the rung of class c
 builds classes 1..c only, the classes its queries read, and class c only
-around the member windows its queries read: on the narrowest of a few
-doubling cones whose list coloring leaves every color those windows read
-free of the taint its cut starts, so each such color was computed from
-the same inputs as over the whole window, and else on the cone the
-schedule bounds.  The store keys it by (R, window, c, served region).  Only a cycle window across the seam is
-built per query; a query wider than the ladder's top rung raises
+around the member windows its queries read: on a run around them that
+grows in doubling steps until its list coloring leaves every color those
+windows read free of the taint its cuts start, so each such color was
+computed from the same inputs as over the whole window, or until it
+holds the whole window.  The store keys it by (R, window, c, served
+region).  Only a cycle window across the seam is built per query; a query wider than the ladder's top rung raises
 :class:`SimError`.
 The states of a store keep at most ``STATE_BYTES`` bytes, or the store
 holds its newest state alone.
@@ -778,7 +778,7 @@ class SimTrace:
 # bytes that the states of one store keep at most, unless its newest state
 # alone keeps more (EsColState.nbytes): a stored state keeps its labels and
 # its members, which on a random-label rung-6 window come to 13 B per node
-# at R = 1, where every class-6 node of the cone is a member, and 8.3 B at
+# at R = 1, where every class-6 node a build runs on is a member, and 8.3 B at
 # R = 16, so 15 MiB hold about 1.2M R = 1 nodes
 STATE_BYTES = 15 << 20
 
@@ -824,10 +824,11 @@ def _snapped_window(lo: int, hi: int, R: int,
     The planner reads only the members within 2R - 1 of the center, so S
     is the union of those member windows over every center snapped to
     ``snap``, clipped like the window; it lies inside the window, as the
-    rung exceeds 2R.  The state builds class c only on a cone around S,
-    a taint-certified color cone or the schedule's (see
-    :class:`~linemeet.ruling.EsColState`), and is exact on S.  Clipped windows from two snaps can be the same
-    while their S differ, so S is part of the store key as well.
+    rung exceeds 2R.  The state builds class c only on a run around S,
+    grown until taint certifies the colors S reads or the run holds the
+    whole window (see :class:`~linemeet.ruling.EsColState`), and is exact
+    on S.  Clipped windows from two snaps can be the same while their S
+    differ, so S is part of the store key as well.
     """
     need = (hi - lo) // 2
     top = next((c for c in range(1, CLASS_COUNT + 1)
@@ -856,8 +857,8 @@ class _StateStore:
     :func:`_snapped_window`), clipped to the host: [0, n - 1] on a path or
     cycle, the scheme's ``span()`` on the infinite line.  The state holds
     classes 1..c, c being the class of the window's rung, which is all the
-    query reads, and class c only on the cone around the region [slo, shi]
-    the window serves.  Such a window holds the scheme's own labels on every
+    query reads, and class c only on a run around the region [slo, shi]
+    the window serves, grown until taint certifies what that region reads.  Such a window holds the scheme's own labels on every
     topology, so worlds with one scheme share one store and each window is
     built once for all of them.  A cycle window across the seam holds
     labels that depend on n, so it is built exactly, per query, with every

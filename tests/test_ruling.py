@@ -434,8 +434,9 @@ def test_a_cone_state_refuses_what_it_did_not_build():
 def test_a_cone_falls_back_when_its_merge_tree_is_narrower(monkeypatch):
     # 250 class-5 labels 16 apart at R = 4 are 250 newcomers of 2
     # rank-difference classes (see the list coloring test of that name);
-    # 12 more 4 apart, 8,000 coordinates past them and past the cone of
-    # [0, 3984] (4,640 at R = 4), give the whole window's coloring 8
+    # 12 more 4 apart, 8,000 coordinates past them and past the schedule's
+    # bound on what [0, 3984] reads (4,640 at R = 4), give the whole
+    # window's coloring 8
     labels = 100000 + np.arange(12100, dtype=np.int64)  # class 6
     sparse = np.arange(250) * 16
     cluster = sparse[-1] + 8000 + np.arange(12) * 4
@@ -445,7 +446,7 @@ def test_a_cone_falls_back_when_its_merge_tree_is_narrower(monkeypatch):
     full = EsColState(labels, 0, 4, top_class=5)
     assert np.array_equal(full.member_coords,
                           np.concatenate((sparse, cluster)))
-    # the cone alone would color 124 of the 250 otherwise
+    # a run without the cluster would color 124 of the 250 otherwise
     short = EsColState(labels[:9000], 0, 4, top_class=5)
     assert int((short.member_colors != full.member_colors[:250]).sum()) == 124
     universes = []
@@ -457,11 +458,11 @@ def test_a_cone_falls_back_when_its_merge_tree_is_narrower(monkeypatch):
 
     monkeypatch.setattr(ruling, "_class_members", recording)
     cone = EsColState(labels, 0, 4, top_class=5, serves=(0, 3984))
-    # three color cones (910, 1,820 and 3,640 past S), which hold no
-    # newcomer of 8 classes, the cone, then the rest of the window past the
-    # cone's exact part, which holds the cluster alone
+    # the first step, 910 past S, holds no newcomer of 8 classes; later
+    # steps run only their flanks, and only the right flank that reaches
+    # the cluster has class-5 nodes
     assert ruling._first_color_radius(4, 5) == 910
-    assert universes == [250, 250, 250, 250, 12]
+    assert universes == [250, 12]
     for got, want in ((cone.member_coords, full.member_coords),
                       (cone.member_classes, full.member_classes),
                       (cone.member_colors, full.member_colors)):

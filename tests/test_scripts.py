@@ -5,6 +5,8 @@ import importlib
 from fractions import Fraction
 from pathlib import Path
 
+from linemeet import ruling
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -35,15 +37,21 @@ def test_delay_profile_reports_its_peak(capsys, tmp_path, monkeypatch):
 def test_locality_profile_certifies_a_tiny_sample(capsys, monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     locality_profile = importlib.import_module("locality_profile")
-    assert locality_profile.main(["--windows", "1", "--spacings", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[:2] == ["class", "R"]
-    rows = {int(line.split()[0]): line.split() for line in lines[1:-1]}
-    assert sorted(rows) == [3, 4, 5, 6]
     # one window per class at R = 1: classes 3 and 4 hold their few labels
-    # in every window, classes 5 and 6 are cut and certified
-    for c, row in rows.items():
-        outcomes = [int(x) for x in row[2:6]]
-        assert sum(outcomes) == 1 and (outcomes[3] == 1) == (c < 5)
-    assert lines[-1] == ("every taint-certified state serves its "
-                         "whole-window records")
+    # in every window, classes 5 and 6 are cut and certified at their first
+    # step, or at a later one when the first color cone is one hop
+    for certified in ([1, 0, 0, 0], [0, 1, 0, 0]):
+        if certified[1]:
+            monkeypatch.setattr(ruling, "_first_color_radius",
+                                lambda R, c: 9 * R - 1)
+        assert locality_profile.main(["--windows", "1", "--spacings", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[:6] == ["class", "R", "first", "rebuilt",
+                                        "whole", "uncut"]
+        rows = {int(line.split()[0]): line.split() for line in lines[1:-1]}
+        assert sorted(rows) == [3, 4, 5, 6]
+        for c, row in rows.items():
+            assert [int(x) for x in row[2:6]] == \
+                ([0, 0, 0, 1] if c < 5 else certified)
+        assert lines[-1] == ("every taint-certified state serves its "
+                             "whole-window records")

@@ -43,7 +43,7 @@ from linemeet.agent import (
 from linemeet.logstar import (CLASS_COUNT, CLASS_HI, CLASS_LO, label_classes,
                               log_star)
 from linemeet.reference import searching_walk, z_walk
-from linemeet.ruling import (EsColState, class_phase_rounds, phase_end_round,
+from linemeet.ruling import (EsColState, phase_end_round,
                              ruling_stage_rounds, termination_radius)
 from linemeet.world import (
     ExplicitScheme,
@@ -1648,6 +1648,46 @@ def cone_cases(draw):
     return topology, scheme, n, center, L, R
 
 
+def record_class_runs(mp):
+    """The list that each ruling class run appends its (class, universe)
+    to once ``mp`` patches ``ruling._class_members`` to record them."""
+    universes = []
+    honest = ruling._class_members
+
+    def recording(vi, labels, committed, R, class_index):
+        universes.append((class_index, vi))
+        return honest(vi, labels, committed, R, class_index)
+
+    mp.setattr(ruling, "_class_members", recording)
+    return universes
+
+
+def growth_runs(nodes, state, rho):
+    """Each run list that a state's top class can make, one per number of
+    growth steps: the class's nodes ``nodes`` within rho + settle of the
+    served region, clipped to the window, and then, with rho doubling,
+    the two flanks past the last step's exact part, each widened by
+    ``settle``, or the whole step when that part is empty.  A run with no
+    node is not made."""
+    R, lo, hi, (slo, shi) = state.R, state.lo, state.hi, state.serves
+    settle = ruling_stage_rounds(R, state.top_class) + 13 * R - 13
+
+    def within(a, b):
+        return nodes[(nodes >= a) & (nodes < b)].tolist()
+
+    done, ea, eb = [[]], lo, lo
+    while True:
+        a, b = max(slo - rho - settle, lo), min(shi + rho + settle + 1, hi + 1)
+        step = [within(a, b)] if ea >= eb else \
+            [within(a, ea + settle)] * (ea > lo) \
+            + [within(eb - settle, b)] * (eb <= hi)
+        done.append(done[-1] + [run for run in step if run])
+        if (a, b) == (lo, hi + 1):
+            return done[1:]
+        ea, eb = (a + settle if a > lo else lo), (b - settle if b <= hi else b)
+        rho *= 2
+
+
 @given(cone_cases())
 @settings(deadline=None, max_examples=25)
 def test_cone_states_are_the_full_build_in_the_region_they_serve(case):
@@ -1656,15 +1696,8 @@ def test_cone_states_are_the_full_build_in_the_region_they_serve(case):
     coords = np.arange(center - L, center + L + 1)
     labels = world.labels_at(coords % n if topology == "cycle" else coords)
     store = sim._StateStore()
-    universes = []
-    honest = ruling._class_members
-
-    def recording(vi, labels, committed, R, class_index):
-        universes.append((class_index, vi))
-        return honest(vi, labels, committed, R, class_index)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ruling, "_class_members", recording)
+        universes = record_class_runs(mp)
         plan = plan_iteration(labels, center - L, center, L,
                               es_lookup=store.lookup(world))
     # the full sweep window's plan is the oracle
@@ -1678,23 +1711,10 @@ def test_cone_states_are_the_full_build_in_the_region_they_serve(case):
     for p in range(slo, shi + 1, max(1, (shi - slo) // 16)):
         if log_star(int(state.labels[p - wlo])) <= top:
             assert state.output_for(p) == full.output_for(p)
-    # the top class ran first on its nodes within rho + settle of the
-    # served region, rho doubling from the first color radius while the
-    # colors S reads were tainted, then on the schedule cone, and on the
-    # rest of the window only when that cone's coloring could be narrower
-    stage = ruling_stage_rounds(R, top)
-    settle = stage + 13 * R - 13
-    cone = class_phase_rounds(R, top) + stage + 2 * R
-    radii, rho = [], ruling._first_color_radius(R, top)
-    while rho + settle < cone:
-        radii.append(rho + settle)
-        rho *= 2
-    radii.append(cone)
+    # the top class ran its growth steps from the first color radius
     nodes = np.flatnonzero(label_classes(state.labels) == top) + wlo
-    ran = [vi for cls, vi in universes if cls == top]
-    assert len(ran) <= len(radii) + 2
-    for vi, r in zip(ran, radii):
-        assert np.array_equal(vi, nodes[(nodes >= slo - r) & (nodes <= shi + r)])
+    ran = [vi.tolist() for cls, vi in universes if cls == top]
+    assert ran in growth_runs(nodes, state, ruling._first_color_radius(R, top))
 
 
 @st.composite
@@ -1720,26 +1740,27 @@ def certified_cases(draw):
 
 @given(certified_cases(), st.integers(1, 24))
 @settings(deadline=None, max_examples=20)
-def test_taint_certified_states_serve_the_schedule_cone_records(
+def test_taint_certified_states_serve_the_whole_window_records(
         color_taint_checks, case, hops):
     # a first color cone of a few hops of 9R - 1 puts the cut, and the
-    # taint it starts, close to the colors S reads
+    # taint it starts, close to the colors S reads, so steps rerun flanks
     labels, wlo, R, top, serves = case
     with pytest.MonkeyPatch.context() as mp, color_taint_checks() as calls:
         mp.setattr(ruling, "_first_color_radius",
                    lambda R, c: hops * (9 * R - 1))
+        universes = record_class_runs(mp)
         certified = EsColState(labels, wlo, R, top_class=top, serves=serves)
-        # no color cone is narrower than the schedule cone
-        mp.setattr(ruling, "_first_color_radius", lambda R, c: 1 << 62)
-        scheduled = EsColState(labels, wlo, R, top_class=top, serves=serves)
-    assert served_records(certified) == served_records(scheduled)
+    full = EsColState(labels, wlo, R, top_class=top)
+    assert served_records(certified) == served_records(full, serves)
     slo, shi = serves
     for p in range(slo, shi + 1):
         if log_star(int(labels[p - wlo])) <= top:
-            assert certified.output_for(p) == scheduled.output_for(p)
+            assert certified.output_for(p) == full.output_for(p)
+    nodes = np.flatnonzero(label_classes(labels) == top) + wlo
+    ran = [vi.tolist() for cls, vi in universes if cls == top]
+    assert ran in growth_runs(nodes, certified, hops * (9 * R - 1))
     # a newcomer that starts unflagged is one of the whole window's, with
     # the whole window's newcomers within 9R - 1
-    full = EsColState(labels, wlo, R, top_class=top)
     whole = full.member_coords[full.member_classes == top]
     reach = 9 * R - 1
     for members, taint in calls:
