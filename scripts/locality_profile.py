@@ -20,8 +20,9 @@ windows on the class's rung and prints:
   first step's radius and the class's coloring budget,
   1 + list_color_budget(c) hops.
 
-Classes 3 and 4 are never cut: they hold 2 and 12 labels, and every
-window drawn here holds them all.  Every state is also compared with the
+Classes 3 and 4 hold 2 and 12 labels, so their windows hold random
+labels with the class's labels planted (see :func:`planted`), some of
+them past the first step.  Every state is also compared with the
 whole-window build of the same window: the script exits 1 if a member
 that a record in S reads, or a record in S, differs.
 
@@ -35,21 +36,22 @@ import sys
 import numpy as np
 
 from linemeet import ruling, sim
-from linemeet.logstar import CLASS_COUNT, class_size, log_star
+from linemeet.logstar import (CLASS_COUNT, CLASS_HI, CLASS_LO, class_size,
+                              log_star)
 from linemeet.ruling import EsColState, list_color_budget
 from linemeet.world import make_world
 
-# the scheme whose windows hold many nodes of each class; uniform-class
-# labels fill the zigzag coordinates closest to the origin with the class
-SCHEMES = {3: "uniform-logstar-class:3:{}", 4: "uniform-logstar-class:4:{}",
+# the scheme whose windows hold many nodes of each class, or, for classes
+# 3 and 4, the random labels that their labels are planted into
+SCHEMES = {3: "random-injective:{}", 4: "random-injective:{}",
            5: "uniform-logstar-class:5:{}", 6: "random-injective:{}"}
 
 
 class Recorder:
     """Records one build's top-class growth steps: the exact newcomer range
     (first, last) of each step that tests for a full-width newcomer, each
-    taint-carrying coloring with its step's range, and whether the build's
-    last coloring carried taint."""
+    coloring that such a newcomer lets taint certify, with its step's range
+    and taint, and whether the build's last coloring was one."""
 
     def __init__(self):
         self.full_width = ruling._full_width_in
@@ -57,19 +59,20 @@ class Recorder:
 
     def full_width_in(self, fresh, first, last, R):
         self.steps.append((first, last))
-        return self.full_width(fresh, first, last, R)
+        self.certifying = self.full_width(fresh, first, last, R)
+        return self.certifying
 
-    def color_phase(self, phase, labels, sc, scol, R, class_index,
-                    taint=None):
+    def color_phase(self, phase, labels, sc, scol, R, class_index, taint):
         got = self.color(phase, labels, sc, scol, R, class_index, taint)
         if class_index == self.top:
-            self.tainted = taint is not None
+            self.tainted, self.certifying = self.certifying, False
             if self.tainted:
                 self.colorings.append((*self.steps[-1], phase, taint.copy()))
         return got
 
     def build(self, labels, wlo, R, c, serves):
-        self.top, self.steps, self.colorings, self.tainted = c, [], [], False
+        self.top, self.steps, self.colorings = c, [], []
+        self.tainted = self.certifying = False
         ruling._full_width_in = self.full_width_in
         ruling._color_phase = self.color_phase
         try:
@@ -85,6 +88,20 @@ class Recorder:
         if self.tainted:
             return "first" if len(self.steps) == 1 else "rebuilt"
         return "whole" if self.steps else "uncut"
+
+
+def planted(labels, c, wlo, center, R, rng):
+    """The window's random labels with class c's labels planted: up to 9
+    of them R apart from the center on, where a newcomer can have 8
+    rank-difference classes, and the rest at random coordinates of the
+    window.  Random labels of class c or below move above 10**9."""
+    out = np.where(labels <= CLASS_HI[c - 1], labels + 10**9, labels)
+    values = np.arange(CLASS_LO[c - 1], CLASS_HI[c - 1] + 1)
+    run = center + R * np.arange(min(9, values.size - 1)) - wlo
+    rest = rng.choice(np.setdiff1d(np.arange(out.size), run),
+                      values.size - run.size, replace=False)
+    out[np.concatenate((run, rest))] = values
+    return out
 
 
 def read_members(state, lo, hi, c):
@@ -111,6 +128,9 @@ def profile(c: int, R: int, windows: int, rng) -> tuple[dict, list, int]:
         wlo, whi, top, slo, shi = sim._snapped_window(
             center - need, center + need, R, world.scheme.span())
         labels = world.window_labels(wlo, whi)
+        if c < 5:
+            labels = planted(labels, c, wlo, center, R,
+                             np.random.default_rng([c, R, w]))
         state = recorder.build(labels, wlo, R, top, (slo, shi))
         outcomes[recorder.outcome()] += 1
         mid = (slo + shi) // 2

@@ -236,8 +236,7 @@ def _three_color(slots: np.ndarray, init_colors: np.ndarray, palette: int,
 
 def _three_color_classes(labels: np.ndarray, classes: np.ndarray,
                          init_colors: np.ndarray, palette: int,
-                         taint: np.ndarray | None = None
-                         ) -> tuple[np.ndarray, int]:
+                         taint: np.ndarray) -> tuple[np.ndarray, int]:
     """3-color every class's (nA, nB) graph on the same members in one run.
 
     ``classes`` stacks the (nA, nB) rank pairs, shape (classes, 2, members).
@@ -251,11 +250,10 @@ def _three_color_classes(labels: np.ndarray, classes: np.ndarray,
     slots = _by_label(labels, *np.asarray(classes).swapaxes(0, 1))  # (2, k, m)
     shift = np.arange(0, k * m, m, dtype=np.int64)[:, None]
     slots = np.where(slots >= 0, slots + shift, -1).reshape(2, k * m)
-    flags = None if taint is None else np.append(taint.ravel(), False)
+    flags = np.append(taint.ravel(), False)
     colors, rounds = _three_color(slots, np.tile(init_colors, k), palette,
                                   flags)
-    if taint is not None:
-        taint[...] = flags[:-1].reshape(k, m)
+    taint[...] = flags[:-1].reshape(k, m)
     return colors.reshape(k, m), rounds
 
 
@@ -352,7 +350,7 @@ def _runs(values: np.ndarray) -> list[tuple[int, int]]:
 
 def _pick(held: np.ndarray, order: np.ndarray, keys: np.ndarray,
           lists: np.ndarray, rows: np.ndarray,
-          taint: np.ndarray | None = None) -> np.ndarray:
+          taint: np.ndarray) -> np.ndarray:
     """Pick list colors class by class, in place on ``held``; returns every
     member rank's color.
 
@@ -369,8 +367,7 @@ def _pick(held: np.ndarray, order: np.ndarray, keys: np.ndarray,
     """
     cols = np.ascontiguousarray(np.take(rows, order, axis=0).T)
     for a, b in _runs(keys):
-        if taint is not None:
-            taint[order[a:b]] |= taint[cols[:, a:b]].any(axis=0)
+        taint[order[a:b]] |= taint[cols[:, a:b]].any(axis=0)
         free = lists[a:b] & ~np.bitwise_or.reduce(held[cols[:, a:b]], axis=0)
         held[order[a:b]] = free & -free
     empty = np.flatnonzero(held[:-1] == 0)
@@ -381,7 +378,7 @@ def _pick(held: np.ndarray, order: np.ndarray, keys: np.ndarray,
 
 def _sweep_reduce(colors: np.ndarray, palette: int | np.ndarray,
                   target: int | np.ndarray, rows: np.ndarray,
-                  taint: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+                  taint: np.ndarray) -> tuple[np.ndarray, int]:
     """Recolor classes target..palette-1 to the smallest free color < target.
 
     One round per class, highest first, occurring or not; the picks run
@@ -400,10 +397,9 @@ def _sweep_reduce(colors: np.ndarray, palette: int | np.ndarray,
     flat = colors.ravel()
     order = todo[np.argsort(flat[todo], kind="stable")][::-1]
     lists = np.broadcast_to((np.int64(1) << target) - 1, colors.shape)
-    flags = None if taint is None else np.append(taint.ravel(), False)
+    flags = np.append(taint.ravel(), False)
     out = _pick(held, order, flat[order], lists.ravel()[order], rows, flags)
-    if taint is not None:
-        taint[...] = flags[:-1].reshape(colors.shape)
+    taint[...] = flags[:-1].reshape(colors.shape)
     return out.reshape(colors.shape), max(0, int(np.max(palette - target)))
 
 
@@ -433,8 +429,7 @@ def _stacked_neighbors(classes: np.ndarray,
 
 
 def _merge_tree(colors3: np.ndarray, classes: np.ndarray,
-                taint: np.ndarray | None = None
-                ) -> tuple[np.ndarray, int, int]:
+                taint: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Merge the classes' 3-colorings pairwise into one proper coloring.
 
     Row j of ``colors3`` 3-colors class j.  Each tree level pairs adjacent
@@ -459,16 +454,14 @@ def _merge_tree(colors3: np.ndarray, classes: np.ndarray,
         prod = work[0:2 * pairs:2] * palettes[1:2 * pairs:2, None] \
             + work[1:2 * pairs:2]
         pp = palettes[0:2 * pairs:2] * palettes[1:2 * pairs:2]
-        if taint is not None:
-            flags = np.vstack((flags[0:2 * pairs:2] | flags[1:2 * pairs:2],
-                               flags[2 * pairs:]))
+        flags = np.vstack((flags[0:2 * pairs:2] | flags[1:2 * pairs:2],
+                           flags[2 * pairs:]))
         merged = [(spans[2 * a][0], spans[2 * a + 1][1]) for a in range(pairs)]
         if len(spans) > 2:
             target = np.array([2 * (hi - lo) + 1 for lo, hi in merged])
             prod, level = _sweep_reduce(prod, pp[:, None], target[:, None],
                                         _stacked_neighbors(classes, merged),
-                                        None if taint is None
-                                        else flags[:pairs])
+                                        flags[:pairs])
             rounds += level
             pp = target
         if len(spans) % 2:
@@ -476,8 +469,7 @@ def _merge_tree(colors3: np.ndarray, classes: np.ndarray,
             pp = np.append(pp, palettes[-1])
             merged.append(spans[-1])
         work, palettes, spans = prod, pp, merged
-    if taint is not None:
-        taint[0] = flags[0]
+    taint[0] = flags[0]
     return work[0], int(palettes[0]), rounds
 
 
@@ -510,7 +502,7 @@ def _merge_schedule_cost(dd: int) -> int:
 
 def _final_assign(colors: np.ndarray, palette: int, rows: np.ndarray,
                   allowed: np.ndarray,
-                  taint: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+                  taint: np.ndarray) -> tuple[np.ndarray, int]:
     """Give every member a list color, sweeping proper-color classes in order.
 
     ``allowed[i, c]`` says whether color c (below ``MAX_LIST_COLORS``) is on
@@ -523,10 +515,9 @@ def _final_assign(colors: np.ndarray, palette: int, rows: np.ndarray,
         allowed.shape[1], dtype=np.int64))
     order = np.argsort(colors, kind="stable")
     held = np.zeros(colors.size + 1, dtype=np.int64)
-    flags = None if taint is None else np.append(taint, False)
+    flags = np.append(taint, False)
     out = _pick(held, order, colors[order], lists[order], rows, flags)
-    if taint is not None:
-        taint[:] = flags[:-1]
+    taint[:] = flags[:-1]
     return out, palette
 
 
@@ -564,9 +555,15 @@ def list_color(sub: PowerSubgraph, allowed: np.ndarray, palette: int,
     join the call 8,000 coordinates away.  A caller that colors part of a
     universe gets the whole universe's colors only where both calls have
     the same dd.
+
+    Every call traces ``taint``, a flag per member, all clear by default:
+    in place, a member's flag is set once its color reads a flagged value,
+    and the colors never depend on it.
     """
     sub.require_degree(16)
     m = sub.members.size
+    if taint is None:
+        taint = np.zeros(m, dtype=bool)
     if allowed.ndim != 2 or allowed.shape[0] != m:
         raise EngineError(
             f"allowed-color matrix of shape {allowed.shape} for {m} members")
@@ -592,13 +589,12 @@ def list_color(sub: PowerSubgraph, allowed: np.ndarray, palette: int,
         # small palettes: sweep the shifted label coloring directly
         work, work_palette = init, palette
     else:
-        copies = None if taint is None else np.tile(taint, (len(classes), 1))
+        copies = np.tile(taint, (len(classes), 1))
         colors3, rounds = _three_color_classes(sub.labels, classes, init,
                                                palette, copies)
         work, work_palette, merge_rounds = _merge_tree(colors3, classes,
                                                        copies)
-        if taint is not None:
-            taint[:] = copies[0]
+        taint[:] = copies[0]
         rounds += merge_rounds
     rows = _stacked_neighbors(classes, [(0, len(classes))])
     colors, r = _final_assign(work, work_palette, rows, allowed, taint)

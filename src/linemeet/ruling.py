@@ -354,8 +354,8 @@ class EsColState:
     each class builds its own ruling set, drops members within R-1 of the
     committed set, runs four greedy-extension iterations, and list-colors
     the newcomers against the colors already committed within 9R-1.  Stored
-    by (R, window, class, served region); per-node records are assembled on demand by
-    ``output_for``.  A node's record is trustworthy when the window
+    by (R, window, class, served region); per-node records are assembled on
+    demand by ``output_for``.  A node's record is trustworthy when the window
     contains its whole termination-radius ball (`window_certifies`), which
     is exactly when truncating the window further cannot change it.
 
@@ -367,31 +367,32 @@ class EsColState:
     ``CLASS_COUNT`` classes.
 
     ``serves`` = (slo, shi) within the window is the region S whose records
-    the state must hold; the default is the whole window.  Classes below
-    ``top_class`` run over the whole window, but ``top_class`` = c grows
-    around S in steps.  Step k runs class c on its nodes within rho_k +
-    ``settle`` of S, clipped to the window, rho_0 being
-    :func:`_first_color_radius` and rho doubling each step.  A class-c
-    member's status reads the class-c nodes within the ruling stages, the
-    merge scan and four extension passes, ``settle`` = ruling_stage_rounds
-    + 13R - 13, of it, so a step's statuses are exact on its range less
-    ``settle`` at each cut that is not a window end, its exact part.  A
-    later step keeps the last step's members on that part and runs only
-    its two new flanks, each widened by ``settle`` into it and keeping its
-    own side; a step with no exact part runs whole.
+    the state must hold; the default is the whole window.  Every class is
+    built one way, around the region it serves: ``top_class`` = c serves S,
+    and a class below it serves the whole window.  Step k runs class i on
+    its nodes within rho_k + ``settle`` of its region, clipped to the
+    window, rho_0 being :func:`_first_color_radius` and rho doubling each
+    step; a step that holds every class-i node of the window is the window.
+    A class-i member's status reads the class-i nodes within the ruling
+    stages, the merge scan and four extension passes, ``settle`` =
+    ruling_stage_rounds + 13R - 13, of it, so a step's statuses are exact
+    on its range less ``settle`` at each cut that is not a window end, its
+    exact part.  A later step keeps the last step's members on that part
+    and runs only its two new flanks, each widened by ``settle`` into it
+    and keeping its own side; a step with no exact part runs whole.
 
-    The list coloring of a step carries taint.  A newcomer starts tainted
+    Every step's list coloring carries taint.  A newcomer starts tainted
     when its neighbours within 9R - 1 reach past the exact statuses at a
-    cut, and a value is tainted once it reads a tainted one.  A taint-free
-    color was computed from the same inputs as in the whole window's call,
-    as long as both calls share their one call-wide input, the number dd
-    of rank-difference classes (see
+    cut, so the window starts none, and a value is tainted once it reads a
+    tainted one.  A taint-free color was computed from the same inputs as
+    in the whole window's call, as long as both calls share their one
+    call-wide input, the number dd of rank-difference classes (see
     :func:`~linemeet.localengine.list_color`), which is at most 8, as
     newcomers lie R apart; an untainted newcomer with 8 classes settles
-    it.  So a step is kept when S reads no class-c newcomer, when it holds
-    every class-c node of the window, or when such a newcomer exists and
-    no color that S reads is tainted; otherwise rho doubles.  The whole
-    window is thus the last step.  A class-c record outside S raises
+    it.  So a step is kept when its region reads no class-i newcomer, when
+    it is the window, or when such a newcomer exists and no color that the
+    region reads is tainted; otherwise rho doubles.  A class below c thus
+    keeps its first step, the window.  A class-c record outside S raises
     ``RulingError``, built or not, and the class-c members a state keeps
     outside S may differ from the whole window's.
 
@@ -439,8 +440,10 @@ class EsColState:
         colors = np.zeros(labels.size, dtype=np.uint8)
         members = np.empty(0, dtype=np.int64)
         for i in range(1, self.top_class + 1):
-            # empty classes still hold their schedule slot
-            fresh, got = self._fresh(classes, i, members, colors)
+            # empty classes still hold their schedule slot, and a class
+            # below the top serves the whole window
+            serves = self.serves if i == self.top_class else (lo, self.hi)
+            fresh, got = self._fresh(classes, i, members, colors, serves)
             colors[fresh - lo] = got
             # fresh members lie >= R from the committed set
             members = np.sort(np.concatenate((members, fresh)))
@@ -449,17 +452,16 @@ class EsColState:
         self.member_colors = colors[members - lo]
 
     def _fresh(self, classes: np.ndarray, i: int, members: np.ndarray,
-               colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               colors: np.ndarray, serves: tuple[int, int]
+               ) -> tuple[np.ndarray, np.ndarray]:
         """The members class i adds to the committed set ``members``, and
-        their colors against the committed ``colors``.
-
-        Below ``top_class`` class i runs over the whole window.  At
-        ``top_class`` it runs on its nodes within rho + ``settle`` of S,
-        rho starting at :func:`_first_color_radius` and doubling, each step
-        rerunning only the flanks the last one cut, until the step holds
-        every class-i node of the window or the colors S reads are
-        taint-free with the whole window's rank-difference classes (see the
-        class docstring).
+        their colors against the committed ``colors``, exact on the region
+        ``serves``: class i grows around it from rho =
+        :func:`_first_color_radius`, each step rerunning only the flanks the
+        last one cut and coloring with taint, until the region reads no
+        class-i newcomer, the step is the window, or the colors the region
+        reads are taint-free with the whole window's rank-difference
+        classes (see the class docstring).
         """
         R, lo, size, reach = self.R, self.lo, classes.size, 9 * self.R - 1
 
@@ -470,15 +472,7 @@ class EsColState:
             grown = _class_members(at + lo, self.labels[at], members, R, i)
             return grown[classes[grown - lo] == i]
 
-        def color(fresh: np.ndarray,
-                  taint: np.ndarray | None = None) -> np.ndarray:
-            return _color_phase(fresh, self.labels[fresh - lo], members,
-                                colors[members - lo], R, i, taint)
-
-        if i < self.top_class:
-            fresh = run(0, size)
-            return fresh, color(fresh)
-        slo, shi = self.serves
+        slo, shi = serves
         # a status reads the class-i nodes within `settle`, so a step's are
         # exact on [ea, eb), its range less `settle` at each cut
         settle = ruling_stage_rounds(R, i) + 13 * R - 13
@@ -486,6 +480,10 @@ class EsColState:
         while True:
             a = max(slo - rho - settle - lo, 0)
             b = min(shi + rho + settle - lo + 1, size)
+            # a step that holds every class-i node of the window is the
+            # window, with the same runs
+            if not ((classes[:a] == i).any() or (classes[b:] == i).any()):
+                a, b = 0, size
             # the first step, or one after a step with no exact part,
             # runs whole
             if ea >= eb:
@@ -503,17 +501,17 @@ class EsColState:
                 fresh = np.concatenate(keep)
             ea, eb = (a + settle if a else 0), (b - settle if b < size else size)
             # newcomers in [first, last] have the whole window's neighbours
-            # within 9R - 1
+            # within 9R - 1, and the others start tainted
             first = ea + reach + lo if a else self.lo
             last = eb - reach - 1 + lo if b < size else self.hi
+            taint = (fresh < first) | (fresh > last)
             read = slice(*np.searchsorted(fresh, (slo - R + 1, shi + R)))
-            # S reads no newcomer, or the step holds every class-i node
-            if read.start == read.stop or not (
-                    (classes[:a] == i).any() or (classes[b:] == i).any()):
-                return fresh, color(fresh)
-            if _full_width_in(fresh, first, last, R):
-                taint = (fresh < first) | (fresh > last)
-                got = color(fresh, taint)
+            # the region reads no newcomer, the step is the window, or an
+            # untainted newcomer settles the rank-difference classes
+            if read.start == read.stop or (a, b) == (0, size) \
+                    or _full_width_in(fresh, first, last, R):
+                got = _color_phase(fresh, self.labels[fresh - lo], members,
+                                   colors[members - lo], R, i, taint)
                 if not taint[read].any():
                     return fresh, got
             rho *= 2
@@ -597,7 +595,7 @@ def _full_width_in(fresh: np.ndarray, slo: int, shi: int, R: int) -> bool:
 
 def _color_phase(phase: np.ndarray, labels: np.ndarray, sc: np.ndarray,
                  scol: np.ndarray, R: int, class_index: int,
-                 taint: np.ndarray | None = None) -> np.ndarray:
+                 taint: np.ndarray) -> np.ndarray:
     """Colors of a class's newcomers ``phase``, labelled ``labels``,
     list-colored against the colors ``scol`` already committed at the
     sorted ``sc`` within 9R-1; ``taint``, a flag per newcomer, is traced

@@ -47,16 +47,16 @@ scheme, whatever their topology, share one store of ruling states over
 windows snapped to a tile of the class ladder's rung, so plans from nearby
 starts that read the same classes share a window whatever their sweep;
 delays only shift a plan in global time.  A state on the rung of class c
-builds classes 1..c only, the classes its queries read, and class c only
-around the member windows its queries read: on a run around them that
-grows in doubling steps until its list coloring leaves every color those
-windows read free of the taint its cuts start, so each such color was
-computed from the same inputs as over the whole window, or until it
-holds the whole window.  The store keys it by (R, window, c, served
-region).  Only a cycle window across the seam is built per query; a query wider than the ladder's top rung raises
-:class:`SimError`.
-The states of a store keep at most ``STATE_BYTES`` bytes, or the store
-holds its newest state alone.
+builds classes 1..c only, the classes its queries read, each by one rule:
+grown in doubling steps around the region it serves, with every list
+coloring tainted where a cut reaches, until the colors that region reads
+are taint-free, so each was computed from the same inputs as over the
+whole window, or until a step holds the whole window.  Class c serves the
+member windows its queries read, a lower class the whole window.  The
+store keys a state by (R, window, c, served region).  A cycle window
+across the seam is the same build, unstored; a query wider than the
+ladder's top rung raises :class:`SimError`.  The states of a store keep
+at most ``STATE_BYTES`` bytes, or the store holds its newest state alone.
 Worlds are keyed by topology, size, seed and scheme: a string scheme by its
 spec, a ``LabelScheme`` object by identity, so such objects must be
 deterministic.  Only the ``WORLD_SLOTS`` most recently used worlds are kept.
@@ -855,18 +855,19 @@ class _StateStore:
 
     A query is served the state of its snapped window (see
     :func:`_snapped_window`), clipped to the host: [0, n - 1] on a path or
-    cycle, the scheme's ``span()`` on the infinite line.  The state holds
-    classes 1..c, c being the class of the window's rung, which is all the
-    query reads, and class c only on a run around the region [slo, shi]
-    the window serves, grown until taint certifies what that region reads.  Such a window holds the scheme's own labels on every
-    topology, so worlds with one scheme share one store and each window is
-    built once for all of them.  A cycle window across the seam holds
-    labels that depend on n, so it is built exactly, per query, with every
-    class, and never looked up.  The newest state is always stored, and
-    the least recently used are dropped while its states keep more than
+    cycle, the scheme's ``span()`` on the infinite line.  It holds classes
+    1..c of the window's rung, all the query reads, class c built around
+    the region [slo, shi] the window serves (see :class:`EsColState`).
+    Such a window holds the scheme's own labels on every topology, so
+    worlds with one scheme share one store and each window is built once
+    for all of them.  A cycle window across the seam holds labels that
+    depend on n: it is the same build of the query's own window, class c
+    serving the members within 2R - 1 of its center, made per query and
+    never stored.  The newest state is always stored, and the least
+    recently used are dropped while its states keep more than
     ``STATE_BYTES`` bytes (:attr:`EsColState.nbytes`) and it holds more
-    than one.  States hold labels and no host, so the store
-    keeps no ``World`` alive.
+    than one.  States hold labels and no host, so the store keeps no
+    ``World`` alive.
     """
 
     def __init__(self):
@@ -880,21 +881,21 @@ class _StateStore:
         n = world.n
         bounds = world.scheme.span() if n is None else (0, n - 1)
 
-        def build(lo: int, hi: int, R: int, top_class: int,
-                  serves: tuple[int, int] | None) -> EsColState:
-            return EsColState(world.window_labels(lo, hi), lo, R,
-                              top_class=top_class, serves=serves)
-
         def lookup(lo: int, hi: int, R: int) -> EsColState:
             if n is not None and (lo < 0 or hi >= n):
-                return build(lo, hi, R, CLASS_COUNT, None)
+                # the query's own window, serving its center's members
+                center = (lo + hi) // 2
+                return EsColState(world.window_labels(lo, hi), lo, R,
+                                  _snapped_window(lo, hi, R, None)[2],
+                                  (center - 2 * R + 1, center + 2 * R - 1))
             key = (R, *_snapped_window(lo, hi, R, bounds))
             state = self.states.get(key)
             if state is not None:
                 self.states.move_to_end(key)
                 return state
             wlo, whi, top, slo, shi = key[1:]
-            state = self.states[key] = build(wlo, whi, R, top, (slo, shi))
+            state = self.states[key] = EsColState(
+                world.window_labels(wlo, whi), wlo, R, top, (slo, shi))
             self.nbytes += state.nbytes
             while self.nbytes > STATE_BYTES and len(self.states) > 1:
                 _, old = self.states.popitem(last=False)

@@ -1,6 +1,7 @@
 """A per-test time limit, checkers of the ruling-set stage invariants and of
-the list coloring's taint, and broken ruling-set constructions that the
-locality oracle must reject."""
+the list coloring's taint, broken ruling-set constructions that the
+locality oracle must reject, and the planted-label scheme that test
+modules import."""
 
 import contextlib
 import dataclasses
@@ -13,6 +14,7 @@ from linemeet import ruling
 from linemeet.localengine import _merge_schedule_cost, three_color_rounds
 from linemeet.logstar import ceil_log2
 from linemeet.ruling import EsColState, verify_limited_ruling_set
+from linemeet.world import LabelScheme, parse_scheme, zigzag_array
 
 # seconds one test may run; a stalled loop fails its test instead of
 # hanging the suite (tier-1 takes about half a minute in all)
@@ -38,6 +40,32 @@ def time_limit():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+class PlantedScheme(LabelScheme):
+    """Random labels up to 1e9 with small labels planted at coordinates.
+
+    ``plants`` maps coordinates to distinct labels; a random label equal to
+    a planted one moves above 1e9.  A plant keeps the landmark search
+    affordable: without one every window is top-class.  A custom scheme
+    object: runs on it are cached by object identity.
+    """
+
+    name = "planted"
+
+    def __init__(self, seed: int, plants: dict[int, int]):
+        self._base = parse_scheme(f"random-injective:{seed}:1000000000")
+        self._coords = np.array(list(plants), dtype=np.int64)
+        self._values = np.array(list(plants.values()), dtype=np.int64)
+
+    def labels_at(self, coords: np.ndarray) -> np.ndarray:
+        coords = np.asarray(coords)
+        out = self._base.labels_at(coords)
+        out = np.where(np.isin(out, self._values),
+                       10**9 + zigzag_array(coords) + 1, out)
+        for coord, value in zip(self._coords, self._values):
+            out = np.where(coords == coord, value, out)
+        return out
 
 
 @pytest.fixture

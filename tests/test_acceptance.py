@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import PlantedScheme
 from linemeet import sim
 from linemeet.agent import iteration_start_round, searching_walk_segments
 from linemeet.cli import main as cli_main
@@ -33,12 +34,7 @@ from linemeet.ruling import (
 )
 from linemeet.reference import searching_walk
 from linemeet.sim import AgentPlan, SimConfig, run
-from linemeet.world import (
-    LabelScheme,
-    make_world,
-    parse_scheme,
-    zigzag_array,
-)
+from linemeet.world import make_world
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -81,29 +77,6 @@ def test_careful_walk_meets_in_every_alignment(capsys):
                 t0, budget=1.0)
 
 
-class PlantedScheme(LabelScheme):
-    """Pseudorandom huge labels with one small label forced near a start.
-
-    The plant keeps the landmark search affordable; without it every window
-    is top-class and the search horizon dwarfs the check budget.
-    """
-
-    name = "planted"
-
-    def __init__(self, seed: int, coord: int, value: int):
-        self._base = parse_scheme(f"random-injective:{seed}:1000000000")
-        self._coord = int(coord)
-        self._value = int(value)
-
-    def labels_at(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords)
-        out = self._base.labels_at(coords)
-        # displaced above the base range if it collides with the plant
-        out = np.where(out == self._value,
-                       10**9 + zigzag_array(coords) + 1, out)
-        return np.where(coords == self._coord, self._value, out)
-
-
 # SHA-256 of the JSON list of every care-4x trial's (plain t_rdv, plain
 # event, care t_rdv, care event)
 CARE_4X_OUTCOMES_SHA256 = (
@@ -125,7 +98,7 @@ def test_care_slowdown_bounded_by_four():
         reach = min(d, 8)
         coord = int(rng.integers(-reach, reach + 1))
         value = int(rng.integers(1, 17))
-        scheme = PlantedScheme(trial, coord, value)
+        scheme = PlantedScheme(trial, {coord: value})
         plain = run(SimConfig(scheme=scheme, va=0, vb=d, tau=-(-tau // 4),
                               detection="node-or-crossing"))
         care = run(SimConfig(scheme=scheme, va=0, vb=d, tau=tau,

@@ -457,9 +457,12 @@ def test_batched_three_coloring_matches_per_class_runs(data, m, k, palette):
     init = np.array(data.draw(st.lists(st.integers(0, palette - 1),
                                        min_size=m, max_size=m)),
                     dtype=np.int64)
-    colors, rounds = _three_color_classes(labels, classes, init, palette)
+    taint = np.zeros((k, m), dtype=bool)
+    colors, rounds = _three_color_classes(labels, classes, init, palette,
+                                          taint)
     want, want_rounds = _three_color_per_class(labels, classes, init, palette)
     assert colors.shape == (k, m)
+    assert not taint.any()
     assert colors.tolist() == want.tolist()
     assert {rounds} == want_rounds == {three_color_rounds(palette)}
 
@@ -663,7 +666,8 @@ def test_final_assign_reports_an_exhausted_list():
     sub = subgraph(world, [0, 1], 1)
     allowed = np.array([[True, False], [True, False]])
     with pytest.raises(EngineError, match="list exhausted at member rank 1"):
-        _final_assign(np.array([0, 1]), 2, neighbor_rows(sub), allowed)
+        _final_assign(np.array([0, 1]), 2, neighbor_rows(sub), allowed,
+                      np.zeros(2, dtype=bool))
 
 
 def test_sweep_reduce_reports_an_exhausted_color_range():
@@ -672,7 +676,8 @@ def test_sweep_reduce_reports_an_exhausted_color_range():
     world = make_world("infinite", "sequential")
     sub = subgraph(world, [0, 1], 1)
     with pytest.raises(EngineError, match="list exhausted at member rank 1"):
-        _sweep_reduce(np.array([0, 1]), 2, 1, neighbor_rows(sub))
+        _sweep_reduce(np.array([0, 1]), 2, 1, neighbor_rows(sub),
+                      np.zeros(2, dtype=bool))
 
 
 def test_list_coloring_degree_guard():
@@ -722,12 +727,14 @@ def test_vectorized_sweeps_match_member_loops(inst, seed):
     lists = _random_lists(sub, rng)
     rows = neighbor_rows(sub)
     picks, rounds = _final_assign(colors, palette, rows,
-                                  list_matrix(sub, lists))
+                                  list_matrix(sub, lists),
+                                  np.zeros(colors.size, dtype=bool))
     ranked = [lists[int(p)] for p in sub.members]
     assert picks.tolist() == _final_assign_loop(colors, palette, rows, ranked)
     assert rounds == palette
     target = sub.max_degree + 1
-    reduced, rounds = _sweep_reduce(colors, palette, target, rows)
+    reduced, rounds = _sweep_reduce(colors, palette, target, rows,
+                                    np.zeros(colors.size, dtype=bool))
     assert reduced.tolist() == \
         _sweep_reduce_loop(colors, palette, target, rows)
     assert rounds == max(0, palette - target)
@@ -746,7 +753,8 @@ def _merge_tree_per_pair(colors3, classes):
             if len(parts) > 2:
                 union = np.column_stack([col for pair in edges for col in pair])
                 target = 2 * len(edges) + 1
-                prod, r = _sweep_reduce(prod, pp, target, union)
+                prod, r = _sweep_reduce(prod, pp, target, union,
+                                        np.zeros(prod.size, dtype=bool))
                 level = max(level, r)
                 nxt.append((prod, target, edges))
             else:
@@ -784,7 +792,8 @@ def test_stacked_merge_levels_match_per_pair_sweeps(inst, data):
     colors3 = np.array(data.draw(st.lists(
         st.lists(st.integers(0, 2), min_size=m, max_size=m),
         min_size=len(classes), max_size=len(classes))), dtype=np.int64)
-    colors, palette, rounds = _merge_tree(colors3, classes)
+    colors, palette, rounds = _merge_tree(colors3, classes,
+                                          np.zeros(colors3.shape, dtype=bool))
     want, want_palette, want_rounds = _merge_tree_per_pair(colors3, classes)
     assert colors.tolist() == want.tolist()
     assert (palette, rounds) == (want_palette, want_rounds)

@@ -37,9 +37,11 @@ def test_delay_profile_reports_its_peak(capsys, tmp_path, monkeypatch):
 def test_locality_profile_certifies_a_tiny_sample(capsys, monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     locality_profile = importlib.import_module("locality_profile")
-    # one window per class at R = 1: classes 3 and 4 hold their few labels
-    # in every window, classes 5 and 6 are cut and certified at their first
-    # step, or at a later one when the first color cone is one hop
+    # one window per class at R = 1: class 3's two planted labels lie
+    # apart, so its run grows to the whole window, class 4's run of nine
+    # certifies its first step, and classes 5 and 6 are cut and certified
+    # at their first step, or at a later one when the first color cone is
+    # one hop
     for certified in ([1, 0, 0, 0], [0, 1, 0, 0]):
         if certified[1]:
             monkeypatch.setattr(ruling, "_first_color_radius",
@@ -50,8 +52,8 @@ def test_locality_profile_certifies_a_tiny_sample(capsys, monkeypatch):
                                         "whole", "uncut"]
         rows = {int(line.split()[0]): line.split() for line in lines[1:-1]}
         assert sorted(rows) == [3, 4, 5, 6]
+        want = {3: [0, 0, 1, 0], 4: [1, 0, 0, 0], 5: certified, 6: certified}
         for c, row in rows.items():
-            assert [int(x) for x in row[2:6]] == \
-                ([0, 0, 0, 1] if c < 5 else certified)
+            assert [int(x) for x in row[2:6]] == want[c]
         assert lines[-1] == ("every taint-certified state serves its "
                              "whole-window records")

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from linemeet import reference, ruling, sim
+from conftest import PlantedScheme
+from linemeet import agent, reference, ruling, sim
 from linemeet.sim import (
     CASE_TAGS,
     CSV_COLUMNS,
@@ -1720,17 +1721,41 @@ def test_cone_states_are_the_full_build_in_the_region_they_serve(case):
 @st.composite
 def certified_cases(draw):
     """(labels, wlo, R, top, serves): the store window of a sweep drawn by
-    :func:`cone_cases`, or an R = 1 window of sequential labels on a path
-    or cycle, as finite hosts build them, whose rung is class 4's or 5's."""
-    if draw(st.booleans()):
+    :func:`cone_cases`, an R = 1 window of sequential labels on a path or
+    cycle, as finite hosts build them, whose rung is class 4's or 5's, or
+    a window of random labels on the line whose rung's class c, 3-5, has
+    only 2-4 labels planted, one in S and each next one at least 9R from
+    the last.  No class-c newcomer of the last then has 8 rank-difference
+    classes, so a step that cuts grows to hold every class-c node."""
+    kind = draw(st.sampled_from(["cone", "finite", "sparse"]))
+    if kind == "cone":
         topology, scheme, n, center, L, R = draw(cone_cases())
-    else:
+    elif kind == "finite":
         topology, scheme, R = draw(st.sampled_from(["path", "cycle"])), \
             "sequential", 1
         L = phase_end_round(1, draw(st.sampled_from([4, 5]))) \
             + draw(st.integers(0, 1))
         n = draw(st.integers(2 * L, 8192))
         center = draw(st.integers(0, n - 1))
+    else:
+        topology, n, center = "infinite", None, draw(st.integers(0, 1 << 13))
+        R, c = draw(st.sampled_from([1, 4])), draw(st.sampled_from([3, 4, 5]))
+        L = R + phase_end_round(R, c)
+        wlo, whi, _, slo, shi = sim._snapped_window(center - L, center + L,
+                                                    R, None)
+        spots = [draw(st.integers(slo, shi))]
+        for _ in range(draw(st.integers(1, 3 if c > 3 else 1))):
+            side = draw(st.sampled_from([-1, 1]))
+            spots.append((min(spots) if side < 0 else max(spots))
+                         + side * draw(st.integers(9 * R, (whi - wlo) // 2)))
+        scheme = PlantedScheme(draw(st.integers(0, 99)), {
+            p: CLASS_LO[c - 1] + k for k, p in enumerate(spots)})
+    return store_window(topology, scheme, n, center, L, R)
+
+
+def store_window(topology, scheme, n, center, L, R):
+    """(labels, wlo, R, top, serves) of the store window that serves the
+    query [center - L, center + L] at spacing R on that host."""
     world = make_world(topology, scheme, n=n)
     bounds = world.scheme.span() if n is None else (0, n - 1)
     wlo, whi, top, slo, shi = sim._snapped_window(center - L, center + L, R,
@@ -1739,6 +1764,10 @@ def certified_cases(draw):
 
 
 @given(certified_cases(), st.integers(1, 24))
+# two class-5 labels 1,000 apart in a class-5 rung window at R = 1: the
+# first step, 8 around S, cuts, and the run grows to hold both
+@example(store_window("infinite", PlantedScheme(0, {0: 17, 1000: 18}), None,
+                      0, 1 + phase_end_round(1, 5), 1), 1)
 @settings(deadline=None, max_examples=20)
 def test_taint_certified_states_serve_the_whole_window_records(
         color_taint_checks, case, hops):
@@ -1760,15 +1789,83 @@ def test_taint_certified_states_serve_the_whole_window_records(
     ran = [vi.tolist() for cls, vi in universes if cls == top]
     assert ran in growth_runs(nodes, certified, hops * (9 * R - 1))
     # a newcomer that starts unflagged is one of the whole window's, with
-    # the whole window's newcomers within 9R - 1
-    whole = full.member_coords[full.member_classes == top]
+    # the whole window's newcomers of its class within 9R - 1; each call
+    # colors one class's newcomers
     reach = 9 * R - 1
     for members, taint in calls:
+        cls = log_star(int(labels[members[0] - wlo]))
+        whole = full.member_coords[full.member_classes == cls]
         for x in members[~taint]:
             near = (x - reach, x + reach + 1)
             i, j = np.searchsorted(members, near)
             a, b = np.searchsorted(whole, near)
             assert members[i:j].tolist() == whole[a:b].tolist(), x
+
+
+@st.composite
+def seam_queries(draw):
+    """(world, start, L): a cycle of uniform class-5 labels, or of random
+    ones with 1-3 labels of classes 3-5 planted within R of the start, R in
+    {1, 4}, the start in [R, 15], and the smallest sweep radius, plus up to
+    R, at which spacing R activates there.  Every ruling window then
+    reaches below 0, across the seam, as a termination radius is at least
+    16."""
+    R = draw(st.sampled_from([1, 4]))
+    start = draw(st.integers(R, 15))
+    scheme = CLASS5
+    if draw(st.booleans()):
+        small = st.one_of(*[st.integers(CLASS_LO[c], CLASS_HI[c])
+                            for c in range(2, CLASS_COUNT - 1)])
+        plants = draw(st.lists(st.tuples(st.integers(-R, R), small),
+                               min_size=1, max_size=3,
+                               unique_by=(lambda p: p[0], lambda p: p[1])))
+        scheme = PlantedScheme(draw(st.integers(0, 99)),
+                               {start + off: label for off, label in plants})
+    near = make_world("infinite", scheme).labels_at(
+        np.arange(start - R, start + R + 1))
+    L = max(16 * R, min(abs(u) + termination_radius(int(label), R)
+                        for u, label in zip(range(-R, R + 1), near)))
+    L += draw(st.integers(0, R))
+    n = draw(st.integers(2 * L + 2, 4 * L))
+    return make_world("cycle", scheme, n=n), start, L
+
+
+@given(seam_queries())
+@settings(deadline=None, max_examples=20)
+def test_seam_states_serve_the_whole_window_records(case):
+    # the state of a query across the seam is its rung's build, unstored;
+    # a build of every class over the whole window is the oracle
+    world, start, L = case
+    labels = world.labels_at(np.arange(start - L, start + L + 1) % world.n)
+    store = sim._StateStore()
+    calls = []
+    honest = agent._landmark_plan
+
+    def recording(state, *args):
+        calls.append((state, args))
+        return honest(state, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(agent, "_landmark_plan", recording)
+        plan = plan_iteration(labels, start - L, start, L,
+                              es_lookup=store.lookup(world))
+    assert plan is not None
+    assert plan == plan_iteration(labels, start - L, start, L)
+    ((state, args),) = calls
+    R, top, (slo, shi) = state.R, state.top_class, state.serves
+    assert state.lo < 0 and not store.states
+    assert top == sim._snapped_window(state.lo, state.hi, R, None)[2]
+    assert (slo, shi) == (start - 2 * R + 1, start + 2 * R - 1)
+    full = EsColState(state.labels, state.lo, R)
+    mc = full.member_coords
+    kept = (mc >= slo) & (mc <= shi) & (full.member_classes <= top)
+    assert served_records(state) == tuple(
+        a[kept].tolist() for a in (mc, full.member_classes,
+                                   full.member_colors))
+    for p in range(slo, shi + 1):
+        if log_star(int(state.labels[p - state.lo])) <= top:
+            assert state.output_for(p) == full.output_for(p)
+    assert honest(state, *args) == honest(full, *args)
 
 
 class TestFiniteStateStore:
@@ -1853,8 +1950,9 @@ class TestFiniteStateStore:
                 assert (note.R, note.r, note.color) == (
                     (None, None, None) if oracle is None
                     else (oracle.R, oracle.r, oracle.color))
-        # a seam window holds every class over the whole window
-        assert builds.count((-1069, 1269, 1, CLASS_COUNT, None)) == 2
+        # a seam window is its rung's build, class 5 serving the members
+        # within 2R - 1 of the center
+        assert builds.count((-1069, 1269, 1, 5, (99, 101))) == 2
 
     def test_a_seam_window_is_not_served_a_path_window(self, builds):
         # the path stores a window over [4655, 6993]; on a cycle of 6000 the
@@ -2063,31 +2161,6 @@ def test_bench_size_finite_rows_are_pinned(monkeypatch):
         monkeypatch.setattr(sim, "_WORLDS", OrderedDict())
         alone += sweep(bench_size_cells((topology,)))
     assert rows_sha256(alone) == BENCH_SIZE_ROWS_SHA256
-
-
-class PlantedScheme(LabelScheme):
-    """Random labels up to 1e9 with small labels planted at coordinates.
-
-    ``plants`` maps coordinates to distinct labels; a random label equal to
-    a planted one moves above 1e9.  A custom scheme object: runs on it are
-    cached by object identity.
-    """
-
-    name = "planted"
-
-    def __init__(self, seed: int, plants: dict[int, int]):
-        self._base = parse_scheme(f"random-injective:{seed}:1000000000")
-        self._coords = np.array(list(plants), dtype=np.int64)
-        self._values = np.array(list(plants.values()), dtype=np.int64)
-
-    def labels_at(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords)
-        out = self._base.labels_at(coords)
-        out = np.where(np.isin(out, self._values),
-                       10**9 + zigzag_array(coords) + 1, out)
-        for coord, value in zip(self._coords, self._values):
-            out = np.where(coords == coord, value, out)
-        return out
 
 
 class DuplicateScheme(LabelScheme):
