@@ -19,14 +19,17 @@ trajectory as linear segments of slope -1, 0 or +1 and finds the meeting
 exactly: it merges both agents' breakpoints and solves each stretch where
 both move linearly in closed form (mod n on a cycle), from the first round
 at which their sweep radii allow contact, planning one doubling iteration
-at a time and no further than the meeting.  Endpoint ping-pong
-and cycle settling are periodic tails, so one period decides whether the
-agents ever meet.  With ``care`` set it solves the same plain segments for
-the windows where the two plain positions come within two nodes and expands
-the 4-round crossing gadget only inside them: an approach of at most 5 plain
-steps, or one step of standing still, round by round in Python integers,
-and a parallel walk, which can stay that close for a whole stretch, in
-arrays.
+at a time and no further than the meeting.  It solves only the stretches
+where the agents can touch: the gap between them is linear over a stretch,
+so its first and last values bound it, and a stretch whose range keeps the
+gap farther than 1 (2 with ``care``) from every multiple of n holds no
+meeting.  Endpoint ping-pong and cycle settling are periodic tails, so one
+period decides whether the agents ever meet.  With ``care`` set it solves
+the same plain segments for the windows where the two plain positions come
+within two nodes and expands the 4-round crossing gadget only inside them:
+an approach of at most 5 plain steps, or one step of standing still, round
+by round in Python integers, and a parallel walk, which can stay that close
+for a whole stretch, in arrays.
 
 Detection reports the meeting round, its event and the node where the
 agents meet, read off alpha's trajectory where the meeting is found, so a
@@ -353,17 +356,25 @@ class _Track:
 
         Callers hold a piece until its end and read the next one there.  A
         piece that ends at ``end()`` is read again only after the plan is
-        extended, which may continue its segment.  The cursor steps to the
-        next leg, or seeks by bisection when t lies further on, as it does
-        when detection starts at the first contact round.
+        extended, which may continue its segment.  The cursor first tries the
+        leg after the held one, which starts exactly at t when the held leg
+        has just ended; otherwise it steps to the next leg, or seeks by
+        bisection when t lies further on, as it does when detection starts
+        at the first contact round.
         """
         plan = self.plan
-        if t < self.shift:
-            return plan.start, 0, self.shift
         u = t - self.shift
+        t0s, i = plan.t0s, self._i + 1
+        last = len(t0s) - 1
+        if i <= last and t0s[i] == u:
+            # the held leg has just ended where the next one starts
+            self._i = i
+            end = t0s[i + 1] if i < last else plan.cur_t
+            return plan.x0s[i], plan.slopes[i], self.shift + end
+        if u < 0:
+            return plan.start, 0, self.shift
         if u < plan.cur_t:
-            t0s, i = plan.t0s, self._i
-            last = len(t0s) - 1
+            i = self._i
             if i < last and t0s[i + 1] <= u:
                 i += 1
                 if i < last and t0s[i + 1] <= u:
@@ -472,12 +483,31 @@ def _zero(v, wrap: int | None):
     return v % wrap == 0 if wrap else v == 0
 
 
+def _apart(u0: int, u1: int, xa: int, sa: int, xb: int, sb: int,
+           contact: int, n: int) -> bool:
+    """True when the gap xa - xb of two linear pieces stays more than
+    ``contact`` from every multiple of n over rounds u0 <= t < u1.
+
+    The gap is linear in t, so it lies between its values at u0 and at
+    u1 - 1, and the multiples of n within ``contact`` of that range are
+    those in [lo - contact, hi + contact].  A solver whose meetings need
+    the gap within ``contact`` of 0 (mod n) finds none in such a stretch.
+    """
+    lo = xa - xb
+    hi = lo + (sa - sb) * (u1 - 1 - u0)
+    if hi < lo:
+        lo, hi = hi, lo
+    return (hi + contact) // n < -((contact - lo) // n)
+
+
 def _plain_solver(wrap: int | None):
-    """Exact meetings of two linear pieces over rounds u0 <= t < u1.
+    """Exact meetings of two linear pieces over rounds u0 <= t < u1, and
+    the solver's contact c: it finds a meeting only from a round t whose
+    gap xa - xb is within c of 0 (mod wrap).
 
     Node meetings solve xa - xb = 0; a crossing at round u + 1 needs opposite
     unit slopes (mod wrap) and xa - xb = -sa at u.  Alpha's piece gives the
-    meeting node.
+    meeting node.  So the contact is 1.
     """
 
     def solve(u0, u1, xa, sa, xb, sb):
@@ -492,7 +522,7 @@ def _plain_solver(wrap: int | None):
                 return min(node, cross) if node else cross
         return node
 
-    return solve
+    return solve, 1
 
 
 def _gadget_meeting(track_a: _Track, track_b: _Track, tau: int, ks: int,
@@ -519,9 +549,10 @@ def _care_solver(tau: int, wrap: int | None, plan_a: AgentPlan,
     Care round 4k + j stands on plain position x(k) or x(k + 1), and the
     partner's on x'(k - 1), x'(k) or x'(k + 1) of its plain clock shifted by
     tau // 4.  A meeting therefore needs the plain positions within 2 at
-    step k.  Only those windows are expanded into gadget rounds.  Where both
-    agents stand still, every gadget round after the stretch's first step
-    repeats the plain positions, so only that step is expanded.
+    step k, so the solver's contact is 2, and only those windows are
+    expanded into gadget rounds.  Where both agents stand still, every
+    gadget round after the stretch's first step repeats the plain
+    positions, so only that step is expanded.
 
     A parallel walk can stay within 2 for a whole stretch, and its window
     goes through :func:`_care_positions`.  The other windows, an approach
@@ -578,7 +609,7 @@ def _care_solver(tau: int, wrap: int | None, plan_a: AgentPlan,
                 return found
         return None
 
-    return solve
+    return solve, 2
 
 
 def _covering_radius(world: World, v: int) -> float:
@@ -644,6 +675,9 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
     contact round (:func:`_first_contact`), before which the agents cannot
     meet, solving each stretch where both are linear, and extends only the
     plan that covers the shorter stretch, one doubling iteration at a time.
+    A stretch whose gap keeps farther than the solver's contact from every
+    multiple of n (:func:`_apart`) holds no meeting, so it costs a few
+    integer operations and no solver call.
     Plans still grow from round 0, so they are the same wherever the walk
     starts, and each track seeks its first piece there.  Each track keeps its
     current piece and advances it arithmetically, so a track is looked up
@@ -659,9 +693,13 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
     wrap = world.n if world.topology == "cycle" else None
     ta = _Track(plan_a, 0)
     tb = _Track(plan_b, config.tau // scale)
-    solve = (_care_solver(config.tau, wrap, plan_a, plan_b) if config.care
-             else _plain_solver(wrap))
+    solve, contact = (_care_solver(config.tau, wrap, plan_a, plan_b)
+                      if config.care else _plain_solver(wrap))
     limit = cap // scale + 1
+    # off a cycle each agent moves at most one node a step, so a gap before
+    # `limit` stays below D + 2 * limit and 0 is the only multiple of this n
+    # within a contact of it
+    n = wrap or D + 2 * limit + 2
     t, found = _first_contact(config, world, D) // scale, None
     # each track's held piece; one that ends by t is read afresh
     xa = sa = ea = xb = sb = eb = 0
@@ -682,9 +720,10 @@ def _detect(config: SimConfig, world: World, plan_a: AgentPlan,
             u1 = ea if ea < eb else eb
             if hi < u1:
                 u1 = hi
-            event = solve(t, u1, xa, sa, xb, sb)
-            if event and (found is None or event < found):
-                found = event
+            if not _apart(t, u1, xa, sa, xb, sb, contact, n):
+                event = solve(t, u1, xa, sa, xb, sb)
+                if event and (found is None or event < found):
+                    found = event
             xa += sa * (u1 - t)
             xb += sb * (u1 - t)
             t = u1
@@ -996,14 +1035,13 @@ def case_classifier(trace: SimTrace) -> str:
     if t <= cfg.tau:
         return "out-of-sync"
     scale = 4 if cfg.care else 1
-    note_a = trace.note_of("alpha", t)
+    pa, note_a = trace._decision("alpha", t)
     L = note_a.L if note_a else 1 << _iteration_index(t // scale)
     if 2 * cfg.tau >= 5 * L * scale:
         return "out-of-sync"
-    pa, pb = trace.phase_of("alpha", t), trace.phase_of("beta", t)
+    pb, nb = trace._decision("beta", t)
     if "discovery" in (pa, pb):
         return "discovery-collision"
-    nb = trace.note_of("beta", t)
     if (note_a is None or nb is None
             or note_a.phase != "searching" or nb.phase != "searching"):
         return "other"

@@ -418,6 +418,13 @@ class TestDetectionOracle:
                            care=True, detection="node-only"), data=None)
     @example(cfg=SimConfig(va=-1, vb=2, tau=7, care=True,
                            detection="node-only"), data=None)
+    # meetings at an unwrapped gap of -n (round 215) and, under care, +n
+    # (round 849): only the modular contact test keeps their stretches
+    @example(cfg=SimConfig(topology="cycle", n=12, va=4, vb=10, tau=5),
+             data=None)
+    @example(cfg=SimConfig(topology="cycle", n=12, va=9, vb=2, tau=11,
+                           scheme="random-injective:2", care=True,
+                           detection="node-only"), data=None)
     def test_matches_scan_and_reference(self, cfg, data):
         full = run(replace(cfg, round_cap=self.HORIZON))
         assert outcome(full) == scanned_outcome(full, self.HORIZON)
@@ -430,6 +437,74 @@ class TestDetectionOracle:
             ref = run(replace(capped, engine="reference"))
             assert outcome(fast) == scanned_outcome(fast, cap)
             assert_engines_agree(fast, ref)
+
+
+def stretch_modulus(wrap, length, xa, xb):
+    """The contact test's modulus for a stretch: a cycle's n, or off a
+    cycle one beyond every gap within a contact, as detection picks it."""
+    return wrap or abs(xa - xb) + 2 * length + 2
+
+
+def stretch_solvers(wrap):
+    """The plain solver and a care solver without plans, each with its
+    contact."""
+    return sim._plain_solver(wrap), sim._care_solver(0, wrap, None, None)
+
+
+class TestContactSkip:
+    """A stretch the contact test passes over holds no meeting.
+
+    Both solvers meet only where the gap xa - xb comes within their
+    contact of 0 (mod n on a cycle), and the contact test reads the gap's
+    range off the stretch's first and last rounds.  The care solver gets no plans, so
+    a skipped stretch that reached its gadget expansion would raise.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(wrap=st.none() | st.integers(3, 40), u0=st.integers(0, 1000),
+           length=st.integers(1, 300), xa=st.integers(-100, 100),
+           sa=st.sampled_from((-1, 0, 1)), xb=st.integers(-100, 100),
+           sb=st.sampled_from((-1, 0, 1)))
+    # a gap of exactly 2, which the plain solver skips
+    @example(wrap=None, u0=0, length=5, xa=2, sa=0, xb=0, sb=0)
+    # a gap of 1 closing: a crossing, kept
+    @example(wrap=None, u0=3, length=1, xa=1, sa=-1, xb=0, sb=1)
+    # a gap that comes within contact only on the stretch's last round
+    @example(wrap=None, u0=0, length=2, xa=3, sa=-1, xb=0, sb=1)
+    @example(wrap=None, u0=0, length=3, xa=5, sa=-1, xb=0, sb=1)
+    # cycle gaps of n + 1 and n - 1 (crossings) and n + 2 and n - 2
+    @example(wrap=10, u0=0, length=1, xa=11, sa=-1, xb=0, sb=1)
+    @example(wrap=10, u0=0, length=1, xa=9, sa=1, xb=0, sb=-1)
+    @example(wrap=10, u0=0, length=4, xa=12, sa=0, xb=0, sb=0)
+    @example(wrap=10, u0=0, length=4, xa=8, sa=1, xb=0, sb=1)
+    def test_skipped_stretches_hold_no_meeting(self, wrap, u0, length, xa,
+                                               sa, xb, sb):
+        u1 = u0 + length
+        n = stretch_modulus(wrap, length, xa, xb)
+        for solve, contact in stretch_solvers(wrap):
+            if sim._apart(u0, u1, xa, sa, xb, sb, contact, n):
+                assert solve(u0, u1, xa, sa, xb, sb) is None
+
+    @pytest.mark.parametrize("wrap, xa, sa, xb, sb, skipped", [
+        # (plain, care): gaps of 2 and 3 on the line, standing still
+        (None, 2, 0, 0, 0, (True, False)),
+        (None, -3, 0, 0, 0, (True, True)),
+        # a closing gap of 1, and gaps that reach 1 and 2 in four rounds
+        (None, 1, -1, 0, 1, (False, False)),
+        (None, 7, -1, 0, 1, (False, False)),
+        (None, 8, -1, 0, 1, (True, False)),
+        # cycle gaps of n +- 1, n +- 2 and n + 3
+        (10, 11, 0, 0, 0, (False, False)),
+        (10, -9, 1, 0, 1, (False, False)),
+        (10, 12, 0, 0, 0, (True, False)),
+        (10, 8, -1, 0, -1, (True, False)),
+        (10, 13, 0, 0, 0, (True, True)),
+    ])
+    def test_contact_is_each_solvers_own(self, wrap, xa, sa, xb, sb,
+                                         skipped):
+        n = stretch_modulus(wrap, 4, xa, xb)
+        assert tuple(sim._apart(0, 4, xa, sa, xb, sb, contact, n)
+                     for _, contact in stretch_solvers(wrap)) == skipped
 
 
 @st.composite
